@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import crosscheck, equivalence, permutation, stabilizer
-from .gf2 import BinaryMatrix, BinaryVector
+from .gf2 import MAX_PAIRS, BinaryMatrix, BinaryVector
 from .permutation import PermutationProtocol
 from .stabilizer import StabilizerProtocol, parse_pauli_string, to_pauli_string
 from .states import BellDiagonalState, PairDistribution, werner
@@ -97,17 +98,26 @@ def _emit(text: str, output: str | None) -> None:
         base = os.environ.get("BELLDISTILL_OUTDIR")
         if base:
             path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = ("werner", "pair", "state_file", "protocol_file", "generators",
-                "matrix", "offset", "m", "threshold", "format", "output",
-                "seed", "rounds", "grid", "random", "sizes", "count")
+# Config keys and the JSON types their values may take (never a boolean).
+_NUMBER = (int, float)
+_CONFIG_KEYS = {
+    "werner": _NUMBER, "pair": str, "state_file": str, "protocol_file": str,
+    "generators": str, "matrix": str, "offset": str, "m": int,
+    "threshold": _NUMBER, "format": str, "output": str, "seed": int,
+    "rounds": int, "grid": (str, *_NUMBER), "random": int, "sizes": (str, int),
+    "count": int,
+}
 
 
 def _add_io_options(p: argparse.ArgumentParser) -> None:
@@ -189,20 +199,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CliError(f"{what} file must hold a JSON object")
+    return data
+
+
+def _is_a(value, kinds) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _field(data: dict, key: str, kind: type, what: str):
+    """data[key], refused with a clean error unless it is a JSON `kind`."""
+    value = data.get(key)
+    if not _is_a(value, kind):
+        raise CliError(f"{what} needs {key!r} as a JSON {kind.__name__}")
+    return value
+
+
+def _strings(data: dict, key: str, what: str) -> list[str]:
+    values = _field(data, key, list, what)
+    if not all(_is_a(v, str) for v in values):
+        raise CliError(f"{what} needs {key!r} as a list of strings")
+    return values
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     config_path = getattr(args, "config", None)
     if not config_path:
         return
-    try:
-        data = json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {config_path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CliError("config file must hold a JSON object")
-    for key, value in data.items():
+    for key, value in _read_json_object(config_path, "config").items():
         attr = key.replace("-", "_")
         if attr not in _CONFIG_KEYS:
             raise CliError(f"unknown config key {key!r}")
+        if value is not None and not _is_a(value, _CONFIG_KEYS[attr]):
+            raise CliError(f"config key {key!r} has a value of the wrong type")
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
 
@@ -218,17 +253,20 @@ def _load_protocol(args) -> PermutationProtocol | StabilizerProtocol:
         raise CliError("provide exactly one protocol: --protocol-file, "
                        "--generators, or --matrix")
     if args.protocol_file is not None:
-        try:
-            data = json.loads(Path(args.protocol_file).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read protocol {args.protocol_file}: {exc}") from exc
+        data = _read_json_object(args.protocol_file, "protocol")
+        n, m = _field(data, "n", int, "protocol"), _field(data, "m", int, "protocol")
         if "generators" in data:
-            gens = tuple(parse_pauli_string(s) for s in data["generators"])
-            return StabilizerProtocol(int(data["n"]), int(data["m"]), gens)
-        matrix = BinaryMatrix.from_strings(data["A"])
-        n = matrix.ncols // 2
-        offset = BinaryVector.from_string(data.get("b") or "0" * 2 * n)
-        return PermutationProtocol(n, int(data["m"]), matrix, offset)
+            gens = tuple(parse_pauli_string(s)
+                         for s in _strings(data, "generators", "protocol"))
+            return StabilizerProtocol(n, m, gens)
+        matrix = BinaryMatrix.from_strings(_strings(data, "A", "protocol"))
+        if matrix.ncols != 2 * n:
+            raise CliError(f"protocol matrix has {matrix.ncols} columns, "
+                           f"expected 2n = {2 * n}")
+        b = data.get("b") or "0" * 2 * n
+        if not _is_a(b, str):
+            raise CliError("protocol needs 'b' as a bit string")
+        return PermutationProtocol(n, m, matrix, BinaryVector.from_string(b))
     if args.generators is not None:
         strings = [s.strip() for s in args.generators.split(",") if s.strip()]
         gens = tuple(parse_pauli_string(s) for s in strings)
@@ -273,10 +311,10 @@ def _load_state(args, n: int) -> BellDiagonalState:
         if len(parts) != 4:
             raise CliError("--pair needs exactly four comma-separated weights")
         return BellDiagonalState.from_pairs([PairDistribution(tuple(parts))] * n)
-    try:
-        data = json.loads(Path(args.state_file).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read state {args.state_file}: {exc}") from exc
+    data = _read_json_object(args.state_file, "state")
+    _field(data, "n", int, "state")
+    if not all(_is_a(p, _NUMBER) for p in _field(data, "probs", list, "state")):
+        raise CliError("state needs 'probs' as a list of numbers")
     state = BellDiagonalState.from_dict(data)
     if state.n != n:
         raise CliError(f"state has {state.n} pairs but the protocol needs {n}")
@@ -290,8 +328,8 @@ def _parse_sizes(text: str | None, default: tuple[int, ...]) -> tuple[int, ...]:
         sizes = tuple(int(x) for x in str(text).split(","))
     except ValueError as exc:
         raise CliError(f"bad size list {text!r}") from exc
-    if not sizes:
-        raise CliError("empty size list")
+    if not all(1 <= n <= MAX_PAIRS for n in sizes):
+        raise CliError(f"sizes must be pair counts in 1..{MAX_PAIRS}, got {text!r}")
     return sizes
 
 
@@ -304,6 +342,8 @@ def _parse_grid(text: str | None) -> list[float]:
             lo, hi, step = (float(x) for x in text.split(":"))
         except ValueError as exc:
             raise CliError(f"bad grid {text!r}, expected lo:hi:step") from exc
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise CliError(f"grid bounds must be finite, got {text!r}")
         if step <= 0 or hi < lo:
             raise CliError("grid needs step > 0 and hi >= lo")
         points = int(round((hi - lo) / step)) + 1

@@ -37,7 +37,7 @@ class CheckResult:
 def check_parity_measurement(sizes: tuple[int, ...], count: int,
                              rng: np.random.Generator,
                              tolerance: float = 1e-10) -> CheckResult:
-    """Coset-path branch statistics vs dense pairwise parity measurements.
+    """Branch-table statistics vs dense pairwise parity measurements.
 
     The oracle consumes the already-relabeled state (relabeling is an exact
     array permutation), so this isolates the coset bookkeeping.
@@ -77,7 +77,7 @@ def _branch_error(engine: dict, dense: dict) -> float:
 def check_syndrome_measurement(sizes: tuple[int, ...], count: int,
                                rng: np.random.Generator,
                                tolerance: float = 1e-10) -> CheckResult:
-    """Coset syndrome distribution vs dense two-sided generator measurements.
+    """Engine syndrome distribution vs dense two-sided generator measurements.
 
     Also checks that the first side's raw outcomes are uniform, which is
     why only the outcome difference is modelled at the label level.

@@ -2,17 +2,19 @@
 
 The protocol relabels the joint Bell-product label by an affine symplectic
 map x -> A x + b, measures both qubits of each of the last n-m pairs in the
-computational basis, and compares the two sides.  At the label level every
-branch statistic is an exact sum of input weights over a coset:
+computational basis, and compares the two sides.  At the label level the
+relabeled label A x + b splits into the outcome bits t (parities of the
+measured pairs), the logical label y of the survivors, and the phases of
+the measured pairs, which nobody sees.  Every branch statistic is read off
+one table, built in a single pass over the input by `branch_table`:
 
-* the branch outcome t keeps the labels in one coset of the symplectic
-  complement of the measured subspace, and
-* each surviving logical label y collects one coset of the measured
-  subspace inside that branch.
+    W[t, y] = total input weight of the labels x with A x + b -> (t, y).
 
-Both the coset path (`run`) and an independent dense marginalization path
-(`run_direct`) are provided; they must agree to full precision, which the
-test suite enforces.
+Summed over y this is the branch probability (a coset sum over the
+symplectic complement of the measured subspace); each entry is a coset sum
+over the measured subspace.  The stabilizer engine fills the same table
+from its generators, so both engines read their branches off identical
+numbers.  The literal coset-sum formula is kept in `unnormalized_fidelity`.
 
 Conditional outputs are renormalized to total weight one.  The literal
 coset-ratio expression additionally carries a 2**(n-m) branching factor
@@ -129,97 +131,72 @@ def _effective_table(state: BellDiagonalState, proto: PermutationProtocol,
     return state.probs[idx ^ np.int64(shift)]
 
 
+def branch_table(probs: np.ndarray, label_map: BinaryMatrix, offset: int,
+                 m: int) -> np.ndarray:
+    """Input weight per branch label: W[t, y] = sum of p_x over x with
+    label_map x + offset == (t << 2m) | y.
+
+    The label of every input comes from `gf2.affine_images` (one int64
+    array the size of the table) and one unbuffered `np.add.at` adds the
+    weights in input order, so the cost is two passes over the input
+    whatever n and m are.  (`np.bincount` would add in the same order, but
+    it copies a read-only weight table such as `BellDiagonalState.probs`.)
+    """
+    table = np.zeros(1 << label_map.nrows)
+    np.add.at(table, gf2.affine_images(label_map, offset), probs)
+    return table.reshape(-1, 1 << (2 * m))
+
+
+def branch_outcomes(table: np.ndarray, m: int,
+                    threshold: float) -> list[ProtocolOutcome]:
+    """The branches of a branch table, one per row of nonzero weight.
+
+    The probability is the row sum, the output the row renormalized, the
+    correction the heaviest logical label of the row (among exactly equal
+    weights the smallest label wins) and the fidelity the output's weight
+    there.  Rows of weight exactly zero are skipped.
+    """
+    k = table.shape[0].bit_length() - 1
+    probs = table.sum(axis=1)
+    outcomes = []
+    for t in np.flatnonzero(probs):
+        prob = float(probs[t])
+        output = BellDiagonalState(m, table[t] / prob)
+        correction = optimal_correction(table[t])
+        fid = float(output.probs[correction.value])
+        outcomes.append(ProtocolOutcome(
+            t=BinaryVector(int(t), k),
+            prob=prob,
+            output=output,
+            correction=correction,
+            fidelity=fid,
+            unnormalized_fidelity=(1 << k) * fid,
+            accepted=fid >= threshold,
+        ))
+    return outcomes
+
+
 def run(state: BellDiagonalState, proto: PermutationProtocol,
         threshold: float | None = None) -> list[ProtocolOutcome]:
     """Evaluate every parity-outcome branch of the protocol exactly.
 
-    Per branch t: the branch probability is the input-weight sum over one
-    coset of the complement of the measured subspace; the conditional
-    output weight at logical label y is the sum over one coset of the
-    measured subspace, renormalized.  Branches of probability zero are
-    never produced.  `threshold` defaults to the input fidelity
-    (acceptance requires non-degradation).
+    The label map keeps the rows of A (and the bits of b) that become the
+    outcome bits t and the logical label y of the relabeled label, so
+    branch t of the table sums one coset of the complement of the measured
+    subspace and its entry y one coset of the measured subspace.  Branches
+    of probability zero are never produced.  `threshold` defaults to the
+    input fidelity (acceptance requires non-degradation).
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
     if threshold is None:
         threshold = state.fidelity
     n, m = proto.n, proto.m
-    k = n - m
-    inverse = gf2.symplectic_inverse(proto.matrix)  # equals P A^T P
-    q = _effective_table(state, proto, inverse)
-    sub = measured_subspace(proto)
-    perp = gf2.orthogonal_complement(sub)
-
-    outcomes = []
-    for t in range(1 << k):
-        off0 = inverse @ BinaryVector(_embed_value(0, t, n, m), 2 * n)
-        prob_t = gf2.coset_sum(q, Coset(perp, off0))
-        if prob_t == 0.0:
-            continue
-        weights = np.empty(1 << (2 * m))
-        for y in range(1 << (2 * m)):
-            offset = inverse @ BinaryVector(_embed_value(y, t, n, m), 2 * n)
-            weights[y] = gf2.coset_sum(q, Coset(sub, offset))
-        output = BellDiagonalState(m, weights / weights.sum())
-        correction = optimal_correction(output.probs)
-        fid = float(output.probs[correction.value])
-        unnormalized = (1 << k) * float(weights[correction.value]) / prob_t
-        outcomes.append(ProtocolOutcome(
-            t=BinaryVector(t, k),
-            prob=prob_t,
-            output=output,
-            correction=correction,
-            fidelity=fid,
-            unnormalized_fidelity=unnormalized,
-            accepted=fid >= threshold,
-        ))
-    return outcomes
-
-
-def run_direct(state: BellDiagonalState, proto: PermutationProtocol,
-               threshold: float | None = None) -> list[ProtocolOutcome]:
-    """Same branches via dense marginalization, bypassing coset machinery.
-
-    Relabels all 4**n weights, fixes the parity bits of the measured pairs
-    to each outcome, and sums over their phase bits.  Serves as an exact
-    independent check of `run`.
-    """
-    if state.n != proto.n:
-        raise ValueError("state and protocol disagree on the pair count")
-    if threshold is None:
-        threshold = state.fidelity
-    n, m = proto.n, proto.m
-    k = n - m
-    permuted = state.permute(proto.matrix, proto.offset)
-    tensor = permuted.probs.reshape((2,) * (2 * n))
-
-    outcomes = []
-    for t in range(1 << k):
-        indexer: list = [slice(None)] * (2 * n)
-        for i in range(k):
-            indexer[n + m + i] = (t >> (k - 1 - i)) & 1
-        branch = tensor[tuple(indexer)]
-        if k:
-            branch = branch.sum(axis=tuple(range(m, n)))
-        weights = branch.reshape(-1)
-        prob_t = float(weights.sum())
-        if prob_t == 0.0:
-            continue
-        output = BellDiagonalState(m, weights / prob_t)
-        correction = optimal_correction(output.probs)
-        fid = float(output.probs[correction.value])
-        unnormalized = (1 << k) * float(weights[correction.value]) / prob_t
-        outcomes.append(ProtocolOutcome(
-            t=BinaryVector(t, k),
-            prob=prob_t,
-            output=output,
-            correction=correction,
-            fidelity=fid,
-            unnormalized_fidelity=unnormalized,
-            accepted=fid >= threshold,
-        ))
-    return outcomes
+    positions = [*range(n + m, 2 * n), *range(m), *range(n, n + m)]
+    selector = BinaryMatrix(tuple(1 << (2 * n - 1 - p) for p in positions), 2 * n)
+    table = branch_table(state.probs, selector @ proto.matrix,
+                         (selector @ proto.offset).value, m)
+    return branch_outcomes(table, m, threshold)
 
 
 def unnormalized_fidelity(state: BellDiagonalState, proto: PermutationProtocol,

@@ -4,14 +4,18 @@ Both sides measure the n-m commuting Pauli observables named by the
 generator labels (one side the elementwise complex conjugate); only the
 XOR s of the two outcome strings is informative.  At the label level:
 
-* the chance of observing s is the input-weight sum over the coset of the
-  generators' symplectic complement selected by s, and
+* syndrome bit i of an input label x is its symplectic inner product with
+  generator i, and the chance of observing s is the weight of the coset of
+  the generators' symplectic complement selected by s;
 * recovery picks the heaviest coset of the generator span inside it.
 
 Logical output labels need a basis choice inside the complement; the
-completed symplectic matrix from :func:`belldistill.gf2.complete_to_symplectic`
-fixes it, so the outputs line up entry-by-entry with the permutation engine
-built from the same completion.
+completed symplectic matrix B from
+:func:`belldistill.gf2.complete_to_symplectic` fixes it.  The logical bits
+of x are its inner products with the partner columns of B, so the branch
+table `permutation.branch_table` fills here is entry by entry the one the
+permutation engine built from the same completion fills, and both engines
+read their branches off it the same way.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
-from .permutation import _embed_value
+from .gf2 import BinaryMatrix, BinaryVector, Subspace
+from .permutation import _embed_value, branch_outcomes, branch_table
 from .states import BellDiagonalState
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
@@ -101,6 +105,17 @@ def generator_span(proto: StabilizerProtocol) -> Subspace:
     return Subspace.from_vectors(proto.generators, length=2 * proto.n)
 
 
+def _pairing_map(proto: StabilizerProtocol, partners: "list[int]") -> BinaryMatrix:
+    """Label map x -> (<g_0, x>, ..., <g_last, x>, <p_0, x>, ...), top bit first.
+
+    The symplectic inner product <v, x> is the dot product of x with v's
+    halves swapped, so each row is one swapped vector.
+    """
+    vectors = [g.value for g in proto.generators] + partners
+    return BinaryMatrix(tuple(gf2._swap_halves_value(v, proto.n) for v in vectors),
+                        2 * proto.n)
+
+
 def syndrome_distribution(state: BellDiagonalState,
                           proto: StabilizerProtocol) -> np.ndarray:
     """Probability of each syndrome, indexed by its packed integer value.
@@ -111,64 +126,25 @@ def syndrome_distribution(state: BellDiagonalState,
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
-    k = proto.n - proto.m
-    perp = gf2.orthogonal_complement(generator_span(proto))
-    out = np.empty(1 << k)
-    for s in range(1 << k):
-        v = _syndrome_representative(proto, BinaryVector(s, k))
-        out[s] = gf2.coset_sum(state.probs, Coset(perp, v))
-    return out
-
-
-def _syndrome_representative(proto: StabilizerProtocol,
-                             s: BinaryVector) -> BinaryVector:
-    if not proto.generators:
-        return BinaryVector.zeros(2 * proto.n)
-    return gf2.solve_commutation(proto.generators, s)
-
-
-def _logical_complement(span: Subspace, perp: Subspace) -> list[int]:
-    """Extend the generator span's basis to a basis of its complement."""
-    rows, pivots = list(span.basis), list(span.pivots)
-    extension = []
-    for b in perp.basis:
-        reduced = gf2._reduce_by(b, rows, pivots, span.length)
-        if reduced:
-            rows, pivots = gf2._rref(rows + [reduced], span.length)
-            extension.append(b)
-    return extension
+    return branch_table(state.probs, _pairing_map(proto, []), 0, 0).sum(axis=1)
 
 
 def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
                      s: BinaryVector) -> BinaryVector:
-    """Representative of the heaviest generator-span coset for syndrome s.
+    """Recovery `run` chooses for syndrome s under the default completion.
 
-    Scans the 4**m cosets of the generator span inside the syndrome's
-    complement coset; ties break toward the lexicographically smallest
-    coset representative.  Raises for syndromes of probability zero.
+    It is the lex-least representative of the generator-span coset
+    B embed(c, s) + span, where c is the heaviest logical label (the
+    smallest one among exactly equal weights).  On exact ties the coset
+    can depend on the completion B.  Raises for syndromes of probability
+    zero.
     """
-    if state.n != proto.n:
-        raise ValueError("state and protocol disagree on the pair count")
-    span = generator_span(proto)
-    perp = gf2.orthogonal_complement(span)
-    v = _syndrome_representative(proto, s)
-    if gf2.coset_sum(state.probs, Coset(perp, v)) == 0.0:
-        raise ValueError(f"syndrome {s} has probability zero")
-    extension = _logical_complement(span, perp)
-    best_weight = -1.0
-    best_rep = 0
-    for combo in range(1 << len(extension)):
-        rep = v.value
-        for i, d in enumerate(extension):
-            if (combo >> i) & 1:
-                rep ^= d
-        coset = Coset(span, BinaryVector(rep, 2 * proto.n))
-        weight = gf2.coset_sum(state.probs, coset)
-        canonical = coset.offset.value
-        if weight > best_weight or (weight == best_weight and canonical < best_rep):
-            best_weight = weight
-            best_rep = canonical
-    return BinaryVector(best_rep, 2 * proto.n)
+    if s.length != proto.n - proto.m:
+        raise ValueError("syndrome length must equal the generator count")
+    for branch in run(state, proto):
+        if branch.s == s:
+            return branch.u
+    raise ValueError(f"syndrome {s} has probability zero")
 
 
 def run(state: BellDiagonalState, proto: StabilizerProtocol,
@@ -176,19 +152,24 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
         basis: BinaryMatrix | None = None) -> list[SyndromeBranch]:
     """Evaluate every syndrome branch of the protocol exactly.
 
-    `basis` is a symplectic completion of the generators used to name the
+    `basis` is a symplectic completion B of the generators used to name the
     logical output labels; by default the deterministic completion is
-    used.  The branch fidelity is the recovery coset's weight over the
-    branch weight (the literal expression times 2**(n-m) is reported
-    alongside as `unnormalized_fidelity`).  Zero-probability syndromes are
-    never produced.  `threshold` defaults to the input fidelity.
+    used.  Syndrome bits come from the generators and logical bits from
+    B's partner columns (column n+j for the phase of logical pair j,
+    column j for its parity), which reads off B^-1 x without inverting B.
+    Per branch, v is the lex-least label with syndrome s and the recovery
+    u the lex-least representative of B embed(c, s) + span for the
+    heaviest logical label c (the smallest among exact ties).  The branch
+    fidelity is the recovery coset's weight over the branch weight (the
+    literal expression times 2**(n-m) is reported alongside as
+    `unnormalized_fidelity`).  Zero-probability syndromes are never
+    produced.  `threshold` defaults to the input fidelity.
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
     if threshold is None:
         threshold = state.fidelity
     n, m = proto.n, proto.m
-    k = n - m
     if basis is None:
         basis = gf2.complete_to_symplectic(proto.generators, n, m)
     else:
@@ -199,32 +180,27 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
                 raise ValueError("logical basis must carry generator i in column m+i")
     span = generator_span(proto)
     perp = gf2.orthogonal_complement(span)
+    cols = basis.column_values()
+    table = branch_table(state.probs, _pairing_map(proto, [*cols[n:n + m], *cols[:m]]),
+                         0, m)
 
-    branches = []
-    for s in range(1 << k):
-        s_vec = BinaryVector(s, k)
-        v = _syndrome_representative(proto, s_vec)
-        prob_s = gf2.coset_sum(state.probs, Coset(perp, v))
-        if prob_s == 0.0:
-            continue
-        weights = np.empty(1 << (2 * m))
-        for y in range(1 << (2 * m)):
-            offset = basis @ BinaryVector(_embed_value(y, s, n, m), 2 * n)
-            weights[y] = gf2.coset_sum(state.probs, Coset(span, offset))
-        output = BellDiagonalState(m, weights / weights.sum())
-        u = optimal_recovery(state, proto, s_vec)
-        fid = gf2.coset_sum(state.probs, Coset(span, u)) / prob_s
-        branches.append(SyndromeBranch(
-            s=s_vec,
-            prob=prob_s,
-            v=v,
-            u=u,
-            output=output,
-            fidelity=fid,
-            unnormalized_fidelity=(1 << k) * fid,
-            accepted=fid >= threshold,
-        ))
-    return branches
+    def lifted(y: int, s: int) -> int:
+        return (basis @ BinaryVector(_embed_value(y, s, n, m), 2 * n)).value
+
+    return [
+        SyndromeBranch(
+            s=o.t,
+            prob=o.prob,
+            v=BinaryVector(perp.reduce_value(lifted(0, o.t.value)), 2 * n),
+            u=BinaryVector(span.reduce_value(lifted(o.correction.value, o.t.value)),
+                           2 * n),
+            output=o.output,
+            fidelity=o.fidelity,
+            unnormalized_fidelity=o.unnormalized_fidelity,
+            accepted=o.accepted,
+        )
+        for o in branch_outcomes(table, m, threshold)
+    ]
 
 
 __all__ = [

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +43,7 @@ class PairDistribution:
         if min(w) < -_NEGATIVE_TOLERANCE:
             raise ValueError(f"negative weight in pair distribution: {min(w)}")
         total = sum(w)
-        if abs(total - 1.0) > _SUM_TOLERANCE:
+        if not abs(total - 1.0) <= _SUM_TOLERANCE:  # NaN fails too
             raise ValueError(f"pair weights sum to {total}, expected 1")
         object.__setattr__(self, "weights",
                            tuple(max(x, 0.0) / total for x in w))
@@ -80,8 +81,7 @@ class BellDiagonalState:
     __slots__ = ("n", "probs")
 
     def __init__(self, n: int, probs: Sequence[float] | np.ndarray):
-        if not 0 <= n <= gf2.MAX_PAIRS:
-            raise ValueError(f"pair count {n} outside supported range 0..{gf2.MAX_PAIRS}")
+        _check_pair_count(n)
         arr = np.array(probs, dtype=float)
         if arr.shape != (1 << (2 * n),):
             raise ValueError(f"expected {1 << (2 * n)} weights for n={n}, got {arr.shape}")
@@ -89,7 +89,7 @@ class BellDiagonalState:
             raise ValueError(f"negative weight in distribution: {arr.min()}")
         np.clip(arr, 0.0, None, out=arr)
         total = arr.sum()
-        if abs(total - 1.0) > _SUM_TOLERANCE:
+        if not abs(total - 1.0) <= _SUM_TOLERANCE:  # NaN fails too
             raise ValueError(f"weights sum to {total}, drifted beyond 1e-9 from 1")
         arr /= total
         arr.setflags(write=False)
@@ -112,20 +112,19 @@ class BellDiagonalState:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[PairDistribution]) -> "BellDiagonalState":
-        """Product state of independent pairs: p_x = prod_i pair_i(x_i, x_{n+i})."""
+        """Product state of independent pairs: p_x = prod_i pair_i(x_i, x_{n+i}).
+
+        The Kronecker product of the [phase][parity] matrices is indexed by
+        (all phases, all parities), which is already the label order.
+        """
         if not pairs:
             raise ValueError("need at least one pair distribution")
-        n = len(pairs)
-        tensor = np.array([1.0])
-        for pair in pairs:
-            tensor = np.multiply.outer(tensor, pair.as_matrix())
-        tensor = tensor.reshape((2,) * (2 * n))
-        # axes currently (phase_1, parity_1, phase_2, ...): regroup halves
-        order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-        return cls(n, tensor.transpose(order).reshape(-1))
+        _check_pair_count(len(pairs))
+        return cls(len(pairs), reduce(np.kron, [p.as_matrix() for p in pairs]).ravel())
 
     @classmethod
     def point_mass(cls, n: int, label: BinaryVector | None = None) -> "BellDiagonalState":
+        _check_pair_count(n)
         probs = np.zeros(1 << (2 * n))
         probs[label.value if label is not None else 0] = 1.0
         return cls(n, probs)
@@ -176,7 +175,7 @@ class BellDiagonalState:
         b = 0 if offset is None else offset.value
         if offset is not None and offset.length != two_n:
             raise ValueError("offset length does not match pair count")
-        image = _affine_index_map(matrix, b)
+        image = gf2.affine_images(matrix, b)
         out = np.empty_like(self.probs)
         out[image] = self.probs
         return BellDiagonalState._trusted(self.n, out)
@@ -194,34 +193,18 @@ class BellDiagonalState:
         return f"BellDiagonalState(n={self.n}, fidelity={self.fidelity:.6g})"
 
 
-def _affine_index_map(matrix: BinaryMatrix, offset_value: int) -> np.ndarray:
-    """Array y with y[x] = A x + b over all packed labels x."""
-    length = matrix.ncols
-    x = np.arange(1 << length, dtype=np.int64)
-    y = np.full(1 << length, offset_value, dtype=np.int64)
-    for j, col in enumerate(matrix.column_values()):
-        y ^= ((x >> (length - 1 - j)) & 1) * np.int64(col)
-    return y
+def _check_pair_count(n: int) -> None:
+    """Refuse pair counts beyond the cap before any 4**n table is allocated."""
+    if not 0 <= n <= gf2.MAX_PAIRS:
+        raise ValueError(f"pair count {n} outside supported range 0..{gf2.MAX_PAIRS}")
 
 
 def from_pairs(pairs: Sequence[PairDistribution]) -> BellDiagonalState:
     return BellDiagonalState.from_pairs(pairs)
 
 
-def fidelity(state: BellDiagonalState) -> float:
-    return state.fidelity
-
-
-def pauli_shift(state: BellDiagonalState, a: BinaryVector) -> BellDiagonalState:
-    return state.pauli_shift(a)
-
-
-def permute(state: BellDiagonalState, matrix: BinaryMatrix,
-            offset: BinaryVector | None = None) -> BellDiagonalState:
-    return state.permute(matrix, offset)
-
-
 def random_bell_diagonal(n: int, rng: np.random.Generator) -> BellDiagonalState:
     """Random normalized weight table (for verification suites)."""
+    _check_pair_count(n)
     raw = rng.random(1 << (2 * n)) + 1e-12
     return BellDiagonalState(n, raw / raw.sum())

@@ -5,8 +5,9 @@ import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from belldistill.cli import main
+from belldistill.cli import _CONFIG_KEYS, main
 from belldistill.states import from_pairs, werner
 
 BCNOT = "1100,0100,0010,0011"
@@ -132,6 +133,17 @@ def test_verify_single_instance(capsys):
     assert data["summary"]["max_discrepancy"] <= 1e-12
 
 
+def test_verify_tie_case_matches_cosets(capsys):
+    # Werner inputs tie several cosets exactly; both engines read one branch
+    # table and so pick the same coset
+    code, out, _ = invoke(capsys, "verify", "--generators", "ZZZ,IXX",
+                          "--werner", "0.75")
+    assert code == 0
+    data = json.loads(out)
+    assert data["summary"]["coset_match"] is True
+    assert all(r["coset_match"] for r in data["records"])
+
+
 def test_verify_random_batch(capsys):
     code, out, _ = invoke(capsys, "verify", "--random", "8", "--seed", "3")
     assert code == 0
@@ -204,6 +216,100 @@ def test_state_size_mismatch_rejected(tmp_path, capsys):
                           "--state-file", str(state_file))
     assert code == 1
     assert "pairs" in err
+
+
+BAD_FILES = {
+    "protocol-list": ("--protocol-file", [1, 2]),
+    "protocol-no-m": ("--protocol-file", {"n": 2, "A": BCNOT.split(",")}),
+    "protocol-no-n": ("--protocol-file", {"m": 1, "A": BCNOT.split(",")}),
+    "protocol-no-A": ("--protocol-file", {"n": 2, "m": 1}),
+    "protocol-n-not-int": ("--protocol-file", {"n": "2", "m": 1, "generators": ["ZZ"]}),
+    "state-no-n": ("--state-file", {"probs": [1.0, 0.0, 0.0, 0.0]}),
+    "state-no-probs": ("--state-file", {"n": 2}),
+    "state-probs-not-numbers": ("--state-file", {"n": 1, "probs": ["1", 0, 0, 0]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
+    flag, content = BAD_FILES[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    argv = ["run-perm", flag, str(path)]
+    argv += ["--werner", "0.75"] if flag == "--protocol-file" else ["--generators", "ZZ"]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--random", "2", "--sizes", "2,0"],
+    ["verify", "--random", "2", "--sizes", "20"],
+    ["oracle-check", "--sizes", "0"],
+    ["sweep", "--generators", "ZZ", "--grid", "0.5:inf:0.1"],
+    ["run-perm", "--generators", "Z" * 15, "--werner", "0.8"],
+    ["run-perm", "--generators", "ZZ", "--pair", "nan,0,0,0"],
+])
+def test_out_of_range_flags_fail_cleanly(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"generators": "ZZ", "werner": "0.75"}))
+    code, _, err = invoke(capsys, "run-perm", "--config", str(config))
+    assert code == 1
+    assert "'werner'" in err
+
+
+_LEAF = (st.none() | st.booleans() | st.integers(-1, 4) | st.floats(-1, 2)
+         | st.text(alphabet="IXYZ01,.:-", max_size=5))
+_JSON = st.recursive(
+    _LEAF, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet="nmAbp", max_size=2), inner, max_size=3),
+    max_leaves=6)
+_WORDS = st.text(alphabet="IXYZ", min_size=1, max_size=4)
+_PROTOCOLS = _JSON | st.fixed_dictionaries({}, optional={
+    "n": st.integers(-1, 4) | _LEAF,
+    "m": st.integers(-1, 4) | _LEAF,
+    "generators": st.lists(_WORDS, max_size=3) | _JSON,
+    "A": st.lists(st.text(alphabet="01", max_size=8), max_size=8) | _JSON,
+    "b": st.text(alphabet="01", max_size=8) | _JSON,
+})
+_STATES = _JSON | st.fixed_dictionaries({}, optional={
+    "n": st.integers(-1, 3) | _LEAF,
+    "probs": st.lists(st.floats(0, 1) | _LEAF, max_size=16) | _JSON,
+})
+# "output" would write files: it is the one config key left out.
+_CONFIGS = _JSON | st.dictionaries(
+    st.sampled_from(sorted(set(_CONFIG_KEYS) - {"output"})), _LEAF, max_size=3)
+
+
+@st.composite
+def _json_files(draw):
+    """Protocol, state and config documents, each valid about half the time."""
+    word = draw(_WORDS)
+    protocol = {"n": len(word), "m": len(word) - 1, "generators": [word]}
+    state = from_pairs([werner(0.75)] * len(word)).to_dict()
+    return {"--protocol-file": draw(st.just(protocol) | _PROTOCOLS),
+            "--state-file": draw(st.just(state) | _STATES),
+            "--config": draw(st.just({}) | _CONFIGS)}
+
+
+@given(command=st.sampled_from(["run-perm", "run-code", "verify"]),
+       files=_json_files())
+def test_arbitrary_json_files_exit_cleanly(tmp_path_factory, command, files):
+    directory = tmp_path_factory.mktemp("json")
+    argv = [command]
+    for flag, content in files.items():
+        path = directory / f"{flag[2:]}.json"
+        path.write_text(json.dumps(content))
+        argv += [flag, str(path)]
+    assert main(argv) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

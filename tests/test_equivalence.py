@@ -13,7 +13,7 @@ from belldistill.equivalence import (
 from belldistill.gf2 import BinaryMatrix, BinaryVector, Subspace
 from belldistill.permutation import PermutationProtocol, embed_label, measured_subspace
 from belldistill.stabilizer import StabilizerProtocol, generator_span
-from belldistill.states import BellDiagonalState, random_bell_diagonal
+from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
 
 
 def vec(s):
@@ -128,6 +128,23 @@ def test_verify_random_batch(rng):
         report = verify_equivalence(state, proto)
         assert report.passed, report.to_dict()
         assert report.max_discrepancy <= 1e-12
+
+
+def test_verify_tie_heavy_inputs_random_completions(rng):
+    # Werner, point-mass and uniform inputs tie many cosets exactly; both
+    # engines read the same branch table, so they still pick the same coset
+    for n in range(2, 6):
+        for _ in range(6):
+            m = int(rng.integers(0, n))
+            gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
+            proto = StabilizerProtocol(n, m, gens)
+            label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
+            for state in (BellDiagonalState.from_pairs([werner(0.75)] * n),
+                          BellDiagonalState.point_mass(n, label),
+                          BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))):
+                report = verify_equivalence(state, proto, rng=rng)
+                assert report.passed, report.to_dict()
+                assert report.max_discrepancy == 0.0
 
 
 def test_fidelity_invariant_across_completions(rng):

@@ -77,6 +77,18 @@ def test_matrix_vector_product():
         m @ vec("10")
 
 
+def test_affine_images_match_matrix_vector_products(rng):
+    # rectangular maps too: the branch tables use (n+m) x 2n label maps
+    for nrows, ncols in ((1, 1), (3, 4), (6, 6), (5, 8)):
+        matrix = BinaryMatrix(tuple(int(rng.integers(0, 1 << ncols))
+                                    for _ in range(nrows)), ncols)
+        offset = int(rng.integers(0, 1 << nrows))
+        images = gf2.affine_images(matrix, offset)
+        assert images.dtype == np.int64
+        assert images.tolist() == [(matrix @ BinaryVector(x, ncols)).value ^ offset
+                                   for x in range(1 << ncols)]
+
+
 @given(st.integers(0, 2 ** 16 - 1), st.integers(0, 2 ** 16 - 1),
        st.integers(0, 2 ** 16 - 1))
 def test_matrix_multiplication_associative(a, b, c):

@@ -1,9 +1,9 @@
-"""Relabel-and-parity-check engine: frozen fixtures, dual-path checks."""
+"""Relabel-and-parity-check engine: frozen fixtures, literal coset-sum checks."""
 
 import numpy as np
 import pytest
 
-from belldistill import gf2
+from belldistill import gf2, stabilizer
 from belldistill.gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
 from belldistill.permutation import (
     PermutationProtocol,
@@ -12,9 +12,9 @@ from belldistill.permutation import (
     optimal_correction,
     recurrence_sweep,
     run,
-    run_direct,
     unnormalized_fidelity,
 )
+from belldistill.stabilizer import StabilizerProtocol, generator_span
 from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
 
 
@@ -142,27 +142,79 @@ def test_run_dimension_mismatch(bcnot_proto):
 
 
 # ---------------------------------------------------------------------------
-# Coset path vs direct marginalization (independent implementations)
+# Branch table vs the literal coset-sum formulas (independent implementations)
 # ---------------------------------------------------------------------------
 
+def literal_branches(probs, sub, lift, n, m):
+    """{t: (prob, weights)} from one `gf2.coset_sum` per branch and per label.
+
+    `lift(y, t)` is an input label that the protocol sends to logical label
+    y in branch t; the branch is its coset of the complement of `sub`, the
+    entry its coset of `sub`.  Zero-probability branches are left out.
+    """
+    perp = gf2.orthogonal_complement(sub)
+    branches = {}
+    for t in range(1 << (n - m)):
+        prob = gf2.coset_sum(probs, Coset(perp, lift(0, t)))
+        if prob == 0.0:
+            continue
+        branches[t] = (prob, np.array([gf2.coset_sum(probs, Coset(sub, lift(y, t)))
+                                       for y in range(1 << (2 * m))]))
+    return branches
+
+
+def tie_heavy_and_random_inputs(n, rng):
+    label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
+    return [random_bell_diagonal(n, rng),
+            BellDiagonalState.from_pairs([werner(0.75)] * n),
+            BellDiagonalState.point_mass(n, label),
+            BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))]
+
+
+def embed(y, t, n, m):
+    return embed_label(BinaryVector(y, 2 * m), BinaryVector(t, n - m), n, m)
+
+
 def test_coset_path_equals_direct_path(rng):
-    for _ in range(40):
-        n = int(rng.integers(1, 4))
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
         m = int(rng.integers(0, n + 1))
         matrix = gf2.random_symplectic(n, rng)
         offset = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n) \
             if rng.random() < 0.5 else BinaryVector.zeros(2 * n)
         proto = PermutationProtocol(n, m, matrix, offset)
-        state = random_bell_diagonal(n, rng)
-        by_coset = {o.t.value: o for o in run(state, proto)}
-        by_direct = {o.t.value: o for o in run_direct(state, proto)}
-        assert set(by_coset) == set(by_direct)
-        for t, a in by_coset.items():
-            d = by_direct[t]
-            assert a.prob == pytest.approx(d.prob, abs=1e-12)
-            assert a.output.probs == pytest.approx(d.output.probs, abs=1e-12)
-            assert a.correction == d.correction
-            assert a.fidelity == pytest.approx(d.fidelity, abs=1e-12)
+        inverse = gf2.symplectic_inverse(matrix)
+        shift = (inverse @ offset).value
+        gens = tuple(gf2.random_isotropic_generators(n, n - m, rng)) if m < n else ()
+        code = StabilizerProtocol(n, m, gens)
+        basis = gf2.complete_to_symplectic(gens, n, m, rng)
+        span = generator_span(code)
+        for state in tie_heavy_and_random_inputs(n, rng):
+            # the offset moves the input: q_x = p_{x + A^-1 b}
+            q = state.probs[np.arange(len(state.probs)) ^ shift]
+            literal = literal_branches(
+                q, measured_subspace(proto),
+                lambda y, t: inverse @ embed(y, t, n, m), n, m)
+            outcomes = {o.t.value: o for o in run(state, proto)}
+            assert set(outcomes) == set(literal)
+            for t, (prob, weights) in literal.items():
+                o = outcomes[t]
+                assert o.prob == pytest.approx(prob, abs=1e-12)
+                assert o.output.probs == pytest.approx(weights / prob, abs=1e-12)
+                assert o.fidelity == pytest.approx(weights.max() / prob, abs=1e-12)
+                assert abs(weights[o.correction.value] - weights.max()) <= 1e-15
+
+            literal = literal_branches(
+                state.probs, span, lambda y, s: basis @ embed(y, s, n, m), n, m)
+            branches = {b.s.value: b for b in stabilizer.run(state, code, basis=basis)}
+            assert set(branches) == set(literal)
+            for s, (prob, weights) in literal.items():
+                b = branches[s]
+                assert b.prob == pytest.approx(prob, abs=1e-12)
+                assert b.output.probs == pytest.approx(weights / prob, abs=1e-12)
+                assert b.fidelity == pytest.approx(weights.max() / prob, abs=1e-12)
+                chosen = gf2.coset_sum(state.probs, Coset(span, b.u))
+                assert abs(chosen - weights.max()) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,9 @@ def test_recovery_werner_syndrome0(zz_proto, werner2):
 
 
 def test_recovery_werner_syndrome1_tie(zz_proto, werner2):
-    # all four cosets tie at weight 10/144; lex-least representative wins
+    # all four cosets tie at weight 10/144: the smallest logical label wins,
+    # and u is the lex-least representative of its coset under the default
+    # completion
     u = optimal_recovery(werner2, zz_proto, vec("1"))
     assert u == vec("0001")
 

@@ -12,8 +12,6 @@ from belldistill.states import (
     BellDiagonalState,
     PairDistribution,
     from_pairs,
-    pauli_shift,
-    permute,
     random_bell_diagonal,
     werner,
 )
@@ -90,6 +88,27 @@ def test_from_pairs_empty_rejected():
         from_pairs([])
 
 
+def test_from_pairs_equals_per_label_products(rng):
+    pairs = [PairDistribution(tuple(w / w.sum())) for w in rng.random((3, 4))]
+    state = from_pairs(pairs)
+    for x in range(1 << 6):
+        expected = 1.0
+        for i, pair in enumerate(pairs):
+            expected *= pair.weight((x >> (5 - i)) & 1, (x >> (2 - i)) & 1)
+        # construction renormalizes once, which may move the last bit
+        assert state.probs[x] == pytest.approx(expected, rel=1e-15)
+
+
+def test_pair_count_above_cap_refused_before_allocation(rng):
+    n = gf2.MAX_PAIRS + 1
+    with pytest.raises(ValueError, match="pair count"):
+        from_pairs([werner(0.8)] * n)
+    with pytest.raises(ValueError, match="pair count"):
+        BellDiagonalState.point_mass(n)
+    with pytest.raises(ValueError, match="pair count"):
+        random_bell_diagonal(n, rng)
+
+
 # ---------------------------------------------------------------------------
 # Construction guards
 # ---------------------------------------------------------------------------
@@ -129,7 +148,7 @@ def test_fidelity_examples():
 # ---------------------------------------------------------------------------
 
 def test_shift_identity(werner2):
-    assert pauli_shift(werner2, vec("0000")) is werner2
+    assert werner2.pauli_shift(vec("0000")) is werner2
 
 
 def test_shift_involution(werner2):
