@@ -29,7 +29,7 @@ from .gf2 import (
     symplectic_form,
     symplectic_inverse,
 )
-from .states import BellDiagonalState, PairDistribution, from_pairs, werner
+from .states import BellDiagonalState, werner
 from .permutation import PermutationProtocol, ProtocolOutcome, recurrence_sweep
 from .stabilizer import StabilizerProtocol, SyndromeBranch, parse_pauli_string
 from .equivalence import (
@@ -55,8 +55,6 @@ __all__ = [
     "symplectic_form",
     "symplectic_inverse",
     "BellDiagonalState",
-    "PairDistribution",
-    "from_pairs",
     "werner",
     "PermutationProtocol",
     "ProtocolOutcome",

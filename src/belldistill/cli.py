@@ -31,7 +31,7 @@ from . import crosscheck, equivalence, permutation, stabilizer
 from .gf2 import MAX_PAIRS, BinaryMatrix, BinaryVector
 from .permutation import PermutationProtocol
 from .stabilizer import StabilizerProtocol, parse_pauli_string, to_pauli_string
-from .states import BellDiagonalState, PairDistribution, werner
+from .states import BellDiagonalState, werner
 
 
 class CliError(Exception):
@@ -57,8 +57,6 @@ def _clean(value):
         return [_clean(v) for v in value]
     if isinstance(value, dict):
         return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return [_clean(float(v)) for v in value]
     raise TypeError(f"unserializable value of type {type(value)!r}")
 
 
@@ -108,6 +106,10 @@ def _emit(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------------------
 # Argument plumbing
 # ---------------------------------------------------------------------------
+
+# Most points a sweep grid may have; a lo:hi:step grid is checked before
+# it is built, since a tiny step would otherwise exhaust memory.
+MAX_GRID_POINTS = 10_000
 
 # Config keys and the JSON types their values may take (never a boolean).
 _NUMBER = (int, float)
@@ -310,7 +312,7 @@ def _load_state(args, n: int) -> BellDiagonalState:
         parts = [float(x) for x in str(args.pair).split(",")]
         if len(parts) != 4:
             raise CliError("--pair needs exactly four comma-separated weights")
-        return BellDiagonalState.from_pairs([PairDistribution(tuple(parts))] * n)
+        return BellDiagonalState.from_pairs([BellDiagonalState(1, parts)] * n)
     data = _read_json_object(args.state_file, "state")
     _field(data, "n", int, "state")
     if not all(_is_a(p, _NUMBER) for p in _field(data, "probs", list, "state")):
@@ -346,12 +348,18 @@ def _parse_grid(text: str | None) -> list[float]:
             raise CliError(f"grid bounds must be finite, got {text!r}")
         if step <= 0 or hi < lo:
             raise CliError("grid needs step > 0 and hi >= lo")
-        points = int(round((hi - lo) / step)) + 1
-        return [round(lo + i * step, 12) for i in range(points)]
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise CliError(f"bad grid {text!r}") from exc
+        span = (hi - lo) / step
+        if span > MAX_GRID_POINTS:  # checked before int(): span may be inf
+            raise CliError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        grid = [round(lo + i * step, 12) for i in range(int(round(span)) + 1)]
+    else:
+        try:
+            grid = [float(x) for x in text.split(",")]
+        except ValueError as exc:
+            raise CliError(f"bad grid {text!r}") from exc
+    if len(grid) > MAX_GRID_POINTS:
+        raise CliError(f"grid has {len(grid)} points, more than {MAX_GRID_POINTS}")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +414,8 @@ def _cmd_run_code(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.random is not None:
+        if args.random < 1:
+            raise CliError("--random must be at least 1")
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         sizes = _parse_sizes(args.sizes, (2, 3, 4))
         records = []
@@ -473,6 +483,8 @@ def _cmd_oracle_check(args) -> int:
         raise CliError("oracle size cap exceeded: pair counts above 4 are not "
                        "supported by the dense oracle")
     count = args.count if args.count is not None else 50
+    if count < 1:
+        raise CliError("--count must be at least 1")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     results = crosscheck.run_all(sizes, count, rng)
     records = [
@@ -510,10 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "format", None) is None:
             args.format = "json"
         return _DISPATCH[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

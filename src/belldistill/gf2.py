@@ -331,6 +331,15 @@ def _reduce_by(v: int, rref_rows: Sequence[int], pivots: Sequence[int], ncols: i
     return v
 
 
+def _combination(basis: Sequence[int], pick: int) -> int:
+    """XOR of the basis vectors selected by the bits of pick (bit i: basis[i])."""
+    value = 0
+    for i, b in enumerate(basis):
+        if (pick >> i) & 1:
+            value ^= b
+    return value
+
+
 def _solve(rows: Sequence[int], rhs: Sequence[int], ncols: int,
            rng: np.random.Generator | None = None) -> int:
     """One solution of <rows[i], x> = rhs[i].
@@ -350,10 +359,7 @@ def _solve(rows: Sequence[int], rhs: Sequence[int], ncols: int,
     if rng is None:
         return _reduce_by(x, kernel_rows, kernel_pivots, ncols)
     if kernel_rows:
-        pick = int(rng.integers(0, 1 << len(kernel_rows)))
-        for i, kv in enumerate(kernel_rows):
-            if (pick >> i) & 1:
-                x ^= kv
+        x ^= _combination(kernel_rows, int(rng.integers(0, 1 << len(kernel_rows))))
     return x
 
 
@@ -549,11 +555,7 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int,
         if rng is None:
             u = work[0]
         else:
-            pick = int(rng.integers(1, 1 << len(work)))
-            u = 0
-            for i, b in enumerate(work):
-                if (pick >> i) & 1:
-                    u ^= b
+            u = _combination(work, int(rng.integers(1, 1 << len(work))))
         pairing = [_sympl_value(u, b, n) for b in work]
         ones = [i for i, bit in enumerate(pairing) if bit]
         if not ones:
@@ -564,10 +566,7 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int,
             pick = int(rng.integers(0, 1 << len(work)))
             if _parity(pick & sum(1 << i for i in ones)) == 0:
                 pick ^= 1 << ones[0]
-            w = 0
-            for i, b in enumerate(work):
-                if (pick >> i) & 1:
-                    w ^= b
+            w = _combination(work, pick)
         cols[j] = u
         cols[n + j] = w
         deflated = []
@@ -621,11 +620,7 @@ def random_isotropic_generators(n: int, k: int,
             [1 << i for i in range(two_n)], two_n)
         span_rows, span_pivots = _rref(chosen, two_n)
         for _ in range(64):
-            pick = int(rng.integers(1, 1 << len(candidates)))
-            v = 0
-            for i, b in enumerate(candidates):
-                if (pick >> i) & 1:
-                    v ^= b
+            v = _combination(candidates, int(rng.integers(1, 1 << len(candidates))))
             if _reduce_by(v, span_rows, span_pivots, two_n):
                 chosen.append(v)
                 break

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import gf2
 from .gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
-from .states import BellDiagonalState, PairDistribution
+from .states import BellDiagonalState
 
 
 @dataclass(frozen=True)
@@ -239,10 +239,10 @@ class RoundReport:
     cumulative_yield: float
     accepted: bool
     improved: bool
-    output_pair: PairDistribution
+    output_pair: BellDiagonalState
 
 
-def recurrence_sweep(pair: PairDistribution, proto: PermutationProtocol,
+def recurrence_sweep(pair: BellDiagonalState, proto: PermutationProtocol,
                      rounds: int, threshold: float | None = None) -> list[RoundReport]:
     """Iterate the protocol, feeding the surviving pair back in each round.
 
@@ -271,8 +271,10 @@ def recurrence_sweep(pair: PairDistribution, proto: PermutationProtocol,
         best = max(pool, key=lambda o: (o.fidelity, -o.t.value))
         accept_prob = sum(o.prob for o in accepted)
         cumulative_yield *= (proto.m / proto.n) * accept_prob
-        corrected = best.output.pauli_shift(best.correction)
-        next_pair = corrected.as_pair()
+        # Renormalize once per round: the sweep's accept/reject decisions
+        # depend on the last bit of the pair fed into the next round.
+        next_pair = BellDiagonalState(
+            1, best.output.pauli_shift(best.correction).probs)
         reports.append(RoundReport(
             round_index=round_index,
             input_fidelity=current.fidelity,

@@ -3,7 +3,9 @@
 A mixture of tensor products of Bell states on n pairs is fully described by
 one weight per 2n-bit label.  The table index of a label is its packed
 integer value (see :mod:`belldistill.gf2` for the bit convention), which
-makes label-level operations plain array permutations.
+makes label-level operations plain array permutations.  A single pair is
+the case n = 1: `werner` returns one, and `BellDiagonalState.from_pairs`
+builds product states from them.
 
 States are immutable after construction; weights are validated and
 renormalized exactly once, at construction, and any later drift beyond
@@ -13,7 +15,6 @@ renormalized exactly once, at construction, and any later drift beyond
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -26,41 +27,7 @@ _SUM_TOLERANCE = 1e-9
 _NEGATIVE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class PairDistribution:
-    """Bell-basis weights of a single pair, in label order 00, 01, 10, 11.
-
-    The first index bit is the phase (plus/minus), the second the parity
-    (correlated/anticorrelated), so weights[0] is the target-state weight.
-    """
-
-    weights: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.weights)
-        if len(w) != 4:
-            raise ValueError("a pair distribution has exactly four weights")
-        if min(w) < -_NEGATIVE_TOLERANCE:
-            raise ValueError(f"negative weight in pair distribution: {min(w)}")
-        total = sum(w)
-        if not abs(total - 1.0) <= _SUM_TOLERANCE:  # NaN fails too
-            raise ValueError(f"pair weights sum to {total}, expected 1")
-        object.__setattr__(self, "weights",
-                           tuple(max(x, 0.0) / total for x in w))
-
-    def weight(self, phase: int, parity: int) -> float:
-        return self.weights[2 * (phase & 1) + (parity & 1)]
-
-    @property
-    def fidelity(self) -> float:
-        return self.weights[0]
-
-    def as_matrix(self) -> np.ndarray:
-        """2x2 array indexed [phase][parity]."""
-        return np.array(self.weights, dtype=float).reshape(2, 2)
-
-
-def werner(fidelity: float) -> PairDistribution:
+def werner(fidelity: float) -> "BellDiagonalState":
     """Pair with the given target weight and the rest spread evenly.
 
     Below fidelity 1/4 the pair carries no distillable structure for the
@@ -72,7 +39,7 @@ def werner(fidelity: float) -> PairDistribution:
         warnings.warn("Werner fidelity below 1/4: state is not distillable",
                       stacklevel=2)
     rest = (1.0 - fidelity) / 3.0
-    return PairDistribution((fidelity, rest, rest, rest))
+    return BellDiagonalState(1, (fidelity, rest, rest, rest))
 
 
 class BellDiagonalState:
@@ -82,16 +49,19 @@ class BellDiagonalState:
 
     def __init__(self, n: int, probs: Sequence[float] | np.ndarray):
         _check_pair_count(n)
-        arr = np.array(probs, dtype=float)
+        arr = np.asarray(probs, dtype=float)
         if arr.shape != (1 << (2 * n),):
             raise ValueError(f"expected {1 << (2 * n)} weights for n={n}, got {arr.shape}")
-        if arr.min(initial=0.0) < -_NEGATIVE_TOLERANCE:
-            raise ValueError(f"negative weight in distribution: {arr.min()}")
-        np.clip(arr, 0.0, None, out=arr)
+        low = arr.min(initial=0.0)
+        if low < -_NEGATIVE_TOLERANCE:
+            raise ValueError(f"negative weight in distribution: {low}")
+        if low < 0.0:
+            arr = np.maximum(arr, 0.0)
         total = arr.sum()
         if not abs(total - 1.0) <= _SUM_TOLERANCE:  # NaN fails too
             raise ValueError(f"weights sum to {total}, drifted beyond 1e-9 from 1")
-        arr /= total
+        # A new array: the caller's is never written, and is never aliased.
+        arr = arr / total
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "probs", arr)
@@ -111,16 +81,19 @@ class BellDiagonalState:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[PairDistribution]) -> "BellDiagonalState":
+    def from_pairs(cls, pairs: Sequence["BellDiagonalState"]) -> "BellDiagonalState":
         """Product state of independent pairs: p_x = prod_i pair_i(x_i, x_{n+i}).
 
-        The Kronecker product of the [phase][parity] matrices is indexed by
-        (all phases, all parities), which is already the label order.
+        Each pair is a 1-pair state, whose table reshaped to 2x2 is indexed
+        [phase][parity].  The Kronecker product of those matrices is indexed
+        by (all phases, all parities), which is already the label order.
         """
         if not pairs:
-            raise ValueError("need at least one pair distribution")
+            raise ValueError("need at least one pair")
+        if any(p.n != 1 for p in pairs):
+            raise ValueError("from_pairs takes 1-pair states")
         _check_pair_count(len(pairs))
-        return cls(len(pairs), reduce(np.kron, [p.as_matrix() for p in pairs]).ravel())
+        return cls(len(pairs), reduce(np.kron, [p.probs.reshape(2, 2) for p in pairs]).ravel())
 
     @classmethod
     def point_mass(cls, n: int, label: BinaryVector | None = None) -> "BellDiagonalState":
@@ -140,11 +113,6 @@ class BellDiagonalState:
         if label.length != 2 * self.n:
             raise ValueError("label length does not match pair count")
         return float(self.probs[label.value])
-
-    def as_pair(self) -> PairDistribution:
-        if self.n != 1:
-            raise ValueError("as_pair needs a single-pair state")
-        return PairDistribution(tuple(self.probs))
 
     # -- label-level local operations ---------------------------------------
 
@@ -197,10 +165,6 @@ def _check_pair_count(n: int) -> None:
     """Refuse pair counts beyond the cap before any 4**n table is allocated."""
     if not 0 <= n <= gf2.MAX_PAIRS:
         raise ValueError(f"pair count {n} outside supported range 0..{gf2.MAX_PAIRS}")
-
-
-def from_pairs(pairs: Sequence[PairDistribution]) -> BellDiagonalState:
-    return BellDiagonalState.from_pairs(pairs)
 
 
 def random_bell_diagonal(n: int, rng: np.random.Generator) -> BellDiagonalState:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from belldistill.cli import _CONFIG_KEYS, main
-from belldistill.states import from_pairs, werner
+from belldistill.states import BellDiagonalState, werner
 
 BCNOT = "1100,0100,0010,0011"
 
@@ -81,7 +81,7 @@ def test_protocol_and_state_files(tmp_path, capsys):
         {"n": 2, "m": 1, "A": BCNOT.split(","), "b": "0000"}))
     state_file = tmp_path / "state.json"
     state_file.write_text(json.dumps(
-        from_pairs([werner(0.75)] * 2).to_dict()))
+        BellDiagonalState.from_pairs([werner(0.75)] * 2).to_dict()))
     code, out, _ = invoke(capsys, "run-perm",
                           "--protocol-file", str(proto_file),
                           "--state-file", str(state_file))
@@ -211,7 +211,7 @@ def test_two_protocols_rejected(capsys):
 
 def test_state_size_mismatch_rejected(tmp_path, capsys):
     state_file = tmp_path / "state.json"
-    state_file.write_text(json.dumps(from_pairs([werner(0.9)]).to_dict()))
+    state_file.write_text(json.dumps(BellDiagonalState.from_pairs([werner(0.9)]).to_dict()))
     code, _, err = invoke(capsys, "run-perm", "--matrix", BCNOT, "-m", "1",
                           "--state-file", str(state_file))
     assert code == 1
@@ -250,6 +250,11 @@ def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     ["sweep", "--generators", "ZZ", "--grid", "0.5:inf:0.1"],
     ["run-perm", "--generators", "Z" * 15, "--werner", "0.8"],
     ["run-perm", "--generators", "ZZ", "--pair", "nan,0,0,0"],
+    ["oracle-check", "--sizes", "2", "--count", "-3"],
+    ["oracle-check", "--sizes", "2", "--count", "0"],
+    ["verify", "--random", "-2"],
+    ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-300"],
+    ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-320"],
 ])
 def test_out_of_range_flags_fail_cleanly(capsys, argv):
     code, out, err = invoke(capsys, *argv)
@@ -294,7 +299,7 @@ def _json_files(draw):
     """Protocol, state and config documents, each valid about half the time."""
     word = draw(_WORDS)
     protocol = {"n": len(word), "m": len(word) - 1, "generators": [word]}
-    state = from_pairs([werner(0.75)] * len(word)).to_dict()
+    state = BellDiagonalState.from_pairs([werner(0.75)] * len(word)).to_dict()
     return {"--protocol-file": draw(st.just(protocol) | _PROTOCOLS),
             "--state-file": draw(st.just(state) | _STATES),
             "--config": draw(st.just({}) | _CONFIGS)}

@@ -326,7 +326,7 @@ def test_recurrence_one_round(bcnot_proto):
     assert rep.accept_prob == pytest.approx(13 / 18, abs=1e-12)
     assert rep.cumulative_yield == pytest.approx(13 / 36, abs=1e-12)
     assert rep.improved and rep.accepted
-    assert rep.output_pair.weights == pytest.approx(
+    assert rep.output_pair.probs == pytest.approx(
         (41 / 52, 1 / 52, 9 / 52, 1 / 52), abs=1e-12)
 
 

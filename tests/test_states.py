@@ -8,13 +8,7 @@ from hypothesis import given, strategies as st
 
 from belldistill import gf2
 from belldistill.gf2 import BinaryMatrix, BinaryVector
-from belldistill.states import (
-    BellDiagonalState,
-    PairDistribution,
-    from_pairs,
-    random_bell_diagonal,
-    werner,
-)
+from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
 
 
 def vec(s):
@@ -22,19 +16,20 @@ def vec(s):
 
 
 # ---------------------------------------------------------------------------
-# PairDistribution / werner
+# single pairs / werner
 # ---------------------------------------------------------------------------
 
 def test_werner_extremes():
-    assert werner(1.0).weights == (1.0, 0.0, 0.0, 0.0)
-    assert werner(0.25).weights == pytest.approx((0.25,) * 4)
+    assert tuple(werner(1.0).probs) == (1.0, 0.0, 0.0, 0.0)
+    assert werner(0.25).probs == pytest.approx((0.25,) * 4)
 
 
 def test_werner_three_quarters():
     w = werner(0.75)
-    assert w.weights == pytest.approx((0.75, 1 / 12, 1 / 12, 1 / 12))
+    assert w.n == 1
+    assert w.probs == pytest.approx((0.75, 1 / 12, 1 / 12, 1 / 12))
     assert w.fidelity == pytest.approx(0.75)
-    assert w.weight(1, 0) == pytest.approx(1 / 12)
+    assert w.prob(vec("10")) == pytest.approx(1 / 12)
 
 
 def test_werner_warns_below_quarter():
@@ -51,9 +46,9 @@ def test_werner_rejects_out_of_range():
 
 def test_pair_distribution_validation():
     with pytest.raises(ValueError):
-        PairDistribution((0.5, 0.5, 0.25, -0.25))
+        BellDiagonalState(1, (0.5, 0.5, 0.25, -0.25))
     with pytest.raises(ValueError):
-        PairDistribution((0.5, 0.1, 0.1, 0.1))
+        BellDiagonalState(1, (0.5, 0.1, 0.1, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +56,7 @@ def test_pair_distribution_validation():
 # ---------------------------------------------------------------------------
 
 def test_from_pairs_point_mass():
-    state = from_pairs([PairDistribution((1.0, 0.0, 0.0, 0.0))])
+    state = BellDiagonalState.from_pairs([BellDiagonalState(1, (1.0, 0.0, 0.0, 0.0))])
     assert state.probs[0] == 1.0
     assert state.fidelity == 1.0
 
@@ -76,8 +71,8 @@ def test_from_pairs_werner_products(werner2):
 @given(st.lists(st.tuples(*[st.floats(0.01, 1) for _ in range(4)]),
                 min_size=1, max_size=3))
 def test_from_pairs_normalized(raw):
-    pairs = [PairDistribution(tuple(x / sum(w) for x in w)) for w in raw]
-    state = from_pairs(pairs)
+    pairs = [BellDiagonalState(1, [x / sum(w) for x in w]) for w in raw]
+    state = BellDiagonalState.from_pairs(pairs)
     assert state.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert state.fidelity == pytest.approx(
         np.prod([p.fidelity for p in pairs]), abs=1e-12)
@@ -85,16 +80,16 @@ def test_from_pairs_normalized(raw):
 
 def test_from_pairs_empty_rejected():
     with pytest.raises(ValueError):
-        from_pairs([])
+        BellDiagonalState.from_pairs([])
 
 
 def test_from_pairs_equals_per_label_products(rng):
-    pairs = [PairDistribution(tuple(w / w.sum())) for w in rng.random((3, 4))]
-    state = from_pairs(pairs)
+    pairs = [BellDiagonalState(1, w / w.sum()) for w in rng.random((3, 4))]
+    state = BellDiagonalState.from_pairs(pairs)
     for x in range(1 << 6):
         expected = 1.0
         for i, pair in enumerate(pairs):
-            expected *= pair.weight((x >> (5 - i)) & 1, (x >> (2 - i)) & 1)
+            expected *= pair.probs[2 * ((x >> (5 - i)) & 1) + ((x >> (2 - i)) & 1)]
         # construction renormalizes once, which may move the last bit
         assert state.probs[x] == pytest.approx(expected, rel=1e-15)
 
@@ -102,7 +97,7 @@ def test_from_pairs_equals_per_label_products(rng):
 def test_pair_count_above_cap_refused_before_allocation(rng):
     n = gf2.MAX_PAIRS + 1
     with pytest.raises(ValueError, match="pair count"):
-        from_pairs([werner(0.8)] * n)
+        BellDiagonalState.from_pairs([werner(0.8)] * n)
     with pytest.raises(ValueError, match="pair count"):
         BellDiagonalState.point_mass(n)
     with pytest.raises(ValueError, match="pair count"):
@@ -138,7 +133,7 @@ def test_immutability():
 
 def test_fidelity_examples():
     assert BellDiagonalState.point_mass(2).fidelity == 1.0
-    assert from_pairs([werner(0.75)]).fidelity == pytest.approx(0.75)
+    assert BellDiagonalState.from_pairs([werner(0.75)]).fidelity == pytest.approx(0.75)
     uniform = BellDiagonalState(2, np.full(16, 1 / 16))
     assert uniform.fidelity == pytest.approx(1 / 16)
 
@@ -218,8 +213,9 @@ def test_json_round_trip(werner2):
     assert np.array_equal(back.probs, werner2.probs)
 
 
-def test_as_pair(werner2):
-    single = from_pairs([werner(0.6)])
-    assert single.as_pair().weights == pytest.approx(werner(0.6).weights)
-    with pytest.raises(ValueError):
-        werner2.as_pair()
+def test_from_pairs_takes_single_pairs(werner2):
+    single = BellDiagonalState.from_pairs([werner(0.6)])
+    assert single.n == 1
+    assert np.array_equal(single.probs, werner(0.6).probs)
+    with pytest.raises(ValueError, match="1-pair"):
+        BellDiagonalState.from_pairs([werner2])
