@@ -70,8 +70,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _render(command: str, records: list[dict], columns: list[str],
-            fmt: str, summary: dict | None = None) -> str:
+def _render(command: str, records: list[dict], fmt: str,
+            summary: dict | None) -> str:
     if fmt == "json":
         body = {"command": command, "records": _clean(records)}
         if summary is not None:
@@ -80,18 +80,20 @@ def _render(command: str, records: list[dict], columns: list[str],
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_format_cell(_clean(rec.get(c))) for c in columns])
+        # Every record of a command has the same fields in the same order.
+        writer.writerow(list(records[0]))
+        for rec in _clean(records):
+            writer.writerow([_format_cell(v) for v in rec.values()])
         return buf.getvalue()
     raise CliError(f"unknown output format {fmt!r}")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
+def _emit(args, records: list[dict], summary: dict | None = None) -> None:
+    text = _render(args.command, records, args.format, summary)
+    if args.output is None:
         sys.stdout.write(text)
         return
-    path = Path(output)
+    path = Path(args.output)
     if not path.is_absolute():
         base = os.environ.get("BELLDISTILL_OUTDIR")
         if base:
@@ -156,41 +158,30 @@ def _add_protocol_options(p: argparse.ArgumentParser) -> None:
                    help="acceptance threshold (default: input fidelity)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="belldistill",
-                     description="Exact simulation and cross-verification of "
-                                 "entanglement distillation protocols on "
-                                 "Bell-diagonal states.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run-perm", help="run the relabeling protocol")
+def _engine_options(p: argparse.ArgumentParser) -> None:
     _add_protocol_options(p)
     _add_input_options(p)
     _add_io_options(p)
 
-    p = sub.add_parser("run-code", help="run the generator-measurement protocol")
-    _add_protocol_options(p)
-    _add_input_options(p)
-    _add_io_options(p)
 
-    p = sub.add_parser("verify", help="cross-check the two engines")
-    _add_protocol_options(p)
-    _add_input_options(p)
-    _add_io_options(p)
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    _engine_options(p)
     p.add_argument("--random", type=int, default=None,
                    help="verify this many random instances instead")
     p.add_argument("--sizes", default=None,
                    help="comma-separated pair counts for --random (default 2,3,4)")
     p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
 
-    p = sub.add_parser("sweep", help="recurrence rounds over a Werner-fidelity grid")
+
+def _sweep_options(p: argparse.ArgumentParser) -> None:
     _add_protocol_options(p)
     _add_io_options(p)
     p.add_argument("--grid", default=None,
                    help="fidelity grid: lo:hi:step or comma-separated values")
     p.add_argument("--rounds", type=int, default=None, help="rounds per grid point")
 
-    p = sub.add_parser("oracle-check", help="dense-simulation comparison suites")
+
+def _oracle_options(p: argparse.ArgumentParser) -> None:
     _add_io_options(p)
     p.add_argument("--sizes", default=None,
                    help="comma-separated pair counts (default 2,3)")
@@ -198,13 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random cases per suite (default 50)")
     p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
 
-    return parser
-
 
 def _read_json_object(path: str, what: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"{what} file must hold a JSON object")
@@ -244,6 +233,17 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, attr, value)
 
 
+def _refuse_ignored(args: argparse.Namespace) -> None:
+    """Refuse option values the command would drop or could not use."""
+    # A config file can set these for commands that have no such flag.
+    if getattr(args, "offset", None) is not None \
+            and getattr(args, "matrix", None) is None:
+        raise CliError("--offset applies only to an inline --matrix")
+    threshold = getattr(args, "threshold", None)
+    if isinstance(threshold, float) and not math.isfinite(threshold):
+        raise CliError(f"--threshold must be finite, got {threshold}")
+
+
 # ---------------------------------------------------------------------------
 # Protocol and state loading
 # ---------------------------------------------------------------------------
@@ -271,12 +271,7 @@ def _load_protocol(args) -> PermutationProtocol | StabilizerProtocol:
         return PermutationProtocol(n, m, matrix, BinaryVector.from_string(b))
     if args.generators is not None:
         strings = [s.strip() for s in args.generators.split(",") if s.strip()]
-        gens = tuple(parse_pauli_string(s) for s in strings)
-        if not gens:
-            raise CliError("empty generator list")
-        n = gens[0].pair_count
-        m = args.m if args.m is not None else n - len(gens)
-        return StabilizerProtocol(n, m, gens)
+        return StabilizerProtocol.from_pauli_strings(strings, args.m)
     rows = [s.strip() for s in args.matrix.split(",") if s.strip()]
     matrix = BinaryMatrix.from_strings(rows)
     if matrix.ncols % 2 or matrix.nrows != matrix.ncols:
@@ -366,49 +361,34 @@ def _parse_grid(text: str | None) -> list[float]:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _branch_record(label: str, branch, **fields) -> dict:
+    """One engine branch: its label ("t" or "s"), the statistics both
+    engines report, and the engine's own `fields` before `accepted`."""
+    return {
+        label: str(getattr(branch, label)),
+        "prob": branch.prob,
+        "fidelity": branch.fidelity,
+        "unnormalized_fidelity": branch.unnormalized_fidelity,
+        **fields,
+        "accepted": branch.accepted,
+        "output": branch.output.probs.tolist(),
+    }
+
+
 def _cmd_run_perm(args) -> int:
     proto = _as_permutation(_load_protocol(args))
     state = _load_state(args, proto.n)
-    outcomes = permutation.run(state, proto, args.threshold)
-    records = [
-        {
-            "t": str(o.t),
-            "prob": o.prob,
-            "fidelity": o.fidelity,
-            "unnormalized_fidelity": o.unnormalized_fidelity,
-            "correction": str(o.correction),
-            "accepted": o.accepted,
-            "output": [float(p) for p in o.output.probs],
-        }
-        for o in outcomes
-    ]
-    columns = ["t", "prob", "fidelity", "unnormalized_fidelity",
-               "correction", "accepted", "output"]
-    _emit(_render("run-perm", records, columns, args.format), args.output)
+    _emit(args, [_branch_record("t", o, correction=str(o.correction))
+                 for o in permutation.run(state, proto, args.threshold)])
     return 0
 
 
 def _cmd_run_code(args) -> int:
     proto = _as_stabilizer(_load_protocol(args))
     state = _load_state(args, proto.n)
-    branches = stabilizer.run(state, proto, args.threshold)
-    records = [
-        {
-            "s": str(b.s),
-            "prob": b.prob,
-            "fidelity": b.fidelity,
-            "unnormalized_fidelity": b.unnormalized_fidelity,
-            "v": str(b.v),
-            "u": str(b.u),
-            "recovery": to_pauli_string(b.u),
-            "accepted": b.accepted,
-            "output": [float(p) for p in b.output.probs],
-        }
-        for b in branches
-    ]
-    columns = ["s", "prob", "fidelity", "unnormalized_fidelity", "v", "u",
-               "recovery", "accepted", "output"]
-    _emit(_render("run-code", records, columns, args.format), args.output)
+    _emit(args, [_branch_record("s", b, v=str(b.v), u=str(b.u),
+                                recovery=to_pauli_string(b.u))
+                 for b in stabilizer.run(state, proto, args.threshold)])
     return 0
 
 
@@ -433,23 +413,15 @@ def _cmd_verify(args) -> int:
                 "max_discrepancy": report.max_discrepancy,
             })
         failed = sum(1 for r in records if not r["passed"])
-        summary = {"instances": len(records), "failed": failed,
-                   "all_passed": failed == 0}
-        columns = ["instance", "n", "m", "generators", "passed",
-                   "subspaces_match", "coset_match", "max_discrepancy"]
-        _emit(_render("verify", records, columns, args.format, summary),
-              args.output)
+        _emit(args, records, {"instances": len(records), "failed": failed,
+                              "all_passed": failed == 0})
         return 0 if failed == 0 else 2
 
     proto = _as_stabilizer(_load_protocol(args))
     state = _load_state(args, proto.n)
     report = equivalence.verify_equivalence(state, proto, args.threshold)
-    data = report.to_dict()
-    records = data.pop("branches")
-    columns = ["t", "prob_perm", "prob_code", "fidelity_perm",
-               "fidelity_code", "output_max_diff", "coset_match"]
-    _emit(_render("verify", records, columns, args.format, summary=data),
-          args.output)
+    summary = report.to_dict()
+    _emit(args, summary.pop("branches"), summary)
     return 0 if report.passed else 2
 
 
@@ -472,8 +444,7 @@ def _cmd_sweep(args) -> int:
                 "accept_prob": rep.accept_prob,
                 "accepted": rep.accepted,
             })
-    columns = ["f_in", "round", "f_out", "yield", "accept_prob", "accepted"]
-    _emit(_render("sweep", records, columns, args.format), args.output)
+    _emit(args, records)
     return 0
 
 
@@ -498,30 +469,47 @@ def _cmd_oracle_check(args) -> int:
         for r in results
     ]
     all_passed = all(r.passed for r in results)
-    summary = {"all_passed": all_passed}
-    columns = ["check", "cases", "max_error", "tolerance", "passed"]
-    _emit(_render("oracle-check", records, columns, args.format, summary),
-          args.output)
+    _emit(args, records, {"all_passed": all_passed})
     return 0 if all_passed else 2
 
 
-_DISPATCH = {
-    "run-perm": _cmd_run_perm,
-    "run-code": _cmd_run_code,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "oracle-check": _cmd_oracle_check,
+# name -> (help text, option adder, handler)
+_COMMANDS = {
+    "run-perm": ("run the relabeling protocol", _engine_options, _cmd_run_perm),
+    "run-code": ("run the generator-measurement protocol", _engine_options,
+                 _cmd_run_code),
+    "verify": ("cross-check the two engines", _verify_options, _cmd_verify),
+    "sweep": ("recurrence rounds over a Werner-fidelity grid", _sweep_options,
+              _cmd_sweep),
+    "oracle-check": ("dense-simulation comparison suites", _oracle_options,
+                     _cmd_oracle_check),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="belldistill",
+                     description="Exact simulation and cross-verification of "
+                                 "entanglement distillation protocols on "
+                                 "Bell-diagonal states.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, _handler) in _COMMANDS.items():
+        add_options(sub.add_parser(name, help=help_text))
+    return parser
+
+
+# Parsing never changes the parser, so one serves every `main` call.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         _apply_config(args)
+        _refuse_ignored(args)
         if getattr(args, "format", None) is None:
             args.format = "json"
-        return _DISPATCH[args.command](args)
+        _help, _options, handler = _COMMANDS[args.command]
+        return handler(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,14 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2, oracle, permutation, stabilizer
+from . import equivalence, gf2, oracle, permutation, stabilizer
 from .gf2 import BinaryVector
 from .permutation import PermutationProtocol
-from .stabilizer import StabilizerProtocol
 from .states import random_bell_diagonal
 
-# Branches the engines drop are exact zeros; the dense path may carry dust.
-_ZERO_BRANCH = 1e-12
+# Largest error a suite passes with; the commutation rule compares exact
+# products of Pauli matrices, so its bound is tighter.
+TOLERANCE = 1e-10
+COMMUTATION_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,7 @@ class CheckResult:
 
 
 def check_parity_measurement(sizes: tuple[int, ...], count: int,
-                             rng: np.random.Generator,
-                             tolerance: float = 1e-10) -> CheckResult:
+                             rng: np.random.Generator) -> CheckResult:
     """Branch-table statistics vs dense pairwise parity measurements.
 
     The oracle consumes the already-relabeled state (relabeling is an exact
@@ -56,7 +56,7 @@ def check_parity_measurement(sizes: tuple[int, ...], count: int,
         dense = {b.t.value: b for b in oracle.simulate_parity_measurement(
             state.permute(matrix, offset), m)}
         worst = max(worst, _branch_error(engine, dense))
-    return CheckResult("parity_measurement_vs_oracle", count, worst, tolerance)
+    return CheckResult("parity_measurement_vs_oracle", count, worst, TOLERANCE)
 
 
 def _branch_error(engine: dict, dense: dict) -> float:
@@ -75,8 +75,7 @@ def _branch_error(engine: dict, dense: dict) -> float:
 
 
 def check_syndrome_measurement(sizes: tuple[int, ...], count: int,
-                               rng: np.random.Generator,
-                               tolerance: float = 1e-10) -> CheckResult:
+                               rng: np.random.Generator) -> CheckResult:
     """Engine syndrome distribution vs dense two-sided generator measurements.
 
     Also checks that the first side's raw outcomes are uniform, which is
@@ -84,24 +83,18 @@ def check_syndrome_measurement(sizes: tuple[int, ...], count: int,
     """
     worst = 0.0
     for _ in range(count):
-        n = int(rng.choice(sizes))
-        m = int(rng.integers(0, n))
-        gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
-        proto = StabilizerProtocol(n, m, gens)
-        state = random_bell_diagonal(n, rng)
-
-        joint = oracle.simulate_syndrome_measurement(state, gens)
+        state, proto = equivalence.random_instance(rng, sizes)
+        joint = oracle.simulate_syndrome_measurement(state, proto.generators)
         diff = oracle.syndrome_difference_distribution(joint)
         engine = stabilizer.syndrome_distribution(state, proto)
         worst = max(worst, float(np.max(np.abs(engine - diff))))
         marginal = joint.sum(axis=1)
         worst = max(worst, float(np.max(np.abs(marginal - 1.0 / len(marginal)))))
-    return CheckResult("syndrome_measurement_vs_oracle", count, worst, tolerance)
+    return CheckResult("syndrome_measurement_vs_oracle", count, worst, TOLERANCE)
 
 
 def check_commutation_rule(count: int, rng: np.random.Generator,
-                           pairs: int = 3,
-                           tolerance: float = 1e-12) -> CheckResult:
+                           pairs: int = 3) -> CheckResult:
     """sigma_a sigma_b = (-1)^(a^T P b) sigma_b sigma_a, as dense matrices."""
     worst = 0.0
     for _ in range(count):
@@ -112,12 +105,11 @@ def check_commutation_rule(count: int, rng: np.random.Generator,
         sign = -1.0 if gf2.sympl_inner(a, b) else 1.0
         rhs = sign * (oracle.pauli_matrix(b) @ oracle.pauli_matrix(a))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return CheckResult("pauli_commutation_rule", count, worst, tolerance)
+    return CheckResult("pauli_commutation_rule", count, worst, COMMUTATION_TOLERANCE)
 
 
 def check_bell_eigenvalue(count: int, rng: np.random.Generator,
-                          pairs: int = 3,
-                          tolerance: float = 1e-10) -> CheckResult:
+                          pairs: int = 3) -> CheckResult:
     """conj(sigma_g) x sigma_g fixes each Bell product up to the sign
     (-1)^(g^T P x)."""
     worst = 0.0
@@ -129,7 +121,7 @@ def check_bell_eigenvalue(count: int, rng: np.random.Generator,
         op = np.kron(oracle.pauli_matrix(g).conj(), oracle.pauli_matrix(g))
         sign = -1.0 if gf2.sympl_inner(g, x) else 1.0
         worst = max(worst, float(np.linalg.norm(op @ vec - sign * vec)))
-    return CheckResult("bell_product_eigenvalue", count, worst, tolerance)
+    return CheckResult("bell_product_eigenvalue", count, worst, TOLERANCE)
 
 
 def run_all(sizes: tuple[int, ...], count: int,

@@ -115,8 +115,7 @@ class EquivalenceReport:
 
 def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
                        threshold: float | None = None,
-                       rng: np.random.Generator | None = None,
-                       tolerance: float = DEFAULT_TOLERANCE) -> EquivalenceReport:
+                       rng: np.random.Generator | None = None) -> EquivalenceReport:
     """Run both engines on one input and compare them branch by branch.
 
     Both engines share the same symplectic completion so output labels are
@@ -177,7 +176,6 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
         branch_sets_match=branch_sets_match,
         coset_match=all_cosets,
         max_discrepancy=max_disc,
-        tolerance=tolerance,
     )
 
 

@@ -138,16 +138,6 @@ class BinaryMatrix:
         return cls(tuple(int(r, 2) if r else 0 for r in rows), width)
 
     @classmethod
-    def from_vectors(cls, rows: Iterable[BinaryVector]) -> "BinaryMatrix":
-        rows = list(rows)
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        width = rows[0].length
-        if any(r.length != width for r in rows):
-            raise ValueError("row length mismatch")
-        return cls(tuple(r.value for r in rows), width)
-
-    @classmethod
     def identity(cls, k: int) -> "BinaryMatrix":
         return cls(tuple(1 << (k - 1 - i) for i in range(k)), k)
 
@@ -589,14 +579,12 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int,
 # Random instances (seeded generators for test and verification suites)
 # ---------------------------------------------------------------------------
 
-def random_symplectic(n: int, rng: np.random.Generator,
-                      num_transvections: int | None = None) -> BinaryMatrix:
-    """Random symplectic 2n x 2n matrix as a product of random transvections."""
+def random_symplectic(n: int, rng: np.random.Generator) -> BinaryMatrix:
+    """Random symplectic 2n x 2n matrix as a product of 4n + 4 random
+    transvections."""
     two_n = 2 * n
-    if num_transvections is None:
-        num_transvections = 2 * two_n + 4
     rows = list(BinaryMatrix.identity(two_n).rows)
-    for _ in range(num_transvections):
+    for _ in range(2 * two_n + 4):
         h = int(rng.integers(1, 1 << two_n))
         ph = _swap_halves_value(h, n)
         # x -> x + (x^T P h) h applied to each row of the accumulated matrix.

@@ -117,20 +117,6 @@ def optimal_correction(cond: np.ndarray) -> BinaryVector:
     return BinaryVector(int(np.argmax(cond)), two_m)
 
 
-def _effective_table(state: BellDiagonalState, proto: PermutationProtocol,
-                     inverse: BinaryMatrix) -> np.ndarray:
-    """Input table with a nonzero offset absorbed: q_x = p_{x + A^{-1} b}.
-
-    Running the linear-part coset formulas on q reproduces the full affine
-    protocol exactly.
-    """
-    if proto.offset.value == 0:
-        return state.probs
-    shift = (inverse @ proto.offset).value
-    idx = np.arange(len(state.probs), dtype=np.int64)
-    return state.probs[idx ^ np.int64(shift)]
-
-
 def branch_table(probs: np.ndarray, label_map: BinaryMatrix, offset: int,
                  m: int) -> np.ndarray:
     """Input weight per branch label: W[t, y] = sum of p_x over x with
@@ -212,7 +198,9 @@ def unnormalized_fidelity(state: BellDiagonalState, proto: PermutationProtocol,
         raise ValueError("outcome length must be n-m")
     n, m = proto.n, proto.m
     inverse = gf2.symplectic_inverse(proto.matrix)
-    q = _effective_table(state, proto, inverse)
+    # The offset absorbed into the input: the linear-part coset formulas
+    # on q_x = p_{x + A^-1 b} reproduce the affine protocol exactly.
+    q = state.pauli_shift(inverse @ proto.offset).probs
     sub = measured_subspace(proto)
     perp = gf2.orthogonal_complement(sub)
     off0 = inverse @ BinaryVector(_embed_value(0, t.value, n, m), 2 * n)

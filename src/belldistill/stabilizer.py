@@ -172,15 +172,13 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     n, m = proto.n, proto.m
     if basis is None:
         basis = gf2.complete_to_symplectic(proto.generators, n, m)
-    else:
-        if basis.shape != (2 * n, 2 * n) or not gf2.is_symplectic(basis):
-            raise ValueError("logical basis must be a symplectic 2n x 2n matrix")
-        for i, g in enumerate(proto.generators):
-            if basis.column(m + i) != g:
-                raise ValueError("logical basis must carry generator i in column m+i")
+    elif basis.shape != (2 * n, 2 * n) or not gf2.is_symplectic(basis):
+        raise ValueError("logical basis must be a symplectic 2n x 2n matrix")
+    cols = basis.column_values()
+    if cols[m:n] != tuple(g.value for g in proto.generators):
+        raise ValueError("logical basis must carry generator i in column m+i")
     span = generator_span(proto)
     perp = gf2.orthogonal_complement(span)
-    cols = basis.column_values()
     table = branch_table(state.probs, _pairing_map(proto, [*cols[n:n + m], *cols[:m]]),
                          0, m)
 

@@ -218,6 +218,9 @@ def test_state_size_mismatch_rejected(tmp_path, capsys):
     assert "pairs" in err
 
 
+# Deeper than the JSON decoder's recursion limit; a str is written verbatim.
+NESTED = "[" * 100_000 + "]" * 100_000
+
 BAD_FILES = {
     "protocol-list": ("--protocol-file", [1, 2]),
     "protocol-no-m": ("--protocol-file", {"n": 2, "A": BCNOT.split(",")}),
@@ -227,6 +230,9 @@ BAD_FILES = {
     "state-no-n": ("--state-file", {"probs": [1.0, 0.0, 0.0, 0.0]}),
     "state-no-probs": ("--state-file", {"n": 2}),
     "state-probs-not-numbers": ("--state-file", {"n": 1, "probs": ["1", 0, 0, 0]}),
+    "protocol-nested": ("--protocol-file", NESTED),
+    "state-nested": ("--state-file", NESTED),
+    "config-nested": ("--config", NESTED),
 }
 
 
@@ -234,7 +240,7 @@ BAD_FILES = {
 def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     flag, content = BAD_FILES[case]
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(content))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
     argv = ["run-perm", flag, str(path)]
     argv += ["--werner", "0.75"] if flag == "--protocol-file" else ["--generators", "ZZ"]
     code, out, err = invoke(capsys, *argv)
@@ -255,6 +261,9 @@ def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     ["verify", "--random", "-2"],
     ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-300"],
     ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-320"],
+    ["run-code", "--generators", "ZZ", "--offset", "1000", "--werner", "0.75"],
+    ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "nan"],
+    ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "inf"],
 ])
 def test_out_of_range_flags_fail_cleanly(capsys, argv):
     code, out, err = invoke(capsys, *argv)

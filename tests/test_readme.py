@@ -1,0 +1,54 @@
+"""The examples in README.md run, and print what their comments say."""
+
+import contextlib
+import io
+import re
+import shlex
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from belldistill.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def code_block(heading: str) -> str:
+    """The first fenced block after the `## heading` line."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+COMMANDS = [line for line in code_block("Command line").splitlines()
+            if line.startswith("belldistill ")]
+
+
+def test_command_block_found():
+    assert len(COMMANDS) >= 5
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_command_line_example_runs(capsys, line):
+    assert main(shlex.split(line)[1:]) == 0
+    out = capsys.readouterr().out
+    assert out
+
+
+def test_library_quickstart_prints_its_stated_values():
+    source = code_block("Library quickstart")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(source, "README quickstart", "exec"), {})
+    lines = printed.getvalue().splitlines()
+    prints = [line for line in source.splitlines() if line.startswith("print(")]
+    assert len(lines) == len(prints)
+    stated = 0
+    for call, out in zip(prints, lines):
+        comment = call.partition("#")[2]
+        expected = [Fraction(f) for f in re.findall(r"\d+/\d+", comment)]
+        if expected:
+            assert [float(x) for x in out.split()] == pytest.approx(
+                [float(f) for f in expected], abs=1e-12)
+            stated += len(expected)
+    assert stated == 3  # 13/18 and 41/52 for run, 41/52 for the stabilizer
