@@ -227,6 +227,8 @@ def _apply_config(args: argparse.Namespace) -> None:
         attr = key.replace("-", "_")
         if attr not in _CONFIG_KEYS:
             raise CliError(f"unknown config key {key!r}")
+        if not hasattr(args, attr):  # argparse sets every option of the command
+            raise CliError(f"{args.command} has no option for config key {key!r}")
         if value is not None and not _is_a(value, _CONFIG_KEYS[attr]):
             raise CliError(f"config key {key!r} has a value of the wrong type")
         if getattr(args, attr, None) is None:
@@ -235,7 +237,7 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 def _refuse_ignored(args: argparse.Namespace) -> None:
     """Refuse option values the command would drop or could not use."""
-    # A config file can set these for commands that have no such flag.
+    # oracle-check has no protocol options, so these may be missing.
     if getattr(args, "offset", None) is not None \
             and getattr(args, "matrix", None) is None:
         raise CliError("--offset applies only to an inline --matrix")
@@ -392,8 +394,20 @@ def _cmd_run_code(args) -> int:
     return 0
 
 
+# Options only one of verify's two modes reads: the single instance's
+# protocol and input, and the random batch's draw.
+_INSTANCE_FLAGS = ("--protocol-file", "--generators", "--matrix", "--offset", "-m",
+                   "--werner", "--pair", "--state-file")
+_BATCH_FLAGS = ("--seed", "--sizes")
+
+
 def _cmd_verify(args) -> int:
-    if args.random is not None:
+    batch = args.random is not None
+    for flag in _INSTANCE_FLAGS if batch else _BATCH_FLAGS:
+        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
+            raise CliError(f"{flag} cannot be combined with --random" if batch
+                           else f"{flag} needs --random")
+    if batch:
         if args.random < 1:
             raise CliError("--random must be at least 1")
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)

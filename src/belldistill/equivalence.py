@@ -1,18 +1,18 @@
 """Instance-level translation and cross-checking of the two protocol engines.
 
-A generator set completes to a symplectic matrix B carrying generator i in
-column m+i; the inverse map P B^T P is exactly the relabeling a permutation
+A generator protocol's frame, a symplectic matrix B carrying generator i in
+column m+i, has the inverse P B^T P: exactly the relabeling a permutation
 protocol needs to reproduce the generator measurements.  Conversely, the
-trailing rows of A*P of any permutation protocol form a valid commuting
-generator set.  `verify_equivalence` runs both engines on the same input
-and checks, branch by branch (outcome t identified with syndrome s),
-that probabilities, output distributions, fidelities, and the chosen
-correction/recovery cosets all agree.
+trailing rows of A*P of any permutation protocol (its `generators`) form a
+valid commuting generator set.  `verify_equivalence` runs both engines on
+the same input and checks, branch by branch (outcome t identified with
+syndrome s), that probabilities, output distributions, fidelities, and the
+chosen correction/recovery cosets all agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,30 +25,20 @@ from .states import BellDiagonalState, random_bell_diagonal
 DEFAULT_TOLERANCE = 1e-12
 
 
-def permutation_from_stabilizer(proto: StabilizerProtocol,
-                                rng: np.random.Generator | None = None
-                                ) -> PermutationProtocol:
+def permutation_from_stabilizer(proto: StabilizerProtocol) -> PermutationProtocol:
     """Relabeling protocol equivalent to the generator-measurement protocol.
 
-    Returns the linear protocol with matrix P B^T P for a symplectic
-    completion B of the generators; its measured subspace equals the
-    generator span.  The completion is deterministic unless an rng is
-    given.
+    Returns the linear protocol with matrix P B^T P for the protocol's
+    frame B; its measured subspace equals the generator span, and it names
+    its logical outputs as the stabilizer engine does.
     """
-    basis = gf2.complete_to_symplectic(proto.generators, proto.n, proto.m, rng)
-    matrix = gf2.symplectic_inverse(basis)
+    matrix = gf2.symplectic_inverse(proto.frame)
     return PermutationProtocol.linear(proto.n, proto.m, matrix)
 
 
 def stabilizer_from_permutation(proto: PermutationProtocol) -> StabilizerProtocol:
-    """Generator set measured by a permutation protocol.
-
-    The generators are rows n+m+1 .. 2n of A*P; symplecticity of A makes
-    them independent and pairwise commuting.
-    """
-    ap = proto.matrix @ gf2.symplectic_form(proto.n)
-    gens = tuple(ap.row(i) for i in range(proto.n + proto.m, 2 * proto.n))
-    return StabilizerProtocol(proto.n, proto.m, gens)
+    """Generator set measured by a permutation protocol (its `generators`)."""
+    return StabilizerProtocol(proto.n, proto.m, proto.generators)
 
 
 @dataclass(frozen=True)
@@ -89,47 +79,29 @@ class EquivalenceReport:
                 and self.coset_match and self.max_discrepancy <= self.tolerance)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "passed": self.passed,
-            "subspaces_match": self.subspaces_match,
-            "branch_sets_match": self.branch_sets_match,
-            "coset_match": self.coset_match,
-            "max_discrepancy": self.max_discrepancy,
-            "tolerance": self.tolerance,
-            "branches": [
-                {
-                    "t": str(b.t),
-                    "prob_perm": b.prob_perm,
-                    "prob_code": b.prob_code,
-                    "fidelity_perm": b.fidelity_perm,
-                    "fidelity_code": b.fidelity_code,
-                    "output_max_diff": b.output_max_diff,
-                    "coset_match": b.coset_match,
-                }
-                for b in self.branches
-            ],
-        }
+        branches = [{**_fields(b), "t": str(b.t)} for b in self.branches]
+        return {**_fields(self), "passed": self.passed, "branches": branches}
+
+
+def _fields(record) -> dict:
+    """A dataclass record's fields by name, values as they are."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
-                       threshold: float | None = None,
-                       rng: np.random.Generator | None = None) -> EquivalenceReport:
+                       threshold: float | None = None) -> EquivalenceReport:
     """Run both engines on one input and compare them branch by branch.
 
-    Both engines share the same symplectic completion so output labels are
-    directly comparable.  Mismatches are reported in the returned record,
-    never raised.
+    The permutation protocol comes from the protocol's frame, so output
+    labels are directly comparable.  Mismatches are reported in the
+    returned record, never raised.
     """
-    basis = gf2.complete_to_symplectic(proto.generators, proto.n, proto.m, rng)
-    perm_proto = PermutationProtocol.linear(
-        proto.n, proto.m, gf2.symplectic_inverse(basis))
+    perm_proto = permutation_from_stabilizer(proto)
     span = generator_span(proto)
     subspaces_match = measured_subspace(perm_proto) == span
 
     perm_branches = {o.t.value: o for o in permutation.run(state, perm_proto, threshold)}
-    code_branches = {b.s.value: b for b in stabilizer.run(state, proto, threshold, basis)}
+    code_branches = {b.s.value: b for b in stabilizer.run(state, proto, threshold)}
     branch_sets_match = set(perm_branches) == set(code_branches)
 
     comparisons = []
@@ -154,7 +126,7 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
             all_cosets = False
             continue
         output_diff = float(np.max(np.abs(po.output.probs - co.output.probs)))
-        shifted = basis @ embed_label(po.correction, po.t, proto.n, proto.m)
+        shifted = proto.frame @ embed_label(po.correction, po.t, proto.n, proto.m)
         coset_ok = span.contains(shifted ^ co.u)
         comparisons.append(BranchComparison(
             t=BinaryVector(t, k),

@@ -92,9 +92,6 @@ class BinaryVector:
         """Exchange phase and parity halves (multiplication by the form P)."""
         return BinaryVector(_swap_halves_value(self.value, self.pair_count), self.length)
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
     def __xor__(self, other: "BinaryVector") -> "BinaryVector":
         if self.length != other.length:
             raise ValueError("length mismatch in GF(2) addition")
@@ -140,16 +137,6 @@ class BinaryMatrix:
     @classmethod
     def identity(cls, k: int) -> "BinaryMatrix":
         return cls(tuple(1 << (k - 1 - i) for i in range(k)), k)
-
-    @classmethod
-    def from_column_values(cls, cols: Sequence[int], nrows: int) -> "BinaryMatrix":
-        rows = []
-        for i in range(nrows):
-            r = 0
-            for j, c in enumerate(cols):
-                r = (r << 1) | ((c >> (nrows - 1 - i)) & 1)
-            rows.append(r)
-        return cls(tuple(rows), len(cols))
 
     @property
     def nrows(self) -> int:
@@ -383,10 +370,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def basis_vectors(self) -> tuple[BinaryVector, ...]:
-        return tuple(BinaryVector(b, self.length) for b in self.basis)
-
     def reduce_value(self, value: int) -> int:
         """Lexicographically smallest element of value + subspace."""
         return _reduce_by(value, self.basis, self.pivots, self.length)
@@ -435,22 +418,12 @@ class Coset:
             object.__setattr__(self, "offset",
                                BinaryVector(canonical, self.offset.length))
 
-    @property
-    def dim(self) -> int:
-        return self.subspace.dim
-
     def element_values(self) -> np.ndarray:
         return self.subspace.element_values ^ np.int64(self.offset.value)
 
     def elements(self) -> Iterator[BinaryVector]:
         for v in self.element_values():
             yield BinaryVector(int(v), self.subspace.length)
-
-    def contains(self, v: BinaryVector) -> bool:
-        return self.subspace.reduce_value(v.value) == self.offset.value
-
-    def __contains__(self, v: BinaryVector) -> bool:
-        return self.contains(v)
 
 
 def orthogonal_complement(subspace: Subspace) -> Subspace:
@@ -569,7 +542,7 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int,
             deflated.append(v)
         work, _ = _rref(deflated, two_n)
 
-    matrix = BinaryMatrix.from_column_values(cols, two_n)
+    matrix = BinaryMatrix(tuple(cols), two_n).transpose()
     if not is_symplectic(matrix):
         raise RuntimeError("symplectic completion failed its own postcondition")
     return matrix

@@ -57,6 +57,13 @@ class PermutationProtocol:
     def linear(cls, n: int, m: int, matrix: BinaryMatrix) -> "PermutationProtocol":
         return cls(n, m, matrix, BinaryVector.zeros(2 * n))
 
+    @property
+    def generators(self) -> tuple[BinaryVector, ...]:
+        """Rows n+m+1 .. 2n of A*P: independent commuting labels (A is
+        symplectic) whose span the final parity measurement merges."""
+        ap = self.matrix @ gf2.symplectic_form(self.n)
+        return tuple(ap.row(i) for i in range(self.n + self.m, 2 * self.n))
+
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
@@ -72,14 +79,12 @@ class ProtocolOutcome:
 
 
 def measured_subspace(proto: PermutationProtocol) -> Subspace:
-    """Span of rows n+m+1 .. 2n of A*P (isotropic by symplecticity of A).
+    """Span of the protocol's generators (isotropic by symplecticity of A).
 
     Labels whose difference lies in this subspace are merged by the final
     parity measurement, so its cosets carry all branch statistics.
     """
-    ap = proto.matrix @ gf2.symplectic_form(proto.n)
-    rows = [ap.row(i) for i in range(proto.n + proto.m, 2 * proto.n)]
-    return Subspace.from_vectors(rows, length=2 * proto.n)
+    return Subspace.from_vectors(proto.generators, length=2 * proto.n)
 
 
 def embed_label(y: BinaryVector, t: BinaryVector, n: int, m: int) -> BinaryVector:

@@ -10,11 +10,10 @@ XOR s of the two outcome strings is informative.  At the label level:
 * recovery picks the heaviest coset of the generator span inside it.
 
 Logical output labels need a basis choice inside the complement; the
-completed symplectic matrix B from
-:func:`belldistill.gf2.complete_to_symplectic` fixes it.  The logical bits
-of x are its inner products with the partner columns of B, so the branch
-table `permutation.branch_table` fills here is entry by entry the one the
-permutation engine built from the same completion fills, and both engines
+protocol's `frame`, a symplectic completion B of the generators, fixes it.
+The logical bits of x are its inner products with the partner columns of
+B, so the branch table `permutation.branch_table` fills here is entry by
+entry the one the permutation protocol P B^T P fills, and both engines
 read their branches off it the same way.
 """
 
@@ -55,11 +54,18 @@ def to_pauli_string(label: BinaryVector) -> str:
 
 @dataclass(frozen=True)
 class StabilizerProtocol:
-    """n pairs, m survivors, and n-m independent commuting generator labels."""
+    """n pairs, m survivors, n-m independent commuting generator labels, and
+    the frame B that names the logical output labels.
+
+    B is a symplectic 2n x 2n completion of the generators with generator i
+    in column m+i.  Left as None it is the deterministic
+    :func:`belldistill.gf2.complete_to_symplectic`.
+    """
 
     n: int
     m: int
     generators: tuple[BinaryVector, ...]
+    frame: BinaryMatrix | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.m <= self.n:
@@ -69,6 +75,14 @@ class StabilizerProtocol:
         if self.generators:
             if gf2._check_generators(self.generators) != self.n:
                 raise ValueError("generator length does not match the pair count")
+        n, m, frame = self.n, self.m, self.frame
+        if frame is None:
+            object.__setattr__(self, "frame",
+                               gf2.complete_to_symplectic(self.generators, n, m))
+        elif frame.shape != (2 * n, 2 * n) or not gf2.is_symplectic(frame):
+            raise ValueError("logical basis must be a symplectic 2n x 2n matrix")
+        elif frame.column_values()[m:n] != tuple(g.value for g in self.generators):
+            raise ValueError("logical basis must carry generator i in column m+i")
 
     @classmethod
     def from_pauli_strings(cls, strings: "list[str] | tuple[str, ...]",
@@ -131,13 +145,13 @@ def syndrome_distribution(state: BellDiagonalState,
 
 def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
                      s: BinaryVector) -> BinaryVector:
-    """Recovery `run` chooses for syndrome s under the default completion.
+    """Recovery `run` chooses for syndrome s.
 
     It is the lex-least representative of the generator-span coset
-    B embed(c, s) + span, where c is the heaviest logical label (the
-    smallest one among exactly equal weights).  On exact ties the coset
-    can depend on the completion B.  Raises for syndromes of probability
-    zero.
+    B embed(c, s) + span, where B is the protocol's frame and c the
+    heaviest logical label (the smallest one among exactly equal weights).
+    On exact ties the coset can depend on the frame.  Raises for syndromes
+    of probability zero.
     """
     if s.length != proto.n - proto.m:
         raise ValueError("syndrome length must equal the generator count")
@@ -148,35 +162,27 @@ def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
 
 
 def run(state: BellDiagonalState, proto: StabilizerProtocol,
-        threshold: float | None = None,
-        basis: BinaryMatrix | None = None) -> list[SyndromeBranch]:
+        threshold: float | None = None) -> list[SyndromeBranch]:
     """Evaluate every syndrome branch of the protocol exactly.
 
-    `basis` is a symplectic completion B of the generators used to name the
-    logical output labels; by default the deterministic completion is
-    used.  Syndrome bits come from the generators and logical bits from
-    B's partner columns (column n+j for the phase of logical pair j,
-    column j for its parity), which reads off B^-1 x without inverting B.
-    Per branch, v is the lex-least label with syndrome s and the recovery
-    u the lex-least representative of B embed(c, s) + span for the
-    heaviest logical label c (the smallest among exact ties).  The branch
-    fidelity is the recovery coset's weight over the branch weight (the
-    literal expression times 2**(n-m) is reported alongside as
-    `unnormalized_fidelity`).  Zero-probability syndromes are never
-    produced.  `threshold` defaults to the input fidelity.
+    Syndrome bits come from the generators and logical bits from the
+    partner columns of the protocol's frame B (column n+j for the phase of
+    logical pair j, column j for its parity), which reads off B^-1 x
+    without inverting B.  Per branch, v is the lex-least label with
+    syndrome s and the recovery u the lex-least representative of
+    B embed(c, s) + span for the heaviest logical label c (the smallest
+    among exact ties).  The branch fidelity is the recovery coset's weight
+    over the branch weight (the literal expression times 2**(n-m) is
+    reported alongside as `unnormalized_fidelity`).  Zero-probability
+    syndromes are never produced.  `threshold` defaults to the input
+    fidelity.
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
     if threshold is None:
         threshold = state.fidelity
-    n, m = proto.n, proto.m
-    if basis is None:
-        basis = gf2.complete_to_symplectic(proto.generators, n, m)
-    elif basis.shape != (2 * n, 2 * n) or not gf2.is_symplectic(basis):
-        raise ValueError("logical basis must be a symplectic 2n x 2n matrix")
+    n, m, basis = proto.n, proto.m, proto.frame
     cols = basis.column_values()
-    if cols[m:n] != tuple(g.value for g in proto.generators):
-        raise ValueError("logical basis must carry generator i in column m+i")
     span = generator_span(proto)
     perp = gf2.orthogonal_complement(span)
     table = branch_table(state.probs, _pairing_map(proto, [*cols[n:n + m], *cols[:m]]),

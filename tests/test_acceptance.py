@@ -158,7 +158,6 @@ def test_criterion_5_gf2_layer():
             n = int(rng.integers(2, 4))
             k = int(rng.integers(1, n))
             gens = tuple(gf2.random_isotropic_generators(n, k, rng))
-            proto = StabilizerProtocol(n, n - k, gens)
             state = random_bell_diagonal(n, rng)
             seen = {}
             for seed in range(16):
@@ -170,8 +169,9 @@ def test_criterion_5_gf2_layer():
             assert len(seen) >= 3
             reference = None
             for basis in seen.values():
+                proto = StabilizerProtocol(n, n - k, gens, basis)
                 stats = {br.s.value: (br.prob, br.fidelity)
-                         for br in stabilizer.run(state, proto, basis=basis)}
+                         for br in stabilizer.run(state, proto)}
                 if reference is None:
                     reference = stats
                     continue

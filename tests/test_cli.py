@@ -233,6 +233,7 @@ BAD_FILES = {
     "protocol-nested": ("--protocol-file", NESTED),
     "state-nested": ("--state-file", NESTED),
     "config-nested": ("--config", NESTED),
+    "config-key-of-other-command": ("--config", {"werner": 0.75, "seed": 4}),
 }
 
 
@@ -264,6 +265,9 @@ def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     ["run-code", "--generators", "ZZ", "--offset", "1000", "--werner", "0.75"],
     ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "nan"],
     ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "inf"],
+    ["verify", "--random", "2", "--generators", "ZZ", "--werner", "0.3"],
+    ["verify", "--generators", "ZZ", "--werner", "0.75", "--seed", "9"],
+    ["verify", "--generators", "ZZ", "--werner", "0.75", "--sizes", "7,8"],
 ])
 def test_out_of_range_flags_fail_cleanly(capsys, argv):
     code, out, err = invoke(capsys, *argv)

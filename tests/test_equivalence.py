@@ -137,12 +137,12 @@ def test_verify_tie_heavy_inputs_random_completions(rng):
         for _ in range(6):
             m = int(rng.integers(0, n))
             gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
-            proto = StabilizerProtocol(n, m, gens)
             label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
             for state in (BellDiagonalState.from_pairs([werner(0.75)] * n),
                           BellDiagonalState.point_mass(n, label),
                           BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))):
-                report = verify_equivalence(state, proto, rng=rng)
+                frame = gf2.complete_to_symplectic(gens, n, m, rng)
+                report = verify_equivalence(state, StabilizerProtocol(n, m, gens, frame))
                 assert report.passed, report.to_dict()
                 assert report.max_discrepancy == 0.0
 
@@ -154,7 +154,6 @@ def test_fidelity_invariant_across_completions(rng):
         n = int(rng.integers(2, 4))
         k = int(rng.integers(1, n))
         gens = tuple(gf2.random_isotropic_generators(n, k, rng))
-        proto = StabilizerProtocol(n, n - k, gens)
         state = random_bell_diagonal(n, rng)
         completions = {}
         for seed in range(12):
@@ -166,7 +165,7 @@ def test_fidelity_invariant_across_completions(rng):
         assert len(completions) >= 3
         reference = None
         for basis in completions.values():
-            branches = stabilizer.run(state, proto, basis=basis)
+            branches = stabilizer.run(state, StabilizerProtocol(n, n - k, gens, basis))
             stats = {br.s.value: (br.prob, br.fidelity) for br in branches}
             if reference is None:
                 reference = stats

@@ -186,8 +186,8 @@ def test_coset_path_equals_direct_path(rng):
         inverse = gf2.symplectic_inverse(matrix)
         shift = (inverse @ offset).value
         gens = tuple(gf2.random_isotropic_generators(n, n - m, rng)) if m < n else ()
-        code = StabilizerProtocol(n, m, gens)
         basis = gf2.complete_to_symplectic(gens, n, m, rng)
+        code = StabilizerProtocol(n, m, gens, basis)
         span = generator_span(code)
         for state in tie_heavy_and_random_inputs(n, rng):
             # the offset moves the input: q_x = p_{x + A^-1 b}
@@ -206,7 +206,7 @@ def test_coset_path_equals_direct_path(rng):
 
             literal = literal_branches(
                 state.probs, span, lambda y, s: basis @ embed(y, s, n, m), n, m)
-            branches = {b.s.value: b for b in stabilizer.run(state, code, basis=basis)}
+            branches = {b.s.value: b for b in stabilizer.run(state, code)}
             assert set(branches) == set(literal)
             for s, (prob, weights) in literal.items():
                 b = branches[s]

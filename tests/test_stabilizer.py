@@ -242,10 +242,10 @@ def test_run_fidelity_matches_permutation_engine(rng):
             assert code[s].prob == pytest.approx(perm[s].prob, abs=1e-12)
 
 
-def test_run_rejects_foreign_basis(zz_proto, werner2):
+def test_run_rejects_foreign_basis(zz_proto):
     basis = gf2.complete_to_symplectic([vec("0100")], 2, 1)
     with pytest.raises(ValueError, match="column"):
-        run(werner2, zz_proto, basis=basis)
+        StabilizerProtocol(2, 1, zz_proto.generators, basis)
 
 
 def test_run_wrong_state_size(zz_proto):
