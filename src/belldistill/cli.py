@@ -70,20 +70,85 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+# `_float_tokens` formats a float array in one pass when every entry is zero
+# or a normal double below _FAST_MAX in magnitude.  The bound stays a decade
+# under 1e15, so rounding to 15 digits cannot carry an entry up to 1e15.
+_FAST_MAX = 1e14
+_FAST_TINY = np.finfo(float).tiny
+
+
+def _float_tokens(value: np.ndarray) -> list[str] | None:
+    """`format(x, ".15g")` of every entry of a 1-D float array, formatted in
+    one C-level pass, or None when an entry needs the per-value path.
+
+    For the entries let through, the JSON token `repr(_round15(x))` is the
+    same string with ".0" appended when it has neither "." nor "e".  A
+    decimal of at most 15 significant digits survives the round trip
+    through a normal double (DBL_DIG = 15), so only the notation can
+    differ: both switch to an exponent below 1e-4, but ".15g" switches at
+    1e15 where repr waits for 1e16.  NaN, infinities, subnormals and
+    magnitudes from _FAST_MAX up take the per-value path.  The CSV token
+    `format(_round15(x), ".15g")` is the same string.
+    """
+    if value.dtype != np.float64 or value.ndim != 1:
+        return None
+    size = np.abs(value)
+    if not size.max(initial=0.0) < _FAST_MAX \
+            or np.any((size < _FAST_TINY) & (size != 0.0)):
+        return None
+    return ("%.15g\0" * value.size % tuple(value.tolist())).split("\0")[:-1]
+
+
+def _json(value, indent: str) -> str:
+    """`json.dumps(_clean(value), indent=2, sort_keys=True)` for a value
+    nested at `indent`; float arrays go through `_float_tokens`."""
+    if isinstance(value, np.ndarray):
+        tokens = _float_tokens(value)
+        if tokens is None:
+            return _json(value.tolist(), indent)
+        items = [t if "." in t or "e" in t else t + ".0" for t in tokens]
+    elif isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_json(value[k], indent + '  ')}"
+                 for k in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        items = [_json(v, indent + "  ") for v in value]
+    else:
+        return json.dumps(_clean(value))
+    left, right = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return left + right
+    inner = indent + "  "
+    return f"{left}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{right}"
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, np.ndarray):
+        tokens = _float_tokens(value)
+        if tokens is not None:
+            return ";".join(tokens)
+        value = value.tolist()
+    return _format_cell(_clean(value))
+
+
 def _render(command: str, records: list[dict], fmt: str,
             summary: dict | None) -> str:
+    """The command's output text: JSON, or CSV with one row per record.
+
+    Every float is printed with 15 significant digits.  Record values may
+    be 1-D float arrays, printed as lists (`;`-joined in a CSV cell).
+    """
     if fmt == "json":
-        body = {"command": command, "records": _clean(records)}
+        body = {"command": command, "records": records}
         if summary is not None:
-            body["summary"] = _clean(summary)
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+            body["summary"] = summary
+        return _json(body, "") + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         # Every record of a command has the same fields in the same order.
         writer.writerow(list(records[0]))
-        for rec in _clean(records):
-            writer.writerow([_format_cell(v) for v in rec.values()])
+        for rec in records:
+            writer.writerow([_csv_cell(v) for v in rec.values()])
         return buf.getvalue()
     raise CliError(f"unknown output format {fmt!r}")
 
@@ -295,6 +360,11 @@ def _as_permutation(proto) -> PermutationProtocol:
 def _as_stabilizer(proto) -> StabilizerProtocol:
     if isinstance(proto, StabilizerProtocol):
         return proto
+    # The generator form keeps no offset, so the translation would drop it.
+    if proto.offset.value:
+        raise CliError(f"offset {proto.offset} is not carried into the generator "
+                       "protocol; run-code and verify need an all-zero offset "
+                       "(ROADMAP item 3)")
     return equivalence.stabilizer_from_permutation(proto)
 
 
@@ -373,7 +443,7 @@ def _branch_record(label: str, branch, **fields) -> dict:
         "unnormalized_fidelity": branch.unnormalized_fidelity,
         **fields,
         "accepted": branch.accepted,
-        "output": branch.output.probs.tolist(),
+        "output": branch.output.probs,
     }
 
 

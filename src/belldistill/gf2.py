@@ -194,16 +194,17 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.to_strings()!r})"
 
 
-def affine_images(matrix: BinaryMatrix, offset: int) -> np.ndarray:
-    """Array y with y[x] = A x + b over all 2^ncols packed inputs x.
+def affine_images(columns: Sequence[int], offset: int) -> np.ndarray:
+    """Array y with y[x] = A x + b over all 2^k packed inputs x, where A is
+    the matrix with the k given packed columns (`BinaryMatrix.column_values`).
 
     Built by subset doubling: once the first 2^j entries hold the images of
     the inputs using only the j lowest bits, XOR with the column of bit j
     fills the next 2^j.  One int64 array, written in place.
     """
-    images = np.empty(1 << matrix.ncols, dtype=np.int64)
+    images = np.empty(1 << len(columns), dtype=np.int64)
     images[0] = offset
-    for j, col in enumerate(reversed(matrix.column_values())):
+    for j, col in enumerate(reversed(columns)):
         np.bitwise_xor(images[:1 << j], col, out=images[1 << j:2 << j])
     return images
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import gf2
 from .gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
-from .states import BellDiagonalState
+from .states import BellDiagonalState, _normalize
 
 
 @dataclass(frozen=True)
@@ -122,19 +122,32 @@ def optimal_correction(cond: np.ndarray) -> BinaryVector:
     return BinaryVector(int(np.argmax(cond)), two_m)
 
 
+# Inputs per `np.add.at` block of `branch_table`: the label array of one
+# block is 2^16 int64 (512 KiB), not the size of the weight table.
+_BLOCK_BITS = 16
+
+
 def branch_table(probs: np.ndarray, label_map: BinaryMatrix, offset: int,
                  m: int) -> np.ndarray:
     """Input weight per branch label: W[t, y] = sum of p_x over x with
     label_map x + offset == (t << 2m) | y.
 
-    The label of every input comes from `gf2.affine_images` (one int64
-    array the size of the table) and one unbuffered `np.add.at` adds the
-    weights in input order, so the cost is two passes over the input
-    whatever n and m are.  (`np.bincount` would add in the same order, but
-    it copies a read-only weight table such as `BellDiagonalState.probs`.)
+    Inputs go in blocks of 2^_BLOCK_BITS consecutive labels: the label of
+    input (c << _BLOCK_BITS) | j is high[c] ^ low[j], with `low` the images
+    (`gf2.affine_images`) of the map's last _BLOCK_BITS columns and `high`
+    those of the other columns plus the offset.  Unbuffered `np.add.at`
+    adds the weights block after block, so every entry sums its terms in
+    input order whatever the block size, and the cost is two passes over
+    the input whatever n and m are.  (`np.bincount` would add in the same
+    order, but it copies a read-only weight table such as
+    `BellDiagonalState.probs`.)
     """
     table = np.zeros(1 << label_map.nrows)
-    np.add.at(table, gf2.affine_images(label_map, offset), probs)
+    columns = label_map.column_values()
+    split = max(len(columns) - _BLOCK_BITS, 0)
+    low = gf2.affine_images(columns[split:], 0)
+    for c, high in enumerate(gf2.affine_images(columns[:split], offset).tolist()):
+        np.add.at(table, low ^ high, probs[c * low.size:(c + 1) * low.size])
     return table.reshape(-1, 1 << (2 * m))
 
 
@@ -143,22 +156,24 @@ def branch_outcomes(table: np.ndarray, m: int,
     """The branches of a branch table, one per row of nonzero weight.
 
     The probability is the row sum, the output the row renormalized, the
-    correction the heaviest logical label of the row (among exactly equal
-    weights the smallest label wins) and the fidelity the output's weight
-    there.  Rows of weight exactly zero are skipped.
+    correction the heaviest logical label of the row (`optimal_correction`)
+    and the fidelity the output's weight there.  Rows of weight exactly
+    zero are skipped.  The outputs are divided and checked as one array,
+    with the constructor's check and division.
     """
     k = table.shape[0].bit_length() - 1
     probs = table.sum(axis=1)
+    live = np.flatnonzero(probs)
+    outputs = table[live] / probs[live, None]
+    _normalize(outputs, outputs)
     outcomes = []
-    for t in np.flatnonzero(probs):
-        prob = float(probs[t])
-        output = BellDiagonalState(m, table[t] / prob)
+    for t, output in zip(live.tolist(), outputs):
         correction = optimal_correction(table[t])
-        fid = float(output.probs[correction.value])
+        fid = float(output[correction.value])
         outcomes.append(ProtocolOutcome(
-            t=BinaryVector(int(t), k),
-            prob=prob,
-            output=output,
+            t=BinaryVector(t, k),
+            prob=float(probs[t]),
+            output=BellDiagonalState._trusted(m, output),
             correction=correction,
             fidelity=fid,
             unnormalized_fidelity=(1 << k) * fid,

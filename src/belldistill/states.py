@@ -9,13 +9,15 @@ builds product states from them.
 
 States are immutable after construction; weights are validated and
 renormalized exactly once, at construction, and any later drift beyond
-1e-9 is treated as a bug and raised, never hidden.
+1e-9 is treated as a bug and raised, never hidden.  Two builders skip the
+constructor's new array and normalize a table they have just written, in
+place, with the same check and division (`_normalize`): `from_pairs` and the
+branch outputs of `permutation.branch_outcomes`.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -52,16 +54,8 @@ class BellDiagonalState:
         arr = np.asarray(probs, dtype=float)
         if arr.shape != (1 << (2 * n),):
             raise ValueError(f"expected {1 << (2 * n)} weights for n={n}, got {arr.shape}")
-        low = arr.min(initial=0.0)
-        if low < -_NEGATIVE_TOLERANCE:
-            raise ValueError(f"negative weight in distribution: {low}")
-        if low < 0.0:
-            arr = np.maximum(arr, 0.0)
-        total = arr.sum()
-        if not abs(total - 1.0) <= _SUM_TOLERANCE:  # NaN fails too
-            raise ValueError(f"weights sum to {total}, drifted beyond 1e-9 from 1")
         # A new array: the caller's is never written, and is never aliased.
-        arr = arr / total
+        arr = _normalize(arr, None)
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "probs", arr)
@@ -71,7 +65,12 @@ class BellDiagonalState:
 
     @classmethod
     def _trusted(cls, n: int, arr: np.ndarray) -> "BellDiagonalState":
-        """Internal constructor for exact permutations of validated tables."""
+        """Internal constructor that takes `arr` as it is and freezes it.
+
+        For exact permutations of validated tables, and for tables their
+        builder has just normalized with `_normalize`: `from_pairs` and the
+        branch outputs of `permutation.branch_outcomes`.
+        """
         state = object.__new__(cls)
         arr.setflags(write=False)
         object.__setattr__(state, "n", n)
@@ -87,13 +86,25 @@ class BellDiagonalState:
         Each pair is a 1-pair state, whose table reshaped to 2x2 is indexed
         [phase][parity].  The Kronecker product of those matrices is indexed
         by (all phases, all parities), which is already the label order.
+        Each step writes the four products arr * pair[a, b] straight into
+        the strided blocks [:, a, :, b] of the next table: bit for bit the
+        chain `reduce(np.kron, ...)`, without its full-size temporaries.
         """
         if not pairs:
             raise ValueError("need at least one pair")
         if any(p.n != 1 for p in pairs):
             raise ValueError("from_pairs takes 1-pair states")
         _check_pair_count(len(pairs))
-        return cls(len(pairs), reduce(np.kron, [p.probs.reshape(2, 2) for p in pairs]).ravel())
+        arr = np.ones((1, 1))
+        for pair in pairs:
+            rows, cols = arr.shape
+            out = np.empty((rows, 2, cols, 2))
+            for a in range(2):
+                for b in range(2):
+                    np.multiply(arr, pair.probs[2 * a + b], out=out[:, a, :, b])
+            arr = out.reshape(2 * rows, 2 * cols)
+        arr = arr.reshape(-1)
+        return cls._trusted(len(pairs), _normalize(arr, arr))
 
     @classmethod
     def point_mass(cls, n: int, label: BinaryVector | None = None) -> "BellDiagonalState":
@@ -143,7 +154,7 @@ class BellDiagonalState:
         b = 0 if offset is None else offset.value
         if offset is not None and offset.length != two_n:
             raise ValueError("offset length does not match pair count")
-        image = gf2.affine_images(matrix, b)
+        image = gf2.affine_images(matrix.column_values(), b)
         out = np.empty_like(self.probs)
         out[image] = self.probs
         return BellDiagonalState._trusted(self.n, out)
@@ -151,7 +162,7 @@ class BellDiagonalState:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "probs": [float(p) for p in self.probs]}
+        return {"n": self.n, "probs": self.probs.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "BellDiagonalState":
@@ -165,6 +176,26 @@ def _check_pair_count(n: int) -> None:
     """Refuse pair counts beyond the cap before any 4**n table is allocated."""
     if not 0 <= n <= gf2.MAX_PAIRS:
         raise ValueError(f"pair count {n} outside supported range 0..{gf2.MAX_PAIRS}")
+
+
+def _normalize(arr: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Each row (last axis) of `arr` validated and rescaled to total one.
+
+    Weights below -1e-12 are refused and smaller negative ones clipped to
+    zero; a row whose total is more than 1e-9 from one (or NaN) is refused.
+    The result goes to `out`: None for a new array, as the constructor
+    needs, or `arr` itself when its builder owns it.
+    """
+    low = arr.min(initial=0.0)
+    if low < -_NEGATIVE_TOLERANCE:
+        raise ValueError(f"negative weight in distribution: {low}")
+    if low < 0.0:
+        arr = np.maximum(arr, 0.0, out=out)
+    total = arr.sum(axis=-1, keepdims=True)
+    drifted = ~(np.abs(total - 1.0) <= _SUM_TOLERANCE)  # NaN drifts too
+    if drifted.any():
+        raise ValueError(f"weights sum to {total[drifted][0]}, drifted beyond 1e-9 from 1")
+    return np.divide(arr, total, out=out)
 
 
 def random_bell_diagonal(n: int, rng: np.random.Generator) -> BellDiagonalState:

@@ -234,7 +234,16 @@ BAD_FILES = {
     "state-nested": ("--state-file", NESTED),
     "config-nested": ("--config", NESTED),
     "config-key-of-other-command": ("--config", {"werner": 0.75, "seed": 4}),
+    # The generator form has no offset: run-code and verify refuse one.
+    "protocol-offset-run-code": ("--protocol-file",
+                                 {"n": 2, "m": 1, "A": BCNOT.split(","), "b": "0001"}),
+    "protocol-offset-verify": ("--protocol-file",
+                               {"n": 2, "m": 1, "A": BCNOT.split(","), "b": "1000"}),
 }
+
+# Cases whose file only the named command refuses; the rest run with run-perm.
+FILE_COMMANDS = {"protocol-offset-run-code": "run-code",
+                 "protocol-offset-verify": "verify"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FILES))
@@ -242,7 +251,7 @@ def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     flag, content = BAD_FILES[case]
     path = tmp_path / "input.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))
-    argv = ["run-perm", flag, str(path)]
+    argv = [FILE_COMMANDS.get(case, "run-perm"), flag, str(path)]
     argv += ["--werner", "0.75"] if flag == "--protocol-file" else ["--generators", "ZZ"]
     code, out, err = invoke(capsys, *argv)
     assert code == 1
@@ -263,6 +272,10 @@ def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-300"],
     ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-320"],
     ["run-code", "--generators", "ZZ", "--offset", "1000", "--werner", "0.75"],
+    ["run-code", "--matrix", BCNOT, "-m", "1", "--offset", "0001", "--werner", "0.75"],
+    ["run-code", "--matrix", BCNOT, "-m", "1", "--offset", "1000", "--werner", "0.75"],
+    ["verify", "--matrix", BCNOT, "-m", "1", "--offset", "0001", "--werner", "0.75"],
+    ["verify", "--matrix", BCNOT, "-m", "1", "--offset", "1000", "--werner", "0.75"],
     ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "nan"],
     ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "inf"],
     ["verify", "--random", "2", "--generators", "ZZ", "--werner", "0.3"],
@@ -274,6 +287,14 @@ def test_out_of_range_flags_fail_cleanly(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run-code", "verify"])
+def test_all_zero_offset_still_accepted(capsys, command):
+    base = [command, "--matrix", BCNOT, "-m", "1", "--werner", "0.75"]
+    code, out, _ = invoke(capsys, *base, "--offset", "0000")
+    assert code == 0
+    assert (code, out) == invoke(capsys, *base)[:2]
 
 
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys):

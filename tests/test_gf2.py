@@ -83,7 +83,7 @@ def test_affine_images_match_matrix_vector_products(rng):
         matrix = BinaryMatrix(tuple(int(rng.integers(0, 1 << ncols))
                                     for _ in range(nrows)), ncols)
         offset = int(rng.integers(0, 1 << nrows))
-        images = gf2.affine_images(matrix, offset)
+        images = gf2.affine_images(matrix.column_values(), offset)
         assert images.dtype == np.int64
         assert images.tolist() == [(matrix @ BinaryVector(x, ncols)).value ^ offset
                                    for x in range(1 << ncols)]

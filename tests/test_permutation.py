@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from belldistill import gf2, stabilizer
+from belldistill import gf2, permutation, stabilizer
 from belldistill.gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
 from belldistill.permutation import (
     PermutationProtocol,
+    branch_outcomes,
+    branch_table,
     embed_label,
     measured_subspace,
     optimal_correction,
@@ -215,6 +217,70 @@ def test_coset_path_equals_direct_path(rng):
                 assert b.fidelity == pytest.approx(weights.max() / prob, abs=1e-12)
                 chosen = gf2.coset_sum(state.probs, Coset(span, b.u))
                 assert abs(chosen - weights.max()) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Branch table and read-out: bit equality with the one-shot forms
+# ---------------------------------------------------------------------------
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("m", [0, 4, 9])
+def test_blocked_branch_table_bit_equals_one_shot(rng, m):
+    n = 9  # 2n = 18 input bits: four blocks
+    assert 2 * n - permutation._BLOCK_BITS == 2
+    probs = random_bell_diagonal(n, rng).probs
+    for _ in range(3):
+        # random rows, so most entries sum many inputs whose order matters
+        label_map = BinaryMatrix(tuple(int(rng.integers(0, 1 << (2 * n)))
+                                       for _ in range(n + m)), 2 * n)
+        offset = int(rng.integers(0, 1 << (n + m)))
+        expected = np.zeros(1 << (n + m))
+        np.add.at(expected, gf2.affine_images(label_map.column_values(), offset), probs)
+        table = branch_table(probs, label_map, offset, m)
+        assert table.shape == (1 << (n - m), 1 << (2 * m))
+        assert np.array_equal(bits(table.ravel()), bits(expected))
+
+
+def per_row_outcomes(table, m, threshold):
+    """The read-out one row at a time through the public constructor."""
+    k = table.shape[0].bit_length() - 1
+    rows = []
+    for t, row in enumerate(table):
+        prob = float(row.sum())
+        if prob == 0.0:
+            continue
+        output = BellDiagonalState(m, row / prob)
+        correction = optimal_correction(row)
+        fid = float(output.probs[correction.value])
+        rows.append((t, prob, output.probs, correction, fid, (1 << k) * fid,
+                     fid >= threshold))
+    return rows
+
+
+def test_branch_outcomes_bit_equal_per_row_constructor(rng):
+    for _ in range(12):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, n + 1))
+        label_map = gf2.random_symplectic(n, rng)
+        label_map = BinaryMatrix(label_map.rows[:n + m], 2 * n)
+        offset = int(rng.integers(0, 1 << (n + m)))
+        for state in tie_heavy_and_random_inputs(n, rng):
+            table = branch_table(state.probs, label_map, offset, m)
+            expected = per_row_outcomes(table, m, state.fidelity)
+            outcomes = branch_outcomes(table, m, state.fidelity)
+            assert [o.t.value for o in outcomes] == [row[0] for row in expected]
+            for o, (_, prob, output, correction, fid, raw, accepted) in zip(
+                    outcomes, expected):
+                assert bits(o.prob) == bits(prob)
+                assert np.array_equal(bits(o.output.probs), bits(output))
+                assert not o.output.probs.flags.writeable
+                assert o.correction == correction
+                assert bits(o.fidelity) == bits(fid)
+                assert bits(o.unnormalized_fidelity) == bits(raw)
+                assert o.accepted == accepted
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Bell-diagonal state construction, label operations, serialization."""
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -92,6 +93,27 @@ def test_from_pairs_equals_per_label_products(rng):
             expected *= pair.probs[2 * ((x >> (5 - i)) & 1) + ((x >> (2 - i)) & 1)]
         # construction renormalizes once, which may move the last bit
         assert state.probs[x] == pytest.approx(expected, rel=1e-15)
+
+
+def test_from_pairs_bit_equals_normalized_kron_chain(rng):
+    # the strided products must reproduce the Kronecker chain and the
+    # constructor's division bit for bit, signed zeros included
+    pool = [BellDiagonalState(1, w / w.sum()) for w in rng.random((4, 4))]
+    pool += [BellDiagonalState(1, (0.5, 0.0, 0.5, 0.0)),
+             BellDiagonalState(1, (0.5, -0.0, 0.25, 0.25)),
+             BellDiagonalState(1, (1.0, -0.0, -0.0, 0.0)),
+             werner(0.8)]
+    # this product sums to 1 - 1.2e-15, where dividing by the total and
+    # multiplying by its reciprocal give different bits
+    drifting = [BellDiagonalState(1, (0.81, 0.07, 0.07, 0.05))] * 5
+    draws = [[pool[i] for i in rng.integers(0, len(pool), n)] for n in range(1, 10)]
+    for pairs in [drifting, *draws]:
+        chain = reduce(np.kron, [p.probs.reshape(2, 2) for p in pairs]).ravel()
+        expected = chain / chain.sum()
+        state = BellDiagonalState.from_pairs(pairs)
+        assert np.array_equal(state.probs.view(np.int64), expected.view(np.int64))
+        assert not state.probs.flags.writeable
+    assert np.signbit(BellDiagonalState.from_pairs([pool[-2]] * 2).probs).any()
 
 
 def test_pair_count_above_cap_refused_before_allocation(rng):
@@ -211,6 +233,12 @@ def test_json_round_trip(werner2):
     back = BellDiagonalState.from_dict(json.loads(blob))
     assert back.n == werner2.n
     assert np.array_equal(back.probs, werner2.probs)
+
+
+def test_to_dict_lists_python_floats(werner2):
+    probs = werner2.to_dict()["probs"]
+    assert all(type(p) is float for p in probs)
+    assert probs == [float(p) for p in werner2.probs]
 
 
 def test_from_pairs_takes_single_pairs(werner2):
