@@ -99,6 +99,31 @@ def _float_tokens(value: np.ndarray) -> list[str] | None:
     return ("%.15g\0" * value.size % tuple(value.tolist())).split("\0")[:-1]
 
 
+def _scalar(value) -> str:
+    """`json.dumps(_clean(value))` of one scalar.
+
+    Booleans, None, ints, floats finite after rounding and strings of
+    printable ASCII without a quote or backslash are formatted directly, as
+    `json.dumps` would; anything else, NaN and escaped strings included,
+    goes through it.
+    """
+    kind = type(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is int:
+        return repr(value)
+    if kind is float:
+        value = _round15(value)  # may round up to inf
+        if math.isfinite(value):
+            return repr(value)
+    if kind is str and value.isascii() and value.isprintable() \
+            and '"' not in value and "\\" not in value:
+        return f'"{value}"'
+    return json.dumps(_clean(value))
+
+
 def _json(value, indent: str) -> str:
     """`json.dumps(_clean(value), indent=2, sort_keys=True)` for a value
     nested at `indent`; float arrays go through `_float_tokens`."""
@@ -108,12 +133,12 @@ def _json(value, indent: str) -> str:
             return _json(value.tolist(), indent)
         items = [t if "." in t or "e" in t else t + ".0" for t in tokens]
     elif isinstance(value, dict):
-        items = [f"{json.dumps(k)}: {_json(value[k], indent + '  ')}"
+        items = [f"{_scalar(k)}: {_json(value[k], indent + '  ')}"
                  for k in sorted(value)]
     elif isinstance(value, (list, tuple)):
         items = [_json(v, indent + "  ") for v in value]
     else:
-        return json.dumps(_clean(value))
+        return _scalar(value)
     left, right = "{}" if isinstance(value, dict) else "[]"
     if not items:
         return left + right

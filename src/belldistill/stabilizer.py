@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gf2
 from .gf2 import BinaryMatrix, BinaryVector, Subspace
-from .permutation import _embed_value, branch_outcomes, branch_table
+from .permutation import branch_outcomes, branch_table
 from .states import BellDiagonalState
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
@@ -140,7 +140,7 @@ def syndrome_distribution(state: BellDiagonalState,
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
-    return branch_table(state.probs, _pairing_map(proto, []), 0, 0).sum(axis=1)
+    return branch_table(state, _pairing_map(proto, []), 0, 0).sum(axis=1)
 
 
 def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
@@ -149,9 +149,9 @@ def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
 
     It is the lex-least representative of the generator-span coset
     B embed(c, s) + span, where B is the protocol's frame and c the
-    heaviest logical label (the smallest one among exactly equal weights).
-    On exact ties the coset can depend on the frame.  Raises for syndromes
-    of probability zero.
+    heaviest logical label (`permutation.optimal_correction`: the smallest
+    one within its tie band).  On ties the coset can depend on the frame.
+    Raises for syndromes of probability zero.
     """
     if s.length != proto.n - proto.m:
         raise ValueError("syndrome length must equal the generator count")
@@ -171,33 +171,41 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     without inverting B.  Per branch, v is the lex-least label with
     syndrome s and the recovery u the lex-least representative of
     B embed(c, s) + span for the heaviest logical label c (the smallest
-    among exact ties).  The branch fidelity is the recovery coset's weight
-    over the branch weight (the literal expression times 2**(n-m) is
-    reported alongside as `unnormalized_fidelity`).  Zero-probability
-    syndromes are never produced.  `threshold` defaults to the input
-    fidelity.
+    within the tie band of `permutation.optimal_correction`).  The branch
+    fidelity is the recovery coset's weight over the branch weight (the
+    literal expression times 2**(n-m) is reported alongside as
+    `unnormalized_fidelity`).  Zero-probability syndromes are never
+    produced.  `threshold` defaults to the input fidelity.
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
     if threshold is None:
         threshold = state.fidelity
-    n, m, basis = proto.n, proto.m, proto.frame
-    cols = basis.column_values()
+    n, m = proto.n, proto.m
+    cols = proto.frame.column_values()
     span = generator_span(proto)
     perp = gf2.orthogonal_complement(span)
-    table = branch_table(state.probs, _pairing_map(proto, [*cols[n:n + m], *cols[:m]]),
+    table = branch_table(state, _pairing_map(proto, [*cols[n:n + m], *cols[:m]]),
                          0, m)
 
-    def lifted(y: int, s: int) -> int:
-        return (basis @ BinaryVector(_embed_value(y, s, n, m), 2 * n)).value
+    # v(s) and u(c, s) reduce B embed(c, s).  The embedding puts s on
+    # positions n+m..2n-1 and c on 0..m-1 and n..n+m-1, and reduction by an
+    # echelon basis is linear, so both are XORs of reduced frame columns:
+    # tabulated once per part with `gf2.affine_images`.
+    def images(subspace: Subspace, positions) -> list[int]:
+        return gf2.affine_images([subspace.reduce_value(cols[p]) for p in positions],
+                                 0).tolist()
 
+    syndrome_part = range(n + m, 2 * n)
+    v_of = images(perp, syndrome_part)
+    u_of_s = images(span, syndrome_part)
+    u_of_c = images(span, [*range(m), *range(n, n + m)])
     return [
         SyndromeBranch(
             s=o.t,
             prob=o.prob,
-            v=BinaryVector(perp.reduce_value(lifted(0, o.t.value)), 2 * n),
-            u=BinaryVector(span.reduce_value(lifted(o.correction.value, o.t.value)),
-                           2 * n),
+            v=BinaryVector(v_of[o.t.value], 2 * n),
+            u=BinaryVector(u_of_s[o.t.value] ^ u_of_c[o.correction.value], 2 * n),
             output=o.output,
             fidelity=o.fidelity,
             unnormalized_fidelity=o.unnormalized_fidelity,

@@ -1,4 +1,4 @@
-"""Bell-diagonal states as dense probability tables over binary labels.
+"""Bell-diagonal states as probability tables over binary labels.
 
 A mixture of tensor products of Bell states on n pairs is fully described by
 one weight per 2n-bit label.  The table index of a label is its packed
@@ -6,6 +6,13 @@ integer value (see :mod:`belldistill.gf2` for the bit convention), which
 makes label-level operations plain array permutations.  A single pair is
 the case n = 1: `werner` returns one, and `BellDiagonalState.from_pairs`
 builds product states from them.
+
+A state keeps the factors it was built from: a dense input is one factor,
+and a product of more than _HEAD_PAIRS pairs is a dense head over the first
+_HEAD_PAIRS pairs followed by one factor per further pair.  The branch
+kernel (`permutation.branch_table`) reads the factors, so a product input
+never needs its 4**n table; `probs` builds that table on first use, for the
+label operations, serialization and the dense oracle.
 
 States are immutable after construction; weights are validated and
 renormalized exactly once, at construction, and any later drift beyond
@@ -17,6 +24,7 @@ branch outputs of `permutation.branch_outcomes`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Sequence
 
@@ -27,6 +35,12 @@ from .gf2 import BinaryMatrix, BinaryVector
 
 _SUM_TOLERANCE = 1e-9
 _NEGATIVE_TOLERANCE = 1e-12
+
+# Pairs in the dense head factor of `from_pairs`; each further pair is a
+# factor of its own.  A product of at most this many pairs is one dense
+# table, summed by the branch kernel exactly as a dense input is, and its
+# 4**8 labels are one 2^16-input block of that kernel's scatter.
+_HEAD_PAIRS = 8
 
 
 def werner(fidelity: float) -> "BellDiagonalState":
@@ -45,9 +59,15 @@ def werner(fidelity: float) -> "BellDiagonalState":
 
 
 class BellDiagonalState:
-    """Probability distribution over the 4**n labels of n Bell pairs."""
+    """Probability distribution over the 4**n labels of n Bell pairs.
 
-    __slots__ = ("n", "probs")
+    `factors` holds it as a product of independent normalized tables over
+    consecutive pairs, in pair order: a table over k pairs has 4**k
+    entries indexed like a k-pair state.  The dense table `probs` is built
+    from the pair tables of a product on first use.
+    """
+
+    __slots__ = ("n", "factors", "_pairs", "_probs")
 
     def __init__(self, n: int, probs: Sequence[float] | np.ndarray):
         _check_pair_count(n)
@@ -55,10 +75,16 @@ class BellDiagonalState:
         if arr.shape != (1 << (2 * n),):
             raise ValueError(f"expected {1 << (2 * n)} weights for n={n}, got {arr.shape}")
         # A new array: the caller's is never written, and is never aliased.
-        arr = _normalize(arr, None)
-        arr.setflags(write=False)
+        self._freeze(n, (_normalize(arr, None),), None)
+
+    def _freeze(self, n: int, factors: tuple[np.ndarray, ...],
+                pairs: tuple[np.ndarray, ...] | None) -> None:
+        for factor in factors:
+            factor.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_probs", factors[0] if len(factors) == 1 else None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("BellDiagonalState is immutable")
@@ -72,9 +98,7 @@ class BellDiagonalState:
         branch outputs of `permutation.branch_outcomes`.
         """
         state = object.__new__(cls)
-        arr.setflags(write=False)
-        object.__setattr__(state, "n", n)
-        object.__setattr__(state, "probs", arr)
+        state._freeze(n, (arr,), None)
         return state
 
     # -- constructors ------------------------------------------------------
@@ -83,28 +107,21 @@ class BellDiagonalState:
     def from_pairs(cls, pairs: Sequence["BellDiagonalState"]) -> "BellDiagonalState":
         """Product state of independent pairs: p_x = prod_i pair_i(x_i, x_{n+i}).
 
-        Each pair is a 1-pair state, whose table reshaped to 2x2 is indexed
-        [phase][parity].  The Kronecker product of those matrices is indexed
-        by (all phases, all parities), which is already the label order.
-        Each step writes the four products arr * pair[a, b] straight into
-        the strided blocks [:, a, :, b] of the next table: bit for bit the
-        chain `reduce(np.kron, ...)`, without its full-size temporaries.
+        The factors are the normalized dense product of the first
+        _HEAD_PAIRS pairs, then the table of each further pair.  With at
+        most _HEAD_PAIRS pairs the state is that one dense table.
         """
         if not pairs:
             raise ValueError("need at least one pair")
         if any(p.n != 1 for p in pairs):
             raise ValueError("from_pairs takes 1-pair states")
         _check_pair_count(len(pairs))
-        arr = np.ones((1, 1))
-        for pair in pairs:
-            rows, cols = arr.shape
-            out = np.empty((rows, 2, cols, 2))
-            for a in range(2):
-                for b in range(2):
-                    np.multiply(arr, pair.probs[2 * a + b], out=out[:, a, :, b])
-            arr = out.reshape(2 * rows, 2 * cols)
-        arr = arr.reshape(-1)
-        return cls._trusted(len(pairs), _normalize(arr, arr))
+        tables = tuple(p.probs for p in pairs)
+        head = _pair_product(tables[:_HEAD_PAIRS])
+        state = object.__new__(cls)
+        state._freeze(len(tables), (_normalize(head, head), *tables[_HEAD_PAIRS:]),
+                      tables)
+        return state
 
     @classmethod
     def point_mass(cls, n: int, label: BinaryVector | None = None) -> "BellDiagonalState":
@@ -116,9 +133,25 @@ class BellDiagonalState:
     # -- queries -----------------------------------------------------------
 
     @property
+    def probs(self) -> np.ndarray:
+        """The dense, read-only table of all 4**n weights.
+
+        A product of more than _HEAD_PAIRS pairs builds it on first use as
+        the normalized product of all its pair tables, the table a dense
+        `from_pairs` would hold.
+        """
+        if self._probs is None:
+            arr = _pair_product(self._pairs)
+            arr = _normalize(arr, arr)
+            arr.setflags(write=False)
+            object.__setattr__(self, "_probs", arr)
+        return self._probs
+
+    @property
     def fidelity(self) -> float:
-        """Weight of the all-zero label (the all-target Bell product)."""
-        return float(self.probs[0])
+        """Weight of the all-zero label (the all-target Bell product): the
+        product of the factors' weights there."""
+        return math.prod(float(factor[0]) for factor in self.factors)
 
     def prob(self, label: BinaryVector) -> float:
         if label.length != 2 * self.n:
@@ -176,6 +209,27 @@ def _check_pair_count(n: int) -> None:
     """Refuse pair counts beyond the cap before any 4**n table is allocated."""
     if not 0 <= n <= gf2.MAX_PAIRS:
         raise ValueError(f"pair count {n} outside supported range 0..{gf2.MAX_PAIRS}")
+
+
+def _pair_product(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense product of 1-pair tables in label order, not normalized.
+
+    Each table reshaped to 2x2 is indexed [phase][parity].  The Kronecker
+    product of those matrices is indexed by (all phases, all parities),
+    which is already the label order.  Each step writes the four products
+    arr * pair[a, b] straight into the strided blocks [:, a, :, b] of the
+    next table: bit for bit the chain `reduce(np.kron, ...)`, without its
+    full-size temporaries.
+    """
+    arr = np.ones((1, 1))
+    for table in tables:
+        rows, cols = arr.shape
+        out = np.empty((rows, 2, cols, 2))
+        for a in range(2):
+            for b in range(2):
+                np.multiply(arr, table[2 * a + b], out=out[:, a, :, b])
+        arr = out.reshape(2 * rows, 2 * cols)
+    return arr.reshape(-1)
 
 
 def _normalize(arr: np.ndarray, out: np.ndarray | None) -> np.ndarray:

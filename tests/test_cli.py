@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -402,3 +403,19 @@ def test_probabilities_printed_with_15_digits(capsys):
     row = next(csv.DictReader(io.StringIO(out)))
     assert row["fidelity"] == "0.788461538461538"
     assert row["prob"] == "0.722222222222222"
+
+
+@pytest.mark.parametrize("command", ["run-perm", "run-code"])
+def test_product_input_never_allocates_the_dense_table(tmp_path, command):
+    n = 12  # the dense table would be 4**12 doubles: 128 MiB
+    gens = ",".join("I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1))
+    tracemalloc.start()
+    try:
+        rc = main([command, "--generators", gens, "-m", "1", "--werner", "0.8",
+                   "--output", str(tmp_path / "out.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(json.loads((tmp_path / "out.json").read_text())["records"]) == 1 << (n - 1)
+    assert peak < (128 << 20) // 16

@@ -231,17 +231,112 @@ def bits(values):
 def test_blocked_branch_table_bit_equals_one_shot(rng, m):
     n = 9  # 2n = 18 input bits: four blocks
     assert 2 * n - permutation._BLOCK_BITS == 2
-    probs = random_bell_diagonal(n, rng).probs
+    state = random_bell_diagonal(n, rng)
     for _ in range(3):
         # random rows, so most entries sum many inputs whose order matters
         label_map = BinaryMatrix(tuple(int(rng.integers(0, 1 << (2 * n)))
                                        for _ in range(n + m)), 2 * n)
         offset = int(rng.integers(0, 1 << (n + m)))
         expected = np.zeros(1 << (n + m))
-        np.add.at(expected, gf2.affine_images(label_map.column_values(), offset), probs)
-        table = branch_table(probs, label_map, offset, m)
+        np.add.at(expected, gf2.affine_images(label_map.column_values(), offset),
+                  state.probs)
+        table = branch_table(state, label_map, offset, m)
         assert table.shape == (1 << (n - m), 1 << (2 * m))
         assert np.array_equal(bits(table.ravel()), bits(expected))
+
+
+PAIR_KINDS = {
+    "werner": lambda rng: werner(0.8),
+    "random": lambda rng: BellDiagonalState(1, (w := rng.random(4) + 1e-3) / w.sum()),
+    "sparse": lambda rng: BellDiagonalState(1, (0.7, 0.0, 0.3, 0.0)),
+    "point-mass": lambda rng: BellDiagonalState(1, (0.0, 1.0, 0.0, 0.0)),
+    "uniform": lambda rng: BellDiagonalState(1, (0.25,) * 4),
+}
+
+
+def product_input(kind, n, rng):
+    """n pairs of one kind, or of every kind in turn for "mixed"."""
+    if kind == "mixed":
+        makers = list(PAIR_KINDS.values())
+        return BellDiagonalState.from_pairs([makers[i % 5](rng) for i in range(n)])
+    return BellDiagonalState.from_pairs([PAIR_KINDS[kind](rng) for _ in range(n)])
+
+
+def dense_copy(state):
+    """The same weights as one dense factor, bit for bit."""
+    return BellDiagonalState._trusted(state.n, state.probs.copy())
+
+
+def random_label_map(n, m, rng):
+    matrix = gf2.random_symplectic(n, rng)
+    return (BinaryMatrix(matrix.rows[:n + m], 2 * n),
+            int(rng.integers(0, 1 << (n + m))))
+
+
+@pytest.mark.parametrize("kind", [*PAIR_KINDS, "mixed"])
+def test_product_tables_up_to_the_head_bit_equal_dense(rng, kind):
+    for n in (1, 2, 5, 8):
+        state = product_input(kind, n, rng)
+        assert len(state.factors) == 1
+        m = int(rng.integers(0, n + 1))
+        label_map, offset = random_label_map(n, m, rng)
+        table = branch_table(state, label_map, offset, m)
+        dense = branch_table(dense_copy(state), label_map, offset, m)
+        assert np.array_equal(bits(table.ravel()), bits(dense.ravel()))
+
+
+def assert_engines_agree_with_dense(state, rng):
+    """Factored against dense: tables to 1e-12 relative, and the same
+    branches, corrections, recoveries and acceptance from both engines."""
+    n = state.n
+    dense = dense_copy(state)
+    m = int(rng.integers(0, 4))
+    label_map, offset = random_label_map(n, m, rng)
+    table = branch_table(state, label_map, offset, m)
+    expected = branch_table(dense, label_map, offset, m)
+    assert np.all(np.abs(table - expected) <= 1e-12 * expected)
+
+    threshold = state.fidelity
+    assert threshold == pytest.approx(dense.fidelity, rel=1e-14)
+    proto = PermutationProtocol(n, m, gf2.random_symplectic(n, rng),
+                                BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n))
+    got, want = run(state, proto, threshold), run(dense, proto, threshold)
+    assert [o.t for o in got] == [o.t for o in want]
+    for o, w in zip(got, want):
+        assert o.correction == w.correction and o.accepted == w.accepted
+        assert o.prob == pytest.approx(w.prob, rel=1e-12)
+        assert o.fidelity == pytest.approx(w.fidelity, rel=1e-12)
+    code = StabilizerProtocol(n, m, tuple(gf2.random_isotropic_generators(n, n - m, rng)))
+    got, want = stabilizer.run(state, code, threshold), stabilizer.run(dense, code, threshold)
+    assert [(b.s, b.v, b.u, b.accepted) for b in got] == \
+        [(b.s, b.v, b.u, b.accepted) for b in want]
+
+
+@pytest.mark.parametrize("kind", [*PAIR_KINDS, "mixed"])
+def test_product_tables_beyond_the_head_match_dense(rng, kind):
+    for n in (9, 10) if kind != "mixed" else (9, 10, 11):
+        state = product_input(kind, n, rng)
+        assert len(state.factors) == 1 + n - 8
+        assert_engines_agree_with_dense(state, rng)
+
+
+def test_product_branches_beyond_the_head_equal_literal_coset_sums(rng):
+    n = 9
+    for kind in ("werner", "mixed"):
+        state = product_input(kind, n, rng)
+        m = int(rng.integers(1, 3))
+        proto = PermutationProtocol(n, m, gf2.random_symplectic(n, rng),
+                                    BinaryVector.zeros(2 * n))
+        inverse = gf2.symplectic_inverse(proto.matrix)
+        literal = literal_branches(state.probs, measured_subspace(proto),
+                                   lambda y, t: inverse @ embed(y, t, n, m), n, m)
+        outcomes = {o.t.value: o for o in run(state, proto)}
+        assert set(outcomes) == set(literal)
+        for t, (prob, weights) in literal.items():
+            o = outcomes[t]
+            assert o.prob == pytest.approx(prob, rel=1e-12)
+            assert o.output.probs == pytest.approx(weights / prob, rel=1e-12, abs=1e-15)
+            assert o.fidelity == pytest.approx(weights.max() / prob, rel=1e-12)
 
 
 def per_row_outcomes(table, m, threshold):
@@ -268,7 +363,7 @@ def test_branch_outcomes_bit_equal_per_row_constructor(rng):
         label_map = BinaryMatrix(label_map.rows[:n + m], 2 * n)
         offset = int(rng.integers(0, 1 << (n + m)))
         for state in tie_heavy_and_random_inputs(n, rng):
-            table = branch_table(state.probs, label_map, offset, m)
+            table = branch_table(state, label_map, offset, m)
             expected = per_row_outcomes(table, m, state.fidelity)
             outcomes = branch_outcomes(table, m, state.fidelity)
             assert [o.t.value for o in outcomes] == [row[0] for row in expected]
@@ -312,6 +407,33 @@ def test_correction_brute_force_optimal(rng):
 def test_correction_tie_breaks_lexicographically():
     assert optimal_correction(np.array([0.25, 0.25, 0.25, 0.25])) == vec("00")
     assert optimal_correction(np.array([0.1, 0.45, 0.45, 0.0])) == vec("01")
+
+
+def test_correction_ties_within_the_band():
+    band = permutation.TIE_BAND
+    # weights that differ by summation order only count as tied
+    assert optimal_correction(np.array([0.5 * (1 - band / 4), 0.5, 0.0, 0.0])) == vec("00")
+    assert optimal_correction(np.array([0.0, 0.4 * (1 - band / 2), 0.2, 0.4])) == vec("01")
+    # a gap wider than the band is not a tie
+    assert optimal_correction(np.array([0.5 * (1 - 4 * band), 0.5, 0.0, 0.0])) == vec("01")
+
+
+def test_correction_does_not_depend_on_summation_order(rng):
+    for n in (3, 5):
+        pool = [werner(0.75), BellDiagonalState(1, (1.0, 0.0, 0.0, 0.0)),
+                BellDiagonalState(1, (0.25,) * 4)]
+        for pairs in ([pool[0]] * n, [pool[1]] * n, [pool[2]] * n,
+                      [pool[i % 3] for i in range(n)]):
+            probs = BellDiagonalState.from_pairs(pairs).probs
+            m = int(rng.integers(1, n))
+            label_map = gf2.random_symplectic(n, rng)
+            images = gf2.affine_images(label_map.column_values(), 0) >> (n - m)
+            forward, backward = np.zeros(1 << (n + m)), np.zeros(1 << (n + m))
+            np.add.at(forward, images, probs)
+            np.add.at(backward, images[::-1], probs[::-1])
+            for a, b in zip(forward.reshape(-1, 1 << (2 * m)),
+                            backward.reshape(-1, 1 << (2 * m))):
+                assert optimal_correction(a) == optimal_correction(b)
 
 
 def test_correction_rejects_empty():

@@ -93,6 +93,37 @@ def test_nan_in_scalar_field_and_summary():
     assert "NaN" in _render("verify", records, "json", None)
 
 
+STRINGS = ["", "plain", 'a "quoted" word', "back\\slash", "caf\u00e9", "\u2028",
+           "tab\tand\nnewline", "\x7f", "\U0001f600", "~ !#$%&'()*+,-./09:;<=>?@[]^_`{|}"]
+
+
+@pytest.mark.parametrize("text", STRINGS)
+def test_string_fields_and_keys_render_as_reference(text):
+    records = records_of([np.array([0.5, 0.5])])
+    for rec in records:
+        rec["t"] = text
+        rec["generators"] = [text, "ZZ"]
+    assert_renders_as_reference(records, {text: text, "passed": True})
+
+
+def test_scalars_the_direct_path_refuses():
+    records = records_of([np.array([1.0])])
+    for rec, value in zip(records * 5, (float("nan"), float("inf"), -float("inf"),
+                                       np.float64(1 / 3), None)):
+        rec["prob"] = value
+    summary = {"big": 1 << 70, "negative": -3, "none": None, "nan": float("nan"),
+               "floats": [float("-inf"), np.float64(2 / 3), 1e16, -0.0]}
+    assert_renders_as_reference(records, summary)
+
+
+@given(st.text(), st.one_of(st.none(), st.booleans(), st.integers(),
+                            st.floats(allow_nan=True, allow_infinity=True)))
+def test_any_string_and_scalar_render_as_reference(text, scalar):
+    records = records_of([np.array([1.0])], scalar=scalar)
+    records[0]["t"] = text
+    assert_renders_as_reference(records, {text: scalar})
+
+
 def test_arrays_the_one_pass_path_refuses():
     arrays = [np.array([0.5, float("nan")]), np.array([float("inf"), 0.5]),
               np.array([[0.25, 0.75], [1.0, 0.0]]), np.arange(4), np.array([])]

@@ -16,7 +16,7 @@ from belldistill.stabilizer import (
     syndrome_of_error,
     to_pauli_string,
 )
-from belldistill.states import BellDiagonalState, random_bell_diagonal
+from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
 
 
 def vec(s):
@@ -251,3 +251,26 @@ def test_run_rejects_foreign_basis(zz_proto):
 def test_run_wrong_state_size(zz_proto):
     with pytest.raises(ValueError):
         run(BellDiagonalState.point_mass(3), zz_proto)
+
+
+def test_run_labels_equal_per_branch_reduction(rng):
+    # v and u are table lookups; here they are recomputed per branch as
+    # reductions of the frame image B embed(c, s), c the heaviest label
+    for _ in range(12):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, n))
+        gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
+        proto = StabilizerProtocol(n, m, gens, gf2.complete_to_symplectic(gens, n, m, rng))
+        span = generator_span(proto)
+        perp = gf2.orthogonal_complement(span)
+        label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
+        for state in (random_bell_diagonal(n, rng),
+                      BellDiagonalState.from_pairs([werner(0.75)] * n),
+                      BellDiagonalState.point_mass(n, label),
+                      BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))):
+            for b in run(state, proto):
+                c = permutation.optimal_correction(b.output.probs)
+                lifted = [proto.frame @ permutation.embed_label(y, b.s, n, m)
+                          for y in (BinaryVector.zeros(2 * m), c)]
+                assert b.v.value == perp.reduce_value(lifted[0].value)
+                assert b.u.value == span.reduce_value(lifted[1].value)

@@ -116,6 +116,26 @@ def test_from_pairs_bit_equals_normalized_kron_chain(rng):
     assert np.signbit(BellDiagonalState.from_pairs([pool[-2]] * 2).probs).any()
 
 
+def test_from_pairs_keeps_a_dense_head_and_one_factor_per_further_pair(rng):
+    pairs = [BellDiagonalState(1, w / w.sum()) for w in rng.random((11, 4))]
+    for n in (1, 8, 9, 11):
+        state = BellDiagonalState.from_pairs(pairs[:n])
+        head = BellDiagonalState.from_pairs(pairs[:min(n, 8)])
+        assert len(state.factors) == 1 + max(n - 8, 0)
+        assert np.array_equal(state.factors[0].view(np.int64), head.probs.view(np.int64))
+        assert all(f is p.probs for f, p in zip(state.factors[1:], pairs[8:n]))
+        # the fidelity is read off the factors; the dense table agrees
+        assert state.fidelity == pytest.approx(float(state.probs[0]), rel=1e-14)
+        assert state.fidelity == pytest.approx(np.prod([p.fidelity for p in pairs[:n]]),
+                                               rel=1e-14)
+
+
+def test_dense_state_is_one_factor(rng):
+    state = random_bell_diagonal(3, rng)
+    assert len(state.factors) == 1 and state.factors[0] is state.probs
+    assert state.fidelity == state.probs[0]
+
+
 def test_pair_count_above_cap_refused_before_allocation(rng):
     n = gf2.MAX_PAIRS + 1
     with pytest.raises(ValueError, match="pair count"):
