@@ -12,18 +12,31 @@ Exit codes: 0 success, 1 configuration/validation error, 2 mismatch found.
 All probabilities are printed with 15 significant digits; identical
 configuration and seed produce byte-identical output.  Relative ``--output``
 paths resolve against ``BELLDISTILL_OUTDIR`` when that variable is set.
+
+Every float is printed as Python prints it after rounding to 15
+significant digits: ``"%.15g"`` in CSV, ``json.dumps`` in JSON.  The floats
+of a command are formatted together (`_float_groups`).  The 15-digit
+mantissa of each is rint(x * 10^(14-e)) in a 64-bit-significand long
+double, with 10^k correctly rounded from a table, so the product is within
+2^-13 of exact and rint rounds as exact arithmetic would, except within
+2^-9 of a half-way point.  Those entries, and every entry on a platform
+without such a long double, take their digits from Python's correctly
+rounded ``"%.14e"``.  NaN, infinities, subnormals, magnitudes from 1e14 up,
+and commands with few floats are formatted value by value.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,42 +83,320 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-# `_float_tokens` formats a float array in one pass when every entry is zero
-# or a normal double below _FAST_MAX in magnitude.  The bound stays a decade
-# under 1e15, so rounding to 15 digits cannot carry an entry up to 1e15.
+def _float_token(x: float, fmt: str) -> str:
+    """One float formatted on its own: the JSON token `json.dumps` gives,
+    or the CSV cell ".15g" gives, for x rounded to 15 significant digits."""
+    x = _round15(x)  # may round up to inf
+    if fmt == "csv":
+        return format(x, ".15g")
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+# ---------------------------------------------------------------------------
+# Float arrays in one pass
+#
+# `_float_groups` prints many floats at once.  Each entry that is zero or a
+# normal double below _FAST_MAX in magnitude gets its 15-digit decimal
+# (`_decimal`) and its text from digit tables (`_chunk_text`); any other
+# entry (NaN, infinities, subnormals, large magnitudes) is formatted by
+# `_float_token`.  For the entries the tables print, the JSON token
+# `repr(_round15(x))` is `"%.15g" % x` with ".0" appended when it has
+# neither "." nor "e": a decimal of at most 15 significant digits survives
+# the round trip through a normal double (DBL_DIG = 15), and below 1e15
+# ".15g" and repr pick the same notation.  The CSV token is `"%.15g" % x`.
+# ---------------------------------------------------------------------------
+
 _FAST_MAX = 1e14
 _FAST_TINY = np.finfo(float).tiny
 
+# Below this many floats a command's floats are formatted one by one.  The
+# one-pass path costs ~0.15 ms however few entries it prints, the
+# per-value path ~2.5 us an entry: both take ~0.17 ms at 64 floats (2-core
+# x86-64, Python 3.11, numpy 2.4).
+_BATCH_MIN = 64
+# Entries per pass, so that the pass's temporaries stay a few MB.
+_CHUNK = 1 << 14
 
-def _float_tokens(value: np.ndarray) -> list[str] | None:
-    """`format(x, ".15g")` of every entry of a 1-D float array, formatted in
-    one C-level pass, or None when an entry needs the per-value path.
+# Control bytes of the assembled text: padding, the end of a group, and
+# a hole filled in afterwards (`_fill`).
+_PAD, _GROUP_END, _HOLE = "\0", "\1", "\2"
 
-    For the entries let through, the JSON token `repr(_round15(x))` is the
-    same string with ".0" appended when it has neither "." nor "e".  A
-    decimal of at most 15 significant digits survives the round trip
-    through a normal double (DBL_DIG = 15), so only the notation can
-    differ: both switch to an exponent below 1e-4, but ".15g" switches at
-    1e15 where repr waits for 1e16.  NaN, infinities, subnormals and
-    magnitudes from _FAST_MAX up take the per-value path.  The CSV token
-    `format(_round15(x), ".15g")` is the same string.
+
+def _digits(count: int, width: int, lead: bool = False, trim: bool = False,
+            units: bool = False) -> np.ndarray:
+    """ASCII digits of 0..count-1, `width` per row with leading zeros.
+
+    With `lead` the leading zeros are padding (all of 0's digits, unless
+    `units` keeps its last one); with `trim` the trailing zeros are.
     """
-    if value.dtype != np.float64 or value.ndim != 1:
-        return None
-    size = np.abs(value)
-    if not size.max(initial=0.0) < _FAST_MAX \
-            or np.any((size < _FAST_TINY) & (size != 0.0)):
-        return None
-    return ("%.15g\0" * value.size % tuple(value.tolist())).split("\0")[:-1]
+    value = np.arange(count, dtype=np.int32)[:, None]
+    place = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
+    digits = (value // place % 10 + ord("0")).astype(np.uint8)
+    if lead:
+        digits[(value < place) & ~(units & (place == 1))] = 0
+    if trim:
+        digits[value % (10 * place) == 0] = 0
+    return digits
+
+
+def _words(*columns) -> np.ndarray:
+    """Byte columns side by side, 4 bytes a row, as uint32 words that hold
+    their bytes in order."""
+    return np.column_stack(columns).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _byte(char: str, count: int) -> np.ndarray:
+    return np.full(count, ord(char), dtype=np.uint8)
+
+
+_MINUS = np.frombuffer(f"-{_PAD * 3}".encode("ascii"), dtype=np.uint32)[0]
+_HOLE_WORD = np.frombuffer(f"{_HOLE}{_PAD * 3}".encode("ascii"), dtype=np.uint32)[0]
+# Index of ".0" in the tail table (`_tables`).
+_POINT_ZERO = 1
+
+# Every entry's scaled value x * 10^k is within 2^-13 of the exact product
+# when long double has a 64-bit significand (two roundings of relative
+# error 2^-64, on a value below 2^50).  Unless it is within this much of a
+# half-way point, its rint is the correctly rounded mantissa.
+_HALF_WINDOW = 2.0 ** -9
+_WIDE_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _pow10_table(count: int) -> np.ndarray:
+    """10^k for k < count, each rounded to 64 significant bits (half to
+    even) and stored exactly in long double."""
+    mants, shifts = [], []
+    for k in range(count):
+        shift = max((10 ** k).bit_length() - 64, 0)
+        mant, rest = divmod(10 ** k, 1 << shift)
+        if 2 * rest > 1 << shift or (2 * rest == 1 << shift and mant & 1):
+            mant += 1
+        mants.append(mant)
+        shifts.append(shift)
+    # Two exact 32-bit halves, summed exactly in the 64-bit significand.
+    high = np.array([m >> 32 for m in mants], dtype=np.longdouble)
+    low = np.array([m & 0xFFFFFFFF for m in mants], dtype=np.longdouble)
+    # A long double no wider than a double overflows at the top; such a
+    # platform never reads this table.
+    with np.errstate(over="ignore"):
+        return np.ldexp(high * 2.0 ** 32 + low, shifts)
+
+
+@functools.cache
+def _tables() -> SimpleNamespace:
+    """The tables of the one-pass path, built on first use, so that a
+    command with few floats never builds them.
+
+    The integer part goes in 3-digit groups, each in a word whose first
+    byte is free for the sign; the fraction goes in a word with the point
+    and 2 digits, then 4-digit groups.  A "lead" table drops the leading
+    zeros of a group with nothing above it, a "trim" table the trailing
+    zeros of a group with nothing below it.  After the digits come two
+    tail words: nothing, ".0" (JSON, integral values) or the exponent
+    "e-XX" of a value below 1e-4, indexed by -exponent.  `pow10` holds
+    10^(14-e) for every exponent e of a normal double below _FAST_MAX.
+    """
+    pad = _byte(_PAD, 1000)
+    tail = [_PAD * 8, ".0".ljust(8, _PAD)] + [f"e-{k:02d}".ljust(8, _PAD)
+                                            for k in range(2, 400)]
+    return SimpleNamespace(
+        int=_words(pad, _digits(1000, 3)),
+        int_lead=_words(pad, _digits(1000, 3, lead=True)),
+        int_units=_words(pad, _digits(1000, 3, lead=True, units=True)),
+        point=_words(_byte(".", 100), _digits(100, 2), _byte(_PAD, 100)),
+        point_trim=_words(np.where(np.arange(100) > 0, ord("."), 0),
+                          _digits(100, 2, trim=True), _byte(_PAD, 100)),
+        frac=_words(_digits(10_000, 4)),
+        frac_trim=_words(_digits(10_000, 4, trim=True)),
+        tail=np.frombuffer("".join(tail).encode("ascii"), np.uint32).reshape(-1, 2),
+        pow10=_pow10_table(340),
+    )
+
+
+def _printf_decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_decimal` of every entry from Python's correctly rounded "%.14e"."""
+    texts = ["%.14e" % x for x in a.tolist()]
+    return (np.array([int(t[0] + t[2:16]) for t in texts], dtype=np.int64),
+            np.array([int(t[17:]) for t in texts], dtype=np.int64))
+
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mantissa M (10^14 <= M < 10^15) and exponent e of every entry of `a`
+    (positive normal doubles below _FAST_MAX), with M * 10^(e-14) the
+    entry rounded to 15 significant digits, half to even.
+
+    M is rint(a * 10^(14-e)) in long double, e = floor(log10(a)).  An
+    entry near a half-way point, where that product's error could flip the
+    rounding, or whose product falls outside [10^14, 10^15), takes M and e
+    from `_printf_decimal` instead; without a 64-bit long double every
+    entry does.
+    """
+    if not _WIDE_LONGDOUBLE:
+        return _printf_decimal(a)
+    exp = np.floor(np.log10(a)).astype(np.int64)
+    scaled = a.astype(np.longdouble) * _tables().pow10[14 - exp]
+    mant = np.rint(scaled)
+    slow = np.abs((scaled - mant).astype(np.float64)) >= 0.5 - _HALF_WINDOW
+    # log10 can miss by one just below a power of ten.
+    slow |= (scaled < 1e14) | (scaled >= 1e15)
+    slow = np.flatnonzero(slow)
+    mant = mant.astype(np.int64)
+    if slow.size:
+        mant[slow], exp[slow] = _printf_decimal(a[slow])
+    carry = mant == 10 ** 15  # rounded up into the next decade
+    mant[carry] = 10 ** 14
+    return mant, exp + carry
+
+
+def _chunk_text(values: np.ndarray, last: np.ndarray, fmt: str, sep: str) -> str:
+    """The tokens of `values`, each followed by `sep`, or by _GROUP_END
+    where `last` is set.
+
+    Every entry gets a row of words: the integer part, the fraction, the
+    tail and the separator, with padding where a digit is dropped.  The
+    padding is deleted from the whole chunk at once.  The notation is
+    decided by the rounded exponent, as "%.15g" decides it.
+    """
+    a = np.abs(values)
+    fast = (a < _FAST_MAX) & ((a >= _FAST_TINY) | (a == 0))
+    nonzero = fast & (a != 0)
+    mant = np.zeros(a.size, dtype=np.int64)
+    exp = np.zeros(a.size, dtype=np.int64)
+    mant[nonzero], exp[nonzero] = _decimal(a[nonzero])
+    sci = exp < -4
+    places = np.where(sci, 14, 14 - exp)
+    whole, frac = np.divmod(mant, _POW10_INT[places])
+    frac *= _POW10_INT[18 - places]  # the fraction's digits left-aligned in 18
+    tail = np.where(sci, -exp, 0)
+    if fmt == "json":
+        tail[(frac == 0) & ~sci] = _POINT_ZERO
+    int_words = max(1, -(-len(str(whole.max())) // 3))
+    tail_words = int(tail.max() > 0) + int(tail.max() > 99)  # "e-100" takes 5 bytes
+    used = int_words + 5 + tail_words
+    width = -(-(4 * used + len(sep) + 1) // 4) * 4
+    rows = np.zeros((values.size, width), dtype=np.uint8)
+    words = rows.view(np.uint32)
+    tables = _tables()
+
+    groups = []
+    for _ in range(int_words - 1):
+        whole, group = np.divmod(whole, 1000)
+        groups.append(group)
+    groups.append(whole)
+    lead = np.ones(values.size, dtype=bool)
+    for i, group in enumerate(reversed(groups)):
+        first = tables.int_units if i == int_words - 1 else tables.int_lead
+        words[:, i] = np.where(lead, first[group], tables.int[group])
+        lead &= group == 0
+    words[:, 0] |= np.where(np.signbit(values), _MINUS, 0)
+
+    trim = np.ones(values.size, dtype=bool)
+    for i in range(4):
+        frac, group = np.divmod(frac, 10_000)
+        words[:, int_words + 4 - i] = np.where(trim, tables.frac_trim[group],
+                                               tables.frac[group])
+        trim &= group == 0
+    words[:, int_words] = np.where(trim, tables.point_trim[frac], tables.point[frac])
+    words[:, int_words + 5:used] = tables.tail[tail, :tail_words]
+
+    start = 4 * used
+    rows[:, start:start + len(sep)] = np.frombuffer(sep.encode("ascii"), np.uint8)
+    ends = np.flatnonzero(last)
+    rows[ends, start:start + len(sep)] = 0
+    rows[ends, start + len(sep)] = ord(_GROUP_END)
+    own = np.flatnonzero(~fast)
+    words[own, :used] = 0
+    words[own, 0] = _HOLE_WORD
+
+    text = rows.tobytes().translate(None, _PAD.encode()).decode("ascii")
+    if own.size:
+        text = _fill(text, [_float_token(x, fmt) for x in values[own].tolist()])
+    return text
+
+
+def _fill(text: str, fills) -> str:
+    """`text` with its holes filled, in order, by `fills`."""
+    pieces = text.split(_HOLE)
+    return pieces[0] + "".join(map(str.__add__, fills, pieces[1:]))
+
+
+def _float_groups(values: np.ndarray, last: np.ndarray, fmt: str,
+                  sep: str) -> list[str]:
+    """The text of each group of consecutive entries of `values` (a group
+    ends where `last` is set): the entries' tokens joined by `sep`."""
+    if values.size < _BATCH_MIN:
+        texts = ["".join(_float_token(x, fmt) + (_GROUP_END if end else sep)
+                         for x, end in zip(values.tolist(), last.tolist()))]
+    else:
+        texts = (_chunk_text(values[i:i + _CHUNK], last[i:i + _CHUNK], fmt, sep)
+                 for i in range(0, values.size, _CHUNK))
+    # Split chunk by chunk, so that the whole text never exists at once; a
+    # group may run on into the next chunk.
+    groups, rest = [], ""
+    for text in texts:
+        *done, rest = (rest + text).split(_GROUP_END)
+        groups += done
+    return groups
+
+
+def _is_float_array(value) -> bool:
+    return isinstance(value, np.ndarray) and value.dtype == np.float64 \
+        and value.ndim == 1 and value.size > 0
+
+
+def _value_texts(records: list[dict], keys: list, fmt: str,
+                 indent: str) -> tuple[list[list[str]], list[str]]:
+    """The text of every record's value under each key, and each key's
+    kind: "float", "array" (printed as its entries joined by the
+    separator) or "" for values formatted one by one.
+
+    Keys whose values are all floats, or all nonempty 1-D float arrays,
+    are formatted together in one `_float_groups` call; keys whose values
+    are all strings that need no escaping are quoted (JSON) or kept (CSV);
+    any other value is formatted by itself, `_json` for JSON nested at
+    `indent`, `_format_cell` for CSV.
+    """
+    if any(len(rec) != len(keys) for rec in records):
+        raise ValueError("records of one command must have the same fields")
+    columns = [[rec[k] for rec in records] for k in keys]
+    texts: list = [None] * len(columns)
+    kinds = [""] * len(columns)
+    values, sizes = [], []
+    for j, column in enumerate(columns):
+        if all(isinstance(v, float) for v in column):
+            kinds[j] = "float"
+            values.append(np.array(column, dtype=np.float64))
+            sizes += [1] * len(column)
+        elif all(_is_float_array(v) for v in column):
+            kinds[j] = "array"
+            values += column
+            sizes += [v.size for v in column]
+        elif all(type(v) is str for v in column) \
+                and (fmt == "csv" or _plain("".join(column))):
+            texts[j] = column if fmt == "csv" else [f'"{v}"' for v in column]
+        elif fmt == "json":
+            texts[j] = [_json(v, indent) for v in column]
+        else:
+            texts[j] = [_format_cell(_clean(v.tolist() if isinstance(v, np.ndarray)
+                                            else v)) for v in column]
+    if values:
+        sep = ",\n" + indent + "  " if fmt == "json" else ";"
+        last = np.zeros(sum(sizes), dtype=bool)
+        last[np.cumsum(sizes) - 1] = True
+        groups = iter(_float_groups(np.concatenate(values), last, fmt, sep))
+        for j, kind in enumerate(kinds):
+            if kind:
+                texts[j] = [next(groups) for _ in records]
+    return texts, kinds
 
 
 def _scalar(value) -> str:
-    """`json.dumps(_clean(value))` of one scalar.
+    """`json.dumps(_clean(value))` of one non-float scalar.
 
-    Booleans, None, ints, floats finite after rounding and strings of
-    printable ASCII without a quote or backslash are formatted directly, as
-    `json.dumps` would; anything else, NaN and escaped strings included,
-    goes through it.
+    Booleans, None, ints and strings of printable ASCII without a quote or
+    backslash are formatted directly, as `json.dumps` would; anything else,
+    escaped strings included, goes through it.
     """
     kind = type(value)
     if kind is bool:
@@ -114,29 +405,29 @@ def _scalar(value) -> str:
         return "null"
     if kind is int:
         return repr(value)
-    if kind is float:
-        value = _round15(value)  # may round up to inf
-        if math.isfinite(value):
-            return repr(value)
-    if kind is str and value.isascii() and value.isprintable() \
-            and '"' not in value and "\\" not in value:
+    if kind is str and _plain(value):
         return f'"{value}"'
     return json.dumps(_clean(value))
 
 
+def _plain(text: str) -> bool:
+    """Whether `json.dumps` writes `text` between quotes unchanged."""
+    return text.isascii() and text.isprintable() and '"' not in text \
+        and "\\" not in text
+
+
 def _json(value, indent: str) -> str:
     """`json.dumps(_clean(value), indent=2, sort_keys=True)` for a value
-    nested at `indent`; float arrays go through `_float_tokens`."""
+    nested at `indent`, its floats formatted one by one."""
     if isinstance(value, np.ndarray):
-        tokens = _float_tokens(value)
-        if tokens is None:
-            return _json(value.tolist(), indent)
-        items = [t if "." in t or "e" in t else t + ".0" for t in tokens]
-    elif isinstance(value, dict):
+        value = value.tolist()
+    if isinstance(value, dict):
         items = [f"{_scalar(k)}: {_json(value[k], indent + '  ')}"
                  for k in sorted(value)]
     elif isinstance(value, (list, tuple)):
         items = [_json(v, indent + "  ") for v in value]
+    elif isinstance(value, float):
+        return _float_token(value, "json")
     else:
         return _scalar(value)
     left, right = "{}" if isinstance(value, dict) else "[]"
@@ -146,35 +437,58 @@ def _json(value, indent: str) -> str:
     return f"{left}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{right}"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, np.ndarray):
-        tokens = _float_tokens(value)
-        if tokens is not None:
-            return ";".join(tokens)
-        value = value.tolist()
-    return _format_cell(_clean(value))
+def _json_records(records: list[dict], indent: str) -> list[str]:
+    """`_json(rec, indent)` of every record, all with the same keys, each
+    written from one template of the records' fields."""
+    keys = sorted(records[0])
+    if not keys:
+        return ["{}"] * len(records)
+    inner = indent + "  "
+    texts, kinds = _value_texts(records, keys, "json", inner)
+    fields = [_scalar(k).replace("%", "%%") + ": "
+              + (f"[\n{inner}  %s\n{inner}]" if kind == "array" else "%s")
+              for k, kind in zip(keys, kinds)]
+    template = f"{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}}}"
+    return [template % row for row in zip(*texts)]
 
 
 def _render(command: str, records: list[dict], fmt: str,
             summary: dict | None) -> str:
     """The command's output text: JSON, or CSV with one row per record.
 
-    Every float is printed with 15 significant digits.  Record values may
-    be 1-D float arrays, printed as lists (`;`-joined in a CSV cell).
+    Every float is printed with 15 significant digits, all of a command's
+    record fields in one `_float_groups` call.  Record values may be 1-D
+    float arrays, printed as lists (`;`-joined in a CSV cell).  Every
+    record of a command has the same fields in the same order.
     """
     if fmt == "json":
-        body = {"command": command, "records": records}
+        # One join of all pieces, so that the text is built once.
+        parts = ['{\n  "command": ', _scalar(command), ',\n  "records": ', "["]
+        for i, text in enumerate(_json_records(records, "    ") if records else ()):
+            parts += [",\n    " if i else "\n    ", text]
+        parts.append("\n  ]" if records else "]")
         if summary is not None:
-            body["summary"] = summary
-        return _json(body, "") + "\n"
+            parts += [',\n  "summary": ', _json_records([summary], "  ")[0]]
+        parts.append("\n}\n")
+        return "".join(parts)
     if fmt == "csv":
+        keys = list(records[0])
+        texts, kinds = _value_texts(records, keys, "csv", "")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        # Every record of a command has the same fields in the same order.
-        writer.writerow(list(records[0]))
-        for rec in records:
-            writer.writerow([_csv_cell(v) for v in rec.values()])
-        return buf.getvalue()
+        writer.writerow(keys)
+        # Float cells never need quoting: unless another cell holds a hole
+        # byte, the writer sees holes in their place, filled in afterwards.
+        others = "".join(cell for text, kind in zip(texts, kinds) if not kind
+                         for cell in text)
+        if not any(kinds) or _HOLE in buf.getvalue() + others:
+            writer.writerows(zip(*texts))
+            return buf.getvalue()
+        holes = [_HOLE] * len(records)
+        writer.writerows(zip(*(holes if kind else text
+                               for text, kind in zip(texts, kinds))))
+        floats = zip(*(text for text, kind in zip(texts, kinds) if kind))
+        return _fill(buf.getvalue(), (cell for row in floats for cell in row))
     raise CliError(f"unknown output format {fmt!r}")
 
 

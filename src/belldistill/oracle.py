@@ -60,14 +60,29 @@ def bell_vector(label: BinaryVector) -> np.ndarray:
 
 
 def bell_basis(n: int) -> np.ndarray:
-    """Unitary with column x equal to the Bell-product vector of label x."""
+    """Unitary with column x equal to the Bell-product vector of label x.
+
+    All 4^n Pauli words are built at once, one Kronecker step per pair in
+    the order `pauli_matrix` multiplies, so column x is `bell_vector` of
+    label x bit for bit.
+    """
     if n > MAX_ORACLE_PAIRS:
         raise ValueError(f"oracle capped at {MAX_ORACLE_PAIRS} pairs")
-    dim = 1 << (2 * n)
-    basis = np.empty((dim, dim), dtype=complex)
-    for x in range(dim):
-        basis[:, x] = bell_vector(BinaryVector(x, 2 * n))
-    return basis
+    singles = np.stack([_SINGLE[(z, x)] for z in (0, 1) for x in (0, 1)])
+    words = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):
+        count, size = words.shape[0], words.shape[1]
+        words = (words[:, None, :, None, :, None]
+                 * singles[None, :, None, :, None, :]).reshape(4 * count, 2 * size,
+                                                               2 * size)
+    # Word index: the digit 2*phase + parity of each pair, pair 0 first.
+    labels = np.arange(1 << (2 * n))
+    index = np.zeros_like(labels)
+    for shift in range(n):
+        digit = 2 * ((labels >> (n + shift)) & 1) + ((labels >> shift) & 1)
+        index |= digit << (2 * shift)
+    vectors = (words / np.sqrt(2.0 ** n))[index].reshape(labels.size, -1)
+    return np.ascontiguousarray(vectors.T)
 
 
 def density_matrix(state: BellDiagonalState) -> np.ndarray:

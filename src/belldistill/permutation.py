@@ -130,7 +130,13 @@ def optimal_correction(cond: np.ndarray) -> BinaryVector:
     two_m = (size - 1).bit_length()
     if size != 1 << two_m or two_m % 2:
         raise ValueError("conditional distribution must have 4**m entries")
-    return BinaryVector(int(np.argmax(cond >= (1.0 - TIE_BAND) * cond.max())), two_m)
+    return BinaryVector(int(_corrections(cond.reshape(1, -1))[0]), two_m)
+
+
+def _corrections(rows: np.ndarray) -> np.ndarray:
+    """`optimal_correction` of every row, as label values."""
+    band = (1.0 - TIE_BAND) * rows.max(axis=1)
+    return np.argmax(rows >= band[:, None], axis=1)
 
 
 # Inputs per `np.add.at` block of the scatter in `branch_table`: the label
@@ -209,25 +215,28 @@ def branch_outcomes(table: np.ndarray, m: int,
     """The branches of a branch table, one per row of nonzero weight.
 
     The probability is the row sum, the output the row renormalized, the
-    correction the heaviest logical label of the row (`optimal_correction`)
-    and the fidelity the output's weight there.  Rows of weight exactly
-    zero are skipped.  The outputs are divided and checked as one array,
-    with the constructor's check and division.
+    correction the heaviest logical label of the row (`optimal_correction`,
+    taken for all rows at once) and the fidelity the output's weight
+    there.  Rows of weight exactly zero are skipped.  The outputs are
+    divided and checked as one array, with the constructor's check and
+    division.
     """
     k = table.shape[0].bit_length() - 1
     probs = table.sum(axis=1)
     live = np.flatnonzero(probs)
-    outputs = table[live] / probs[live, None]
+    rows = table[live]
+    corrections = _corrections(rows)
+    outputs = rows / probs[live, None]
     _normalize(outputs, outputs)
+    fids = outputs[np.arange(live.size), corrections].tolist()
     outcomes = []
-    for t, output in zip(live.tolist(), outputs):
-        correction = optimal_correction(table[t])
-        fid = float(output[correction.value])
+    for t, prob, output, c, fid in zip(live.tolist(), probs[live].tolist(), outputs,
+                                       corrections.tolist(), fids):
         outcomes.append(ProtocolOutcome(
             t=BinaryVector(t, k),
-            prob=float(probs[t]),
+            prob=prob,
             output=BellDiagonalState._trusted(m, output),
-            correction=correction,
+            correction=BinaryVector(c, 2 * m),
             fidelity=fid,
             unnormalized_fidelity=(1 << k) * fid,
             accepted=fid >= threshold,

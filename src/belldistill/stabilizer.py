@@ -29,7 +29,8 @@ from .permutation import branch_outcomes, branch_table
 from .states import BellDiagonalState
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
-_BITS_TO_PAULI = {bits: letter for letter, bits in _PAULI_TO_BITS.items()}
+# Pauli letter by the digit 2 * phase + parity.
+_PAULI_OF_DIGIT = str.maketrans("0123", "IXZY")
 
 
 def parse_pauli_string(text: str) -> BinaryVector:
@@ -49,7 +50,13 @@ def parse_pauli_string(text: str) -> BinaryVector:
 def to_pauli_string(label: BinaryVector) -> str:
     """Inverse of :func:`parse_pauli_string`."""
     k = label.pair_count
-    return "".join(_BITS_TO_PAULI[(label.bit(i), label.bit(k + i))] for i in range(k))
+    if not k:
+        return ""
+    # Each half's bits read as a decimal number: in 2 * phase + parity every
+    # digit is 2z + x of one pair, as no digit exceeds 3 and nothing carries.
+    phase = int(format(label.value >> k, "b"))
+    parity = int(format(label.value & ((1 << k) - 1), "b"))
+    return format(2 * phase + parity, f"0{k}d").translate(_PAULI_OF_DIGIT)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,14 @@ def test_bell_basis_orthonormal(n):
     assert np.allclose(gram, np.eye(1 << (2 * n)), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bell_basis_columns_are_bell_vectors_bit_for_bit(n):
+    basis = oracle.bell_basis(n)
+    assert basis.flags.c_contiguous
+    for x in range(1 << (2 * n)):
+        assert basis[:, x].tobytes() == oracle.bell_vector(BinaryVector(x, 2 * n)).tobytes()
+
+
 def test_bell_eigenvalue_identity_exhaustive_two_pairs():
     for gv in range(16):
         for xv in range(16):

@@ -436,6 +436,33 @@ def test_correction_does_not_depend_on_summation_order(rng):
                 assert optimal_correction(a) == optimal_correction(b)
 
 
+def band_rule(row):
+    """The correction rule written out: the smallest label whose weight is
+    within the band of the row maximum."""
+    weights = row.tolist()
+    top = max(weights)
+    return next(y for y, w in enumerate(weights)
+                if w >= (1.0 - permutation.TIE_BAND) * top)
+
+
+def test_corrections_of_all_rows_equal_the_per_row_rule(rng):
+    for n, m in ((3, 1), (4, 2), (6, 2)):
+        label_map = gf2.random_symplectic(n, rng)
+        label_map = BinaryMatrix(label_map.rows[:n + m], 2 * n)
+        inputs = [BellDiagonalState.from_pairs([werner(0.8)] * n),
+                  BellDiagonalState.point_mass(n),
+                  BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n)),
+                  random_bell_diagonal(n, rng)]
+        for state in inputs:
+            table = branch_table(state, label_map, 0, m)
+            outcomes = branch_outcomes(table, m, state.fidelity)
+            assert outcomes
+            for o in outcomes:
+                row = table[o.t.value]
+                assert o.correction == optimal_correction(row)
+                assert o.correction.value == band_rule(row)
+
+
 def test_correction_rejects_empty():
     with pytest.raises(ValueError):
         optimal_correction(np.array([]))

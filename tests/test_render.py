@@ -1,51 +1,66 @@
 """The CLI renderer against the plain `json` and `csv` rendering it replaced.
 
-`cli._render` formats float arrays in one pass (`cli._float_tokens`).  The
-reference here is the rendering that predates it: `json.dumps` of the
-cleaned body, and `_format_cell` over the cleaned records, with every array
-turned into a list of Python floats first.  The reference shares no array
-formatting code with the renderer, so a byte-equal output means the one-pass
-path prints exactly what the per-value path would.
+`cli._render` formats all floats of a command in one pass (`_float_groups`:
+exact 15-digit decimals from `_decimal`, text from digit tables in
+`_chunk_text`).  The reference here is the rendering that predates it:
+`json.dumps` of the body with every float rounded through `"%.15g"`, and
+per-value CSV cells, with every array turned into a list of Python floats
+first.  The reference shares no formatting code with the renderer, so a
+byte-equal output means the one-pass path prints exactly what the
+per-value path would.
 """
 
 import csv
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from belldistill import permutation
-from belldistill.cli import _branch_record, _clean, _float_tokens, _format_cell, _render
+from belldistill import cli, permutation
+from belldistill.cli import _branch_record, _render
 from belldistill.gf2 import BinaryMatrix
 from belldistill.permutation import PermutationProtocol
 from belldistill.states import BellDiagonalState, werner
 
 
-def as_lists(value):
+def clean(value):
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return clean(value.tolist())
+    if isinstance(value, float):
+        return float(format(float(value), ".15g"))
+    if isinstance(value, (list, tuple)):
+        return [clean(v) for v in value]
     if isinstance(value, dict):
-        return {k: as_lists(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [as_lists(v) for v in value]
+        return {k: clean(v) for k, v in value.items()}
     return value
 
 
+def cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".15g")
+    if isinstance(value, list):
+        return ";".join(cell(v) for v in value)
+    return str(value)
+
+
 def reference(command, records, fmt, summary):
-    records = as_lists(records)
+    records = clean(records)
     if fmt == "json":
         body = {"command": command, "records": records}
         if summary is not None:
-            body["summary"] = summary
-        return json.dumps(_clean(body), indent=2, sort_keys=True) + "\n"
+            body["summary"] = clean(summary)
+        return json.dumps(body, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(records[0]))
-    for rec in _clean(records):
-        writer.writerow([_format_cell(v) for v in rec.values()])
+    for rec in records:
+        writer.writerow([cell(v) for v in rec.values()])
     return buf.getvalue()
 
 
@@ -59,6 +74,32 @@ def records_of(arrays, scalar=0.5):
     return [{"t": str(i), "prob": scalar, "generators": ["ZZ", "XX"],
              "accepted": i % 2 == 0, "output": arr, "instance": i}
             for i, arr in enumerate(arrays)]
+
+
+def one_pass_tokens(values, fmt="csv"):
+    """The token `_chunk_text` prints for each entry."""
+    values = np.asarray(values, dtype=float)
+    text = cli._chunk_text(values, np.ones(values.size, dtype=bool), fmt, ";")
+    return text.split(cli._GROUP_END)[:-1]
+
+
+def mark_own_tokens(monkeypatch):
+    """Make entries formatted on their own print as None."""
+    monkeypatch.setattr(cli, "_float_token", lambda x, fmt: "None")
+
+
+def assert_tokens_as_reference(values):
+    """The one-pass tokens of every entry, in JSON and CSV, against the
+    per-value reference."""
+    values = np.asarray(values, dtype=float)
+    for fmt in ("json", "csv"):
+        sep = ",\n  " if fmt == "json" else ";"
+        last = np.zeros(values.size, dtype=bool)
+        last[-1:] = True
+        text = cli._chunk_text(values, last, fmt, sep)
+        expected = [json.dumps(clean(x)) if fmt == "json" else cell(clean(x))
+                    for x in values.tolist()]
+        assert text == sep.join(expected) + cli._GROUP_END
 
 
 EDGES = [0.0, -0.0, 1.0, 0.9999999999999999, 5e-324, 1e-5, 1e-4, 1e14, 1e15,
@@ -94,7 +135,8 @@ def test_nan_in_scalar_field_and_summary():
 
 
 STRINGS = ["", "plain", 'a "quoted" word', "back\\slash", "caf\u00e9", "\u2028",
-           "tab\tand\nnewline", "\x7f", "\U0001f600", "~ !#$%&'()*+,-./09:;<=>?@[]^_`{|}"]
+           "tab\tand\nnewline", "\x7f", "\U0001f600", "~ !#$%&'()*+,-./09:;<=>?@[]^_`{|}",
+           "\x00\x01\x02 control"]
 
 
 @pytest.mark.parametrize("text", STRINGS)
@@ -104,6 +146,12 @@ def test_string_fields_and_keys_render_as_reference(text):
         rec["t"] = text
         rec["generators"] = [text, "ZZ"]
     assert_renders_as_reference(records, {text: text, "passed": True})
+
+
+def test_keys_with_control_bytes_render_as_reference():
+    records = [{"t\x02": "\x02", "prob\x01": p, "output": np.array([p, 1 - p])}
+               for p in (0.25, 0.5)]
+    assert_renders_as_reference(records)
 
 
 def test_scalars_the_direct_path_refuses():
@@ -124,19 +172,28 @@ def test_any_string_and_scalar_render_as_reference(text, scalar):
     assert_renders_as_reference(records, {text: scalar})
 
 
-def test_arrays_the_one_pass_path_refuses():
-    arrays = [np.array([0.5, float("nan")]), np.array([float("inf"), 0.5]),
-              np.array([[0.25, 0.75], [1.0, 0.0]]), np.arange(4), np.array([])]
-    assert_renders_as_reference(records_of(arrays))
-    for arr in arrays[:4]:
-        assert _float_tokens(arr) is None
+def test_arrays_the_one_pass_path_refuses(monkeypatch):
+    # Not 1-D float64 arrays, or empty: printed value by value as lists.
+    arrays = [np.array([[0.25, 0.75], [1.0, 0.0]]), np.arange(4), np.array([]),
+              np.array([0.5, 0.25], dtype=np.float32)]
+    for arr in arrays:
+        assert not cli._is_float_array(arr)
+        assert_renders_as_reference(records_of([arr, np.array([0.5])]))
+    # Entries the digit tables do not print go through `_float_token`.
+    special = [float("nan"), float("inf"), -float("inf"), 5e-324, -1e-310,
+               1e14, -1e15, 1.7976931348623157e308]
+    mark_own_tokens(monkeypatch)
+    assert one_pass_tokens([0.5, *special, 0.25]) == ["0.5", *["None"] * 8, "0.25"]
 
 
-def test_one_pass_path_is_taken_for_probabilities():
-    assert _float_tokens(np.array([0.5, 1e-5, 0.0, -0.0, 1.0])) == \
+def test_one_pass_path_is_taken_for_probabilities(monkeypatch):
+    mark_own_tokens(monkeypatch)
+    assert one_pass_tokens([0.5, 1e-5, 0.0, -0.0, 1.0]) == \
         ["0.5", "1e-05", "0", "-0", "1"]
+    assert one_pass_tokens([0.5, 1e-5, 0.0, -0.0, 1.0], "json") == \
+        ["0.5", "1e-05", "0.0", "-0.0", "1.0"]
     for x in (5e-324, 1e14, 1e15):
-        assert _float_tokens(np.array([0.5, x])) is None
+        assert one_pass_tokens([0.5, x]) == ["0.5", "None"]
 
 
 @given(st.lists(hnp.arrays(np.float64, st.integers(0, 12),
@@ -163,3 +220,166 @@ def test_engine_records_render_as_reference():
                    for o in permutation.run(state, proto)]
         assert isinstance(records[0]["output"], np.ndarray)
         assert_renders_as_reference(records)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass formatter (`_decimal`, `_chunk_text`) entry by entry
+# ---------------------------------------------------------------------------
+
+@given(hnp.arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_any_finite_doubles_format_as_reference(values):
+    assert_tokens_as_reference(values)
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(
+    min_value=-1e14, max_value=1e14, allow_subnormal=False)))
+def test_doubles_the_tables_print_format_as_reference(values):
+    assert_tokens_as_reference(values)
+
+
+def test_random_doubles_over_every_decade_format_as_reference():
+    rng = np.random.default_rng(7)
+    sign = rng.choice([-1.0, 1.0], 20_000)
+    values = np.concatenate([
+        sign * np.exp(rng.uniform(-700, 32, 20_000)),
+        rng.random(20_000),
+        [round(x, k) for x, k in zip(rng.random(20_000).tolist(),
+                                     rng.integers(1, 16, 20_000).tolist())],
+        rng.integers(0, 1 << 40, 20_000) / 8.0,
+        rng.integers(-10 ** 14, 10 ** 14, 20_000).astype(float),
+    ])
+    assert_tokens_as_reference(values)
+
+
+def test_notation_edges_and_carries():
+    assert one_pass_tokens([1e-4, 1e-5, np.nextafter(1e-4, 0), np.nextafter(1e-5, 0),
+                            0.9999999999999999, np.nextafter(1e14, 0),
+                            99999999999999.99, 9.999999999999999e-05,
+                            123456789012345.0 / 10]) == [
+        "0.0001", "1e-05", "0.0001", "1e-05", "1", "100000000000000",
+        "100000000000000", "0.0001", "12345678901234.5"]
+    assert_tokens_as_reference([1e-4, 1e-5, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1),
+                                np.nextafter(1e-5, 0), np.nextafter(1e-5, 1),
+                                0.9999999999999999, np.nextafter(1e14, 0),
+                                99999999999999.99, 9.5, 1e-100, 2.2250738585072014e-308])
+
+
+def test_exact_half_way_ties_take_the_correctly_rounded_path(monkeypatch):
+    # q / 2^(k+1), q odd: the 16th significant digit is an exact 5.
+    ties = [1 + 2.0 ** -15, 1 + 3 * 2.0 ** -15, 3 + 5 * 2.0 ** -15, 0.5 + 2.0 ** -16,
+            10 + 2.0 ** -14]
+    for x in ties:
+        exp = int(format(x, ".0e").split("e")[1])
+        assert (Fraction(x) * Fraction(10) ** (14 - exp)).denominator == 2
+    taken = []
+    real = cli._printf_decimal
+
+    def spy(a):
+        taken.extend(a.tolist())
+        return real(a)
+
+    monkeypatch.setattr(cli, "_printf_decimal", spy)
+    assert_tokens_as_reference(ties + [0.25, 1 / 3])
+    assert set(ties) <= set(taken)
+    assert one_pass_tokens([1 + 2.0 ** -15]) == ["1.00003051757812"]
+
+
+def test_signs_zeros_and_integral_values():
+    values = [-0.0, 0.0, 1.0, -1.0, 2.0, 1e13, -123456.0, 0.5, -0.5, 3e-7, -3e-7]
+    assert_tokens_as_reference(values)
+    assert one_pass_tokens([-0.0, 2.0, -123456.0], "json") == ["-0.0", "2.0", "-123456.0"]
+
+
+def test_mixed_one_pass_and_per_value_entries_in_one_array():
+    values = np.array([0.5, float("nan"), 1e-5, 5e-324, -0.0, 1e15, 1 / 3,
+                       float("-inf"), 1e14, 99999999999999.99, 2e-310])
+    assert_renders_as_reference(records_of([values, values[::-1], values[:3]]))
+    assert_tokens_as_reference(values)
+
+
+def test_record_set_larger_than_one_chunk():
+    rng = np.random.default_rng(3)
+    # 3000 entries a group, so that a group runs on into the next chunk
+    arrays = [rng.random(3000) ** 4 for _ in range(cli._CHUNK // 3000 + 3)]
+    arrays[1][17] = float("nan")
+    arrays[-1][-1] = 1e15
+    records = records_of(arrays, scalar=0.125)
+    assert sum(a.size for a in arrays) > cli._CHUNK
+    assert_renders_as_reference(records)
+
+
+def test_small_commands_take_the_per_value_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("one-pass path taken below _BATCH_MIN")
+
+    monkeypatch.setattr(cli, "_chunk_text", refuse)
+    assert_renders_as_reference(records_of([np.array([0.25, 0.75])] * 3))
+
+
+def test_pow10_table_is_correctly_rounded():
+    for k, power in enumerate(cli._tables().pow10):
+        num, den = power.as_integer_ratio()
+        exact = 10 ** k
+        assert den == 1
+        # within half a unit in the last place of a 64-bit significand
+        assert 2 * abs(num - exact) <= 1 << max(exact.bit_length() - 64, 0)
+
+
+# ---------------------------------------------------------------------------
+# The batched path through the CLI
+# ---------------------------------------------------------------------------
+
+GENERATORS8 = "XXIIIIII,ZZIIIIII,IIXXIIII,IIIIZZII"
+
+
+def spy_render(monkeypatch):
+    """Record the reference text of every render, and the entries the
+    one-pass path formats."""
+    seen, entries = [], []
+    render, chunk_text = cli._render, cli._chunk_text
+
+    def spy(command, records, fmt, summary):
+        seen.append(reference(command, records, fmt, summary))
+        return render(command, records, fmt, summary)
+
+    def count(values, *args):
+        entries.append(values.size)
+        return chunk_text(values, *args)
+
+    monkeypatch.setattr(cli, "_render", spy)
+    monkeypatch.setattr(cli, "_chunk_text", count)
+    return seen, entries
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["run-perm", "run-code"])
+def test_cli_output_above_the_cutoff_is_the_reference(monkeypatch, capsys, command,
+                                                      fmt):
+    seen, entries = spy_render(monkeypatch)
+    code = cli.main([command, "--generators", GENERATORS8, "-m", "4",
+                     "--werner", "0.8", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sum(entries) == 16 * (3 + 256)  # 16 branches, all on the one-pass path
+    assert out == seen[0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_output_without_a_wide_long_double(monkeypatch, capsys, fmt):
+    argv = ["run-code", "--generators", GENERATORS8, "-m", "4", "--werner", "0.8",
+            "--format", fmt]
+    assert cli.main(argv) == 0
+    wide = capsys.readouterr().out
+    calls = []
+    real = cli._decimal
+
+    def count(a):
+        calls.append(a.size)
+        return real(a)
+
+    monkeypatch.setattr(cli, "_WIDE_LONGDOUBLE", False)
+    monkeypatch.setattr(cli, "_decimal", count)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == wide
+    assert sum(calls) > cli._BATCH_MIN

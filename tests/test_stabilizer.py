@@ -49,6 +49,25 @@ def test_pauli_string_round_trip(s):
     assert to_pauli_string(parse_pauli_string(s)) == s
 
 
+def test_every_label_up_to_four_pairs_round_trips():
+    for n in range(5):
+        for value in range(1 << (2 * n)):
+            label = BinaryVector(value, 2 * n)
+            text = to_pauli_string(label)
+            assert len(text) == n
+            assert parse_pauli_string(text) == label
+
+
+def test_random_labels_at_thirteen_pairs_round_trip(rng):
+    for value in rng.integers(0, 1 << 26, 200).tolist():
+        label = BinaryVector(value, 26)
+        text = to_pauli_string(label)
+        assert parse_pauli_string(text) == label
+        # the letter of pair i from its phase and parity bits
+        assert text == "".join("IXZY"[2 * label.bit(i) + label.bit(13 + i)]
+                               for i in range(13))
+
+
 # ---------------------------------------------------------------------------
 # Protocol validation
 # ---------------------------------------------------------------------------
