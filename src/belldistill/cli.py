@@ -112,13 +112,14 @@ _FAST_TINY = np.finfo(float).tiny
 # Below this many floats a command's floats are formatted one by one.  The
 # one-pass path costs ~0.15 ms however few entries it prints, the
 # per-value path ~2.5 us an entry: both take ~0.17 ms at 64 floats (2-core
-# x86-64, Python 3.11, numpy 2.4).
+# x86-64, Python 3.11, numpy 2.4).  With no cutoff, the benchmark's `suite`
+# workload (thousands of small commands) runs ~8% slower.
 _BATCH_MIN = 64
 # Entries per pass, so that the pass's temporaries stay a few MB.
 _CHUNK = 1 << 14
 
 # Control bytes of the assembled text: padding, the end of a group, and
-# a hole filled in afterwards (`_fill`).
+# the place of an entry formatted on its own, filled in afterwards (`_fill`).
 _PAD, _GROUP_END, _HOLE = "\0", "\1", "\2"
 
 
@@ -357,7 +358,8 @@ def _value_texts(records: list[dict], keys: list, fmt: str,
     any other value is formatted by itself, `_json` for JSON nested at
     `indent`, `_format_cell` for CSV.
     """
-    if any(len(rec) != len(keys) for rec in records):
+    order = list if fmt == "csv" else sorted  # CSV cells follow the key order
+    if any(order(rec) != keys for rec in records):
         raise ValueError("records of one command must have the same fields")
     columns = [[rec[k] for rec in records] for k in keys]
     texts: list = [None] * len(columns)
@@ -473,22 +475,12 @@ def _render(command: str, records: list[dict], fmt: str,
         return "".join(parts)
     if fmt == "csv":
         keys = list(records[0])
-        texts, kinds = _value_texts(records, keys, "csv", "")
+        texts, _ = _value_texts(records, keys, "csv", "")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(keys)
-        # Float cells never need quoting: unless another cell holds a hole
-        # byte, the writer sees holes in their place, filled in afterwards.
-        others = "".join(cell for text, kind in zip(texts, kinds) if not kind
-                         for cell in text)
-        if not any(kinds) or _HOLE in buf.getvalue() + others:
-            writer.writerows(zip(*texts))
-            return buf.getvalue()
-        holes = [_HOLE] * len(records)
-        writer.writerows(zip(*(holes if kind else text
-                               for text, kind in zip(texts, kinds))))
-        floats = zip(*(text for text, kind in zip(texts, kinds) if kind))
-        return _fill(buf.getvalue(), (cell for row in floats for cell in row))
+        writer.writerows(zip(*texts))
+        return buf.getvalue()
     raise CliError(f"unknown output format {fmt!r}")
 
 

@@ -154,6 +154,21 @@ def test_keys_with_control_bytes_render_as_reference():
     assert_renders_as_reference(records)
 
 
+def test_records_with_other_fields_are_refused():
+    records = records_of([np.array([0.5])] * 2)
+    renamed = [records[0], {("Prob" if k == "prob" else k): v
+                            for k, v in records[1].items()}]
+    reordered = [records[0], dict(reversed(records[1].items()))]
+    for fmt in ("json", "csv"):
+        with pytest.raises(ValueError, match="same fields"):
+            _render("run-perm", renamed, fmt, None)
+    with pytest.raises(ValueError, match="same fields"):
+        _render("run-perm", reordered, "csv", None)
+    # JSON sorts the keys, so their order does not matter there.
+    assert _render("run-perm", reordered, "json", None) == \
+        reference("run-perm", reordered, "json", None)
+
+
 def test_scalars_the_direct_path_refuses():
     records = records_of([np.array([1.0])])
     for rec, value in zip(records * 5, (float("nan"), float("inf"), -float("inf"),
