@@ -30,7 +30,12 @@ from .gf2 import (
     symplectic_inverse,
 )
 from .states import BellDiagonalState, werner
-from .permutation import PermutationProtocol, ProtocolOutcome, recurrence_sweep
+from .permutation import (
+    BranchSet,
+    PermutationProtocol,
+    ProtocolOutcome,
+    recurrence_sweep,
+)
 from .stabilizer import StabilizerProtocol, SyndromeBranch, parse_pauli_string
 from .equivalence import (
     EquivalenceReport,
@@ -56,6 +61,7 @@ __all__ = [
     "symplectic_inverse",
     "BellDiagonalState",
     "werner",
+    "BranchSet",
     "PermutationProtocol",
     "ProtocolOutcome",
     "recurrence_sweep",

@@ -41,9 +41,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import crosscheck, equivalence, permutation, stabilizer
-from .gf2 import MAX_PAIRS, BinaryMatrix, BinaryVector
+from .gf2 import MAX_PAIRS, BinaryMatrix, BinaryVector, bit_strings
 from .permutation import PermutationProtocol
-from .stabilizer import StabilizerProtocol, parse_pauli_string, to_pauli_string
+from .stabilizer import (StabilizerProtocol, parse_pauli_string, pauli_strings,
+                         to_pauli_string)
 from .states import BellDiagonalState, werner
 
 
@@ -123,19 +124,19 @@ _CHUNK = 1 << 14
 _PAD, _GROUP_END, _HOLE = "\0", "\1", "\2"
 
 
-def _digits(count: int, width: int, lead: bool = False, trim: bool = False,
-            units: bool = False) -> np.ndarray:
+def _digits(count: int, width: int, pad: str) -> np.ndarray:
     """ASCII digits of 0..count-1, `width` per row with leading zeros.
 
-    With `lead` the leading zeros are padding (all of 0's digits, unless
-    `units` keeps its last one); with `trim` the trailing zeros are.
+    `pad` names the zeros that are padding instead: "lead" the leading
+    ones (all of 0's digits), "units" the leading ones but 0's last digit,
+    "trim" the trailing ones, "" none.
     """
     value = np.arange(count, dtype=np.int32)[:, None]
     place = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
     digits = (value // place % 10 + ord("0")).astype(np.uint8)
-    if lead:
-        digits[(value < place) & ~(units & (place == 1))] = 0
-    if trim:
+    if pad in ("lead", "units"):
+        digits[(value < place) & ~((pad == "units") & (place == 1))] = 0
+    elif pad == "trim":
         digits[value % (10 * place) == 0] = 0
     return digits
 
@@ -202,14 +203,14 @@ def _tables() -> SimpleNamespace:
     tail = [_PAD * 8, ".0".ljust(8, _PAD)] + [f"e-{k:02d}".ljust(8, _PAD)
                                             for k in range(2, 400)]
     return SimpleNamespace(
-        int=_words(pad, _digits(1000, 3)),
-        int_lead=_words(pad, _digits(1000, 3, lead=True)),
-        int_units=_words(pad, _digits(1000, 3, lead=True, units=True)),
-        point=_words(_byte(".", 100), _digits(100, 2), _byte(_PAD, 100)),
+        int=_words(pad, _digits(1000, 3, "")),
+        int_lead=_words(pad, _digits(1000, 3, "lead")),
+        int_units=_words(pad, _digits(1000, 3, "units")),
+        point=_words(_byte(".", 100), _digits(100, 2, ""), _byte(_PAD, 100)),
         point_trim=_words(np.where(np.arange(100) > 0, ord("."), 0),
-                          _digits(100, 2, trim=True), _byte(_PAD, 100)),
-        frac=_words(_digits(10_000, 4)),
-        frac_trim=_words(_digits(10_000, 4, trim=True)),
+                          _digits(100, 2, "trim"), _byte(_PAD, 100)),
+        frac=_words(_digits(10_000, 4, "")),
+        frac_trim=_words(_digits(10_000, 4, "trim")),
         tail=np.frombuffer("".join(tail).encode("ascii"), np.uint32).reshape(-1, 2),
         pow10=_pow10_table(340),
     )
@@ -346,37 +347,75 @@ def _is_float_array(value) -> bool:
         and value.ndim == 1 and value.size > 0
 
 
-def _value_texts(records: list[dict], keys: list, fmt: str,
-                 indent: str) -> tuple[list[list[str]], list[str]]:
-    """The text of every record's value under each key, and each key's
-    kind: "float", "array" (printed as its entries joined by the
-    separator) or "" for values formatted one by one.
-
-    Keys whose values are all floats, or all nonempty 1-D float arrays,
-    are formatted together in one `_float_groups` call; keys whose values
-    are all strings that need no escaping are quoted (JSON) or kept (CSV);
-    any other value is formatted by itself, `_json` for JSON nested at
-    `indent`, `_format_cell` for CSV.
-    """
+def _columns(records: list[dict], fmt: str) -> dict:
+    """Records as columns: each field's values, in the first record's
+    field order.  Every record must have the same fields, for CSV also in
+    the same order."""
     order = list if fmt == "csv" else sorted  # CSV cells follow the key order
+    keys = order(records[0]) if records else []
     if any(order(rec) != keys for rec in records):
         raise ValueError("records of one command must have the same fields")
-    columns = [[rec[k] for rec in records] for k in keys]
-    texts: list = [None] * len(columns)
-    kinds = [""] * len(columns)
-    values, sizes = [], []
-    for j, column in enumerate(columns):
-        if all(isinstance(v, float) for v in column):
-            kinds[j] = "float"
-            values.append(np.array(column, dtype=np.float64))
-            sizes += [1] * len(column)
-        elif all(_is_float_array(v) for v in column):
-            kinds[j] = "array"
-            values += column
-            sizes += [v.size for v in column]
-        elif all(type(v) is str for v in column) \
-                and (fmt == "csv" or _plain("".join(column))):
-            texts[j] = column if fmt == "csv" else [f'"{v}"' for v in column]
+    return {key: [rec[key] for rec in records] for key in (records[0] if records else ())}
+
+
+def _float_column(column) -> tuple[str, np.ndarray, np.ndarray] | None:
+    """The kind, the entries in row order and the group ends of a column
+    that `_float_groups` prints; None for any other column.
+
+    A column of floats, or a 1-D float64 array, is of kind "float": each
+    entry is a group.  A column of nonempty 1-D float arrays, or the rows
+    of a 2-D float64 array, is of kind "array": each row is a group.
+    """
+    if isinstance(column, np.ndarray):
+        if column.dtype != np.float64 or column.ndim not in (1, 2) or not column.size:
+            return None
+        width = column.shape[1] if column.ndim == 2 else 1
+        last = np.zeros(column.size, dtype=bool)
+        last[width - 1::width] = True
+        return ("float" if column.ndim == 1 else "array"), column.ravel(), last
+    if all(isinstance(v, float) for v in column):
+        values = np.array(column, dtype=np.float64)
+        return "float", values, np.ones(values.size, dtype=bool)
+    if all(_is_float_array(v) for v in column):
+        last = np.zeros(sum(v.size for v in column), dtype=bool)
+        last[np.cumsum([v.size for v in column]) - 1] = True
+        return "array", np.concatenate(column), last
+    return None
+
+
+def _value_texts(columns: dict, keys: list, fmt: str,
+                 indent: str) -> tuple[list[list[str]], list[str]]:
+    """The text of every value of the columns under `keys`, and each key's
+    kind: "float", "array" (printed as its entries joined by the
+    separator), "text" (strings that need no escaping, to be quoted in
+    JSON) or "" for values formatted one by one.
+
+    A column is a list of values, or an array with one entry or one row
+    per record (`_float_column`; a bool array prints as its booleans).
+    Float columns and float-array columns are formatted together in one
+    `_float_groups` call; booleans print as true/false; any other value is
+    formatted by itself, `_json` for JSON nested at `indent`,
+    `_format_cell` for CSV.
+    """
+    texts: list = [None] * len(keys)
+    kinds = [""] * len(keys)
+    values, ends = [], []
+    for j, key in enumerate(keys):
+        column = columns[key]
+        floats = _float_column(column)
+        if floats is not None:
+            kinds[j] = floats[0]
+            values.append(floats[1])
+            ends.append(floats[2])
+            continue
+        if isinstance(column, np.ndarray):  # a branch set's `accepted`
+            column = column.tolist()
+        types = set(map(type, column))
+        if types == {bool}:
+            texts[j] = [("false", "true")[v] for v in column]
+        elif types == {str} and (fmt == "csv" or _plain("".join(column))):
+            kinds[j] = "text"
+            texts[j] = column
         elif fmt == "json":
             texts[j] = [_json(v, indent) for v in column]
         else:
@@ -384,12 +423,13 @@ def _value_texts(records: list[dict], keys: list, fmt: str,
                                             else v)) for v in column]
     if values:
         sep = ",\n" + indent + "  " if fmt == "json" else ";"
-        last = np.zeros(sum(sizes), dtype=bool)
-        last[np.cumsum(sizes) - 1] = True
-        groups = iter(_float_groups(np.concatenate(values), last, fmt, sep))
+        groups = _float_groups(np.concatenate(values), np.concatenate(ends), fmt, sep)
+        start = 0
         for j, kind in enumerate(kinds):
-            if kind:
-                texts[j] = [next(groups) for _ in records]
+            if kind in ("float", "array"):
+                rows = len(columns[keys[j]])
+                texts[j] = groups[start:start + rows]
+                start += rows
     return texts, kinds
 
 
@@ -439,43 +479,44 @@ def _json(value, indent: str) -> str:
     return f"{left}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{right}"
 
 
-def _json_records(records: list[dict], indent: str) -> list[str]:
-    """`_json(rec, indent)` of every record, all with the same keys, each
-    written from one template of the records' fields."""
-    keys = sorted(records[0])
+def _json_records(columns: dict, indent: str) -> list[str]:
+    """`_json(rec, indent)` of every record of the columns, each written
+    from one template of the records' fields."""
+    keys = sorted(columns)
     if not keys:
-        return ["{}"] * len(records)
+        return []
     inner = indent + "  "
-    texts, kinds = _value_texts(records, keys, "json", inner)
-    fields = [_scalar(k).replace("%", "%%") + ": "
-              + (f"[\n{inner}  %s\n{inner}]" if kind == "array" else "%s")
+    texts, kinds = _value_texts(columns, keys, "json", inner)
+    value = {"array": f"[\n{inner}  %s\n{inner}]", "text": '"%s"'}
+    fields = [_scalar(k).replace("%", "%%") + ": " + value.get(kind, "%s")
               for k, kind in zip(keys, kinds)]
     template = f"{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}}}"
     return [template % row for row in zip(*texts)]
 
 
-def _render(command: str, records: list[dict], fmt: str,
-            summary: dict | None) -> str:
+def _render(command: str, columns: dict, fmt: str, summary: dict | None) -> str:
     """The command's output text: JSON, or CSV with one row per record.
 
-    Every float is printed with 15 significant digits, all of a command's
-    record fields in one `_float_groups` call.  Record values may be 1-D
-    float arrays, printed as lists (`;`-joined in a CSV cell).  Every
-    record of a command has the same fields in the same order.
+    `columns` holds the records field by field (`_columns`, or an engine's
+    branch set), in the CSV column order.  Every float is printed with 15
+    significant digits, all of a command's record fields in one
+    `_float_groups` call.  Array values are printed as lists (`;`-joined in
+    a CSV cell).
     """
     if fmt == "json":
+        records = _json_records(columns, "    ")
         # One join of all pieces, so that the text is built once.
         parts = ['{\n  "command": ', _scalar(command), ',\n  "records": ', "["]
-        for i, text in enumerate(_json_records(records, "    ") if records else ()):
+        for i, text in enumerate(records):
             parts += [",\n    " if i else "\n    ", text]
         parts.append("\n  ]" if records else "]")
         if summary is not None:
-            parts += [',\n  "summary": ', _json_records([summary], "  ")[0]]
+            parts += [',\n  "summary": ', _json(summary, "  ")]
         parts.append("\n}\n")
         return "".join(parts)
     if fmt == "csv":
-        keys = list(records[0])
-        texts, _ = _value_texts(records, keys, "csv", "")
+        keys = list(columns)
+        texts, _ = _value_texts(columns, keys, "csv", "")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(keys)
@@ -484,8 +525,8 @@ def _render(command: str, records: list[dict], fmt: str,
     raise CliError(f"unknown output format {fmt!r}")
 
 
-def _emit(args, records: list[dict], summary: dict | None = None) -> None:
-    text = _render(args.command, records, args.format, summary)
+def _emit(args, columns: dict, summary: dict | None = None) -> None:
+    text = _render(args.command, columns, args.format, summary)
     if args.output is None:
         sys.stdout.write(text)
         return
@@ -764,34 +805,42 @@ def _parse_grid(text: str | None) -> list[float]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _branch_record(label: str, branch, **fields) -> dict:
-    """One engine branch: its label ("t" or "s"), the statistics both
-    engines report, and the engine's own `fields` before `accepted`."""
+def _bit_texts(branches, name: str) -> list[str]:
+    """A label column of a branch set as bit strings."""
+    return bit_strings(getattr(branches, name), branches.widths[name])
+
+
+def _branch_columns(branches, label: str, **fields) -> dict:
+    """An engine's branch set as the command's columns: the label ("t" or
+    "s") as bit strings, the statistics both engines report, and the
+    engine's own `fields` before `accepted`."""
     return {
-        label: str(getattr(branch, label)),
-        "prob": branch.prob,
-        "fidelity": branch.fidelity,
-        "unnormalized_fidelity": branch.unnormalized_fidelity,
+        label: _bit_texts(branches, label),
+        "prob": branches.prob,
+        "fidelity": branches.fidelity,
+        "unnormalized_fidelity": branches.unnormalized_fidelity,
         **fields,
-        "accepted": branch.accepted,
-        "output": branch.output.probs,
+        "accepted": branches.accepted,
+        "output": branches.output,
     }
 
 
 def _cmd_run_perm(args) -> int:
     proto = _as_permutation(_load_protocol(args))
     state = _load_state(args, proto.n)
-    _emit(args, [_branch_record("t", o, correction=str(o.correction))
-                 for o in permutation.run(state, proto, args.threshold)])
+    branches = permutation.run(state, proto, args.threshold)
+    _emit(args, _branch_columns(branches, "t",
+                                correction=_bit_texts(branches, "correction")))
     return 0
 
 
 def _cmd_run_code(args) -> int:
     proto = _as_stabilizer(_load_protocol(args))
     state = _load_state(args, proto.n)
-    _emit(args, [_branch_record("s", b, v=str(b.v), u=str(b.u),
-                                recovery=to_pauli_string(b.u))
-                 for b in stabilizer.run(state, proto, args.threshold)])
+    branches = stabilizer.run(state, proto, args.threshold)
+    _emit(args, _branch_columns(branches, "s", v=_bit_texts(branches, "v"),
+                                u=_bit_texts(branches, "u"),
+                                recovery=pauli_strings(branches.u, proto.n)))
     return 0
 
 
@@ -828,15 +877,15 @@ def _cmd_verify(args) -> int:
                 "max_discrepancy": report.max_discrepancy,
             })
         failed = sum(1 for r in records if not r["passed"])
-        _emit(args, records, {"instances": len(records), "failed": failed,
-                              "all_passed": failed == 0})
+        _emit(args, _columns(records, args.format),
+              {"instances": len(records), "failed": failed, "all_passed": failed == 0})
         return 0 if failed == 0 else 2
 
     proto = _as_stabilizer(_load_protocol(args))
     state = _load_state(args, proto.n)
     report = equivalence.verify_equivalence(state, proto, args.threshold)
     summary = report.to_dict()
-    _emit(args, summary.pop("branches"), summary)
+    _emit(args, _columns(summary.pop("branches"), args.format), summary)
     return 0 if report.passed else 2
 
 
@@ -859,7 +908,7 @@ def _cmd_sweep(args) -> int:
                 "accept_prob": rep.accept_prob,
                 "accepted": rep.accepted,
             })
-    _emit(args, records)
+    _emit(args, _columns(records, args.format))
     return 0
 
 
@@ -884,7 +933,7 @@ def _cmd_oracle_check(args) -> int:
         for r in results
     ]
     all_passed = all(r.passed for r in results)
-    _emit(args, records, {"all_passed": all_passed})
+    _emit(args, _columns(records, args.format), {"all_passed": all_passed})
     return 0 if all_passed else 2
 
 

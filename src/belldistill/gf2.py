@@ -209,6 +209,27 @@ def affine_images(columns: Sequence[int], offset: int) -> np.ndarray:
     return images
 
 
+def bit_matrix(values: np.ndarray, length: int) -> np.ndarray:
+    """The bits of each value as a row of `length` uint8 zeros and ones,
+    most significant first."""
+    shifts = np.arange(length - 1, -1, -1, dtype=np.int64)
+    return (np.asarray(values, dtype=np.int64)[:, None] >> shifts & 1).astype(np.uint8)
+
+
+def bit_strings(values: np.ndarray, length: int) -> list[str]:
+    """`BinaryVector(v, length).to_string()` of every value, in one pass."""
+    return ascii_rows(bit_matrix(values, length) + ord("0"))
+
+
+def ascii_rows(chars: np.ndarray) -> list[str]:
+    """Each row of a 2-D array of ASCII codes as a string."""
+    rows, width = chars.shape
+    if not width:
+        return [""] * rows
+    text = np.ascontiguousarray(chars, dtype=np.uint8).view(f"S{width}")
+    return text.ravel().astype(f"U{width}").tolist()
+
+
 def symplectic_form(n: int) -> BinaryMatrix:
     """The 2n x 2n block matrix [[0,I],[I,0]]."""
     two_n = 2 * n

@@ -24,11 +24,19 @@ Conditional outputs are renormalized to total weight one.  The literal
 coset-ratio expression additionally carries a 2**(n-m) branching factor
 that would push the trace above one; that quantity is preserved separately
 as `unnormalized_fidelity` for auditing.
+
+`run` returns a `BranchSet`: the branches as columns read off the table in
+one pass (label, probability, fidelities, acceptance, correction, and the
+outputs as one 2-D array).  Its length, iteration and integer indexing give
+one `ProtocolOutcome` per branch, built on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -80,6 +88,62 @@ class ProtocolOutcome:
     fidelity: float
     unnormalized_fidelity: float
     accepted: bool
+
+
+@dataclass(frozen=True, eq=False)
+class BranchSet:
+    """The branches of one engine run as read-only columns, one row per
+    branch of nonzero probability, in label order.
+
+    `columns` maps the fields of `record` (`ProtocolOutcome`, or
+    `stabilizer.SyndromeBranch`), in field order, to their columns, and
+    each column reads as an attribute of the set (`branches.prob`).  Label
+    columns hold int64 label values of the bit lengths in `widths`,
+    `accepted` is bool, `output` holds one normalized row of 4**m weights
+    per branch, and the other columns are float64.  `len`, iteration and
+    integer indexing give the branches as `record`s, built row by row.
+    """
+
+    record: type
+    m: int
+    widths: Mapping[str, int]
+    columns: Mapping[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        if tuple(self.columns) != tuple(f.name for f in fields(self.record)):
+            raise ValueError("branch columns must be the record's fields in order")
+        for column in self.columns.values():
+            column.setflags(write=False)
+        object.__setattr__(self, "widths", MappingProxyType(dict(self.widths)))
+        object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __len__(self) -> int:
+        return len(self.columns["prob"])
+
+    def __iter__(self) -> Iterator:
+        return self._records(slice(None))
+
+    def __getitem__(self, index: int):
+        i = range(len(self))[operator.index(index)]
+        return next(self._records(slice(i, i + 1)))
+
+    def _records(self, rows: slice) -> Iterator:
+        values = []
+        for name, column in self.columns.items():
+            part = column[rows]
+            if name == "output":
+                values.append([BellDiagonalState._trusted(self.m, row) for row in part])
+            elif name in self.widths:
+                values.append([BinaryVector(v, self.widths[name]) for v in part.tolist()])
+            else:
+                values.append(part.tolist())
+        return map(self.record, *values)
 
 
 def measured_subspace(proto: PermutationProtocol) -> Subspace:
@@ -200,19 +264,26 @@ def _fold(table: np.ndarray, weights: np.ndarray,
     For one pair that is p00 D + p01 D[y ^ c_par] + p10 D[y ^ c_ph]
     + p11 D[y ^ c_ph ^ c_par], added in that order.  All terms are
     nonnegative, so nothing cancels.  Zero weights add nothing and are
-    skipped.
+    skipped.  XOR by a constant flips the axes of its set bits of the table
+    viewed as 2 x ... x 2 (the first axis the top bit), so each term is a
+    flipped view of the table, scaled into one reused temporary: the same
+    products, added in the same order, as a gather table[y ^ shift].
     """
-    labels = np.arange(table.size)
+    k = table.size.bit_length() - 1
+    view = table.reshape((2,) * k)
     out = np.zeros_like(table)
+    term = np.empty_like(view)
     for w, shift in zip(weights.tolist(), gf2.affine_images(columns, 0).tolist()):
         if w:
-            out += w * table[labels ^ shift]
+            axes = tuple(k - 1 - b for b in range(k) if shift >> b & 1)
+            np.multiply(np.flip(view, axes), w, out=term)
+            out += term.reshape(-1)
     return out
 
 
-def branch_outcomes(table: np.ndarray, m: int,
-                    threshold: float) -> list[ProtocolOutcome]:
-    """The branches of a branch table, one per row of nonzero weight.
+def branch_outcomes(table: np.ndarray, m: int, threshold: float) -> BranchSet:
+    """The branches of a branch table, one per row of nonzero weight, as
+    the columns of a `BranchSet` of `ProtocolOutcome`s.
 
     The probability is the row sum, the output the row renormalized, the
     correction the heaviest logical label of the row (`optimal_correction`,
@@ -223,29 +294,25 @@ def branch_outcomes(table: np.ndarray, m: int,
     """
     k = table.shape[0].bit_length() - 1
     probs = table.sum(axis=1)
-    live = np.flatnonzero(probs)
+    live = np.flatnonzero(probs).astype(np.int64, copy=False)
     rows = table[live]
-    corrections = _corrections(rows)
+    corrections = _corrections(rows).astype(np.int64, copy=False)
     outputs = rows / probs[live, None]
     _normalize(outputs, outputs)
-    fids = outputs[np.arange(live.size), corrections].tolist()
-    outcomes = []
-    for t, prob, output, c, fid in zip(live.tolist(), probs[live].tolist(), outputs,
-                                       corrections.tolist(), fids):
-        outcomes.append(ProtocolOutcome(
-            t=BinaryVector(t, k),
-            prob=prob,
-            output=BellDiagonalState._trusted(m, output),
-            correction=BinaryVector(c, 2 * m),
-            fidelity=fid,
-            unnormalized_fidelity=(1 << k) * fid,
-            accepted=fid >= threshold,
-        ))
-    return outcomes
+    fids = outputs[np.arange(live.size), corrections]
+    return BranchSet(ProtocolOutcome, m, {"t": k, "correction": 2 * m}, {
+        "t": live,
+        "prob": probs[live],
+        "output": outputs,
+        "correction": corrections,
+        "fidelity": fids,
+        "unnormalized_fidelity": (1 << k) * fids,
+        "accepted": fids >= threshold,
+    })
 
 
 def run(state: BellDiagonalState, proto: PermutationProtocol,
-        threshold: float | None = None) -> list[ProtocolOutcome]:
+        threshold: float | None = None) -> BranchSet:
     """Evaluate every parity-outcome branch of the protocol exactly.
 
     The label map keeps the rows of A (and the bits of b) that become the
@@ -253,7 +320,8 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
     branch t of the table sums one coset of the complement of the measured
     subspace and its entry y one coset of the measured subspace.  Branches
     of probability zero are never produced.  `threshold` defaults to the
-    input fidelity (acceptance requires non-degradation).
+    input fidelity (acceptance requires non-degradation).  The branches
+    come as one `BranchSet` of `ProtocolOutcome`s.
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
@@ -318,7 +386,8 @@ def recurrence_sweep(pair: BellDiagonalState, proto: PermutationProtocol,
 
     Each round builds n identical pairs from the current distribution, runs
     the protocol, and continues from the corrected single-pair output of
-    the best accepted branch (requires m = 1).  With no explicit threshold
+    the best accepted branch: the highest fidelity, the smallest label
+    among equals (requires m = 1).  With no explicit threshold
     a branch is accepted when it does not degrade the current pair
     fidelity.  The cumulative yield multiplies (m/n) times the acceptance
     probability per round.  A non-improving round is reported, not raised;
@@ -335,11 +404,12 @@ def recurrence_sweep(pair: BellDiagonalState, proto: PermutationProtocol,
     for round_index in range(1, rounds + 1):
         state = BellDiagonalState.from_pairs([current] * proto.n)
         round_threshold = current.fidelity if threshold is None else threshold
-        outcomes = run(state, proto, round_threshold)
-        accepted = [o for o in outcomes if o.accepted]
-        pool = accepted if accepted else outcomes
-        best = max(pool, key=lambda o: (o.fidelity, -o.t.value))
-        accept_prob = sum(o.prob for o in accepted)
+        branches = run(state, proto, round_threshold)
+        accepted = branches.accepted
+        pool = np.flatnonzero(accepted if accepted.any() else ~accepted)
+        # the pool is in label order, and argmax takes the first maximum
+        best = branches[pool[np.argmax(branches.fidelity[pool])]]
+        accept_prob = sum(branches.prob[accepted].tolist())
         cumulative_yield *= (proto.m / proto.n) * accept_prob
         # Renormalize once per round: the sweep's accept/reject decisions
         # depend on the last bit of the pair fed into the next round.
@@ -352,7 +422,7 @@ def recurrence_sweep(pair: BellDiagonalState, proto: PermutationProtocol,
             fidelity=best.fidelity,
             accept_prob=accept_prob,
             cumulative_yield=cumulative_yield,
-            accepted=bool(accepted),
+            accepted=bool(accepted.any()),
             improved=best.fidelity > current.fidelity,
             output_pair=next_pair,
         ))

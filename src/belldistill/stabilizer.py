@@ -15,6 +15,10 @@ The logical bits of x are its inner products with the partner columns of
 B, so the branch table `permutation.branch_table` fills here is entry by
 entry the one the permutation protocol P B^T P fills, and both engines
 read their branches off it the same way.
+
+`run` returns a `permutation.BranchSet` whose rows are `SyndromeBranch`es:
+the syndrome s, the representative v and the recovery u are int64 label
+columns, tabulated for all syndromes at once.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ import numpy as np
 
 from . import gf2
 from .gf2 import BinaryMatrix, BinaryVector, Subspace
-from .permutation import branch_outcomes, branch_table
+from .permutation import BranchSet, branch_outcomes, branch_table
 from .states import BellDiagonalState
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 # Pauli letter by the digit 2 * phase + parity.
 _PAULI_OF_DIGIT = str.maketrans("0123", "IXZY")
+_PAULI_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
 
 
 def parse_pauli_string(text: str) -> BinaryVector:
@@ -57,6 +62,13 @@ def to_pauli_string(label: BinaryVector) -> str:
     phase = int(format(label.value >> k, "b"))
     parity = int(format(label.value & ((1 << k) - 1), "b"))
     return format(2 * phase + parity, f"0{k}d").translate(_PAULI_OF_DIGIT)
+
+
+def pauli_strings(labels: np.ndarray, k: int) -> list[str]:
+    """`to_pauli_string` of every 2k-bit label value, in one pass: letter i
+    is IXZY at the digit 2 * phase bit + parity bit of pair i."""
+    bits = gf2.bit_matrix(labels, 2 * k)
+    return gf2.ascii_rows(_PAULI_LETTERS[2 * bits[:, :k] + bits[:, k:]])
 
 
 @dataclass(frozen=True)
@@ -162,14 +174,15 @@ def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
     """
     if s.length != proto.n - proto.m:
         raise ValueError("syndrome length must equal the generator count")
-    for branch in run(state, proto):
-        if branch.s == s:
-            return branch.u
-    raise ValueError(f"syndrome {s} has probability zero")
+    branches = run(state, proto)
+    rows = np.flatnonzero(branches.s == s.value)
+    if not rows.size:
+        raise ValueError(f"syndrome {s} has probability zero")
+    return branches[rows[0]].u
 
 
 def run(state: BellDiagonalState, proto: StabilizerProtocol,
-        threshold: float | None = None) -> list[SyndromeBranch]:
+        threshold: float | None = None) -> BranchSet:
     """Evaluate every syndrome branch of the protocol exactly.
 
     Syndrome bits come from the generators and logical bits from the
@@ -182,7 +195,8 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     fidelity is the recovery coset's weight over the branch weight (the
     literal expression times 2**(n-m) is reported alongside as
     `unnormalized_fidelity`).  Zero-probability syndromes are never
-    produced.  `threshold` defaults to the input fidelity.
+    produced.  `threshold` defaults to the input fidelity.  The branches
+    come as one `BranchSet` of `SyndromeBranch`es.
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
@@ -198,32 +212,29 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     # v(s) and u(c, s) reduce B embed(c, s).  The embedding puts s on
     # positions n+m..2n-1 and c on 0..m-1 and n..n+m-1, and reduction by an
     # echelon basis is linear, so both are XORs of reduced frame columns:
-    # tabulated once per part with `gf2.affine_images`.
-    def images(subspace: Subspace, positions) -> list[int]:
-        return gf2.affine_images([subspace.reduce_value(cols[p]) for p in positions],
-                                 0).tolist()
+    # tabulated once per part with `gf2.affine_images` and looked up for
+    # all branches at once.
+    def images(subspace: Subspace, positions) -> np.ndarray:
+        return gf2.affine_images([subspace.reduce_value(cols[p]) for p in positions], 0)
 
     syndrome_part = range(n + m, 2 * n)
-    v_of = images(perp, syndrome_part)
-    u_of_s = images(span, syndrome_part)
-    u_of_c = images(span, [*range(m), *range(n, n + m)])
-    return [
-        SyndromeBranch(
-            s=o.t,
-            prob=o.prob,
-            v=BinaryVector(v_of[o.t.value], 2 * n),
-            u=BinaryVector(u_of_s[o.t.value] ^ u_of_c[o.correction.value], 2 * n),
-            output=o.output,
-            fidelity=o.fidelity,
-            unnormalized_fidelity=o.unnormalized_fidelity,
-            accepted=o.accepted,
-        )
-        for o in branch_outcomes(table, m, threshold)
-    ]
+    logical_part = [*range(m), *range(n, n + m)]
+    branches = branch_outcomes(table, m, threshold)
+    s, c = branches.t, branches.correction
+    return BranchSet(SyndromeBranch, m, {"s": n - m, "v": 2 * n, "u": 2 * n}, {
+        "s": s,
+        "prob": branches.prob,
+        "v": images(perp, syndrome_part)[s],
+        "u": images(span, syndrome_part)[s] ^ images(span, logical_part)[c],
+        "output": branches.output,
+        "fidelity": branches.fidelity,
+        "unnormalized_fidelity": branches.unnormalized_fidelity,
+        "accepted": branches.accepted,
+    })
 
 
 __all__ = [
     "StabilizerProtocol", "SyndromeBranch", "parse_pauli_string",
-    "to_pauli_string", "syndrome_of_error", "generator_span",
+    "to_pauli_string", "pauli_strings", "syndrome_of_error", "generator_span",
     "syndrome_distribution", "optimal_recovery", "run",
 ]

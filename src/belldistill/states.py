@@ -18,8 +18,9 @@ States are immutable after construction; weights are validated and
 renormalized exactly once, at construction, and any later drift beyond
 1e-9 is treated as a bug and raised, never hidden.  Two builders skip the
 constructor's new array and normalize a table they have just written, in
-place, with the same check and division (`_normalize`): `from_pairs` and the
-branch outputs of `permutation.branch_outcomes`.
+place, with the same check and division (`_normalize`): `from_pairs` and
+`permutation.branch_outcomes`, whose branch outputs are the rows of one
+such table.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class BellDiagonalState:
 
         For exact permutations of validated tables, and for tables their
         builder has just normalized with `_normalize`: `from_pairs` and the
-        branch outputs of `permutation.branch_outcomes`.
+        output rows of a `permutation.BranchSet`.
         """
         state = object.__new__(cls)
         state._freeze(n, (arr,), None)

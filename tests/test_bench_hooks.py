@@ -9,9 +9,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from belldistill.states import BellDiagonalState
+from belldistill import equivalence, permutation, stabilizer
+from belldistill.stabilizer import StabilizerProtocol
+from belldistill.states import BellDiagonalState, werner
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,3 +47,27 @@ def test_traced_attribute_resolves(module, attr):
 
 def test_from_pairs_stays_a_classmethod():
     assert isinstance(BellDiagonalState.__dict__["from_pairs"], classmethod)
+
+
+@pytest.mark.parametrize("pair, m", [(werner(0.8), 1), (werner(0.8), 3),
+                                     (BellDiagonalState(1, (0.7, 0.0, 0.3, 0.0)), 1),
+                                     (BellDiagonalState(1, (0.25,) * 4), 0)])
+def test_branch_counter_reads_an_engine_result(pair, m):
+    """The counter the tracer attaches to both engines' `run`, called on a
+    real result: it reads `len` and every branch's `output.probs`."""
+    proto = StabilizerProtocol.from_pauli_strings(["ZZII", "XXII", "IIZZ", "IIXX"][:4 - m], m)
+    state = BellDiagonalState.from_pairs([pair] * 4)
+    perm = equivalence.permutation_from_stabilizer(proto)
+    tracer = load_tracer().Tracer()
+    for layer, run, protocol in (("stabilizer", stabilizer.run, proto),
+                                 ("permutation", permutation.run, perm)):
+        branches = run(state, protocol)
+        tracer._count_branches(layer)((state, protocol), branches)
+        assert tracer.counters[f"{layer}.branches"] == len(branches)
+        assert tracer.counters[f"{layer}.zero_branches_skipped"] == \
+            (1 << (4 - m)) - len(branches)
+    # tied: the two heaviest weights of an output within 1e-12 of each other
+    # (`branches` is the permutation engine's)
+    top = np.sort(branches.output, axis=1)[:, -2:]
+    tied = int(np.sum(top[:, -1] - top[:, 0] <= 1e-12)) if 4 ** m > 1 else 0
+    assert tracer.counters["permutation.tied_corrections"] == tied

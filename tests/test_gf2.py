@@ -25,6 +25,21 @@ def vec(s: str) -> BinaryVector:
     return BinaryVector.from_string(s)
 
 
+def test_bit_strings_of_every_value_up_to_eight_bits():
+    for length in range(9):
+        values = np.arange(1 << length)
+        assert gf2.bit_strings(values, length) == \
+            [BinaryVector(v, length).to_string() for v in values.tolist()]
+    assert gf2.bit_strings(np.zeros(3, dtype=np.int64), 0) == ["", "", ""]
+    assert gf2.bit_strings(np.array([], dtype=np.int64), 5) == []
+
+
+def test_bit_strings_of_random_26_bit_values():
+    values = np.random.default_rng(11).integers(0, 1 << 26, 10_000)
+    assert gf2.bit_strings(values, 26) == \
+        [BinaryVector(v, 26).to_string() for v in values.tolist()]
+
+
 def even_vectors(max_pairs: int = 4):
     return st.integers(1, max_pairs).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, (1 << (2 * n)) - 1)))

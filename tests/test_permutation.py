@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from belldistill import gf2, permutation, stabilizer
+from belldistill import gf2, oracle, permutation, stabilizer
 from belldistill.gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
 from belldistill.permutation import (
     PermutationProtocol,
+    ProtocolOutcome,
     branch_outcomes,
     branch_table,
     embed_label,
@@ -378,6 +379,162 @@ def test_branch_outcomes_bit_equal_per_row_constructor(rng):
                 assert o.accepted == accepted
 
 
+def gather_fold(table, weights, columns):
+    """The fold as it was first written: one index gather per term."""
+    labels = np.arange(table.size)
+    out = np.zeros_like(table)
+    for w, shift in zip(weights.tolist(), gf2.affine_images(columns, 0).tolist()):
+        if w:
+            out += w * table[labels ^ shift]
+    return out
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_fold_bit_equals_the_gather(rng, n):
+    # pairs with zero weights, point masses and uniform pairs, beyond a
+    # Werner head, folded in one after another as `branch_table` does
+    pairs = [werner(0.8)] * 8 + [BellDiagonalState(1, w) for w in (
+        (0.7, 0.0, 0.3, 0.0), (0.0, 1.0, 0.0, 0.0), (0.25,) * 4, (0.6, 0.1, 0.0, 0.3))]
+    state = BellDiagonalState.from_pairs(pairs[:n])
+    for m in (0, n // 2):
+        label_map, offset = random_label_map(n, m, rng)
+        columns = label_map.column_values()
+        table = np.zeros(1 << (n + m))
+        permutation._scatter(table, state.factors[0], columns[:8] + columns[n:n + 8],
+                             offset)
+        for i, factor in enumerate(state.factors[1:], start=8):
+            pair_columns = (columns[i], columns[n + i])
+            expected = gather_fold(table, factor, pair_columns)
+            table = permutation._fold(table, factor, pair_columns)
+            assert np.array_equal(bits(table), bits(expected))
+        assert np.array_equal(bits(table),
+                              bits(branch_table(state, label_map, offset, m).ravel()))
+
+
+# ---------------------------------------------------------------------------
+# The branch set: columns, per-branch records, read-only
+# ---------------------------------------------------------------------------
+
+def branch_set_inputs(n, rng):
+    """Werner, point-mass, uniform and sparse inputs; the point mass and
+    the sparse pairs leave branches at probability zero."""
+    label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
+    return [BellDiagonalState.from_pairs([werner(0.8)] * n),
+            BellDiagonalState.point_mass(n, label),
+            BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n)),
+            BellDiagonalState.from_pairs([BellDiagonalState(1, (0.7, 0.0, 0.3, 0.0))] * n)]
+
+
+def random_protocol(n, m, rng):
+    offset = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
+    return PermutationProtocol(n, m, gf2.random_symplectic(n, rng), offset)
+
+
+def test_branch_set_columns_equal_literal_coset_sums(rng):
+    skipped = 0
+    for n in (1, 2, 3, 4):
+        for m in sorted({0, n // 2, n}):
+            proto = random_protocol(n, m, rng)
+            inverse = gf2.symplectic_inverse(proto.matrix)
+            shift = (inverse @ proto.offset).value
+            for state in branch_set_inputs(n, rng):
+                branches = run(state, proto)
+                q = state.probs[np.arange(len(state.probs)) ^ shift]
+                literal = literal_branches(q, measured_subspace(proto),
+                                           lambda y, t: inverse @ embed(y, t, n, m), n, m)
+                assert branches.t.dtype == branches.correction.dtype == np.int64
+                assert branches.t.tolist() == sorted(literal)
+                skipped += (1 << (n - m)) - len(branches)
+                for row, t in enumerate(branches.t.tolist()):
+                    prob, weights = literal[t]
+                    fid = weights.max() / prob
+                    assert branches.prob[row] == pytest.approx(prob, abs=1e-12)
+                    assert branches.output[row] == pytest.approx(weights / prob, abs=1e-12)
+                    assert branches.fidelity[row] == pytest.approx(fid, abs=1e-12)
+                    assert abs(weights[branches.correction[row]] - weights.max()) <= 1e-15
+                    assert branches.unnormalized_fidelity[row] == pytest.approx(
+                        unnormalized_fidelity(state, proto, BinaryVector(t, n - m)),
+                        rel=1e-12)
+                    assert branches.accepted[row] == \
+                        (branches.fidelity[row] >= state.fidelity)
+    assert skipped > 0
+
+
+def test_branch_set_columns_equal_the_dense_oracle(rng):
+    for n in (2, 3):
+        for m in (0, 1, n):
+            proto = random_protocol(n, m, rng)
+            for state in branch_set_inputs(n, rng):
+                branches = run(state, proto)
+                dense = {b.t.value: b for b in oracle.simulate_parity_measurement(
+                    state.permute(proto.matrix, proto.offset), m) if b.prob > 1e-12}
+                assert branches.t.tolist() == sorted(dense)
+                for row, t in enumerate(branches.t.tolist()):
+                    assert branches.prob[row] == pytest.approx(dense[t].prob, abs=1e-12)
+                    assert branches.output[row] == pytest.approx(dense[t].probs, abs=1e-12)
+                    assert dense[t].bell_offdiag <= 1e-12
+
+
+def reference_outcome(branches, row, n, m):
+    """Row `row` of a permutation branch set as a record, built here."""
+    return ProtocolOutcome(
+        t=BinaryVector(int(branches.t[row]), n - m),
+        prob=float(branches.prob[row]),
+        # the row as it is: the constructor would renormalize it again
+        output=BellDiagonalState._trusted(m, branches.output[row].copy()),
+        correction=BinaryVector(int(branches.correction[row]), 2 * m),
+        fidelity=float(branches.fidelity[row]),
+        unnormalized_fidelity=float(branches.unnormalized_fidelity[row]),
+        accepted=bool(branches.accepted[row]),
+    )
+
+
+def assert_same_record(got, want):
+    for name in ("t", "s", "correction", "v", "u", "accepted"):
+        assert getattr(got, name, None) == getattr(want, name, None)
+        assert type(getattr(got, name, None)) is type(getattr(want, name, None))
+    for name in ("prob", "fidelity", "unnormalized_fidelity"):
+        assert type(getattr(got, name)) is float
+        assert bits(getattr(got, name)) == bits(getattr(want, name))
+    assert got.output.n == want.output.n
+    assert np.array_equal(bits(got.output.probs), bits(want.output.probs))
+    assert not got.output.probs.flags.writeable
+
+
+def assert_read_only(branches):
+    with pytest.raises(ValueError, match="read-only"):
+        branches.prob[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        branches.output[0, 0] = 0.5
+    for column in branches.columns.values():
+        assert not column.flags.writeable
+    with pytest.raises(TypeError):
+        branches.columns["prob"] = branches.prob
+    with pytest.raises(AttributeError):
+        branches.prob = branches.prob
+    with pytest.raises(AttributeError):
+        branches.no_such_column
+
+
+def test_branch_set_records_equal_the_per_row_reference(rng):
+    for n, m in ((1, 0), (1, 1), (3, 0), (3, 1), (3, 3), (5, 2)):
+        proto = random_protocol(n, m, rng)
+        for state in branch_set_inputs(n, rng):
+            branches = run(state, proto)
+            assert branches.record is ProtocolOutcome
+            expected = [reference_outcome(branches, row, n, m)
+                        for row in range(len(branches))]
+            for got, want in zip(list(branches), expected, strict=True):
+                assert_same_record(got, want)
+            for row in range(-len(branches), len(branches)):
+                assert_same_record(branches[row], expected[row])
+            with pytest.raises(IndexError):
+                branches[len(branches)]
+            with pytest.raises(TypeError):
+                branches[0:1]
+            assert_read_only(branches)
+
+
 # ---------------------------------------------------------------------------
 # optimal_correction
 # ---------------------------------------------------------------------------
@@ -560,6 +717,44 @@ def test_recurrence_requires_single_survivor(bcnot):
     proto = PermutationProtocol.linear(2, 0, bcnot)
     with pytest.raises(ValueError, match="m"):
         recurrence_sweep(werner(0.75), proto, 1)
+
+
+def reference_sweep(pair, proto, rounds, threshold):
+    """`recurrence_sweep` over the per-branch records: the best branch is
+    the maximum by (fidelity, -t) over the accepted branches, or over all
+    of them when none is accepted."""
+    reports, current, cumulative = [], pair, 1.0
+    for round_index in range(1, rounds + 1):
+        state = BellDiagonalState.from_pairs([current] * proto.n)
+        outcomes = list(run(state, proto, current.fidelity if threshold is None
+                            else threshold))
+        accepted = [o for o in outcomes if o.accepted]
+        best = max(accepted or outcomes, key=lambda o: (o.fidelity, -o.t.value))
+        accept_prob = sum(o.prob for o in accepted)
+        cumulative *= (proto.m / proto.n) * accept_prob
+        next_pair = BellDiagonalState(1, best.output.pauli_shift(best.correction).probs)
+        reports.append((round_index, current.fidelity, best.t, best.fidelity,
+                        accept_prob, cumulative, bool(accepted),
+                        best.fidelity > current.fidelity, next_pair.probs.tolist()))
+        current = next_pair
+    return reports
+
+
+def test_recurrence_equals_the_per_branch_rule(rng):
+    protocols = [PermutationProtocol.linear(n, 1, gf2.random_symplectic(n, rng))
+                 for n in (2, 2, 3, 3, 4)]
+    protocols.append(PermutationProtocol.linear(
+        2, 1, BinaryMatrix.from_strings(["1100", "0100", "0010", "0011"])))
+    pairs = [werner(0.7), werner(0.9), werner(0.5), BellDiagonalState(1, (0.25,) * 4),
+             BellDiagonalState(1, (0.6, 0.0, 0.4, 0.0))]
+    for proto in protocols:
+        for pair in pairs:
+            for threshold in (None, 0.3, 0.99):
+                got = [(r.round_index, r.input_fidelity, r.branch, r.fidelity,
+                        r.accept_prob, r.cumulative_yield, r.accepted, r.improved,
+                        r.output_pair.probs.tolist())
+                       for r in recurrence_sweep(pair, proto, 3, threshold)]
+                assert got == reference_sweep(pair, proto, 3, threshold)
 
 
 def test_recurrence_explicit_threshold(bcnot_proto):

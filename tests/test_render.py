@@ -2,12 +2,13 @@
 
 `cli._render` formats all floats of a command in one pass (`_float_groups`:
 exact 15-digit decimals from `_decimal`, text from digit tables in
-`_chunk_text`).  The reference here is the rendering that predates it:
-`json.dumps` of the body with every float rounded through `"%.15g"`, and
-per-value CSV cells, with every array turned into a list of Python floats
-first.  The reference shares no formatting code with the renderer, so a
-byte-equal output means the one-pass path prints exactly what the
-per-value path would.
+`_chunk_text`), from columns: a record list transposed by `_columns`, or an
+engine's branch set.  The reference here is the rendering that predates
+it: `json.dumps` of a list of records with every float rounded through
+`"%.15g"`, and per-value CSV cells, with every array turned into a list of
+Python floats first.  The reference shares no formatting code with the
+renderer, so a byte-equal output means the one-pass path prints exactly
+what the per-value path would.
 """
 
 import csv
@@ -20,10 +21,11 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from belldistill import cli, permutation
-from belldistill.cli import _branch_record, _render
+from belldistill import cli, equivalence, gf2, permutation, stabilizer
+from belldistill.cli import _columns, _render
 from belldistill.gf2 import BinaryMatrix
 from belldistill.permutation import PermutationProtocol
+from belldistill.stabilizer import StabilizerProtocol, to_pauli_string
 from belldistill.states import BellDiagonalState, werner
 
 
@@ -66,7 +68,7 @@ def reference(command, records, fmt, summary):
 
 def assert_renders_as_reference(records, summary=None):
     for fmt in ("json", "csv"):
-        assert _render("run-perm", records, fmt, summary) == \
+        assert _render("run-perm", _columns(records, fmt), fmt, summary) == \
             reference("run-perm", records, fmt, summary)
 
 
@@ -131,7 +133,7 @@ def test_nan_in_scalar_field_and_summary():
     records = records_of([np.array([0.5, 0.5])], scalar=float("nan"))
     assert_renders_as_reference(records, {"output_max_diff": float("nan"),
                                           "passed": False})
-    assert "NaN" in _render("verify", records, "json", None)
+    assert "NaN" in _render("verify", _columns(records, "json"), "json", None)
 
 
 STRINGS = ["", "plain", 'a "quoted" word', "back\\slash", "caf\u00e9", "\u2028",
@@ -161,11 +163,11 @@ def test_records_with_other_fields_are_refused():
     reordered = [records[0], dict(reversed(records[1].items()))]
     for fmt in ("json", "csv"):
         with pytest.raises(ValueError, match="same fields"):
-            _render("run-perm", renamed, fmt, None)
+            _columns(renamed, fmt)
     with pytest.raises(ValueError, match="same fields"):
-        _render("run-perm", reordered, "csv", None)
+        _columns(reordered, "csv")
     # JSON sorts the keys, so their order does not matter there.
-    assert _render("run-perm", reordered, "json", None) == \
+    assert _render("run-perm", _columns(reordered, "json"), "json", None) == \
         reference("run-perm", reordered, "json", None)
 
 
@@ -225,16 +227,35 @@ def test_probability_sized_arrays_render_as_reference(arrays):
     assert_renders_as_reference(records_of(arrays))
 
 
+def engine_records(command, branches):
+    """The records of `run-perm` or `run-code`, one per branch, built from
+    the branch set's per-branch records."""
+    records = []
+    for b in branches:
+        label = {"t": str(b.t)} if command == "run-perm" else {"s": str(b.s)}
+        fields = {"correction": str(b.correction)} if command == "run-perm" else \
+            {"v": str(b.v), "u": str(b.u), "recovery": to_pauli_string(b.u)}
+        records.append({**label, "prob": b.prob, "fidelity": b.fidelity,
+                        "unnormalized_fidelity": b.unnormalized_fidelity, **fields,
+                        "accepted": b.accepted, "output": b.output.probs})
+    return records
+
+
 def test_engine_records_render_as_reference():
     bcnot = BinaryMatrix.from_strings(["1100", "0100", "0010", "0011"])
     proto = PermutationProtocol.linear(2, 1, bcnot)
     for state in (BellDiagonalState.from_pairs([werner(0.8)] * 2),
                   BellDiagonalState.point_mass(2),
                   BellDiagonalState(2, np.full(16, 1 / 16))):
-        records = [_branch_record("t", o, correction=str(o.correction))
-                   for o in permutation.run(state, proto)]
+        branches = permutation.run(state, proto)
+        records = engine_records("run-perm", branches)
         assert isinstance(records[0]["output"], np.ndarray)
         assert_renders_as_reference(records)
+        columns = cli._branch_columns(
+            branches, "t", correction=cli._bit_texts(branches, "correction"))
+        for fmt in ("json", "csv"):
+            assert _render("run-perm", columns, fmt, None) == \
+                reference("run-perm", records, fmt, None)
 
 
 # ---------------------------------------------------------------------------
@@ -348,36 +369,74 @@ def test_pow10_table_is_correctly_rounded():
 GENERATORS8 = "XXIIIIII,ZZIIIIII,IIXXIIII,IIIIZZII"
 
 
-def spy_render(monkeypatch):
-    """Record the reference text of every render, and the entries the
-    one-pass path formats."""
-    seen, entries = [], []
-    render, chunk_text = cli._render, cli._chunk_text
-
-    def spy(command, records, fmt, summary):
-        seen.append(reference(command, records, fmt, summary))
-        return render(command, records, fmt, summary)
+def spy_chunks(monkeypatch):
+    """Record the entries the one-pass path formats."""
+    entries = []
+    chunk_text = cli._chunk_text
 
     def count(values, *args):
         entries.append(values.size)
         return chunk_text(values, *args)
 
-    monkeypatch.setattr(cli, "_render", spy)
     monkeypatch.setattr(cli, "_chunk_text", count)
-    return seen, entries
+    return entries
+
+
+def engine_reference(command, generators, m, pair, fmt):
+    """The reference text of an engine command on identical pairs, from
+    the library's per-branch records."""
+    proto = StabilizerProtocol.from_pauli_strings(generators.split(","), m)
+    state = BellDiagonalState.from_pairs([pair] * proto.n)
+    if command == "run-perm":
+        branches = permutation.run(state, equivalence.permutation_from_stabilizer(proto))
+    else:
+        branches = stabilizer.run(state, proto)
+    return reference(command, engine_records(command, branches), fmt, None), branches
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("command", ["run-perm", "run-code"])
 def test_cli_output_above_the_cutoff_is_the_reference(monkeypatch, capsys, command,
                                                       fmt):
-    seen, entries = spy_render(monkeypatch)
+    entries = spy_chunks(monkeypatch)
     code = cli.main([command, "--generators", GENERATORS8, "-m", "4",
                      "--werner", "0.8", "--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
     assert sum(entries) == 16 * (3 + 256)  # 16 branches, all on the one-pass path
-    assert out == seen[0]
+    assert out == engine_reference(command, GENERATORS8, 4, werner(0.8), fmt)[0]
+
+
+def pauli_words(labels, n):
+    return ",".join(to_pauli_string(g) for g in labels)
+
+
+# n=13 m=1 Werner (the shape of the benchmark's `deep` workload), n=8 m=4,
+# and a sparse pair, whose input leaves some syndromes at probability zero.
+ENGINE_CASES = {
+    "n13m1-werner": (pauli_words(gf2.random_isotropic_generators(
+        13, 12, np.random.default_rng(5)), 13), 1, "--werner", "0.8"),
+    "n8m4-werner": (GENERATORS8, 4, "--werner", "0.75"),
+    "n4m1-sparse": ("ZZII,XXII,IIZZ", 1, "--pair", "0.7,0,0.3,0"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["run-perm", "run-code"])
+@pytest.mark.parametrize("case", ENGINE_CASES)
+def test_engine_commands_print_the_per_record_reference(capsys, case, command, fmt):
+    generators, m, flag, value = ENGINE_CASES[case]
+    pair = werner(float(value)) if flag == "--werner" else \
+        BellDiagonalState(1, [float(x) for x in value.split(",")])
+    expected, branches = engine_reference(command, generators, m, pair, fmt)
+    assert cli.main([command, "--generators", generators, "-m", str(m), flag, value,
+                     "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+    n = len(generators.split(",")[0])
+    if case == "n4m1-sparse":
+        assert 0 < len(branches) < 1 << (n - m)  # zero-probability branches left out
+    else:
+        assert len(branches) == 1 << (n - m)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from belldistill import gf2, permutation
+from belldistill import gf2, oracle, permutation
 from belldistill.gf2 import BinaryVector, Coset, Subspace
 from belldistill.stabilizer import (
     StabilizerProtocol,
+    SyndromeBranch,
     generator_span,
     optimal_recovery,
     parse_pauli_string,
+    pauli_strings,
     run,
     syndrome_distribution,
     syndrome_of_error,
@@ -66,6 +68,20 @@ def test_random_labels_at_thirteen_pairs_round_trip(rng):
         # the letter of pair i from its phase and parity bits
         assert text == "".join("IXZY"[2 * label.bit(i) + label.bit(13 + i)]
                                for i in range(13))
+
+
+def test_pauli_strings_of_every_label_up_to_four_pairs():
+    for n in range(5):
+        labels = np.arange(1 << (2 * n))
+        assert pauli_strings(labels, n) == \
+            [to_pauli_string(BinaryVector(v, 2 * n)) for v in labels.tolist()]
+    assert pauli_strings(np.array([], dtype=np.int64), 3) == []
+
+
+def test_pauli_strings_of_random_labels_at_thirteen_pairs(rng):
+    labels = rng.integers(0, 1 << 26, 10_000)
+    assert pauli_strings(labels, 13) == \
+        [to_pauli_string(BinaryVector(v, 26)) for v in labels.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +309,120 @@ def test_run_labels_equal_per_branch_reduction(rng):
                           for y in (BinaryVector.zeros(2 * m), c)]
                 assert b.v.value == perp.reduce_value(lifted[0].value)
                 assert b.u.value == span.reduce_value(lifted[1].value)
+
+
+# ---------------------------------------------------------------------------
+# The branch set: columns, per-branch records, read-only
+# ---------------------------------------------------------------------------
+
+def branch_set_inputs(n, rng):
+    """Werner, point-mass, uniform and sparse inputs; the point mass and
+    the sparse pairs leave syndromes at probability zero."""
+    label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
+    return [BellDiagonalState.from_pairs([werner(0.8)] * n),
+            BellDiagonalState.point_mass(n, label),
+            BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n)),
+            BellDiagonalState.from_pairs([BellDiagonalState(1, (0.7, 0.0, 0.3, 0.0))] * n)]
+
+
+def random_code(n, m, rng):
+    gens = tuple(gf2.random_isotropic_generators(n, n - m, rng)) if m < n else ()
+    return StabilizerProtocol(n, m, gens)
+
+
+def test_branch_set_columns_equal_literal_coset_sums(rng):
+    skipped = 0
+    for n in (1, 2, 3):
+        for m in sorted({0, n // 2, n}):
+            proto = random_code(n, m, rng)
+            span = generator_span(proto)
+            perp = gf2.orthogonal_complement(span)
+            labels = [BinaryVector(x, 2 * n) for x in range(1 << (2 * n))]
+            for state in branch_set_inputs(n, rng):
+                branches = run(state, proto)
+                assert branches.s.dtype == branches.v.dtype == branches.u.dtype == np.int64
+                skipped += (1 << (n - m)) - len(branches)
+                live = []
+                for s in range(1 << (n - m)):
+                    # v: the lex-least label with syndrome s
+                    v = next(x for x in labels
+                             if syndrome_of_error(proto.generators, x).value == s)
+                    if gf2.coset_sum(state.probs, Coset(perp, v)) > 0.0:
+                        live.append((s, v))
+                assert branches.s.tolist() == [s for s, _ in live]
+                for row, (s, v) in enumerate(live):
+                    prob = gf2.coset_sum(state.probs, Coset(perp, v))
+                    cosets = {}  # the cosets of the span inside the cell, by least element
+                    for x in perp.elements():
+                        coset = Coset(span, x ^ v)
+                        cosets[int(coset.element_values().min())] = \
+                            gf2.coset_sum(state.probs, coset)
+                    best = max(cosets.values())
+                    u = int(branches.u[row])
+                    assert branches.v[row] == v.value
+                    assert u in cosets  # lex-least representative of its coset
+                    assert abs(cosets[u] - best) <= 1e-15
+                    assert branches.prob[row] == pytest.approx(prob, abs=1e-12)
+                    assert branches.fidelity[row] == pytest.approx(best / prob, abs=1e-12)
+                    assert branches.unnormalized_fidelity[row] == pytest.approx(
+                        (1 << (n - m)) * best / prob, abs=1e-12)
+                    assert branches.accepted[row] == \
+                        (branches.fidelity[row] >= state.fidelity)
+                    assert branches.output[row].sum() == pytest.approx(1.0, abs=1e-12)
+    assert skipped > 0
+
+
+def test_branch_set_columns_equal_the_dense_oracle(rng):
+    for n in (2, 3):
+        for m in (0, 1, n):
+            proto = random_code(n, m, rng)
+            for state in branch_set_inputs(n, rng):
+                branches = run(state, proto)
+                dense = np.zeros(1 << (n - m))
+                if proto.generators:
+                    dense = oracle.syndrome_difference_distribution(
+                        oracle.simulate_syndrome_measurement(state, proto.generators))
+                else:
+                    dense[0] = 1.0
+                assert branches.s.tolist() == np.flatnonzero(dense > 1e-12).tolist()
+                assert branches.prob == pytest.approx(dense[branches.s], abs=1e-12)
+
+
+def reference_branch(branches, row, n, m):
+    """Row `row` of a stabilizer branch set as a record, built here."""
+    return SyndromeBranch(
+        s=BinaryVector(int(branches.s[row]), n - m),
+        prob=float(branches.prob[row]),
+        v=BinaryVector(int(branches.v[row]), 2 * n),
+        u=BinaryVector(int(branches.u[row]), 2 * n),
+        output=BellDiagonalState._trusted(m, branches.output[row].copy()),
+        fidelity=float(branches.fidelity[row]),
+        unnormalized_fidelity=float(branches.unnormalized_fidelity[row]),
+        accepted=bool(branches.accepted[row]),
+    )
+
+
+def test_branch_set_records_equal_the_per_row_reference(rng):
+    for n, m in ((1, 0), (1, 1), (3, 0), (3, 1), (3, 3), (5, 2)):
+        proto = random_code(n, m, rng)
+        for state in branch_set_inputs(n, rng):
+            branches = run(state, proto)
+            assert branches.record is SyndromeBranch
+            expected = [reference_branch(branches, row, n, m)
+                        for row in range(len(branches))]
+            for got, want in zip(list(branches), expected, strict=True):
+                assert got == SyndromeBranch(**{**vars(want), "output": got.output})
+                assert np.array_equal(got.output.probs.view(np.int64),
+                                      want.output.probs.view(np.int64))
+                assert not got.output.probs.flags.writeable
+            for row in range(-len(branches), len(branches)):
+                got = branches[row]
+                assert got == SyndromeBranch(**{**vars(expected[row]), "output": got.output})
+            with pytest.raises(IndexError):
+                branches[len(branches)]
+            for name in ("s", "prob", "v", "u", "output", "fidelity",
+                         "unnormalized_fidelity", "accepted"):
+                column = getattr(branches, name)
+                assert not column.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[0]
