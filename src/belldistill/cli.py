@@ -14,14 +14,15 @@ configuration and seed produce byte-identical output.  Relative ``--output``
 paths resolve against ``BELLDISTILL_OUTDIR`` when that variable is set.
 
 Every float is printed as Python prints it after rounding to 15
-significant digits: ``"%.15g"`` in CSV, ``json.dumps`` in JSON.  The floats
-of a command are formatted together (`_float_groups`).  The 15-digit
-mantissa of each is rint(x * 10^(14-e)) in a 64-bit-significand long
-double, with 10^k correctly rounded from a table, so the product is within
-2^-13 of exact and rint rounds as exact arithmetic would, except within
-2^-9 of a half-way point.  Those entries, and every entry on a platform
-without such a long double, take their digits from Python's correctly
-rounded ``"%.14e"``.  NaN, infinities, subnormals, magnitudes from 1e14 up,
+significant digits: ``"%.15g"`` in CSV, ``json.dumps`` in JSON; every other
+JSON value is written by ``json.dumps`` itself.  The floats of a command
+are formatted together (`_float_groups`).  The 15-digit mantissa of each
+is rint(x * 10^(14-e)) in a 64-bit-significand long double, with 10^k
+numpy's correctly rounded conversion of the exact integer, so the product
+is within 2^-13 of exact and rint rounds as exact arithmetic would, except
+within 2^-9 of a half-way point.  Those entries, and every entry on a
+platform without such a long double, take their digits from Python's
+correctly rounded ``"%.14e"``.  NaN, infinities, subnormals, magnitudes from 1e14 up,
 and commands with few floats are formatted value by value.
 """
 
@@ -63,6 +64,8 @@ def _round15(x: float) -> float:
 
 
 def _clean(value):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
@@ -165,26 +168,6 @@ _WIDE_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 
 
-def _pow10_table(count: int) -> np.ndarray:
-    """10^k for k < count, each rounded to 64 significant bits (half to
-    even) and stored exactly in long double."""
-    mants, shifts = [], []
-    for k in range(count):
-        shift = max((10 ** k).bit_length() - 64, 0)
-        mant, rest = divmod(10 ** k, 1 << shift)
-        if 2 * rest > 1 << shift or (2 * rest == 1 << shift and mant & 1):
-            mant += 1
-        mants.append(mant)
-        shifts.append(shift)
-    # Two exact 32-bit halves, summed exactly in the 64-bit significand.
-    high = np.array([m >> 32 for m in mants], dtype=np.longdouble)
-    low = np.array([m & 0xFFFFFFFF for m in mants], dtype=np.longdouble)
-    # A long double no wider than a double overflows at the top; such a
-    # platform never reads this table.
-    with np.errstate(over="ignore"):
-        return np.ldexp(high * 2.0 ** 32 + low, shifts)
-
-
 @functools.cache
 def _tables() -> SimpleNamespace:
     """The tables of the one-pass path, built on first use, so that a
@@ -197,7 +180,10 @@ def _tables() -> SimpleNamespace:
     zeros of a group with nothing below it.  After the digits come two
     tail words: nothing, ".0" (JSON, integral values) or the exponent
     "e-XX" of a value below 1e-4, indexed by -exponent.  `pow10` holds
-    10^(14-e) for every exponent e of a normal double below _FAST_MAX.
+    10^(14-e) for every exponent e of a normal double below _FAST_MAX,
+    numpy's correctly rounded conversion of each exact integer; only a
+    platform with a 64-bit-significand long double, which holds them all,
+    reads it.
     """
     pad = _byte(_PAD, 1000)
     tail = [_PAD * 8, ".0".ljust(8, _PAD)] + [f"e-{k:02d}".ljust(8, _PAD)
@@ -212,7 +198,8 @@ def _tables() -> SimpleNamespace:
         frac=_words(_digits(10_000, 4, "")),
         frac_trim=_words(_digits(10_000, 4, "trim")),
         tail=np.frombuffer("".join(tail).encode("ascii"), np.uint32).reshape(-1, 2),
-        pow10=_pow10_table(340),
+        pow10=(np.array([10 ** k for k in range(340)], dtype=np.longdouble)
+               if _WIDE_LONGDOUBLE else None),
     )
 
 
@@ -419,8 +406,7 @@ def _value_texts(columns: dict, keys: list, fmt: str,
         elif fmt == "json":
             texts[j] = [_json(v, indent) for v in column]
         else:
-            texts[j] = [_format_cell(_clean(v.tolist() if isinstance(v, np.ndarray)
-                                            else v)) for v in column]
+            texts[j] = [_format_cell(_clean(v)) for v in column]
     if values:
         sep = ",\n" + indent + "  " if fmt == "json" else ";"
         groups = _float_groups(np.concatenate(values), np.concatenate(ends), fmt, sep)
@@ -433,25 +419,6 @@ def _value_texts(columns: dict, keys: list, fmt: str,
     return texts, kinds
 
 
-def _scalar(value) -> str:
-    """`json.dumps(_clean(value))` of one non-float scalar.
-
-    Booleans, None, ints and strings of printable ASCII without a quote or
-    backslash are formatted directly, as `json.dumps` would; anything else,
-    escaped strings included, goes through it.
-    """
-    kind = type(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if kind is int:
-        return repr(value)
-    if kind is str and _plain(value):
-        return f'"{value}"'
-    return json.dumps(_clean(value))
-
-
 def _plain(text: str) -> bool:
     """Whether `json.dumps` writes `text` between quotes unchanged."""
     return text.isascii() and text.isprintable() and '"' not in text \
@@ -460,23 +427,9 @@ def _plain(text: str) -> bool:
 
 def _json(value, indent: str) -> str:
     """`json.dumps(_clean(value), indent=2, sort_keys=True)` for a value
-    nested at `indent`, its floats formatted one by one."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, dict):
-        items = [f"{_scalar(k)}: {_json(value[k], indent + '  ')}"
-                 for k in sorted(value)]
-    elif isinstance(value, (list, tuple)):
-        items = [_json(v, indent + "  ") for v in value]
-    elif isinstance(value, float):
-        return _float_token(value, "json")
-    else:
-        return _scalar(value)
-    left, right = "{}" if isinstance(value, dict) else "[]"
-    if not items:
-        return left + right
-    inner = indent + "  "
-    return f"{left}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{right}"
+    nested at `indent`."""
+    text = json.dumps(_clean(value), indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + indent)
 
 
 def _json_records(columns: dict, indent: str) -> list[str]:
@@ -488,7 +441,7 @@ def _json_records(columns: dict, indent: str) -> list[str]:
     inner = indent + "  "
     texts, kinds = _value_texts(columns, keys, "json", inner)
     value = {"array": f"[\n{inner}  %s\n{inner}]", "text": '"%s"'}
-    fields = [_scalar(k).replace("%", "%%") + ": " + value.get(kind, "%s")
+    fields = [json.dumps(k).replace("%", "%%") + ": " + value.get(kind, "%s")
               for k, kind in zip(keys, kinds)]
     template = f"{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}}}"
     return [template % row for row in zip(*texts)]
@@ -506,7 +459,7 @@ def _render(command: str, columns: dict, fmt: str, summary: dict | None) -> str:
     if fmt == "json":
         records = _json_records(columns, "    ")
         # One join of all pieces, so that the text is built once.
-        parts = ['{\n  "command": ', _scalar(command), ',\n  "records": ', "["]
+        parts = ['{\n  "command": ', json.dumps(command), ',\n  "records": ', "["]
         for i, text in enumerate(records):
             parts += [",\n    " if i else "\n    ", text]
         parts.append("\n  ]" if records else "]")
@@ -697,6 +650,9 @@ def _load_protocol(args) -> PermutationProtocol | StabilizerProtocol:
         data = _read_json_object(args.protocol_file, "protocol")
         n, m = _field(data, "n", int, "protocol"), _field(data, "m", int, "protocol")
         if "generators" in data:
+            if "A" in data or "b" in data:
+                raise CliError("protocol file holds both 'generators' and 'A'/'b'; "
+                               "give one form")
             gens = tuple(parse_pauli_string(s)
                          for s in _strings(data, "generators", "protocol"))
             return StabilizerProtocol(n, m, gens)
@@ -790,7 +746,8 @@ def _parse_grid(text: str | None) -> list[float]:
         span = (hi - lo) / step
         if span > MAX_GRID_POINTS:  # checked before int(): span may be inf
             raise CliError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-        grid = [round(lo + i * step, 12) for i in range(int(round(span)) + 1)]
+        # The slack keeps hi when rounding leaves span just below an integer.
+        grid = [round(lo + i * step, 12) for i in range(math.floor(span + 1e-9) + 1)]
     else:
         try:
             grid = [float(x) for x in text.split(",")]

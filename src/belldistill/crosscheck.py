@@ -94,7 +94,7 @@ def check_syndrome_measurement(sizes: tuple[int, ...], count: int,
 
 
 def check_commutation_rule(count: int, rng: np.random.Generator,
-                           pairs: int = 3) -> CheckResult:
+                           pairs: int) -> CheckResult:
     """sigma_a sigma_b = (-1)^(a^T P b) sigma_b sigma_a, as dense matrices."""
     worst = 0.0
     for _ in range(count):
@@ -109,7 +109,7 @@ def check_commutation_rule(count: int, rng: np.random.Generator,
 
 
 def check_bell_eigenvalue(count: int, rng: np.random.Generator,
-                          pairs: int = 3) -> CheckResult:
+                          pairs: int) -> CheckResult:
     """conj(sigma_g) x sigma_g fixes each Bell product up to the sign
     (-1)^(g^T P x)."""
     worst = 0.0

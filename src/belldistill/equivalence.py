@@ -13,6 +13,7 @@ chosen correction/recovery cosets all agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,8 +22,6 @@ from .gf2 import BinaryVector
 from .permutation import PermutationProtocol, embed_label, measured_subspace
 from .stabilizer import StabilizerProtocol, generator_span
 from .states import BellDiagonalState, random_bell_diagonal
-
-DEFAULT_TOLERANCE = 1e-12
 
 
 def permutation_from_stabilizer(proto: StabilizerProtocol) -> PermutationProtocol:
@@ -71,7 +70,8 @@ class EquivalenceReport:
     branch_sets_match: bool
     coset_match: bool
     max_discrepancy: float
-    tolerance: float = DEFAULT_TOLERANCE
+    # Largest discrepancy a passing check may show.
+    tolerance: ClassVar[float] = 1e-12
 
     @property
     def passed(self) -> bool:
@@ -80,7 +80,8 @@ class EquivalenceReport:
 
     def to_dict(self) -> dict:
         branches = [{**_fields(b), "t": str(b.t)} for b in self.branches]
-        return {**_fields(self), "passed": self.passed, "branches": branches}
+        return {**_fields(self), "tolerance": self.tolerance, "passed": self.passed,
+                "branches": branches}
 
 
 def _fields(record) -> dict:
@@ -151,8 +152,7 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
     )
 
 
-def random_instance(rng: np.random.Generator,
-                    sizes: tuple[int, ...] = (2, 3, 4)
+def random_instance(rng: np.random.Generator, sizes: tuple[int, ...]
                     ) -> tuple[BellDiagonalState, StabilizerProtocol]:
     """Random input state plus random commuting generator set, 0 <= m < n."""
     n = int(rng.choice(sizes))

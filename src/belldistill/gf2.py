@@ -25,7 +25,7 @@ MAX_PAIRS = 14
 
 
 def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -500,21 +500,20 @@ def solve_commutation(gens: Sequence[BinaryVector], s: BinaryVector) -> BinaryVe
 
 
 def complete_to_symplectic(gens: Sequence[BinaryVector], n: int,
-                           m: int | None = None,
                            rng: np.random.Generator | None = None) -> BinaryMatrix:
     """Complete commuting independent generators to a full symplectic matrix.
 
     The returned 2n x 2n matrix B satisfies B^T P B = P, carries the i-th
-    generator in column m+i, and pairs it with column n+m+i (symplectic
-    inner product 1 against its generator, 0 against every other column).
+    of the k generators in column m+i, where m = n - k, and pairs it with
+    column n+m+i (symplectic inner product 1 against its generator, 0
+    against every other column).
     Without an rng the completion is deterministic (lex-least choice at
     every step); an rng yields a random valid completion instead.
     """
     k = len(gens)
-    if m is None:
-        m = n - k
-    if m != n - k or not 0 <= m <= n:
-        raise ValueError("generator count must equal n - m with 0 <= m <= n")
+    m = n - k
+    if m < 0:
+        raise ValueError("generator count must be at most n")
     two_n = 2 * n
     if k:
         if _check_generators(gens) != n:

@@ -33,8 +33,6 @@ from .permutation import BranchSet, branch_outcomes, branch_table
 from .states import BellDiagonalState
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
-# Pauli letter by the digit 2 * phase + parity.
-_PAULI_OF_DIGIT = str.maketrans("0123", "IXZY")
 _PAULI_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
 
 
@@ -54,14 +52,10 @@ def parse_pauli_string(text: str) -> BinaryVector:
 
 def to_pauli_string(label: BinaryVector) -> str:
     """Inverse of :func:`parse_pauli_string`."""
-    k = label.pair_count
-    if not k:
-        return ""
-    # Each half's bits read as a decimal number: in 2 * phase + parity every
-    # digit is 2z + x of one pair, as no digit exceeds 3 and nothing carries.
-    phase = int(format(label.value >> k, "b"))
-    parity = int(format(label.value & ((1 << k) - 1), "b"))
-    return format(2 * phase + parity, f"0{k}d").translate(_PAULI_OF_DIGIT)
+    k, value = label.pair_count, label.value
+    phase, parity = value >> k, value
+    return "".join("IXZY"[2 * (phase >> i & 1) + (parity >> i & 1)]
+                   for i in reversed(range(k)))
 
 
 def pauli_strings(labels: np.ndarray, k: int) -> list[str]:
@@ -97,7 +91,7 @@ class StabilizerProtocol:
         n, m, frame = self.n, self.m, self.frame
         if frame is None:
             object.__setattr__(self, "frame",
-                               gf2.complete_to_symplectic(self.generators, n, m))
+                               gf2.complete_to_symplectic(self.generators, n))
         elif frame.shape != (2 * n, 2 * n) or not gf2.is_symplectic(frame):
             raise ValueError("logical basis must be a symplectic 2n x 2n matrix")
         elif frame.column_values()[m:n] != tuple(g.value for g in self.generators):

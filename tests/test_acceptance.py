@@ -162,7 +162,7 @@ def test_criterion_5_gf2_layer():
             seen = {}
             for seed in range(16):
                 basis = gf2.complete_to_symplectic(
-                    gens, n, n - k, np.random.default_rng(seed))
+                    gens, n, np.random.default_rng(seed))
                 seen[basis.rows] = basis
                 if len(seen) >= 3:
                     break
@@ -271,7 +271,7 @@ def test_criterion_8_determinism(capsys):
             rng = np.random.default_rng(seed)
             blobs = []
             for _ in range(5):
-                state, proto = random_instance(rng)
+                state, proto = random_instance(rng, (2, 3, 4))
                 rep = verify_equivalence(state, proto)
                 blobs.append(json.dumps(rep.to_dict(), sort_keys=True))
             return "\n".join(blobs)

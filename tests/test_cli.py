@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from belldistill import stabilizer
 from belldistill.cli import _CONFIG_KEYS, main
 from belldistill.states import BellDiagonalState, werner
 
@@ -145,6 +147,14 @@ def test_verify_tie_case_matches_cosets(capsys):
     assert all(r["coset_match"] for r in data["records"])
 
 
+def test_verify_missing_branch_prints_nan_and_exits_2(capsys, monkeypatch):
+    run = stabilizer.run
+    monkeypatch.setattr(stabilizer, "run", lambda *args: list(run(*args))[1:])
+    code, out, _ = invoke(capsys, "verify", "--generators", "ZZ", "--werner", "0.75")
+    assert code == 2
+    assert '"output_max_diff": NaN' in out
+
+
 def test_verify_random_batch(capsys):
     code, out, _ = invoke(capsys, "verify", "--random", "8", "--seed", "3")
     assert code == 0
@@ -161,6 +171,14 @@ def test_sweep_improves_fidelity(capsys):
     assert len(records) == 9
     for row in records:
         assert row["f_out"] > row["f_in"]
+    # A lo:hi:step grid keeps hi when (hi - lo) / step rounds just below an
+    # integer, and never runs a point past hi.
+    grids = {"0.55:0.95:0.05": [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95],
+             "0.3:0.5:0.12": [0.3, 0.42], "0.5:0.95:0.3": [0.5, 0.8]}
+    for grid, points in grids.items():
+        code, out, _ = invoke(capsys, "sweep", "--generators", "ZZ", "--grid", grid)
+        assert code == 0
+        assert [row["f_in"] for row in json.loads(out)["records"]] == points
 
 
 def test_oracle_check(capsys):
@@ -240,6 +258,18 @@ BAD_FILES = {
                                  {"n": 2, "m": 1, "A": BCNOT.split(","), "b": "0001"}),
     "protocol-offset-verify": ("--protocol-file",
                                {"n": 2, "m": 1, "A": BCNOT.split(","), "b": "1000"}),
+    # Both forms: the A/b form would be dropped unseen.
+    "protocol-generators-and-A": ("--protocol-file",
+                                  {"n": 2, "m": 1, "generators": ["ZZ"],
+                                   "A": BCNOT.split(","), "b": "0001"}),
+    "protocol-A-wrong-width": ("--protocol-file",
+                               {"n": 3, "m": 1, "A": BCNOT.split(",")}),
+    "protocol-b-number": ("--protocol-file",
+                          {"n": 2, "m": 1, "A": BCNOT.split(","), "b": 1}),
+    "protocol-generators-number": ("--protocol-file",
+                                   {"n": 2, "m": 1, "generators": [3]}),
+    "config-bogus-key": ("--config", {"bogus": 1}),
+    "config-format-xml": ("--config", {"format": "xml", "werner": 0.75}),
 }
 
 # Cases whose file only the named command refuses; the rest run with run-perm.
@@ -282,6 +312,18 @@ def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     ["verify", "--random", "2", "--generators", "ZZ", "--werner", "0.3"],
     ["verify", "--generators", "ZZ", "--werner", "0.75", "--seed", "9"],
     ["verify", "--generators", "ZZ", "--werner", "0.75", "--sizes", "7,8"],
+    ["sweep", "--generators", "ZZ"],
+    ["sweep", "--generators", "ZZ", "--grid", "1:0:0.1"],
+    ["sweep", "--generators", "ZZ", "--grid", "a:b:c"],
+    ["sweep", "--generators", "ZZ", "--grid", "0.5,x"],
+    ["sweep", "--generators", "ZZ", "--grid", "0.7", "--rounds", "0"],
+    ["verify", "--random", "2", "--sizes", "a"],
+    ["run-perm", "--generators", "ZZ", "--pair", "1,2,3"],
+    ["run-perm", "--matrix", BCNOT, "--werner", "0.75"],
+    ["run-perm", "--matrix", "1100,0100,0010", "-m", "1", "--werner", "0.75"],
+    # The output's parent directory is an existing file.
+    ["run-perm", "--generators", "ZZ", "--werner", "0.75", "--output",
+     str(Path(__file__) / "out.json")],
 ])
 def test_out_of_range_flags_fail_cleanly(capsys, argv):
     code, out, err = invoke(capsys, *argv)

@@ -1,5 +1,7 @@
 """Translation between the two protocol families and instance-level checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ def test_completion_embedding_identities(rng):
         k = int(rng.integers(1, n))
         m = n - k
         gens = tuple(gf2.random_isotropic_generators(n, k, rng))
-        basis = gf2.complete_to_symplectic(gens, n, m)
+        basis = gf2.complete_to_symplectic(gens, n)
         span = Subspace.from_vectors(gens)
         perp = gf2.orthogonal_complement(span)
         for t in range(1 << k):
@@ -122,9 +124,19 @@ def test_verify_werner_zz(werner2):
     assert fidelities[1] == pytest.approx((0.25, 0.25), abs=1e-12)
 
 
+def test_verify_reports_a_branch_one_engine_drops(monkeypatch, werner2):
+    run = stabilizer.run
+    monkeypatch.setattr(stabilizer, "run", lambda *args: list(run(*args))[1:])
+    report = verify_equivalence(werner2, StabilizerProtocol.from_pauli_strings(["ZZ"]))
+    assert not report.branch_sets_match
+    assert math.isnan(report.branches[0].output_max_diff)
+    assert report.max_discrepancy == pytest.approx(13 / 18, abs=1e-12)
+    assert not report.passed
+
+
 def test_verify_random_batch(rng):
     for _ in range(40):
-        state, proto = random_instance(rng)
+        state, proto = random_instance(rng, (2, 3, 4))
         report = verify_equivalence(state, proto)
         assert report.passed, report.to_dict()
         assert report.max_discrepancy <= 1e-12
@@ -141,7 +153,7 @@ def test_verify_tie_heavy_inputs_random_completions(rng):
             for state in (BellDiagonalState.from_pairs([werner(0.75)] * n),
                           BellDiagonalState.point_mass(n, label),
                           BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))):
-                frame = gf2.complete_to_symplectic(gens, n, m, rng)
+                frame = gf2.complete_to_symplectic(gens, n, rng)
                 report = verify_equivalence(state, StabilizerProtocol(n, m, gens, frame))
                 assert report.passed, report.to_dict()
                 assert report.max_discrepancy == 0.0
@@ -158,7 +170,7 @@ def test_fidelity_invariant_across_completions(rng):
         completions = {}
         for seed in range(12):
             b = gf2.complete_to_symplectic(
-                gens, n, n - k, np.random.default_rng(seed))
+                gens, n, np.random.default_rng(seed))
             completions[b.rows] = b
             if len(completions) >= 3:
                 break

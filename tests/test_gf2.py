@@ -19,6 +19,7 @@ from belldistill.gf2 import (
     symplectic_form,
     symplectic_inverse,
 )
+from belldistill.stabilizer import StabilizerProtocol
 
 
 def vec(s: str) -> BinaryVector:
@@ -406,12 +407,12 @@ def completion_postconditions(matrix, gens, n, m):
 
 
 def test_complete_empty_gens_identity():
-    assert complete_to_symplectic([], 3, 3) == BinaryMatrix.identity(6)
+    assert complete_to_symplectic([], 3) == BinaryMatrix.identity(6)
 
 
 def test_complete_zz_example():
     g = vec("1100")
-    b = complete_to_symplectic([g], 2, 1)
+    b = complete_to_symplectic([g], 2)
     completion_postconditions(b, [g], 2, 1)
 
 
@@ -426,7 +427,7 @@ def test_complete_random_isotropic(rng):
 
 def test_complete_randomized_variants_distinct(rng):
     gens = [vec("1100")]
-    variants = {complete_to_symplectic(gens, 2, 1, np.random.default_rng(seed)).rows
+    variants = {complete_to_symplectic(gens, 2, np.random.default_rng(seed)).rows
                 for seed in range(10)}
     assert len(variants) >= 3
     for rows in variants:
@@ -435,8 +436,10 @@ def test_complete_randomized_variants_distinct(rng):
 
 def test_complete_rejects_bad_gens():
     with pytest.raises(ValueError):
-        complete_to_symplectic([vec("1100"), vec("1100")], 2, 0)
+        complete_to_symplectic([vec("1100"), vec("1100")], 2)
     with pytest.raises(ValueError):
-        complete_to_symplectic([vec("1000"), vec("0010")], 2, 0)  # anticommuting
-    with pytest.raises(ValueError):
-        complete_to_symplectic([vec("1100")], 2, 0)  # m inconsistent
+        complete_to_symplectic([vec("1000"), vec("0010")], 2)  # anticommuting
+    with pytest.raises(ValueError, match="at most n"):
+        complete_to_symplectic([vec("1100")] * 3, 2)  # more generators than pairs
+    with pytest.raises(ValueError, match="generator count"):
+        StabilizerProtocol(2, 0, (vec("1100"),))  # m inconsistent

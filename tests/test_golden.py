@@ -1,0 +1,153 @@
+"""Golden outputs: a fixed corpus of small commands, each pinned by the
+sha256 of its stdout, stderr and exit code.
+
+The corpus covers every command in JSON and CSV, protocols given inline,
+as a matrix and as files, a state file with zero and subnormal weights
+(floats printed one by one inside the one-pass kernel), an n=8 m=4 engine
+pair (the one-pass kernel) and refusals.  A change that alters any byte of
+these outputs fails here.  When the change is meant, re-pin with
+
+    PYTHONPATH=src python tests/test_golden.py --update
+
+and list the cases that moved, and why, with the change.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from belldistill.cli import main
+
+HASHES = Path(__file__).with_name("golden_hashes.json")
+
+BCNOT = "1100,0100,0010,0011"
+GENS8 = "ZZIIIIII,IIZZIIII,IIIIZZII,IIIIIIZZ"
+
+
+def _state_probs() -> list[float]:
+    """n = 4 weights, most of them zero, a few the smallest subnormal
+    (alone in their output cells, so that outputs print subnormals)."""
+    probs = [float(label % 7 == 0) * (1 + label % 5) for label in range(256)]
+    total = sum(probs)
+    probs = [p / total for p in probs]
+    for label in (9, 33, 62, 200):
+        probs[label] = 5e-324
+    return probs
+
+
+# name -> content of the files a case may name, written to one directory.
+FILES = {
+    "perm.json": {"n": 2, "m": 1, "A": BCNOT.split(","), "b": "0100"},
+    "stab.json": {"n": 4, "m": 2, "generators": ["ZZZZ", "XXII"]},
+    "state.json": {"n": 4, "probs": _state_probs()},
+    "config.json": {"generators": "ZZ", "werner": 0.8, "format": "csv"},
+}
+
+_FORMATS = (("json", []), ("csv", ["--format", "csv"]))
+
+
+def _both(name: str, *argv: str) -> dict:
+    return {f"{name}-{fmt}": [*argv, *flags] for fmt, flags in _FORMATS}
+
+
+CASES = {
+    **_both("run-perm-matrix", "run-perm", "--matrix", BCNOT, "-m", "1",
+            "--werner", "0.75"),
+    **_both("run-code-generators", "run-code", "--generators", "ZZ",
+            "--werner", "0.75"),
+    **_both("run-perm-file-pair", "run-perm", "--protocol-file", "{perm.json}",
+            "--pair", "0.7,0.1,0.15,0.05"),
+    **_both("run-code-file-threshold", "run-code", "--protocol-file", "{stab.json}",
+            "--werner", "0.8", "--threshold", "0.6"),
+    **_both("run-perm-state-file", "run-perm", "--generators", "ZZII,IIZZ",
+            "--state-file", "{state.json}"),
+    **_both("run-code-state-file", "run-code", "--protocol-file", "{stab.json}",
+            "--state-file", "{state.json}"),
+    **_both("run-perm-n8m4", "run-perm", "--generators", GENS8, "--werner", "0.9"),
+    **_both("run-code-n8m4", "run-code", "--generators", GENS8, "--werner", "0.9"),
+    "run-code-matrix-json": ["run-code", "--matrix", BCNOT, "-m", "1",
+                             "--werner", "0.75", "--offset", "0000"],
+    "run-perm-config-csv": ["run-perm", "--config", "{config.json}"],
+    **_both("verify-generators", "verify", "--generators", "ZZZ,IXX",
+            "--werner", "0.75"),
+    **_both("verify-state-file", "verify", "--protocol-file", "{stab.json}",
+            "--state-file", "{state.json}"),
+    **_both("verify-random", "verify", "--random", "10", "--seed", "3"),
+    **_both("oracle-check", "oracle-check", "--sizes", "2", "--count", "2"),
+    **_both("sweep-list", "sweep", "--generators", "ZZ", "--grid", "0.6,0.8",
+            "--rounds", "2"),
+    **_both("sweep-range", "sweep", "--matrix", BCNOT, "-m", "1",
+            "--grid", "0.55:0.95:0.05"),
+    "sweep-iy-json": ["sweep", "--generators", "IY", "-m", "1", "--grid", "0.7",
+                      "--rounds", "3"],
+    # Refusals: one error line, exit 1.
+    "refuse-non-symplectic": ["run-perm", "--matrix", "1100,0100,0010,0010",
+                              "-m", "1", "--werner", "0.75"],
+    "refuse-no-input": ["run-perm", "--matrix", BCNOT, "-m", "1"],
+    "refuse-two-protocols": ["run-code", "--matrix", BCNOT, "--generators", "ZZ",
+                             "-m", "1", "--werner", "0.75"],
+    "refuse-oracle-size": ["oracle-check", "--sizes", "6"],
+    "refuse-random-negative": ["verify", "--random", "-2"],
+    "refuse-tiny-step": ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-300"],
+    "refuse-offset-generators": ["run-code", "--generators", "ZZ", "--offset",
+                                 "1000", "--werner", "0.75"],
+    "refuse-offset-file": ["verify", "--protocol-file", "{perm.json}",
+                           "--werner", "0.75"],
+    "refuse-threshold-nan": ["run-perm", "--generators", "ZZ", "--werner", "0.75",
+                             "--threshold", "nan"],
+    "refuse-sizes-without-random": ["verify", "--generators", "ZZ", "--werner",
+                                    "0.75", "--sizes", "2"],
+}
+
+
+def _digest(argv: list[str], directory: Path) -> str:
+    """sha256 of the exit code, stdout and stderr of `main(argv)`, with
+    each {file} in argv naming that file of `directory`."""
+    argv = [str(directory / a[1:-1]) if a.startswith("{") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()])
+                          .encode()).hexdigest()
+
+
+def _write_files(directory: Path) -> None:
+    for name, content in FILES.items():
+        (directory / name).write_text(json.dumps(content))
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory) -> Path:
+    directory = tmp_path_factory.mktemp("golden")
+    _write_files(directory)
+    return directory
+
+
+def test_corpus_is_pinned():
+    assert sorted(json.loads(HASHES.read_text())) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(files, case):
+    assert _digest(CASES[case], files) == json.loads(HASHES.read_text())[case]
+
+
+def _update() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        _write_files(directory)
+        hashes = {case: _digest(argv, directory) for case, argv in CASES.items()}
+    HASHES.write_text(json.dumps(hashes, indent=2) + "\n")
+    print(f"pinned {len(hashes)} cases in {HASHES}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python tests/test_golden.py --update")
+    _update()

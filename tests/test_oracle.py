@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from belldistill import gf2, oracle
+from belldistill import crosscheck, gf2, oracle, permutation
 from belldistill.gf2 import BinaryVector
 from belldistill.states import BellDiagonalState
 
@@ -192,3 +192,21 @@ def test_alice_marginal_uniform(werner2):
     joint = oracle.simulate_syndrome_measurement(werner2, (vec("1100"),))
     marginal = joint.sum(axis=1)
     assert marginal == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("module, name", [(permutation, "run"),
+                                          (oracle, "simulate_parity_measurement")])
+def test_parity_check_counts_a_missing_branch_as_its_probability(monkeypatch,
+                                                                 module, name):
+    # a branch that only one side reports is an error of its whole weight
+    original, dropped = getattr(module, name), []
+
+    def drop_first(*args):
+        branches = list(original(*args))
+        dropped.append(branches[0].prob)
+        return branches[1:]
+
+    monkeypatch.setattr(module, name, drop_first)
+    result = crosscheck.check_parity_measurement((2,), 1, np.random.default_rng(5))
+    assert result.max_error == dropped[0] > result.tolerance
+    assert not result.passed

@@ -189,7 +189,7 @@ def test_coset_path_equals_direct_path(rng):
         inverse = gf2.symplectic_inverse(matrix)
         shift = (inverse @ offset).value
         gens = tuple(gf2.random_isotropic_generators(n, n - m, rng)) if m < n else ()
-        basis = gf2.complete_to_symplectic(gens, n, m, rng)
+        basis = gf2.complete_to_symplectic(gens, n, rng)
         code = StabilizerProtocol(n, m, gens, basis)
         span = generator_span(code)
         for state in tie_heavy_and_random_inputs(n, rng):

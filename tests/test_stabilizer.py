@@ -278,7 +278,7 @@ def test_run_fidelity_matches_permutation_engine(rng):
 
 
 def test_run_rejects_foreign_basis(zz_proto):
-    basis = gf2.complete_to_symplectic([vec("0100")], 2, 1)
+    basis = gf2.complete_to_symplectic([vec("0100")], 2)
     with pytest.raises(ValueError, match="column"):
         StabilizerProtocol(2, 1, zz_proto.generators, basis)
 
@@ -295,7 +295,7 @@ def test_run_labels_equal_per_branch_reduction(rng):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, n))
         gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
-        proto = StabilizerProtocol(n, m, gens, gf2.complete_to_symplectic(gens, n, m, rng))
+        proto = StabilizerProtocol(n, m, gens, gf2.complete_to_symplectic(gens, n, rng))
         span = generator_span(proto)
         perp = gf2.orthogonal_complement(span)
         label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
