@@ -395,7 +395,7 @@ def _value_texts(columns: dict, keys: list, fmt: str,
             values.append(floats[1])
             ends.append(floats[2])
             continue
-        if isinstance(column, np.ndarray):  # a branch set's `accepted`
+        if isinstance(column, np.ndarray):  # a branch set's bool column
             column = column.tolist()
         types = set(map(type, column))
         if types == {bool}:
@@ -467,15 +467,13 @@ def _render(command: str, columns: dict, fmt: str, summary: dict | None) -> str:
             parts += [',\n  "summary": ', _json(summary, "  ")]
         parts.append("\n}\n")
         return "".join(parts)
-    if fmt == "csv":
-        keys = list(columns)
-        texts, _ = _value_texts(columns, keys, "csv", "")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerows(zip(*texts))
-        return buf.getvalue()
-    raise CliError(f"unknown output format {fmt!r}")
+    keys = list(columns)
+    texts, _ = _value_texts(columns, keys, "csv", "")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    writer.writerows(zip(*texts))
+    return buf.getvalue()
 
 
 def _emit(args, columns: dict, summary: dict | None = None) -> None:
@@ -503,6 +501,8 @@ def _emit(args, columns: dict, summary: dict | None = None) -> None:
 # it is built, since a tiny step would otherwise exhaust memory.
 MAX_GRID_POINTS = 10_000
 
+_FORMATS = ("json", "csv")
+
 # Config keys and the JSON types their values may take (never a boolean).
 _NUMBER = (int, float)
 _CONFIG_KEYS = {
@@ -516,7 +516,7 @@ _CONFIG_KEYS = {
 
 def _add_io_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file supplying any of the other options")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
+    p.add_argument("--format", choices=_FORMATS, default=None,
                    help="output format (default json)")
     p.add_argument("--output", "-o", default=None,
                    help="output file (default stdout); relative paths use "
@@ -621,6 +621,9 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise CliError(f"{args.command} has no option for config key {key!r}")
         if value is not None and not _is_a(value, _CONFIG_KEYS[attr]):
             raise CliError(f"config key {key!r} has a value of the wrong type")
+        if attr == "format" and value not in (None, *_FORMATS):
+            raise CliError(f"config key 'format' must be one of "
+                           f"{', '.join(_FORMATS)}, got {value!r}")
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
 
@@ -660,7 +663,7 @@ def _load_protocol(args) -> PermutationProtocol | StabilizerProtocol:
         if matrix.ncols != 2 * n:
             raise CliError(f"protocol matrix has {matrix.ncols} columns, "
                            f"expected 2n = {2 * n}")
-        b = data.get("b") or "0" * 2 * n
+        b = data.get("b", "0" * 2 * n)
         if not _is_a(b, str):
             raise CliError("protocol needs 'b' as a bit string")
         return PermutationProtocol(n, m, matrix, BinaryVector.from_string(b))
@@ -841,8 +844,12 @@ def _cmd_verify(args) -> int:
     proto = _as_stabilizer(_load_protocol(args))
     state = _load_state(args, proto.n)
     report = equivalence.verify_equivalence(state, proto, args.threshold)
-    summary = report.to_dict()
-    _emit(args, _columns(summary.pop("branches"), args.format), summary)
+    summary = {name: getattr(report, name) for name in (
+        "n", "m", "subspaces_match", "branch_sets_match", "coset_match",
+        "max_discrepancy", "tolerance", "passed")}
+    branches = report.branches
+    _emit(args, {name: _bit_texts(branches, name) if name in branches.widths else column
+                 for name, column in branches.columns.items()}, summary)
     return 0 if report.passed else 2
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import equivalence, gf2, oracle, permutation, stabilizer
 from .gf2 import BinaryVector
-from .permutation import PermutationProtocol
+from .permutation import BranchSet, PermutationProtocol, align
 from .states import random_bell_diagonal
 
 # Largest error a suite passes with; the commutation rule compares exact
@@ -52,26 +52,26 @@ def check_parity_measurement(sizes: tuple[int, ...], count: int,
         proto = PermutationProtocol(n, m, matrix, offset)
         state = random_bell_diagonal(n, rng)
 
-        engine = {o.t.value: o for o in permutation.run(state, proto)}
-        dense = {b.t.value: b for b in oracle.simulate_parity_measurement(
-            state.permute(matrix, offset), m)}
-        worst = max(worst, _branch_error(engine, dense))
+        dense = oracle.simulate_parity_measurement(state.permute(matrix, offset), m)
+        worst = max(worst, _branch_error(permutation.run(state, proto), dense))
     return CheckResult("parity_measurement_vs_oracle", count, worst, TOLERANCE)
 
 
-def _branch_error(engine: dict, dense: dict) -> float:
-    err = 0.0
-    for t, branch in dense.items():
-        if t not in engine:
-            err = max(err, branch.prob)  # dust from a dropped exact-zero branch
-            continue
-        out = engine[t]
-        err = max(err, abs(out.prob - branch.prob), branch.bell_offdiag,
-                  float(np.max(np.abs(out.output.probs - branch.probs))))
-    for t, out in engine.items():
-        if t not in dense:
-            err = max(err, out.prob)
-    return err
+def _branch_error(engine: BranchSet, dense: list[oracle.ParityBranch]) -> float:
+    """Largest gap between the engine's branches and the oracle's (which
+    come in label order): probability, output and the oracle's off-diagonal
+    weight, or the probability of a branch only one side has (for the
+    oracle, dust from a branch of exact probability zero)."""
+    labels = np.array([b.t.value for b in dense], dtype=np.int64)
+    _, e, in_engine, d, in_dense = align(engine.t, labels)
+    prob = np.array([b.prob for b in dense])[d]
+    offdiag = np.array([b.bell_offdiag for b in dense])[d]
+    output_diff = np.abs(engine.output[e] - np.array([b.probs for b in dense])[d])
+    gaps = np.maximum.reduce([np.abs(engine.prob[e] - prob), offdiag,
+                              output_diff.max(axis=1)])
+    error = np.where(in_engine & in_dense, gaps,
+                     np.where(in_engine, engine.prob[e], prob))
+    return float(error.max())
 
 
 def check_syndrome_measurement(sizes: tuple[int, ...], count: int,

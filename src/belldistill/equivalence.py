@@ -5,21 +5,24 @@ column m+i, has the inverse P B^T P: exactly the relabeling a permutation
 protocol needs to reproduce the generator measurements.  Conversely, the
 trailing rows of A*P of any permutation protocol (its `generators`) form a
 valid commuting generator set.  `verify_equivalence` runs both engines on
-the same input and checks, branch by branch (outcome t identified with
-syndrome s), that probabilities, output distributions, fidelities, and the
-chosen correction/recovery cosets all agree.
+the same input and compares their branch sets column by column (outcome t
+identified with syndrome s): probabilities, output distributions,
+fidelities, and the chosen correction/recovery cosets.  The comparison is
+itself a `BranchSet`, one `BranchComparison` row per label either engine
+produced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from . import gf2, permutation, stabilizer
 from .gf2 import BinaryVector
-from .permutation import PermutationProtocol, embed_label, measured_subspace
+from .permutation import (BranchSet, PermutationProtocol, _embed_value, align,
+                          measured_subspace)
 from .stabilizer import StabilizerProtocol, generator_span
 from .states import BellDiagonalState, random_bell_diagonal
 
@@ -42,7 +45,9 @@ def stabilizer_from_permutation(proto: PermutationProtocol) -> StabilizerProtoco
 
 @dataclass(frozen=True)
 class BranchComparison:
-    """Per-branch agreement record (outcome t matched to syndrome s = t)."""
+    """Per-branch agreement record (outcome t matched to syndrome s = t);
+    a branch one engine lacks has probability and fidelity 0 there,
+    `output_max_diff` NaN and `coset_match` False."""
 
     t: BinaryVector
     prob_perm: float
@@ -52,12 +57,6 @@ class BranchComparison:
     output_max_diff: float
     coset_match: bool
 
-    @property
-    def max_discrepancy(self) -> float:
-        return max(abs(self.prob_perm - self.prob_code),
-                   abs(self.fidelity_perm - self.fidelity_code),
-                   self.output_max_diff)
-
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -66,7 +65,7 @@ class EquivalenceReport:
     n: int
     m: int
     subspaces_match: bool
-    branches: tuple[BranchComparison, ...]
+    branches: BranchSet
     branch_sets_match: bool
     coset_match: bool
     max_discrepancy: float
@@ -78,77 +77,56 @@ class EquivalenceReport:
         return (self.subspaces_match and self.branch_sets_match
                 and self.coset_match and self.max_discrepancy <= self.tolerance)
 
-    def to_dict(self) -> dict:
-        branches = [{**_fields(b), "t": str(b.t)} for b in self.branches]
-        return {**_fields(self), "tolerance": self.tolerance, "passed": self.passed,
-                "branches": branches}
-
-
-def _fields(record) -> dict:
-    """A dataclass record's fields by name, values as they are."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
 
 def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
                        threshold: float | None = None) -> EquivalenceReport:
     """Run both engines on one input and compare them branch by branch.
 
-    The permutation protocol comes from the protocol's frame, so output
-    labels are directly comparable.  Mismatches are reported in the
-    returned record, never raised.
+    The permutation protocol comes from the protocol's frame B, so output
+    labels are directly comparable.  A branch's recovery u matches the
+    permutation engine's correction c when B embed(c, t) + u lies in the
+    generator span; with A = B^-1 (the permutation protocol's matrix) that
+    is A u = embed(c, t) outside positions m..n-1, where A puts the span.
+    `max_discrepancy` is the largest probability, fidelity or output gap,
+    counting a branch only one engine has by its probability.  Mismatches
+    are reported in the returned record, never raised.
     """
+    n, m = proto.n, proto.m
     perm_proto = permutation_from_stabilizer(proto)
-    span = generator_span(proto)
-    subspaces_match = measured_subspace(perm_proto) == span
+    subspaces_match = measured_subspace(perm_proto) == generator_span(proto)
 
-    perm_branches = {o.t.value: o for o in permutation.run(state, perm_proto, threshold)}
-    code_branches = {b.s.value: b for b in stabilizer.run(state, proto, threshold)}
-    branch_sets_match = set(perm_branches) == set(code_branches)
-
-    comparisons = []
-    max_disc = 0.0
-    all_cosets = True
-    k = proto.n - proto.m
-    for t in sorted(set(perm_branches) | set(code_branches)):
-        po = perm_branches.get(t)
-        co = code_branches.get(t)
-        if po is None or co is None:
-            present = po or co
-            comparisons.append(BranchComparison(
-                t=BinaryVector(t, k),
-                prob_perm=po.prob if po else 0.0,
-                prob_code=co.prob if co else 0.0,
-                fidelity_perm=po.fidelity if po else 0.0,
-                fidelity_code=co.fidelity if co else 0.0,
-                output_max_diff=float("nan"),
-                coset_match=False,
-            ))
-            max_disc = max(max_disc, present.prob)
-            all_cosets = False
-            continue
-        output_diff = float(np.max(np.abs(po.output.probs - co.output.probs)))
-        shifted = proto.frame @ embed_label(po.correction, po.t, proto.n, proto.m)
-        coset_ok = span.contains(shifted ^ co.u)
-        comparisons.append(BranchComparison(
-            t=BinaryVector(t, k),
-            prob_perm=po.prob,
-            prob_code=co.prob,
-            fidelity_perm=po.fidelity,
-            fidelity_code=co.fidelity,
-            output_max_diff=output_diff,
-            coset_match=coset_ok,
-        ))
-        max_disc = max(max_disc, comparisons[-1].max_discrepancy)
-        all_cosets = all_cosets and coset_ok
+    perm = permutation.run(state, perm_proto, threshold)
+    code = stabilizer.run(state, proto, threshold)
+    t, p, in_perm, c, in_code = align(perm.t, code.s)
+    both = in_perm & in_code
+    prob_perm = np.where(in_perm, perm.prob[p], 0.0)
+    prob_code = np.where(in_code, code.prob[c], 0.0)
+    fidelity_perm = np.where(in_perm, perm.fidelity[p], 0.0)
+    fidelity_code = np.where(in_code, code.fidelity[c], 0.0)
+    output_diff = np.where(both, np.abs(perm.output[p] - code.output[c]).max(axis=1),
+                           np.nan)
+    moved = perm_proto.matrix.apply(code.u[c]) ^ _embed_value(perm.correction[p], t, n, m)
+    coset_match = both & ((moved & ~(((1 << (n - m)) - 1) << n)) == 0)
+    gaps = np.maximum.reduce([np.abs(prob_perm - prob_code),
+                              np.abs(fidelity_perm - fidelity_code), output_diff])
+    discrepancy = np.where(both, gaps, prob_perm + prob_code)
 
     return EquivalenceReport(
-        n=proto.n,
-        m=proto.m,
+        n=n,
+        m=m,
         subspaces_match=subspaces_match,
-        branches=tuple(comparisons),
-        branch_sets_match=branch_sets_match,
-        coset_match=all_cosets,
-        max_discrepancy=max_disc,
+        branches=BranchSet(BranchComparison, m, {"t": n - m}, {
+            "t": t,
+            "prob_perm": prob_perm,
+            "prob_code": prob_code,
+            "fidelity_perm": fidelity_perm,
+            "fidelity_code": fidelity_code,
+            "output_max_diff": output_diff,
+            "coset_match": coset_match,
+        }),
+        branch_sets_match=np.array_equal(perm.t, code.s),
+        coset_match=bool(coset_match.all()),
+        max_discrepancy=float(discrepancy.max(initial=0.0)),
     )
 
 

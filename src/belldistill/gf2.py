@@ -190,6 +190,13 @@ class BinaryMatrix:
             return BinaryMatrix(tuple(rows), other.ncols)
         return NotImplemented
 
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """`self @ v` of every packed value v of the int64 array, as packed
+        values: bit i of each image is the parity of row i AND v."""
+        rows = np.array(self.rows, dtype=np.int64)
+        bits = np.bitwise_count(values[:, None] & rows) & 1
+        return bits.astype(np.int64) @ (1 << np.arange(self.nrows - 1, -1, -1))
+
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.to_strings()!r})"
 

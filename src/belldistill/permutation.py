@@ -27,13 +27,12 @@ as `unnormalized_fidelity` for auditing.
 
 `run` returns a `BranchSet`: the branches as columns read off the table in
 one pass (label, probability, fidelities, acceptance, correction, and the
-outputs as one 2-D array).  Its length, iteration and integer indexing give
-one `ProtocolOutcome` per branch, built on demand.
+outputs as one 2-D array).  The package reads the columns; the set's
+row view (`len` and iteration) is for callers outside it.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -95,13 +94,14 @@ class BranchSet:
     """The branches of one engine run as read-only columns, one row per
     branch of nonzero probability, in label order.
 
-    `columns` maps the fields of `record` (`ProtocolOutcome`, or
-    `stabilizer.SyndromeBranch`), in field order, to their columns, and
-    each column reads as an attribute of the set (`branches.prob`).  Label
-    columns hold int64 label values of the bit lengths in `widths`,
-    `accepted` is bool, `output` holds one normalized row of 4**m weights
-    per branch, and the other columns are float64.  `len`, iteration and
-    integer indexing give the branches as `record`s, built row by row.
+    `columns` maps the fields of `record` (`ProtocolOutcome`,
+    `stabilizer.SyndromeBranch` or `equivalence.BranchComparison`), in
+    field order and so label first, to their columns, and each column reads
+    as an attribute of the set (`branches.prob`).  Label columns hold int64
+    label values of the bit lengths in `widths`, `accepted` and
+    `coset_match` are bool, `output` holds one normalized row of 4**m
+    weights per branch, and the other columns are float64.  `len` and
+    iteration give the branches as `record`s, built row by row.
     """
 
     record: type
@@ -124,26 +124,32 @@ class BranchSet:
             raise AttributeError(name) from None
 
     def __len__(self) -> int:
-        return len(self.columns["prob"])
+        return len(next(iter(self.columns.values())))
 
     def __iter__(self) -> Iterator:
-        return self._records(slice(None))
-
-    def __getitem__(self, index: int):
-        i = range(len(self))[operator.index(index)]
-        return next(self._records(slice(i, i + 1)))
-
-    def _records(self, rows: slice) -> Iterator:
         values = []
         for name, column in self.columns.items():
-            part = column[rows]
             if name == "output":
-                values.append([BellDiagonalState._trusted(self.m, row) for row in part])
+                values.append([BellDiagonalState._trusted(self.m, row) for row in column])
             elif name in self.widths:
-                values.append([BinaryVector(v, self.widths[name]) for v in part.tolist()])
+                values.append([BinaryVector(v, self.widths[name]) for v in column.tolist()])
             else:
-                values.append(part.tolist())
+                values.append(column.tolist())
         return map(self.record, *values)
+
+
+def align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The sorted union of two sorted, nonempty label columns, then for
+    each column the row of every union label in it and whether the label
+    is there (else the row is any valid one).  The union is sorted here,
+    since `np.union1d` imports numpy.ma (~1 MB)."""
+    labels = np.sort(np.concatenate((a, b)))
+    labels = labels[np.concatenate(([True], labels[1:] != labels[:-1]))]
+    found = [labels]
+    for column in (a, b):
+        rows = np.minimum(np.searchsorted(column, labels), column.size - 1)
+        found += [rows, column[rows] == labels]
+    return tuple(found)
 
 
 def measured_subspace(proto: PermutationProtocol) -> Subspace:
@@ -321,7 +327,7 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
     subspace and its entry y one coset of the measured subspace.  Branches
     of probability zero are never produced.  `threshold` defaults to the
     input fidelity (acceptance requires non-degradation).  The branches
-    come as one `BranchSet` of `ProtocolOutcome`s.
+    come as one `BranchSet` with the columns of `ProtocolOutcome`.
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
@@ -408,22 +414,23 @@ def recurrence_sweep(pair: BellDiagonalState, proto: PermutationProtocol,
         accepted = branches.accepted
         pool = np.flatnonzero(accepted if accepted.any() else ~accepted)
         # the pool is in label order, and argmax takes the first maximum
-        best = branches[pool[np.argmax(branches.fidelity[pool])]]
+        best = pool[np.argmax(branches.fidelity[pool])]
+        fidelity = float(branches.fidelity[best])
         accept_prob = sum(branches.prob[accepted].tolist())
         cumulative_yield *= (proto.m / proto.n) * accept_prob
         # Renormalize once per round: the sweep's accept/reject decisions
         # depend on the last bit of the pair fed into the next round.
         next_pair = BellDiagonalState(
-            1, best.output.pauli_shift(best.correction).probs)
+            1, branches.output[best][np.arange(4) ^ branches.correction[best]])
         reports.append(RoundReport(
             round_index=round_index,
             input_fidelity=current.fidelity,
-            branch=best.t,
-            fidelity=best.fidelity,
+            branch=BinaryVector(int(branches.t[best]), proto.n - 1),
+            fidelity=fidelity,
             accept_prob=accept_prob,
             cumulative_yield=cumulative_yield,
             accepted=bool(accepted.any()),
-            improved=best.fidelity > current.fidelity,
+            improved=fidelity > current.fidelity,
             output_pair=next_pair,
         ))
         current = next_pair

@@ -16,9 +16,9 @@ B, so the branch table `permutation.branch_table` fills here is entry by
 entry the one the permutation protocol P B^T P fills, and both engines
 read their branches off it the same way.
 
-`run` returns a `permutation.BranchSet` whose rows are `SyndromeBranch`es:
-the syndrome s, the representative v and the recovery u are int64 label
-columns, tabulated for all syndromes at once.
+`run` returns a `permutation.BranchSet` with the fields of
+`SyndromeBranch` as columns: the syndrome s, the representative v and the
+recovery u are int64 label columns, tabulated for all syndromes at once.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
     rows = np.flatnonzero(branches.s == s.value)
     if not rows.size:
         raise ValueError(f"syndrome {s} has probability zero")
-    return branches[rows[0]].u
+    return BinaryVector(int(branches.u[rows[0]]), 2 * proto.n)
 
 
 def run(state: BellDiagonalState, proto: StabilizerProtocol,
@@ -190,7 +190,7 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     literal expression times 2**(n-m) is reported alongside as
     `unnormalized_fidelity`).  Zero-probability syndromes are never
     produced.  `threshold` defaults to the input fidelity.  The branches
-    come as one `BranchSet` of `SyndromeBranch`es.
+    come as one `BranchSet` with the columns of `SyndromeBranch`.
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")

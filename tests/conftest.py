@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from belldistill.gf2 import BinaryMatrix
+from belldistill.permutation import BranchSet
 from belldistill.states import BellDiagonalState, werner
 
 settings.register_profile(
@@ -31,3 +32,14 @@ def werner2() -> BellDiagonalState:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def edit_columns():
+    """A function giving a branch set with each column replaced by
+    edit(name, column), for engines that misbehave on purpose."""
+    def edit(branches: BranchSet, change) -> BranchSet:
+        return BranchSet(branches.record, branches.m, branches.widths,
+                         {name: change(name, column)
+                          for name, column in branches.columns.items()})
+    return edit

@@ -40,19 +40,21 @@ def test_criterion_1_recurrence_fixture():
         expected = {0b00: 41 / 52, 0b01: 1 / 52, 0b10: 9 / 52, 0b11: 1 / 52}
 
         perm_proto = PermutationProtocol.linear(2, 1, BCNOT)
-        good = {o.t.value: o for o in permutation.run(state, perm_proto)}[0]
-        assert abs(good.prob - 13 / 18) <= 1e-12
-        assert abs(good.fidelity - 41 / 52) <= 1e-12
-        assert abs(good.fidelity - 0.788461538461) <= 1e-9
+        good = permutation.run(state, perm_proto)
+        assert good.t[0] == 0
+        assert abs(good.prob[0] - 13 / 18) <= 1e-12
+        assert abs(good.fidelity[0] - 41 / 52) <= 1e-12
+        assert abs(good.fidelity[0] - 0.788461538461) <= 1e-9
         for label, value in expected.items():
-            assert abs(good.output.probs[label] - value) <= 1e-12
+            assert abs(good.output[0, label] - value) <= 1e-12
 
         code_proto = StabilizerProtocol.from_pauli_strings(["ZZ"])
-        branch = {b.s.value: b for b in stabilizer.run(state, code_proto)}[0]
-        assert abs(branch.prob - 13 / 18) <= 1e-12
-        assert abs(branch.fidelity - 41 / 52) <= 1e-12
+        branch = stabilizer.run(state, code_proto)
+        assert branch.s[0] == 0
+        assert abs(branch.prob[0] - 13 / 18) <= 1e-12
+        assert abs(branch.fidelity[0] - 41 / 52) <= 1e-12
         for label, value in expected.items():
-            assert abs(branch.output.probs[label] - value) <= 1e-12
+            assert abs(branch.output[0, label] - value) <= 1e-12
 
         # independent dense check of the same numbers
         dense = {b.t.value: b for b in oracle.simulate_parity_measurement(
@@ -170,15 +172,13 @@ def test_criterion_5_gf2_layer():
             reference = None
             for basis in seen.values():
                 proto = StabilizerProtocol(n, n - k, gens, basis)
-                stats = {br.s.value: (br.prob, br.fidelity)
-                         for br in stabilizer.run(state, proto)}
+                branches = stabilizer.run(state, proto)
                 if reference is None:
-                    reference = stats
+                    reference = branches
                     continue
-                assert set(stats) == set(reference)
-                for s, (p, f) in stats.items():
-                    assert abs(p - reference[s][0]) <= 1e-12
-                    assert abs(f - reference[s][1]) <= 1e-12
+                assert np.array_equal(branches.s, reference.s)
+                assert np.abs(branches.prob - reference.prob).max() <= 1e-12
+                assert np.abs(branches.fidelity - reference.fidelity).max() <= 1e-12
 
 
 def test_criterion_6_correction_optimality():
@@ -205,11 +205,11 @@ def test_criterion_6_correction_optimality():
             proto = StabilizerProtocol(n, n - k, gens)
             state = random_bell_diagonal(n, rng)
             span = stabilizer.generator_span(proto)
-            for branch in stabilizer.run(state, proto):
-                base = gf2.coset_sum(state.probs, Coset(span, branch.u))
+            for u in stabilizer.run(state, proto).u.tolist():
+                u = BinaryVector(u, 2 * n)
+                base = gf2.coset_sum(state.probs, Coset(span, u))
                 for element in span.elements():
-                    alt = gf2.coset_sum(
-                        state.probs, Coset(span, branch.u ^ element))
+                    alt = gf2.coset_sum(state.probs, Coset(span, u ^ element))
                     assert abs(alt - base) <= 1e-15
 
 
@@ -218,9 +218,10 @@ def test_criterion_7_prefactor_audit():
     with criterion(7, "prefactor audit"):
         state = BellDiagonalState.from_pairs([werner(0.75)] * 2)
         proto = PermutationProtocol.linear(2, 1, BCNOT)
-        good = {o.t.value: o for o in permutation.run(state, proto)}[0]
-        assert abs(good.unnormalized_fidelity - 2 * good.fidelity) <= 1e-12
-        assert abs(good.unnormalized_fidelity - 41 / 26) <= 1e-12
+        good = permutation.run(state, proto)
+        assert good.t[0] == 0
+        assert abs(good.unnormalized_fidelity[0] - 2 * good.fidelity[0]) <= 1e-12
+        assert abs(good.unnormalized_fidelity[0] - 41 / 26) <= 1e-12
 
         rng = np.random.default_rng(77)
         for _ in range(60):
@@ -231,16 +232,17 @@ def test_criterion_7_prefactor_audit():
             matrix = gf2.random_symplectic(n, rng)
             offset = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
             pp = PermutationProtocol(n, m, matrix, offset)
-            for o in permutation.run(instance, pp):
-                assert abs(o.unnormalized_fidelity - factor * o.fidelity) \
-                    <= 1e-12 * factor
-                literal = permutation.unnormalized_fidelity(instance, pp, o.t)
-                assert abs(literal - factor * o.fidelity) <= 1e-12 * factor
+            outcomes = permutation.run(instance, pp)
+            assert np.abs(outcomes.unnormalized_fidelity - factor * outcomes.fidelity) \
+                .max() <= 1e-12 * factor
+            for t, fidelity in zip(outcomes.t.tolist(), outcomes.fidelity):
+                literal = permutation.unnormalized_fidelity(
+                    instance, pp, BinaryVector(t, n - m))
+                assert abs(literal - factor * fidelity) <= 1e-12 * factor
             gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
-            sp = StabilizerProtocol(n, m, gens)
-            for b in stabilizer.run(instance, sp):
-                assert abs(b.unnormalized_fidelity - factor * b.fidelity) \
-                    <= 1e-12 * factor
+            branches = stabilizer.run(instance, StabilizerProtocol(n, m, gens))
+            assert np.abs(branches.unnormalized_fidelity - factor * branches.fidelity) \
+                .max() <= 1e-12 * factor
 
 
 def test_criterion_8_determinism(capsys):
@@ -273,7 +275,11 @@ def test_criterion_8_determinism(capsys):
             for _ in range(5):
                 state, proto = random_instance(rng, (2, 3, 4))
                 rep = verify_equivalence(state, proto)
-                blobs.append(json.dumps(rep.to_dict(), sort_keys=True))
+                blobs.append(json.dumps([rep.n, rep.m, rep.subspaces_match,
+                                         rep.branch_sets_match, rep.coset_match,
+                                         rep.max_discrepancy]))
+                blobs += [column.tobytes().hex()
+                          for column in rep.branches.columns.values()]
             return "\n".join(blobs)
 
         assert engine_report(9) == engine_report(9)

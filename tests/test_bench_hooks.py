@@ -71,3 +71,21 @@ def test_branch_counter_reads_an_engine_result(pair, m):
     top = np.sort(branches.output, axis=1)[:, -2:]
     tied = int(np.sum(top[:, -1] - top[:, 0] <= 1e-12)) if 4 ** m > 1 else 0
     assert tracer.counters["permutation.tied_corrections"] == tied
+
+
+def test_mismatch_counter_reads_a_verify_report(monkeypatch, werner2, edit_columns):
+    """The counter the tracer attaches to `verify_equivalence`, called on a
+    real report: it iterates `report.branches` and reads `coset_match`."""
+    proto = StabilizerProtocol.from_pauli_strings(["ZZ"])
+    tracer = load_tracer().Tracer()
+    report = equivalence.verify_equivalence(werner2, proto)
+    tracer._count_mismatches((werner2, proto), report)
+    assert report.passed
+    assert tracer.counters["equivalence.coset_mismatches"] == 0
+    run = stabilizer.run
+    monkeypatch.setattr(stabilizer, "run",
+                        lambda *args: edit_columns(run(*args), lambda _, column: column[1:]))
+    report = equivalence.verify_equivalence(werner2, proto)
+    tracer._count_mismatches((werner2, proto), report)
+    assert not report.passed
+    assert tracer.counters["equivalence.coset_mismatches"] == 1

@@ -6,6 +6,7 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -147,12 +148,27 @@ def test_verify_tie_case_matches_cosets(capsys):
     assert all(r["coset_match"] for r in data["records"])
 
 
-def test_verify_missing_branch_prints_nan_and_exits_2(capsys, monkeypatch):
+def test_verify_missing_branch_prints_nan_and_exits_2(capsys, monkeypatch, edit_columns):
     run = stabilizer.run
-    monkeypatch.setattr(stabilizer, "run", lambda *args: list(run(*args))[1:])
+    monkeypatch.setattr(stabilizer, "run",
+                        lambda *args: edit_columns(run(*args), lambda _, column: column[1:]))
     code, out, _ = invoke(capsys, "verify", "--generators", "ZZ", "--werner", "0.75")
     assert code == 2
     assert '"output_max_diff": NaN' in out
+
+
+def test_verify_recovery_off_the_span_exits_2(capsys, monkeypatch, edit_columns):
+    # XI is no element of the span of ZZ: the first branch's coset moves
+    run = stabilizer.run
+    shift = np.array([0b0010, 0])
+    monkeypatch.setattr(stabilizer, "run", lambda *args: edit_columns(
+        run(*args), lambda name, column: column ^ shift if name == "u" else column))
+    code, out, _ = invoke(capsys, "verify", "--generators", "ZZ", "--werner", "0.75")
+    assert code == 2
+    data = json.loads(out)
+    assert [r["coset_match"] for r in data["records"]] == [False, True]
+    assert data["summary"]["coset_match"] is False
+    assert data["summary"]["max_discrepancy"] == 0.0
 
 
 def test_verify_random_batch(capsys):
@@ -266,6 +282,17 @@ BAD_FILES = {
                                {"n": 3, "m": 1, "A": BCNOT.split(",")}),
     "protocol-b-number": ("--protocol-file",
                           {"n": 2, "m": 1, "A": BCNOT.split(","), "b": 1}),
+    # A present offset that is no bit string is refused, falsy or not.
+    "protocol-b-zero": ("--protocol-file",
+                        {"n": 2, "m": 1, "A": BCNOT.split(","), "b": 0}),
+    "protocol-b-false": ("--protocol-file",
+                         {"n": 2, "m": 1, "A": BCNOT.split(","), "b": False}),
+    "protocol-b-empty": ("--protocol-file",
+                         {"n": 2, "m": 1, "A": BCNOT.split(","), "b": ""}),
+    "protocol-b-list": ("--protocol-file",
+                        {"n": 2, "m": 1, "A": BCNOT.split(","), "b": []}),
+    "protocol-b-null": ("--protocol-file",
+                        {"n": 2, "m": 1, "A": BCNOT.split(","), "b": None}),
     "protocol-generators-number": ("--protocol-file",
                                    {"n": 2, "m": 1, "generators": [3]}),
     "config-bogus-key": ("--config", {"bogus": 1}),

@@ -1,11 +1,12 @@
 """Translation between the two protocol families and instance-level checks."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from belldistill import gf2, stabilizer
+from belldistill import gf2, permutation, stabilizer
 from belldistill.equivalence import (
     permutation_from_stabilizer,
     random_instance,
@@ -118,27 +119,96 @@ def test_verify_werner_zz(werner2):
     proto = StabilizerProtocol.from_pauli_strings(["ZZ"])
     report = verify_equivalence(werner2, proto)
     assert report.passed
-    fidelities = {b.t.value: (b.fidelity_perm, b.fidelity_code)
-                  for b in report.branches}
-    assert fidelities[0] == pytest.approx((41 / 52, 41 / 52), abs=1e-12)
-    assert fidelities[1] == pytest.approx((0.25, 0.25), abs=1e-12)
+    branches = report.branches
+    assert branches.t.tolist() == [0, 1]
+    assert branches.fidelity_perm == pytest.approx((41 / 52, 0.25), abs=1e-12)
+    assert branches.fidelity_code == pytest.approx((41 / 52, 0.25), abs=1e-12)
+    assert branches.coset_match.tolist() == [True, True]
 
 
-def test_verify_reports_a_branch_one_engine_drops(monkeypatch, werner2):
+def test_verify_reports_a_branch_one_engine_drops(monkeypatch, werner2, edit_columns):
     run = stabilizer.run
-    monkeypatch.setattr(stabilizer, "run", lambda *args: list(run(*args))[1:])
+    monkeypatch.setattr(stabilizer, "run",
+                        lambda *args: edit_columns(run(*args), lambda _, column: column[1:]))
     report = verify_equivalence(werner2, StabilizerProtocol.from_pauli_strings(["ZZ"]))
     assert not report.branch_sets_match
-    assert math.isnan(report.branches[0].output_max_diff)
+    branches = report.branches
+    assert branches.t.tolist() == [0, 1]
+    assert branches.prob_code[0] == branches.fidelity_code[0] == 0.0
+    assert branches.prob_perm[0] == pytest.approx(13 / 18, abs=1e-12)
+    assert math.isnan(branches.output_max_diff[0])
+    assert branches.coset_match.tolist() == [False, True]
     assert report.max_discrepancy == pytest.approx(13 / 18, abs=1e-12)
     assert not report.passed
+
+
+def test_verify_reports_an_output_gap(monkeypatch, werner2, edit_columns):
+    # the stabilizer engine's outputs reversed, its statistics as they are
+    run = stabilizer.run
+    monkeypatch.setattr(stabilizer, "run", lambda *args: edit_columns(
+        run(*args), lambda name, column: column[:, ::-1] if name == "output" else column))
+    report = verify_equivalence(werner2, StabilizerProtocol.from_pauli_strings(["ZZ"]))
+    assert report.branch_sets_match and report.coset_match
+    assert report.branches.output_max_diff == pytest.approx((40 / 52, 0.0), abs=1e-12)
+    assert report.max_discrepancy == pytest.approx(40 / 52, abs=1e-12)
+    assert not report.passed
+
+
+def shift_recoveries(monkeypatch, edit_columns, shifts):
+    """Make `stabilizer.run` XOR its recovery column with `shifts`."""
+    run = stabilizer.run
+    monkeypatch.setattr(stabilizer, "run", lambda *args: edit_columns(
+        run(*args), lambda name, column: column ^ shifts if name == "u" else column))
+
+
+def test_verify_reports_a_recovery_off_the_generator_span(monkeypatch, edit_columns):
+    # the first branch's recovery moves to another coset of the span; the
+    # statistics stay as they are
+    proto = StabilizerProtocol.from_pauli_strings(["ZZZ", "IXX"])
+    state = BellDiagonalState.from_pairs([werner(0.8)] * 3)
+    shift = stabilizer.parse_pauli_string("XXI")
+    assert not generator_span(proto).contains(shift)
+    shift_recoveries(monkeypatch, edit_columns, np.array([shift.value, 0, 0, 0]))
+    report = verify_equivalence(state, proto)
+    assert report.subspaces_match and report.branch_sets_match
+    assert report.max_discrepancy == 0.0
+    assert report.branches.coset_match.tolist() == [False, True, True, True]
+    assert not report.coset_match and not report.passed
+
+
+def test_coset_match_equals_the_literal_span_test(monkeypatch, edit_columns, rng):
+    # per branch: frame @ embed(correction, t) + u in the generator span,
+    # with u shifted by a span element or by a random label
+    seen = set()
+    for _ in range(30):
+        state, proto = random_instance(rng, (1, 2, 3, 4))
+        n, m = proto.n, proto.m
+        span = generator_span(proto)
+        perm = permutation.run(state, permutation_from_stabilizer(proto))
+        elements = span.element_values
+        shifts = np.where(rng.random(perm.t.size) < 0.5,
+                          rng.choice(elements, perm.t.size),
+                          rng.integers(0, 1 << (2 * n), perm.t.size))
+        shift_recoveries(monkeypatch, edit_columns, shifts)
+        code = stabilizer.run(state, proto)
+        expected = [span.contains(proto.frame @ embed_label(
+                        BinaryVector(c, 2 * m), BinaryVector(t, n - m), n, m)
+                        ^ BinaryVector(u, 2 * n))
+                    for t, c, u in zip(perm.t.tolist(), perm.correction.tolist(),
+                                       code.u.tolist())]
+        report = verify_equivalence(state, proto)
+        assert report.branches.coset_match.tolist() == expected
+        assert report.coset_match == all(expected)
+        seen.update(expected)
+        monkeypatch.undo()
+    assert seen == {True, False}
 
 
 def test_verify_random_batch(rng):
     for _ in range(40):
         state, proto = random_instance(rng, (2, 3, 4))
         report = verify_equivalence(state, proto)
-        assert report.passed, report.to_dict()
+        assert report.passed, report
         assert report.max_discrepancy <= 1e-12
 
 
@@ -155,7 +225,7 @@ def test_verify_tie_heavy_inputs_random_completions(rng):
                           BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))):
                 frame = gf2.complete_to_symplectic(gens, n, rng)
                 report = verify_equivalence(state, StabilizerProtocol(n, m, gens, frame))
-                assert report.passed, report.to_dict()
+                assert report.passed, report
                 assert report.max_discrepancy == 0.0
 
 
@@ -178,21 +248,22 @@ def test_fidelity_invariant_across_completions(rng):
         reference = None
         for basis in completions.values():
             branches = stabilizer.run(state, StabilizerProtocol(n, n - k, gens, basis))
-            stats = {br.s.value: (br.prob, br.fidelity) for br in branches}
             if reference is None:
-                reference = stats
+                reference = branches
             else:
-                assert set(stats) == set(reference)
-                for s, (p, f) in stats.items():
-                    assert p == pytest.approx(reference[s][0], abs=1e-12)
-                    assert f == pytest.approx(reference[s][1], abs=1e-12)
+                assert branches.s.tolist() == reference.s.tolist()
+                assert branches.prob == pytest.approx(reference.prob, abs=1e-12)
+                assert branches.fidelity == pytest.approx(reference.fidelity, abs=1e-12)
 
 
 def test_verify_report_serializable(werner2):
+    # the CLI prints the report's scalars as they are: plain Python values
     proto = StabilizerProtocol.from_pauli_strings(["ZZ"])
     report = verify_equivalence(werner2, proto)
-    data = report.to_dict()
-    assert data["passed"] is True
-    assert len(data["branches"]) == 2
-    import json
-    json.dumps(data)  # must be plain JSON types
+    scalars = {name: getattr(report, name) for name in (
+        "n", "m", "subspaces_match", "branch_sets_match", "coset_match",
+        "max_discrepancy", "passed")}
+    assert scalars["passed"] is True
+    assert {type(v) for v in scalars.values()} == {int, bool, float}
+    assert json.loads(json.dumps(scalars)) == scalars
+    assert len(report.branches.t) == 2

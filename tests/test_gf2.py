@@ -103,6 +103,9 @@ def test_affine_images_match_matrix_vector_products(rng):
         assert images.dtype == np.int64
         assert images.tolist() == [(matrix @ BinaryVector(x, ncols)).value ^ offset
                                    for x in range(1 << ncols)]
+        # `apply` maps given inputs, in any order
+        inputs = rng.permutation(1 << ncols)
+        assert (matrix.apply(inputs) ^ offset).tolist() == images[inputs].tolist()
 
 
 @given(st.integers(0, 2 ** 16 - 1), st.integers(0, 2 ** 16 - 1),

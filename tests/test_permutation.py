@@ -96,47 +96,45 @@ def test_run_point_mass_identity():
     state = BellDiagonalState.point_mass(3)
     proto = PermutationProtocol.linear(3, 1, BinaryMatrix.identity(6))
     outcomes = run(state, proto)
-    assert len(outcomes) == 1  # zero-probability branches never appear
-    only = outcomes[0]
-    assert only.t == vec("00")
-    assert only.prob == pytest.approx(1.0, abs=1e-15)
-    assert only.fidelity == 1.0
-    assert only.output.probs[0] == 1.0
-    assert only.accepted
+    assert outcomes.t.tolist() == [0]  # zero-probability branches never appear
+    assert outcomes.prob[0] == pytest.approx(1.0, abs=1e-15)
+    assert outcomes.fidelity[0] == 1.0
+    assert outcomes.output[0, 0] == 1.0
+    assert outcomes.accepted[0]
 
 
 def test_run_werner_bcnot_branch0(bcnot_proto, werner2):
-    outcomes = {o.t.value: o for o in run(werner2, bcnot_proto)}
-    good = outcomes[0]
-    assert good.prob == pytest.approx(13 / 18, abs=1e-12)
-    assert good.output.probs == pytest.approx(
+    outcomes = run(werner2, bcnot_proto)
+    assert outcomes.t.tolist() == [0, 1]
+    assert outcomes.prob[0] == pytest.approx(13 / 18, abs=1e-12)
+    assert outcomes.output[0] == pytest.approx(
         [41 / 52, 1 / 52, 9 / 52, 1 / 52], abs=1e-12)
-    assert good.fidelity == pytest.approx(41 / 52, abs=1e-12)
-    assert good.correction == vec("00")
-    assert good.accepted  # 41/52 >= input fidelity 9/16
+    assert outcomes.fidelity[0] == pytest.approx(41 / 52, abs=1e-12)
+    assert outcomes.correction[0] == 0
+    assert outcomes.accepted[0]  # 41/52 >= input fidelity 9/16
 
 
 def test_run_werner_bcnot_branch1(bcnot_proto, werner2):
-    outcomes = {o.t.value: o for o in run(werner2, bcnot_proto)}
-    bad = outcomes[1]
-    assert bad.prob == pytest.approx(5 / 18, abs=1e-12)
-    assert bad.output.probs == pytest.approx([0.25] * 4, abs=1e-12)
-    assert bad.fidelity == pytest.approx(0.25, abs=1e-12)
-    assert sum(o.prob for o in outcomes.values()) == pytest.approx(1.0, abs=1e-12)
+    outcomes = run(werner2, bcnot_proto)
+    assert outcomes.t.tolist() == [0, 1]
+    assert outcomes.prob[1] == pytest.approx(5 / 18, abs=1e-12)
+    assert outcomes.output[1] == pytest.approx([0.25] * 4, abs=1e-12)
+    assert outcomes.fidelity[1] == pytest.approx(0.25, abs=1e-12)
+    assert outcomes.prob.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_outputs_normalized(bcnot_proto, werner2):
-    for o in run(werner2, bcnot_proto):
-        assert o.output.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        shifted = o.output.pauli_shift(o.correction)
-        assert shifted.fidelity == pytest.approx(o.fidelity, abs=1e-15)
+    outcomes = run(werner2, bcnot_proto)
+    for output, correction, fidelity in zip(outcomes.output, outcomes.correction.tolist(),
+                                            outcomes.fidelity):
+        assert output.sum() == pytest.approx(1.0, abs=1e-12)
+        shifted = BellDiagonalState(1, output).pauli_shift(BinaryVector(correction, 2))
+        assert shifted.fidelity == pytest.approx(fidelity, abs=1e-15)
 
 
 def test_run_threshold_semantics(bcnot_proto, werner2):
-    outcomes = {o.t.value: o for o in run(werner2, bcnot_proto, threshold=0.2)}
-    assert outcomes[0].accepted and outcomes[1].accepted
-    outcomes = {o.t.value: o for o in run(werner2, bcnot_proto, threshold=0.9)}
-    assert not outcomes[0].accepted and not outcomes[1].accepted
+    assert run(werner2, bcnot_proto, threshold=0.2).accepted.tolist() == [True, True]
+    assert run(werner2, bcnot_proto, threshold=0.9).accepted.tolist() == [False, False]
 
 
 def test_run_dimension_mismatch(bcnot_proto):
@@ -198,25 +196,28 @@ def test_coset_path_equals_direct_path(rng):
             literal = literal_branches(
                 q, measured_subspace(proto),
                 lambda y, t: inverse @ embed(y, t, n, m), n, m)
-            outcomes = {o.t.value: o for o in run(state, proto)}
-            assert set(outcomes) == set(literal)
-            for t, (prob, weights) in literal.items():
-                o = outcomes[t]
-                assert o.prob == pytest.approx(prob, abs=1e-12)
-                assert o.output.probs == pytest.approx(weights / prob, abs=1e-12)
-                assert o.fidelity == pytest.approx(weights.max() / prob, abs=1e-12)
-                assert abs(weights[o.correction.value] - weights.max()) <= 1e-15
+            outcomes = run(state, proto)
+            assert outcomes.t.tolist() == sorted(literal)
+            for row, t in enumerate(outcomes.t.tolist()):
+                prob, weights = literal[t]
+                assert outcomes.prob[row] == pytest.approx(prob, abs=1e-12)
+                assert outcomes.output[row] == pytest.approx(weights / prob, abs=1e-12)
+                assert outcomes.fidelity[row] == pytest.approx(weights.max() / prob,
+                                                               abs=1e-12)
+                assert abs(weights[outcomes.correction[row]] - weights.max()) <= 1e-15
 
             literal = literal_branches(
                 state.probs, span, lambda y, s: basis @ embed(y, s, n, m), n, m)
-            branches = {b.s.value: b for b in stabilizer.run(state, code)}
-            assert set(branches) == set(literal)
-            for s, (prob, weights) in literal.items():
-                b = branches[s]
-                assert b.prob == pytest.approx(prob, abs=1e-12)
-                assert b.output.probs == pytest.approx(weights / prob, abs=1e-12)
-                assert b.fidelity == pytest.approx(weights.max() / prob, abs=1e-12)
-                chosen = gf2.coset_sum(state.probs, Coset(span, b.u))
+            branches = stabilizer.run(state, code)
+            assert branches.s.tolist() == sorted(literal)
+            for row, s in enumerate(branches.s.tolist()):
+                prob, weights = literal[s]
+                assert branches.prob[row] == pytest.approx(prob, abs=1e-12)
+                assert branches.output[row] == pytest.approx(weights / prob, abs=1e-12)
+                assert branches.fidelity[row] == pytest.approx(weights.max() / prob,
+                                                               abs=1e-12)
+                u = BinaryVector(int(branches.u[row]), 2 * n)
+                chosen = gf2.coset_sum(state.probs, Coset(span, u))
                 assert abs(chosen - weights.max()) <= 1e-15
 
 
@@ -331,13 +332,15 @@ def test_product_branches_beyond_the_head_equal_literal_coset_sums(rng):
         inverse = gf2.symplectic_inverse(proto.matrix)
         literal = literal_branches(state.probs, measured_subspace(proto),
                                    lambda y, t: inverse @ embed(y, t, n, m), n, m)
-        outcomes = {o.t.value: o for o in run(state, proto)}
-        assert set(outcomes) == set(literal)
-        for t, (prob, weights) in literal.items():
-            o = outcomes[t]
-            assert o.prob == pytest.approx(prob, rel=1e-12)
-            assert o.output.probs == pytest.approx(weights / prob, rel=1e-12, abs=1e-15)
-            assert o.fidelity == pytest.approx(weights.max() / prob, rel=1e-12)
+        outcomes = run(state, proto)
+        assert outcomes.t.tolist() == sorted(literal)
+        for row, t in enumerate(outcomes.t.tolist()):
+            prob, weights = literal[t]
+            assert outcomes.prob[row] == pytest.approx(prob, rel=1e-12)
+            assert outcomes.output[row] == pytest.approx(weights / prob, rel=1e-12,
+                                                         abs=1e-15)
+            assert outcomes.fidelity[row] == pytest.approx(weights.max() / prob,
+                                                           rel=1e-12)
 
 
 def per_row_outcomes(table, m, threshold):
@@ -367,16 +370,16 @@ def test_branch_outcomes_bit_equal_per_row_constructor(rng):
             table = branch_table(state, label_map, offset, m)
             expected = per_row_outcomes(table, m, state.fidelity)
             outcomes = branch_outcomes(table, m, state.fidelity)
-            assert [o.t.value for o in outcomes] == [row[0] for row in expected]
-            for o, (_, prob, output, correction, fid, raw, accepted) in zip(
-                    outcomes, expected):
-                assert bits(o.prob) == bits(prob)
-                assert np.array_equal(bits(o.output.probs), bits(output))
-                assert not o.output.probs.flags.writeable
-                assert o.correction == correction
-                assert bits(o.fidelity) == bits(fid)
-                assert bits(o.unnormalized_fidelity) == bits(raw)
-                assert o.accepted == accepted
+            assert outcomes.t.tolist() == [row[0] for row in expected]
+            assert not outcomes.output.flags.writeable
+            for row, (_, prob, output, correction, fid, raw, accepted) in enumerate(
+                    expected):
+                assert bits(outcomes.prob[row]) == bits(prob)
+                assert np.array_equal(bits(outcomes.output[row]), bits(output))
+                assert outcomes.correction[row] == correction.value
+                assert bits(outcomes.fidelity[row]) == bits(fid)
+                assert bits(outcomes.unnormalized_fidelity[row]) == bits(raw)
+                assert outcomes.accepted[row] == accepted
 
 
 def gather_fold(table, weights, columns):
@@ -412,7 +415,7 @@ def test_fold_bit_equals_the_gather(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# The branch set: columns, per-branch records, read-only
+# The branch set: columns, the row view, read-only
 # ---------------------------------------------------------------------------
 
 def branch_set_inputs(n, rng):
@@ -526,12 +529,6 @@ def test_branch_set_records_equal_the_per_row_reference(rng):
                         for row in range(len(branches))]
             for got, want in zip(list(branches), expected, strict=True):
                 assert_same_record(got, want)
-            for row in range(-len(branches), len(branches)):
-                assert_same_record(branches[row], expected[row])
-            with pytest.raises(IndexError):
-                branches[len(branches)]
-            with pytest.raises(TypeError):
-                branches[0:1]
             assert_read_only(branches)
 
 
@@ -544,8 +541,8 @@ def test_correction_point_mass():
 
 
 def test_correction_werner_branch(bcnot_proto, werner2):
-    good = run(werner2, bcnot_proto)[0]
-    assert optimal_correction(good.output.probs) == vec("00")
+    good = run(werner2, bcnot_proto).output[0]
+    assert optimal_correction(good) == vec("00")
 
 
 def test_correction_brute_force_optimal(rng):
@@ -720,22 +717,24 @@ def test_recurrence_requires_single_survivor(bcnot):
 
 
 def reference_sweep(pair, proto, rounds, threshold):
-    """`recurrence_sweep` over the per-branch records: the best branch is
-    the maximum by (fidelity, -t) over the accepted branches, or over all
-    of them when none is accepted."""
+    """`recurrence_sweep` branch by branch: the best branch is the maximum
+    by (fidelity, -t) over the accepted branches, or over all of them when
+    none is accepted."""
     reports, current, cumulative = [], pair, 1.0
     for round_index in range(1, rounds + 1):
         state = BellDiagonalState.from_pairs([current] * proto.n)
-        outcomes = list(run(state, proto, current.fidelity if threshold is None
-                            else threshold))
-        accepted = [o for o in outcomes if o.accepted]
-        best = max(accepted or outcomes, key=lambda o: (o.fidelity, -o.t.value))
-        accept_prob = sum(o.prob for o in accepted)
+        branches = run(state, proto, current.fidelity if threshold is None else threshold)
+        t, prob, fidelity = (branches.t.tolist(), branches.prob.tolist(),
+                             branches.fidelity.tolist())
+        accepted = [row for row in range(len(t)) if branches.accepted[row]]
+        best = max(accepted or range(len(t)), key=lambda row: (fidelity[row], -t[row]))
+        accept_prob = sum(prob[row] for row in accepted)
         cumulative *= (proto.m / proto.n) * accept_prob
-        next_pair = BellDiagonalState(1, best.output.pauli_shift(best.correction).probs)
-        reports.append((round_index, current.fidelity, best.t, best.fidelity,
-                        accept_prob, cumulative, bool(accepted),
-                        best.fidelity > current.fidelity, next_pair.probs.tolist()))
+        output, correction = branches.output[best], int(branches.correction[best])
+        next_pair = BellDiagonalState(1, [output[x ^ correction] for x in range(4)])
+        reports.append((round_index, current.fidelity, BinaryVector(t[best], proto.n - 1),
+                        fidelity[best], accept_prob, cumulative, bool(accepted),
+                        fidelity[best] > current.fidelity, next_pair.probs.tolist()))
         current = next_pair
     return reports
 

@@ -200,12 +200,13 @@ def test_recovery_commutation_postcondition(rng):
 
 def test_recovery_invariant_within_coset(zz_proto, werner2):
     span = generator_span(zz_proto)
-    for s in ("0", "1"):
-        branch = {b.s.value: b for b in run(werner2, zz_proto)}[int(s)]
-        base = gf2.coset_sum(werner2.probs, Coset(span, branch.u)) / branch.prob
+    branches = run(werner2, zz_proto)
+    assert branches.s.tolist() == [0, 1]
+    for u, prob in zip(branches.u.tolist(), branches.prob.tolist()):
+        u = BinaryVector(u, 4)
+        base = gf2.coset_sum(werner2.probs, Coset(span, u)) / prob
         for element in span.elements():
-            alt = branch.u ^ element
-            fid = gf2.coset_sum(werner2.probs, Coset(span, alt)) / branch.prob
+            fid = gf2.coset_sum(werner2.probs, Coset(span, u ^ element)) / prob
             assert fid == pytest.approx(base, abs=1e-15)
 
 
@@ -220,44 +221,47 @@ def test_recovery_zero_probability_syndrome_raises(zz_proto):
 
 def test_run_point_mass(zz_proto):
     branches = run(BellDiagonalState.point_mass(2), zz_proto)
-    assert len(branches) == 1
-    assert branches[0].s == vec("0")
-    assert branches[0].fidelity == pytest.approx(1.0)
-    assert branches[0].accepted
+    assert branches.s.tolist() == [0]
+    assert branches.fidelity[0] == pytest.approx(1.0)
+    assert branches.accepted[0]
 
 
 def test_run_werner_syndrome0(zz_proto, werner2):
-    branches = {b.s.value: b for b in run(werner2, zz_proto)}
-    good = branches[0]
-    assert good.prob == pytest.approx(13 / 18, abs=1e-12)
-    assert good.fidelity == pytest.approx(41 / 52, abs=1e-12)
-    assert good.u == vec("0000")
-    assert good.output.probs == pytest.approx(
+    branches = run(werner2, zz_proto)
+    assert branches.s.tolist() == [0, 1]
+    assert branches.prob[0] == pytest.approx(13 / 18, abs=1e-12)
+    assert branches.fidelity[0] == pytest.approx(41 / 52, abs=1e-12)
+    assert branches.u[0] == 0
+    assert branches.output[0] == pytest.approx(
         [41 / 52, 1 / 52, 9 / 52, 1 / 52], abs=1e-12)
-    assert good.unnormalized_fidelity == pytest.approx(41 / 26, abs=1e-12)
+    assert branches.unnormalized_fidelity[0] == pytest.approx(41 / 26, abs=1e-12)
 
 
 def test_run_werner_syndrome1(zz_proto, werner2):
     # every recovery coset carries weight 10/144: the failure branch is
     # maximally mixed with fidelity 1/4 (matches the dense oracle and the
     # relabeling engine's t=1 branch)
-    branches = {b.s.value: b for b in run(werner2, zz_proto)}
-    bad = branches[1]
-    assert bad.prob == pytest.approx(5 / 18, abs=1e-12)
-    assert bad.fidelity == pytest.approx(0.25, abs=1e-12)
-    assert bad.output.probs == pytest.approx([0.25] * 4, abs=1e-12)
-    assert sum(b.prob for b in branches.values()) == pytest.approx(1.0, abs=1e-12)
+    branches = run(werner2, zz_proto)
+    assert branches.s.tolist() == [0, 1]
+    assert branches.prob[1] == pytest.approx(5 / 18, abs=1e-12)
+    assert branches.fidelity[1] == pytest.approx(0.25, abs=1e-12)
+    assert branches.output[1] == pytest.approx([0.25] * 4, abs=1e-12)
+    assert branches.prob.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_branch_invariants(zz_proto, werner2):
     span = generator_span(zz_proto)
     perp = gf2.orthogonal_complement(span)
-    for b in run(werner2, zz_proto):
-        assert syndrome_of_error(zz_proto.generators, b.v) == b.s
-        assert syndrome_of_error(zz_proto.generators, b.u) == b.s
-        assert (b.u ^ b.v) in perp  # recovery stays in the syndrome's cell
-        assert b.output.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert b.fidelity == pytest.approx(np.max(b.output.probs), abs=1e-12)
+    branches = run(werner2, zz_proto)
+    for row, (s, v, u) in enumerate(zip(branches.s.tolist(), branches.v.tolist(),
+                                        branches.u.tolist())):
+        s, v, u = BinaryVector(s, 1), BinaryVector(v, 4), BinaryVector(u, 4)
+        assert syndrome_of_error(zz_proto.generators, v) == s
+        assert syndrome_of_error(zz_proto.generators, u) == s
+        assert (u ^ v) in perp  # recovery stays in the syndrome's cell
+        assert branches.output[row].sum() == pytest.approx(1.0, abs=1e-12)
+        assert branches.fidelity[row] == pytest.approx(branches.output[row].max(),
+                                                       abs=1e-12)
 
 
 def test_run_fidelity_matches_permutation_engine(rng):
@@ -268,13 +272,11 @@ def test_run_fidelity_matches_permutation_engine(rng):
         gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
         proto = StabilizerProtocol(n, m, gens)
         state = random_bell_diagonal(n, rng)
-        code = {b.s.value: b for b in run(state, proto)}
-        perm = {o.t.value: o for o in permutation.run(
-            state, permutation_from_stabilizer(proto))}
-        assert set(code) == set(perm)
-        for s in code:
-            assert code[s].fidelity == pytest.approx(perm[s].fidelity, abs=1e-12)
-            assert code[s].prob == pytest.approx(perm[s].prob, abs=1e-12)
+        code = run(state, proto)
+        perm = permutation.run(state, permutation_from_stabilizer(proto))
+        assert code.s.tolist() == perm.t.tolist()
+        assert code.fidelity == pytest.approx(perm.fidelity, abs=1e-12)
+        assert code.prob == pytest.approx(perm.prob, abs=1e-12)
 
 
 def test_run_rejects_foreign_basis(zz_proto):
@@ -415,11 +417,6 @@ def test_branch_set_records_equal_the_per_row_reference(rng):
                 assert np.array_equal(got.output.probs.view(np.int64),
                                       want.output.probs.view(np.int64))
                 assert not got.output.probs.flags.writeable
-            for row in range(-len(branches), len(branches)):
-                got = branches[row]
-                assert got == SyndromeBranch(**{**vars(expected[row]), "output": got.output})
-            with pytest.raises(IndexError):
-                branches[len(branches)]
             for name in ("s", "prob", "v", "u", "output", "fidelity",
                          "unnormalized_fidelity", "accepted"):
                 column = getattr(branches, name)
