@@ -15,15 +15,17 @@ paths resolve against ``BELLDISTILL_OUTDIR`` when that variable is set.
 
 Every float is printed as Python prints it after rounding to 15
 significant digits: ``"%.15g"`` in CSV, ``json.dumps`` in JSON; every other
-JSON value is written by ``json.dumps`` itself.  The floats of a command
-are formatted together (`_float_groups`).  The 15-digit mantissa of each
-is rint(x * 10^(14-e)) in a 64-bit-significand long double, with 10^k
+JSON value is written by ``json.dumps`` itself.  Output is written in
+blocks of whole records holding about `_CHUNK` floats each, so the memory
+rendering takes does not grow with the size of the output; the floats of
+a block are formatted together (`_float_groups`).  The 15-digit mantissa
+of each is rint(x * 10^(14-e)) in a 64-bit-significand long double, with 10^k
 numpy's correctly rounded conversion of the exact integer, so the product
 is within 2^-13 of exact and rint rounds as exact arithmetic would, except
 within 2^-9 of a half-way point.  Those entries, and every entry on a
 platform without such a long double, take their digits from Python's
 correctly rounded ``"%.14e"``.  NaN, infinities, subnormals, magnitudes from 1e14 up,
-and commands with few floats are formatted value by value.
+and blocks with few floats are formatted value by value.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -113,13 +116,14 @@ def _float_token(x: float, fmt: str) -> str:
 _FAST_MAX = 1e14
 _FAST_TINY = np.finfo(float).tiny
 
-# Below this many floats a command's floats are formatted one by one.  The
+# Below this many floats a block's floats are formatted one by one.  The
 # one-pass path costs ~0.15 ms however few entries it prints, the
 # per-value path ~2.5 us an entry: both take ~0.17 ms at 64 floats (2-core
 # x86-64, Python 3.11, numpy 2.4).  With no cutoff, the benchmark's `suite`
 # workload (thousands of small commands) runs ~8% slower.
 _BATCH_MIN = 64
-# Entries per pass, so that the pass's temporaries stay a few MB.
+# Entries per pass, so that the pass's temporaries stay a few MB; also
+# about the floats of a block of records (`_blocks`).
 _CHUNK = 1 << 14
 
 # Control bytes of the assembled text: padding, the end of a group, and
@@ -436,8 +440,6 @@ def _json_records(columns: dict, indent: str) -> list[str]:
     """`_json(rec, indent)` of every record of the columns, each written
     from one template of the records' fields."""
     keys = sorted(columns)
-    if not keys:
-        return []
     inner = indent + "  "
     texts, kinds = _value_texts(columns, keys, "json", inner)
     value = {"array": f"[\n{inner}  %s\n{inner}]", "text": '"%s"'}
@@ -447,39 +449,65 @@ def _json_records(columns: dict, indent: str) -> list[str]:
     return [template % row for row in zip(*texts)]
 
 
-def _render(command: str, columns: dict, fmt: str, summary: dict | None) -> str:
-    """The command's output text: JSON, or CSV with one row per record.
+def _float_count(column) -> int:
+    """About how many floats `_float_column` finds in a column, without
+    gathering them."""
+    if isinstance(column, np.ndarray):
+        return column.size if column.dtype == np.float64 else 0
+    if all(isinstance(v, float) for v in column):
+        return len(column)
+    if all(_is_float_array(v) for v in column):
+        return sum(v.size for v in column)
+    return 0
 
-    `columns` holds the records field by field (`_columns`, or an engine's
-    branch set), in the CSV column order.  Every float is printed with 15
-    significant digits, all of a command's record fields in one
-    `_float_groups` call.  Array values are printed as lists (`;`-joined in
-    a CSV cell).
-    """
-    if fmt == "json":
-        records = _json_records(columns, "    ")
-        # One join of all pieces, so that the text is built once.
-        parts = ['{\n  "command": ', json.dumps(command), ',\n  "records": ', "["]
-        for i, text in enumerate(records):
-            parts += [",\n    " if i else "\n    ", text]
-        parts.append("\n  ]" if records else "]")
-        if summary is not None:
-            parts += [',\n  "summary": ', _json(summary, "  ")]
-        parts.append("\n}\n")
-        return "".join(parts)
-    keys = list(columns)
-    texts, _ = _value_texts(columns, keys, "csv", "")
+
+def _blocks(columns: dict) -> Iterator[dict]:
+    """The columns cut into blocks of consecutive rows, each holding about
+    _CHUNK floats, at least one row."""
+    rows = len(next(iter(columns.values()), ()))
+    floats = sum(map(_float_count, columns.values()))
+    step = max(1, rows * _CHUNK // max(floats, 1))
+    for start in range(0, rows, step):
+        yield {key: column[start:start + step] for key, column in columns.items()}
+
+
+def _csv_text(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(keys)
-    writer.writerows(zip(*texts))
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
+def _render(out, command: str, columns: dict, fmt: str, summary: dict | None) -> None:
+    """Write the command's output to the text stream `out`: JSON, or CSV
+    with one row per record.
+
+    `columns` holds the records field by field (`_columns`, or an engine's
+    branch set), in the CSV column order.  The records are written block
+    by block (`_blocks`), so that only one block's text exists at a time.
+    Every float is printed with 15 significant digits, all of a block's
+    record fields in one `_float_groups` call.  Array values are printed
+    as lists (`;`-joined in a CSV cell).
+    """
+    if fmt == "csv":
+        out.write(_csv_text([list(columns)]))
+        for block in _blocks(columns):
+            texts, _ = _value_texts(block, list(block), "csv", "")
+            out.write(_csv_text(zip(*texts)))
+        return
+    out.write('{\n  "command": ' + json.dumps(command) + ',\n  "records": [')
+    sep = "\n    "
+    for block in _blocks(columns):
+        out.write(sep + ",\n    ".join(_json_records(block, "    ")))
+        sep = ",\n    "
+    out.write("]" if sep == "\n    " else "\n  ]")
+    if summary is not None:
+        out.write(',\n  "summary": ' + _json(summary, "  "))
+    out.write("\n}\n")
+
+
 def _emit(args, columns: dict, summary: dict | None = None) -> None:
-    text = _render(args.command, columns, args.format, summary)
     if args.output is None:
-        sys.stdout.write(text)
+        _render(sys.stdout, args.command, columns, args.format, summary)
         return
     path = Path(args.output)
     if not path.is_absolute():
@@ -488,7 +516,8 @@ def _emit(args, columns: dict, summary: dict | None = None) -> None:
             path = Path(base) / path
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as out:
+            _render(out, args.command, columns, args.format, summary)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from belldistill import stabilizer
+from belldistill import equivalence, permutation, stabilizer
 from belldistill.cli import _CONFIG_KEYS, main
 from belldistill.states import BellDiagonalState, werner
 
@@ -122,6 +123,20 @@ def test_output_file_and_outdir_env(tmp_path, capsys, monkeypatch):
     assert out == ""
     written = json.loads((tmp_path / "result.json").read_text())
     assert written["command"] == "run-perm"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_write_failure_is_one_error_line(capsys, fmt):
+    # 4 records of 3 + 4**7 floats: one block each
+    code, out, err = invoke(capsys, "run-perm", "--generators", "ZZIIIIIII,IIZZIIIII",
+                            "-m", "7", "--werner", "0.8", "--format", fmt,
+                            "--output", "/dev/full")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write /dev/full: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +503,30 @@ def test_product_input_never_allocates_the_dense_table(tmp_path, command):
     assert rc == 0
     assert len(json.loads((tmp_path / "out.json").read_text())["records"]) == 1 << (n - 1)
     assert peak < (128 << 20) // 16
+
+
+def traced_peak(run) -> int:
+    """The most memory `run()` holds at once beyond what is held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_takes_no_more_memory_than_the_engine(tmp_path, fmt):
+    n, m = 12, 6  # 64 records of 3 + 4**6 floats
+    gens = ["I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - m)]
+    argv = ["run-perm", "--generators", ",".join(gens), "-m", str(m),
+            "--werner", "0.8", "--format", fmt, "--output", str(tmp_path / "out")]
+    assert main(argv) == 0  # imports and digit tables are built once
+    proto = equivalence.permutation_from_stabilizer(
+        stabilizer.StabilizerProtocol.from_pauli_strings(gens, m))
+    state = BellDiagonalState.from_pairs([werner(0.8)] * n)
+    engine = traced_peak(lambda: permutation.run(state, proto))
+    command = traced_peak(lambda: main(argv))
+    assert command <= 1.25 * engine + (1 << 20), (command, engine)

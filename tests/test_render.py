@@ -1,9 +1,10 @@
 """The CLI renderer against the plain `json` and `csv` rendering it replaced.
 
-`cli._render` formats all floats of a command in one pass (`_float_groups`:
-exact 15-digit decimals from `_decimal`, text from digit tables in
-`_chunk_text`), from columns: a record list transposed by `_columns`, or an
-engine's branch set.  The reference here is the rendering that predates
+`cli._render` writes a command's records in blocks of rows and formats all
+floats of a block in one pass (`_float_groups`: exact 15-digit decimals
+from `_decimal`, text from digit tables in `_chunk_text`), from columns: a
+record list transposed by `_columns`, or an engine's branch set.  The
+reference here is the rendering that predates
 it: `json.dumps` of a list of records with every float rounded through
 `"%.15g"`, and per-value CSV cells, with every array turned into a list of
 Python floats first.  The reference shares no formatting code with the
@@ -22,7 +23,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from belldistill import cli, equivalence, gf2, permutation, stabilizer
-from belldistill.cli import _columns, _render
+from belldistill.cli import _columns
 from belldistill.gf2 import BinaryMatrix
 from belldistill.permutation import PermutationProtocol
 from belldistill.stabilizer import StabilizerProtocol, to_pauli_string
@@ -64,6 +65,13 @@ def reference(command, records, fmt, summary):
     for rec in records:
         writer.writerow([cell(v) for v in rec.values()])
     return buf.getvalue()
+
+
+def _render(command, columns, fmt, summary):
+    """The text `cli._render` writes."""
+    out = io.StringIO()
+    cli._render(out, command, columns, fmt, summary)
+    return out.getvalue()
 
 
 def assert_renders_as_reference(records, summary=None):
@@ -457,3 +465,76 @@ def test_cli_output_without_a_wide_long_double(monkeypatch, capsys, fmt):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == wide
     assert sum(calls) > cli._BATCH_MIN
+
+
+# ---------------------------------------------------------------------------
+# Block boundaries: `_render` writes the records in blocks of rows
+# ---------------------------------------------------------------------------
+
+def spy_blocks(monkeypatch):
+    """Record the floats of each block `_render` formats."""
+    sizes = []
+    float_groups = cli._float_groups
+
+    def count(values, *args):
+        sizes.append(values.size)
+        return float_groups(values, *args)
+
+    monkeypatch.setattr(cli, "_float_groups", count)
+    return sizes
+
+
+def test_record_count_the_block_size_does_not_divide(monkeypatch):
+    sizes = spy_blocks(monkeypatch)
+    rng = np.random.default_rng(11)
+    # 5001 floats a record (the array and `prob`): blocks of 3, 3, 3, 1
+    records = records_of([rng.random(5000) for _ in range(10)])
+    assert_renders_as_reference(records, {"instances": 10, "passed": True})
+    assert sizes == [3 * 5001, 3 * 5001, 3 * 5001, 5001] * 2
+
+
+def test_values_formatted_on_their_own_in_a_later_block(monkeypatch):
+    sizes = spy_blocks(monkeypatch)
+    arrays = [np.full(5000, 0.25) for _ in range(7)]
+    arrays[-1][[0, 17, -1]] = [float("nan"), 5e-324, 1e15]
+    arrays[-2][5] = -2.5e-310
+    assert_renders_as_reference(records_of(arrays), {"failed": 1})
+    assert sizes == [3 * 5001, 3 * 5001, 5001] * 2
+
+
+def test_final_block_below_the_per_value_cutoff(monkeypatch):
+    sizes = spy_blocks(monkeypatch)
+    rows = cli._CHUNK // 21 + 1
+    records = records_of([np.linspace(0.0, 1.0, 20) / (i + 1) for i in range(rows)])
+    assert_renders_as_reference(records, {"instances": rows})
+    assert sizes == [(rows - 1) * 21, 21] * 2
+    assert sizes[1] < cli._BATCH_MIN
+
+
+def test_rows_wider_than_a_block_are_one_block_each(monkeypatch):
+    sizes = spy_blocks(monkeypatch)
+    rng = np.random.default_rng(12)
+    arrays = [rng.random(cli._CHUNK + 100) for _ in range(3)]
+    arrays[1][-1] = float("nan")
+    assert_renders_as_reference(records_of(arrays), {"passed": False})
+    assert sizes == [cli._CHUNK + 101] * 6
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_engine_rows_of_4_to_the_7_floats_are_one_block_each(monkeypatch, capsys, fmt):
+    expected, branches = engine_reference("run-perm", "ZZIIIIII", 7, werner(0.8), fmt)
+    sizes = spy_blocks(monkeypatch)
+    assert cli.main(["run-perm", "--generators", "ZZIIIIII", "-m", "7",
+                     "--werner", "0.8", "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+    assert sizes == [3 + 4 ** 7] * len(branches)
+
+
+def test_zero_records():
+    columns = {"t": [], "prob": np.zeros(0), "output": np.zeros((0, 4))}
+    for summary in (None, {"passed": True}):
+        assert _render("run-perm", columns, "json", summary) == \
+            reference("run-perm", [], "json", summary)
+        assert _render("run-perm", _columns([], "json"), "json", summary) == \
+            reference("run-perm", [], "json", summary)
+    assert _render("run-perm", columns, "csv", None) == "t,prob,output\n"
