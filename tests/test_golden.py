@@ -4,7 +4,8 @@ sha256 of its stdout, stderr and exit code.
 The corpus covers every command in JSON and CSV, protocols given inline,
 as a matrix and as files, a state file with zero and subnormal weights
 (floats printed one by one inside the one-pass kernel), an n=8 m=4 engine
-pair (the one-pass kernel) and refusals.  A change that alters any byte of
+pair (the one-pass kernel), an n=13 m=1 engine pair (4096 small records
+written in several blocks) and refusals.  A change that alters any byte of
 these outputs fails here.  When the change is meant, re-pin with
 
     PYTHONPATH=src python tests/test_golden.py --update
@@ -28,6 +29,8 @@ HASHES = Path(__file__).with_name("golden_hashes.json")
 
 BCNOT = "1100,0100,0010,0011"
 GENS8 = "ZZIIIIII,IIZZIIII,IIIIZZII,IIIIIIZZ"
+# Z_iZ_{i+1} on 13 pairs: 4096 small records, more than one output block.
+CHAIN13 = ",".join("I" * i + "ZZ" + "I" * (11 - i) for i in range(12))
 
 
 def _state_probs() -> list[float]:
@@ -71,6 +74,8 @@ CASES = {
             "--state-file", "{state.json}"),
     **_both("run-perm-n8m4", "run-perm", "--generators", GENS8, "--werner", "0.9"),
     **_both("run-code-n8m4", "run-code", "--generators", GENS8, "--werner", "0.9"),
+    **_both("run-perm-n13m1", "run-perm", "--generators", CHAIN13, "--werner", "0.8"),
+    **_both("run-code-n13m1", "run-code", "--generators", CHAIN13, "--werner", "0.8"),
     "run-code-matrix-json": ["run-code", "--matrix", BCNOT, "-m", "1",
                              "--werner", "0.75", "--offset", "0000"],
     "run-perm-config-csv": ["run-perm", "--config", "{config.json}"],
