@@ -15,17 +15,17 @@ paths resolve against ``BELLDISTILL_OUTDIR`` when that variable is set.
 
 Every float is printed as Python prints it after rounding to 15
 significant digits: ``"%.15g"`` in CSV, ``json.dumps`` in JSON; every other
-JSON value is written by ``json.dumps`` itself.  Output is written in
-blocks of whole records holding about `_CHUNK` floats each, so the memory
-rendering takes does not grow with the size of the output; the floats of
-a block are formatted together (`_float_groups`).  The 15-digit mantissa
-of each is rint(x * 10^(14-e)) in a 64-bit-significand long double, with 10^k
-numpy's correctly rounded conversion of the exact integer, so the product
-is within 2^-13 of exact and rint rounds as exact arithmetic would, except
-within 2^-9 of a half-way point.  Those entries, and every entry on a
-platform without such a long double, take their digits from Python's
-correctly rounded ``"%.14e"``.  NaN, infinities, subnormals, magnitudes from 1e14 up,
-and blocks with few floats are formatted value by value.
+value as ``json.dumps`` or ``csv.writer`` writes it.  Output is written in
+blocks of whole records of about `_BLOCK_BYTES`, so the memory rendering
+takes does not grow with the size of the output.  Each block is one byte
+matrix with a row per record (`_block_matrix`).  The 15-digit mantissa of
+each float is rint(x * 10^(14-e)) in a 64-bit-significand long double, with
+10^k numpy's correctly rounded conversion of the exact integer, so the
+product is within 2^-13 of exact and rint rounds as exact arithmetic would,
+except within 2^-9 of a half-way point.  Those entries, and every entry on
+a platform without such a long double, take their digits from Python's
+correctly rounded ``"%.14e"``.  NaN, infinities, subnormals, magnitudes
+from 1e14 up, and blocks with few floats are formatted value by value.
 """
 
 from __future__ import annotations
@@ -38,16 +38,17 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import crosscheck, equivalence, permutation, stabilizer
-from .gf2 import MAX_PAIRS, BinaryMatrix, BinaryVector, bit_strings
+from .gf2 import MAX_PAIRS, BinaryMatrix, BinaryVector, bit_chars
 from .permutation import PermutationProtocol
-from .stabilizer import (StabilizerProtocol, parse_pauli_string, pauli_strings,
+from .stabilizer import (StabilizerProtocol, parse_pauli_string, pauli_letters,
                          to_pauli_string)
 from .states import BellDiagonalState, werner
 
@@ -100,17 +101,21 @@ def _float_token(x: float, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Float arrays in one pass
+# Output: each block of records as one byte matrix
 #
-# `_float_groups` prints many floats at once.  Each entry that is zero or a
-# normal double below _FAST_MAX in magnitude gets its 15-digit decimal
-# (`_decimal`) and its text from digit tables (`_chunk_text`); any other
-# entry (NaN, infinities, subnormals, large magnitudes) is formatted by
-# `_float_token`.  For the entries the tables print, the JSON token
-# `repr(_round15(x))` is `"%.15g" % x` with ".0" appended when it has
-# neither "." nor "e": a decimal of at most 15 significant digits survives
-# the round trip through a normal double (DBL_DIG = 15), and below 1e15
-# ".15g" and repr pick the same notation.  The CSV token is `"%.15g" % x`.
+# `_block_matrix` builds a block as one uint8 matrix with a row per record:
+# the template's constant bytes (keys, brackets, separators) and a slot per
+# value, filled by numpy: float tokens from digit tables, in one pass over
+# the block's floats (`_tokens`), label bytes (`_Labels`) and booleans
+# (`_BOOLS`).  Bytes a value leaves unused are padding, deleted from the
+# block at once.  Strings, ints and floats the tables do not print leave a
+# hole, filled after the padding is gone (`_fill`).
+#
+# For the entries the tables print, the JSON token `repr(_round15(x))` is
+# `"%.15g" % x` with ".0" appended when it has neither "." nor "e": a
+# decimal of at most 15 significant digits survives the round trip through
+# a normal double (DBL_DIG = 15), and below 1e15 ".15g" and repr pick the
+# same notation.  The CSV token is `"%.15g" % x`.
 # ---------------------------------------------------------------------------
 
 _FAST_MAX = 1e14
@@ -122,13 +127,17 @@ _FAST_TINY = np.finfo(float).tiny
 # x86-64, Python 3.11, numpy 2.4).  With no cutoff, the benchmark's `suite`
 # workload (thousands of small commands) runs ~8% slower.
 _BATCH_MIN = 64
-# Entries per pass, so that the pass's temporaries stay a few MB; also
-# about the floats of a block of records (`_blocks`).
-_CHUNK = 1 << 14
+# About the bytes of a block's matrix, and what a float takes of them with
+# its separator (`_blocks`).  Formatting takes ~100 bytes more a float
+# while the block is built, so rendering holds under 2 MB whatever the
+# size of the output (n=13 m=1 `run-code`: ~1.2 MB beyond its columns).
+_BLOCK_BYTES = 3 << 17
+_FLOAT_BYTES = 32
 
-# Control bytes of the assembled text: padding, the end of a group, and
-# the place of an entry formatted on its own, filled in afterwards (`_fill`).
-_PAD, _GROUP_END, _HOLE = "\0", "\1", "\2"
+# Control bytes of a block's matrix: padding, and the place of a value
+# formatted on its own, filled in afterwards (`_fill`).
+_PAD, _HOLE = "\0", "\2"
+_BOOLS = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
 
 
 def _digits(count: int, width: int, pad: str) -> np.ndarray:
@@ -159,7 +168,6 @@ def _byte(char: str, count: int) -> np.ndarray:
 
 
 _MINUS = np.frombuffer(f"-{_PAD * 3}".encode("ascii"), dtype=np.uint32)[0]
-_HOLE_WORD = np.frombuffer(f"{_HOLE}{_PAD * 3}".encode("ascii"), dtype=np.uint32)[0]
 # Index of ".0" in the tail table (`_tables`).
 _POINT_ZERO = 1
 
@@ -242,14 +250,13 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mant, exp + carry
 
 
-def _chunk_text(values: np.ndarray, last: np.ndarray, fmt: str, sep: str) -> str:
-    """The tokens of `values`, each followed by `sep`, or by _GROUP_END
-    where `last` is set.
-
-    Every entry gets a row of words: the integer part, the fraction, the
-    tail and the separator, with padding where a digit is dropped.  The
-    padding is deleted from the whole chunk at once.  The notation is
-    decided by the rounded exponent, as "%.15g" decides it.
+def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
+    """The digits of every entry's token, from which `_write_tokens` writes
+    it: the sign, the integer part in 3-digit groups (most significant
+    first), the fraction's 18 digits, the tail index (`_tables`) and
+    `words`, the 4-byte words every token takes.  Entries the tables do
+    not print are `own`, formatted on their own.  The notation is decided
+    by the rounded exponent, as "%.15g" decides it.
     """
     a = np.abs(values)
     fast = (a < _FAST_MAX) & ((a >= _FAST_TINY) | (a == 0))
@@ -264,48 +271,63 @@ def _chunk_text(values: np.ndarray, last: np.ndarray, fmt: str, sep: str) -> str
     tail = np.where(sci, -exp, 0)
     if fmt == "json":
         tail[(frac == 0) & ~sci] = _POINT_ZERO
-    int_words = max(1, -(-len(str(whole.max())) // 3))
+    groups = [whole]
+    for _ in range(-(-len(str(whole.max())) // 3) - 1):
+        groups[0], group = np.divmod(groups[0], 1000)
+        groups.insert(1, group)
     tail_words = int(tail.max() > 0) + int(tail.max() > 99)  # "e-100" takes 5 bytes
-    used = int_words + 5 + tail_words
-    width = -(-(4 * used + len(sep) + 1) // 4) * 4
-    rows = np.zeros((values.size, width), dtype=np.uint8)
-    words = rows.view(np.uint32)
+    return SimpleNamespace(words=len(groups) + 5 + tail_words, own=~fast,
+                           sign=np.signbit(values), groups=groups, frac=frac,
+                           tail=tail, tail_words=tail_words, values=values, fmt=fmt)
+
+
+def _tokens(values: np.ndarray, fmt: str) -> SimpleNamespace | None:
+    """The digits of a block's floats (`_one_pass`), or None below
+    _BATCH_MIN, where each float is formatted on its own into a hole."""
+    return None if values.size < _BATCH_MIN else _one_pass(values, fmt)
+
+
+def _write_tokens(tokens: SimpleNamespace, slots: list[np.ndarray]) -> None:
+    """Write every `_one_pass` token into its slot: `slots` are the bytes of
+    the block's float columns, (rows, [entries,] bytes) each, whose entries
+    in row order are the block's floats.  A token formatted on its own
+    takes at most 22 bytes ("-d.dddddddddddddde-ddd"), a slot at least 24."""
+    bounds = [0]
+    for region in slots:
+        bounds.append(bounds[-1] + region.size // region.shape[-1])
+    parts = list(map(slice, bounds, bounds[1:]))
+    views = [region.view(np.uint32) for region in slots]
+
+    def put(i, word):
+        for view, part in zip(views, parts):
+            view[..., i] = word[part].reshape(view.shape[:-1])
+
     tables = _tables()
-
-    groups = []
-    for _ in range(int_words - 1):
-        whole, group = np.divmod(whole, 1000)
-        groups.append(group)
-    groups.append(whole)
-    lead = np.ones(values.size, dtype=bool)
-    for i, group in enumerate(reversed(groups)):
-        first = tables.int_units if i == int_words - 1 else tables.int_lead
-        words[:, i] = np.where(lead, first[group], tables.int[group])
+    units = len(tokens.groups) - 1
+    lead = np.ones(tokens.own.size, dtype=bool)
+    for i, group in enumerate(tokens.groups):
+        first = tables.int_units if i == units else tables.int_lead
+        word = np.where(lead, first[group], tables.int[group])
+        put(i, word | np.where(tokens.sign, _MINUS, 0) if i == 0 else word)
         lead &= group == 0
-    words[:, 0] |= np.where(np.signbit(values), _MINUS, 0)
-
-    trim = np.ones(values.size, dtype=bool)
+    trim = np.ones(tokens.own.size, dtype=bool)
+    frac = tokens.frac
     for i in range(4):
         frac, group = np.divmod(frac, 10_000)
-        words[:, int_words + 4 - i] = np.where(trim, tables.frac_trim[group],
-                                               tables.frac[group])
+        put(units + 5 - i, np.where(trim, tables.frac_trim[group], tables.frac[group]))
         trim &= group == 0
-    words[:, int_words] = np.where(trim, tables.point_trim[frac], tables.point[frac])
-    words[:, int_words + 5:used] = tables.tail[tail, :tail_words]
-
-    start = 4 * used
-    rows[:, start:start + len(sep)] = np.frombuffer(sep.encode("ascii"), np.uint8)
-    ends = np.flatnonzero(last)
-    rows[ends, start:start + len(sep)] = 0
-    rows[ends, start + len(sep)] = ord(_GROUP_END)
-    own = np.flatnonzero(~fast)
-    words[own, :used] = 0
-    words[own, 0] = _HOLE_WORD
-
-    text = rows.tobytes().translate(None, _PAD.encode()).decode("ascii")
-    if own.size:
-        text = _fill(text, [_float_token(x, fmt) for x in values[own].tolist()])
-    return text
+    put(units + 1, np.where(trim, tables.point_trim[frac], tables.point[frac]))
+    for i in range(tokens.tail_words):
+        put(units + 6 + i, tables.tail[tokens.tail, i])
+    if np.count_nonzero(tokens.own):
+        size = 4 * tokens.words
+        own = np.array([_float_token(x, tokens.fmt) for x in
+                        tokens.values[tokens.own].tolist()], dtype=f"S{size}")
+        own = own.view(np.uint8).reshape(-1, size)
+        for region, part in zip(slots, parts):
+            mask = tokens.own[part]
+            region[mask.reshape(region.shape[:-1]), :size] = own[:np.count_nonzero(mask)]
+            own = own[np.count_nonzero(mask):]
 
 
 def _fill(text: str, fills) -> str:
@@ -314,28 +336,45 @@ def _fill(text: str, fills) -> str:
     return pieces[0] + "".join(map(str.__add__, fills, pieces[1:]))
 
 
-def _float_groups(values: np.ndarray, last: np.ndarray, fmt: str,
-                  sep: str) -> list[str]:
-    """The text of each group of consecutive entries of `values` (a group
-    ends where `last` is set): the entries' tokens joined by `sep`."""
-    if values.size < _BATCH_MIN:
-        texts = ["".join(_float_token(x, fmt) + (_GROUP_END if end else sep)
-                         for x, end in zip(values.tolist(), last.tolist()))]
-    else:
-        texts = (_chunk_text(values[i:i + _CHUNK], last[i:i + _CHUNK], fmt, sep)
-                 for i in range(0, values.size, _CHUNK))
-    # Split chunk by chunk, so that the whole text never exists at once; a
-    # group may run on into the next chunk.
-    groups, rest = [], ""
-    for text in texts:
-        *done, rest = (rest + text).split(_GROUP_END)
-        groups += done
-    return groups
-
-
 def _is_float_array(value) -> bool:
     return isinstance(value, np.ndarray) and value.dtype == np.float64 \
         and value.ndim == 1 and value.size > 0
+
+
+class _Labels(NamedTuple):
+    """A label column: each value printed as its row of the `width` ASCII codes
+    `chars(values, width)` gives (`gf2.bit_chars`, `stabilizer.pauli_letters`)."""
+
+    values: np.ndarray
+    width: int
+    chars: Callable[[np.ndarray, int], np.ndarray]
+
+
+def _field_of(column) -> SimpleNamespace:
+    """How a column prints: its `kind`, its `data` with one entry or row per
+    record, and `width`, the floats of an array or the bytes of a label.
+
+    Kinds: "float" (a 1-D float64 array, or floats), "array" (a 2-D
+    float64 array, or 1-D float64 arrays of one nonzero size), "label"
+    (`_Labels`), "bool" (a bool array, or bools) and "hole" (any other
+    values, each formatted on its own).
+    """
+    if isinstance(column, _Labels):
+        return SimpleNamespace(kind="label", data=column.values, width=column.width,
+                               chars=column.chars)
+    if not isinstance(column, np.ndarray) and column:
+        if all(isinstance(v, float) for v in column) or set(map(type, column)) == {bool} \
+                or all(map(_is_float_array, column)) and len({v.size for v in column}) == 1:
+            column = np.array(column)
+    if isinstance(column, np.ndarray) and column.dtype == bool and column.ndim == 1:
+        return SimpleNamespace(kind="bool", data=column, width=5)
+    if isinstance(column, np.ndarray) and column.dtype == np.float64 \
+            and column.ndim in (1, 2) and column.shape[-1]:
+        return SimpleNamespace(kind=("float", "array")[column.ndim - 1], data=column,
+                               width=column.shape[1] if column.ndim == 2 else 1)
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return SimpleNamespace(kind="hole", data=column, width=1)
 
 
 def _columns(records: list[dict], fmt: str) -> dict:
@@ -349,86 +388,6 @@ def _columns(records: list[dict], fmt: str) -> dict:
     return {key: [rec[key] for rec in records] for key in (records[0] if records else ())}
 
 
-def _float_column(column) -> tuple[str, np.ndarray, np.ndarray] | None:
-    """The kind, the entries in row order and the group ends of a column
-    that `_float_groups` prints; None for any other column.
-
-    A column of floats, or a 1-D float64 array, is of kind "float": each
-    entry is a group.  A column of nonempty 1-D float arrays, or the rows
-    of a 2-D float64 array, is of kind "array": each row is a group.
-    """
-    if isinstance(column, np.ndarray):
-        if column.dtype != np.float64 or column.ndim not in (1, 2) or not column.size:
-            return None
-        width = column.shape[1] if column.ndim == 2 else 1
-        last = np.zeros(column.size, dtype=bool)
-        last[width - 1::width] = True
-        return ("float" if column.ndim == 1 else "array"), column.ravel(), last
-    if all(isinstance(v, float) for v in column):
-        values = np.array(column, dtype=np.float64)
-        return "float", values, np.ones(values.size, dtype=bool)
-    if all(_is_float_array(v) for v in column):
-        last = np.zeros(sum(v.size for v in column), dtype=bool)
-        last[np.cumsum([v.size for v in column]) - 1] = True
-        return "array", np.concatenate(column), last
-    return None
-
-
-def _value_texts(columns: dict, keys: list, fmt: str,
-                 indent: str) -> tuple[list[list[str]], list[str]]:
-    """The text of every value of the columns under `keys`, and each key's
-    kind: "float", "array" (printed as its entries joined by the
-    separator), "text" (strings that need no escaping, to be quoted in
-    JSON) or "" for values formatted one by one.
-
-    A column is a list of values, or an array with one entry or one row
-    per record (`_float_column`; a bool array prints as its booleans).
-    Float columns and float-array columns are formatted together in one
-    `_float_groups` call; booleans print as true/false; any other value is
-    formatted by itself, `_json` for JSON nested at `indent`,
-    `_format_cell` for CSV.
-    """
-    texts: list = [None] * len(keys)
-    kinds = [""] * len(keys)
-    values, ends = [], []
-    for j, key in enumerate(keys):
-        column = columns[key]
-        floats = _float_column(column)
-        if floats is not None:
-            kinds[j] = floats[0]
-            values.append(floats[1])
-            ends.append(floats[2])
-            continue
-        if isinstance(column, np.ndarray):  # a branch set's bool column
-            column = column.tolist()
-        types = set(map(type, column))
-        if types == {bool}:
-            texts[j] = [("false", "true")[v] for v in column]
-        elif types == {str} and (fmt == "csv" or _plain("".join(column))):
-            kinds[j] = "text"
-            texts[j] = column
-        elif fmt == "json":
-            texts[j] = [_json(v, indent) for v in column]
-        else:
-            texts[j] = [_format_cell(_clean(v)) for v in column]
-    if values:
-        sep = ",\n" + indent + "  " if fmt == "json" else ";"
-        groups = _float_groups(np.concatenate(values), np.concatenate(ends), fmt, sep)
-        start = 0
-        for j, kind in enumerate(kinds):
-            if kind in ("float", "array"):
-                rows = len(columns[keys[j]])
-                texts[j] = groups[start:start + rows]
-                start += rows
-    return texts, kinds
-
-
-def _plain(text: str) -> bool:
-    """Whether `json.dumps` writes `text` between quotes unchanged."""
-    return text.isascii() and text.isprintable() and '"' not in text \
-        and "\\" not in text
-
-
 def _json(value, indent: str) -> str:
     """`json.dumps(_clean(value), indent=2, sort_keys=True)` for a value
     nested at `indent`."""
@@ -436,45 +395,79 @@ def _json(value, indent: str) -> str:
     return text.replace("\n", "\n" + indent)
 
 
-def _json_records(columns: dict, indent: str) -> list[str]:
-    """`_json(rec, indent)` of every record of the columns, each written
-    from one template of the records' fields."""
-    keys = sorted(columns)
-    inner = indent + "  "
-    texts, kinds = _value_texts(columns, keys, "json", inner)
-    value = {"array": f"[\n{inner}  %s\n{inner}]", "text": '"%s"'}
-    fields = [json.dumps(k).replace("%", "%%") + ": " + value.get(kind, "%s")
-              for k, kind in zip(keys, kinds)]
-    template = f"{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}}}"
-    return [template % row for row in zip(*texts)]
+def _blocks(fields: list, heads: list[bytes], rows: int) -> Iterator[tuple[int, int]]:
+    """The first and past-the-last row of each block: consecutive rows
+    holding about _BLOCK_BYTES of the block matrix, at least one row."""
+    row_bytes = sum(len(head) + f.width * (_FLOAT_BYTES if f.kind in ("float", "array")
+                                           else 1) for f, head in zip(fields, heads))
+    step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    return ((start, min(start + step, rows)) for start in range(0, rows, step))
 
 
-def _float_count(column) -> int:
-    """About how many floats `_float_column` finds in a column, without
-    gathering them."""
-    if isinstance(column, np.ndarray):
-        return column.size if column.dtype == np.float64 else 0
-    if all(isinstance(v, float) for v in column):
-        return len(column)
-    if all(_is_float_array(v) for v in column):
-        return sum(v.size for v in column)
-    return 0
+def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop: int,
+                  fmt: str) -> tuple[bytearray, list[str]]:
+    """Records start..stop-1 as the bytes of a matrix with a row per
+    record (each field's head and value, then `end`), and the text of its
+    holes, in order."""
+    rows = stop - start
+    data = [f.data[start:stop] for f in fields]
+    floats = [d.ravel() for f, d in zip(fields, data) if f.kind in ("float", "array")]
+    values = np.concatenate(floats) if floats else np.zeros(0)
+    tokens = _tokens(values, fmt)
+    small = tokens is None  # every float a hole
+    token = 0 if small else 4 * tokens.words
+    sep = b",\n        " if fmt == "json" else b";"
+    slot = -(-(token + len(sep)) // 4) * 4
+    json_fmt = fmt == "json"
+    row, places = bytearray(), []
+    for f, head in zip(fields, heads):
+        number, array = f.kind in ("float", "array"), f.kind == "array"
+        quote = b'"' if json_fmt and f.kind == "label" else b""
+        row += head + (b"[\n        " if json_fmt and array else quote)
+        if number and not small:
+            row += bytes(-len(row) % 4)  # token words 4-byte aligned
+        places.append(len(row))
+        if f.kind == "hole" or number and small:
+            row += sep.join([_HOLE.encode()] * f.width)
+        elif array:
+            row += (bytes(token) + sep).ljust(slot, b"\0") * (f.width - 1) + bytes(slot)
+        else:
+            row += bytes(token if number else f.width)
+        row += b"\n      ]" if json_fmt and array else quote
+    row += end + bytes(-len(row + end) % 4)
+    buffer = row * rows
+    if json_fmt and start == 0:
+        buffer[0] = 0  # no comma before the first record
+    matrix = np.frombuffer(buffer, dtype=np.uint8).reshape(rows, len(row))
+
+    cell = functools.partial(_json, indent="      ") if json_fmt else \
+        functools.partial(_csv_cell, alone=len(fields) == 1)
+    slots, holes = [], []  # (rows, [entries,] bytes) of each float column; hole texts
+    for f, d, place in zip(fields, data, places):
+        if f.kind in ("label", "bool"):
+            matrix[:, place:place + f.width] = \
+                f.chars(d, f.width) if f.kind == "label" else _BOOLS[d.view(np.uint8)]
+        elif f.kind == "hole":
+            holes.append(([cell(v) for v in d], 1))
+        elif small:
+            holes.append(([_float_token(x, fmt) for x in d.ravel().tolist()], f.width))
+        elif f.kind == "array":
+            slots.append(matrix[:, place:place + slot * f.width].reshape(rows, -1, slot))
+        else:
+            slots.append(matrix[:, place:place + token])
+    if slots:
+        _write_tokens(tokens, slots)
+    return buffer, [t for r in range(rows) for texts, width in holes
+                    for t in texts[r * width:(r + 1) * width]]
 
 
-def _blocks(columns: dict) -> Iterator[dict]:
-    """The columns cut into blocks of consecutive rows, each holding about
-    _CHUNK floats, at least one row."""
-    rows = len(next(iter(columns.values()), ()))
-    floats = sum(map(_float_count, columns.values()))
-    step = max(1, rows * _CHUNK // max(floats, 1))
-    for start in range(0, rows, step):
-        yield {key: column[start:start + step] for key, column in columns.items()}
-
-
-def _csv_text(rows) -> str:
+def _csv_cell(value, alone: bool) -> str:
+    """`value` as `csv.writer` writes it in a cell of a row of several
+    cells, or as the `alone` cell of its row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    cells = [_format_cell(_clean(value))] + [""] * (not alone)
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1 if alone else -2]
 
 
 def _render(out, command: str, columns: dict, fmt: str, summary: dict | None) -> None:
@@ -482,24 +475,30 @@ def _render(out, command: str, columns: dict, fmt: str, summary: dict | None) ->
     with one row per record.
 
     `columns` holds the records field by field (`_columns`, or an engine's
-    branch set), in the CSV column order.  The records are written block
-    by block (`_blocks`), so that only one block's text exists at a time.
-    Every float is printed with 15 significant digits, all of a block's
-    record fields in one `_float_groups` call.  Array values are printed
-    as lists (`;`-joined in a CSV cell).
+    columns with `_Labels`), in the CSV column order; `_field_of` tells how
+    each prints.  The records are written block by block (`_blocks`,
+    `_block_matrix`), so that only one block's text exists at a time.
+    Every float is printed with 15 significant digits.  Array values are
+    printed as lists (`;`-joined in a CSV cell).
     """
+    keys = list(columns) if fmt == "csv" else sorted(columns)
+    fields = [_field_of(columns[key]) for key in keys]
     if fmt == "csv":
-        out.write(_csv_text([list(columns)]))
-        for block in _blocks(columns):
-            texts, _ = _value_texts(block, list(block), "csv", "")
-            out.write(_csv_text(zip(*texts)))
+        out.write(",".join(_csv_cell(key, len(keys) == 1) for key in keys) + "\n")
+        heads, end = [b""] + [b","] * (len(keys) - 1), b"\n"
+    else:
+        out.write('{\n  "command": ' + json.dumps(command) + ',\n  "records": [')
+        heads = [((",\n      " if i else ",\n    {\n      ") + json.dumps(key) + ": ")
+                 .encode("ascii") for i, key in enumerate(keys)]
+        end = b"\n    }"
+    rows = len(fields[0].data) if fields else 0
+    for start, stop in _blocks(fields, heads, rows):
+        matrix, fills = _block_matrix(fields, heads, end, start, stop, fmt)
+        out.write(_fill(matrix.translate(None, _PAD.encode()).decode("ascii"), fills))
+        del matrix  # before the next block is built
+    if fmt == "csv":
         return
-    out.write('{\n  "command": ' + json.dumps(command) + ',\n  "records": [')
-    sep = "\n    "
-    for block in _blocks(columns):
-        out.write(sep + ",\n    ".join(_json_records(block, "    ")))
-        sep = ",\n    "
-    out.write("]" if sep == "\n    " else "\n  ]")
+    out.write("\n  ]" if rows else "]")
     if summary is not None:
         out.write(',\n  "summary": ' + _json(summary, "  "))
     out.write("\n}\n")
@@ -794,9 +793,9 @@ def _parse_grid(text: str | None) -> list[float]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _bit_texts(branches, name: str) -> list[str]:
-    """A label column of a branch set as bit strings."""
-    return bit_strings(getattr(branches, name), branches.widths[name])
+def _bits(branches, name: str) -> _Labels:
+    """A label column of a branch set, printed as bit strings."""
+    return _Labels(getattr(branches, name), branches.widths[name], bit_chars)
 
 
 def _branch_columns(branches, label: str, **fields) -> dict:
@@ -804,7 +803,7 @@ def _branch_columns(branches, label: str, **fields) -> dict:
     "s") as bit strings, the statistics both engines report, and the
     engine's own `fields` before `accepted`."""
     return {
-        label: _bit_texts(branches, label),
+        label: _bits(branches, label),
         "prob": branches.prob,
         "fidelity": branches.fidelity,
         "unnormalized_fidelity": branches.unnormalized_fidelity,
@@ -818,8 +817,7 @@ def _cmd_run_perm(args) -> int:
     proto = _as_permutation(_load_protocol(args))
     state = _load_state(args, proto.n)
     branches = permutation.run(state, proto, args.threshold)
-    _emit(args, _branch_columns(branches, "t",
-                                correction=_bit_texts(branches, "correction")))
+    _emit(args, _branch_columns(branches, "t", correction=_bits(branches, "correction")))
     return 0
 
 
@@ -827,9 +825,9 @@ def _cmd_run_code(args) -> int:
     proto = _as_stabilizer(_load_protocol(args))
     state = _load_state(args, proto.n)
     branches = stabilizer.run(state, proto, args.threshold)
-    _emit(args, _branch_columns(branches, "s", v=_bit_texts(branches, "v"),
-                                u=_bit_texts(branches, "u"),
-                                recovery=pauli_strings(branches.u, proto.n)))
+    _emit(args, _branch_columns(branches, "s", v=_bits(branches, "v"),
+                                u=_bits(branches, "u"),
+                                recovery=_Labels(branches.u, proto.n, pauli_letters)))
     return 0
 
 
@@ -877,7 +875,7 @@ def _cmd_verify(args) -> int:
         "n", "m", "subspaces_match", "branch_sets_match", "coset_match",
         "max_discrepancy", "tolerance", "passed")}
     branches = report.branches
-    _emit(args, {name: _bit_texts(branches, name) if name in branches.widths else column
+    _emit(args, {name: _bits(branches, name) if name in branches.widths else column
                  for name, column in branches.columns.items()}, summary)
     return 0 if report.passed else 2
 

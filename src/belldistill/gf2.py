@@ -150,12 +150,11 @@ class BinaryMatrix:
         return BinaryVector(self.rows[i], self.ncols)
 
     def column_values(self) -> tuple[int, ...]:
-        """Columns packed as nrows-bit ints (top row = MSB)."""
-        return tuple(
-            sum(((r >> (self.ncols - 1 - j)) & 1) << (self.nrows - 1 - i)
-                for i, r in enumerate(self.rows))
-            for j in range(self.ncols)
-        )
+        """Columns packed as nrows-bit ints (top row = MSB): the bit strings
+        of the rows, transposed."""
+        if not self.rows:
+            return (0,) * self.ncols
+        return tuple(int("".join(column), 2) for column in zip(*self.to_strings()))
 
     def column(self, j: int) -> BinaryVector:
         return BinaryVector(self.column_values()[j], self.nrows)
@@ -223,9 +222,14 @@ def bit_matrix(values: np.ndarray, length: int) -> np.ndarray:
     return (np.asarray(values, dtype=np.int64)[:, None] >> shifts & 1).astype(np.uint8)
 
 
+def bit_chars(values: np.ndarray, length: int) -> np.ndarray:
+    """The bit string of every value as a row of `length` ASCII codes."""
+    return bit_matrix(values, length) + ord("0")
+
+
 def bit_strings(values: np.ndarray, length: int) -> list[str]:
     """`BinaryVector(v, length).to_string()` of every value, in one pass."""
-    return ascii_rows(bit_matrix(values, length) + ord("0"))
+    return ascii_rows(bit_chars(values, length))
 
 
 def ascii_rows(chars: np.ndarray) -> list[str]:
@@ -269,14 +273,10 @@ def is_symplectic(matrix: BinaryMatrix) -> bool:
         raise ValueError("symplectic test needs a square matrix")
     if r % 2:
         raise ValueError("symplectic test needs even dimension")
-    n = r // 2
-    cols = matrix.column_values()
-    for i in range(r):
-        for j in range(i, r):
-            expected = 1 if abs(i - j) == n else 0
-            if _sympl_value(cols[i], cols[j], n) != expected:
-                return False
-    return True
+    # The Gram matrix A^T P A of the columns, mod 2: P A swaps the halves.
+    bits = np.frombuffer("".join(matrix.to_strings()).encode(), np.uint8).reshape(r, c) & 1
+    gram = bits.T.astype(np.int64) @ np.roll(bits, r // 2, axis=0) & 1
+    return np.array_equal(gram, np.roll(np.eye(r, dtype=np.int64), r // 2, axis=0))
 
 
 def symplectic_inverse(matrix: BinaryMatrix) -> BinaryMatrix:

@@ -58,11 +58,16 @@ def to_pauli_string(label: BinaryVector) -> str:
                    for i in reversed(range(k)))
 
 
-def pauli_strings(labels: np.ndarray, k: int) -> list[str]:
-    """`to_pauli_string` of every 2k-bit label value, in one pass: letter i
-    is IXZY at the digit 2 * phase bit + parity bit of pair i."""
+def pauli_letters(labels: np.ndarray, k: int) -> np.ndarray:
+    """The letters of every 2k-bit label value as a row of k ASCII codes:
+    letter i is IXZY at the digit 2 * phase bit + parity bit of pair i."""
     bits = gf2.bit_matrix(labels, 2 * k)
-    return gf2.ascii_rows(_PAULI_LETTERS[2 * bits[:, :k] + bits[:, k:]])
+    return _PAULI_LETTERS[2 * bits[:, :k] + bits[:, k:]]
+
+
+def pauli_strings(labels: np.ndarray, k: int) -> list[str]:
+    """`to_pauli_string` of every 2k-bit label value, in one pass."""
+    return gf2.ascii_rows(pauli_letters(labels, k))
 
 
 @dataclass(frozen=True)
@@ -229,6 +234,6 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
 
 __all__ = [
     "StabilizerProtocol", "SyndromeBranch", "parse_pauli_string",
-    "to_pauli_string", "pauli_strings", "syndrome_of_error", "generator_span",
-    "syndrome_distribution", "optimal_recovery", "run",
+    "to_pauli_string", "pauli_letters", "pauli_strings", "syndrome_of_error",
+    "generator_span", "syndrome_distribution", "optimal_recovery", "run",
 ]

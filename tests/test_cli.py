@@ -517,16 +517,33 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_output_takes_no_more_memory_than_the_engine(tmp_path, fmt):
-    n, m = 12, 6  # 64 records of 3 + 4**6 floats
+def assert_output_memory_within_the_engine(tmp_path, command, n, m, fmt):
+    """The traced peak of the command writing to a file is at most 1.25
+    times its engine's plus 1 MiB (Werner 0.8, `Z_iZ_{i+1}` chain)."""
     gens = ["I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - m)]
-    argv = ["run-perm", "--generators", ",".join(gens), "-m", str(m),
+    argv = [command, "--generators", ",".join(gens), "-m", str(m),
             "--werner", "0.8", "--format", fmt, "--output", str(tmp_path / "out")]
     assert main(argv) == 0  # imports and digit tables are built once
-    proto = equivalence.permutation_from_stabilizer(
-        stabilizer.StabilizerProtocol.from_pauli_strings(gens, m))
+    proto = stabilizer.StabilizerProtocol.from_pauli_strings(gens, m)
+    if command == "run-perm":
+        proto, run = equivalence.permutation_from_stabilizer(proto), permutation.run
+    else:
+        run = stabilizer.run
     state = BellDiagonalState.from_pairs([werner(0.8)] * n)
-    engine = traced_peak(lambda: permutation.run(state, proto))
-    command = traced_peak(lambda: main(argv))
-    assert command <= 1.25 * engine + (1 << 20), (command, engine)
+    engine = traced_peak(lambda: run(state, proto))
+    peak = traced_peak(lambda: main(argv))
+    assert peak <= 1.25 * engine + (1 << 20), (peak, engine)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_takes_no_more_memory_than_the_engine(tmp_path, fmt):
+    # 64 records of 3 + 4**6 floats
+    assert_output_memory_within_the_engine(tmp_path, "run-perm", 12, 6, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["run-perm", "run-code"])
+def test_many_small_records_take_no_more_memory_than_the_engine(tmp_path, command,
+                                                                fmt):
+    # 4096 records of 3 + 4 floats and their labels
+    assert_output_memory_within_the_engine(tmp_path, command, 13, 1, fmt)

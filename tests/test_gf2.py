@@ -188,6 +188,38 @@ def test_is_symplectic_shape_errors():
         is_symplectic(BinaryMatrix.from_strings(["101", "010", "001"]))
 
 
+def literal_is_symplectic(matrix: BinaryMatrix) -> bool:
+    """A^T P A = P, column pair by column pair."""
+    n = matrix.nrows // 2
+    cols = [matrix.column(j) for j in range(2 * n)]
+    return all(sympl_inner(cols[i], cols[j]) == (abs(i - j) == n)
+               for i in range(2 * n) for j in range(2 * n))
+
+
+def test_is_symplectic_equals_the_pairwise_definition(rng):
+    for _ in range(200):
+        n = int(rng.integers(0, 6))
+        matrix = gf2.random_symplectic(n, rng) if n else BinaryMatrix((), 0)
+        # flip one bit in most draws, so that both answers occur
+        if n and rng.random() < 0.7:
+            i, j = rng.integers(0, 2 * n, 2).tolist()
+            rows = list(matrix.rows)
+            rows[i] ^= 1 << j
+            matrix = BinaryMatrix(tuple(rows), 2 * n)
+        assert is_symplectic(matrix) == literal_is_symplectic(matrix)
+    assert is_symplectic(BinaryMatrix((), 0))
+
+
+def test_column_values_are_the_bit_transpose(rng):
+    for nrows, ncols in [(0, 3), (3, 0), (0, 0), (1, 1), (5, 9), (26, 26), (40, 70)]:
+        bits = rng.integers(0, 2, (nrows, ncols)).tolist()
+        matrix = BinaryMatrix(tuple(int("".join(map(str, row)) or "0", 2) for row in bits),
+                              ncols)
+        assert matrix.column_values() == tuple(
+            sum(((r >> (ncols - 1 - j)) & 1) << (nrows - 1 - i)
+                for i, r in enumerate(matrix.rows)) for j in range(ncols))
+
+
 def test_symplectic_inverse_identity():
     eye = BinaryMatrix.identity(4)
     assert symplectic_inverse(eye) == eye

@@ -1,8 +1,9 @@
 """The CLI renderer against the plain `json` and `csv` rendering it replaced.
 
-`cli._render` writes a command's records in blocks of rows and formats all
-floats of a block in one pass (`_float_groups`: exact 15-digit decimals
-from `_decimal`, text from digit tables in `_chunk_text`), from columns: a
+`cli._render` writes a command's records in blocks of rows, each block one
+byte matrix (`_block_matrix`) whose floats are formatted in one pass
+(`_tokens`: exact 15-digit decimals from `_decimal`, digits from
+`_one_pass`, text from digit tables in `_write_tokens`), from columns: a
 record list transposed by `_columns`, or an engine's branch set.  The
 reference here is the rendering that predates
 it: `json.dumps` of a list of records with every float rounded through
@@ -87,10 +88,14 @@ def records_of(arrays, scalar=0.5):
 
 
 def one_pass_tokens(values, fmt="csv"):
-    """The token `_chunk_text` prints for each entry."""
+    """The token the one-pass path prints for each entry, however few."""
     values = np.asarray(values, dtype=float)
-    text = cli._chunk_text(values, np.ones(values.size, dtype=bool), fmt, ";")
-    return text.split(cli._GROUP_END)[:-1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BATCH_MIN", 1)
+        text = _render("run-perm", {"x": values}, fmt, None)
+    if fmt == "csv":
+        return text.splitlines()[1:]
+    return [line.split(": ", 1)[1] for line in text.splitlines() if '"x": ' in line]
 
 
 def mark_own_tokens(monkeypatch):
@@ -100,16 +105,13 @@ def mark_own_tokens(monkeypatch):
 
 def assert_tokens_as_reference(values):
     """The one-pass tokens of every entry, in JSON and CSV, against the
-    per-value reference."""
+    per-value reference: the entries as one array value."""
     values = np.asarray(values, dtype=float)
-    for fmt in ("json", "csv"):
-        sep = ",\n  " if fmt == "json" else ";"
-        last = np.zeros(values.size, dtype=bool)
-        last[-1:] = True
-        text = cli._chunk_text(values, last, fmt, sep)
-        expected = [json.dumps(clean(x)) if fmt == "json" else cell(clean(x))
-                    for x in values.tolist()]
-        assert text == sep.join(expected) + cli._GROUP_END
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BATCH_MIN", 1)
+        for fmt in ("json", "csv"):
+            assert _render("run-perm", {"x": values[None, :]}, fmt, None) == \
+                reference("run-perm", [{"x": values}], fmt, None)
 
 
 EDGES = [0.0, -0.0, 1.0, 0.9999999999999999, 5e-324, 1e-5, 1e-4, 1e14, 1e15,
@@ -162,6 +164,13 @@ def test_keys_with_control_bytes_render_as_reference():
     records = [{"t\x02": "\x02", "prob\x01": p, "output": np.array([p, 1 - p])}
                for p in (0.25, 0.5)]
     assert_renders_as_reference(records)
+
+
+def test_records_of_one_field_render_as_reference():
+    # csv.writer quotes an empty cell that is alone in its row
+    for key in ("t", ""):
+        assert_renders_as_reference([{key: text} for text in ("", "a,b", "", "x")])
+    assert_renders_as_reference([{"prob": 0.5}, {"prob": float("nan")}])
 
 
 def test_records_with_other_fields_are_refused():
@@ -260,14 +269,15 @@ def test_engine_records_render_as_reference():
         assert isinstance(records[0]["output"], np.ndarray)
         assert_renders_as_reference(records)
         columns = cli._branch_columns(
-            branches, "t", correction=cli._bit_texts(branches, "correction"))
+            branches, "t", correction=cli._bits(branches, "correction"))
         for fmt in ("json", "csv"):
             assert _render("run-perm", columns, fmt, None) == \
                 reference("run-perm", records, fmt, None)
 
 
 # ---------------------------------------------------------------------------
-# The one-pass formatter (`_decimal`, `_chunk_text`) entry by entry
+# The one-pass formatter (`_decimal`, `_one_pass`, `_write_tokens`) entry by
+# entry
 # ---------------------------------------------------------------------------
 
 @given(hnp.arrays(np.float64, st.integers(1, 64),
@@ -344,12 +354,13 @@ def test_mixed_one_pass_and_per_value_entries_in_one_array():
 
 def test_record_set_larger_than_one_chunk():
     rng = np.random.default_rng(3)
-    # 3000 entries a group, so that a group runs on into the next chunk
-    arrays = [rng.random(3000) ** 4 for _ in range(cli._CHUNK // 3000 + 3)]
+    # 3000 entries a record, so that the records span several blocks
+    arrays = [rng.random(3000) ** 4
+              for _ in range(cli._BLOCK_BYTES // (3000 * cli._FLOAT_BYTES) + 3)]
     arrays[1][17] = float("nan")
     arrays[-1][-1] = 1e15
     records = records_of(arrays, scalar=0.125)
-    assert sum(a.size for a in arrays) > cli._CHUNK
+    assert sum(a.size for a in arrays) * cli._FLOAT_BYTES > cli._BLOCK_BYTES
     assert_renders_as_reference(records)
 
 
@@ -357,7 +368,7 @@ def test_small_commands_take_the_per_value_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("one-pass path taken below _BATCH_MIN")
 
-    monkeypatch.setattr(cli, "_chunk_text", refuse)
+    monkeypatch.setattr(cli, "_one_pass", refuse)
     assert_renders_as_reference(records_of([np.array([0.25, 0.75])] * 3))
 
 
@@ -380,13 +391,13 @@ GENERATORS8 = "XXIIIIII,ZZIIIIII,IIXXIIII,IIIIZZII"
 def spy_chunks(monkeypatch):
     """Record the entries the one-pass path formats."""
     entries = []
-    chunk_text = cli._chunk_text
+    one_pass = cli._one_pass
 
     def count(values, *args):
         entries.append(values.size)
-        return chunk_text(values, *args)
+        return one_pass(values, *args)
 
-    monkeypatch.setattr(cli, "_chunk_text", count)
+    monkeypatch.setattr(cli, "_one_pass", count)
     return entries
 
 
@@ -474,50 +485,64 @@ def test_cli_output_without_a_wide_long_double(monkeypatch, capsys, fmt):
 def spy_blocks(monkeypatch):
     """Record the floats of each block `_render` formats."""
     sizes = []
-    float_groups = cli._float_groups
+    tokens = cli._tokens
 
     def count(values, *args):
         sizes.append(values.size)
-        return float_groups(values, *args)
+        return tokens(values, *args)
 
-    monkeypatch.setattr(cli, "_float_groups", count)
+    monkeypatch.setattr(cli, "_tokens", count)
     return sizes
+
+
+# Floats in each record of `records_of` arrays of this size, so that three
+# records fill a block.
+WIDE = cli._BLOCK_BYTES // (3 * cli._FLOAT_BYTES) - 100 + 1
 
 
 def test_record_count_the_block_size_does_not_divide(monkeypatch):
     sizes = spy_blocks(monkeypatch)
     rng = np.random.default_rng(11)
-    # 5001 floats a record (the array and `prob`): blocks of 3, 3, 3, 1
-    records = records_of([rng.random(5000) for _ in range(10)])
+    # WIDE floats a record (the array and `prob`): blocks of 3, 3, 3, 1
+    records = records_of([rng.random(WIDE - 1) for _ in range(10)])
     assert_renders_as_reference(records, {"instances": 10, "passed": True})
-    assert sizes == [3 * 5001, 3 * 5001, 3 * 5001, 5001] * 2
+    assert sizes == [3 * WIDE, 3 * WIDE, 3 * WIDE, WIDE] * 2
 
 
 def test_values_formatted_on_their_own_in_a_later_block(monkeypatch):
     sizes = spy_blocks(monkeypatch)
-    arrays = [np.full(5000, 0.25) for _ in range(7)]
+    arrays = [np.full(WIDE - 1, 0.25) for _ in range(7)]
     arrays[-1][[0, 17, -1]] = [float("nan"), 5e-324, 1e15]
     arrays[-2][5] = -2.5e-310
     assert_renders_as_reference(records_of(arrays), {"failed": 1})
-    assert sizes == [3 * 5001, 3 * 5001, 5001] * 2
+    assert sizes == [3 * WIDE, 3 * WIDE, WIDE] * 2
 
 
 def test_final_block_below_the_per_value_cutoff(monkeypatch):
     sizes = spy_blocks(monkeypatch)
-    rows = cli._CHUNK // 21 + 1
-    records = records_of([np.linspace(0.0, 1.0, 20) / (i + 1) for i in range(rows)])
-    assert_renders_as_reference(records, {"instances": rows})
-    assert sizes == [(rows - 1) * 21, 21] * 2
-    assert sizes[1] < cli._BATCH_MIN
+    arrays = [np.linspace(0.0, 1.0, 20) / (i + 1) for i in range(cli._BLOCK_BYTES // 400)]
+    for fmt in ("json", "csv"):
+        # the records a full block holds, then one more: a final block of one
+        _render("run-perm", _columns(records_of(arrays), fmt), fmt, None)
+        rows = sizes[0] // 21 + 1
+        assert len(sizes) > 1 and rows < len(arrays)
+        sizes.clear()
+        records = records_of(arrays[:rows])
+        assert _render("run-perm", _columns(records, fmt), fmt, {"instances": rows}) == \
+            reference("run-perm", records, fmt, {"instances": rows})
+        assert sizes == [(rows - 1) * 21, 21]
+        assert sizes[1] < cli._BATCH_MIN
+        sizes.clear()
 
 
 def test_rows_wider_than_a_block_are_one_block_each(monkeypatch):
     sizes = spy_blocks(monkeypatch)
     rng = np.random.default_rng(12)
-    arrays = [rng.random(cli._CHUNK + 100) for _ in range(3)]
+    width = cli._BLOCK_BYTES // cli._FLOAT_BYTES + 100
+    arrays = [rng.random(width) for _ in range(3)]
     arrays[1][-1] = float("nan")
     assert_renders_as_reference(records_of(arrays), {"passed": False})
-    assert sizes == [cli._CHUNK + 101] * 6
+    assert sizes == [width + 1] * 6
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -538,3 +563,58 @@ def test_zero_records():
         assert _render("run-perm", _columns([], "json"), "json", summary) == \
             reference("run-perm", [], "json", summary)
     assert _render("run-perm", columns, "csv", None) == "t,prob,output\n"
+
+
+def test_text_cells_with_control_bytes_in_a_later_block(monkeypatch):
+    sizes = spy_blocks(monkeypatch)
+    records = records_of([np.full(WIDE - 1, 0.5) for _ in range(5)])
+    # NUL is the matrix's padding and \x02 its hole: text is filled in after
+    records[4]["t"] = "\x00\x01\x02,\"\n\x7f"
+    records[4]["generators"] = ["\x00", "a,b"]
+    assert_renders_as_reference(records)
+    assert sizes == [3 * WIDE, 2 * WIDE] * 2
+
+
+CHAIN13 = ",".join("I" * i + "ZZ" + "I" * (11 - i) for i in range(12))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nan_output_gaps_in_a_verify_block_of_many_records(monkeypatch, capsys, fmt,
+                                                             edit_columns):
+    # The stabilizer engine drops two branches: their output gap is NaN.
+    run = stabilizer.run
+    monkeypatch.setattr(stabilizer, "run", lambda *args: edit_columns(
+        run(*args), lambda _, column: np.delete(column, [1000, 3000], axis=0)))
+    proto = StabilizerProtocol.from_pauli_strings(CHAIN13.split(","), 1)
+    report = equivalence.verify_equivalence(
+        BellDiagonalState.from_pairs([werner(0.8)] * 13), proto)
+    columns = report.branches.columns
+    records = [{"t": format(t, "012b"), **{name: column[i].item() for name, column
+                                           in list(columns.items())[1:]}}
+               for i, t in enumerate(columns["t"].tolist())]
+    summary = {name: getattr(report, name) for name in (
+        "n", "m", "subspaces_match", "branch_sets_match", "coset_match",
+        "max_discrepancy", "tolerance", "passed")}
+    own = []
+    one_pass = cli._one_pass
+
+    def spy(values, *args):
+        tokens = one_pass(values, *args)
+        own.append(int(tokens.own.sum()))
+        return tokens
+
+    monkeypatch.setattr(cli, "_one_pass", spy)
+    assert cli.main(["verify", "--generators", CHAIN13, "--werner", "0.8",
+                     "--format", fmt]) == 2
+    assert capsys.readouterr().out == reference("verify", records, fmt, summary)
+    assert len(records) == 4096 and len(own) > 1 and sum(own) == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_block_boundaries_inside_a_run_code_output(monkeypatch, capsys, fmt):
+    expected, branches = engine_reference("run-code", CHAIN13, 1, werner(0.8), fmt)
+    sizes = spy_blocks(monkeypatch)
+    assert cli.main(["run-code", "--generators", CHAIN13, "--werner", "0.8",
+                     "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(sizes) > 1 and sum(sizes) == 7 * len(branches) == 7 * 4096
