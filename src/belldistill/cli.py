@@ -108,8 +108,8 @@ def _float_token(x: float, fmt: str) -> str:
 # value, filled by numpy: float tokens from digit tables, in one pass over
 # the block's floats (`_tokens`), label bytes (`_Labels`) and booleans
 # (`_BOOLS`).  Bytes a value leaves unused are padding, deleted from the
-# block at once.  Strings, ints and floats the tables do not print leave a
-# hole, filled after the padding is gone (`_fill`).
+# block at once.  Strings, ints and the floats of a block with few floats
+# leave a hole, filled after the padding is gone (`_fill`).
 #
 # For the entries the tables print, the JSON token `repr(_round15(x))` is
 # `"%.15g" % x` with ".0" appended when it has neither "." nor "e": a
@@ -122,10 +122,11 @@ _FAST_MAX = 1e14
 _FAST_TINY = np.finfo(float).tiny
 
 # Below this many floats a block's floats are formatted one by one.  The
-# one-pass path costs ~0.15 ms however few entries it prints, the
-# per-value path ~2.5 us an entry: both take ~0.17 ms at 64 floats (2-core
-# x86-64, Python 3.11, numpy 2.4).  With no cutoff, the benchmark's `suite`
-# workload (thousands of small commands) runs ~8% slower.
+# one-pass path costs ~40 numpy calls and one assignment per float column
+# and token word however few entries it prints: for a `verify` block (5
+# float columns) it is ~7% slower than the per-value path at 80 floats and
+# ~15% faster at 160 (2-core x86-64, Python 3.11, numpy 2.4).  With no
+# cutoff, the non-oracle commands of the benchmark's `suite` run ~6% slower.
 _BATCH_MIN = 64
 # About the bytes of a block's matrix, and what a float takes of them with
 # its separator (`_blocks`).  Formatting takes ~100 bytes more a float
