@@ -429,7 +429,7 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
             row += bytes(-len(row) % 4)  # token words 4-byte aligned
         places.append(len(row))
         if f.kind == "hole" or number and small:
-            row += sep.join([_HOLE.encode()] * f.width)
+            row += _HOLE.encode()
         elif array:
             row += (bytes(token) + sep).ljust(slot, b"\0") * (f.width - 1) + bytes(slot)
         else:
@@ -449,17 +449,18 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
             matrix[:, place:place + f.width] = \
                 f.chars(d, f.width) if f.kind == "label" else _BOOLS[d.view(np.uint8)]
         elif f.kind == "hole":
-            holes.append(([cell(v) for v in d], 1))
+            holes.append([cell(v) for v in d])
         elif small:
-            holes.append(([_float_token(x, fmt) for x in d.ravel().tolist()], f.width))
+            texts = [_float_token(x, fmt) for x in d.ravel().tolist()]
+            holes.append(texts if f.kind == "float" else [
+                sep.decode().join(texts[i:i + f.width]) for i in range(0, len(texts), f.width)])
         elif f.kind == "array":
             slots.append(matrix[:, place:place + slot * f.width].reshape(rows, -1, slot))
         else:
             slots.append(matrix[:, place:place + token])
     if slots:
         _write_tokens(tokens, slots)
-    return buffer, [t for r in range(rows) for texts, width in holes
-                    for t in texts[r * width:(r + 1) * width]]
+    return buffer, [text for texts in zip(*holes) for text in texts]
 
 
 def _csv_cell(value, alone: bool) -> str:
