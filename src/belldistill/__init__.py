@@ -33,10 +33,9 @@ from .states import BellDiagonalState, werner
 from .permutation import (
     BranchSet,
     PermutationProtocol,
-    ProtocolOutcome,
     recurrence_sweep,
 )
-from .stabilizer import StabilizerProtocol, SyndromeBranch, parse_pauli_string
+from .stabilizer import StabilizerProtocol, parse_pauli_string
 from .equivalence import (
     EquivalenceReport,
     permutation_from_stabilizer,
@@ -63,10 +62,8 @@ __all__ = [
     "werner",
     "BranchSet",
     "PermutationProtocol",
-    "ProtocolOutcome",
     "recurrence_sweep",
     "StabilizerProtocol",
-    "SyndromeBranch",
     "parse_pauli_string",
     "EquivalenceReport",
     "permutation_from_stabilizer",

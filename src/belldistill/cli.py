@@ -9,6 +9,7 @@ Subcommands:
 * ``oracle-check`` dense-simulation comparison suites
 
 Exit codes: 0 success, 1 configuration/validation error, 2 mismatch found.
+A reader that closes stdout early (``| head``) ends the command quietly, exit code 1.
 All probabilities are printed with 15 significant digits; identical
 configuration and seed produce byte-identical output.  Relative ``--output``
 paths resolve against ``BELLDISTILL_OUTDIR`` when that variable is set.
@@ -509,6 +510,7 @@ def _render(out, command: str, columns: dict, fmt: str, summary: dict | None) ->
 def _emit(args, columns: dict, summary: dict | None = None) -> None:
     if args.output is None:
         _render(sys.stdout, args.command, columns, args.format, summary)
+        sys.stdout.flush()  # so that a closed pipe shows in `main`, not at exit
         return
     path = Path(args.output)
     if not path.is_absolute():
@@ -743,7 +745,8 @@ def _load_state(args, n: int) -> BellDiagonalState:
         return BellDiagonalState.from_pairs([BellDiagonalState(1, parts)] * n)
     data = _read_json_object(args.state_file, "state")
     _field(data, "n", int, "state")
-    if not all(_is_a(p, _NUMBER) for p in _field(data, "probs", list, "state")):
+    # json.loads gives exact types, so this refuses booleans too.
+    if not set(map(type, _field(data, "probs", list, "state"))) <= {int, float}:
         raise CliError("state needs 'probs' as a list of numbers")
     state = BellDiagonalState.from_dict(data)
     if state.n != n:
@@ -969,6 +972,10 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Quiet the flush at exit too, and exit with 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

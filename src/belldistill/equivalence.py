@@ -8,8 +8,7 @@ valid commuting generator set.  `verify_equivalence` runs both engines on
 the same input and compares their branch sets column by column (outcome t
 identified with syndrome s): probabilities, output distributions,
 fidelities, and the chosen correction/recovery cosets.  The comparison is
-itself a `BranchSet`, one `BranchComparison` row per label either engine
-produced.
+itself a `BranchSet`, one row per label either engine produced.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import ClassVar
 import numpy as np
 
 from . import gf2, permutation, stabilizer
-from .gf2 import BinaryVector
 from .permutation import (BranchSet, PermutationProtocol, _embed_value, align,
                           measured_subspace)
 from .stabilizer import StabilizerProtocol, generator_span
@@ -41,21 +39,6 @@ def permutation_from_stabilizer(proto: StabilizerProtocol) -> PermutationProtoco
 def stabilizer_from_permutation(proto: PermutationProtocol) -> StabilizerProtocol:
     """Generator set measured by a permutation protocol (its `generators`)."""
     return StabilizerProtocol(proto.n, proto.m, proto.generators)
-
-
-@dataclass(frozen=True)
-class BranchComparison:
-    """Per-branch agreement record (outcome t matched to syndrome s = t);
-    a branch one engine lacks has probability and fidelity 0 there,
-    `output_max_diff` NaN and `coset_match` False."""
-
-    t: BinaryVector
-    prob_perm: float
-    prob_code: float
-    fidelity_perm: float
-    fidelity_code: float
-    output_max_diff: float
-    coset_match: bool
 
 
 @dataclass(frozen=True)
@@ -89,7 +72,12 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
     is A u = embed(c, t) outside positions m..n-1, where A puts the span.
     `max_discrepancy` is the largest probability, fidelity or output gap,
     counting a branch only one engine has by its probability.  Mismatches
-    are reported in the returned record, never raised.
+    are reported in the returned record, never raised.  Its `branches` has
+    the columns t (outcome t matched to syndrome s = t), prob_perm,
+    prob_code, fidelity_perm, fidelity_code, output_max_diff and
+    coset_match, a row per label either engine produced; a branch one
+    engine lacks has probability and fidelity 0 there, `output_max_diff`
+    NaN and `coset_match` False.
     """
     n, m = proto.n, proto.m
     perm_proto = permutation_from_stabilizer(proto)
@@ -115,7 +103,7 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
         n=n,
         m=m,
         subspaces_match=subspaces_match,
-        branches=BranchSet(BranchComparison, m, {"t": n - m}, {
+        branches=BranchSet(m, {"t": n - m}, {
             "t": t,
             "prob_perm": prob_perm,
             "prob_code": prob_code,

@@ -78,20 +78,6 @@ class BinaryVector:
             raise ValueError("odd-length vector has no pair count")
         return self.length // 2
 
-    @property
-    def phase_half(self) -> "BinaryVector":
-        n = self.pair_count
-        return BinaryVector(self.value >> n, n)
-
-    @property
-    def parity_half(self) -> "BinaryVector":
-        n = self.pair_count
-        return BinaryVector(self.value & ((1 << n) - 1), n)
-
-    def swap_halves(self) -> "BinaryVector":
-        """Exchange phase and parity halves (multiplication by the form P)."""
-        return BinaryVector(_swap_halves_value(self.value, self.pair_count), self.length)
-
     def __xor__(self, other: "BinaryVector") -> "BinaryVector":
         if self.length != other.length:
             raise ValueError("length mismatch in GF(2) addition")
@@ -156,14 +142,8 @@ class BinaryMatrix:
             return (0,) * self.ncols
         return tuple(int("".join(column), 2) for column in zip(*self.to_strings()))
 
-    def column(self, j: int) -> BinaryVector:
-        return BinaryVector(self.column_values()[j], self.nrows)
-
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(self.column_values(), self.nrows)
-
-    def rank(self) -> int:
-        return len(_rref(self.rows, self.ncols)[0])
 
     def to_strings(self) -> list[str]:
         return [format(r, f"0{self.ncols}b") if self.ncols else "" for r in self.rows]
@@ -225,20 +205,6 @@ def bit_matrix(values: np.ndarray, length: int) -> np.ndarray:
 def bit_chars(values: np.ndarray, length: int) -> np.ndarray:
     """The bit string of every value as a row of `length` ASCII codes."""
     return bit_matrix(values, length) + ord("0")
-
-
-def bit_strings(values: np.ndarray, length: int) -> list[str]:
-    """`BinaryVector(v, length).to_string()` of every value, in one pass."""
-    return ascii_rows(bit_chars(values, length))
-
-
-def ascii_rows(chars: np.ndarray) -> list[str]:
-    """Each row of a 2-D array of ASCII codes as a string."""
-    rows, width = chars.shape
-    if not width:
-        return [""] * rows
-    text = np.ascontiguousarray(chars, dtype=np.uint8).view(f"S{width}")
-    return text.ravel().astype(f"U{width}").tolist()
 
 
 def symplectic_form(n: int) -> BinaryMatrix:

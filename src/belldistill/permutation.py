@@ -33,7 +33,9 @@ row view (`len` and iteration) is for callers outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import functools
+from collections import namedtuple
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -70,23 +72,10 @@ class PermutationProtocol:
 
     @property
     def generators(self) -> tuple[BinaryVector, ...]:
-        """Rows n+m+1 .. 2n of A*P: independent commuting labels (A is
-        symplectic) whose span the final parity measurement merges."""
-        ap = self.matrix @ gf2.symplectic_form(self.n)
-        return tuple(ap.row(i) for i in range(self.n + self.m, 2 * self.n))
-
-
-@dataclass(frozen=True)
-class ProtocolOutcome:
-    """One measurement branch: outcome bits, statistics, chosen correction."""
-
-    t: BinaryVector
-    prob: float
-    output: BellDiagonalState
-    correction: BinaryVector
-    fidelity: float
-    unnormalized_fidelity: float
-    accepted: bool
+        """Rows n+m+1 .. 2n of A*P, A's rows with halves swapped: independent
+        commuting labels whose span the final parity measurement merges."""
+        return tuple(BinaryVector(gf2._swap_halves_value(row, self.n), 2 * self.n)
+                     for row in self.matrix.rows[self.n + self.m:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,24 +83,20 @@ class BranchSet:
     """The branches of one engine run as read-only columns, one row per
     branch of nonzero probability, in label order.
 
-    `columns` maps the fields of `record` (`ProtocolOutcome`,
-    `stabilizer.SyndromeBranch` or `equivalence.BranchComparison`), in
-    field order and so label first, to their columns, and each column reads
-    as an attribute of the set (`branches.prob`).  Label columns hold int64
-    label values of the bit lengths in `widths`, `accepted` and
-    `coset_match` are bool, `output` holds one normalized row of 4**m
-    weights per branch, and the other columns are float64.  `len` and
-    iteration give the branches as `record`s, built row by row.
+    `columns` maps each field name, label first, to its column, and each
+    column reads as an attribute of the set (`branches.prob`).  Label
+    columns hold int64 label values of the bit lengths in `widths`,
+    `accepted` and `coset_match` are bool, `output` holds one normalized
+    row of 4**m weights per branch, and the other columns are float64.
+    `len` and iteration give the branches row by row as named tuples of
+    the columns, labels as `BinaryVector`s and outputs as `BellDiagonalState`s.
     """
 
-    record: type
     m: int
     widths: Mapping[str, int]
     columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        if tuple(self.columns) != tuple(f.name for f in fields(self.record)):
-            raise ValueError("branch columns must be the record's fields in order")
         for column in self.columns.values():
             column.setflags(write=False)
         object.__setattr__(self, "widths", MappingProxyType(dict(self.widths)))
@@ -126,7 +111,7 @@ class BranchSet:
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
 
-    def __iter__(self) -> Iterator:
+    def __iter__(self) -> Iterator[tuple]:
         values = []
         for name, column in self.columns.items():
             if name == "output":
@@ -135,7 +120,11 @@ class BranchSet:
                 values.append([BinaryVector(v, self.widths[name]) for v in column.tolist()])
             else:
                 values.append(column.tolist())
-        return map(self.record, *values)
+        return map(_row_type(tuple(self.columns)), *values)
+
+
+# The named tuple of a branch set's rows, one class per tuple of column names.
+_row_type = functools.cache(functools.partial(namedtuple, "Branch"))
 
 
 def align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -288,8 +277,9 @@ def _fold(table: np.ndarray, weights: np.ndarray,
 
 
 def branch_outcomes(table: np.ndarray, m: int, threshold: float) -> BranchSet:
-    """The branches of a branch table, one per row of nonzero weight, as
-    the columns of a `BranchSet` of `ProtocolOutcome`s.
+    """The branches of a branch table, one per row of nonzero weight, as a
+    `BranchSet` with the columns t, prob, output, correction, fidelity,
+    unnormalized_fidelity and accepted.
 
     The probability is the row sum, the output the row renormalized, the
     correction the heaviest logical label of the row (`optimal_correction`,
@@ -306,7 +296,7 @@ def branch_outcomes(table: np.ndarray, m: int, threshold: float) -> BranchSet:
     outputs = rows / probs[live, None]
     _normalize(outputs, outputs)
     fids = outputs[np.arange(live.size), corrections]
-    return BranchSet(ProtocolOutcome, m, {"t": k, "correction": 2 * m}, {
+    return BranchSet(m, {"t": k, "correction": 2 * m}, {
         "t": live,
         "prob": probs[live],
         "output": outputs,
@@ -327,7 +317,7 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
     subspace and its entry y one coset of the measured subspace.  Branches
     of probability zero are never produced.  `threshold` defaults to the
     input fidelity (acceptance requires non-degradation).  The branches
-    come as one `BranchSet` with the columns of `ProtocolOutcome`.
+    come as one `BranchSet` with the columns of `branch_outcomes`.
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
@@ -335,9 +325,9 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
         threshold = state.fidelity
     n, m = proto.n, proto.m
     positions = [*range(n + m, 2 * n), *range(m), *range(n, n + m)]
-    selector = BinaryMatrix(tuple(1 << (2 * n - 1 - p) for p in positions), 2 * n)
-    table = branch_table(state, selector @ proto.matrix,
-                         (selector @ proto.offset).value, m)
+    label_map = BinaryMatrix(tuple(proto.matrix.rows[p] for p in positions), 2 * n)
+    offset = BinaryVector.from_bits([proto.offset.bit(p) for p in positions])
+    table = branch_table(state, label_map, offset.value, m)
     return branch_outcomes(table, m, threshold)
 
 

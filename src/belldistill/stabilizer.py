@@ -16,9 +16,9 @@ B, so the branch table `permutation.branch_table` fills here is entry by
 entry the one the permutation protocol P B^T P fills, and both engines
 read their branches off it the same way.
 
-`run` returns a `permutation.BranchSet` with the fields of
-`SyndromeBranch` as columns: the syndrome s, the representative v and the
-recovery u are int64 label columns, tabulated for all syndromes at once.
+`run` returns a `permutation.BranchSet` whose label columns, the syndrome
+s, the representative v and the recovery u, hold int64 label values
+tabulated for all syndromes at once.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ def pauli_letters(labels: np.ndarray, k: int) -> np.ndarray:
     return _PAULI_LETTERS[2 * bits[:, :k] + bits[:, k:]]
 
 
-def pauli_strings(labels: np.ndarray, k: int) -> list[str]:
-    """`to_pauli_string` of every 2k-bit label value, in one pass."""
-    return gf2.ascii_rows(pauli_letters(labels, k))
-
-
 @dataclass(frozen=True)
 class StabilizerProtocol:
     """n pairs, m survivors, n-m independent commuting generator labels, and
@@ -110,20 +105,6 @@ class StabilizerProtocol:
             raise ValueError("need at least one generator string")
         n = gens[0].pair_count
         return cls(n, n - len(gens) if m is None else m, gens)
-
-
-@dataclass(frozen=True)
-class SyndromeBranch:
-    """One syndrome: its probability, representative, recovery, and output."""
-
-    s: BinaryVector
-    prob: float
-    v: BinaryVector
-    u: BinaryVector
-    output: BellDiagonalState
-    fidelity: float
-    unnormalized_fidelity: float
-    accepted: bool
 
 
 def syndrome_of_error(generators: "tuple[BinaryVector, ...] | list[BinaryVector]",
@@ -195,7 +176,8 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     literal expression times 2**(n-m) is reported alongside as
     `unnormalized_fidelity`).  Zero-probability syndromes are never
     produced.  `threshold` defaults to the input fidelity.  The branches
-    come as one `BranchSet` with the columns of `SyndromeBranch`.
+    come as one `BranchSet` with the columns s, prob, v, u, output,
+    fidelity, unnormalized_fidelity and accepted.
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
@@ -220,7 +202,7 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     logical_part = [*range(m), *range(n, n + m)]
     branches = branch_outcomes(table, m, threshold)
     s, c = branches.t, branches.correction
-    return BranchSet(SyndromeBranch, m, {"s": n - m, "v": 2 * n, "u": 2 * n}, {
+    return BranchSet(m, {"s": n - m, "v": 2 * n, "u": 2 * n}, {
         "s": s,
         "prob": branches.prob,
         "v": images(perp, syndrome_part)[s],
@@ -233,7 +215,7 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
 
 
 __all__ = [
-    "StabilizerProtocol", "SyndromeBranch", "parse_pauli_string",
-    "to_pauli_string", "pauli_letters", "pauli_strings", "syndrome_of_error",
+    "StabilizerProtocol", "parse_pauli_string", "to_pauli_string",
+    "pauli_letters", "syndrome_of_error",
     "generator_span", "syndrome_distribution", "optimal_recovery", "run",
 ]

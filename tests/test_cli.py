@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -280,6 +282,8 @@ BAD_FILES = {
     "state-no-n": ("--state-file", {"probs": [1.0, 0.0, 0.0, 0.0]}),
     "state-no-probs": ("--state-file", {"n": 2}),
     "state-probs-not-numbers": ("--state-file", {"n": 1, "probs": ["1", 0, 0, 0]}),
+    # Two pairs, as the table's protocols have: only the weight type is wrong.
+    "state-probs-boolean": ("--state-file", {"n": 2, "probs": [True] + [0] * 15}),
     "protocol-nested": ("--protocol-file", NESTED),
     "state-nested": ("--state-file", NESTED),
     "config-nested": ("--config", NESTED),
@@ -439,6 +443,22 @@ def test_arbitrary_json_files_exit_cleanly(tmp_path_factory, command, files):
 # ---------------------------------------------------------------------------
 # Determinism and cross-format agreement
 # ---------------------------------------------------------------------------
+
+def test_closed_pipe_ends_quietly_with_exit_code_1():
+    """A reader that stops after 100 bytes of a ~1 MB output: no traceback,
+    not even from the flush at exit."""
+    argv = ["run-perm", "--generators", "ZZIIIIIIII,IIZZIIIIII,IIIIZZIIII,IIIIIIZZII",
+            "-m", "6", "--werner", "0.8", "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-m", "belldistill.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+
 
 def test_byte_identical_reruns(capsys):
     argv = ["verify", "--random", "6", "--seed", "11"]

@@ -26,18 +26,23 @@ def vec(s: str) -> BinaryVector:
     return BinaryVector.from_string(s)
 
 
+def char_rows(chars: np.ndarray) -> list[str]:
+    """Each row of a 2-D array of ASCII codes as a string."""
+    return [bytes(row).decode("ascii") for row in chars.astype(np.uint8)]
+
+
 def test_bit_strings_of_every_value_up_to_eight_bits():
     for length in range(9):
         values = np.arange(1 << length)
-        assert gf2.bit_strings(values, length) == \
+        assert char_rows(gf2.bit_chars(values, length)) == \
             [BinaryVector(v, length).to_string() for v in values.tolist()]
-    assert gf2.bit_strings(np.zeros(3, dtype=np.int64), 0) == ["", "", ""]
-    assert gf2.bit_strings(np.array([], dtype=np.int64), 5) == []
+    assert char_rows(gf2.bit_chars(np.zeros(3, dtype=np.int64), 0)) == ["", "", ""]
+    assert char_rows(gf2.bit_chars(np.array([], dtype=np.int64), 5)) == []
 
 
 def test_bit_strings_of_random_26_bit_values():
     values = np.random.default_rng(11).integers(0, 1 << 26, 10_000)
-    assert gf2.bit_strings(values, 26) == \
+    assert char_rows(gf2.bit_chars(values, 26)) == \
         [BinaryVector(v, 26).to_string() for v in values.tolist()]
 
 
@@ -62,9 +67,7 @@ def test_vector_string_round_trip(kv):
 def test_vector_bits_and_halves():
     v = vec("010011")
     assert v.bits == (0, 1, 0, 0, 1, 1)
-    assert v.phase_half == vec("010")
-    assert v.parity_half == vec("011")
-    assert v.swap_halves() == vec("011010")
+    assert v.pair_count == 3
     assert v.bit(1) == 1 and v.bit(0) == 0
 
 
@@ -82,8 +85,7 @@ def test_matrix_round_trip_and_transpose():
     assert m.to_strings() == ["110", "011"]
     assert m.transpose().to_strings() == ["10", "11", "01"]
     assert m.transpose().transpose() == m
-    assert m.rank() == 2
-    assert m.column(1) == vec("11")
+    assert m.column_values() == (0b10, 0b11, 0b01)
 
 
 def test_matrix_vector_product():
@@ -191,7 +193,7 @@ def test_is_symplectic_shape_errors():
 def literal_is_symplectic(matrix: BinaryMatrix) -> bool:
     """A^T P A = P, column pair by column pair."""
     n = matrix.nrows // 2
-    cols = [matrix.column(j) for j in range(2 * n)]
+    cols = [BinaryVector(c, 2 * n) for c in matrix.column_values()]
     return all(sympl_inner(cols[i], cols[j]) == (abs(i - j) == n)
                for i in range(2 * n) for j in range(2 * n))
 

@@ -1,5 +1,7 @@
 """Relabel-and-parity-check engine: frozen fixtures, literal coset-sum checks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from belldistill import gf2, oracle, permutation, stabilizer
 from belldistill.gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
 from belldistill.permutation import (
     PermutationProtocol,
-    ProtocolOutcome,
     branch_outcomes,
     branch_table,
     embed_label,
@@ -480,7 +481,7 @@ def test_branch_set_columns_equal_the_dense_oracle(rng):
 
 def reference_outcome(branches, row, n, m):
     """Row `row` of a permutation branch set as a record, built here."""
-    return ProtocolOutcome(
+    return SimpleNamespace(
         t=BinaryVector(int(branches.t[row]), n - m),
         prob=float(branches.prob[row]),
         # the row as it is: the constructor would renormalize it again
@@ -524,10 +525,10 @@ def test_branch_set_records_equal_the_per_row_reference(rng):
         proto = random_protocol(n, m, rng)
         for state in branch_set_inputs(n, rng):
             branches = run(state, proto)
-            assert branches.record is ProtocolOutcome
             expected = [reference_outcome(branches, row, n, m)
                         for row in range(len(branches))]
             for got, want in zip(list(branches), expected, strict=True):
+                assert got._fields == tuple(branches.columns) == tuple(vars(want))
                 assert_same_record(got, want)
             assert_read_only(branches)
 
