@@ -312,27 +312,21 @@ def _combination(basis: Sequence[int], pick: int) -> int:
     return value
 
 
-def _solve(rows: Sequence[int], rhs: Sequence[int], ncols: int,
-           rng: np.random.Generator | None = None) -> int:
-    """One solution of <rows[i], x> = rhs[i].
+def _solve(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> int:
+    """Lexicographically smallest x with <rows[i], x> = rhs[i]; raises on
+    inconsistency.
 
-    Deterministic mode returns the lexicographically smallest solution;
-    with an rng, a uniformly random solution.  Raises on inconsistency.
+    With each right-hand-side bit as a new leading column, the solutions x
+    are exactly the null-space vectors (1, x).  The reduced null-space basis
+    starts at column 0 only if the system is consistent; that first row is
+    (1, x), and x is zero at the pivots of the other rows, which span the
+    homogeneous solutions, so x is the least solution.
     """
-    aug = [(row << 1) | (bit & 1) for row, bit in zip(rows, rhs)]
-    reduced, pivots = _rref(aug, ncols + 1)
-    if ncols in pivots:
+    basis, pivots = _kernel([(bit << ncols) | row for row, bit in zip(rows, rhs)],
+                            ncols + 1)
+    if not pivots or pivots[0]:
         raise ValueError("inconsistent linear system over GF(2)")
-    x = 0
-    for row, p in zip(reduced, pivots):
-        if row & 1:
-            x |= 1 << (ncols - 1 - p)
-    kernel_rows, kernel_pivots = _kernel(rows, ncols)
-    if rng is None:
-        return _reduce_by(x, kernel_rows, kernel_pivots, ncols)
-    if kernel_rows:
-        x ^= _combination(kernel_rows, int(rng.integers(0, 1 << len(kernel_rows))))
-    return x
+    return basis[0] ^ (1 << ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +342,8 @@ class Subspace:
     pivots: tuple[int, ...]
 
     @classmethod
-    def from_vectors(cls, vectors: Iterable[BinaryVector],
-                     length: int | None = None) -> "Subspace":
+    def from_vectors(cls, vectors: Iterable[BinaryVector], length: int) -> "Subspace":
         vectors = list(vectors)
-        if length is None:
-            if not vectors:
-                raise ValueError("length required for an empty generating set")
-            length = vectors[0].length
         for v in vectors:
             if v.length != length:
                 raise ValueError("subspace generators must share one length")
@@ -388,10 +377,7 @@ class Subspace:
     @cached_property
     def element_values(self) -> np.ndarray:
         """All 2^dim subspace elements as packed ints (XOR-subset order)."""
-        vals = np.zeros(1, dtype=np.int64)
-        for b in self.basis:
-            vals = np.concatenate([vals, vals ^ np.int64(b)])
-        return vals
+        return affine_images(self.basis[::-1], 0)
 
     def elements(self) -> Iterator[BinaryVector]:
         for v in self.element_values:
@@ -472,16 +458,17 @@ def solve_commutation(gens: Sequence[BinaryVector], s: BinaryVector) -> BinaryVe
     return BinaryVector(value, 2 * n)
 
 
-def complete_to_symplectic(gens: Sequence[BinaryVector], n: int,
-                           rng: np.random.Generator | None = None) -> BinaryMatrix:
+def complete_to_symplectic(gens: Sequence[BinaryVector], n: int) -> BinaryMatrix:
     """Complete commuting independent generators to a full symplectic matrix.
 
     The returned 2n x 2n matrix B satisfies B^T P B = P, carries the i-th
     of the k generators in column m+i, where m = n - k, and pairs it with
     column n+m+i (symplectic inner product 1 against its generator, 0
     against every other column).
-    Without an rng the completion is deterministic (lex-least choice at
-    every step); an rng yields a random valid completion instead.
+    The completion is deterministic: each partner is the lex-least solution
+    of its commutation constraints, and each further hyperbolic pair is the
+    first remaining basis vector with the first one it pairs to.  Other
+    valid frames are B times symplectic maps that fix the generator columns.
     """
     k = len(gens)
     m = n - k
@@ -501,7 +488,7 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int,
     for i in range(k):
         rows = [_swap_halves_value(v, n) for v in values + partners]
         rhs = [1 if j == i else 0 for j in range(k)] + [0] * len(partners)
-        h = _solve(rows, rhs, two_n, rng)
+        h = _solve(rows, rhs, two_n)
         cols[n + m + i] = h
         partners.append(h)
 
@@ -509,21 +496,10 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int,
     anchor_rows = [_swap_halves_value(v, n) for v in values + partners]
     work, _ = _kernel(anchor_rows, two_n)
     for j in range(m):
-        if rng is None:
-            u = work[0]
-        else:
-            u = _combination(work, int(rng.integers(1, 1 << len(work))))
-        pairing = [_sympl_value(u, b, n) for b in work]
-        ones = [i for i, bit in enumerate(pairing) if bit]
-        if not ones:
+        u = work[0]
+        w = next((b for b in work if _sympl_value(u, b, n)), None)
+        if w is None:
             raise RuntimeError("degenerate complement during symplectic completion")
-        if rng is None:
-            w = work[ones[0]]
-        else:
-            pick = int(rng.integers(0, 1 << len(work)))
-            if _parity(pick & sum(1 << i for i in ones)) == 0:
-                pick ^= 1 << ones[0]
-            w = _combination(work, pick)
         cols[j] = u
         cols[n + j] = w
         deflated = []
@@ -571,8 +547,7 @@ def random_isotropic_generators(n: int, k: int,
     chosen: list[int] = []
     while len(chosen) < k:
         rows = [_swap_halves_value(c, n) for c in chosen]
-        candidates, _ = _kernel(rows, two_n) if rows else _rref(
-            [1 << i for i in range(two_n)], two_n)
+        candidates, _ = _kernel(rows, two_n)
         span_rows, span_pivots = _rref(chosen, two_n)
         for _ in range(64):
             v = _combination(candidates, int(rng.integers(1, 1 << len(candidates))))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from belldistill.gf2 import BinaryMatrix
+from belldistill import gf2
+from belldistill.gf2 import BinaryMatrix, BinaryVector
 from belldistill.permutation import BranchSet
 from belldistill.states import BellDiagonalState, werner
 
@@ -43,3 +44,23 @@ def edit_columns():
                          {name: change(name, column)
                           for name, column in branches.columns.items()})
     return edit
+
+
+@pytest.fixture
+def random_frame():
+    """A function giving a random valid frame for n - m commuting
+    generators: the deterministic completion times random transvections
+    x -> x + <x,h> h.  No h has a bit at positions n+m..2n-1, so each
+    transvection fixes the generator columns m..n-1, and the product stays
+    symplectic; StabilizerProtocol validates every frame it is given."""
+    def frame(gens, n: int, rng: np.random.Generator) -> BinaryMatrix:
+        two_n, k = 2 * n, len(gens)
+        basis = gf2.complete_to_symplectic(gens, n)
+        for _ in range(two_n):
+            h = BinaryVector(int(rng.integers(0, 1 << two_n)) >> k << k, two_n)
+            ph = (gf2.symplectic_form(n) @ h).value
+            # T = I + h (P h)^T: row i of T is e_i, plus (P h)^T where h has bit i
+            rows = ((1 << (two_n - 1 - i)) ^ (ph if h.bit(i) else 0) for i in range(two_n))
+            basis = basis @ BinaryMatrix(tuple(rows), two_n)
+        return basis
+    return frame

@@ -122,7 +122,7 @@ def test_criterion_4_commutation_eigenvalue_identities():
         assert commutation.passed and eigenvalue.passed
 
 
-def test_criterion_5_gf2_layer():
+def test_criterion_5_gf2_layer(random_frame):
     """1000 randomized algebra checks plus completion postconditions."""
     with criterion(5, "GF(2) layer"):
         rng = np.random.default_rng(55)
@@ -163,8 +163,7 @@ def test_criterion_5_gf2_layer():
             state = random_bell_diagonal(n, rng)
             seen = {}
             for seed in range(16):
-                basis = gf2.complete_to_symplectic(
-                    gens, n, np.random.default_rng(seed))
+                basis = random_frame(gens, n, np.random.default_rng(seed))
                 seen[basis.rows] = basis
                 if len(seen) >= 3:
                     break

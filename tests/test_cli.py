@@ -281,8 +281,8 @@ BAD_FILES = {
     "protocol-n-not-int": ("--protocol-file", {"n": "2", "m": 1, "generators": ["ZZ"]}),
     "state-no-n": ("--state-file", {"probs": [1.0, 0.0, 0.0, 0.0]}),
     "state-no-probs": ("--state-file", {"n": 2}),
-    "state-probs-not-numbers": ("--state-file", {"n": 1, "probs": ["1", 0, 0, 0]}),
     # Two pairs, as the table's protocols have: only the weight type is wrong.
+    "state-probs-not-numbers": ("--state-file", {"n": 2, "probs": ["1"] + [0] * 15}),
     "state-probs-boolean": ("--state-file", {"n": 2, "probs": [True] + [0] * 15}),
     "protocol-nested": ("--protocol-file", NESTED),
     "state-nested": ("--state-file", NESTED),

@@ -31,7 +31,7 @@ def test_perm_from_zz_measures_generator_span():
     proto = StabilizerProtocol.from_pauli_strings(["ZZ"])
     pp = permutation_from_stabilizer(proto)
     assert gf2.is_symplectic(pp.matrix)
-    assert measured_subspace(pp) == Subspace.from_vectors([vec("1100")])
+    assert measured_subspace(pp) == Subspace.from_vectors([vec("1100")], 4)
 
 
 def test_perm_from_empty_generators_is_identity():
@@ -91,7 +91,7 @@ def test_completion_embedding_identities(rng):
         m = n - k
         gens = tuple(gf2.random_isotropic_generators(n, k, rng))
         basis = gf2.complete_to_symplectic(gens, n)
-        span = Subspace.from_vectors(gens)
+        span = Subspace.from_vectors(gens, 2 * n)
         perp = gf2.orthogonal_complement(span)
         for t in range(1 << k):
             t_vec = BinaryVector(t, k)
@@ -212,7 +212,7 @@ def test_verify_random_batch(rng):
         assert report.max_discrepancy <= 1e-12
 
 
-def test_verify_tie_heavy_inputs_random_completions(rng):
+def test_verify_tie_heavy_inputs_random_completions(rng, random_frame):
     # Werner, point-mass and uniform inputs tie many cosets exactly; both
     # engines read the same branch table, so they still pick the same coset
     for n in range(2, 6):
@@ -223,13 +223,13 @@ def test_verify_tie_heavy_inputs_random_completions(rng):
             for state in (BellDiagonalState.from_pairs([werner(0.75)] * n),
                           BellDiagonalState.point_mass(n, label),
                           BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))):
-                frame = gf2.complete_to_symplectic(gens, n, rng)
+                frame = random_frame(gens, n, rng)
                 report = verify_equivalence(state, StabilizerProtocol(n, m, gens, frame))
                 assert report.passed, report
                 assert report.max_discrepancy == 0.0
 
 
-def test_fidelity_invariant_across_completions(rng):
+def test_fidelity_invariant_across_completions(rng, random_frame):
     # at least three distinct completions per instance must agree on every
     # branch probability and fidelity
     for _ in range(10):
@@ -239,8 +239,7 @@ def test_fidelity_invariant_across_completions(rng):
         state = random_bell_diagonal(n, rng)
         completions = {}
         for seed in range(12):
-            b = gf2.complete_to_symplectic(
-                gens, n, np.random.default_rng(seed))
+            b = random_frame(gens, n, np.random.default_rng(seed))
             completions[b.rows] = b
             if len(completions) >= 3:
                 break

@@ -111,7 +111,7 @@ def isotropic_subspaces(n: int) -> dict[int, list[Subspace]]:
             for value in range(1, 1 << (2 * n)):
                 v = BinaryVector(value, 2 * n)
                 if v not in span and all(sympl_inner(v, b) == 0 for b in basis):
-                    sub = Subspace.from_vectors([*basis, v])
+                    sub = Subspace.from_vectors([*basis, v], 2 * n)
                     bigger[sub.basis] = sub
         found[k + 1] = sorted(bigger.values(), key=lambda sub: sub.basis)
     del found[0]

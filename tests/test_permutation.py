@@ -52,11 +52,11 @@ def test_protocol_rejects_bad_split(bcnot):
 
 def test_measured_subspace_identity():
     proto = PermutationProtocol.linear(2, 1, BinaryMatrix.identity(4))
-    assert measured_subspace(proto) == Subspace.from_vectors([vec("0100")])
+    assert measured_subspace(proto) == Subspace.from_vectors([vec("0100")], 4)
 
 
 def test_measured_subspace_bcnot(bcnot_proto):
-    assert measured_subspace(bcnot_proto) == Subspace.from_vectors([vec("1100")])
+    assert measured_subspace(bcnot_proto) == Subspace.from_vectors([vec("1100")], 4)
 
 
 def test_measured_subspace_isotropic(rng):
@@ -177,7 +177,7 @@ def embed(y, t, n, m):
     return embed_label(BinaryVector(y, 2 * m), BinaryVector(t, n - m), n, m)
 
 
-def test_coset_path_equals_direct_path(rng):
+def test_coset_path_equals_direct_path(rng, random_frame):
     for _ in range(20):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(0, n + 1))
@@ -188,7 +188,7 @@ def test_coset_path_equals_direct_path(rng):
         inverse = gf2.symplectic_inverse(matrix)
         shift = (inverse @ offset).value
         gens = tuple(gf2.random_isotropic_generators(n, n - m, rng)) if m < n else ()
-        basis = gf2.complete_to_symplectic(gens, n, rng)
+        basis = random_frame(gens, n, rng)
         code = StabilizerProtocol(n, m, gens, basis)
         span = generator_span(code)
         for state in tie_heavy_and_random_inputs(n, rng):

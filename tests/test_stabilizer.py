@@ -135,7 +135,7 @@ def test_syndrome_of_span_element_is_zero(rng):
         n = int(rng.integers(1, 5))
         k = int(rng.integers(1, n + 1))
         gens = tuple(gf2.random_isotropic_generators(n, k, rng))
-        span = Subspace.from_vectors(gens)
+        span = Subspace.from_vectors(gens, 2 * n)
         for e in span.elements():
             assert syndrome_of_error(gens, e).value == 0
 
@@ -294,14 +294,14 @@ def test_run_wrong_state_size(zz_proto):
         run(BellDiagonalState.point_mass(3), zz_proto)
 
 
-def test_run_labels_equal_per_branch_reduction(rng):
+def test_run_labels_equal_per_branch_reduction(rng, random_frame):
     # v and u are table lookups; here they are recomputed per branch as
     # reductions of the frame image B embed(c, s), c the heaviest label
     for _ in range(12):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, n))
         gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
-        proto = StabilizerProtocol(n, m, gens, gf2.complete_to_symplectic(gens, n, rng))
+        proto = StabilizerProtocol(n, m, gens, random_frame(gens, n, rng))
         span = generator_span(proto)
         perp = gf2.orthogonal_complement(span)
         label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
