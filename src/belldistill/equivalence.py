@@ -32,8 +32,7 @@ def permutation_from_stabilizer(proto: StabilizerProtocol) -> PermutationProtoco
     frame B; its measured subspace equals the generator span, and it names
     its logical outputs as the stabilizer engine does.
     """
-    matrix = gf2.symplectic_inverse(proto.frame)
-    return PermutationProtocol.linear(proto.n, proto.m, matrix)
+    return PermutationProtocol._trusted(proto.n, proto.m, gf2._inverse(proto.frame))
 
 
 def stabilizer_from_permutation(proto: PermutationProtocol) -> StabilizerProtocol:

@@ -43,9 +43,9 @@ class BinaryVector:
 
     @classmethod
     def from_string(cls, bits: str) -> "BinaryVector":
-        if bits and set(bits) - {"0", "1"}:
+        if set(bits) - {"0", "1"}:
             raise ValueError(f"invalid bit string {bits!r}")
-        return cls(int(bits, 2) if bits else 0, len(bits))
+        return cls(int(bits or "0", 2), len(bits))
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "BinaryVector":
@@ -118,7 +118,7 @@ class BinaryMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows in matrix literal")
-        return cls(tuple(int(r, 2) if r else 0 for r in rows), width)
+        return cls(tuple(BinaryVector.from_string(r).value for r in rows), width)
 
     @classmethod
     def identity(cls, k: int) -> "BinaryMatrix":
@@ -249,6 +249,11 @@ def symplectic_inverse(matrix: BinaryMatrix) -> BinaryMatrix:
     """Inverse of a symplectic matrix, computed as P A^T P (also symplectic)."""
     if not is_symplectic(matrix):
         raise ValueError("matrix is not symplectic (A^T P A != P)")
+    return _inverse(matrix)
+
+
+def _inverse(matrix: BinaryMatrix) -> BinaryMatrix:
+    """`symplectic_inverse` of a matrix already known to be symplectic."""
     n = matrix.nrows // 2
     transposed = matrix.transpose().rows
     # P M P: reorder rows by half-swap, then half-swap each row.
@@ -312,21 +317,25 @@ def _combination(basis: Sequence[int], pick: int) -> int:
     return value
 
 
-def _solve(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> int:
-    """Lexicographically smallest x with <rows[i], x> = rhs[i]; raises on
-    inconsistency.
+def _unit_solutions(rows: Sequence[int], ncols: int
+                    ) -> tuple[list[int], list[int], list[int]]:
+    """For k independent rows, the lex-least x_i with <rows[j], x_i> = [i = j],
+    then the RREF rows and pivots of the rows' null space, all from one
+    `_kernel` call: with k unit columns in front, row j is (e_j, rows[j]).
+    Its reduced null-space basis is the k rows (e_i, x_i), then the rows'
+    null space as rows (0, c); x_i is zero at their pivots, so least."""
+    k = len(rows)
+    basis, pivots = _kernel([(1 << (ncols + k - 1 - j)) | row for j, row in enumerate(rows)],
+                            ncols + k)
+    mask = (1 << ncols) - 1
+    return [b & mask for b in basis[:k]], basis[k:], [p - k for p in pivots[k:]]
 
-    With each right-hand-side bit as a new leading column, the solutions x
-    are exactly the null-space vectors (1, x).  The reduced null-space basis
-    starts at column 0 only if the system is consistent; that first row is
-    (1, x), and x is zero at the pivots of the other rows, which span the
-    homogeneous solutions, so x is the least solution.
-    """
-    basis, pivots = _kernel([(bit << ncols) | row for row, bit in zip(rows, rhs)],
-                            ncols + 1)
-    if not pivots or pivots[0]:
-        raise ValueError("inconsistent linear system over GF(2)")
-    return basis[0] ^ (1 << ncols)
+
+def _deflate(basis: Sequence[int], u: int, w: int, n: int) -> tuple[list[int], list[int]]:
+    """RREF of the span's part orthogonal to u and w, for <u, w> = 1 and u in the
+    span, w too unless the span is orthogonal to u: b -> b + <b, w> u + <b, u> w."""
+    return _rref([b ^ _sympl_value(b, w, n) * u ^ _sympl_value(b, u, n) * w for b in basis],
+                 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +446,12 @@ def _check_generators(gens: Sequence[BinaryVector]) -> int:
         raise ValueError("generator labels must have even length")
     if any(g.length != length for g in gens):
         raise ValueError("generators must share one length")
-    n = length // 2
-    rows, _ = _rref((g.value for g in gens), length)
-    if len(rows) != len(gens):
+    span = Subspace.from_vectors(gens, length)
+    if span.dim != len(gens):
         raise ValueError("generators are linearly dependent over GF(2)")
-    for i, a in enumerate(gens):
-        for b in gens[i:]:
-            if _sympl_value(a.value, b.value, n):
-                raise ValueError("generators do not pairwise commute")
-    return n
+    if not span.is_isotropic():
+        raise ValueError("generators do not pairwise commute")
+    return length // 2
 
 
 def solve_commutation(gens: Sequence[BinaryVector], s: BinaryVector) -> BinaryVector:
@@ -453,9 +459,8 @@ def solve_commutation(gens: Sequence[BinaryVector], s: BinaryVector) -> BinaryVe
     n = _check_generators(gens)
     if s.length != len(gens):
         raise ValueError("target bit count must match the generator count")
-    rows = [_swap_halves_value(g.value, n) for g in gens]
-    value = _solve(rows, s.bits, 2 * n)
-    return BinaryVector(value, 2 * n)
+    solutions, _, _ = _unit_solutions([_swap_halves_value(g.value, n) for g in gens], 2 * n)
+    return BinaryVector(_combination(solutions[::-1], s.value), 2 * n)
 
 
 def complete_to_symplectic(gens: Sequence[BinaryVector], n: int) -> BinaryMatrix:
@@ -465,9 +470,11 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int) -> BinaryMatrix
     of the k generators in column m+i, where m = n - k, and pairs it with
     column n+m+i (symplectic inner product 1 against its generator, 0
     against every other column).
-    The completion is deterministic: each partner is the lex-least solution
-    of its commutation constraints, and each further hyperbolic pair is the
-    first remaining basis vector with the first one it pairs to.  Other
+    The completion is deterministic and takes one null space
+    (`_unit_solutions`): per generator the least label x_i pairing with it
+    alone, and the RREF of the generators' commutant C, which shrinks as
+    each hyperbolic pair is placed.  Partner i is the lex-least label
+    pairing with generator i alone and with no earlier partner.  Other
     valid frames are B times symplectic maps that fix the generator columns.
     """
     k = len(gens)
@@ -475,42 +482,31 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int) -> BinaryMatrix
     if m < 0:
         raise ValueError("generator count must be at most n")
     two_n = 2 * n
-    if k:
-        if _check_generators(gens) != n:
-            raise ValueError("generator length does not match n")
+    if k and _check_generators(gens) != n:
+        raise ValueError("generator length does not match the pair count")
     values = [g.value for g in gens]
-    cols = [0] * two_n
-    for i, gv in enumerate(values):
-        cols[m + i] = gv
-
-    # Symplectic partners of the generators, one linear solve each.
+    solutions, work, pivots = _unit_solutions(
+        [_swap_halves_value(v, n) for v in values], two_n)
+    # Partner i: x_i plus g_j for each earlier partner h_j it pairs with,
+    # least in C; then C loses its part pairing with h_i.
     partners: list[int] = []
-    for i in range(k):
-        rows = [_swap_halves_value(v, n) for v in values + partners]
-        rhs = [1 if j == i else 0 for j in range(k)] + [0] * len(partners)
-        h = _solve(rows, rhs, two_n)
-        cols[n + m + i] = h
+    for g, x in zip(values, solutions):
+        for gj, hj in zip(values, partners):
+            if _sympl_value(x, hj, n):
+                x ^= gj
+        h = _reduce_by(x, work, pivots, two_n)
         partners.append(h)
+        work, pivots = _deflate(work, g, h, n)
 
-    # Hyperbolic pairs spanning the complement of the generator/partner block.
-    anchor_rows = [_swap_halves_value(v, n) for v in values + partners]
-    work, _ = _kernel(anchor_rows, two_n)
+    # Further hyperbolic pairs: C's first vector and the first it pairs with.
+    cols = [0] * m + values + [0] * m + partners
     for j in range(m):
         u = work[0]
         w = next((b for b in work if _sympl_value(u, b, n)), None)
         if w is None:
             raise RuntimeError("degenerate complement during symplectic completion")
-        cols[j] = u
-        cols[n + j] = w
-        deflated = []
-        for b in work:
-            v = b
-            if _sympl_value(v, w, n):
-                v ^= u
-            if _sympl_value(v, u, n):
-                v ^= w
-            deflated.append(v)
-        work, _ = _rref(deflated, two_n)
+        cols[j], cols[n + j] = u, w
+        work, _ = _deflate(work, u, w, n)
 
     matrix = BinaryMatrix(tuple(cols), two_n).transpose()
     if not is_symplectic(matrix):
@@ -532,10 +528,7 @@ def random_symplectic(n: int, rng: np.random.Generator) -> BinaryMatrix:
         ph = _swap_halves_value(h, n)
         # x -> x + (x^T P h) h applied to each row of the accumulated matrix.
         rows = [r ^ h if _parity(r & ph) else r for r in rows]
-    matrix = BinaryMatrix(tuple(rows), two_n).transpose()
-    if not is_symplectic(matrix):
-        raise RuntimeError("transvection product is not symplectic")
-    return matrix
+    return BinaryMatrix(tuple(rows), two_n).transpose()
 
 
 def random_isotropic_generators(n: int, k: int,

@@ -70,6 +70,14 @@ class PermutationProtocol:
     def linear(cls, n: int, m: int, matrix: BinaryMatrix) -> "PermutationProtocol":
         return cls(n, m, matrix, BinaryVector.zeros(2 * n))
 
+    @classmethod
+    def _trusted(cls, n: int, m: int, matrix: BinaryMatrix) -> "PermutationProtocol":
+        """Internal constructor of the linear protocol of a matrix known to be
+        symplectic (the inverse of a validated frame), skipping the checks."""
+        proto = object.__new__(cls)
+        proto.__dict__.update(n=n, m=m, matrix=matrix, offset=BinaryVector.zeros(2 * n))
+        return proto
+
     @property
     def generators(self) -> tuple[BinaryVector, ...]:
         """Rows n+m+1 .. 2n of A*P, A's rows with halves swapped: independent
@@ -343,7 +351,7 @@ def unnormalized_fidelity(state: BellDiagonalState, proto: PermutationProtocol,
     if t.length != proto.n - proto.m:
         raise ValueError("outcome length must be n-m")
     n, m = proto.n, proto.m
-    inverse = gf2.symplectic_inverse(proto.matrix)
+    inverse = gf2._inverse(proto.matrix)
     # The offset absorbed into the input: the linear-part coset formulas
     # on q_x = p_{x + A^-1 b} reproduce the affine protocol exactly.
     q = state.pauli_shift(inverse @ proto.offset).probs

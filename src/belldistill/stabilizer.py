@@ -85,13 +85,12 @@ class StabilizerProtocol:
             raise ValueError("need 0 <= m <= n")
         if len(self.generators) != self.n - self.m:
             raise ValueError("generator count must equal n - m")
-        if self.generators:
-            if gf2._check_generators(self.generators) != self.n:
-                raise ValueError("generator length does not match the pair count")
         n, m, frame = self.n, self.m, self.frame
-        if frame is None:
+        if frame is None:  # the completion validates the generators
             object.__setattr__(self, "frame",
                                gf2.complete_to_symplectic(self.generators, n))
+        elif self.generators and gf2._check_generators(self.generators) != n:
+            raise ValueError("generator length does not match the pair count")
         elif frame.shape != (2 * n, 2 * n) or not gf2.is_symplectic(frame):
             raise ValueError("logical basis must be a symplectic 2n x 2n matrix")
         elif frame.column_values()[m:n] != tuple(g.value for g in self.generators):

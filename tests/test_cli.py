@@ -1,5 +1,6 @@
 """Command-line surface: formats, file configs, determinism, exit codes."""
 
+import collections
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from belldistill import equivalence, permutation, stabilizer
+from belldistill import equivalence, gf2, permutation, stabilizer
 from belldistill.cli import _CONFIG_KEYS, main
 from belldistill.states import BellDiagonalState, werner
 
@@ -297,6 +298,9 @@ BAD_FILES = {
     "protocol-generators-and-A": ("--protocol-file",
                                   {"n": 2, "m": 1, "generators": ["ZZ"],
                                    "A": BCNOT.split(","), "b": "0001"}),
+    # int("+001", 2) is 1: a row must be written in 0s and 1s only.
+    "protocol-A-not-bits": ("--protocol-file",
+                            {"n": 2, "m": 1, "A": ["+001", "1000", "1101", "0011"]}),
     "protocol-A-wrong-width": ("--protocol-file",
                                {"n": 3, "m": 1, "A": BCNOT.split(",")}),
     "protocol-b-number": ("--protocol-file",
@@ -367,6 +371,10 @@ def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     ["run-perm", "--generators", "ZZ", "--pair", "1,2,3"],
     ["run-perm", "--matrix", BCNOT, "--werner", "0.75"],
     ["run-perm", "--matrix", "1100,0100,0010", "-m", "1", "--werner", "0.75"],
+    # Rows int(row, 2) would read as 0001, making the matrix symplectic.
+    ["run-perm", "--matrix", "0_01,1000,1101,0011", "-m", "1", "--werner", "0.8"],
+    ["run-perm", "--matrix", "\u0660\u0660\u0660\u0661,1000,1101,0011", "-m", "1",
+     "--werner", "0.8"],
     # The output's parent directory is an existing file.
     ["run-perm", "--generators", "ZZ", "--werner", "0.75", "--output",
      str(Path(__file__) / "out.json")],
@@ -384,6 +392,34 @@ def test_all_zero_offset_still_accepted(capsys, command):
     code, out, _ = invoke(capsys, *base, "--offset", "0000")
     assert code == 0
     assert (code, out) == invoke(capsys, *base)[:2]
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Calls of gf2's matrix and generator checks, counted by name."""
+    counts = collections.Counter()
+    for name in ("is_symplectic", "_check_generators"):
+        def counted(*args, name=name, check=getattr(gf2, name)):
+            counts[name] += 1
+            return check(*args)
+        monkeypatch.setattr(gf2, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("command", ["verify", "run-perm"])
+def test_a_generator_protocol_is_checked_once(capsys, checks, command):
+    # the completion checks the generators and the frame it built; the
+    # frame's inverse is the permutation protocol, checked no further
+    code, _, _ = invoke(capsys, command, "--generators", "ZZZ,IXX", "--werner", "0.75")
+    assert code == 0
+    assert checks == {"is_symplectic": 1, "_check_generators": 1}
+
+
+def test_a_matrix_protocol_has_its_generators_checked_at_most_once(capsys, checks):
+    code, _, _ = invoke(capsys, "run-code", "--matrix", BCNOT, "-m", "1",
+                        "--werner", "0.75")
+    assert code == 0
+    assert checks["_check_generators"] <= 1
 
 
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """GF(2)/symplectic layer: frozen examples, brute-force oracles, properties."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +88,13 @@ def test_matrix_round_trip_and_transpose():
     assert m.transpose().to_strings() == ["10", "11", "01"]
     assert m.transpose().transpose() == m
     assert m.column_values() == (0b10, 0b11, 0b01)
+
+
+@pytest.mark.parametrize("row", ["0_01", "+001", "\u0660\u0660\u0660\u0661", "10 1"])
+def test_matrix_literal_refuses_any_character_but_bits(row):
+    # int(row, 2) alone would read the first three as 0001
+    with pytest.raises(ValueError, match="invalid bit string"):
+        BinaryMatrix.from_strings([row, "1000", "1101", "0011"])
 
 
 def test_matrix_vector_product():
@@ -379,41 +388,48 @@ def test_coset_sum_matches_brute_force(rng):
 
 
 # ---------------------------------------------------------------------------
-# _solve and _kernel against brute force
+# _unit_solutions and _kernel against brute force
 # ---------------------------------------------------------------------------
 
 def test_solve_and_kernel_match_brute_force(rng):
-    # the last row is the sum of two others, so a random right-hand side
-    # makes about half the systems inconsistent
-    inconsistent = 0
+    # the last row is the sum of two others, so the rows are dependent
     for _ in range(300):
         ncols = int(rng.integers(1, 9))
         rows = [int(rng.integers(0, 1 << ncols)) for _ in range(int(rng.integers(0, 6)))]
         if len(rows) >= 2:
             rows.append(rows[0] ^ rows[-1])
-        rhs = [int(rng.integers(0, 2)) for _ in rows]
 
-        def solves(x, targets):
+        def solves(x, targets, rows=rows):
             return all(bin(r & x).count("1") % 2 == t for r, t in zip(rows, targets))
 
-        solutions = [x for x in range(1 << ncols) if solves(x, rhs)]
-        if solutions:
-            assert gf2._solve(rows, rhs, ncols) == min(solutions)
-        else:
-            inconsistent += 1
-            with pytest.raises(ValueError, match="inconsistent"):
-                gf2._solve(rows, rhs, ncols)
+        # `_unit_solutions` takes independent rows: each row outside the
+        # enumerated span of the ones kept before it
+        independent = []
+        for r in rows:
+            if r not in brute_span(independent, ncols):
+                independent.append(r)
+        solutions, commutant, commutant_pivots = gf2._unit_solutions(independent, ncols)
+        for i, x in enumerate(solutions):
+            unit = [int(j == i) for j in range(len(independent))]
+            assert x == min(y for y in range(1 << ncols) if solves(y, unit, independent))
+        assert_reduced_basis(commutant, commutant_pivots, ncols)
+        assert brute_span(commutant, ncols) == \
+            {x for x in range(1 << ncols) if solves(x, [0] * len(independent), independent)}
 
         basis, pivots = gf2._kernel(rows, ncols)
-        assert len(basis) == len(pivots)
-        assert pivots == sorted(set(pivots))
-        for row, p in zip(basis, pivots):
-            assert row.bit_length() == ncols - p  # leading bit at its pivot
-            assert [(b >> (ncols - 1 - p)) & 1 for b in basis] == \
-                [int(b == row) for b in basis]
+        assert_reduced_basis(basis, pivots, ncols)
         null_space = {x for x in range(1 << ncols) if solves(x, [0] * len(rows))}
         assert brute_span(basis, ncols) == null_space
-    assert 0 < inconsistent < 300
+
+
+def assert_reduced_basis(basis, pivots, ncols):
+    """RREF: each row leads at its pivot, which no other row has set."""
+    assert len(basis) == len(pivots)
+    assert pivots == sorted(set(pivots))
+    for row, p in zip(basis, pivots):
+        assert row.bit_length() == ncols - p  # leading bit at its pivot
+        assert [(b >> (ncols - 1 - p)) & 1 for b in basis] == \
+            [int(b == row) for b in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -509,3 +525,78 @@ def test_complete_rejects_bad_gens():
         complete_to_symplectic([vec("1100")] * 3, 2)  # more generators than pairs
     with pytest.raises(ValueError, match="generator count"):
         StabilizerProtocol(2, 0, (vec("1100"),))  # m inconsistent
+
+
+def pairing_table(n: int) -> np.ndarray:
+    """<a, b> of every two 2n-bit labels, straight from the bits: the
+    parity of phase(a) & parity(b) ^ parity(a) & phase(b)."""
+    labels = np.arange(1 << (2 * n))
+    phase, parity = labels >> n, labels & ((1 << n) - 1)
+    return np.bitwise_count(phase[:, None] & parity ^ parity[:, None] & phase) & 1
+
+
+def isotropic_sets(n: int, pairing: np.ndarray):
+    """Every nonempty set of independent, pairwise commuting labels, once,
+    in increasing order: each label is larger than the one before, commutes
+    with them and lies outside their enumerated span."""
+    def extend(chosen, span):
+        if chosen:
+            yield chosen
+        if len(chosen) < n:
+            for v in range(chosen[-1] + 1 if chosen else 1, 1 << (2 * n)):
+                if v not in span and not any(pairing[v, c] for c in chosen):
+                    yield from extend(chosen + [v], span | {x ^ v for x in span})
+    yield from extend([], {0})
+
+
+def test_partners_are_the_least_labels_meeting_their_constraints():
+    # the enumeration shares no code with the null space the completion uses
+    for n in range(1, 4):
+        pairing = pairing_table(n)
+        sets = 0
+        for gens in isotropic_sets(n, pairing):
+            sets += 1
+            frame = complete_to_symplectic([BinaryVector(g, 2 * n) for g in gens], n)
+            partners = frame.column_values()[2 * n - len(gens):]
+            for i, h in enumerate(partners):
+                # pairs with generator i alone, and with no earlier partner
+                meets = np.ones(1 << (2 * n), dtype=bool)
+                for j, g in enumerate(gens):
+                    meets &= pairing[g] == (i == j)
+                for earlier in partners[:i]:
+                    meets &= pairing[earlier] == 0
+                assert h == np.flatnonzero(meets)[0]
+        assert sets == {1: 3, 2: 60, 3: 4788}[n]
+
+
+# sha256 of the frames of 10 seeded generator sets for every m < n <= 14.
+# The frame names the logical outputs, so any change to it shows here.
+FRAME_DIGEST = "5fe890461f8e3dc39e285839cd303db427ad28ce02499423c12f5530bfa1c245"
+
+
+def test_completion_frames_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, gf2.MAX_PAIRS + 1):
+        for m in range(n):
+            rng = np.random.default_rng([n, m])
+            for _ in range(10):
+                gens = gf2.random_isotropic_generators(n, n - m, rng)
+                digest.update(repr(complete_to_symplectic(gens, n).rows).encode())
+    assert digest.hexdigest() == FRAME_DIGEST
+
+
+def test_completion_takes_one_null_space(rng, monkeypatch):
+    kernel, calls = gf2._kernel, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(gf2, "_kernel", counted)
+    for _ in range(20):
+        n = int(rng.integers(1, 8))
+        k = int(rng.integers(0, n + 1))
+        gens = gf2.random_isotropic_generators(n, k, rng) if k else []
+        calls.clear()
+        complete_to_symplectic(gens, n)
+        assert len(calls) == 1
