@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import crosscheck, equivalence, permutation, stabilizer
+from . import crosscheck, equivalence, oracle, permutation, stabilizer
 from .gf2 import MAX_PAIRS, BinaryMatrix, BinaryVector, bit_chars
 from .permutation import PermutationProtocol
 from .stabilizer import (StabilizerProtocol, parse_pauli_string, pauli_letters,
@@ -910,9 +910,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     sizes = _parse_sizes(args.sizes, (2, 3))
-    if max(sizes) > 4:
-        raise CliError("oracle size cap exceeded: pair counts above 4 are not "
-                       "supported by the dense oracle")
+    if max(sizes) > oracle.MAX_ORACLE_PAIRS:
+        raise CliError("oracle size cap exceeded: pair counts above "
+                       f"{oracle.MAX_ORACLE_PAIRS} are not supported by the dense oracle")
     count = args.count if args.count is not None else 50
     if count < 1:
         raise CliError("--count must be at least 1")

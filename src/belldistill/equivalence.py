@@ -2,13 +2,14 @@
 
 A generator protocol's frame, a symplectic matrix B carrying generator i in
 column m+i, has the inverse P B^T P: exactly the relabeling a permutation
-protocol needs to reproduce the generator measurements.  Conversely, the
-trailing rows of A*P of any permutation protocol (its `generators`) form a
-valid commuting generator set.  `verify_equivalence` runs both engines on
-the same input and compares their branch sets column by column (outcome t
-identified with syndrome s): probabilities, output distributions,
-fidelities, and the chosen correction/recovery cosets.  The comparison is
-itself a `BranchSet`, one row per label either engine produced.
+protocol needs to reproduce the generator measurements.  Conversely, a
+permutation protocol A is its `generators` (the trailing rows of A*P)
+framed by A^-1, so for a zero offset the round trip is exact.
+`verify_equivalence` runs both engines on the same input and compares
+their branch sets column by column (outcome t identified with syndrome
+s): probabilities, output distributions, fidelities, and the chosen
+correction/recovery cosets.  The comparison is itself a `BranchSet`, one
+row per label either engine produced.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ def permutation_from_stabilizer(proto: StabilizerProtocol) -> PermutationProtoco
 
 
 def stabilizer_from_permutation(proto: PermutationProtocol) -> StabilizerProtocol:
-    """Generator set measured by a permutation protocol (its `generators`)."""
-    return StabilizerProtocol(proto.n, proto.m, proto.generators)
+    """The generators of the protocol (A, 0) framed by A^-1 = P A^T P, so
+    that `permutation_from_stabilizer` gives back A; no offset is carried."""
+    frame = gf2._inverse(proto.matrix)
+    return StabilizerProtocol(proto.n, proto.m, proto.generators, frame)
 
 
 @dataclass(frozen=True)

@@ -132,9 +132,6 @@ class BinaryMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def row(self, i: int) -> BinaryVector:
-        return BinaryVector(self.rows[i], self.ncols)
-
     def column_values(self) -> tuple[int, ...]:
         """Columns packed as nrows-bit ints (top row = MSB): the bit strings
         of the rows, transposed."""

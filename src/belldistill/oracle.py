@@ -111,8 +111,6 @@ def simulate_parity_measurement(state: BellDiagonalState,
     in the kept pairs' Bell basis.
     """
     n = state.n
-    if n > MAX_ORACLE_PAIRS:
-        raise ValueError(f"oracle capped at {MAX_ORACLE_PAIRS} pairs")
     if not 0 <= kept <= n:
         raise ValueError("kept pair count out of range")
     m, k = kept, n - kept
@@ -156,8 +154,6 @@ def simulate_syndrome_measurement(state: BellDiagonalState,
     uniform; only the XOR of the two strings depends on the state.
     """
     n = state.n
-    if n > MAX_ORACLE_PAIRS:
-        raise ValueError(f"oracle capped at {MAX_ORACLE_PAIRS} pairs")
     k = len(generators)
     rho = density_matrix(state)
     eye = np.eye(1 << n, dtype=complex)

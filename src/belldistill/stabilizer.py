@@ -72,7 +72,8 @@ class StabilizerProtocol:
 
     B is a symplectic 2n x 2n completion of the generators with generator i
     in column m+i.  Left as None it is the deterministic
-    :func:`belldistill.gf2.complete_to_symplectic`.
+    :func:`belldistill.gf2.complete_to_symplectic`.  A given frame's own check
+    covers the generators: B's columns m..n-1 are independent and commute.
     """
 
     n: int
@@ -86,14 +87,13 @@ class StabilizerProtocol:
         if len(self.generators) != self.n - self.m:
             raise ValueError("generator count must equal n - m")
         n, m, frame = self.n, self.m, self.frame
-        if frame is None:  # the completion validates the generators
+        if frame is None:
             object.__setattr__(self, "frame",
                                gf2.complete_to_symplectic(self.generators, n))
-        elif self.generators and gf2._check_generators(self.generators) != n:
-            raise ValueError("generator length does not match the pair count")
         elif frame.shape != (2 * n, 2 * n) or not gf2.is_symplectic(frame):
             raise ValueError("logical basis must be a symplectic 2n x 2n matrix")
-        elif frame.column_values()[m:n] != tuple(g.value for g in self.generators):
+        elif tuple(BinaryVector(c, 2 * n)
+                   for c in frame.column_values()[m:n]) != tuple(self.generators):
             raise ValueError("logical basis must carry generator i in column m+i")
 
     @classmethod

@@ -72,7 +72,10 @@ class BellDiagonalState:
 
     def __init__(self, n: int, probs: Sequence[float] | np.ndarray):
         _check_pair_count(n)
-        arr = np.asarray(probs, dtype=float)
+        try:
+            arr = np.asarray(probs, dtype=float)
+        except OverflowError:  # a Python int beyond float range
+            raise ValueError("weight beyond float range") from None
         if arr.shape != (1 << (2 * n),):
             raise ValueError(f"expected {1 << (2 * n)} weights for n={n}, got {arr.shape}")
         # A new array: the caller's is never written, and is never aliased.
@@ -246,7 +249,8 @@ def _normalize(arr: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         raise ValueError(f"negative weight in distribution: {low}")
     if low < 0.0:
         arr = np.maximum(arr, 0.0, out=out)
-    total = arr.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a total beyond float range is inf, refused below
+        total = arr.sum(axis=-1, keepdims=True)
     drifted = ~(np.abs(total - 1.0) <= _SUM_TOLERANCE)  # NaN drifts too
     if drifted.any():
         raise ValueError(f"weights sum to {total[drifted][0]}, drifted beyond 1e-9 from 1")

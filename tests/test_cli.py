@@ -285,6 +285,9 @@ BAD_FILES = {
     # Two pairs, as the table's protocols have: only the weight type is wrong.
     "state-probs-not-numbers": ("--state-file", {"n": 2, "probs": ["1"] + [0] * 15}),
     "state-probs-boolean": ("--state-file", {"n": 2, "probs": [True] + [0] * 15}),
+    # A JSON integer no float holds, and weights whose total no float holds.
+    "state-probs-beyond-float-range": ("--state-file", {"n": 2, "probs": [10**400] + [0] * 15}),
+    "state-probs-sum-to-inf": ("--state-file", {"n": 2, "probs": [1e308, 1e308] + [0] * 14}),
     "protocol-nested": ("--protocol-file", NESTED),
     "state-nested": ("--state-file", NESTED),
     "config-nested": ("--config", NESTED),
@@ -378,6 +381,8 @@ def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     # The output's parent directory is an existing file.
     ["run-perm", "--generators", "ZZ", "--werner", "0.75", "--output",
      str(Path(__file__) / "out.json")],
+    # Weights whose total no float holds.
+    ["run-perm", "--generators", "ZZ", "--pair", "1e308,1e308,0,0"],
 ])
 def test_out_of_range_flags_fail_cleanly(capsys, argv):
     code, out, err = invoke(capsys, *argv)
@@ -394,16 +399,21 @@ def test_all_zero_offset_still_accepted(capsys, command):
     assert (code, out) == invoke(capsys, *base)[:2]
 
 
+def count_calls(monkeypatch, *names) -> collections.Counter:
+    """Calls of the named gf2 functions from now on, counted by name."""
+    counts = collections.Counter()
+    for name in names:
+        def counted(*args, name=name, call=getattr(gf2, name)):
+            counts[name] += 1
+            return call(*args)
+        monkeypatch.setattr(gf2, name, counted)
+    return counts
+
+
 @pytest.fixture
 def checks(monkeypatch):
     """Calls of gf2's matrix and generator checks, counted by name."""
-    counts = collections.Counter()
-    for name in ("is_symplectic", "_check_generators"):
-        def counted(*args, name=name, check=getattr(gf2, name)):
-            counts[name] += 1
-            return check(*args)
-        monkeypatch.setattr(gf2, name, counted)
-    return counts
+    return count_calls(monkeypatch, "is_symplectic", "_check_generators")
 
 
 @pytest.mark.parametrize("command", ["verify", "run-perm"])
@@ -415,11 +425,26 @@ def test_a_generator_protocol_is_checked_once(capsys, checks, command):
     assert checks == {"is_symplectic": 1, "_check_generators": 1}
 
 
-def test_a_matrix_protocol_has_its_generators_checked_at_most_once(capsys, checks):
-    code, _, _ = invoke(capsys, "run-code", "--matrix", BCNOT, "-m", "1",
-                        "--werner", "0.75")
+def test_a_matrix_protocol_has_its_generators_checked_at_most_once(capsys, monkeypatch):
+    # A^-1 is the frame: nothing is completed, the frame's check covers the
+    # generators, and the one null space left is the stabilizer engine's
+    calls = count_calls(monkeypatch, "complete_to_symplectic", "_check_generators",
+                        "_kernel")
+    for command in ("run-code", "verify"):
+        calls.clear()
+        code, _, _ = invoke(capsys, command, "--matrix", BCNOT, "-m", "1",
+                            "--werner", "0.75")
+        assert code == 0
+        assert calls == {"_kernel": 1}
+
+
+def test_run_code_completes_a_generator_protocol_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "complete_to_symplectic", "_check_generators",
+                        "is_symplectic")
+    code, _, _ = invoke(capsys, "run-code", "--generators", "ZZZ,IXX", "--werner", "0.75")
     assert code == 0
-    assert checks["_check_generators"] <= 1
+    assert calls == {"complete_to_symplectic": 1, "_check_generators": 1,
+                     "is_symplectic": 1}
 
 
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import re
 import shlex
 from fractions import Fraction
@@ -33,6 +34,19 @@ def test_command_line_example_runs(capsys, line):
     assert main(shlex.split(line)[1:]) == 0
     out = capsys.readouterr().out
     assert out
+
+
+def test_the_dejmps_example_prints_one_protocol_in_both_forms(capsys):
+    lines = {shlex.split(line)[1]: line for line in COMMANDS
+             if "--matrix 0001,1000,1101,0011 " in line}
+    assert sorted(lines) == ["run-code", "run-perm", "verify"]
+    columns = {}
+    for command in ("run-perm", "run-code"):
+        assert main(shlex.split(lines[command])[1:]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        columns[command] = [(r["prob"], r["fidelity"], r["output"]) for r in records]
+    assert columns["run-perm"] == columns["run-code"]
+    assert len(columns["run-perm"]) == 2
 
 
 def test_library_quickstart_prints_its_stated_values():
