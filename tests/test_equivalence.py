@@ -77,6 +77,17 @@ def test_stabilizer_from_random_permutation_valid(rng):
         assert len(sp.generators) == n - m
 
 
+def test_round_trip_returns_the_matrix(rng):
+    # the frame is A^-1, so translating back inverts it to A
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(0, n + 1))
+        proto = PermutationProtocol.linear(n, m, gf2.random_symplectic(n, rng))
+        back = permutation_from_stabilizer(stabilizer_from_permutation(proto))
+        assert back.matrix == proto.matrix
+        assert back.offset == proto.offset
+
+
 # ---------------------------------------------------------------------------
 # Completion identities used by the branch matching
 # ---------------------------------------------------------------------------

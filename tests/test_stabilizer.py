@@ -294,10 +294,10 @@ def test_a_given_frame_checks_the_generators(zz_proto):
     # right value but another length is not the frame's column
     with pytest.raises(ValueError, match="column"):
         StabilizerProtocol(2, 1, (BinaryVector(0b1100, 6),), zz_proto.frame)
-    bad = gf2.complete_to_symplectic([vec("1100"), vec("0011")], 2)
+    frame = gf2.complete_to_symplectic([vec("1100"), vec("0011")], 2)
     for gens in ((vec("1100"), vec("1100")), (vec("1000"), vec("0010"))):
-        with pytest.raises(ValueError):  # dependent, anticommuting
-            StabilizerProtocol(2, 0, gens, bad)
+        with pytest.raises(ValueError, match="column"):  # dependent, anticommuting
+            StabilizerProtocol(2, 0, gens, frame)
 
 
 def test_run_wrong_state_size(zz_proto):
