@@ -723,11 +723,6 @@ def _as_permutation(proto) -> PermutationProtocol:
 def _as_stabilizer(proto) -> StabilizerProtocol:
     if isinstance(proto, StabilizerProtocol):
         return proto
-    # The generator form keeps no offset, so the translation would drop it.
-    if proto.offset.value:
-        raise CliError(f"offset {proto.offset} is not carried into the generator "
-                       "protocol; run-code and verify need an all-zero offset "
-                       "(ROADMAP item 3)")
     return equivalence.stabilizer_from_permutation(proto)
 
 

@@ -1,10 +1,10 @@
 """Instance-level translation and cross-checking of the two protocol engines.
 
-A generator protocol's frame, a symplectic matrix B carrying generator i in
-column m+i, has the inverse P B^T P: exactly the relabeling a permutation
-protocol needs to reproduce the generator measurements.  Conversely, a
-permutation protocol A is its `generators` (the trailing rows of A*P)
-framed by A^-1, so for a zero offset the round trip is exact.
+A generator protocol holds its relabeling, the permutation protocol
+A = B^-1 = P B^T P of its frame B (generator i in column m+i), which
+reproduces the generator measurements.  The translations hand A over both
+ways: a zero-offset permutation protocol A becomes its `generators` (the
+trailing rows of A*P) holding A, so the round trip is exact.
 `verify_equivalence` runs both engines on the same input and compares
 their branch sets column by column (outcome t identified with syndrome
 s): probabilities, output distributions, fidelities, and the chosen
@@ -27,20 +27,21 @@ from .states import BellDiagonalState, random_bell_diagonal
 
 
 def permutation_from_stabilizer(proto: StabilizerProtocol) -> PermutationProtocol:
-    """Relabeling protocol equivalent to the generator-measurement protocol.
-
-    Returns the linear protocol with matrix P B^T P for the protocol's
-    frame B; its measured subspace equals the generator span, and it names
-    its logical outputs as the stabilizer engine does.
-    """
-    return PermutationProtocol._trusted(proto.n, proto.m, gf2._inverse(proto.frame))
+    """The protocol's relabeling, the linear protocol P B^T P of its frame
+    B: its measured subspace is the generator span, and it names its
+    logical outputs as the stabilizer engine does."""
+    return proto.relabeling
 
 
 def stabilizer_from_permutation(proto: PermutationProtocol) -> StabilizerProtocol:
-    """The generators of the protocol (A, 0) framed by A^-1 = P A^T P, so
-    that `permutation_from_stabilizer` gives back A; no offset is carried."""
-    frame = gf2._inverse(proto.matrix)
-    return StabilizerProtocol(proto.n, proto.m, proto.generators, frame)
+    """The generators of the protocol (A, 0) holding A as their relabeling,
+    so that `permutation_from_stabilizer` gives back A.  The generator form
+    carries no offset, so a nonzero one is refused."""
+    if proto.offset.value:
+        raise ValueError(f"offset {proto.offset} is not carried into the generator "
+                         "protocol; run-code and verify need an all-zero offset "
+                         "(ROADMAP item 3)")
+    return StabilizerProtocol._trusted(proto)
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,11 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
                        threshold: float | None = None) -> EquivalenceReport:
     """Run both engines on one input and compare them branch by branch.
 
-    The permutation protocol comes from the protocol's frame B, so output
+    The permutation protocol is the protocol's relabeling A, so output
     labels are directly comparable.  A branch's recovery u matches the
     permutation engine's correction c when B embed(c, t) + u lies in the
-    generator span; with A = B^-1 (the permutation protocol's matrix) that
-    is A u = embed(c, t) outside positions m..n-1, where A puts the span.
+    generator span, B = A^-1 the frame; that is A u = embed(c, t) outside
+    positions m..n-1, where A puts the span.
     `max_discrepancy` is the largest probability, fidelity or output gap,
     counting a branch only one engine has by its probability.  Mismatches
     are reported in the returned record, never raised.  Its `branches` has

@@ -13,6 +13,7 @@ outcome probabilities; global phases are never compared.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,13 @@ def bell_vector(label: BinaryVector) -> np.ndarray:
     return (pauli_matrix(label) / np.sqrt(2.0 ** n)).reshape(-1)
 
 
+@functools.cache
 def bell_basis(n: int) -> np.ndarray:
     """Unitary with column x equal to the Bell-product vector of label x.
 
     All 4^n Pauli words are built at once, one Kronecker step per pair in
     the order `pauli_matrix` multiplies, so column x is `bell_vector` of
-    label x bit for bit.
+    label x bit for bit.  Built once per n and shared read-only.
     """
     if n > MAX_ORACLE_PAIRS:
         raise ValueError(f"oracle capped at {MAX_ORACLE_PAIRS} pairs")
@@ -82,7 +84,9 @@ def bell_basis(n: int) -> np.ndarray:
         digit = 2 * ((labels >> (n + shift)) & 1) + ((labels >> shift) & 1)
         index |= digit << (2 * shift)
     vectors = (words / np.sqrt(2.0 ** n))[index].reshape(labels.size, -1)
-    return np.ascontiguousarray(vectors.T)
+    basis = np.ascontiguousarray(vectors.T)
+    basis.setflags(write=False)
+    return basis
 
 
 def density_matrix(state: BellDiagonalState) -> np.ndarray:

@@ -12,8 +12,8 @@ one table, built from the input's factors by `branch_table`:
 
 Summed over y this is the branch probability (a coset sum over the
 symplectic complement of the measured subspace); each entry is a coset sum
-over the measured subspace.  The stabilizer engine fills the same table
-from its generators, so both engines read their branches off identical
+over the measured subspace.  The stabilizer engine runs `_branches` on
+its relabeling, so both engines read their branches off identical
 numbers.  The literal coset-sum formula is kept in `unnormalized_fidelity`.
 
 Corrections are chosen within a relative band, TIE_BAND, of the heaviest
@@ -73,7 +73,7 @@ class PermutationProtocol:
     @classmethod
     def _trusted(cls, n: int, m: int, matrix: BinaryMatrix) -> "PermutationProtocol":
         """Internal constructor of the linear protocol of a matrix known to be
-        symplectic (the inverse of a validated frame), skipping the checks."""
+        symplectic (the inverse of a completed frame), skipping the checks."""
         proto = object.__new__(cls)
         proto.__dict__.update(n=n, m=m, matrix=matrix, offset=BinaryVector.zeros(2 * n))
         return proto
@@ -319,14 +319,19 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
         threshold: float | None = None) -> BranchSet:
     """Evaluate every parity-outcome branch of the protocol exactly.
 
-    The label map keeps the rows of A (and the bits of b) that become the
-    outcome bits t and the logical label y of the relabeled label, so
-    branch t of the table sums one coset of the complement of the measured
+    Branch t of the table sums one coset of the complement of the measured
     subspace and its entry y one coset of the measured subspace.  Branches
     of probability zero are never produced.  `threshold` defaults to the
     input fidelity (acceptance requires non-degradation).  The branches
     come as one `BranchSet` with the columns of `branch_outcomes`.
     """
+    return _branches(state, proto, threshold)
+
+
+def _branches(state: BellDiagonalState, proto: PermutationProtocol,
+              threshold: float | None) -> BranchSet:
+    """Both engines' branches: the label map keeps the rows of A (and bits
+    of b) that become the outcome bits t and the logical label y."""
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
     if threshold is None:

@@ -9,12 +9,13 @@ XOR s of the two outcome strings is informative.  At the label level:
   the generators' symplectic complement selected by s;
 * recovery picks the heaviest coset of the generator span inside it.
 
-Logical output labels need a basis choice inside the complement; the
-protocol's `frame`, a symplectic completion B of the generators, fixes it.
-The logical bits of x are its inner products with the partner columns of
-B, so the branch table `permutation.branch_table` fills here is entry by
-entry the one the permutation protocol P B^T P fills, and both engines
-read their branches off it the same way.
+Logical output labels need a basis choice inside the complement.  A
+protocol holds it as its relabeling, the permutation protocol A = B^-1 =
+P B^T P of a symplectic completion B of the generators (its `frame`).  The
+syndrome and logical bits of x are the inner products <g_i, x> and those
+with B's partner columns, which are bits of A x, so `run` fills its table
+with the permutation engine's label map of A and reads the branches off
+it the same way.
 
 `run` returns a `permutation.BranchSet` whose label columns, the syndrome
 s, the representative v and the recovery u, hold int64 label values
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import gf2
 from .gf2 import BinaryMatrix, BinaryVector, Subspace
-from .permutation import BranchSet, branch_outcomes, branch_table
+from .permutation import BranchSet, PermutationProtocol, _branches, branch_table
 from .states import BellDiagonalState
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
@@ -65,36 +66,47 @@ def pauli_letters(labels: np.ndarray, k: int) -> np.ndarray:
     return _PAULI_LETTERS[2 * bits[:, :k] + bits[:, k:]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilizerProtocol:
     """n pairs, m survivors, n-m independent commuting generator labels, and
-    the frame B that names the logical output labels.
-
-    B is a symplectic 2n x 2n completion of the generators with generator i
-    in column m+i.  Left as None it is the deterministic
-    :func:`belldistill.gf2.complete_to_symplectic`.  A given frame's own check
-    covers the generators: B's columns m..n-1 are independent and commute.
-    """
+    the `relabeling` that names the logical output labels: the zero-offset
+    `PermutationProtocol` A = B^-1 of the deterministic completion B of the
+    generators, or the matrix `equivalence.stabilizer_from_permutation` got.
+    Row n+m+i of A is generator i with its halves swapped.  Protocols with
+    equal relabelings are equal."""
 
     n: int
     m: int
     generators: tuple[BinaryVector, ...]
-    frame: BinaryMatrix | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.m <= self.n:
             raise ValueError("need 0 <= m <= n")
         if len(self.generators) != self.n - self.m:
             raise ValueError("generator count must equal n - m")
-        n, m, frame = self.n, self.m, self.frame
-        if frame is None:
-            object.__setattr__(self, "frame",
-                               gf2.complete_to_symplectic(self.generators, n))
-        elif frame.shape != (2 * n, 2 * n) or not gf2.is_symplectic(frame):
-            raise ValueError("logical basis must be a symplectic 2n x 2n matrix")
-        elif tuple(BinaryVector(c, 2 * n)
-                   for c in frame.column_values()[m:n]) != tuple(self.generators):
-            raise ValueError("logical basis must carry generator i in column m+i")
+        frame = gf2.complete_to_symplectic(self.generators, self.n)
+        object.__setattr__(self, "relabeling", PermutationProtocol._trusted(
+            self.n, self.m, gf2._inverse(frame)))
+
+    @classmethod
+    def _trusted(cls, relabeling: PermutationProtocol) -> "StabilizerProtocol":
+        """Internal constructor of the protocol of a checked zero-offset
+        relabeling, its generators read off A, skipping the completion."""
+        proto = object.__new__(cls)
+        proto.__dict__.update(n=relabeling.n, m=relabeling.m,
+                              generators=relabeling.generators, relabeling=relabeling)
+        return proto
+
+    @property
+    def frame(self) -> BinaryMatrix:
+        """B = A^-1 = P A^T P, with generator i in column m+i."""
+        return gf2._inverse(self.relabeling.matrix)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, StabilizerProtocol) and self.relabeling == other.relabeling
+
+    def __hash__(self) -> int:
+        return hash(self.relabeling)
 
     @classmethod
     def from_pauli_strings(cls, strings: "list[str] | tuple[str, ...]",
@@ -117,17 +129,6 @@ def generator_span(proto: StabilizerProtocol) -> Subspace:
     return Subspace.from_vectors(proto.generators, length=2 * proto.n)
 
 
-def _pairing_map(proto: StabilizerProtocol, partners: "list[int]") -> BinaryMatrix:
-    """Label map x -> (<g_0, x>, ..., <g_last, x>, <p_0, x>, ...), top bit first.
-
-    The symplectic inner product <v, x> is the dot product of x with v's
-    halves swapped, so each row is one swapped vector.
-    """
-    vectors = [g.value for g in proto.generators] + partners
-    return BinaryMatrix(tuple(gf2._swap_halves_value(v, proto.n) for v in vectors),
-                        2 * proto.n)
-
-
 def syndrome_distribution(state: BellDiagonalState,
                           proto: StabilizerProtocol) -> np.ndarray:
     """Probability of each syndrome, indexed by its packed integer value.
@@ -138,7 +139,8 @@ def syndrome_distribution(state: BellDiagonalState,
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
-    return branch_table(state, _pairing_map(proto, []), 0, 0).sum(axis=1)
+    rows = proto.relabeling.matrix.rows[proto.n + proto.m:]
+    return branch_table(state, BinaryMatrix(rows, 2 * proto.n), 0, 0).sum(axis=1)
 
 
 def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
@@ -164,42 +166,34 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
         threshold: float | None = None) -> BranchSet:
     """Evaluate every syndrome branch of the protocol exactly.
 
-    Syndrome bits come from the generators and logical bits from the
-    partner columns of the protocol's frame B (column n+j for the phase of
-    logical pair j, column j for its parity), which reads off B^-1 x
-    without inverting B.  Per branch, v is the lex-least label with
-    syndrome s and the recovery u the lex-least representative of
-    B embed(c, s) + span for the heaviest logical label c (the smallest
-    within the tie band of `permutation.optimal_correction`).  The branch
-    fidelity is the recovery coset's weight over the branch weight (the
-    literal expression times 2**(n-m) is reported alongside as
-    `unnormalized_fidelity`).  Zero-probability syndromes are never
-    produced.  `threshold` defaults to the input fidelity.  The branches
-    come as one `BranchSet` with the columns s, prob, v, u, output,
+    The branches are the permutation engine's for the protocol's
+    relabeling A (bits n+m.. of A x are the syndrome); zero-probability
+    syndromes are never produced.  Per branch, v is the lex-least label
+    with syndrome s and the recovery u the lex-least representative of
+    B embed(c, s) + span for the frame B = A^-1 and the heaviest logical
+    label c (`permutation.optimal_correction`), so the fidelity is the
+    recovery coset's weight over the branch weight.  `threshold` defaults
+    to the input fidelity.  The columns are s, prob, v, u, output,
     fidelity, unnormalized_fidelity and accepted.
     """
-    if state.n != proto.n:
-        raise ValueError("state and protocol disagree on the pair count")
-    if threshold is None:
-        threshold = state.fidelity
+    branches = _branches(state, proto.relabeling, threshold)
     n, m = proto.n, proto.m
-    cols = proto.frame.column_values()
     span = generator_span(proto)
     perp = gf2.orthogonal_complement(span)
-    table = branch_table(state, _pairing_map(proto, [*cols[n:n + m], *cols[:m]]),
-                         0, m)
 
     # v(s) and u(c, s) reduce B embed(c, s).  The embedding puts s on
     # positions n+m..2n-1 and c on 0..m-1 and n..n+m-1, and reduction by an
-    # echelon basis is linear, so both are XORs of reduced frame columns:
-    # tabulated once per part with `gf2.affine_images` and looked up for
-    # all branches at once.
-    def images(subspace: Subspace, positions) -> np.ndarray:
-        return gf2.affine_images([subspace.reduce_value(cols[p]) for p in positions], 0)
+    # echelon basis is linear, so both are XORs of reduced frame columns,
+    # tabulated once per part (`gf2.affine_images`) and looked up for all
+    # branches.  Column j of B is row j+n (mod 2n) of A, halves swapped.
+    rows = proto.relabeling.matrix.rows
 
-    syndrome_part = range(n + m, 2 * n)
-    logical_part = [*range(m), *range(n, n + m)]
-    branches = branch_outcomes(table, m, threshold)
+    def images(subspace: Subspace, part) -> np.ndarray:
+        return gf2.affine_images([subspace.reduce_value(gf2._swap_halves_value(r, n))
+                                  for r in part], 0)
+
+    syndrome_part = rows[m:n]
+    logical_part = rows[n:n + m] + rows[:m]
     s, c = branches.t, branches.correction
     return BranchSet(m, {"s": n - m, "v": 2 * n, "u": 2 * n}, {
         "s": s,

@@ -52,7 +52,9 @@ def random_frame():
     generators: the deterministic completion times random transvections
     x -> x + <x,h> h.  No h has a bit at positions n+m..2n-1, so each
     transvection fixes the generator columns m..n-1, and the product stays
-    symplectic; StabilizerProtocol validates every frame it is given."""
+    symplectic.  A protocol of another frame B is the one of its inverse,
+    stabilizer_from_permutation(PermutationProtocol.linear(n, m,
+    gf2.symplectic_inverse(B)))."""
     def frame(gens, n: int, rng: np.random.Generator) -> BinaryMatrix:
         two_n, k = 2 * n, len(gens)
         basis = gf2.complete_to_symplectic(gens, n)

@@ -11,7 +11,8 @@ import numpy as np
 
 from belldistill import crosscheck, gf2, oracle, permutation, stabilizer
 from belldistill.cli import main as cli_main
-from belldistill.equivalence import random_instance, verify_equivalence
+from belldistill.equivalence import (random_instance, stabilizer_from_permutation,
+                                     verify_equivalence)
 from belldistill.gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
 from belldistill.permutation import PermutationProtocol
 from belldistill.stabilizer import StabilizerProtocol
@@ -170,7 +171,8 @@ def test_criterion_5_gf2_layer(random_frame):
             assert len(seen) >= 3
             reference = None
             for basis in seen.values():
-                proto = StabilizerProtocol(n, n - k, gens, basis)
+                proto = stabilizer_from_permutation(PermutationProtocol.linear(
+                    n, n - k, gf2.symplectic_inverse(basis)))
                 branches = stabilizer.run(state, proto)
                 if reference is None:
                     reference = branches

@@ -45,6 +45,27 @@ def test_traced_attribute_resolves(module, attr):
     assert callable(getattr(owner, attr)) and attr in owner.__dict__
 
 
+@pytest.mark.parametrize("command, spanned, absent", [
+    ("run-code", "stabilizer.run", "permutation.run"),
+    ("run-perm", "permutation.run", "stabilizer.run"),
+])
+def test_an_engine_run_is_traced_as_its_own_layer(tmp_path, command, spanned, absent):
+    """The stabilizer engine shares the permutation engine's table code but
+    not its traced `run`, so each command's engine time lands in its layer."""
+    import belldistill.cli
+
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = belldistill.cli.main([command, "--generators", "ZZ", "--werner", "0.75",
+                                     "--output", str(tmp_path / "out.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    assert spanned in names and absent not in names
+
+
 def test_from_pairs_stays_a_classmethod():
     assert isinstance(BellDiagonalState.__dict__["from_pairs"], classmethod)
 

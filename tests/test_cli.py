@@ -417,34 +417,36 @@ def checks(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["verify", "run-perm"])
-def test_a_generator_protocol_is_checked_once(capsys, checks, command):
+def test_a_generator_protocol_is_checked_once(capsys, monkeypatch, checks, command):
     # the completion checks the generators and the frame it built; the
-    # frame's inverse is the permutation protocol, checked no further
+    # frame's inverse is the protocol's relabeling, checked no further
+    calls = count_calls(monkeypatch, "complete_to_symplectic", "_inverse")
     code, _, _ = invoke(capsys, command, "--generators", "ZZZ,IXX", "--werner", "0.75")
     assert code == 0
     assert checks == {"is_symplectic": 1, "_check_generators": 1}
+    assert calls == {"complete_to_symplectic": 1, "_inverse": 1}
 
 
 def test_a_matrix_protocol_has_its_generators_checked_at_most_once(capsys, monkeypatch):
-    # A^-1 is the frame: nothing is completed, the frame's check covers the
-    # generators, and the one null space left is the stabilizer engine's
+    # A is the relabeling: nothing is completed or inverted, the matrix is
+    # checked once, and the one null space left is the stabilizer engine's
     calls = count_calls(monkeypatch, "complete_to_symplectic", "_check_generators",
-                        "_kernel")
+                        "_kernel", "is_symplectic", "_inverse")
     for command in ("run-code", "verify"):
         calls.clear()
         code, _, _ = invoke(capsys, command, "--matrix", BCNOT, "-m", "1",
                             "--werner", "0.75")
         assert code == 0
-        assert calls == {"_kernel": 1}
+        assert calls == {"_kernel": 1, "is_symplectic": 1}
 
 
 def test_run_code_completes_a_generator_protocol_once(capsys, monkeypatch):
     calls = count_calls(monkeypatch, "complete_to_symplectic", "_check_generators",
-                        "is_symplectic")
+                        "is_symplectic", "_inverse")
     code, _, _ = invoke(capsys, "run-code", "--generators", "ZZZ,IXX", "--werner", "0.75")
     assert code == 0
     assert calls == {"complete_to_symplectic": 1, "_check_generators": 1,
-                     "is_symplectic": 1}
+                     "is_symplectic": 1, "_inverse": 1}
 
 
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys):

@@ -68,17 +68,40 @@ def test_stabilizer_from_identity():
     assert stabilizer.to_pauli_string(sp.generators[0]) == "IZ"
 
 
+def test_an_offset_is_refused_not_dropped(werner2, bcnot):
+    # (A, b) and (A, 0) are other protocols: here their two branches swap
+    # probabilities, so the generator form of (A, b) would be (A, 0)
+    proto = PermutationProtocol(2, 1, bcnot, BinaryVector.from_string("0001"))
+    shifted = permutation.run(werner2, proto).prob
+    assert shifted.tolist() == permutation.run(
+        werner2, PermutationProtocol.linear(2, 1, bcnot)).prob[::-1].tolist()
+    with pytest.raises(ValueError, match="offset 0001 is not carried"):
+        stabilizer_from_permutation(proto)
+
+
+def test_protocols_are_equal_when_their_relabelings_are():
+    # the README's DEJMPS matrix measures ZZ, but holds another relabeling
+    # than the completion of ZZ, so it names its outputs otherwise
+    dejmps = stabilizer_from_permutation(PermutationProtocol.linear(
+        2, 1, BinaryMatrix.from_strings(["0001", "1000", "1101", "0011"])))
+    zz = StabilizerProtocol.from_pauli_strings(["ZZ"])
+    assert dejmps.generators == zz.generators
+    assert dejmps != zz
+    assert zz == StabilizerProtocol.from_pauli_strings(["ZZ"])
+    assert len({zz, StabilizerProtocol.from_pauli_strings(["ZZ"]), dejmps}) == 2
+
+
 def test_stabilizer_from_random_permutation_valid(rng):
     for _ in range(20):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(0, n))
         proto = PermutationProtocol.linear(n, m, gf2.random_symplectic(n, rng))
-        sp = stabilizer_from_permutation(proto)  # constructor revalidates
+        sp = stabilizer_from_permutation(proto)  # A is the relabeling, checked once
         assert len(sp.generators) == n - m
 
 
 def test_round_trip_returns_the_matrix(rng):
-    # the frame is A^-1, so translating back inverts it to A
+    # the protocol holds A as its relabeling and translating back returns it
     for _ in range(30):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(0, n + 1))
@@ -235,7 +258,9 @@ def test_verify_tie_heavy_inputs_random_completions(rng, random_frame):
                           BellDiagonalState.point_mass(n, label),
                           BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))):
                 frame = random_frame(gens, n, rng)
-                report = verify_equivalence(state, StabilizerProtocol(n, m, gens, frame))
+                proto = stabilizer_from_permutation(PermutationProtocol.linear(
+                    n, m, gf2.symplectic_inverse(frame)))
+                report = verify_equivalence(state, proto)
                 assert report.passed, report
                 assert report.max_discrepancy == 0.0
 
@@ -257,7 +282,9 @@ def test_fidelity_invariant_across_completions(rng, random_frame):
         assert len(completions) >= 3
         reference = None
         for basis in completions.values():
-            branches = stabilizer.run(state, StabilizerProtocol(n, n - k, gens, basis))
+            proto = stabilizer_from_permutation(PermutationProtocol.linear(
+                n, n - k, gf2.symplectic_inverse(basis)))
+            branches = stabilizer.run(state, proto)
             if reference is None:
                 reference = branches
             else:

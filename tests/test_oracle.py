@@ -107,6 +107,12 @@ def test_density_matrix_physical(werner2):
     assert eigs.min() > -1e-10
 
 
+def test_bell_basis_is_built_once_and_read_only():
+    basis = oracle.bell_basis(2)
+    assert oracle.bell_basis(2) is basis
+    assert not basis.flags.writeable
+
+
 def test_oracle_size_cap():
     with pytest.raises(ValueError):
         oracle.bell_basis(5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from belldistill import gf2, oracle, permutation, stabilizer
+from belldistill.equivalence import stabilizer_from_permutation
 from belldistill.gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
 from belldistill.permutation import (
     PermutationProtocol,
@@ -189,7 +190,8 @@ def test_coset_path_equals_direct_path(rng, random_frame):
         shift = (inverse @ offset).value
         gens = tuple(gf2.random_isotropic_generators(n, n - m, rng)) if m < n else ()
         basis = random_frame(gens, n, rng)
-        code = StabilizerProtocol(n, m, gens, basis)
+        code = stabilizer_from_permutation(PermutationProtocol.linear(
+            n, m, gf2.symplectic_inverse(basis)))
         span = generator_span(code)
         for state in tie_heavy_and_random_inputs(n, rng):
             # the offset moves the input: q_x = p_{x + A^-1 b}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import belldistill
 
-SETTABLE_VALUES = 10
+SETTABLE_VALUES = 9
 
 
 def settable_values(source: str) -> int:

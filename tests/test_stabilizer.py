@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from belldistill import gf2, oracle, permutation
+from belldistill.equivalence import stabilizer_from_permutation
 from belldistill.gf2 import BinaryVector, Coset, Subspace
+from belldistill.permutation import PermutationProtocol
 from belldistill.stabilizer import (
     StabilizerProtocol,
     generator_span,
@@ -283,23 +285,6 @@ def test_run_fidelity_matches_permutation_engine(rng):
         assert code.prob == pytest.approx(perm.prob, abs=1e-12)
 
 
-def test_run_rejects_foreign_basis(zz_proto):
-    basis = gf2.complete_to_symplectic([vec("0100")], 2)
-    with pytest.raises(ValueError, match="column"):
-        StabilizerProtocol(2, 1, zz_proto.generators, basis)
-
-
-def test_a_given_frame_checks_the_generators(zz_proto):
-    # the frame's check stands in for the generator check: a label of the
-    # right value but another length is not the frame's column
-    with pytest.raises(ValueError, match="column"):
-        StabilizerProtocol(2, 1, (BinaryVector(0b1100, 6),), zz_proto.frame)
-    frame = gf2.complete_to_symplectic([vec("1100"), vec("0011")], 2)
-    for gens in ((vec("1100"), vec("1100")), (vec("1000"), vec("0010"))):
-        with pytest.raises(ValueError, match="column"):  # dependent, anticommuting
-            StabilizerProtocol(2, 0, gens, frame)
-
-
 def test_run_wrong_state_size(zz_proto):
     with pytest.raises(ValueError):
         run(BellDiagonalState.point_mass(3), zz_proto)
@@ -312,7 +297,8 @@ def test_run_labels_equal_per_branch_reduction(rng, random_frame):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, n))
         gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
-        proto = StabilizerProtocol(n, m, gens, random_frame(gens, n, rng))
+        proto = stabilizer_from_permutation(PermutationProtocol.linear(
+            n, m, gf2.symplectic_inverse(random_frame(gens, n, rng))))
         span = generator_span(proto)
         perp = gf2.orthogonal_complement(span)
         label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
