@@ -1,10 +1,10 @@
 """Instance-level translation and cross-checking of the two protocol engines.
 
 A generator protocol holds its relabeling, the permutation protocol
-A = B^-1 = P B^T P of its frame B (generator i in column m+i), which
-reproduces the generator measurements.  The translations hand A over both
-ways: a zero-offset permutation protocol A becomes its `generators` (the
-trailing rows of A*P) holding A, so the round trip is exact.
+(A, b) that reproduces the generator measurements, A = B^-1 = P B^T P for
+its frame B (generator i in column m+i).  The translations hand (A, b)
+over both ways: a permutation protocol becomes its `generators` (the
+trailing rows of A*P) holding (A, b), so the round trip is exact.
 `verify_equivalence` runs both engines on the same input and compares
 their branch sets column by column (outcome t identified with syndrome
 s): probabilities, output distributions, fidelities, and the chosen
@@ -27,20 +27,15 @@ from .states import BellDiagonalState, random_bell_diagonal
 
 
 def permutation_from_stabilizer(proto: StabilizerProtocol) -> PermutationProtocol:
-    """The protocol's relabeling, the linear protocol P B^T P of its frame
-    B: its measured subspace is the generator span, and it names its
-    logical outputs as the stabilizer engine does."""
+    """The protocol's relabeling (P B^T P, b) for its frame B: its measured
+    subspace is the generator span, and it names its logical outputs as
+    the stabilizer engine does."""
     return proto.relabeling
 
 
 def stabilizer_from_permutation(proto: PermutationProtocol) -> StabilizerProtocol:
-    """The generators of the protocol (A, 0) holding A as their relabeling,
-    so that `permutation_from_stabilizer` gives back A.  The generator form
-    carries no offset, so a nonzero one is refused."""
-    if proto.offset.value:
-        raise ValueError(f"offset {proto.offset} is not carried into the generator "
-                         "protocol; run-code and verify need an all-zero offset "
-                         "(ROADMAP item 3)")
+    """The generators of the protocol (A, b) holding (A, b) as their
+    relabeling, so that `permutation_from_stabilizer` gives it back."""
     return StabilizerProtocol._trusted(proto)
 
 
@@ -68,11 +63,11 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
                        threshold: float | None = None) -> EquivalenceReport:
     """Run both engines on one input and compare them branch by branch.
 
-    The permutation protocol is the protocol's relabeling A, so output
-    labels are directly comparable.  A branch's recovery u matches the
-    permutation engine's correction c when B embed(c, t) + u lies in the
-    generator span, B = A^-1 the frame; that is A u = embed(c, t) outside
-    positions m..n-1, where A puts the span.
+    The permutation protocol is the protocol's relabeling (A, b), so
+    output labels are directly comparable.  A branch's recovery u matches
+    the permutation engine's correction c when B embed(c, t) + B b + u
+    lies in the generator span, B = A^-1 the frame; that is
+    A u + b = embed(c, t) outside positions m..n-1, where A puts the span.
     `max_discrepancy` is the largest probability, fidelity or output gap,
     counting a branch only one engine has by its probability.  Mismatches
     are reported in the returned record, never raised.  Its `branches` has
@@ -96,7 +91,8 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
     fidelity_code = np.where(in_code, code.fidelity[c], 0.0)
     output_diff = np.where(both, np.abs(perm.output[p] - code.output[c]).max(axis=1),
                            np.nan)
-    moved = perm_proto.matrix.apply(code.u[c]) ^ _embed_value(perm.correction[p], t, n, m)
+    moved = (perm_proto.matrix.apply(code.u[c]) ^ perm_proto.offset.value
+             ^ _embed_value(perm.correction[p], t, n, m))
     coset_match = both & ((moved & ~(((1 << (n - m)) - 1) << n)) == 0)
     gaps = np.maximum.reduce([np.abs(prob_perm - prob_code),
                               np.abs(fidelity_perm - fidelity_code), output_diff])

@@ -155,30 +155,28 @@ def simulate_syndrome_measurement(state: BellDiagonalState,
     One side measures the elementwise complex conjugate of each generator's
     Pauli word, the other the word itself; entry [a, b] is the probability
     of sign patterns (-1)^a and (-1)^b.  The first side's marginal is
-    uniform; only the XOR of the two strings depends on the state.
+    uniform; only the XOR of the two strings depends on the state.  Each
+    side's projectors act on its own qubits, so they are 2^n x 2^n matrices
+    contracted with rho[i, k, j, l] (rows i, k and columns j, l of sides A, B).
     """
-    n = state.n
+    d = 1 << state.n
     k = len(generators)
-    rho = density_matrix(state)
-    eye = np.eye(1 << n, dtype=complex)
-    ops_a = [np.kron(pauli_matrix(g).conj(), eye) for g in generators]
-    ops_b = [np.kron(eye, pauli_matrix(g)) for g in generators]
-    full = np.eye(1 << (2 * n), dtype=complex)
+    rho = density_matrix(state).reshape(d, d, d, d)
+    eye = np.eye(d, dtype=complex)
+    words = [pauli_matrix(g) for g in generators]
 
-    def projector(ops: list[np.ndarray], outcome: int) -> np.ndarray:
-        proj = full
-        for i, op in enumerate(ops):
-            sign = -1.0 if (outcome >> (k - 1 - i)) & 1 else 1.0
-            proj = proj @ (full + sign * op) / 2.0
-        return proj
+    def projectors(ops: list[np.ndarray]) -> np.ndarray:
+        out = np.empty((1 << k, d, d), dtype=complex)
+        for outcome in range(1 << k):
+            proj = eye
+            for i, op in enumerate(ops):
+                sign = -1.0 if (outcome >> (k - 1 - i)) & 1 else 1.0
+                proj = proj @ (eye + sign * op) / 2.0
+            out[outcome] = proj
+        return out
 
-    proj_a = [projector(ops_a, a) for a in range(1 << k)]
-    proj_b = [projector(ops_b, b) for b in range(1 << k)]
-    joint = np.empty((1 << k, 1 << k))
-    for a in range(1 << k):
-        for b in range(1 << k):
-            joint[a, b] = float(np.real(np.trace(proj_a[a] @ proj_b[b] @ rho)))
-    return joint
+    return np.einsum("aji,blk,ikjl->ab", projectors([w.conj() for w in words]),
+                     projectors(words), rho).real
 
 
 def syndrome_difference_distribution(joint: np.ndarray) -> np.ndarray:

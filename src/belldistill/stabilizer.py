@@ -10,12 +10,12 @@ XOR s of the two outcome strings is informative.  At the label level:
 * recovery picks the heaviest coset of the generator span inside it.
 
 Logical output labels need a basis choice inside the complement.  A
-protocol holds it as its relabeling, the permutation protocol A = B^-1 =
-P B^T P of a symplectic completion B of the generators (its `frame`).  The
-syndrome and logical bits of x are the inner products <g_i, x> and those
-with B's partner columns, which are bits of A x, so `run` fills its table
-with the permutation engine's label map of A and reads the branches off
-it the same way.
+protocol holds it as its relabeling, the permutation protocol (A, b) with
+A = B^-1 = P B^T P for a symplectic completion B of the generators (its
+`frame`).  The syndrome and logical bits of x are the inner products
+<g_i, x> and those with B's partner columns, bits of A x, plus those of b,
+so `run` fills its table with the permutation engine's label map of
+(A, b) and reads the branches off it the same way.
 
 `run` returns a `permutation.BranchSet` whose label columns, the syndrome
 s, the representative v and the recovery u, hold int64 label values
@@ -69,11 +69,11 @@ def pauli_letters(labels: np.ndarray, k: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StabilizerProtocol:
     """n pairs, m survivors, n-m independent commuting generator labels, and
-    the `relabeling` that names the logical output labels: the zero-offset
+    the `relabeling` that names the logical output labels: the linear
     `PermutationProtocol` A = B^-1 of the deterministic completion B of the
-    generators, or the matrix `equivalence.stabilizer_from_permutation` got.
-    Row n+m+i of A is generator i with its halves swapped.  Protocols with
-    equal relabelings are equal."""
+    generators, or the protocol (A, b) `equivalence.stabilizer_from_permutation`
+    got.  Row n+m+i of A is generator i with its halves swapped.  Protocols
+    with equal relabelings are equal."""
 
     n: int
     m: int
@@ -90,8 +90,8 @@ class StabilizerProtocol:
 
     @classmethod
     def _trusted(cls, relabeling: PermutationProtocol) -> "StabilizerProtocol":
-        """Internal constructor of the protocol of a checked zero-offset
-        relabeling, its generators read off A, skipping the completion."""
+        """Internal constructor of the protocol of a checked relabeling (A, b),
+        its generators read off A, skipping the completion."""
         proto = object.__new__(cls)
         proto.__dict__.update(n=relabeling.n, m=relabeling.m,
                               generators=relabeling.generators, relabeling=relabeling)
@@ -135,12 +135,13 @@ def syndrome_distribution(state: BellDiagonalState,
 
     Only the XOR of the two sides' outcome strings is modelled: one side's
     raw outcomes are uniform and carry no information (the dense oracle
-    demonstrates this).
+    demonstrates this).  The relabeling's offset b flips syndrome bits.
     """
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
-    rows = proto.relabeling.matrix.rows[proto.n + proto.m:]
-    return branch_table(state, BinaryMatrix(rows, 2 * proto.n), 0, 0).sum(axis=1)
+    n, m, b = proto.n, proto.m, proto.relabeling.offset.value
+    label_map = BinaryMatrix(proto.relabeling.matrix.rows[n + m:], 2 * n)
+    return branch_table(state, label_map, b & ((1 << (n - m)) - 1), 0).sum(axis=1)
 
 
 def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
@@ -148,10 +149,10 @@ def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
     """Recovery `run` chooses for syndrome s.
 
     It is the lex-least representative of the generator-span coset
-    B embed(c, s) + span, where B is the protocol's frame and c the
-    heaviest logical label (`permutation.optimal_correction`: the smallest
-    one within its tie band).  On ties the coset can depend on the frame.
-    Raises for syndromes of probability zero.
+    B embed(c, s) + B b + span, where (B^-1, b) is the protocol's relabeling
+    and c the heaviest logical label (`permutation.optimal_correction`: the
+    smallest one within its tie band).  On ties the coset can depend on the
+    frame.  Raises for syndromes of probability zero.
     """
     if s.length != proto.n - proto.m:
         raise ValueError("syndrome length must equal the generator count")
@@ -167,12 +168,12 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     """Evaluate every syndrome branch of the protocol exactly.
 
     The branches are the permutation engine's for the protocol's
-    relabeling A (bits n+m.. of A x are the syndrome); zero-probability
-    syndromes are never produced.  Per branch, v is the lex-least label
-    with syndrome s and the recovery u the lex-least representative of
-    B embed(c, s) + span for the frame B = A^-1 and the heaviest logical
-    label c (`permutation.optimal_correction`), so the fidelity is the
-    recovery coset's weight over the branch weight.  `threshold` defaults
+    relabeling (A, b) (bits n+m.. of A x + b are the syndrome); no
+    zero-probability syndrome is produced.  Per branch, v is the lex-least
+    label with syndrome s and the recovery u the lex-least representative
+    of B embed(c, s) + B b + span for the frame B = A^-1 and the heaviest
+    logical label c (`permutation.optimal_correction`), so the fidelity is
+    the recovery coset's weight over the branch weight.  `threshold` defaults
     to the input fidelity.  The columns are s, prob, v, u, output,
     fidelity, unnormalized_fidelity and accepted.
     """
@@ -181,16 +182,19 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     span = generator_span(proto)
     perp = gf2.orthogonal_complement(span)
 
-    # v(s) and u(c, s) reduce B embed(c, s).  The embedding puts s on
+    # v(s) and u(c, s) reduce B embed(c, s) + B b.  The embedding puts s on
     # positions n+m..2n-1 and c on 0..m-1 and n..n+m-1, and reduction by an
-    # echelon basis is linear, so both are XORs of reduced frame columns,
-    # tabulated once per part (`gf2.affine_images`) and looked up for all
-    # branches.  Column j of B is row j+n (mod 2n) of A, halves swapped.
+    # echelon basis is linear, so both are XORs of reduced frame columns and
+    # B b, tabulated per part (`gf2.affine_images`).  As B = P A^T P, column
+    # j of B is row j+n (mod 2n) of A with its halves swapped, and the input
+    # Pauli B b is the XOR of the rows of A that P b selects, halves swapped.
     rows = proto.relabeling.matrix.rows
+    pauli = gf2._swap_halves_value(gf2._combination(
+        rows[::-1], gf2._swap_halves_value(proto.relabeling.offset.value, n)), n)
 
-    def images(subspace: Subspace, part) -> np.ndarray:
+    def images(subspace: Subspace, part, offset: int) -> np.ndarray:
         return gf2.affine_images([subspace.reduce_value(gf2._swap_halves_value(r, n))
-                                  for r in part], 0)
+                                  for r in part], subspace.reduce_value(offset))
 
     syndrome_part = rows[m:n]
     logical_part = rows[n:n + m] + rows[:m]
@@ -198,8 +202,8 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     return BranchSet(m, {"s": n - m, "v": 2 * n, "u": 2 * n}, {
         "s": s,
         "prob": branches.prob,
-        "v": images(perp, syndrome_part)[s],
-        "u": images(span, syndrome_part)[s] ^ images(span, logical_part)[c],
+        "v": images(perp, syndrome_part, pauli)[s],
+        "u": images(span, syndrome_part, pauli)[s] ^ images(span, logical_part, 0)[c],
         "output": branches.output,
         "fidelity": branches.fidelity,
         "unnormalized_fidelity": branches.unnormalized_fidelity,

@@ -292,11 +292,6 @@ BAD_FILES = {
     "state-nested": ("--state-file", NESTED),
     "config-nested": ("--config", NESTED),
     "config-key-of-other-command": ("--config", {"werner": 0.75, "seed": 4}),
-    # The generator form has no offset: run-code and verify refuse one.
-    "protocol-offset-run-code": ("--protocol-file",
-                                 {"n": 2, "m": 1, "A": BCNOT.split(","), "b": "0001"}),
-    "protocol-offset-verify": ("--protocol-file",
-                               {"n": 2, "m": 1, "A": BCNOT.split(","), "b": "1000"}),
     # Both forms: the A/b form would be dropped unseen.
     "protocol-generators-and-A": ("--protocol-file",
                                   {"n": 2, "m": 1, "generators": ["ZZ"],
@@ -325,17 +320,12 @@ BAD_FILES = {
     "config-format-xml": ("--config", {"format": "xml", "werner": 0.75}),
 }
 
-# Cases whose file only the named command refuses; the rest run with run-perm.
-FILE_COMMANDS = {"protocol-offset-run-code": "run-code",
-                 "protocol-offset-verify": "verify"}
-
-
 @pytest.mark.parametrize("case", sorted(BAD_FILES))
 def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     flag, content = BAD_FILES[case]
     path = tmp_path / "input.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))
-    argv = [FILE_COMMANDS.get(case, "run-perm"), flag, str(path)]
+    argv = ["run-perm", flag, str(path)]
     argv += ["--werner", "0.75"] if flag == "--protocol-file" else ["--generators", "ZZ"]
     code, out, err = invoke(capsys, *argv)
     assert code == 1
@@ -356,10 +346,6 @@ def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-300"],
     ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-320"],
     ["run-code", "--generators", "ZZ", "--offset", "1000", "--werner", "0.75"],
-    ["run-code", "--matrix", BCNOT, "-m", "1", "--offset", "0001", "--werner", "0.75"],
-    ["run-code", "--matrix", BCNOT, "-m", "1", "--offset", "1000", "--werner", "0.75"],
-    ["verify", "--matrix", BCNOT, "-m", "1", "--offset", "0001", "--werner", "0.75"],
-    ["verify", "--matrix", BCNOT, "-m", "1", "--offset", "1000", "--werner", "0.75"],
     ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "nan"],
     ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "inf"],
     ["verify", "--random", "2", "--generators", "ZZ", "--werner", "0.3"],
@@ -391,12 +377,25 @@ def test_out_of_range_flags_fail_cleanly(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+SHARED_COLUMNS = ("prob", "fidelity", "unnormalized_fidelity", "output")
+
+
 @pytest.mark.parametrize("command", ["run-code", "verify"])
 def test_all_zero_offset_still_accepted(capsys, command):
+    # the all-zero offset prints what no offset prints, and every other
+    # offset is accepted too: run-code prints run-perm's branches
     base = [command, "--matrix", BCNOT, "-m", "1", "--werner", "0.75"]
-    code, out, _ = invoke(capsys, *base, "--offset", "0000")
-    assert code == 0
-    assert (code, out) == invoke(capsys, *base)[:2]
+    assert invoke(capsys, *base, "--offset", "0000")[:2] == invoke(capsys, *base)[:2]
+    for b in range(16):
+        offset = ["--offset", format(b, "04b")]
+        code, out, _ = invoke(capsys, *base, *offset)
+        assert code == 0, offset
+        if command == "run-code":
+            perm = json.loads(invoke(capsys, "run-perm", *base[1:], *offset)[1])
+            for record, expected in zip(json.loads(out)["records"], perm["records"],
+                                        strict=True):
+                assert [record[k] for k in ("s", *SHARED_COLUMNS)] == \
+                    [expected[k] for k in ("t", *SHARED_COLUMNS)], offset
 
 
 def count_calls(monkeypatch, *names) -> collections.Counter:
@@ -432,10 +431,12 @@ def test_a_matrix_protocol_has_its_generators_checked_at_most_once(capsys, monke
     # checked once, and the one null space left is the stabilizer engine's
     calls = count_calls(monkeypatch, "complete_to_symplectic", "_check_generators",
                         "_kernel", "is_symplectic", "_inverse")
-    for command in ("run-code", "verify"):
+    # an offset reads B b off the rows of A, with no inverse either
+    for command, offset in [("run-code", []), ("verify", []),
+                            ("run-code", ["--offset", "0001"])]:
         calls.clear()
         code, _, _ = invoke(capsys, command, "--matrix", BCNOT, "-m", "1",
-                            "--werner", "0.75")
+                            "--werner", "0.75", *offset)
         assert code == 0
         assert calls == {"_kernel": 1, "is_symplectic": 1}
 

@@ -68,15 +68,18 @@ def test_stabilizer_from_identity():
     assert stabilizer.to_pauli_string(sp.generators[0]) == "IZ"
 
 
-def test_an_offset_is_refused_not_dropped(werner2, bcnot):
+def test_an_offset_is_carried_not_dropped(werner2, bcnot):
     # (A, b) and (A, 0) are other protocols: here their two branches swap
-    # probabilities, so the generator form of (A, b) would be (A, 0)
+    # probabilities, and the generator form of (A, b) keeps them swapped
     proto = PermutationProtocol(2, 1, bcnot, BinaryVector.from_string("0001"))
+    linear = PermutationProtocol.linear(2, 1, bcnot)
     shifted = permutation.run(werner2, proto).prob
-    assert shifted.tolist() == permutation.run(
-        werner2, PermutationProtocol.linear(2, 1, bcnot)).prob[::-1].tolist()
-    with pytest.raises(ValueError, match="offset 0001 is not carried"):
-        stabilizer_from_permutation(proto)
+    assert shifted.tolist() == permutation.run(werner2, linear).prob[::-1].tolist()
+    code = stabilizer_from_permutation(proto)
+    assert stabilizer.run(werner2, code).prob.tolist() == shifted.tolist()
+    assert code.generators == stabilizer_from_permutation(linear).generators
+    assert code != stabilizer_from_permutation(linear)
+    assert permutation_from_stabilizer(code) == proto
 
 
 def test_protocols_are_equal_when_their_relabelings_are():
@@ -101,11 +104,13 @@ def test_stabilizer_from_random_permutation_valid(rng):
 
 
 def test_round_trip_returns_the_matrix(rng):
-    # the protocol holds A as its relabeling and translating back returns it
-    for _ in range(30):
+    # the protocol holds (A, b) as its relabeling and translating back
+    # returns it, the offset zero or not
+    for i in range(30):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(0, n + 1))
-        proto = PermutationProtocol.linear(n, m, gf2.random_symplectic(n, rng))
+        b = BinaryVector(int(rng.integers(0, 1 << (2 * n))) if i % 2 else 0, 2 * n)
+        proto = PermutationProtocol(n, m, gf2.random_symplectic(n, rng), b)
         back = permutation_from_stabilizer(stabilizer_from_permutation(proto))
         assert back.matrix == proto.matrix
         assert back.offset == proto.offset

@@ -10,7 +10,10 @@ these outputs fails here.  When the change is meant, re-pin with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
-and list the cases that moved, and why, with the change.
+which prints the cases whose hash changed and those added or removed; list
+them, and why, with the change.  Every `refuse-*` case must exit 1 with
+one `error:` line and nothing on stdout, so a refusal is never re-pinned
+as a success under its old name.
 """
 
 import contextlib
@@ -29,6 +32,8 @@ HASHES = Path(__file__).with_name("golden_hashes.json")
 
 BCNOT = "1100,0100,0010,0011"
 GENS8 = "ZZIIIIII,IIZZIIII,IIIIZZII,IIIIIIZZ"
+# The README's DEJMPS matrix.
+DEJMPS = "0001,1000,1101,0011"
 # Z_iZ_{i+1} on 13 pairs: 4096 small records, more than one output block.
 CHAIN13 = ",".join("I" * i + "ZZ" + "I" * (11 - i) for i in range(12))
 
@@ -78,12 +83,16 @@ CASES = {
     **_both("run-code-n13m1", "run-code", "--generators", CHAIN13, "--werner", "0.8"),
     "run-code-matrix-json": ["run-code", "--matrix", BCNOT, "-m", "1",
                              "--werner", "0.75", "--offset", "0000"],
+    **_both("run-code-offset", "run-code", "--matrix", DEJMPS, "-m", "1",
+            "--offset", "0001", "--werner", "0.7"),
     "run-perm-config-csv": ["run-perm", "--config", "{config.json}"],
     **_both("verify-generators", "verify", "--generators", "ZZZ,IXX",
             "--werner", "0.75"),
     **_both("verify-state-file", "verify", "--protocol-file", "{stab.json}",
             "--state-file", "{state.json}"),
     **_both("verify-random", "verify", "--random", "10", "--seed", "3"),
+    "verify-offset-file": ["verify", "--protocol-file", "{perm.json}",
+                           "--werner", "0.75"],
     **_both("oracle-check", "oracle-check", "--sizes", "2", "--count", "2"),
     **_both("sweep-list", "sweep", "--generators", "ZZ", "--grid", "0.6,0.8",
             "--rounds", "2"),
@@ -102,8 +111,6 @@ CASES = {
     "refuse-tiny-step": ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-300"],
     "refuse-offset-generators": ["run-code", "--generators", "ZZ", "--offset",
                                  "1000", "--werner", "0.75"],
-    "refuse-offset-file": ["verify", "--protocol-file", "{perm.json}",
-                           "--werner", "0.75"],
     "refuse-threshold-nan": ["run-perm", "--generators", "ZZ", "--werner", "0.75",
                              "--threshold", "nan"],
     "refuse-sizes-without-random": ["verify", "--generators", "ZZ", "--werner",
@@ -111,15 +118,19 @@ CASES = {
 }
 
 
-def _digest(argv: list[str], directory: Path) -> str:
-    """sha256 of the exit code, stdout and stderr of `main(argv)`, with
-    each {file} in argv naming that file of `directory`."""
+def _run(argv: list[str], directory: Path) -> list:
+    """The exit code, stdout and stderr of `main(argv)`, with each {file}
+    in argv naming that file of `directory`."""
     argv = [str(directory / a[1:-1]) if a.startswith("{") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()])
-                          .encode()).hexdigest()
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _digest(argv: list[str], directory: Path) -> str:
+    """sha256 of `_run(argv, directory)`."""
+    return hashlib.sha256(json.dumps(_run(argv, directory)).encode()).hexdigest()
 
 
 def _write_files(directory: Path) -> None:
@@ -143,12 +154,27 @@ def test_golden_output(files, case):
     assert _digest(CASES[case], files) == json.loads(HASHES.read_text())[case]
 
 
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("refuse-")))
+def test_refusals_print_one_error_line(files, case):
+    code, out, err = _run(CASES[case], files)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _update() -> None:
+    old = json.loads(HASHES.read_text()) if HASHES.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         _write_files(directory)
         hashes = {case: _digest(argv, directory) for case, argv in CASES.items()}
     HASHES.write_text(json.dumps(hashes, indent=2) + "\n")
+    for case in sorted(hashes.keys() | old.keys()):
+        if case not in old:
+            print(f"added: {case}")
+        elif case not in hashes:
+            print(f"removed: {case}")
+        elif hashes[case] != old[case]:
+            print(f"changed: {case}")
     print(f"pinned {len(hashes)} cases in {HASHES}")
 
 

@@ -1,5 +1,7 @@
 """Dense-simulation oracle: operator identities and measurement ground truth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,23 @@ def test_alice_marginal_uniform(werner2):
     joint = oracle.simulate_syndrome_measurement(werner2, (vec("1100"),))
     marginal = joint.sum(axis=1)
     assert marginal == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+def test_syndrome_measurement_holds_no_full_register_projector(rng):
+    # at the cap, n = 4 and k = 4 generators: one 4^n x 4^n complex matrix
+    # is 1 MiB, and holding every projector of both sides took 46 MB
+    state = BellDiagonalState(4, rng.dirichlet(np.ones(256)))
+    gens = tuple(gf2.random_isotropic_generators(4, 4, rng))
+    oracle.bell_basis(4)  # built once per n and cached
+    tracemalloc.start()
+    try:
+        joint = oracle.simulate_syndrome_measurement(state, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joint.shape == (16, 16)
+    assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("module, name", [(permutation, "run"),

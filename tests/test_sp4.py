@@ -1,11 +1,13 @@
 """Every 2-pair protocol, in both forms: all 720 symplectic 4 x 4 matrices
-over GF(2) (the group Sp(4, 2)), each with m = 0, 1 and 2 survivors.
+over GF(2) (the group Sp(4, 2)), each with m = 0, 1 and 2 survivors, and
+with m = 1 also at the offsets 0001 and 1000.
 
-A permutation protocol A and the stabilizer protocol
+A permutation protocol (A, b) and the stabilizer protocol
 `stabilizer_from_permutation` makes of it are one protocol: its frame is
-A^-1, so translating back gives A, and the two engines print the same
-branches.  The group is enumerated here by its definition, A^T P A = P,
-so the enumeration shares no code with `gf2.is_symplectic`.
+A^-1 and it holds b, so translating back gives (A, b), and the two
+engines print the same branches.  The group is enumerated here by its
+definition, A^T P A = P, so the enumeration shares no code with
+`gf2.is_symplectic`.
 """
 
 import functools
@@ -29,6 +31,7 @@ INPUTS = {
     "werner": BellDiagonalState.from_pairs([werner(0.7)] * 2),
 }
 COLUMNS = ("prob", "fidelity", "unnormalized_fidelity", "output")
+OFFSETS = ("0001", "1000")
 
 
 @functools.cache
@@ -46,9 +49,12 @@ def sp4() -> tuple[BinaryMatrix, ...]:
 
 @functools.cache
 def protocols() -> tuple[tuple[PermutationProtocol, StabilizerProtocol], ...]:
-    """Each matrix with each m, as a permutation protocol and as the
-    stabilizer protocol `stabilizer_from_permutation` makes of it."""
-    perms = [PermutationProtocol.linear(2, m, a) for a in sp4() for m in (0, 1, 2)]
+    """Each matrix with each m, and with m = 1 and each of OFFSETS, as a
+    permutation protocol and as the stabilizer protocol
+    `stabilizer_from_permutation` makes of it."""
+    cases = [(m, "0000") for m in (0, 1, 2)] + [(1, b) for b in OFFSETS]
+    perms = [PermutationProtocol(2, m, a, BinaryVector.from_string(b))
+             for a in sp4() for m, b in cases]
     return tuple((p, stabilizer_from_permutation(p)) for p in perms)
 
 
@@ -60,9 +66,7 @@ def test_the_group_has_720_elements():
 
 def test_every_matrix_translates_back_to_itself():
     for proto, code in protocols():
-        back = permutation_from_stabilizer(code)
-        assert back.matrix == proto.matrix, proto.matrix
-        assert (back.n, back.m) == (proto.n, proto.m)
+        assert permutation_from_stabilizer(code) == proto, proto
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -70,20 +74,20 @@ def test_both_engines_print_the_same_branches(name):
     state = INPUTS[name]
     for proto, code in protocols():
         perm, syndromes = permutation.run(state, proto), stabilizer.run(state, code)
-        assert np.array_equal(perm.t, syndromes.s), (proto.matrix, proto.m)
+        assert np.array_equal(perm.t, syndromes.s), proto
         for column in COLUMNS:
             assert np.array_equal(getattr(perm, column), getattr(syndromes, column)), \
-                (proto.matrix, proto.m, column)
+                (proto, column)
 
 
 def test_every_protocol_passes_verify():
     state = INPUTS["tie-free"]
     for proto, code in protocols():
         report = verify_equivalence(state, code)
-        assert report.passed, (proto.matrix, proto.m, report.max_discrepancy)
+        assert report.passed, (proto, report.max_discrepancy)
 
 
-@pytest.mark.parametrize("offset", ["0000", "0001", "1000"])
+@pytest.mark.parametrize("offset", ["0000", *OFFSETS])
 def test_run_perm_matches_the_dense_oracle(offset):
     """Every 2 -> 1 protocol with the offset b, against dense pairwise
     parity measurements of the input relabeled x -> A x + b, here as
@@ -99,6 +103,23 @@ def test_run_perm_matches_the_dense_oracle(offset):
         dense = oracle.simulate_parity_measurement(BellDiagonalState(2, table), 1)
         engine = permutation.run(state, PermutationProtocol(2, 1, a, b))
         worst = max(worst, crosscheck._branch_error(engine, dense))
+    assert worst <= crosscheck.TOLERANCE
+
+
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_syndrome_distribution_matches_the_dense_oracle(offset):
+    """Every 2 -> 1 protocol with the offset b, against dense two-sided
+    generator measurements of the input moved by the Pauli B b, B = A^-1
+    the protocol's frame."""
+    state, b = INPUTS["tie-free"], BinaryVector.from_string(offset)
+    worst = 0.0
+    for a in sp4():
+        code = stabilizer_from_permutation(PermutationProtocol(2, 1, a, b))
+        joint = oracle.simulate_syndrome_measurement(state.pauli_shift(code.frame @ b),
+                                                     code.generators)
+        dense = oracle.syndrome_difference_distribution(joint)
+        worst = max(worst, np.abs(stabilizer.syndrome_distribution(state, code)
+                                  - dense).max())
     assert worst <= crosscheck.TOLERANCE
 
 

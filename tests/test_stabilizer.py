@@ -375,6 +375,30 @@ def test_branch_set_columns_equal_literal_coset_sums(rng):
     assert skipped > 0
 
 
+def test_offset_labels_are_the_least_of_their_cell_and_coset(rng):
+    # a relabeling (A, b), every m: v is the least x whose A x + b has the
+    # syndrome s, and u the least x whose A x + b equals embed(c, s) outside
+    # positions m..n-1 (the measured pairs' phases), c the heaviest label
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(0, n + 1))
+        b = int(rng.integers(0, 1 << (2 * n)))
+        relabeling = PermutationProtocol(n, m, gf2.random_symplectic(n, rng),
+                                         BinaryVector(b, 2 * n))
+        x = np.arange(1 << (2 * n))
+        z = relabeling.matrix.apply(x) ^ b
+        syndromes = (1 << (n - m)) - 1
+        outside = ((1 << (2 * n)) - 1) ^ (syndromes << n)
+        for state in branch_set_inputs(n, rng):
+            branches = run(state, stabilizer_from_permutation(relabeling))
+            for s, v, u, output in zip(branches.s.tolist(), branches.v, branches.u,
+                                       branches.output, strict=True):
+                c = permutation.optimal_correction(output)
+                lifted = permutation.embed_label(c, BinaryVector(s, n - m), n, m).value
+                assert v == x[(z & syndromes) == s].min()
+                assert u == x[((z ^ lifted) & outside) == 0].min()
+
+
 def test_branch_set_columns_equal_the_dense_oracle(rng):
     for n in (2, 3):
         for m in (0, 1, n):
