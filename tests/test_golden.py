@@ -5,7 +5,8 @@ The corpus covers every command in JSON and CSV, protocols given inline,
 as a matrix and as files, a state file with zero and subnormal weights
 (floats printed one by one inside the one-pass kernel), an n=8 m=4 engine
 pair (the one-pass kernel), an n=13 m=1 engine pair (4096 small records
-written in several blocks) and refusals.  A change that alters any byte of
+written in several blocks), an n=10 m=5 engine pair (32 records of 1024
+floats, so float arrays that span several blocks) and refusals.  A change that alters any byte of
 these outputs fails here.  When the change is meant, re-pin with
 
     PYTHONPATH=src python tests/test_golden.py --update
@@ -36,6 +37,9 @@ GENS8 = "ZZIIIIII,IIZZIIII,IIIIZZII,IIIIIIZZ"
 DEJMPS = "0001,1000,1101,0011"
 # Z_iZ_{i+1} on 13 pairs: 4096 small records, more than one output block.
 CHAIN13 = ",".join("I" * i + "ZZ" + "I" * (11 - i) for i in range(12))
+# Z_iZ_{i+1} on 10 pairs, five of them measured: 32 records of 1024 floats,
+# each float array written in several blocks.
+CHAIN10 = ",".join("I" * i + "ZZ" + "I" * (8 - i) for i in range(5))
 
 
 def _state_probs() -> list[float]:
@@ -81,6 +85,10 @@ CASES = {
     **_both("run-code-n8m4", "run-code", "--generators", GENS8, "--werner", "0.9"),
     **_both("run-perm-n13m1", "run-perm", "--generators", CHAIN13, "--werner", "0.8"),
     **_both("run-code-n13m1", "run-code", "--generators", CHAIN13, "--werner", "0.8"),
+    **_both("run-perm-n10m5", "run-perm", "--generators", CHAIN10, "-m", "5",
+            "--werner", "0.8"),
+    **_both("run-code-n10m5", "run-code", "--generators", CHAIN10, "-m", "5",
+            "--werner", "0.8"),
     "run-code-matrix-json": ["run-code", "--matrix", BCNOT, "-m", "1",
                              "--werner", "0.75", "--offset", "0000"],
     **_both("run-code-offset", "run-code", "--matrix", DEJMPS, "-m", "1",
