@@ -123,11 +123,11 @@ _FAST_MAX = 1e14
 _FAST_TINY = np.finfo(float).tiny
 
 # Below this many floats a block's floats are formatted one by one.  The
-# one-pass path costs ~40 numpy calls and one assignment per float column
-# and token word however few entries it prints: for a `verify` block (5
-# float columns) it is ~7% slower than the per-value path at 80 floats and
-# ~15% faster at 160 (2-core x86-64, Python 3.11, numpy 2.4).  With no
-# cutoff, the non-oracle commands of the benchmark's `suite` run ~6% slower.
+# one-pass path costs ~NUMPY_CALLS numpy calls and one assignment per float column
+# however few entries it prints: for a `verify` block (5 float columns) it
+# is ~7% slower than the per-value path at 80 floats and ~15% faster at 160
+# (2-core x86-64, Python 3.11, numpy 2.4).  With no cutoff, the non-oracle
+# commands of the benchmark's `suite` run ~6% slower.
 _BATCH_MIN = 64
 # About the bytes of a block's matrix, and what a float takes of them with
 # its separator (`_blocks`).  Formatting takes ~100 bytes more a float
@@ -138,7 +138,7 @@ _FLOAT_BYTES = 32
 
 # Control bytes of a block's matrix: padding, and the place of a value
 # formatted on its own, filled in afterwards (`_fill`).
-_PAD, _HOLE = "\0", "\2"
+_PAD, _HOLE = b"\0", b"\2"
 _BOOLS = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
 
 
@@ -165,19 +165,21 @@ def _words(*columns) -> np.ndarray:
     return np.column_stack(columns).astype(np.uint8).view(np.uint32).ravel()
 
 
-def _byte(char: str, count: int) -> np.ndarray:
+def _byte(char: bytes, count: int) -> np.ndarray:
     return np.full(count, ord(char), dtype=np.uint8)
 
 
-_MINUS = np.frombuffer(f"-{_PAD * 3}".encode("ascii"), dtype=np.uint32)[0]
+_MINUS = np.frombuffer(b"-" + _PAD * 3, dtype=np.uint32)[0]
 # Index of ".0" in the tail table (`_tables`).
 _POINT_ZERO = 1
 
 # Every entry's scaled value x * 10^k is within 2^-13 of the exact product
 # when long double has a 64-bit significand (two roundings of relative
-# error 2^-64, on a value below 2^50).  Unless it is within this much of a
-# half-way point, its rint is the correctly rounded mantissa.
-_HALF_WINDOW = 2.0 ** -9
+# error 2^-64, on a value below 2^50).  Its fraction is read in units of
+# 2^-_FRAC_BITS, truncated; unless it is within _HALF_WINDOW of those units
+# of a half-way point, it rounds the value as exact arithmetic would.
+_FRAC_BITS = 12
+_HALF_WINDOW = 1
 _WIDE_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 
@@ -189,10 +191,12 @@ def _tables() -> SimpleNamespace:
 
     The integer part goes in 3-digit groups, each in a word whose first
     byte is free for the sign; the fraction goes in a word with the point
-    and 2 digits, then 4-digit groups.  A "lead" table drops the leading
-    zeros of a group with nothing above it, a "trim" table the trailing
-    zeros of a group with nothing below it.  After the digits come two
-    tail words: nothing, ".0" (JSON, integral values) or the exponent
+    and 2 digits, then 4-digit groups.  Each table has a row per kind of
+    group: `int` plain, "lead" (the leading zeros of a group with nothing
+    above it dropped) and "units" (the same, but 0 keeps its last digit);
+    `point` and `frac` plain and "trim" (the trailing zeros of a group with
+    nothing below it dropped).  After the digits come two tail words,
+    a row each: nothing, ".0" (JSON, integral values) or the exponent
     "e-XX" of a value below 1e-4, indexed by -exponent.  `pow10` holds
     10^(14-e) for every exponent e of a normal double below _FAST_MAX,
     numpy's correctly rounded conversion of each exact integer; only a
@@ -200,18 +204,16 @@ def _tables() -> SimpleNamespace:
     reads it.
     """
     pad = _byte(_PAD, 1000)
-    tail = [_PAD * 8, ".0".ljust(8, _PAD)] + [f"e-{k:02d}".ljust(8, _PAD)
-                                            for k in range(2, 400)]
+    tail = [_PAD * 8, b".0".ljust(8, _PAD)] + [(b"e-%02d" % k).ljust(8, _PAD)
+                                             for k in range(2, 400)]
     return SimpleNamespace(
-        int=_words(pad, _digits(1000, 3, "")),
-        int_lead=_words(pad, _digits(1000, 3, "lead")),
-        int_units=_words(pad, _digits(1000, 3, "units")),
-        point=_words(_byte(".", 100), _digits(100, 2, ""), _byte(_PAD, 100)),
-        point_trim=_words(np.where(np.arange(100) > 0, ord("."), 0),
-                          _digits(100, 2, "trim"), _byte(_PAD, 100)),
-        frac=_words(_digits(10_000, 4, "")),
-        frac_trim=_words(_digits(10_000, 4, "trim")),
-        tail=np.frombuffer("".join(tail).encode("ascii"), np.uint32).reshape(-1, 2),
+        int=np.stack([_words(pad, _digits(1000, 3, kind))
+                      for kind in ("", "lead", "units")]),
+        point=np.stack([_words(_byte(b".", 100), _digits(100, 2, ""), _byte(_PAD, 100)),
+                        _words(np.where(np.arange(100) > 0, ord("."), 0),
+                               _digits(100, 2, "trim"), _byte(_PAD, 100))]),
+        frac=np.stack([_words(_digits(10_000, 4, "")), _words(_digits(10_000, 4, "trim"))]),
+        tail=np.frombuffer(b"".join(tail), np.uint32).reshape(-1, 2).T.copy(),
         pow10=(np.array([10 ** k for k in range(340)], dtype=np.longdouble)
                if _WIDE_LONGDOUBLE else None),
     )
@@ -229,22 +231,28 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (positive normal doubles below _FAST_MAX), with M * 10^(e-14) the
     entry rounded to 15 significant digits, half to even.
 
-    M is rint(a * 10^(14-e)) in long double, e = floor(log10(a)).  An
-    entry near a half-way point, where that product's error could flip the
-    rounding, or whose product falls outside [10^14, 10^15), takes M and e
-    from `_printf_decimal` instead; without a 64-bit long double every
-    entry does.
+    e = floor(log10(a)), and the long double product a * 10^(14-e),
+    scaled by 2^_FRAC_BITS, is truncated to an int64: M is its integer
+    part, plus one where the fraction its low bits hold is 1/2 or more.
+    An entry whose fraction is within _HALF_WINDOW units of 1/2, where the
+    product's error could flip the rounding, or whose M falls outside
+    [10^14, 10^15), takes M and e from `_printf_decimal` instead; without
+    a 64-bit long double every entry does.
     """
     if not _WIDE_LONGDOUBLE:
         return _printf_decimal(a)
     exp = np.floor(np.log10(a)).astype(np.int64)
-    scaled = a.astype(np.longdouble) * _tables().pow10[14 - exp]
-    mant = np.rint(scaled)
-    slow = np.abs((scaled - mant).astype(np.float64)) >= 0.5 - _HALF_WINDOW
+    # a * 2^_FRAC_BITS is exact, and so is the scaling of the rounded product.
+    fixed = (np.ldexp(a, _FRAC_BITS).astype(np.longdouble)
+             * _tables().pow10[14 - exp]).astype(np.int64)
+    mant = fixed >> _FRAC_BITS
+    # The fraction less 1/2 lies in [rest, rest + 1) units of 2^-_FRAC_BITS.
+    rest = (fixed & ((1 << _FRAC_BITS) - 1)) - (1 << (_FRAC_BITS - 1))
+    slow = np.abs(rest) <= _HALF_WINDOW
     # log10 can miss by one just below a power of ten.
-    slow |= (scaled < 1e14) | (scaled >= 1e15)
+    slow |= (mant < 10 ** 14) | (mant >= 10 ** 15)
+    mant += rest >= 0
     slow = np.flatnonzero(slow)
-    mant = mant.astype(np.int64)
     if slow.size:
         mant[slow], exp[slow] = _printf_decimal(a[slow])
     carry = mant == 10 ** 15  # rounded up into the next decade
@@ -253,7 +261,7 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
-    """The digits of every entry's token, from which `_write_tokens` writes
+    """The digits of every entry's token, from which `_token_words` writes
     it: the sign, the integer part in 3-digit groups (most significant
     first), the fraction's 18 digits, the tail index (`_tables`) and
     `words`, the 4-byte words every token takes.  Entries the tables do
@@ -261,11 +269,15 @@ def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
     by the rounded exponent, as "%.15g" decides it.
     """
     a = np.abs(values)
-    fast = (a < _FAST_MAX) & ((a >= _FAST_TINY) | (a == 0))
-    nonzero = fast & (a != 0)
-    mant = np.zeros(a.size, dtype=np.int64)
-    exp = np.zeros(a.size, dtype=np.int64)
-    mant[nonzero], exp[nonzero] = _decimal(a[nonzero])
+    nonzero = (a < _FAST_MAX) & (a >= _FAST_TINY)
+    if nonzero.all():
+        fast = nonzero
+        mant, exp = _decimal(a)
+    else:
+        fast = nonzero | (a == 0)
+        mant = np.zeros(a.size, dtype=np.int64)
+        exp = np.zeros(a.size, dtype=np.int64)
+        mant[nonzero], exp[nonzero] = _decimal(a[nonzero])
     sci = exp < -4
     places = np.where(sci, 14, 14 - exp)
     whole, frac = np.divmod(mant, _POW10_INT[places])
@@ -283,59 +295,57 @@ def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
                            tail=tail, tail_words=tail_words, values=values, fmt=fmt)
 
 
-def _tokens(values: np.ndarray, fmt: str) -> SimpleNamespace | None:
-    """The digits of a block's floats (`_one_pass`), or None below
+def _tokens(values: np.ndarray, fmt: str) -> np.ndarray | None:
+    """The token words of a block's floats (`_token_words`), or None below
     _BATCH_MIN, where each float is formatted on its own into a hole."""
-    return None if values.size < _BATCH_MIN else _one_pass(values, fmt)
+    return None if values.size < _BATCH_MIN else _token_words(_one_pass(values, fmt))
 
 
-def _write_tokens(tokens: SimpleNamespace, slots: list[np.ndarray]) -> None:
-    """Write every `_one_pass` token into its slot: `slots` are the bytes of
-    the block's float columns, (rows, [entries,] bytes) each, whose entries
-    in row order are the block's floats.  A token formatted on its own
-    takes at most 22 bytes ("-d.dddddddddddddde-ddd"), a slot at least 24."""
-    bounds = [0]
-    for region in slots:
-        bounds.append(bounds[-1] + region.size // region.shape[-1])
-    parts = list(map(slice, bounds, bounds[1:]))
-    views = [region.view(np.uint32) for region in slots]
-
-    def put(i, word):
-        for view, part in zip(views, parts):
-            view[..., i] = word[part].reshape(view.shape[:-1])
-
+def _token_words(tokens: SimpleNamespace) -> np.ndarray:
+    """Every `_one_pass` token as a row of a (floats, words) uint32 matrix,
+    filled a word column at a time.  A group's word comes from one gather,
+    from the plain table or the one for a group with nothing above
+    (integer) or below (fraction) it, picked by index while some entries
+    need each.  A token formatted on its own takes at most 22 bytes
+    ("-d.dddddddddddddde-ddd"), a row at least 24.
+    """
     tables = _tables()
+    words = np.empty((tokens.own.size, tokens.words), dtype=np.uint32)
     units = len(tokens.groups) - 1
-    lead = np.ones(tokens.own.size, dtype=bool)
+    lead = None  # where every group so far is zero; None while all are
     for i, group in enumerate(tokens.groups):
-        first = tables.int_units if i == units else tables.int_lead
-        word = np.where(lead, first[group], tables.int[group])
-        put(i, word | np.where(tokens.sign, _MINUS, 0) if i == 0 else word)
-        lead &= group == 0
-    trim = np.ones(tokens.own.size, dtype=bool)
+        kind = 2 if i == units else 1  # "units" or "lead"
+        words[:, i] = tables.int[kind][group] if lead is None else \
+            tables.int.ravel()[group + 1000 * kind * lead]
+        lead = group == 0 if lead is None else lead & (group == 0)
+    trim = None  # where every group so far is zero; None while all are
     frac = tokens.frac
     for i in range(4):
-        frac, group = np.divmod(frac, 10_000)
-        put(units + 5 - i, np.where(trim, tables.frac_trim[group], tables.frac[group]))
-        trim &= group == 0
-    put(units + 1, np.where(trim, tables.point_trim[frac], tables.point[frac]))
+        rest = frac // 10_000
+        group = frac - rest * 10_000
+        frac = rest
+        words[:, units + 5 - i] = tables.frac[1][group] if trim is None else \
+            tables.frac.ravel()[group + 10_000 * trim]
+        trim = group == 0 if trim is None else trim & (group == 0)
+    words[:, units + 1] = tables.point.ravel()[frac + 100 * trim]
     for i in range(tokens.tail_words):
-        put(units + 6 + i, tables.tail[tokens.tail, i])
-    if np.count_nonzero(tokens.own):
-        size = 4 * tokens.words
-        own = np.array([_float_token(x, tokens.fmt) for x in
-                        tokens.values[tokens.own].tolist()], dtype=f"S{size}")
-        own = own.view(np.uint8).reshape(-1, size)
-        for region, part in zip(slots, parts):
-            mask = tokens.own[part]
-            region[mask.reshape(region.shape[:-1]), :size] = own[:np.count_nonzero(mask)]
-            own = own[np.count_nonzero(mask):]
+        words[:, units + 6 + i] = tables.tail[i][tokens.tail]
+    if tokens.sign.any():
+        words[tokens.sign, 0] |= _MINUS
+    if tokens.own.any():
+        own = [_float_token(x, tokens.fmt) for x in tokens.values[tokens.own].tolist()]
+        words[tokens.own] = np.array(own, dtype=f"S{4 * tokens.words}").view(
+            np.uint32).reshape(len(own), -1)
+    return words
 
 
-def _fill(text: str, fills) -> str:
-    """`text` with its holes filled, in order, by `fills`."""
-    pieces = text.split(_HOLE)
-    return pieces[0] + "".join(map(str.__add__, fills, pieces[1:]))
+def _fill(data: bytearray, fills: list[str]) -> bytes | bytearray:
+    """`data` with its holes filled, in order, by `fills`."""
+    if not fills:
+        return data
+    pieces = data.split(_HOLE)
+    return pieces[0] + b"".join(map(bytes.__add__, (text.encode() for text in fills),
+                                    pieces[1:]))
 
 
 def _is_float_array(value) -> bool:
@@ -415,28 +425,26 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
     data = [f.data[start:stop] for f in fields]
     floats = [d.ravel() for f, d in zip(fields, data) if f.kind in ("float", "array")]
     values = np.concatenate(floats) if floats else np.zeros(0)
-    tokens = _tokens(values, fmt)
-    small = tokens is None  # every float a hole
-    token = 0 if small else 4 * tokens.words
+    words = _tokens(values, fmt)
+    small = words is None  # every float a hole
+    token = 0 if small else 4 * words.shape[1]
     sep = b",\n        " if fmt == "json" else b";"
-    slot = -(-(token + len(sep)) // 4) * 4
+    slot = token + len(sep)
     json_fmt = fmt == "json"
     row, places = bytearray(), []
     for f, head in zip(fields, heads):
         number, array = f.kind in ("float", "array"), f.kind == "array"
         quote = b'"' if json_fmt and f.kind == "label" else b""
         row += head + (b"[\n        " if json_fmt and array else quote)
-        if number and not small:
-            row += bytes(-len(row) % 4)  # token words 4-byte aligned
         places.append(len(row))
         if f.kind == "hole" or number and small:
-            row += _HOLE.encode()
+            row += _HOLE
         elif array:
-            row += (bytes(token) + sep).ljust(slot, b"\0") * (f.width - 1) + bytes(slot)
+            row += (bytes(token) + sep) * (f.width - 1) + bytes(token)
         else:
             row += bytes(token if number else f.width)
         row += b"\n      ]" if json_fmt and array else quote
-    row += end + bytes(-len(row + end) % 4)
+    row += end
     buffer = row * rows
     if json_fmt and start == 0:
         buffer[0] = 0  # no comma before the first record
@@ -444,7 +452,10 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
 
     cell = functools.partial(_json, indent="      ") if json_fmt else \
         functools.partial(_csv_cell, alone=len(fields) == 1)
-    slots, holes = [], []  # (rows, [entries,] bytes) of each float column; hole texts
+    # Each float column's tokens as (rows, [entries,] 1) elements of `token`
+    # bytes, and the texts of the holes.
+    as_token = np.dtype((np.void, max(token, 1)))
+    slots, holes = [], []
     for f, d, place in zip(fields, data, places):
         if f.kind in ("label", "bool"):
             matrix[:, place:place + f.width] = \
@@ -456,11 +467,14 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
             holes.append(texts if f.kind == "float" else [
                 sep.decode().join(texts[i:i + f.width]) for i in range(0, len(texts), f.width)])
         elif f.kind == "array":
-            slots.append(matrix[:, place:place + slot * f.width].reshape(rows, -1, slot))
+            slots.append(matrix[:, place:place + slot * f.width].reshape(
+                rows, -1, slot)[..., :token].view(as_token))
         else:
-            slots.append(matrix[:, place:place + token])
-    if slots:
-        _write_tokens(tokens, slots)
+            slots.append(matrix[:, place:place + token].view(as_token))
+    start = 0
+    for view in slots:  # the block's floats in order, a float column at a time
+        view[...] = words.view(as_token)[start:start + view.size].reshape(view.shape)
+        start += view.size
     return buffer, [text for texts in zip(*holes) for text in texts]
 
 
@@ -473,43 +487,49 @@ def _csv_cell(value, alone: bool) -> str:
     return buf.getvalue()[:-1 if alone else -2]
 
 
-def _render(out, command: str, columns: dict, fmt: str, summary: dict | None) -> None:
-    """Write the command's output to the text stream `out`: JSON, or CSV
+def _render(write: Callable[[bytes], object], command: str, columns: dict, fmt: str,
+            summary: dict | None) -> None:
+    """Write the command's output, as bytes, through `write`: JSON, or CSV
     with one row per record.
 
     `columns` holds the records field by field (`_columns`, or an engine's
     columns with `_Labels`), in the CSV column order; `_field_of` tells how
     each prints.  The records are written block by block (`_blocks`,
-    `_block_matrix`), so that only one block's text exists at a time.
+    `_block_matrix`), so that only one block's bytes exist at a time; a
+    block with no holes is written as the matrix's bytes less the padding.
     Every float is printed with 15 significant digits.  Array values are
     printed as lists (`;`-joined in a CSV cell).
     """
     keys = list(columns) if fmt == "csv" else sorted(columns)
     fields = [_field_of(columns[key]) for key in keys]
     if fmt == "csv":
-        out.write(",".join(_csv_cell(key, len(keys) == 1) for key in keys) + "\n")
+        write((",".join(_csv_cell(key, len(keys) == 1) for key in keys) + "\n").encode())
         heads, end = [b""] + [b","] * (len(keys) - 1), b"\n"
     else:
-        out.write('{\n  "command": ' + json.dumps(command) + ',\n  "records": [')
+        write(('{\n  "command": ' + json.dumps(command) + ',\n  "records": [').encode())
         heads = [((",\n      " if i else ",\n    {\n      ") + json.dumps(key) + ": ")
                  .encode("ascii") for i, key in enumerate(keys)]
         end = b"\n    }"
     rows = len(fields[0].data) if fields else 0
     for start, stop in _blocks(fields, heads, rows):
         matrix, fills = _block_matrix(fields, heads, end, start, stop, fmt)
-        out.write(_fill(matrix.translate(None, _PAD.encode()).decode("ascii"), fills))
+        write(_fill(matrix.translate(None, _PAD), fills))
         del matrix  # before the next block is built
     if fmt == "csv":
         return
-    out.write("\n  ]" if rows else "]")
+    write(b"\n  ]" if rows else b"]")
     if summary is not None:
-        out.write(',\n  "summary": ' + _json(summary, "  "))
-    out.write("\n}\n")
+        write((',\n  "summary": ' + _json(summary, "  ")).encode())
+    write(b"\n}\n")
 
 
 def _emit(args, columns: dict, summary: dict | None = None) -> None:
     if args.output is None:
-        _render(sys.stdout, args.command, columns, args.format, summary)
+        sys.stdout.flush()  # text written before goes first
+        binary = getattr(sys.stdout, "buffer", None)  # io.StringIO has none
+        _render(binary.write if binary is not None else
+                lambda data: sys.stdout.write(data.decode()),
+                args.command, columns, args.format, summary)
         sys.stdout.flush()  # so that a closed pipe shows in `main`, not at exit
         return
     path = Path(args.output)
@@ -519,8 +539,8 @@ def _emit(args, columns: dict, summary: dict | None = None) -> None:
             path = Path(base) / path
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as out:
-            _render(out, args.command, columns, args.format, summary)
+        with path.open("wb") as out:
+            _render(out.write, args.command, columns, args.format, summary)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 

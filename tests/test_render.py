@@ -3,7 +3,7 @@
 `cli._render` writes a command's records in blocks of rows, each block one
 byte matrix (`_block_matrix`) whose floats are formatted in one pass
 (`_tokens`: exact 15-digit decimals from `_decimal`, digits from
-`_one_pass`, text from digit tables in `_write_tokens`), from columns: a
+`_one_pass`, token words from digit tables in `_token_words`), from columns: a
 record list transposed by `_columns`, or an engine's branch set.  The
 reference here is the rendering that predates
 it: `json.dumps` of a list of records with every float rounded through
@@ -69,10 +69,10 @@ def reference(command, records, fmt, summary):
 
 
 def _render(command, columns, fmt, summary):
-    """The text `cli._render` writes."""
-    out = io.StringIO()
-    cli._render(out, command, columns, fmt, summary)
-    return out.getvalue()
+    """The text `cli._render` writes, decoded."""
+    out = io.BytesIO()
+    cli._render(out.write, command, columns, fmt, summary)
+    return out.getvalue().decode()
 
 
 def assert_renders_as_reference(records, summary=None):
@@ -276,7 +276,7 @@ def test_engine_records_render_as_reference():
 
 
 # ---------------------------------------------------------------------------
-# The one-pass formatter (`_decimal`, `_one_pass`, `_write_tokens`) entry by
+# The one-pass formatter (`_decimal`, `_one_pass`, `_token_words`) entry by
 # entry
 # ---------------------------------------------------------------------------
 
