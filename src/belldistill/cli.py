@@ -16,17 +16,21 @@ paths resolve against ``BELLDISTILL_OUTDIR`` when that variable is set.
 
 Every float is printed as Python prints it after rounding to 15
 significant digits: ``"%.15g"`` in CSV, ``json.dumps`` in JSON; every other
-value as ``json.dumps`` or ``csv.writer`` writes it.  Output is written in
-blocks of whole records of about `_BLOCK_BYTES`, so the memory rendering
-takes does not grow with the size of the output.  Each block is one byte
-matrix with a row per record (`_block_matrix`).  The 15-digit mantissa of
-each float is rint(x * 10^(14-e)) in a 64-bit-significand long double, with
-10^k numpy's correctly rounded conversion of the exact integer, so the
-product is within 2^-13 of exact and rint rounds as exact arithmetic would,
-except within 2^-9 of a half-way point.  Those entries, and every entry on
-a platform without such a long double, take their digits from Python's
-correctly rounded ``"%.14e"``.  NaN, infinities, subnormals, magnitudes
-from 1e14 up, and blocks with few floats are formatted value by value.
+value as ``json.dumps`` or ``csv.writer`` writes it.  Output is bytes,
+written to the ``--output`` file or to stdout's binary buffer (a stdout
+without one, such as ``io.StringIO``, is written the same text), in blocks
+of whole records of about `_BLOCK_BYTES`, so the memory rendering takes
+does not grow with the size of the output.  Each block is one byte matrix
+with a row per record (`_block_matrix`), whose holes take the values
+formatted on their own, as bytes.  The 15-digit mantissa of each float is
+x * 10^(14-e) in a 64-bit-significand long double, with 10^k numpy's
+correctly rounded conversion of the exact integer, so the product is within
+2^-13 of exact.  Truncated to 2^-12 and rounded half up from there, it
+rounds as exact arithmetic would, except within 2^-12 of a half-way point.
+Those entries, and every entry on a platform without such a long double,
+take their digits from Python's correctly rounded ``"%.14e"``.  NaN,
+infinities, subnormals, magnitudes from 1e14 up, and blocks with few floats
+are formatted value by value.
 """
 
 from __future__ import annotations
@@ -106,11 +110,13 @@ def _float_token(x: float, fmt: str) -> str:
 #
 # `_block_matrix` builds a block as one uint8 matrix with a row per record:
 # the template's constant bytes (keys, brackets, separators) and a slot per
-# value, filled by numpy: float tokens from digit tables, in one pass over
-# the block's floats (`_tokens`), label bytes (`_Labels`) and booleans
-# (`_BOOLS`).  Bytes a value leaves unused are padding, deleted from the
-# block at once.  Strings, ints and the floats of a block with few floats
-# leave a hole, filled after the padding is gone (`_fill`).
+# value, filled by numpy: label bytes (`_Labels`), booleans (`_BOOLS`) and
+# float tokens.  The tokens of all the block's floats are built first, in
+# one pass, as the rows of one word matrix (`_tokens`), then copied into
+# each float column's slots at once.  Bytes a value leaves unused are
+# padding, deleted from the block at once.  Strings, ints and the floats of
+# a block with few floats leave a hole, filled in the bytes after the
+# padding is gone (`_fill`); a block with no holes is written as it is.
 #
 # For the entries the tables print, the JSON token `repr(_round15(x))` is
 # `"%.15g" % x` with ".0" appended when it has neither "." nor "e": a
@@ -123,11 +129,12 @@ _FAST_MAX = 1e14
 _FAST_TINY = np.finfo(float).tiny
 
 # Below this many floats a block's floats are formatted one by one.  The
-# one-pass path costs ~NUMPY_CALLS numpy calls and one assignment per float column
-# however few entries it prints: for a `verify` block (5 float columns) it
-# is ~7% slower than the per-value path at 80 floats and ~15% faster at 160
-# (2-core x86-64, Python 3.11, numpy 2.4).  With no cutoff, the non-oracle
-# commands of the benchmark's `suite` run ~6% slower.
+# one-pass path costs ~100 numpy calls and one assignment per float column
+# however few entries it prints.  When the cutoff was set, for a `verify`
+# block (5 float columns) it was ~7% slower than the per-value path at 80
+# floats and ~15% faster at 160 (2-core x86-64, Python 3.11, numpy 2.4),
+# and with no cutoff the non-oracle commands of the benchmark's `suite`
+# ran ~6% slower.
 _BATCH_MIN = 64
 # About the bytes of a block's matrix, and what a float takes of them with
 # its separator (`_blocks`).  Formatting takes ~100 bytes more a float
@@ -191,24 +198,25 @@ def _tables() -> SimpleNamespace:
 
     The integer part goes in 3-digit groups, each in a word whose first
     byte is free for the sign; the fraction goes in a word with the point
-    and 2 digits, then 4-digit groups.  Each table has a row per kind of
-    group: `int` plain, "lead" (the leading zeros of a group with nothing
-    above it dropped) and "units" (the same, but 0 keeps its last digit);
-    `point` and `frac` plain and "trim" (the trailing zeros of a group with
-    nothing below it dropped).  After the digits come two tail words,
-    a row each: nothing, ".0" (JSON, integral values) or the exponent
-    "e-XX" of a value below 1e-4, indexed by -exponent.  `pow10` holds
-    10^(14-e) for every exponent e of a normal double below _FAST_MAX,
-    numpy's correctly rounded conversion of each exact integer; only a
-    platform with a 64-bit-significand long double, which holds them all,
-    reads it.
+    and 2 digits, then 4-digit groups.  Each group table has two rows: the
+    group's digits, and the same with the zeros that are padding dropped,
+    for a group with nothing above it (`int_lead`: its leading zeros;
+    `int_units`, the last group: the same, but 0 keeps its last digit) or
+    nothing below it (`point`, `frac`: its trailing zeros).  After the
+    digits come two tail words, a row each: nothing, ".0" (JSON, integral
+    values) or the exponent "e-XX" of a value below 1e-4, indexed by
+    -exponent.  `pow10` holds 10^(14-e) for every exponent e of a normal
+    double below _FAST_MAX, numpy's correctly rounded conversion of each
+    exact integer; only a platform with a 64-bit-significand long double,
+    which holds them all, reads it.
     """
     pad = _byte(_PAD, 1000)
+    plain = _words(pad, _digits(1000, 3, ""))
     tail = [_PAD * 8, b".0".ljust(8, _PAD)] + [(b"e-%02d" % k).ljust(8, _PAD)
                                              for k in range(2, 400)]
     return SimpleNamespace(
-        int=np.stack([_words(pad, _digits(1000, 3, kind))
-                      for kind in ("", "lead", "units")]),
+        int_lead=np.stack([plain, _words(pad, _digits(1000, 3, "lead"))]),
+        int_units=np.stack([plain, _words(pad, _digits(1000, 3, "units"))]),
         point=np.stack([_words(_byte(b".", 100), _digits(100, 2, ""), _byte(_PAD, 100)),
                         _words(np.where(np.arange(100) > 0, ord("."), 0),
                                _digits(100, 2, "trim"), _byte(_PAD, 100))]),
@@ -301,33 +309,37 @@ def _tokens(values: np.ndarray, fmt: str) -> np.ndarray | None:
     return None if values.size < _BATCH_MIN else _token_words(_one_pass(values, fmt))
 
 
+def _group_words(table: np.ndarray, group: np.ndarray, padded) -> np.ndarray:
+    """The word of each group from row 1 of a group table (`_tables`) where
+    `padded`, from row 0 elsewhere: one gather, from row 1 alone while
+    `padded` is True for every entry."""
+    if padded is True:
+        return table[1][group]
+    return table.ravel()[group + table.shape[1] * padded]
+
+
 def _token_words(tokens: SimpleNamespace) -> np.ndarray:
     """Every `_one_pass` token as a row of a (floats, words) uint32 matrix,
-    filled a word column at a time.  A group's word comes from one gather,
-    from the plain table or the one for a group with nothing above
-    (integer) or below (fraction) it, picked by index while some entries
-    need each.  A token formatted on its own takes at most 22 bytes
-    ("-d.dddddddddddddde-ddd"), a row at least 24.
+    filled a word column at a time.  A token formatted on its own takes at
+    most 22 bytes ("-d.dddddddddddddde-ddd"), a row at least 24.
     """
     tables = _tables()
     words = np.empty((tokens.own.size, tokens.words), dtype=np.uint32)
     units = len(tokens.groups) - 1
-    lead = None  # where every group so far is zero; None while all are
+    lead = True  # where every group so far is zero
     for i, group in enumerate(tokens.groups):
-        kind = 2 if i == units else 1  # "units" or "lead"
-        words[:, i] = tables.int[kind][group] if lead is None else \
-            tables.int.ravel()[group + 1000 * kind * lead]
-        lead = group == 0 if lead is None else lead & (group == 0)
-    trim = None  # where every group so far is zero; None while all are
+        words[:, i] = _group_words(tables.int_units if i == units else tables.int_lead,
+                                   group, lead)
+        lead &= group == 0
+    trim = True  # where every group so far is zero
     frac = tokens.frac
     for i in range(4):
         rest = frac // 10_000
         group = frac - rest * 10_000
+        words[:, units + 5 - i] = _group_words(tables.frac, group, trim)
+        trim &= group == 0
         frac = rest
-        words[:, units + 5 - i] = tables.frac[1][group] if trim is None else \
-            tables.frac.ravel()[group + 10_000 * trim]
-        trim = group == 0 if trim is None else trim & (group == 0)
-    words[:, units + 1] = tables.point.ravel()[frac + 100 * trim]
+    words[:, units + 1] = _group_words(tables.point, frac, trim)
     for i in range(tokens.tail_words):
         words[:, units + 6 + i] = tables.tail[i][tokens.tail]
     if tokens.sign.any():
@@ -452,10 +464,7 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
 
     cell = functools.partial(_json, indent="      ") if json_fmt else \
         functools.partial(_csv_cell, alone=len(fields) == 1)
-    # Each float column's tokens as (rows, [entries,] 1) elements of `token`
-    # bytes, and the texts of the holes.
-    as_token = np.dtype((np.void, max(token, 1)))
-    slots, holes = [], []
+    slots, holes = [], []  # (rows, [entries,] bytes) of each float column; hole texts
     for f, d, place in zip(fields, data, places):
         if f.kind in ("label", "bool"):
             matrix[:, place:place + f.width] = \
@@ -468,13 +477,15 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
                 sep.decode().join(texts[i:i + f.width]) for i in range(0, len(texts), f.width)])
         elif f.kind == "array":
             slots.append(matrix[:, place:place + slot * f.width].reshape(
-                rows, -1, slot)[..., :token].view(as_token))
+                rows, -1, slot)[..., :token])
         else:
-            slots.append(matrix[:, place:place + token].view(as_token))
-    start = 0
-    for view in slots:  # the block's floats in order, a float column at a time
-        view[...] = words.view(as_token)[start:start + view.size].reshape(view.shape)
-        start += view.size
+            slots.append(matrix[:, place:place + token])
+    if slots:  # each token one element of `token` bytes, a float column at a time
+        tokens = words.view(np.dtype((np.void, token))).ravel()
+        for region in slots:
+            view = region.view(tokens.dtype)
+            view[...] = tokens[:view.size].reshape(view.shape)
+            tokens = tokens[view.size:]
     return buffer, [text for texts in zip(*holes) for text in texts]
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: formats, file configs, determinism, exit codes."""
 
 import collections
+import contextlib
 import csv
 import io
 import json
@@ -333,43 +334,48 @@ def test_malformed_files_fail_cleanly(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--random", "2", "--sizes", "2,0"],
-    ["verify", "--random", "2", "--sizes", "20"],
-    ["oracle-check", "--sizes", "0"],
-    ["sweep", "--generators", "ZZ", "--grid", "0.5:inf:0.1"],
-    ["run-perm", "--generators", "Z" * 15, "--werner", "0.8"],
-    ["run-perm", "--generators", "ZZ", "--pair", "nan,0,0,0"],
-    ["oracle-check", "--sizes", "2", "--count", "-3"],
-    ["oracle-check", "--sizes", "2", "--count", "0"],
-    ["verify", "--random", "-2"],
-    ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-300"],
-    ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-320"],
-    ["run-code", "--generators", "ZZ", "--offset", "1000", "--werner", "0.75"],
-    ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "nan"],
-    ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "inf"],
-    ["verify", "--random", "2", "--generators", "ZZ", "--werner", "0.3"],
-    ["verify", "--generators", "ZZ", "--werner", "0.75", "--seed", "9"],
-    ["verify", "--generators", "ZZ", "--werner", "0.75", "--sizes", "7,8"],
-    ["sweep", "--generators", "ZZ"],
-    ["sweep", "--generators", "ZZ", "--grid", "1:0:0.1"],
-    ["sweep", "--generators", "ZZ", "--grid", "a:b:c"],
-    ["sweep", "--generators", "ZZ", "--grid", "0.5,x"],
-    ["sweep", "--generators", "ZZ", "--grid", "0.7", "--rounds", "0"],
-    ["verify", "--random", "2", "--sizes", "a"],
-    ["run-perm", "--generators", "ZZ", "--pair", "1,2,3"],
-    ["run-perm", "--matrix", BCNOT, "--werner", "0.75"],
-    ["run-perm", "--matrix", "1100,0100,0010", "-m", "1", "--werner", "0.75"],
+# Each case keeps the id it was first collected under, so that deleting one
+# renames no other; a new case takes a name of its own.
+OUT_OF_RANGE = {
+    "argv0": ["verify", "--random", "2", "--sizes", "2,0"],
+    "argv1": ["verify", "--random", "2", "--sizes", "20"],
+    "argv2": ["oracle-check", "--sizes", "0"],
+    "argv3": ["sweep", "--generators", "ZZ", "--grid", "0.5:inf:0.1"],
+    "argv4": ["run-perm", "--generators", "Z" * 15, "--werner", "0.8"],
+    "argv5": ["run-perm", "--generators", "ZZ", "--pair", "nan,0,0,0"],
+    "argv6": ["oracle-check", "--sizes", "2", "--count", "-3"],
+    "argv7": ["oracle-check", "--sizes", "2", "--count", "0"],
+    "argv8": ["verify", "--random", "-2"],
+    "argv9": ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-300"],
+    "argv10": ["sweep", "--generators", "ZZ", "--grid", "0:1:1e-320"],
+    "argv11": ["run-code", "--generators", "ZZ", "--offset", "1000", "--werner", "0.75"],
+    "argv12": ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "nan"],
+    "argv13": ["run-code", "--generators", "ZZ", "--werner", "0.75", "--threshold", "inf"],
+    "argv14": ["verify", "--random", "2", "--generators", "ZZ", "--werner", "0.3"],
+    "argv15": ["verify", "--generators", "ZZ", "--werner", "0.75", "--seed", "9"],
+    "argv16": ["verify", "--generators", "ZZ", "--werner", "0.75", "--sizes", "7,8"],
+    "argv17": ["sweep", "--generators", "ZZ"],
+    "argv18": ["sweep", "--generators", "ZZ", "--grid", "1:0:0.1"],
+    "argv19": ["sweep", "--generators", "ZZ", "--grid", "a:b:c"],
+    "argv20": ["sweep", "--generators", "ZZ", "--grid", "0.5,x"],
+    "argv21": ["sweep", "--generators", "ZZ", "--grid", "0.7", "--rounds", "0"],
+    "argv22": ["verify", "--random", "2", "--sizes", "a"],
+    "argv23": ["run-perm", "--generators", "ZZ", "--pair", "1,2,3"],
+    "argv24": ["run-perm", "--matrix", BCNOT, "--werner", "0.75"],
+    "argv25": ["run-perm", "--matrix", "1100,0100,0010", "-m", "1", "--werner", "0.75"],
     # Rows int(row, 2) would read as 0001, making the matrix symplectic.
-    ["run-perm", "--matrix", "0_01,1000,1101,0011", "-m", "1", "--werner", "0.8"],
-    ["run-perm", "--matrix", "\u0660\u0660\u0660\u0661,1000,1101,0011", "-m", "1",
-     "--werner", "0.8"],
+    "argv26": ["run-perm", "--matrix", "0_01,1000,1101,0011", "-m", "1", "--werner", "0.8"],
+    "argv27": ["run-perm", "--matrix", "\u0660\u0660\u0660\u0661,1000,1101,0011", "-m", "1",
+               "--werner", "0.8"],
     # The output's parent directory is an existing file.
-    ["run-perm", "--generators", "ZZ", "--werner", "0.75", "--output",
-     str(Path(__file__) / "out.json")],
+    "argv28": ["run-perm", "--generators", "ZZ", "--werner", "0.75", "--output",
+               str(Path(__file__) / "out.json")],
     # Weights whose total no float holds.
-    ["run-perm", "--generators", "ZZ", "--pair", "1e308,1e308,0,0"],
-])
+    "argv29": ["run-perm", "--generators", "ZZ", "--pair", "1e308,1e308,0,0"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
 def test_out_of_range_flags_fail_cleanly(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 1
@@ -522,6 +528,33 @@ def test_closed_pipe_ends_quietly_with_exit_code_1():
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait(timeout=60) == 1
+
+
+# Z_iZ_{i+1} on 10 pairs, five measured: float arrays that span several
+# blocks.  `verify --random` prints strings, ints and few floats: holes.
+SINK_CASES = {
+    "run-perm-n10m5": ["run-perm", "--generators",
+                       ",".join("I" * i + "ZZ" + "I" * (8 - i) for i in range(5)),
+                       "-m", "5", "--werner", "0.8"],
+    "verify-random": ["verify", "--random", "3"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(SINK_CASES))
+def test_every_sink_gets_the_same_bytes(tmp_path, capfdbinary, case, fmt):
+    """An --output file, the real stdout and a stdout redirected to a text
+    stream with no binary buffer get the same bytes."""
+    argv = SINK_CASES[case] + ["--format", fmt]
+    path = tmp_path / "out"
+    assert main(argv + ["--output", str(path)]) == 0
+    assert main(argv) == 0
+    stdout = capfdbinary.readouterr().out
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert stdout
+    assert path.read_bytes() == stdout == text.getvalue().encode()
 
 
 def test_byte_identical_reruns(capsys):

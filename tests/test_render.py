@@ -16,6 +16,7 @@ what the per-value path would.
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -370,6 +371,56 @@ def test_small_commands_take_the_per_value_path(monkeypatch):
 
     monkeypatch.setattr(cli, "_one_pass", refuse)
     assert_renders_as_reference(records_of([np.array([0.25, 0.75])] * 3))
+
+
+def scaled(x: float) -> Fraction:
+    """x * 10^(14-e) in exact arithmetic, e the decimal exponent of x."""
+    e = math.floor(math.log10(x))
+    e += (Fraction(x) >= Fraction(10) ** (e + 1)) - (Fraction(x) < Fraction(10) ** e)
+    return Fraction(x) * Fraction(10) ** (14 - e)
+
+
+def assert_decimal_as_printf(values):
+    values = np.array(values, dtype=float)
+    mant, exp = cli._decimal(values)
+    expected = cli._printf_decimal(values)
+    assert mant.tolist() == expected[0].tolist()
+    assert exp.tolist() == expected[1].tolist()
+
+
+def test_decimal_at_the_edges_of_the_half_way_window():
+    # Found by a search over random doubles in [1e-3, 1e3].
+    window = Fraction(cli._HALF_WINDOW, 2 ** cli._FRAC_BITS)
+    inside = [910.2558559602885, 897.9169953068415, 758.4036120930175]
+    outside = [884.5026298049155, 997.2412943710425, 758.6442983799285]
+    # The long double product rounds the other way than the exact one.
+    flipped = [564.1167661994225, 648.5592503951965, 68.28025318676805]
+    off_half = {x: abs(scaled(x) % 1 - Fraction(1, 2)) for x in inside + outside + flipped}
+    assert all(0.9 * window < off_half[x] <= window for x in inside)
+    assert all(window < off_half[x] < 1.1 * window for x in outside)
+    assert all(off_half[x] < window / 16 for x in flipped)
+    if cli._WIDE_LONGDOUBLE:
+        for x in flipped:
+            product = np.longdouble(x) * cli._tables().pow10[14 - math.floor(math.log10(x))]
+            assert (Fraction(*product.as_integer_ratio()) % 1 >= Fraction(1, 2)) != \
+                (scaled(x) % 1 > Fraction(1, 2)), x
+    assert_decimal_as_printf(inside + outside + flipped)
+
+
+def test_decimal_just_below_powers_of_ten():
+    # The 40 doubles below each 10^k: products just below 10^15, some of
+    # which round up into the next decade, and log10s that miss by one,
+    # whose products fall just below 10^14.
+    values = []
+    for k in range(-30, 14):
+        x = 10.0 ** k
+        for _ in range(40):
+            x = np.nextafter(x, 0)
+            values.append(float(x))
+    carried = [x for x in values if scaled(x) >= 10 ** 15 - Fraction(1, 2)]
+    missed = [x for x in values if Fraction(x) < Fraction(10) ** math.floor(np.log10(x))]
+    assert carried and missed
+    assert_decimal_as_printf(values)
 
 
 def test_pow10_table_is_correctly_rounded():
