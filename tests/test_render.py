@@ -3,9 +3,9 @@
 `cli._render` writes a command's records in blocks of rows, each block one
 byte matrix (`_block_matrix`) whose floats are formatted in one pass
 (`_tokens`: exact 15-digit decimals from `_decimal`, digits from
-`_one_pass`, token words from digit tables in `_token_words`), from columns: a
-record list transposed by `_columns`, or an engine's branch set.  The
-reference here is the rendering that predates
+`_one_pass`, token words from digit tables in `_token_words`), from
+columns: a record list transposed by `_columns`, or an engine's branch set.
+The reference here is the rendering that predates
 it: `json.dumps` of a list of records with every float rounded through
 `"%.15g"`, and per-value CSV cells, with every array turned into a list of
 Python floats first.  The reference shares no formatting code with the
