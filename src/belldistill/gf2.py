@@ -230,16 +230,17 @@ def _sympl_value(a: int, b: int, n: int) -> int:
 
 
 def is_symplectic(matrix: BinaryMatrix) -> bool:
-    """True iff A^T P A = P, i.e. the label map preserves commutation."""
+    """True iff A^T P A = P, i.e. the label map preserves commutation, checked
+    on the rows as the equivalent A P A^T = P, that is A (P A P)^T = I."""
     r, c = matrix.shape
     if r != c:
         raise ValueError("symplectic test needs a square matrix")
     if r % 2:
         raise ValueError("symplectic test needs even dimension")
-    # The Gram matrix A^T P A of the columns, mod 2: P A swaps the halves.
-    bits = np.frombuffer("".join(matrix.to_strings()).encode(), np.uint8).reshape(r, c) & 1
-    gram = bits.T.astype(np.int64) @ np.roll(bits, r // 2, axis=0) & 1
-    return np.array_equal(gram, np.roll(np.eye(r, dtype=np.int64), r // 2, axis=0))
+    rows = np.array(matrix.rows, dtype=np.int64)
+    conjugate = np.array(_form_conjugate(matrix.rows, r // 2), dtype=np.int64)
+    return np.array_equal(np.bitwise_count(rows[:, None] & conjugate) & 1,
+                          np.eye(r, dtype=np.uint8))
 
 
 def symplectic_inverse(matrix: BinaryMatrix) -> BinaryMatrix:
@@ -251,12 +252,13 @@ def symplectic_inverse(matrix: BinaryMatrix) -> BinaryMatrix:
 
 def _inverse(matrix: BinaryMatrix) -> BinaryMatrix:
     """`symplectic_inverse` of a matrix already known to be symplectic."""
-    n = matrix.nrows // 2
-    transposed = matrix.transpose().rows
-    # P M P: reorder rows by half-swap, then half-swap each row.
-    reordered = transposed[n:] + transposed[:n]
-    rows = tuple(_swap_halves_value(r, n) for r in reordered)
-    return BinaryMatrix(rows, matrix.ncols)
+    return BinaryMatrix(_form_conjugate(matrix.transpose().rows, matrix.nrows // 2),
+                        matrix.ncols)
+
+
+def _form_conjugate(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """Rows of P M P for the matrix M with these rows: row and column halves swapped."""
+    return tuple(_swap_halves_value(r, n) for r in rows[n:] + rows[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +268,18 @@ def _inverse(matrix: BinaryMatrix) -> BinaryMatrix:
 def _rref(vectors: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (rows, pivot columns), both sorted."""
     reduced: list[int] = []
-    pivots: list[int] = []
+    masks: list[int] = []
     for vec in vectors:
-        for row, col in zip(reduced, pivots):
-            if (vec >> (ncols - 1 - col)) & 1:
+        for row, mask in zip(reduced, masks):
+            if vec & mask:
                 vec ^= row
-        if vec == 0:
-            continue
-        col = ncols - vec.bit_length()
-        reduced = [r ^ vec if (r >> (ncols - 1 - col)) & 1 else r for r in reduced]
-        at = next((i for i, c in enumerate(pivots) if c > col), len(pivots))
-        reduced.insert(at, vec)
-        pivots.insert(at, col)
-    return reduced, pivots
+        if vec:
+            mask = 1 << (vec.bit_length() - 1)
+            reduced = [r ^ vec if r & mask else r for r in reduced]
+            reduced.append(vec)
+            masks.append(mask)
+    order = sorted(range(len(masks)), key=masks.__getitem__, reverse=True)
+    return [reduced[i] for i in order], [ncols - masks[i].bit_length() for i in order]
 
 
 def _kernel(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -328,11 +329,14 @@ def _unit_solutions(rows: Sequence[int], ncols: int
     return [b & mask for b in basis[:k]], basis[k:], [p - k for p in pivots[k:]]
 
 
-def _deflate(basis: Sequence[int], u: int, w: int, n: int) -> tuple[list[int], list[int]]:
-    """RREF of the span's part orthogonal to u and w, for <u, w> = 1 and u in the
-    span, w too unless the span is orthogonal to u: b -> b + <b, w> u + <b, u> w."""
-    return _rref([b ^ _sympl_value(b, w, n) * u ^ _sympl_value(b, u, n) * w for b in basis],
-                 2 * n)
+def _deflate(rows: list[int], pivots: list[int], v: int, n: int) -> tuple[list[int], list[int]]:
+    """RREF of the span's part orthogonal to v, off the span's RREF: the last row
+    pairing with v leaves, added to the others that do, which keeps them reduced."""
+    sv = _swap_halves_value(v, n)
+    pairs = [_parity(r & sv) for r in rows]
+    j = max((i for i, p in enumerate(pairs) if p), default=len(rows))
+    return ([r ^ rows[j] if p else r for r, p in zip(rows[:j], pairs)] + rows[j + 1:],
+            pivots[:j] + pivots[j + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +478,11 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int) -> BinaryMatrix
     pairing with generator i alone and with no earlier partner.  Other
     valid frames are B times symplectic maps that fix the generator columns.
     """
+    return BinaryMatrix(tuple(_frame_columns(gens, n)), 2 * n).transpose()
+
+
+def _frame_columns(gens: Sequence[BinaryVector], n: int) -> list[int]:
+    """`complete_to_symplectic`'s B as its columns: B^T, symplectic iff B is."""
     k = len(gens)
     m = n - k
     if m < 0:
@@ -487,13 +496,13 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int) -> BinaryMatrix
     # Partner i: x_i plus g_j for each earlier partner h_j it pairs with,
     # least in C; then C loses its part pairing with h_i.
     partners: list[int] = []
-    for g, x in zip(values, solutions):
+    for x in solutions:
         for gj, hj in zip(values, partners):
             if _sympl_value(x, hj, n):
                 x ^= gj
         h = _reduce_by(x, work, pivots, two_n)
         partners.append(h)
-        work, pivots = _deflate(work, g, h, n)
+        work, pivots = _deflate(work, pivots, h, n)
 
     # Further hyperbolic pairs: C's first vector and the first it pairs with.
     cols = [0] * m + values + [0] * m + partners
@@ -503,12 +512,11 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int) -> BinaryMatrix
         if w is None:
             raise RuntimeError("degenerate complement during symplectic completion")
         cols[j], cols[n + j] = u, w
-        work, _ = _deflate(work, u, w, n)
+        work, pivots = _deflate(*_deflate(work, pivots, u, n), w, n)
 
-    matrix = BinaryMatrix(tuple(cols), two_n).transpose()
-    if not is_symplectic(matrix):
+    if not is_symplectic(BinaryMatrix(tuple(cols), two_n)):
         raise RuntimeError("symplectic completion failed its own postcondition")
-    return matrix
+    return cols
 
 
 # ---------------------------------------------------------------------------

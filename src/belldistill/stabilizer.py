@@ -12,10 +12,11 @@ XOR s of the two outcome strings is informative.  At the label level:
 Logical output labels need a basis choice inside the complement.  A
 protocol holds it as its relabeling, the permutation protocol (A, b) with
 A = B^-1 = P B^T P for a symplectic completion B of the generators (its
-`frame`).  The syndrome and logical bits of x are the inner products
-<g_i, x> and those with B's partner columns, bits of A x, plus those of b,
-so `run` fills its table with the permutation engine's label map of
-(A, b) and reads the branches off it the same way.
+`frame`), so row i of A is column i+n (mod 2n) of B, halves swapped.  The
+syndrome and logical bits of x are the inner products <g_i, x> and those
+with B's partner columns, bits of A x, plus those of b, so `run` fills its
+table with the permutation engine's label map of (A, b), reads the
+branches off it the same way, and names v and u from B's columns.
 
 `run` returns a `permutation.BranchSet` whose label columns, the syndrome
 s, the representative v and the recovery u, hold int64 label values
@@ -71,9 +72,9 @@ class StabilizerProtocol:
     """n pairs, m survivors, n-m independent commuting generator labels, and
     the `relabeling` that names the logical output labels: the linear
     `PermutationProtocol` A = B^-1 of the deterministic completion B of the
-    generators, or the protocol (A, b) `equivalence.stabilizer_from_permutation`
-    got.  Row n+m+i of A is generator i with its halves swapped.  Protocols
-    with equal relabelings are equal."""
+    generators, read off B's columns (`gf2._frame_columns`), or the protocol
+    (A, b) `equivalence.stabilizer_from_permutation` got.  Row n+m+i of A is
+    generator i with its halves swapped.  Protocols with equal relabelings are equal."""
 
     n: int
     m: int
@@ -84,9 +85,9 @@ class StabilizerProtocol:
             raise ValueError("need 0 <= m <= n")
         if len(self.generators) != self.n - self.m:
             raise ValueError("generator count must equal n - m")
-        frame = gf2.complete_to_symplectic(self.generators, self.n)
+        rows = gf2._form_conjugate(gf2._frame_columns(self.generators, self.n), self.n)
         object.__setattr__(self, "relabeling", PermutationProtocol._trusted(
-            self.n, self.m, gf2._inverse(frame)))
+            self.n, self.m, BinaryMatrix(rows, 2 * self.n)))
 
     @classmethod
     def _trusted(cls, relabeling: PermutationProtocol) -> "StabilizerProtocol":
@@ -173,37 +174,37 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     label with syndrome s and the recovery u the lex-least representative
     of B embed(c, s) + B b + span for the frame B = A^-1 and the heaviest
     logical label c (`permutation.optimal_correction`), so the fidelity is
-    the recovery coset's weight over the branch weight.  `threshold` defaults
-    to the input fidelity.  The columns are s, prob, v, u, output,
-    fidelity, unnormalized_fidelity and accepted.
+    the recovery coset's weight over the branch weight.  Both are read off
+    B's columns, taken from the rows of A.  `threshold` defaults to the
+    input fidelity.  The columns are s, prob, v, u, output, fidelity,
+    unnormalized_fidelity and accepted.
     """
     branches = _branches(state, proto.relabeling, threshold)
-    n, m = proto.n, proto.m
-    span = generator_span(proto)
-    perp = gf2.orthogonal_complement(span)
+    n, m, two_n = proto.n, proto.m, 2 * proto.n
 
     # v(s) and u(c, s) reduce B embed(c, s) + B b.  The embedding puts s on
     # positions n+m..2n-1 and c on 0..m-1 and n..n+m-1, and reduction by an
     # echelon basis is linear, so both are XORs of reduced frame columns and
-    # B b, tabulated per part (`gf2.affine_images`).  As B = P A^T P, column
-    # j of B is row j+n (mod 2n) of A with its halves swapped, and the input
-    # Pauli B b is the XOR of the rows of A that P b selects, halves swapped.
-    rows = proto.relabeling.matrix.rows
-    pauli = gf2._swap_halves_value(gf2._combination(
-        rows[::-1], gf2._swap_halves_value(proto.relabeling.offset.value, n)), n)
+    # B b, tabulated per part (`gf2.affine_images`).  B's columns are the
+    # rows of B^T = P A P, and B b is the XOR of those b selects.  Columns
+    # m..n-1 are the generators; 0..n+m-1, all but their partners, span
+    # the generators' symplectic complement.
+    frame = gf2._form_conjugate(proto.relabeling.matrix.rows, n)
+    span = gf2._rref(frame[m:n], two_n)
+    perp = gf2._rref(frame[:n + m], two_n)
+    pauli = gf2._combination(frame[::-1], proto.relabeling.offset.value)
 
-    def images(subspace: Subspace, part, offset: int) -> np.ndarray:
-        return gf2.affine_images([subspace.reduce_value(gf2._swap_halves_value(r, n))
-                                  for r in part], subspace.reduce_value(offset))
+    def images(echelon, part, offset: int) -> np.ndarray:
+        return gf2.affine_images([gf2._reduce_by(col, *echelon, two_n) for col in part],
+                                 gf2._reduce_by(offset, *echelon, two_n))
 
-    syndrome_part = rows[m:n]
-    logical_part = rows[n:n + m] + rows[:m]
     s, c = branches.t, branches.correction
-    return BranchSet(m, {"s": n - m, "v": 2 * n, "u": 2 * n}, {
+    return BranchSet(m, {"s": n - m, "v": two_n, "u": two_n}, {
         "s": s,
         "prob": branches.prob,
-        "v": images(perp, syndrome_part, pauli)[s],
-        "u": images(span, syndrome_part, pauli)[s] ^ images(span, logical_part, 0)[c],
+        "v": images(perp, frame[n + m:], pauli)[s],
+        "u": (images(span, frame[n + m:], pauli)[s]
+              ^ images(span, frame[:m] + frame[n:n + m], 0)[c]),
         "output": branches.output,
         "fidelity": branches.fidelity,
         "unnormalized_fidelity": branches.unnormalized_fidelity,

@@ -585,6 +585,36 @@ def test_completion_frames_are_pinned():
     assert digest.hexdigest() == FRAME_DIGEST
 
 
+def test_relabeling_is_the_inverse_of_the_pinned_frame():
+    # the constructor reads A off the completion's columns; here A is the
+    # inverse of the frame, P B^T P through the transpose
+    for n in range(1, gf2.MAX_PAIRS + 1):
+        for m in range(n):
+            rng = np.random.default_rng([n, m])
+            for _ in range(10):
+                gens = gf2.random_isotropic_generators(n, n - m, rng)
+                assert StabilizerProtocol(n, m, tuple(gens)).relabeling.matrix.rows == \
+                    gf2._inverse(complete_to_symplectic(gens, n)).rows
+
+
+def test_a_corrupted_partner_fails_the_completion_postcondition(monkeypatch):
+    # the first partner column comes out zero, so the frame is singular
+    reduce_by, calls = gf2._reduce_by, []
+
+    def corrupted(*args):
+        calls.append(args)
+        return 0 if len(calls) == 1 else reduce_by(*args)
+
+    monkeypatch.setattr(gf2, "_reduce_by", corrupted)
+    for build in (lambda: complete_to_symplectic([vec("1100"), vec("0011")], 2),
+                  lambda: StabilizerProtocol.from_pauli_strings(["ZZ", "XX"])):
+        calls.clear()
+        with pytest.raises(RuntimeError,
+                           match="^symplectic completion failed its own postcondition$"):
+            build()
+        assert len(calls) == 2
+
+
 def test_completion_takes_one_null_space(rng, monkeypatch):
     kernel, calls = gf2._kernel, []
 

@@ -24,6 +24,7 @@ from belldistill.stabilizer import StabilizerProtocol
 from belldistill.states import BellDiagonalState, werner
 
 from test_literature import dejmps
+from test_stabilizer import reference_labels
 
 PAIR = BellDiagonalState(1, (0.5, 0.3, 0.15, 0.05))
 INPUTS = {
@@ -85,6 +86,14 @@ def test_every_protocol_passes_verify():
     for proto, code in protocols():
         report = verify_equivalence(state, code)
         assert report.passed, (proto, report.max_discrepancy)
+
+
+def test_every_protocol_names_its_labels_by_their_definitions():
+    state = INPUTS["werner"]
+    for proto, code in protocols():
+        branches = stabilizer.run(state, code)
+        assert list(zip(branches.v.tolist(), branches.u.tolist())) == \
+            reference_labels(code, branches), proto
 
 
 @pytest.mark.parametrize("offset", ["0000", *OFFSETS])

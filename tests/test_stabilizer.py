@@ -1,12 +1,14 @@
 """Generator-measurement engine: syndromes, recovery, frozen fixtures."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from belldistill import gf2, oracle, permutation
+from belldistill import gf2, oracle, permutation, stabilizer
 from belldistill.equivalence import stabilizer_from_permutation
-from belldistill.gf2 import BinaryVector, Coset, Subspace
+from belldistill.gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
 from belldistill.permutation import PermutationProtocol
 from belldistill.stabilizer import (
     StabilizerProtocol,
@@ -397,6 +399,74 @@ def test_offset_labels_are_the_least_of_their_cell_and_coset(rng):
                 lifted = permutation.embed_label(c, BinaryVector(s, n - m), n, m).value
                 assert v == x[(z & syndromes) == s].min()
                 assert u == x[((z ^ lifted) & outside) == 0].min()
+
+
+def reference_labels(proto, branches):
+    """(v, u) of every branch of `run`'s branch set, from their definitions
+    alone: v is the least of all 4^n labels whose syndrome, the pairings
+    with the generators XOR b's syndrome bits, is s; u is the least element
+    of B embed(c, s) + B b + span for the frame B = A^-1 = P A^T P,
+    multiplied out here, the offset b and the heaviest logical label c,
+    reduced by a span built from the generators."""
+    n, m, b = proto.n, proto.m, proto.relabeling.offset
+    x = np.arange(1 << (2 * n))
+    low = (1 << n) - 1
+    syndromes = np.full(x.shape, b.value & ((1 << (n - m)) - 1))
+    for i, g in enumerate(proto.generators):
+        pairs = np.bitwise_count(x >> n & g.value & low ^ x & low & g.value >> n) & 1
+        syndromes ^= pairs.astype(np.int64) << (n - m - 1 - i)
+    span = Subspace.from_vectors(proto.generators, 2 * n)
+    form = gf2.symplectic_form(n)
+    frame = form @ proto.relabeling.matrix.transpose() @ form
+    shift = (frame @ b).value
+    labels = []
+    for s, output in zip(branches.s.tolist(), branches.output):
+        c = permutation.optimal_correction(output)
+        lifted = frame @ permutation.embed_label(c, BinaryVector(s, n - m), n, m)
+        labels.append((int(np.flatnonzero(syndromes == s)[0]),
+                       span.reduce_value(lifted.value ^ shift)))
+    return labels
+
+
+def test_generator_protocol_labels_equal_their_definitions(rng):
+    # random generator sets through the constructor, each with a random
+    # offset b on its relabeling
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(0, n))
+        code = StabilizerProtocol(n, m, tuple(gf2.random_isotropic_generators(n, n - m, rng)))
+        b = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
+        proto = stabilizer_from_permutation(
+            PermutationProtocol(n, m, code.relabeling.matrix, b))
+        for state in branch_set_inputs(n, rng)[:3] + [random_bell_diagonal(n, rng)]:
+            branches = run(state, proto)
+            assert list(zip(branches.v.tolist(), branches.u.tolist())) == \
+                reference_labels(proto, branches)
+
+
+def test_generator_path_makes_no_strings_and_no_subspace(rng, monkeypatch):
+    # the relabeling is read off the completion's columns and `run` names v
+    # and u from A's rows: no string transpose, no string Gram check, and
+    # no Subspace but the one that checks the generators
+    calls = collections.Counter()
+    for cls, name in [(BinaryMatrix, "to_strings"), (Subspace, "__init__")]:
+        def counted(*args, name=name, call=getattr(cls, name)):
+            calls[name] += 1
+            return call(*args)
+        monkeypatch.setattr(cls, name, counted)
+    for n in range(1, 7):
+        for m in range(n):
+            gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
+            calls.clear()
+            proto = StabilizerProtocol(n, m, gens)
+            assert calls == {"__init__": 1}
+            # the branch table is the permutation engine's: naming only here
+            state = random_bell_diagonal(n, rng)
+            branches = permutation._branches(state, proto.relabeling, None)
+            monkeypatch.setattr(stabilizer, "_branches", lambda *args: branches)
+            calls.clear()
+            run(state, proto)
+            assert calls == {}
 
 
 def test_branch_set_columns_equal_the_dense_oracle(rng):
