@@ -23,10 +23,10 @@ of whole records of about `_BLOCK_BYTES`, so the memory rendering takes
 does not grow with the size of the output.  Each block is one byte matrix
 with a row per record (`_block_matrix`), whose holes take the values
 formatted on their own, as bytes.  The 15-digit mantissa of each float is
-x * 10^(14-e) in a 64-bit-significand long double, with 10^k numpy's
-correctly rounded conversion of the exact integer, so the product is within
-2^-13 of exact.  Truncated to 2^-12 and rounded half up from there, it
-rounds as exact arithmetic would, except within 2^-12 of a half-way point.
+x * 10^(14-e) in a 64-bit-significand long double, with 10^k correctly
+rounded to long double, so the product is within 2^-13 of exact.
+Truncated to 2^-12 and rounded half up from there, it rounds as exact
+arithmetic would, except within 2^-12 of a half-way point.
 Those entries, and every entry on a platform without such a long double,
 take their digits from Python's correctly rounded ``"%.14e"``.  NaN,
 infinities, subnormals, magnitudes from 1e14 up, and blocks with few floats
@@ -149,21 +149,28 @@ _PAD, _HOLE = b"\0", b"\2"
 _BOOLS = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
 
 
-def _digits(count: int, width: int, pad: str) -> np.ndarray:
-    """ASCII digits of 0..count-1, `width` per row with leading zeros.
+def _digits(width: int, pad: str) -> np.ndarray:
+    """ASCII digits of 0..10^width-1, `width` per row with leading zeros.
 
     `pad` names the zeros that are padding instead: "lead" the leading
     ones (all of 0's digits), "units" the leading ones but 0's last digit,
     "trim" the trailing ones, "" none.
     """
-    value = np.arange(count, dtype=np.int32)[:, None]
-    place = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
-    digits = (value // place % 10 + ord("0")).astype(np.uint8)
-    if pad in ("lead", "units"):
-        digits[(value < place) & ~((pad == "units") & (place == 1))] = 0
-    elif pad == "trim":
-        digits[value % (10 * place) == 0] = 0
-    return digits
+    digits = np.indices((10,) * width, dtype=np.uint8).reshape(width, -1)
+    zero = digits == 0
+    digits += ord("0")
+    if not pad:
+        return digits.T.copy()
+    # A zero is padding where every digit before it ("trim": after it) is zero.
+    if pad == "trim":
+        for j in range(width - 2, -1, -1):
+            zero[j] &= zero[j + 1]
+    else:
+        for j in range(1, width):
+            zero[j] &= zero[j - 1]
+        zero[-1] &= pad == "lead"
+    digits *= ~zero
+    return digits.T.copy()
 
 
 def _words(*columns) -> np.ndarray:
@@ -189,6 +196,7 @@ _FRAC_BITS = 12
 _HALF_WINDOW = 1
 _WIDE_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+_POW10_FLOAT = _POW10_INT.astype(float)  # exact: 10^18 = 2^18 5^18, 5^18 < 2^53
 
 
 @functools.cache
@@ -206,23 +214,24 @@ def _tables() -> SimpleNamespace:
     digits come two tail words, a row each: nothing, ".0" (JSON, integral
     values) or the exponent "e-XX" of a value below 1e-4, indexed by
     -exponent.  `pow10` holds 10^(14-e) for every exponent e of a normal
-    double below _FAST_MAX, numpy's correctly rounded conversion of each
-    exact integer; only a platform with a 64-bit-significand long double,
-    which holds them all, reads it.
+    double below _FAST_MAX, numpy's correctly rounded parse of each
+    "1e%d" (faster than converting the exact integers, and equal to it);
+    only a platform with a 64-bit-significand long double, which holds
+    them all, reads it.
     """
     pad = _byte(_PAD, 1000)
-    plain = _words(pad, _digits(1000, 3, ""))
+    plain = _words(pad, _digits(3, ""))
     tail = [_PAD * 8, b".0".ljust(8, _PAD)] + [(b"e-%02d" % k).ljust(8, _PAD)
                                              for k in range(2, 400)]
     return SimpleNamespace(
-        int_lead=np.stack([plain, _words(pad, _digits(1000, 3, "lead"))]),
-        int_units=np.stack([plain, _words(pad, _digits(1000, 3, "units"))]),
-        point=np.stack([_words(_byte(b".", 100), _digits(100, 2, ""), _byte(_PAD, 100)),
+        int_lead=np.stack([plain, _words(pad, _digits(3, "lead"))]),
+        int_units=np.stack([plain, _words(pad, _digits(3, "units"))]),
+        point=np.stack([_words(_byte(b".", 100), _digits(2, ""), _byte(_PAD, 100)),
                         _words(np.where(np.arange(100) > 0, ord("."), 0),
-                               _digits(100, 2, "trim"), _byte(_PAD, 100))]),
-        frac=np.stack([_words(_digits(10_000, 4, "")), _words(_digits(10_000, 4, "trim"))]),
+                               _digits(2, "trim"), _byte(_PAD, 100))]),
+        frac=np.stack([_words(_digits(4, "")), _words(_digits(4, "trim"))]),
         tail=np.frombuffer(b"".join(tail), np.uint32).reshape(-1, 2).T.copy(),
-        pow10=(np.array([10 ** k for k in range(340)], dtype=np.longdouble)
+        pow10=(np.array(["1e%d" % k for k in range(340)], dtype=np.longdouble)
                if _WIDE_LONGDOUBLE else None),
     )
 
@@ -288,7 +297,11 @@ def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
         mant[nonzero], exp[nonzero] = _decimal(a[nonzero])
     sci = exp < -4
     places = np.where(sci, 14, 14 - exp)
-    whole, frac = np.divmod(mant, _POW10_INT[places])
+    # M < 2^50, so M / 10^places in float64 lies within 2^-53 (relative)
+    # of the exact quotient, and a quotient below an integer lies at least
+    # 1/M below it: the truncated float64 quotient is the floor.
+    whole = (mant / _POW10_FLOAT[places]).astype(np.int64)
+    frac = mant - whole * _POW10_INT[places]
     frac *= _POW10_INT[18 - places]  # the fraction's digits left-aligned in 18
     tail = np.where(sci, -exp, 0)
     if fmt == "json":

@@ -9,6 +9,11 @@ first, so state vectors have dimension 4**n.
 
 All comparisons against the rest of the package go through projectors or
 outcome probabilities; global phases are never compared.
+
+The pairwise parity measurement builds only the blocks of
+rho = U diag(p) U^H (U the Bell basis) that its outcomes sum, from the
+gathered rows of U; the generator measurement contracts the whole rho
+(`density_matrix`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ import numpy as np
 from .gf2 import BinaryVector
 from .states import BellDiagonalState
 
-# 256 x 256 complex density matrices at the cap; tests default to n in {2, 3}.
+# At the cap the Bell basis, and the density matrix the generator measurement
+# contracts, are 256 x 256 complex matrices (1 MiB); a parity measurement of
+# at least one pair gathers at most half of the basis's rows at a time.
+# Tests default to n in {2, 3}.
 MAX_ORACLE_PAIRS = 4
 
 _SINGLE = {
@@ -37,12 +45,15 @@ def pauli_matrix(label: BinaryVector) -> np.ndarray:
 
     Qubit i takes the (phase, parity) bit pair (label_i, label_{k+i});
     (0,0)->I, (0,1)->X, (1,0)->Z, (1,1)->Y.  The result is exactly unitary
-    and Hermitian.
+    and Hermitian.  Each factor is taken in by one broadcast product, the
+    products `np.kron` forms, so the word is `np.kron`'s chain bit for bit.
     """
     k = label.pair_count
-    out = np.array([[1.0 + 0.0j]])
+    out = np.ones((1, 1), dtype=complex)
     for i in range(k):
-        out = np.kron(out, _SINGLE[(label.bit(i), label.bit(k + i))])
+        single = _SINGLE[(label.bit(i), label.bit(k + i))]
+        size = 2 * out.shape[0]
+        out = (out[:, None, :, None] * single[None, :, None, :]).reshape(size, size)
     return out
 
 
@@ -113,38 +124,55 @@ def simulate_parity_measurement(state: BellDiagonalState,
     basis on both sides, records whether the sides agree (outcome bit 0)
     or differ (bit 1) per pair, and re-expands each post-measurement state
     in the kept pairs' Bell basis.
+
+    Outcome t leaves the sum over alpha of the blocks of rho whose rows
+    and columns read alpha on side A's measured qubits and alpha ^ t on
+    side B's.  Only those blocks are formed, not rho (unless nothing is
+    measured): for each t the Bell-basis rows of their register indices
+    are gathered at once, weighted by the state's probabilities
+    (rho = U diag(p) U^H, U the Bell basis), and the 2^(n-kept) blocks
+    come out of one batched product, then are added in alpha order.
     """
     n = state.n
     if not 0 <= kept <= n:
         raise ValueError("kept pair count out of range")
     m, k = kept, n - kept
-    rho = density_matrix(state)
+    basis = bell_basis(n)
     kept_basis = bell_basis(m)
-    kept_dim = 1 << m
-    kept_indices = np.arange(kept_dim, dtype=np.int64)
-
-    branches = []
+    block = 1 << (2 * m)
+    # Register index ((a << k | alpha) << n) | (b << k | beta) of side A's
+    # kept qubits a and measured qubits alpha, and side B's b and beta;
+    # outcome t reads beta = alpha ^ t, and index[t, alpha] lists the
+    # indices of block (t, alpha) by (a, b).
+    kept_indices = np.arange(1 << m, dtype=np.int64)
+    kept_part = ((kept_indices[:, None] << (k + n)) | (kept_indices << k)).ravel()
+    alpha = np.arange(1 << k, dtype=np.int64)
+    index = ((alpha << n) | (alpha[:, None] ^ alpha))[:, :, None] | kept_part
+    # The probabilities as complex numbers, as numpy casts them to weight
+    # complex rows; the gathered rows and their weighted copy, reused by
+    # every outcome.
+    weights = state.probs.astype(complex)
+    rows = np.empty((1 << k, block, basis.shape[1]), dtype=complex)
+    weighted = np.empty_like(rows)
+    products = np.empty((1 << k, block, block), dtype=complex)
+    acc = np.empty_like(products)
     for t in range(1 << k):
-        acc = np.zeros((kept_dim * kept_dim, kept_dim * kept_dim), dtype=complex)
-        for alpha in range(1 << k):
-            beta = alpha ^ t
-            side_a = (kept_indices << k) | alpha
-            side_b = (kept_indices << k) | beta
-            full = ((side_a[:, None] << n) | side_b[None, :]).reshape(-1)
-            acc += rho[np.ix_(full, full)]
-        prob = float(np.real(np.trace(acc)))
-        if prob <= 0.0:
-            continue
-        bell_form = kept_basis.conj().T @ acc @ kept_basis
-        diag = np.real(np.diag(bell_form)).copy()
-        offdiag = float(np.max(np.abs(bell_form - np.diag(np.diag(bell_form)))))
-        branches.append(ParityBranch(
-            t=BinaryVector(t, k),
-            prob=prob,
-            probs=diag / prob,
-            bell_offdiag=offdiag,
-        ))
-    return branches
+        # "clip" (the indices are in range) writes to `out` unbuffered
+        np.take(basis, index[t], axis=0, out=rows, mode="clip")
+        np.multiply(rows, weights, out=weighted)
+        np.conjugate(rows, out=rows)
+        np.matmul(weighted, rows.swapaxes(1, 2), out=products)
+        products.sum(axis=0, out=acc[t])
+    del rows, weighted  # freed before the blocks' change of basis allocates
+    probs = np.trace(acc, axis1=1, axis2=2).real
+    bell_form = kept_basis.conj().T @ acc @ kept_basis
+    diag = np.diagonal(bell_form, axis1=1, axis2=2).real.copy()
+    on_diagonal = np.arange(block)
+    bell_form[:, on_diagonal, on_diagonal] = 0.0
+    offdiag = np.abs(bell_form).max(axis=(1, 2))
+    return [ParityBranch(t=BinaryVector(t, k), prob=float(probs[t]),
+                         probs=diag[t] / probs[t], bell_offdiag=float(offdiag[t]))
+            for t in np.flatnonzero(probs > 0.0).tolist()]
 
 
 def simulate_syndrome_measurement(state: BellDiagonalState,

@@ -222,11 +222,14 @@ def branch_table(state: BellDiagonalState, label_map: BinaryMatrix, offset: int,
     first factor is scattered into the table (`_scatter`); each further
     factor is folded in (`_fold`), since the image of a product of
     independent factors is the XOR convolution of their images.  A dense
-    input is one factor, so its table is the scatter alone.
+    input is one factor, so its table is the scatter alone.  The folds
+    share one spare table and one term buffer: each fold writes into the
+    spare, which then becomes the table.
     """
     n = state.n
     columns = label_map.column_values()
     table = np.zeros(1 << label_map.nrows)
+    spare = term = None
     first = 0
     for factor in state.factors:
         k = factor.size.bit_length() // 2
@@ -234,7 +237,10 @@ def branch_table(state: BellDiagonalState, label_map: BinaryMatrix, offset: int,
         if first == 0:
             _scatter(table, factor, cols, offset)
         else:
-            table = _fold(table, factor, cols)
+            if spare is None:
+                spare, term = np.empty_like(table), np.empty_like(table)
+            _fold(table, factor, cols, spare, term)
+            table, spare = spare, table
         first += k
     return table.reshape(-1, 1 << (2 * m))
 
@@ -259,29 +265,30 @@ def _scatter(table: np.ndarray, weights: np.ndarray, columns: tuple[int, ...],
         np.add.at(table, low ^ high, weights[c * low.size:(c + 1) * low.size])
 
 
-def _fold(table: np.ndarray, weights: np.ndarray,
-          columns: tuple[int, ...]) -> np.ndarray:
-    """XOR convolution of the table with one factor mapped by the given
-    columns: sum over the factor's labels a of weights[a] * table[y ^ A a].
+def _fold(table: np.ndarray, weights: np.ndarray, columns: tuple[int, ...],
+          out: np.ndarray, term: np.ndarray) -> None:
+    """Write into `out` the XOR convolution of the table with one factor
+    mapped by the given columns: sum over the factor's labels a of
+    weights[a] * table[y ^ A a].  `term` is a scratch buffer of the
+    table's size.
 
     For one pair that is p00 D + p01 D[y ^ c_par] + p10 D[y ^ c_ph]
     + p11 D[y ^ c_ph ^ c_par], added in that order.  All terms are
     nonnegative, so nothing cancels.  Zero weights add nothing and are
     skipped.  XOR by a constant flips the axes of its set bits of the table
     viewed as 2 x ... x 2 (the first axis the top bit), so each term is a
-    flipped view of the table, scaled into one reused temporary: the same
-    products, added in the same order, as a gather table[y ^ shift].
+    flipped view of the table, scaled into `term`: the same products,
+    added in the same order, as a gather table[y ^ shift].
     """
     k = table.size.bit_length() - 1
     view = table.reshape((2,) * k)
-    out = np.zeros_like(table)
-    term = np.empty_like(view)
+    term = term.reshape(view.shape)
+    out.fill(0.0)
     for w, shift in zip(weights.tolist(), gf2.affine_images(columns, 0).tolist()):
         if w:
             axes = tuple(k - 1 - b for b in range(k) if shift >> b & 1)
             np.multiply(np.flip(view, axes), w, out=term)
             out += term.reshape(-1)
-    return out
 
 
 def branch_outcomes(table: np.ndarray, m: int, threshold: float) -> BranchSet:
@@ -293,20 +300,22 @@ def branch_outcomes(table: np.ndarray, m: int, threshold: float) -> BranchSet:
     correction the heaviest logical label of the row (`optimal_correction`,
     taken for all rows at once) and the fidelity the output's weight
     there.  Rows of weight exactly zero are skipped.  The outputs are
-    divided and checked as one array, with the constructor's check and
-    division.
+    divided and checked as one array, in place, with the constructor's
+    check and division: in the table itself when every row is live, so
+    the table is consumed, else in the copy of its live rows.
     """
     k = table.shape[0].bit_length() - 1
     probs = table.sum(axis=1)
     live = np.flatnonzero(probs).astype(np.int64, copy=False)
-    rows = table[live]
-    corrections = _corrections(rows).astype(np.int64, copy=False)
-    outputs = rows / probs[live, None]
+    if live.size < probs.size:
+        table, probs = table[live], probs[live]
+    corrections = _corrections(table).astype(np.int64, copy=False)
+    outputs = np.divide(table, probs[:, None], out=table)
     _normalize(outputs, outputs)
     fids = outputs[np.arange(live.size), corrections]
     return BranchSet(m, {"t": k, "correction": 2 * m}, {
         "t": live,
-        "prob": probs[live],
+        "prob": probs,
         "output": outputs,
         "correction": corrections,
         "fidelity": fids,

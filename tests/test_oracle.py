@@ -7,7 +7,7 @@ import pytest
 
 from belldistill import crosscheck, gf2, oracle, permutation
 from belldistill.gf2 import BinaryVector
-from belldistill.states import BellDiagonalState
+from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
 
 
 def vec(s):
@@ -58,6 +58,25 @@ def test_commutation_rule_exhaustive_two_pairs():
             sign = (-1.0) ** gf2.sympl_inner(a, b)
             rhs = sign * oracle.pauli_matrix(b) @ oracle.pauli_matrix(a)
             assert np.array_equal(lhs, rhs)
+
+
+def kron_chain(label):
+    """The Pauli word as first built: a chain of `np.kron` calls."""
+    k = label.pair_count
+    out = np.array([[1.0 + 0.0j]])
+    for i in range(k):
+        out = np.kron(out, oracle._SINGLE[(label.bit(i), label.bit(k + i))])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_words_and_bell_vectors_are_the_kron_chain_bit_for_bit(n):
+    for x in range(1 << (2 * n)):
+        label = BinaryVector(x, 2 * n)
+        word = kron_chain(label)
+        assert oracle.pauli_matrix(label).tobytes() == word.tobytes()
+        assert oracle.bell_vector(label).tobytes() == \
+            (word / np.sqrt(2.0 ** n)).reshape(-1).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +182,74 @@ def test_parity_measurement_preserves_bell_diagonality(rng):
         state = random_bell_diagonal(3, rng)
         for branch in oracle.simulate_parity_measurement(state, 1):
             assert branch.bell_offdiag < 1e-10
+
+
+def full_rho_parity_measurement(state, kept):
+    """The parity oracle as first written: the whole density matrix, then
+    one gather per outcome t and side pattern alpha, added in alpha order."""
+    n = state.n
+    m, k = kept, n - kept
+    rho = oracle.density_matrix(state)
+    kept_basis = oracle.bell_basis(m)
+    kept_dim = 1 << m
+    kept_indices = np.arange(kept_dim, dtype=np.int64)
+    branches = []
+    for t in range(1 << k):
+        acc = np.zeros((kept_dim * kept_dim, kept_dim * kept_dim), dtype=complex)
+        for alpha in range(1 << k):
+            side_a = (kept_indices << k) | alpha
+            side_b = (kept_indices << k) | (alpha ^ t)
+            full = ((side_a[:, None] << n) | side_b[None, :]).reshape(-1)
+            acc += rho[np.ix_(full, full)]
+        prob = float(np.real(np.trace(acc)))
+        if prob <= 0.0:
+            continue
+        bell_form = kept_basis.conj().T @ acc @ kept_basis
+        diag = np.real(np.diag(bell_form)).copy()
+        offdiag = float(np.max(np.abs(bell_form - np.diag(np.diag(bell_form)))))
+        branches.append(oracle.ParityBranch(BinaryVector(t, k), prob, diag / prob, offdiag))
+    return branches
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_parity_measurement_equals_the_full_density_matrix_reference(rng, n):
+    label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
+    states = [random_bell_diagonal(n, rng), random_bell_diagonal(n, rng),
+              BellDiagonalState.from_pairs([werner(0.8)] * n),
+              BellDiagonalState.point_mass(n, label),
+              BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))]
+    for state in states:
+        for kept in range(n + 1):
+            expected = full_rho_parity_measurement(state, kept)
+            branches = oracle.simulate_parity_measurement(state, kept)
+            assert [b.t for b in branches] == [b.t for b in expected]
+            for got, want in zip(branches, expected):
+                assert abs(got.prob - want.prob) <= 1e-15
+                assert np.abs(got.probs - want.probs).max() <= 1e-15
+                assert abs(got.bell_offdiag - want.bell_offdiag) <= 1e-15
+
+
+@pytest.mark.parametrize("kept", [0, 1, 2, 3])
+def test_parity_measurement_forms_no_full_density_matrix(monkeypatch, rng, kept):
+    # At the cap, n = 4, one 4^n x 4^n complex matrix is 1 MiB, and forming
+    # rho held 3 MiB (rho and its two operands).  The oracle holds the
+    # gathered Bell-basis rows and their weighted copy, 2^(n+kept) of the
+    # basis's 4^n rows each, plus less than half of one such matrix; for
+    # kept <= n - 2 that is less than one in all.
+    n = 4
+    state = BellDiagonalState(n, rng.dirichlet(np.ones(1 << (2 * n))))
+    oracle.bell_basis(n), oracle.bell_basis(kept)  # built once per n and cached
+    monkeypatch.setattr(oracle, "density_matrix", None)
+    full = 16 << (4 * n)
+    gathered = 16 << (n + kept + 2 * n)
+    tracemalloc.start()
+    try:
+        branches = oracle.simulate_parity_measurement(state, kept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(b.prob for b in branches) == pytest.approx(1.0, abs=1e-12)
+    assert peak < 2 * gathered + full // 2
 
 
 # ---------------------------------------------------------------------------

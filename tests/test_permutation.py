@@ -375,6 +375,9 @@ def test_branch_outcomes_bit_equal_per_row_constructor(rng):
             outcomes = branch_outcomes(table, m, state.fidelity)
             assert outcomes.t.tolist() == [row[0] for row in expected]
             assert not outcomes.output.flags.writeable
+            # a table whose rows are all live is divided in place
+            assert np.shares_memory(outcomes.output, table) == \
+                (outcomes.t.size == table.shape[0])
             for row, (_, prob, output, correction, fid, raw, accepted) in enumerate(
                     expected):
                 assert bits(outcomes.prob[row]) == bits(prob)
@@ -408,10 +411,12 @@ def test_fold_bit_equals_the_gather(rng, n):
         table = np.zeros(1 << (n + m))
         permutation._scatter(table, state.factors[0], columns[:8] + columns[n:n + 8],
                              offset)
+        out, term = np.empty_like(table), np.empty_like(table)
         for i, factor in enumerate(state.factors[1:], start=8):
             pair_columns = (columns[i], columns[n + i])
             expected = gather_fold(table, factor, pair_columns)
-            table = permutation._fold(table, factor, pair_columns)
+            permutation._fold(table, factor, pair_columns, out, term)
+            table, out = out, table
             assert np.array_equal(bits(table), bits(expected))
         assert np.array_equal(bits(table),
                               bits(branch_table(state, label_map, offset, m).ravel()))
@@ -612,7 +617,7 @@ def test_corrections_of_all_rows_equal_the_per_row_rule(rng):
                   random_bell_diagonal(n, rng)]
         for state in inputs:
             table = branch_table(state, label_map, 0, m)
-            outcomes = branch_outcomes(table, m, state.fidelity)
+            outcomes = branch_outcomes(table.copy(), m, state.fidelity)
             assert outcomes
             for o in outcomes:
                 row = table[o.t.value]

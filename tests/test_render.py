@@ -340,6 +340,23 @@ def test_exact_half_way_ties_take_the_correctly_rounded_path(monkeypatch):
     assert one_pass_tokens([1 + 2.0 ** -15]) == ["1.00003051757812"]
 
 
+def test_largest_mantissa_splits_exactly_at_every_fixed_point_place():
+    # M = 10^15 - 1 at exponents 0 .. -4, printed with 14 .. 18 places:
+    # the float64 quotient M / 10^places is nearest the next integer here
+    mant = 10 ** 15 - 1
+    places = range(14, 19)
+    values = np.array([float(f"{mant}e{-p}") for p in places])
+    tokens = cli._one_pass(values, "csv")
+    whole = sum(group * 1000 ** (len(tokens.groups) - 1 - i)
+                for i, group in enumerate(tokens.groups))
+    assert whole.tolist() == [mant // 10 ** p for p in places]
+    assert tokens.frac.tolist() == [mant % 10 ** p * 10 ** (18 - p) for p in places]
+    assert one_pass_tokens(values) == ["9.99999999999999", "0.999999999999999",
+                                       "0.0999999999999999", "0.00999999999999999",
+                                       "0.000999999999999999"]
+    assert_tokens_as_reference(values)
+
+
 def test_signs_zeros_and_integral_values():
     values = [-0.0, 0.0, 1.0, -1.0, 2.0, 1e13, -123456.0, 0.5, -0.5, 3e-7, -3e-7]
     assert_tokens_as_reference(values)
@@ -430,6 +447,32 @@ def test_pow10_table_is_correctly_rounded():
         assert den == 1
         # within half a unit in the last place of a 64-bit significand
         assert 2 * abs(num - exact) <= 1 << max(exact.bit_length() - 64, 0)
+
+
+def reference_digits(count, width, pad):
+    """The digit table as first built: each digit divided out of its value."""
+    value = np.arange(count, dtype=np.int32)[:, None]
+    place = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
+    digits = (value // place % 10 + ord("0")).astype(np.uint8)
+    if pad in ("lead", "units"):
+        digits[(value < place) & ~((pad == "units") & (place == 1))] = 0
+    elif pad == "trim":
+        digits[value % (10 * place) == 0] = 0
+    return digits
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("pad", ["", "lead", "units", "trim"])
+def test_digit_tables_equal_the_per_value_builder(width, pad):
+    digits = cli._digits(width, pad)
+    assert digits.dtype == np.uint8 and digits.flags.c_contiguous
+    assert np.array_equal(digits, reference_digits(10 ** width, width, pad))
+
+
+@pytest.mark.skipif(not cli._WIDE_LONGDOUBLE, reason="pow10 needs a 64-bit long double")
+def test_pow10_table_equals_the_conversion_of_exact_integers():
+    exact = np.array([10 ** k for k in range(340)], dtype=np.longdouble)
+    assert np.array_equal(cli._tables().pow10, exact)
 
 
 # ---------------------------------------------------------------------------
