@@ -26,11 +26,10 @@ formatted on their own, as bytes.  The 15-digit mantissa of each float is
 x * 10^(14-e) in a 64-bit-significand long double, with 10^k correctly
 rounded to long double, so the product is within 2^-13 of exact.
 Truncated to 2^-12 and rounded half up from there, it rounds as exact
-arithmetic would, except within 2^-12 of a half-way point.
-Those entries, and every entry on a platform without such a long double,
-take their digits from Python's correctly rounded ``"%.14e"``.  NaN,
-infinities, subnormals, magnitudes from 1e14 up, and blocks with few floats
-are formatted value by value.
+arithmetic would, except within 2^-12 of a half-way point.  Those entries,
+every entry on a platform without such a long double, NaN, infinities,
+subnormals, magnitudes from 1e14 up, and the floats of blocks with few
+floats are formatted value by value, as `_float_token` prints them.
 """
 
 from __future__ import annotations
@@ -236,28 +235,22 @@ def _tables() -> SimpleNamespace:
     )
 
 
-def _printf_decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_decimal` of every entry from Python's correctly rounded "%.14e"."""
-    texts = ["%.14e" % x for x in a.tolist()]
-    return (np.array([int(t[0] + t[2:16]) for t in texts], dtype=np.int64),
-            np.array([int(t[17:]) for t in texts], dtype=np.int64))
-
-
-def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mantissa M (10^14 <= M < 10^15) and exponent e of every entry of `a`
     (positive normal doubles below _FAST_MAX), with M * 10^(e-14) the
-    entry rounded to 15 significant digits, half to even.
+    entry rounded to 15 significant digits, half to even, and the mask of
+    the entries whose M and e this does not give: `_float_token` formats
+    those on their own.
 
     e = floor(log10(a)), and the long double product a * 10^(14-e),
     scaled by 2^_FRAC_BITS, is truncated to an int64: M is its integer
     part, plus one where the fraction its low bits hold is 1/2 or more.
     An entry whose fraction is within _HALF_WINDOW units of 1/2, where the
     product's error could flip the rounding, or whose M falls outside
-    [10^14, 10^15), takes M and e from `_printf_decimal` instead; without
-    a 64-bit long double every entry does.
+    [10^14, 10^15), is masked; without a 64-bit long double, every entry.
     """
     if not _WIDE_LONGDOUBLE:
-        return _printf_decimal(a)
+        return (*np.zeros((2, a.size), dtype=np.int64), np.ones(a.size, dtype=bool))
     exp = np.floor(np.log10(a)).astype(np.int64)
     # a * 2^_FRAC_BITS is exact, and so is the scaling of the rounded product.
     fixed = (np.ldexp(a, _FRAC_BITS).astype(np.longdouble)
@@ -265,16 +258,13 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mant = fixed >> _FRAC_BITS
     # The fraction less 1/2 lies in [rest, rest + 1) units of 2^-_FRAC_BITS.
     rest = (fixed & ((1 << _FRAC_BITS) - 1)) - (1 << (_FRAC_BITS - 1))
-    slow = np.abs(rest) <= _HALF_WINDOW
+    inexact = np.abs(rest) <= _HALF_WINDOW
     # log10 can miss by one just below a power of ten.
-    slow |= (mant < 10 ** 14) | (mant >= 10 ** 15)
+    inexact |= (mant < 10 ** 14) | (mant >= 10 ** 15)
     mant += rest >= 0
-    slow = np.flatnonzero(slow)
-    if slow.size:
-        mant[slow], exp[slow] = _printf_decimal(a[slow])
     carry = mant == 10 ** 15  # rounded up into the next decade
     mant[carry] = 10 ** 14
-    return mant, exp + carry
+    return mant, exp + carry, inexact
 
 
 def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
@@ -282,19 +272,19 @@ def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
     it: the sign, the integer part in 3-digit groups (most significant
     first), the fraction's 18 digits, the tail index (`_tables`) and
     `words`, the 4-byte words every token takes.  Entries the tables do
-    not print are `own`, formatted on their own.  The notation is decided
-    by the rounded exponent, as "%.15g" decides it.
+    not print, and those `_decimal` masks, are `own`, formatted on their
+    own.  The notation is decided by the rounded exponent, as "%.15g"
+    decides it.
     """
     a = np.abs(values)
     nonzero = (a < _FAST_MAX) & (a >= _FAST_TINY)
     if nonzero.all():
-        fast = nonzero
-        mant, exp = _decimal(a)
+        mant, exp, own = _decimal(a)
     else:
-        fast = nonzero | (a == 0)
+        own = ~nonzero & (a != 0)
         mant = np.zeros(a.size, dtype=np.int64)
         exp = np.zeros(a.size, dtype=np.int64)
-        mant[nonzero], exp[nonzero] = _decimal(a[nonzero])
+        mant[nonzero], exp[nonzero], own[nonzero] = _decimal(a[nonzero])
     sci = exp < -4
     places = np.where(sci, 14, 14 - exp)
     # M < 2^50, so M / 10^places in float64 lies within 2^-53 (relative)
@@ -311,7 +301,7 @@ def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
         groups[0], group = np.divmod(groups[0], 1000)
         groups.insert(1, group)
     tail_words = int(tail.max() > 0) + int(tail.max() > 99)  # "e-100" takes 5 bytes
-    return SimpleNamespace(words=len(groups) + 5 + tail_words, own=~fast,
+    return SimpleNamespace(words=len(groups) + 5 + tail_words, own=own,
                            sign=np.signbit(values), groups=groups, frac=frac,
                            tail=tail, tail_words=tail_words, values=values, fmt=fmt)
 

@@ -111,16 +111,18 @@ def check_commutation_rule(count: int, rng: np.random.Generator,
 def check_bell_eigenvalue(count: int, rng: np.random.Generator,
                           pairs: int) -> CheckResult:
     """conj(sigma_g) x sigma_g fixes each Bell product up to the sign
-    (-1)^(g^T P x)."""
+    (-1)^(g^T P x).  It acts on the Bell vector as a 2^n x 2^n matrix V
+    (rows side A), as conj(sigma_g) V sigma_g^T: no 4^n x 4^n operator."""
     worst = 0.0
     for _ in range(count):
         n = int(rng.integers(1, pairs + 1))
         g = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
         x = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
         vec = oracle.bell_vector(x)
-        op = np.kron(oracle.pauli_matrix(g).conj(), oracle.pauli_matrix(g))
+        word = oracle.pauli_matrix(g)
+        image = word.conj() @ vec.reshape(word.shape) @ word.T
         sign = -1.0 if gf2.sympl_inner(g, x) else 1.0
-        worst = max(worst, float(np.linalg.norm(op @ vec - sign * vec)))
+        worst = max(worst, float(np.linalg.norm(image.reshape(-1) - sign * vec)))
     return CheckResult("bell_product_eigenvalue", count, worst, TOLERANCE)
 
 

@@ -3,7 +3,8 @@
 Everything label-level in this package is cross-checked here against
 explicit complex matrices: Pauli words, Bell-product vectors, pairwise
 computational-basis measurements, and two-sided generator measurements.
-The register holds one side's qubits 1..n followed by the other side's
+Pauli words are built by `pauli_matrix` alone; Bell-product vectors, and
+the Bell basis column by column, are built from them.  The register holds one side's qubits 1..n followed by the other side's
 qubits 1..n (pair i spans position i on both sides), most significant bit
 first, so state vectors have dimension 4**n.
 
@@ -47,8 +48,11 @@ def pauli_matrix(label: BinaryVector) -> np.ndarray:
     (0,0)->I, (0,1)->X, (1,0)->Z, (1,1)->Y.  The result is exactly unitary
     and Hermitian.  Each factor is taken in by one broadcast product, the
     products `np.kron` forms, so the word is `np.kron`'s chain bit for bit.
+    The only builder of Pauli words; refuses more than MAX_ORACLE_PAIRS.
     """
     k = label.pair_count
+    if k > MAX_ORACLE_PAIRS:
+        raise ValueError(f"oracle capped at {MAX_ORACLE_PAIRS} pairs")
     out = np.ones((1, 1), dtype=complex)
     for i in range(k):
         single = _SINGLE[(label.bit(i), label.bit(k + i))]
@@ -64,8 +68,6 @@ def bell_vector(label: BinaryVector) -> np.ndarray:
     correlated pair product; defined up to a global phase.
     """
     n = label.pair_count
-    if n > MAX_ORACLE_PAIRS:
-        raise ValueError(f"oracle capped at {MAX_ORACLE_PAIRS} pairs")
     # Pair product of (|00>+|11>)/sqrt(2) is vec(I)/2^(n/2) in the A,B split;
     # acting with sigma on side A turns it into vec(sigma)/2^(n/2).
     return (pauli_matrix(label) / np.sqrt(2.0 ** n)).reshape(-1)
@@ -75,27 +77,14 @@ def bell_vector(label: BinaryVector) -> np.ndarray:
 def bell_basis(n: int) -> np.ndarray:
     """Unitary with column x equal to the Bell-product vector of label x.
 
-    All 4^n Pauli words are built at once, one Kronecker step per pair in
-    the order `pauli_matrix` multiplies, so column x is `bell_vector` of
-    label x bit for bit.  Built once per n and shared read-only.
+    Filled a column at a time from `bell_vector`, so it holds no Pauli word
+    of its own.  Built once per n and shared read-only.
     """
     if n > MAX_ORACLE_PAIRS:
         raise ValueError(f"oracle capped at {MAX_ORACLE_PAIRS} pairs")
-    singles = np.stack([_SINGLE[(z, x)] for z in (0, 1) for x in (0, 1)])
-    words = np.ones((1, 1, 1), dtype=complex)
-    for _ in range(n):
-        count, size = words.shape[0], words.shape[1]
-        words = (words[:, None, :, None, :, None]
-                 * singles[None, :, None, :, None, :]).reshape(4 * count, 2 * size,
-                                                               2 * size)
-    # Word index: the digit 2*phase + parity of each pair, pair 0 first.
-    labels = np.arange(1 << (2 * n))
-    index = np.zeros_like(labels)
-    for shift in range(n):
-        digit = 2 * ((labels >> (n + shift)) & 1) + ((labels >> shift) & 1)
-        index |= digit << (2 * shift)
-    vectors = (words / np.sqrt(2.0 ** n))[index].reshape(labels.size, -1)
-    basis = np.ascontiguousarray(vectors.T)
+    basis = np.empty((1 << (2 * n), 1 << (2 * n)), dtype=complex)
+    for x in range(basis.shape[1]):
+        basis[:, x] = bell_vector(BinaryVector(x, 2 * n))
     basis.setflags(write=False)
     return basis
 
@@ -209,8 +198,6 @@ def simulate_syndrome_measurement(state: BellDiagonalState,
 
 def syndrome_difference_distribution(joint: np.ndarray) -> np.ndarray:
     """Distribution of the XOR of the two sides' outcome strings."""
-    size = joint.shape[0]
-    out = np.empty(size)
-    for s in range(size):
-        out[s] = sum(joint[a, a ^ s] for a in range(size))
-    return out
+    outcomes = np.arange(joint.shape[0])
+    return np.bincount((outcomes[:, None] ^ outcomes).ravel(), weights=joint.ravel(),
+                       minlength=outcomes.size)

@@ -107,7 +107,8 @@ def test_bell_basis_columns_are_bell_vectors_bit_for_bit(n):
     basis = oracle.bell_basis(n)
     assert basis.flags.c_contiguous
     for x in range(1 << (2 * n)):
-        assert basis[:, x].tobytes() == oracle.bell_vector(BinaryVector(x, 2 * n)).tobytes()
+        word = kron_chain(BinaryVector(x, 2 * n))
+        assert basis[:, x].tobytes() == (word / np.sqrt(2.0 ** n)).reshape(-1).tobytes()
 
 
 def test_bell_eigenvalue_identity_exhaustive_two_pairs():
@@ -137,6 +138,19 @@ def test_bell_basis_is_built_once_and_read_only():
 def test_oracle_size_cap():
     with pytest.raises(ValueError):
         oracle.bell_basis(5)
+
+
+def test_pauli_words_beyond_the_cap_are_refused_before_allocating():
+    # at MAX_ORACLE_PAIRS + 1 the word would be a 32 x 32 complex matrix
+    k = oracle.MAX_ORACLE_PAIRS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="oracle capped at"):
+            oracle.pauli_matrix(BinaryVector((1 << (2 * k)) - 1, 2 * k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << (2 * k)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +297,15 @@ def test_syndrome_outcomes_deterministic_on_bell_products():
         assert diff[expected] == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 4])
+def test_syndrome_difference_is_the_double_loop_bit_for_bit(rng, k):
+    joint = rng.random((1 << k, 1 << k))
+    joint[0, 0] = -0.0
+    expected = [sum(joint[a, a ^ s] for a in range(1 << k)) for s in range(1 << k)]
+    assert oracle.syndrome_difference_distribution(joint).tobytes() == \
+        np.array(expected, dtype=float).tobytes()
+
+
 def test_alice_marginal_uniform(werner2):
     joint = oracle.simulate_syndrome_measurement(werner2, (vec("1100"),))
     marginal = joint.sum(axis=1)
@@ -304,6 +327,26 @@ def test_syndrome_measurement_holds_no_full_register_projector(rng):
     assert joint.shape == (16, 16)
     assert joint.sum() == pytest.approx(1.0, abs=1e-12)
     assert peak < 8 << 20
+
+
+def test_bell_eigenvalue_check_forms_no_full_register_operator(monkeypatch):
+    # conj(sigma_g) x sigma_g at n = 4 is a 4^n x 4^n complex matrix, 1 MiB
+    pairs = []
+    bell_vector = oracle.bell_vector
+
+    def spy(label):
+        pairs.append(label.pair_count)
+        return bell_vector(label)
+
+    monkeypatch.setattr(oracle, "bell_vector", spy)
+    tracemalloc.start()
+    try:
+        result = crosscheck.check_bell_eigenvalue(20, np.random.default_rng(9), pairs=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed and 4 in pairs
+    assert peak < 16 << 16
 
 
 @pytest.mark.parametrize("module, name", [(permutation, "run"),

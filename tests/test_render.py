@@ -328,15 +328,17 @@ def test_exact_half_way_ties_take_the_correctly_rounded_path(monkeypatch):
         exp = int(format(x, ".0e").split("e")[1])
         assert (Fraction(x) * Fraction(10) ** (14 - exp)).denominator == 2
     taken = []
-    real = cli._printf_decimal
+    real = cli._float_token
 
-    def spy(a):
-        taken.extend(a.tolist())
-        return real(a)
+    def spy(x, fmt):
+        taken.append(x)
+        return real(x, fmt)
 
-    monkeypatch.setattr(cli, "_printf_decimal", spy)
+    monkeypatch.setattr(cli, "_float_token", spy)
     assert_tokens_as_reference(ties + [0.25, 1 / 3])
     assert set(ties) <= set(taken)
+    if cli._WIDE_LONGDOUBLE:
+        assert not {0.25, 1 / 3} & set(taken)
     assert one_pass_tokens([1 + 2.0 ** -15]) == ["1.00003051757812"]
 
 
@@ -397,12 +399,18 @@ def scaled(x: float) -> Fraction:
     return Fraction(x) * Fraction(10) ** (14 - e)
 
 
-def assert_decimal_as_printf(values):
+def assert_decimal_correctly_rounded(values, masked):
+    """`_decimal` gives every entry it does not mask the digits of Python's
+    correctly rounded "%.14e", and masks every entry of `masked`; every
+    token, masked or not, is the per-value reference's."""
     values = np.array(values, dtype=float)
-    mant, exp = cli._decimal(values)
-    expected = cli._printf_decimal(values)
-    assert mant.tolist() == expected[0].tolist()
-    assert exp.tolist() == expected[1].tolist()
+    mant, exp, inexact = cli._decimal(values)
+    texts = ["%.14e" % x for x in values.tolist()]
+    exact = np.flatnonzero(~inexact)
+    assert mant[exact].tolist() == [int(texts[i][0] + texts[i][2:16]) for i in exact]
+    assert exp[exact].tolist() == [int(texts[i][17:]) for i in exact]
+    assert inexact[np.isin(values, masked)].all()
+    assert_tokens_as_reference(values)
 
 
 def test_decimal_at_the_edges_of_the_half_way_window():
@@ -421,7 +429,7 @@ def test_decimal_at_the_edges_of_the_half_way_window():
             product = np.longdouble(x) * cli._tables().pow10[14 - math.floor(math.log10(x))]
             assert (Fraction(*product.as_integer_ratio()) % 1 >= Fraction(1, 2)) != \
                 (scaled(x) % 1 > Fraction(1, 2)), x
-    assert_decimal_as_printf(inside + outside + flipped)
+    assert_decimal_correctly_rounded(inside + outside + flipped, inside + flipped)
 
 
 def test_decimal_just_below_powers_of_ten():
@@ -437,7 +445,9 @@ def test_decimal_just_below_powers_of_ten():
     carried = [x for x in values if scaled(x) >= 10 ** 15 - Fraction(1, 2)]
     missed = [x for x in values if Fraction(x) < Fraction(10) ** math.floor(np.log10(x))]
     assert carried and missed
-    assert_decimal_as_printf(values)
+    assert_decimal_correctly_rounded(values, missed)
+    if cli._WIDE_LONGDOUBLE:  # some carries are taken by unmasked entries
+        assert not cli._decimal(np.array(carried))[2].all()
 
 
 def test_pow10_table_is_correctly_rounded():
