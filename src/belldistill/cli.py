@@ -42,6 +42,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections.abc import Callable, Iterator
 from pathlib import Path
 from types import SimpleNamespace
@@ -991,21 +992,29 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-        _apply_config(args)
-        _refuse_ignored(args)
-        if getattr(args, "format", None) is None:
-            args.format = "json"
-        _help, _options, handler = _COMMANDS[args.command]
-        return handler(args)
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # Quiet the flush at exit too, and exit with 1 as Python does on EPIPE.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    """Run one command.  The low-Werner-fidelity warning is printed once
+    per place as one `warning:` line on stderr; every other warning keeps
+    the caller's filters, and library callers keep their own display."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("default", message="Werner fidelity below 1/4",
+                                category=UserWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                          file=sys.stderr)
+        try:
+            args = _PARSER.parse_args(argv)
+            _apply_config(args)
+            _refuse_ignored(args)
+            if getattr(args, "format", None) is None:
+                args.format = "json"
+            _help, _options, handler = _COMMANDS[args.command]
+            return handler(args)
+        except (CliError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # Quiet the flush at exit too, and exit with 1 as Python does on EPIPE.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 dense oracle, plus the exact operator identities the label calculus relies on.
 
 Each suite runs a batch of seeded random cases and reports the worst
-entrywise error it saw.  These functions back both the command-line
+entrywise error it saw.  The measurement suites read the columns the
+engines' `run` returns, the numbers `run-perm` and `run-code` print,
+against the dense oracle's.  These functions back both the command-line
 `oracle-check` command and the acceptance tests.
 """
 
@@ -57,26 +59,25 @@ def check_parity_measurement(sizes: tuple[int, ...], count: int,
     return CheckResult("parity_measurement_vs_oracle", count, worst, TOLERANCE)
 
 
-def _branch_error(engine: BranchSet, dense: list[oracle.ParityBranch]) -> float:
-    """Largest gap between the engine's branches and the oracle's (which
-    come in label order): probability, output and the oracle's off-diagonal
+def _branch_error(engine: BranchSet, dense: BranchSet) -> float:
+    """Largest gap between the engine's branches and the oracle's (both
+    in label order): probability, output and the oracle's off-diagonal
     weight, or the probability of a branch only one side has (for the
     oracle, dust from a branch of exact probability zero)."""
-    labels = np.array([b.t.value for b in dense], dtype=np.int64)
-    _, e, in_engine, d, in_dense = align(engine.t, labels)
-    prob = np.array([b.prob for b in dense])[d]
-    offdiag = np.array([b.bell_offdiag for b in dense])[d]
-    output_diff = np.abs(engine.output[e] - np.array([b.probs for b in dense])[d])
-    gaps = np.maximum.reduce([np.abs(engine.prob[e] - prob), offdiag,
-                              output_diff.max(axis=1)])
+    _, e, in_engine, d, in_dense = align(engine.t, dense.t)
+    output_diff = np.abs(engine.output[e] - dense.output[d])
+    gaps = np.maximum.reduce([np.abs(engine.prob[e] - dense.prob[d]),
+                              dense.bell_offdiag[d], output_diff.max(axis=1)])
     error = np.where(in_engine & in_dense, gaps,
-                     np.where(in_engine, engine.prob[e], prob))
+                     np.where(in_engine, engine.prob[e], dense.prob[d]))
     return float(error.max())
 
 
 def check_syndrome_measurement(sizes: tuple[int, ...], count: int,
                                rng: np.random.Generator) -> CheckResult:
-    """Engine syndrome distribution vs dense two-sided generator measurements.
+    """`stabilizer.run`'s syndrome probabilities, the s and prob columns
+    `run-code` prints (a syndrome it leaves out reads 0), vs dense
+    two-sided generator measurements.
 
     Also checks that the first side's raw outcomes are uniform, which is
     why only the outcome difference is modelled at the label level.
@@ -86,7 +87,8 @@ def check_syndrome_measurement(sizes: tuple[int, ...], count: int,
         state, proto = equivalence.random_instance(rng, sizes)
         joint = oracle.simulate_syndrome_measurement(state, proto.generators)
         diff = oracle.syndrome_difference_distribution(joint)
-        engine = stabilizer.syndrome_distribution(state, proto)
+        branches = stabilizer.run(state, proto)
+        engine = np.bincount(branches.s, weights=branches.prob, minlength=diff.size)
         worst = max(worst, float(np.max(np.abs(engine - diff))))
         marginal = joint.sum(axis=1)
         worst = max(worst, float(np.max(np.abs(marginal - 1.0 / len(marginal)))))

@@ -4,27 +4,30 @@ Everything label-level in this package is cross-checked here against
 explicit complex matrices: Pauli words, Bell-product vectors, pairwise
 computational-basis measurements, and two-sided generator measurements.
 Pauli words are built by `pauli_matrix` alone; Bell-product vectors, and
-the Bell basis column by column, are built from them.  The register holds one side's qubits 1..n followed by the other side's
-qubits 1..n (pair i spans position i on both sides), most significant bit
-first, so state vectors have dimension 4**n.
+the Bell basis column by column, are built from them.  The register holds
+one side's qubits 1..n followed by the other side's qubits 1..n (pair i
+spans position i on both sides), most significant bit first, so state
+vectors have dimension 4**n.
 
 All comparisons against the rest of the package go through projectors or
 outcome probabilities; global phases are never compared.
 
 The pairwise parity measurement builds only the blocks of
 rho = U diag(p) U^H (U the Bell basis) that its outcomes sum, from the
-gathered rows of U; the generator measurement contracts the whole rho
-(`density_matrix`).
+gathered rows of U, and returns its outcomes as the columns t, prob,
+output and bell_offdiag of a `permutation.BranchSet`, used only as a
+container: it calls none of the engines' code.  The generator
+measurement contracts the whole rho (`density_matrix`).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2 import BinaryVector
+from .permutation import BranchSet
 from .states import BellDiagonalState
 
 # At the cap the Bell basis, and the density matrix the generator measurement
@@ -95,24 +98,19 @@ def density_matrix(state: BellDiagonalState) -> np.ndarray:
     return (basis * state.probs) @ basis.conj().T
 
 
-@dataclass(frozen=True)
-class ParityBranch:
-    """One joint parity outcome of measuring the trailing pairs."""
-
-    t: BinaryVector
-    prob: float
-    probs: np.ndarray          # kept pairs re-expanded in the Bell basis
-    bell_offdiag: float        # largest off-diagonal magnitude, should vanish
-
-
 def simulate_parity_measurement(state: BellDiagonalState,
-                                kept: int) -> list[ParityBranch]:
+                                kept: int) -> BranchSet:
     """Measure both qubits of each trailing pair and compare the sides.
 
     Projects every qubit of the last n-kept pairs onto the computational
     basis on both sides, records whether the sides agree (outcome bit 0)
     or differ (bit 1) per pair, and re-expands each post-measurement state
-    in the kept pairs' Bell basis.
+    in the kept pairs' Bell basis.  Returns a `BranchSet` with one row per
+    outcome t of nonzero probability: t, its probability prob, the
+    post-measurement state's Bell-basis diagonal over prob as output, and
+    bell_offdiag, the largest off-diagonal magnitude, which should vanish.
+    The output rows are not renormalized or clipped, so they can hold tiny
+    negative entries: read them as a column, not by iterating the set.
 
     Outcome t leaves the sum over alpha of the blocks of rho whose rows
     and columns read alpha on side A's measured qubits and alpha ^ t on
@@ -159,9 +157,10 @@ def simulate_parity_measurement(state: BellDiagonalState,
     on_diagonal = np.arange(block)
     bell_form[:, on_diagonal, on_diagonal] = 0.0
     offdiag = np.abs(bell_form).max(axis=(1, 2))
-    return [ParityBranch(t=BinaryVector(t, k), prob=float(probs[t]),
-                         probs=diag[t] / probs[t], bell_offdiag=float(offdiag[t]))
-            for t in np.flatnonzero(probs > 0.0).tolist()]
+    live = np.flatnonzero(probs > 0.0)
+    return BranchSet(m, {"t": k}, {"t": live, "prob": probs[live],
+                                   "output": diag[live] / probs[live, None],
+                                   "bell_offdiag": offdiag[live]})
 
 
 def simulate_syndrome_measurement(state: BellDiagonalState,

@@ -94,8 +94,9 @@ class BranchSet:
     `columns` maps each field name, label first, to its column, and each
     column reads as an attribute of the set (`branches.prob`).  Label
     columns hold int64 label values of the bit lengths in `widths`,
-    `accepted` and `coset_match` are bool, `output` holds one normalized
-    row of 4**m weights per branch, and the other columns are float64.
+    `accepted` and `coset_match` are bool, `output` holds one row of 4**m
+    weights per branch (normalized where the engines build it), and the
+    other columns are float64.
     `len` and iteration give the branches row by row as named tuples of
     the columns, labels as `BinaryVector`s and outputs as `BellDiagonalState`s.
     """

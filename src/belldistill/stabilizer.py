@@ -11,8 +11,8 @@ XOR s of the two outcome strings is informative.  At the label level:
 
 Logical output labels need a basis choice inside the complement.  A
 protocol holds it as its relabeling, the permutation protocol (A, b) with
-A = B^-1 = P B^T P for a symplectic completion B of the generators (its
-`frame`), so row i of A is column i+n (mod 2n) of B, halves swapped.  The
+A = B^-1 = P B^T P for a symplectic completion B of the generators (the
+frame), so row i of A is column i+n (mod 2n) of B, halves swapped.  The
 syndrome and logical bits of x are the inner products <g_i, x> and those
 with B's partner columns, bits of A x, plus those of b, so `run` fills its
 table with the permutation engine's label map of (A, b), reads the
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import gf2
 from .gf2 import BinaryMatrix, BinaryVector, Subspace
-from .permutation import BranchSet, PermutationProtocol, _branches, branch_table
+from .permutation import BranchSet, PermutationProtocol, _branches
 from .states import BellDiagonalState
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
@@ -98,11 +98,6 @@ class StabilizerProtocol:
                               generators=relabeling.generators, relabeling=relabeling)
         return proto
 
-    @property
-    def frame(self) -> BinaryMatrix:
-        """B = A^-1 = P A^T P, with generator i in column m+i."""
-        return gf2._inverse(self.relabeling.matrix)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, StabilizerProtocol) and self.relabeling == other.relabeling
 
@@ -128,21 +123,6 @@ def syndrome_of_error(generators: "tuple[BinaryVector, ...] | list[BinaryVector]
 
 def generator_span(proto: StabilizerProtocol) -> Subspace:
     return Subspace.from_vectors(proto.generators, length=2 * proto.n)
-
-
-def syndrome_distribution(state: BellDiagonalState,
-                          proto: StabilizerProtocol) -> np.ndarray:
-    """Probability of each syndrome, indexed by its packed integer value.
-
-    Only the XOR of the two sides' outcome strings is modelled: one side's
-    raw outcomes are uniform and carry no information (the dense oracle
-    demonstrates this).  The relabeling's offset b flips syndrome bits.
-    """
-    if state.n != proto.n:
-        raise ValueError("state and protocol disagree on the pair count")
-    n, m, b = proto.n, proto.m, proto.relabeling.offset.value
-    label_map = BinaryMatrix(proto.relabeling.matrix.rows[n + m:], 2 * n)
-    return branch_table(state, label_map, b & ((1 << (n - m)) - 1), 0).sum(axis=1)
 
 
 def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
@@ -215,5 +195,5 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
 __all__ = [
     "StabilizerProtocol", "parse_pauli_string", "to_pauli_string",
     "pauli_letters", "syndrome_of_error",
-    "generator_span", "syndrome_distribution", "optimal_recovery", "run",
+    "generator_span", "optimal_recovery", "run",
 ]

@@ -62,7 +62,7 @@ def test_criterion_1_recurrence_fixture():
             state.permute(BCNOT), 1)}[0]
         assert abs(dense.prob - 13 / 18) <= 1e-10
         for label, value in expected.items():
-            assert abs(dense.probs[label] - value) <= 1e-10
+            assert abs(dense.output.probs[label] - value) <= 1e-10
         assert time.perf_counter() - start < 1.0
 
 

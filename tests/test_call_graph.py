@@ -1,0 +1,58 @@
+"""Who calls the branch-table kernel, counted with `ast` over the package.
+
+`permutation.branch_table` has one caller, `permutation._branches`, and
+that has two, the engines' `run`s: both engines read their branches off
+the same table, and nothing else in the package builds one.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import belldistill
+
+
+def callers(source: str, module: str) -> dict[str, set[str]]:
+    """Name called (a plain name or an attribute) -> the functions whose
+    bodies call it, as module.function or module.Class.method."""
+    found = defaultdict(set)
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is not None:
+                    found[name].add(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_counting_rules():
+    source = """
+import m
+f()
+def g():
+    m.f(h())
+    def inner():
+        return f
+class C:
+    def run(self):
+        return self.f()
+"""
+    assert callers(source, "mod") == {"f": {"mod", "mod.g", "mod.C.run"},
+                                      "h": {"mod.g"}}
+
+
+def test_the_engines_are_the_branch_tables_only_front_ends():
+    found = defaultdict(set)
+    for path in Path(belldistill.__file__).parent.glob("*.py"):
+        for name, where in callers(path.read_text(), path.stem).items():
+            found[name] |= where
+    assert found["branch_table"] == {"permutation._branches"}
+    assert found["_branches"] == {"permutation.run", "stabilizer.run"}

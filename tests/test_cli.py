@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,28 @@ def test_sweep_improves_fidelity(capsys):
         code, out, _ = invoke(capsys, "sweep", "--generators", "ZZ", "--grid", grid)
         assert code == 0
         assert [row["f_in"] for row in json.loads(out)["records"]] == points
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-perm", "--matrix", BCNOT, "-m", "1", "--werner", "0.2"],
+    ["sweep", "--generators", "ZZ", "--grid", "0.1,0.2,0.8"],
+    ["verify", "--generators", "ZZ", "--werner", "0.2"],
+])
+def test_a_warning_is_one_stderr_line(capsys, argv):
+    display = warnings.showwarning
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and json.loads(out)["command"] == argv[0]
+    assert err == "warning: Werner fidelity below 1/4: state is not distillable\n"
+    assert warnings.showwarning is display  # library callers keep their own
+
+
+def test_other_warnings_keep_the_callers_filters(capsys, monkeypatch):
+    def warn(args):
+        warnings.warn("from numpy", RuntimeWarning)
+
+    monkeypatch.setattr("belldistill.cli._apply_config", warn)
+    with pytest.raises(RuntimeWarning):  # pytest turns warnings into errors
+        invoke(capsys, "verify", "--generators", "ZZ", "--werner", "0.8")
 
 
 def test_oracle_check(capsys):

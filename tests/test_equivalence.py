@@ -230,7 +230,8 @@ def test_coset_match_equals_the_literal_span_test(monkeypatch, edit_columns, rng
                           rng.integers(0, 1 << (2 * n), perm.t.size))
         shift_recoveries(monkeypatch, edit_columns, shifts)
         code = stabilizer.run(state, proto)
-        expected = [span.contains(proto.frame @ embed_label(
+        frame = gf2.symplectic_inverse(proto.relabeling.matrix)
+        expected = [span.contains(frame @ embed_label(
                         BinaryVector(c, 2 * m), BinaryVector(t, n - m), n, m)
                         ^ BinaryVector(u, 2 * n))
                     for t, c, u in zip(perm.t.tolist(), perm.correction.tolist(),

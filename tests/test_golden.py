@@ -6,8 +6,9 @@ as a matrix and as files, a state file with zero and subnormal weights
 (floats printed one by one inside the one-pass kernel), an n=8 m=4 engine
 pair (the one-pass kernel), an n=13 m=1 engine pair (4096 small records
 written in several blocks), an n=10 m=5 engine pair (32 records of 1024
-floats, so float arrays that span several blocks) and refusals.  A change that alters any byte of
-these outputs fails here.  When the change is meant, re-pin with
+floats, so float arrays that span several blocks), a warning and
+refusals.  A change that alters any byte of these outputs fails here.
+When the change is meant, re-pin with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
@@ -108,6 +109,9 @@ CASES = {
             "--grid", "0.55:0.95:0.05"),
     "sweep-iy-json": ["sweep", "--generators", "IY", "-m", "1", "--grid", "0.7",
                       "--rounds", "3"],
+    # A warning: one `warning:` line on stderr, exit 0.
+    "warning-low-werner-json": ["run-perm", "--matrix", BCNOT, "-m", "1",
+                                "--werner", "0.2"],
     # Refusals: one error line, exit 1.
     "refuse-non-symplectic": ["run-perm", "--matrix", "1100,0100,0010,0010",
                               "-m", "1", "--werner", "0.75"],

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from belldistill import crosscheck, gf2, oracle, permutation
+from belldistill import crosscheck, gf2, oracle, permutation, stabilizer
 from belldistill.gf2 import BinaryVector
 from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
 
@@ -161,10 +161,10 @@ def test_parity_measurement_point_mass():
     state = BellDiagonalState.point_mass(2)
     branches = oracle.simulate_parity_measurement(state, 1)
     assert len(branches) == 1
-    only = branches[0]
+    only, = branches
     assert only.t == vec("0")
     assert only.prob == pytest.approx(1.0, abs=1e-12)
-    assert only.probs == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
+    assert only.output.probs == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
 
 
 def test_parity_measurement_werner_unpermuted(werner2):
@@ -173,7 +173,7 @@ def test_parity_measurement_werner_unpermuted(werner2):
     assert branches[0].prob == pytest.approx(5 / 6, abs=1e-12)
     assert branches[1].prob == pytest.approx(1 / 6, abs=1e-12)
     for b in branches.values():
-        assert b.probs == pytest.approx([0.75, 1 / 12, 1 / 12, 1 / 12], abs=1e-12)
+        assert b.output.probs == pytest.approx([0.75, 1 / 12, 1 / 12, 1 / 12], abs=1e-12)
         assert b.bell_offdiag < 1e-10
 
 
@@ -182,12 +182,12 @@ def test_parity_measurement_werner_after_bcnot(bcnot, werner2):
     branches = {b.t.value: b for b in oracle.simulate_parity_measurement(relabeled, 1)}
     assert branches[0].prob == pytest.approx(13 / 18, abs=1e-12)
     assert branches[1].prob == pytest.approx(5 / 18, abs=1e-12)
-    assert branches[0].probs == pytest.approx(
+    assert branches[0].output.probs == pytest.approx(
         [41 / 52, 1 / 52, 9 / 52, 1 / 52], abs=1e-12)
-    assert branches[1].probs == pytest.approx([0.25] * 4, abs=1e-12)
+    assert branches[1].output.probs == pytest.approx([0.25] * 4, abs=1e-12)
     for b in branches.values():
         assert b.bell_offdiag < 1e-10
-        assert b.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert b.output.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_parity_measurement_preserves_bell_diagonality(rng):
@@ -200,7 +200,9 @@ def test_parity_measurement_preserves_bell_diagonality(rng):
 
 def full_rho_parity_measurement(state, kept):
     """The parity oracle as first written: the whole density matrix, then
-    one gather per outcome t and side pattern alpha, added in alpha order."""
+    one gather per outcome t and side pattern alpha, added in alpha order.
+    Returns the arrays of t, prob, output and bell_offdiag, one entry per
+    outcome of nonzero probability."""
     n = state.n
     m, k = kept, n - kept
     rho = oracle.density_matrix(state)
@@ -221,8 +223,8 @@ def full_rho_parity_measurement(state, kept):
         bell_form = kept_basis.conj().T @ acc @ kept_basis
         diag = np.real(np.diag(bell_form)).copy()
         offdiag = float(np.max(np.abs(bell_form - np.diag(np.diag(bell_form)))))
-        branches.append(oracle.ParityBranch(BinaryVector(t, k), prob, diag / prob, offdiag))
-    return branches
+        branches.append((t, prob, diag / prob, offdiag))
+    return tuple(map(np.array, zip(*branches)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -234,13 +236,12 @@ def test_parity_measurement_equals_the_full_density_matrix_reference(rng, n):
               BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))]
     for state in states:
         for kept in range(n + 1):
-            expected = full_rho_parity_measurement(state, kept)
+            t, prob, output, offdiag = full_rho_parity_measurement(state, kept)
             branches = oracle.simulate_parity_measurement(state, kept)
-            assert [b.t for b in branches] == [b.t for b in expected]
-            for got, want in zip(branches, expected):
-                assert abs(got.prob - want.prob) <= 1e-15
-                assert np.abs(got.probs - want.probs).max() <= 1e-15
-                assert abs(got.bell_offdiag - want.bell_offdiag) <= 1e-15
+            assert branches.t.tolist() == t.tolist()
+            assert np.abs(branches.prob - prob).max() <= 1e-15
+            assert np.abs(branches.output - output).max() <= 1e-15
+            assert np.abs(branches.bell_offdiag - offdiag).max() <= 1e-15
 
 
 @pytest.mark.parametrize("kept", [0, 1, 2, 3])
@@ -262,7 +263,7 @@ def test_parity_measurement_forms_no_full_density_matrix(monkeypatch, rng, kept)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(b.prob for b in branches) == pytest.approx(1.0, abs=1e-12)
+    assert branches.prob.sum() == pytest.approx(1.0, abs=1e-12)
     assert peak < 2 * gathered + full // 2
 
 
@@ -354,14 +355,11 @@ def test_bell_eigenvalue_check_forms_no_full_register_operator(monkeypatch):
 def test_parity_check_counts_a_missing_branch_as_its_probability(
         monkeypatch, edit_columns, module, name):
     # a branch that only one side reports is an error of its whole weight;
-    # the engine gives a branch set, the oracle a list of branches
+    # the engine and the oracle each give a branch set
     original, dropped = getattr(module, name), []
 
     def drop_first(*args):
         branches = original(*args)
-        if isinstance(branches, list):
-            dropped.append(branches[0].prob)
-            return branches[1:]
         dropped.append(float(branches.prob[0]))
         return edit_columns(branches, lambda _, column: column[1:])
 
@@ -369,3 +367,23 @@ def test_parity_check_counts_a_missing_branch_as_its_probability(
     result = crosscheck.check_parity_measurement((2,), 1, np.random.default_rng(5))
     assert result.max_error == dropped[0] > result.tolerance
     assert not result.passed
+
+
+def test_syndrome_check_reads_the_engines_probabilities(monkeypatch, edit_columns):
+    # 1e-6 of probability moved from one syndrome to another in the columns
+    # `stabilizer.run` returns, the numbers `run-code` prints, is an error
+    # the syndrome suite sees
+    original, moved = stabilizer.run, []
+
+    def shift(*args):
+        branches = original(*args)
+        moved.append(len(branches))
+        step = np.zeros(len(branches))
+        step[:2] = -1e-6, 1e-6
+        return edit_columns(branches, lambda name, column:
+                            column + step if name == "prob" else column)
+
+    monkeypatch.setattr(stabilizer, "run", shift)
+    result = crosscheck.check_syndrome_measurement((2,), 1, np.random.default_rng(5))
+    assert moved[0] >= 2
+    assert result.max_error > result.tolerance

@@ -482,7 +482,8 @@ def test_branch_set_columns_equal_the_dense_oracle(rng):
                 assert branches.t.tolist() == sorted(dense)
                 for row, t in enumerate(branches.t.tolist()):
                     assert branches.prob[row] == pytest.approx(dense[t].prob, abs=1e-12)
-                    assert branches.output[row] == pytest.approx(dense[t].probs, abs=1e-12)
+                    assert branches.output[row] == pytest.approx(dense[t].output.probs,
+                                                                  abs=1e-12)
                     assert dense[t].bell_offdiag <= 1e-12
 
 

@@ -415,21 +415,34 @@ def assert_decimal_correctly_rounded(values, masked):
 
 def test_decimal_at_the_edges_of_the_half_way_window():
     # Found by a search over random doubles in [1e-3, 1e3].
-    window = Fraction(cli._HALF_WINDOW, 2 ** cli._FRAC_BITS)
+    unit = Fraction(1, 2 ** cli._FRAC_BITS)
+    window = cli._HALF_WINDOW * unit
     inside = [910.2558559602885, 897.9169953068415, 758.4036120930175]
-    outside = [884.5026298049155, 997.2412943710425, 758.6442983799285]
+    # Just beyond where the product's error, under half a unit, could move
+    # the truncated fraction into the window: more than half a unit below
+    # it, or more than 1.5 units above it, so the window never masks them.
+    below = [10.72717629817625, 27.21654074499045]
+    above = [7.971316023703225, 0.03977368298171325]
+    outside = below + above
+    # Just past the window's edge, within the product's error of it.
+    edge = [884.5026298049155, 997.2412943710425, 758.6442983799285]
     # The long double product rounds the other way than the exact one.
     flipped = [564.1167661994225, 648.5592503951965, 68.28025318676805]
-    off_half = {x: abs(scaled(x) % 1 - Fraction(1, 2)) for x in inside + outside + flipped}
+    off_half = {x: abs(scaled(x) % 1 - Fraction(1, 2)) for x in inside + edge + flipped}
     assert all(0.9 * window < off_half[x] <= window for x in inside)
-    assert all(window < off_half[x] < 1.1 * window for x in outside)
+    assert all(window < off_half[x] < 1.1 * window for x in edge)
     assert all(off_half[x] < window / 16 for x in flipped)
+    signed = {x: scaled(x) % 1 - Fraction(1, 2) for x in outside}
+    assert all(-window - unit < signed[x] < -window - unit / 2 for x in below)
+    assert all(window + 3 * unit / 2 < signed[x] < window + 2 * unit for x in above)
+    if cli._WIDE_LONGDOUBLE:  # so their digits are compared with "%.14e"
+        assert not cli._decimal(np.array(outside))[2].any()
     if cli._WIDE_LONGDOUBLE:
         for x in flipped:
             product = np.longdouble(x) * cli._tables().pow10[14 - math.floor(math.log10(x))]
             assert (Fraction(*product.as_integer_ratio()) % 1 >= Fraction(1, 2)) != \
                 (scaled(x) % 1 > Fraction(1, 2)), x
-    assert_decimal_correctly_rounded(inside + outside + flipped, inside + flipped)
+    assert_decimal_correctly_rounded(inside + outside + edge + flipped, inside + flipped)
 
 
 def test_decimal_just_below_powers_of_ten():

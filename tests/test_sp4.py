@@ -15,7 +15,7 @@ import functools
 import numpy as np
 import pytest
 
-from belldistill import crosscheck, oracle, permutation, stabilizer
+from belldistill import crosscheck, gf2, oracle, permutation, stabilizer
 from belldistill.equivalence import (permutation_from_stabilizer,
                                      stabilizer_from_permutation, verify_equivalence)
 from belldistill.gf2 import BinaryMatrix, BinaryVector
@@ -24,7 +24,7 @@ from belldistill.stabilizer import StabilizerProtocol
 from belldistill.states import BellDiagonalState, werner
 
 from test_literature import dejmps
-from test_stabilizer import reference_labels
+from test_stabilizer import reference_labels, syndrome_distribution
 
 PAIR = BellDiagonalState(1, (0.5, 0.3, 0.15, 0.05))
 INPUTS = {
@@ -124,11 +124,11 @@ def test_syndrome_distribution_matches_the_dense_oracle(offset):
     worst = 0.0
     for a in sp4():
         code = stabilizer_from_permutation(PermutationProtocol(2, 1, a, b))
-        joint = oracle.simulate_syndrome_measurement(state.pauli_shift(code.frame @ b),
+        frame = gf2.symplectic_inverse(code.relabeling.matrix)
+        joint = oracle.simulate_syndrome_measurement(state.pauli_shift(frame @ b),
                                                      code.generators)
         dense = oracle.syndrome_difference_distribution(joint)
-        worst = max(worst, np.abs(stabilizer.syndrome_distribution(state, code)
-                                  - dense).max())
+        worst = max(worst, np.abs(syndrome_distribution(state, code) - dense).max())
     assert worst <= crosscheck.TOLERANCE
 
 

@@ -17,7 +17,6 @@ from belldistill.stabilizer import (
     parse_pauli_string,
     pauli_letters,
     run,
-    syndrome_distribution,
     syndrome_of_error,
     to_pauli_string,
 )
@@ -145,8 +144,16 @@ def test_syndrome_of_span_element_is_zero(rng):
 
 
 # ---------------------------------------------------------------------------
-# syndrome_distribution
+# Syndrome distribution: `run`'s s and prob columns
 # ---------------------------------------------------------------------------
+
+def syndrome_distribution(state, proto):
+    """Probability of every syndrome, indexed by its value: `run`'s s and
+    prob columns spread over all 2^(n-m) syndromes, 0 where it has no branch."""
+    branches = run(state, proto)
+    return np.bincount(branches.s, weights=branches.prob,
+                       minlength=1 << (proto.n - proto.m))
+
 
 def test_syndrome_distribution_point_mass(zz_proto):
     dist = syndrome_distribution(BellDiagonalState.point_mass(2), zz_proto)
@@ -303,6 +310,7 @@ def test_run_labels_equal_per_branch_reduction(rng, random_frame):
             n, m, gf2.symplectic_inverse(random_frame(gens, n, rng))))
         span = generator_span(proto)
         perp = gf2.orthogonal_complement(span)
+        frame = gf2.symplectic_inverse(proto.relabeling.matrix)
         label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
         for state in (random_bell_diagonal(n, rng),
                       BellDiagonalState.from_pairs([werner(0.75)] * n),
@@ -310,7 +318,7 @@ def test_run_labels_equal_per_branch_reduction(rng, random_frame):
                       BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n))):
             for b in run(state, proto):
                 c = permutation.optimal_correction(b.output.probs)
-                lifted = [proto.frame @ permutation.embed_label(y, b.s, n, m)
+                lifted = [frame @ permutation.embed_label(y, b.s, n, m)
                           for y in (BinaryVector.zeros(2 * m), c)]
                 assert b.v.value == perp.reduce_value(lifted[0].value)
                 assert b.u.value == span.reduce_value(lifted[1].value)
