@@ -568,83 +568,50 @@ def _emit(args, columns: dict, summary: dict | None = None) -> None:
 # it is built, since a tiny step would otherwise exhaust memory.
 MAX_GRID_POINTS = 10_000
 
-_FORMATS = ("json", "csv")
-
-# Config keys and the JSON types their values may take (never a boolean).
 _NUMBER = (int, float)
-_CONFIG_KEYS = {
-    "werner": _NUMBER, "pair": str, "state_file": str, "protocol_file": str,
-    "generators": str, "matrix": str, "offset": str, "m": int,
-    "threshold": _NUMBER, "format": str, "output": str, "seed": int,
-    "rounds": int, "grid": (str, *_NUMBER), "random": int, "sizes": (str, int),
-    "count": int,
+
+# Option (its attribute) -> (flags, argparse keywords, the JSON types a
+# `--config` value may take, never a boolean (None: no config key), help).
+_OPTIONS = {
+    "protocol_file": (("--protocol-file",), {}, str, "JSON protocol: {n,m,A,b} with "
+                      "bit-string rows, or {n,m,generators} with Pauli strings"),
+    "generators": (("--generators",), {}, str,
+                   "comma-separated Pauli strings, e.g. ZZ or ZZII,XXII"),
+    "matrix": (("--matrix",), {}, str,
+               "comma-separated bit-string rows of a symplectic matrix"),
+    "offset": (("--offset",), {}, str,
+               "bit-string relabeling offset (default all zero)"),
+    "m": (("-m",), {"type": int}, int,
+          "number of surviving pairs (required with --matrix)"),
+    "threshold": (("--threshold",), {"type": float}, _NUMBER,
+                  "acceptance threshold (default: input fidelity)"),
+    "werner": (("--werner",), {"type": float}, _NUMBER,
+               "build the input from identical Werner pairs of this fidelity"),
+    "pair": (("--pair",), {}, str,
+             "four comma-separated pair weights (labels 00,01,10,11)"),
+    "state_file": (("--state-file",), {}, str,
+                   "JSON file {n, probs} with the full input distribution"),
+    "config": (("--config",), {}, None, "JSON file supplying any of the other options"),
+    "format": (("--format",), {"choices": ("json", "csv")}, str,
+               "output format (default json)"),
+    "output": (("--output", "-o"), {}, str, "output file (default stdout); relative "
+               "paths use BELLDISTILL_OUTDIR when set"),
+    "random": (("--random",), {"type": int}, int,
+               "verify this many random instances instead"),
+    "sizes": (("--sizes",), {}, (str, int), "comma-separated pair counts (default 2,3,4 "
+              "in verify --random; 2,3 in oracle-check)"),
+    "seed": (("--seed",), {"type": int}, int, "random seed (default 0)"),
+    "grid": (("--grid",), {}, (str, *_NUMBER),
+             "fidelity grid: lo:hi:step or comma-separated values"),
+    "rounds": (("--rounds",), {"type": int}, int, "rounds per grid point"),
+    "count": (("--count",), {"type": int}, int, "random cases per suite (default 50)"),
 }
 
-
-def _add_io_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file supplying any of the other options")
-    p.add_argument("--format", choices=_FORMATS, default=None,
-                   help="output format (default json)")
-    p.add_argument("--output", "-o", default=None,
-                   help="output file (default stdout); relative paths use "
-                        "BELLDISTILL_OUTDIR when set")
-
-
-def _add_input_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--werner", type=float, default=None,
-                   help="build the input from identical Werner pairs of this fidelity")
-    p.add_argument("--pair", default=None,
-                   help="four comma-separated pair weights (labels 00,01,10,11)")
-    p.add_argument("--state-file", default=None,
-                   help="JSON file {n, probs} with the full input distribution")
-
-
-def _add_protocol_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--protocol-file", default=None,
-                   help="JSON protocol: {n,m,A,b} with bit-string rows, or "
-                        "{n,m,generators} with Pauli strings")
-    p.add_argument("--generators", default=None,
-                   help="comma-separated Pauli strings, e.g. ZZ or ZZII,XXII")
-    p.add_argument("--matrix", default=None,
-                   help="comma-separated bit-string rows of a symplectic matrix")
-    p.add_argument("--offset", default=None,
-                   help="bit-string relabeling offset (default all zero)")
-    p.add_argument("-m", type=int, default=None,
-                   help="number of surviving pairs (required with --matrix)")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="acceptance threshold (default: input fidelity)")
-
-
-def _engine_options(p: argparse.ArgumentParser) -> None:
-    _add_protocol_options(p)
-    _add_input_options(p)
-    _add_io_options(p)
-
-
-def _verify_options(p: argparse.ArgumentParser) -> None:
-    _engine_options(p)
-    p.add_argument("--random", type=int, default=None,
-                   help="verify this many random instances instead")
-    p.add_argument("--sizes", default=None,
-                   help="comma-separated pair counts for --random (default 2,3,4)")
-    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-
-
-def _sweep_options(p: argparse.ArgumentParser) -> None:
-    _add_protocol_options(p)
-    _add_io_options(p)
-    p.add_argument("--grid", default=None,
-                   help="fidelity grid: lo:hi:step or comma-separated values")
-    p.add_argument("--rounds", type=int, default=None, help="rounds per grid point")
-
-
-def _oracle_options(p: argparse.ArgumentParser) -> None:
-    _add_io_options(p)
-    p.add_argument("--sizes", default=None,
-                   help="comma-separated pair counts (default 2,3)")
-    p.add_argument("--count", type=int, default=None,
-                   help="random cases per suite (default 50)")
-    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+# The option groups commands share, in the order `--help` lists them.
+_PROTOCOL = ("protocol_file", "generators", "matrix", "offset", "m")
+_INPUT = ("werner", "pair", "state_file")
+_IO = ("config", "format", "output")
+_ENGINE = (*_PROTOCOL, "threshold", *_INPUT, *_IO)
 
 
 def _read_json_object(path: str, what: str) -> dict:
@@ -682,16 +649,18 @@ def _apply_config(args: argparse.Namespace) -> None:
         return
     for key, value in _read_json_object(config_path, "config").items():
         attr = key.replace("-", "_")
-        if attr not in _CONFIG_KEYS:
+        _flags, parse, kinds, _help = _OPTIONS.get(attr, ((), {}, None, ""))
+        if kinds is None:
             raise CliError(f"unknown config key {key!r}")
         if not hasattr(args, attr):  # argparse sets every option of the command
             raise CliError(f"{args.command} has no option for config key {key!r}")
-        if value is not None and not _is_a(value, _CONFIG_KEYS[attr]):
+        if value is not None and not _is_a(value, kinds):
             raise CliError(f"config key {key!r} has a value of the wrong type")
-        if attr == "format" and value not in (None, *_FORMATS):
-            raise CliError(f"config key 'format' must be one of "
-                           f"{', '.join(_FORMATS)}, got {value!r}")
-        if getattr(args, attr, None) is None:
+        choices = parse.get("choices")
+        if choices and value not in (None, *choices):
+            raise CliError(f"config key {key!r} must be one of "
+                           f"{', '.join(choices)}, got {value!r}")
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
 
 
@@ -866,17 +835,13 @@ def _cmd_run_code(args) -> int:
     return 0
 
 
-# Options only one of verify's two modes reads: the single instance's
-# protocol and input, and the random batch's draw.
-_INSTANCE_FLAGS = ("--protocol-file", "--generators", "--matrix", "--offset", "-m",
-                   "--werner", "--pair", "--state-file")
-_BATCH_FLAGS = ("--seed", "--sizes")
-
-
 def _cmd_verify(args) -> int:
     batch = args.random is not None
-    for flag in _INSTANCE_FLAGS if batch else _BATCH_FLAGS:
-        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
+    # Options only one of verify's two modes reads: the single instance's
+    # protocol and input, and the random batch's draw.
+    for name in _PROTOCOL + _INPUT if batch else ("seed", "sizes"):
+        if getattr(args, name) is not None:
+            flag = _OPTIONS[name][0][0]
             raise CliError(f"{flag} cannot be combined with --random" if batch
                            else f"{flag} needs --random")
     if batch:
@@ -963,15 +928,15 @@ def _cmd_oracle_check(args) -> int:
     return 0 if all_passed else 2
 
 
-# name -> (help text, option adder, handler)
+# name -> (help text, options, handler)
 _COMMANDS = {
-    "run-perm": ("run the relabeling protocol", _engine_options, _cmd_run_perm),
-    "run-code": ("run the generator-measurement protocol", _engine_options,
-                 _cmd_run_code),
-    "verify": ("cross-check the two engines", _verify_options, _cmd_verify),
-    "sweep": ("recurrence rounds over a Werner-fidelity grid", _sweep_options,
-              _cmd_sweep),
-    "oracle-check": ("dense-simulation comparison suites", _oracle_options,
+    "run-perm": ("run the relabeling protocol", _ENGINE, _cmd_run_perm),
+    "run-code": ("run the generator-measurement protocol", _ENGINE, _cmd_run_code),
+    "verify": ("cross-check the two engines", (*_ENGINE, "random", "sizes", "seed"),
+               _cmd_verify),
+    "sweep": ("recurrence rounds over a Werner-fidelity grid",
+              (*_PROTOCOL, "threshold", *_IO, "grid", "rounds"), _cmd_sweep),
+    "oracle-check": ("dense-simulation comparison suites", (*_IO, "sizes", "count", "seed"),
                      _cmd_oracle_check),
 }
 
@@ -982,8 +947,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "entanglement distillation protocols on "
                                  "Bell-diagonal states.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options, _handler) in _COMMANDS.items():
-        add_options(sub.add_parser(name, help=help_text))
+    for name, (help_text, options, _handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option in options:
+            flags, parse, _kinds, option_help = _OPTIONS[option]
+            command.add_argument(*flags, dest=option, help=option_help, **parse)
     return parser
 
 
@@ -993,10 +961,10 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  The low-Werner-fidelity warning is printed once
-    per place as one `warning:` line on stderr; every other warning keeps
+    per value as one `warning:` line on stderr; every other warning keeps
     the caller's filters, and library callers keep their own display."""
     with warnings.catch_warnings():
-        warnings.filterwarnings("default", message="Werner fidelity below 1/4",
+        warnings.filterwarnings("default", message="Werner fidelity .* is below 1/4",
                                 category=UserWarning)
         warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                           file=sys.stderr)

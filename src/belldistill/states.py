@@ -53,7 +53,7 @@ def werner(fidelity: float) -> "BellDiagonalState":
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity {fidelity} outside [0, 1]")
     if fidelity < 0.25:
-        warnings.warn("Werner fidelity below 1/4: state is not distillable",
+        warnings.warn(f"Werner fidelity {fidelity} is below 1/4: state is not distillable",
                       stacklevel=2)
     rest = (1.0 - fidelity) / 3.0
     return BellDiagonalState(1, (fidelity, rest, rest, rest))

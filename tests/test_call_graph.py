@@ -1,8 +1,10 @@
-"""Who calls the branch-table kernel, counted with `ast` over the package.
+"""Who calls what, counted with `ast` over the package.
 
 `permutation.branch_table` has one caller, `permutation._branches`, and
 that has two, the engines' `run`s: both engines read their branches off
-the same table, and nothing else in the package builds one.
+the same table, and nothing else in the package builds one.  Each CLI
+option is declared once: `cli.build_parser` is the one caller of
+`add_argument`.
 """
 
 import ast
@@ -56,3 +58,10 @@ def test_the_engines_are_the_branch_tables_only_front_ends():
             found[name] |= where
     assert found["branch_table"] == {"permutation._branches"}
     assert found["_branches"] == {"permutation.run", "stabilizer.run"}
+
+
+def test_options_are_added_to_the_parser_in_one_place():
+    package = Path(belldistill.__file__).parent
+    found = set().union(*(callers(path.read_text(), path.stem)["add_argument"]
+                          for path in package.glob("*.py")))
+    assert found == {"cli.build_parser"}

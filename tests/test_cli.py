@@ -1,5 +1,6 @@
 """Command-line surface: formats, file configs, determinism, exit codes."""
 
+import argparse
 import collections
 import contextlib
 import csv
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from belldistill import equivalence, gf2, permutation, stabilizer
-from belldistill.cli import _CONFIG_KEYS, main
+from belldistill.cli import _OPTIONS, build_parser, main
 from belldistill.states import BellDiagonalState, werner
 
 BCNOT = "1100,0100,0010,0011"
@@ -226,7 +227,9 @@ def test_a_warning_is_one_stderr_line(capsys, argv):
     display = warnings.showwarning
     code, out, err = invoke(capsys, *argv)
     assert code == 0 and json.loads(out)["command"] == argv[0]
-    assert err == "warning: Werner fidelity below 1/4: state is not distillable\n"
+    lows = ["0.1", "0.2"] if argv[0] == "sweep" else ["0.2"]
+    assert err == "".join(f"warning: Werner fidelity {f} is below 1/4: state is not "
+                          "distillable\n" for f in lows)
     assert warnings.showwarning is display  # library callers keep their own
 
 
@@ -490,6 +493,62 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
     assert "'werner'" in err
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _dests(command: argparse.ArgumentParser) -> list[str]:
+    return [action.dest for action in command._actions if action.dest != "help"]
+
+
+def test_each_commands_options_are_pinned():
+    assert {name: [flag for action in command._actions for flag in action.option_strings]
+            for name, command in _subparsers().items()} == {
+        "run-perm": ["-h", "--help", "--protocol-file", "--generators", "--matrix",
+                     "--offset", "-m", "--threshold", "--werner", "--pair",
+                     "--state-file", "--config", "--format", "--output", "-o"],
+        "run-code": ["-h", "--help", "--protocol-file", "--generators", "--matrix",
+                     "--offset", "-m", "--threshold", "--werner", "--pair",
+                     "--state-file", "--config", "--format", "--output", "-o"],
+        "verify": ["-h", "--help", "--protocol-file", "--generators", "--matrix",
+                   "--offset", "-m", "--threshold", "--werner", "--pair", "--state-file",
+                   "--config", "--format", "--output", "-o", "--random", "--sizes",
+                   "--seed"],
+        "sweep": ["-h", "--help", "--protocol-file", "--generators", "--matrix",
+                  "--offset", "-m", "--threshold", "--config", "--format", "--output",
+                  "-o", "--grid", "--rounds"],
+        "oracle-check": ["-h", "--help", "--config", "--format", "--output", "-o",
+                         "--sizes", "--count", "--seed"],
+    }
+
+
+def test_every_config_key_is_checked_against_the_parser(tmp_path, capsys, monkeypatch):
+    """A `true` config value for each option of any command: the wrong type
+    where the command has the option, no option where it has not, and an
+    unknown key for `config`.  Each is refused before anything runs."""
+    def ran(args):
+        raise AssertionError(f"{args.command} got past its config")
+
+    monkeypatch.setattr("belldistill.cli._refuse_ignored", ran)
+    commands = _subparsers()
+    dests = {dest for command in commands.values() for dest in _dests(command)}
+    assert set(_OPTIONS) == dests
+    config = tmp_path / "config.json"
+    for name, command in commands.items():
+        for dest in sorted(dests):
+            config.write_text(json.dumps({dest: True}))
+            code, out, err = invoke(capsys, name, "--config", str(config))
+            if dest == "config":
+                expected = f"unknown config key {dest!r}"
+            elif dest in _dests(command):
+                expected = f"config key {dest!r} has a value of the wrong type"
+            else:
+                expected = f"{name} has no option for config key {dest!r}"
+            assert (code, out, err) == (1, "", f"error: {expected}\n")
+
+
 _LEAF = (st.none() | st.booleans() | st.integers(-1, 4) | st.floats(-1, 2)
          | st.text(alphabet="IXYZ01,.:-", max_size=5))
 _JSON = st.recursive(
@@ -508,9 +567,12 @@ _STATES = _JSON | st.fixed_dictionaries({}, optional={
     "n": st.integers(-1, 3) | _LEAF,
     "probs": st.lists(st.floats(0, 1) | _LEAF, max_size=16) | _JSON,
 })
-# "output" would write files: it is the one config key left out.
+# The config keys: options with JSON types.  "output" would write files:
+# it is the one config key left out.
+_CONFIG_KEYS = {name for name, (_flags, _parse, kinds, _help) in _OPTIONS.items()
+                if kinds is not None}
 _CONFIGS = _JSON | st.dictionaries(
-    st.sampled_from(sorted(set(_CONFIG_KEYS) - {"output"})), _LEAF, max_size=3)
+    st.sampled_from(sorted(_CONFIG_KEYS - {"output"})), _LEAF, max_size=3)
 
 
 @st.composite
