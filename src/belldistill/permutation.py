@@ -12,7 +12,9 @@ one table, built from the input's factors by `branch_table`:
 
 Summed over y this is the branch probability (a coset sum over the
 symplectic complement of the measured subspace); each entry is a coset sum
-over the measured subspace.  The stabilizer engine runs `_branches` on
+over the measured subspace.  A product input's pairs past the dense head
+are folded into the table in place, one cache-sized block of whole cosets
+of their columns' span at a time.  The stabilizer engine runs `_branches` on
 its relabeling, so both engines read their branches off identical
 numbers.  The literal coset-sum formula is kept in `unnormalized_fidelity`.
 
@@ -212,6 +214,12 @@ def _corrections(rows: np.ndarray) -> np.ndarray:
 # table.
 _BLOCK_BITS = 16
 
+# Cells per block of the folds in `branch_table`: the few block-sized
+# buffers (2^15 floats, 256 KiB each) stay in cache together.  A fold
+# group's span takes at most _FOLD_BITS - 6 dimensions, so the block rows
+# of a table of 2^_FOLD_BITS cells or more hold at least 64 cells.
+_FOLD_BITS = 15
+
 
 def branch_table(state: BellDiagonalState, label_map: BinaryMatrix, offset: int,
                  m: int) -> np.ndarray:
@@ -221,16 +229,18 @@ def branch_table(state: BellDiagonalState, label_map: BinaryMatrix, offset: int,
     A factor over pairs i..j of the state sees the map's columns of those
     pairs: the phase columns i..j, then the parity columns n+i..n+j.  The
     first factor is scattered into the table (`_scatter`); each further
-    factor is folded in (`_fold`), since the image of a product of
+    factor is folded in (`_fold_cosets`), since the image of a product of
     independent factors is the XOR convolution of their images.  A dense
-    input is one factor, so its table is the scatter alone.  The folds
-    share one spare table and one term buffer: each fold writes into the
-    spare, which then becomes the table.
+    input is one factor, so its table is the scatter alone.  The folds go
+    in groups of consecutive factors whose columns span at most
+    _FOLD_BITS - 6 dimensions, and each group runs in place on one block
+    of whole cosets of its span at a time, so the table is the only
+    table-sized array.
     """
     n = state.n
     columns = label_map.column_values()
     table = np.zeros(1 << label_map.nrows)
-    spare = term = None
+    group: list[tuple[np.ndarray, tuple[int, ...]]] = []
     first = 0
     for factor in state.factors:
         k = factor.size.bit_length() // 2
@@ -238,11 +248,14 @@ def branch_table(state: BellDiagonalState, label_map: BinaryMatrix, offset: int,
         if first == 0:
             _scatter(table, factor, cols, offset)
         else:
-            if spare is None:
-                spare, term = np.empty_like(table), np.empty_like(table)
-            _fold(table, factor, cols, spare, term)
-            table, spare = spare, table
+            span = [c for _, group_cols in group for c in group_cols] + list(cols)
+            if group and len(gf2._rref(span, label_map.nrows)[0]) > _FOLD_BITS - 6:
+                _fold_cosets(table, group)
+                group = []
+            group.append((factor, cols))
         first += k
+    if group:
+        _fold_cosets(table, group)
     return table.reshape(-1, 1 << (2 * m))
 
 
@@ -266,30 +279,56 @@ def _scatter(table: np.ndarray, weights: np.ndarray, columns: tuple[int, ...],
         np.add.at(table, low ^ high, weights[c * low.size:(c + 1) * low.size])
 
 
-def _fold(table: np.ndarray, weights: np.ndarray, columns: tuple[int, ...],
-          out: np.ndarray, term: np.ndarray) -> None:
-    """Write into `out` the XOR convolution of the table with one factor
-    mapped by the given columns: sum over the factor's labels a of
-    weights[a] * table[y ^ A a].  `term` is a scratch buffer of the
-    table's size.
+def _fold_cosets(table: np.ndarray,
+                 folds: list[tuple[np.ndarray, tuple[int, ...]]]) -> None:
+    """Replace the table, in place, by its XOR convolution with each factor
+    in turn, mapped by the factor's columns: sum over the factor's labels a
+    of weights[a] * table[y ^ A a].
 
     For one pair that is p00 D + p01 D[y ^ c_par] + p10 D[y ^ c_ph]
     + p11 D[y ^ c_ph ^ c_par], added in that order.  All terms are
     nonnegative, so nothing cancels.  Zero weights add nothing and are
-    skipped.  XOR by a constant flips the axes of its set bits of the table
-    viewed as 2 x ... x 2 (the first axis the top bit), so each term is a
-    flipped view of the table, scaled into `term`: the same products,
+    skipped.
+
+    Every shift lies in S, the span of the columns, so the folds act on
+    each coset of S alone.  Cell (c, j) of a block of 2^_FOLD_BITS cells is
+    table[comb[c] ^ rep[j]], with comb[c] the combination c of the rows of
+    S's RREF basis (`gf2._rref`) and rep[j] a coset representative, zero at
+    the pivots.  A shift moves cell (c, j) to (c ^ s, j), s the shift's
+    pivot bits: it flips axes of the block viewed as 2 x ... x 2 x b, whole
+    rows of b cells at a time (numpy's ufunc buffer is no longer than a
+    row, so the flipped rows are read in place).  A product w * block is
+    formed once per distinct weight and read flipped: the same products,
     added in the same order, as a gather table[y ^ shift].
     """
     k = table.size.bit_length() - 1
-    view = table.reshape((2,) * k)
-    term = term.reshape(view.shape)
-    out.fill(0.0)
-    for w, shift in zip(weights.tolist(), gf2.affine_images(columns, 0).tolist()):
-        if w:
-            axes = tuple(k - 1 - b for b in range(k) if shift >> b & 1)
-            np.multiply(np.flip(view, axes), w, out=term)
-            out += term.reshape(-1)
+    basis, pivot_columns = gf2._rref([c for _, cols in folds for c in cols], k)
+    d = len(basis)
+    pivots = [k - 1 - p for p in pivot_columns]  # bit positions, top first
+    free = [1 << b for b in range(k - 1, -1, -1) if b not in pivots]
+    split = max(len(free) - _FOLD_BITS + d, 0)
+    cells = gf2.affine_images(basis, 0)[:, None] ^ gf2.affine_images(free[split:], 0)
+    steps = [[(w, tuple(i for i, p in enumerate(pivots) if s >> p & 1))
+              for w, s in zip(weights.tolist(), gf2.affine_images(cols, 0).tolist()) if w]
+             for weights, cols in folds]
+    index = np.empty_like(cells)
+    block, out, *products = (np.empty((2,) * d + (cells.shape[1],)) for _ in range(
+        2 + max(len({w for w, _ in terms[1:]}) for terms in steps)))
+    with np.errstate():
+        np.setbufsize(max(cells.shape[1], 16))
+        for high in gf2.affine_images(free[:split], 0).tolist():
+            np.bitwise_xor(cells, high, out=index)
+            # "clip" as the index is in range: "raise" would buffer `out`
+            table.take(index, out=block.reshape(index.shape), mode="clip")
+            for (w, axes), *terms in steps:
+                np.multiply(np.flip(block, axes), w, out=out)
+                formed: dict[float, np.ndarray] = {}
+                for w, axes in terms:
+                    if w not in formed:
+                        formed[w] = np.multiply(block, w, out=products[len(formed)])
+                    out += np.flip(formed[w], axes)
+                block, out = out, block
+            table[index] = block.reshape(index.shape)
 
 
 def branch_outcomes(table: np.ndarray, m: int, threshold: float) -> BranchSet:

@@ -6,9 +6,10 @@ as a matrix and as files, a state file with zero and subnormal weights
 (floats printed one by one inside the one-pass kernel), an n=8 m=4 engine
 pair (the one-pass kernel), an n=13 m=1 engine pair (4096 small records
 written in several blocks), an n=10 m=5 engine pair (32 records of 1024
-floats, so float arrays that span several blocks), a warning and
-refusals.  A change that alters any byte of these outputs fails here.
-When the change is meant, re-pin with
+floats, so float arrays that span several blocks), an n=10 m=1 engine
+pair whose folded pairs have degenerate shifts, a warning and refusals.
+A change that alters any byte of these outputs fails here.  When the
+change is meant, re-pin with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
@@ -41,6 +42,10 @@ CHAIN13 = ",".join("I" * i + "ZZ" + "I" * (11 - i) for i in range(12))
 # Z_iZ_{i+1} on 10 pairs, five of them measured: 32 records of 1024 floats,
 # each float array written in several blocks.
 CHAIN10 = ",".join("I" * i + "ZZ" + "I" * (8 - i) for i in range(5))
+# The 20 x 20 identity: with -m 1 the label map drops the phase column of
+# every measured pair, so each pair folded beyond the 8-pair head has
+# shifts {0, u, 0, u}.
+IDENTITY20 = ",".join("0" * i + "1" + "0" * (19 - i) for i in range(20))
 
 
 def _state_probs() -> list[float]:
@@ -90,6 +95,10 @@ CASES = {
             "--werner", "0.8"),
     **_both("run-code-n10m5", "run-code", "--generators", CHAIN10, "-m", "5",
             "--werner", "0.8"),
+    "run-perm-degenerate-folds-json": ["run-perm", "--matrix", IDENTITY20, "-m", "1",
+                                       "--werner", "0.9"],
+    "run-code-degenerate-folds-json": ["run-code", "--matrix", IDENTITY20, "-m", "1",
+                                       "--werner", "0.9"],
     "run-code-matrix-json": ["run-code", "--matrix", BCNOT, "-m", "1",
                              "--werner", "0.75", "--offset", "0000"],
     **_both("run-code-offset", "run-code", "--matrix", DEJMPS, "-m", "1",

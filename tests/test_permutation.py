@@ -1,5 +1,6 @@
 """Relabel-and-parity-check engine: frozen fixtures, literal coset-sum checks."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -398,28 +399,67 @@ def gather_fold(table, weights, columns):
     return out
 
 
+def degenerate_label_map(n, m, rng):
+    """Random columns, except that the folded pairs' columns are zero,
+    equal, or already in the span of earlier folded pairs' columns."""
+    columns = [int(rng.integers(0, 1 << (n + m))) for _ in range(2 * n)]
+    columns[8] = 0  # pair 8: a zero phase column
+    if n > 9:
+        columns[n + 9] = columns[9]  # pair 9: two equal columns
+    if n > 10:
+        columns[10] = columns[n + 8] ^ columns[9]  # pair 10: phase in the span
+    if n > 11:
+        columns[11], columns[n + 11] = columns[10], columns[n + 8]  # pair 11: both
+    return (BinaryMatrix(tuple(columns), n + m).transpose(),
+            int(rng.integers(0, 1 << (n + m))))
+
+
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
-def test_fold_bit_equals_the_gather(rng, n):
+def test_fold_bit_equals_the_gather(rng, monkeypatch, n):
     # pairs with zero weights, point masses and uniform pairs, beyond a
-    # Werner head, folded in one after another as `branch_table` does
+    # Werner head, folded in one after another by the per-term gather; with
+    # 2^8-cell blocks every table spans many blocks, and a group splits
+    # once its span outgrows 2 dimensions
+    groups = []
+    fold_cosets = permutation._fold_cosets
+    monkeypatch.setattr(permutation, "_fold_cosets",
+                        lambda table, folds: (groups.append(len(folds)),
+                                              fold_cosets(table, folds)))
     pairs = [werner(0.8)] * 8 + [BellDiagonalState(1, w) for w in (
         (0.7, 0.0, 0.3, 0.0), (0.0, 1.0, 0.0, 0.0), (0.25,) * 4, (0.6, 0.1, 0.0, 0.3))]
     state = BellDiagonalState.from_pairs(pairs[:n])
-    for m in (0, n // 2):
-        label_map, offset = random_label_map(n, m, rng)
-        columns = label_map.column_values()
-        table = np.zeros(1 << (n + m))
-        permutation._scatter(table, state.factors[0], columns[:8] + columns[n:n + 8],
-                             offset)
-        out, term = np.empty_like(table), np.empty_like(table)
-        for i, factor in enumerate(state.factors[1:], start=8):
-            pair_columns = (columns[i], columns[n + i])
-            expected = gather_fold(table, factor, pair_columns)
-            permutation._fold(table, factor, pair_columns, out, term)
-            table, out = out, table
-            assert np.array_equal(bits(table), bits(expected))
-        assert np.array_equal(bits(table),
-                              bits(branch_table(state, label_map, offset, m).ravel()))
+    for fold_bits in (permutation._FOLD_BITS, 8):
+        monkeypatch.setattr(permutation, "_FOLD_BITS", fold_bits)
+        for m in (0, n // 2):
+            for make_map in (random_label_map, degenerate_label_map):
+                label_map, offset = make_map(n, m, rng)
+                columns = label_map.column_values()
+                expected = np.zeros(1 << (n + m))
+                permutation._scatter(expected, state.factors[0],
+                                     columns[:8] + columns[n:n + 8], offset)
+                for i, factor in enumerate(state.factors[1:], start=8):
+                    expected = gather_fold(expected, factor, (columns[i], columns[n + i]))
+                groups.clear()
+                table = branch_table(state, label_map, offset, m)
+                assert np.array_equal(bits(table.ravel()), bits(expected))
+                assert sum(groups) == n - 8
+                if fold_bits == 8 and make_map is random_label_map:
+                    assert len(groups) == n - 8  # one pair per group
+
+
+def test_branch_table_peak_at_the_pair_cap(rng):
+    # 14 pairs, 7 kept: a 2^21-cell (16 MiB) table, folded in place
+    n, m = 14, 7
+    state = BellDiagonalState.from_pairs([werner(0.8)] * n)
+    label_map, offset = random_label_map(n, m, rng)
+    tracemalloc.start()
+    try:
+        table = branch_table(state, label_map, offset, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 8 << 21
+    assert peak <= 1.25 * table.nbytes
 
 
 # ---------------------------------------------------------------------------
