@@ -21,15 +21,15 @@ written to the ``--output`` file or to stdout's binary buffer (a stdout
 without one, such as ``io.StringIO``, is written the same text), in blocks
 of whole records of about `_BLOCK_BYTES`, so the memory rendering takes
 does not grow with the size of the output.  Each block is one byte matrix
-with a row per record (`_block_matrix`), whose holes take the values
-formatted on their own, as bytes.  The 15-digit mantissa of each float is
+with a row per record (`_block_matrix`) and a NUL-padded slot per value.
+Floats are written in 4-digit words; the 15-digit mantissa of each is
 x * 10^(14-e) in a 64-bit-significand long double, with 10^k correctly
 rounded to long double, so the product is within 2^-13 of exact.
 Truncated to 2^-12 and rounded half up from there, it rounds as exact
 arithmetic would, except within 2^-12 of a half-way point.  Those entries,
-every entry on a platform without such a long double, NaN, infinities,
-subnormals, magnitudes from 1e14 up, and the floats of blocks with few
-floats are formatted value by value, as `_float_token` prints them.
+every entry on a platform without such a long double, negatives, -0.0,
+NaN, infinities, subnormals, magnitudes from 1e14 up, the floats of blocks
+with few floats and all other values are formatted on their own (`_padded`).
 """
 
 from __future__ import annotations
@@ -110,13 +110,12 @@ def _float_token(x: float, fmt: str) -> str:
 #
 # `_block_matrix` builds a block as one uint8 matrix with a row per record:
 # the template's constant bytes (keys, brackets, separators) and a slot per
-# value, filled by numpy: label bytes (`_Labels`), booleans (`_BOOLS`) and
-# float tokens.  The tokens of all the block's floats are built first, in
-# one pass, as the rows of one word matrix (`_tokens`), then copied into
-# each float column's slots at once.  Bytes a value leaves unused are
-# padding, deleted from the block at once.  Strings, ints and the floats of
-# a block with few floats leave a hole, filled in the bytes after the
-# padding is gone (`_fill`); a block with no holes is written as it is.
+# value, filled by numpy: label bytes (`_Labels`), booleans (`_BOOLS`), text
+# cells and float tokens.  The tokens of all the block's floats are built
+# first, as the rows of one matrix (`_tokens`), then copied into each float
+# column's slots at once.  Text cells, and floats the digit tables do not
+# print, are rows of the one per-value builder (`_padded`).  Bytes a value
+# leaves unused are padding, deleted from the block at once.
 #
 # For the entries the tables print, the JSON token `repr(_round15(x))` is
 # `"%.15g" % x` with ".0" appended when it has neither "." nor "e": a
@@ -143,9 +142,8 @@ _BATCH_MIN = 64
 _BLOCK_BYTES = 3 << 17
 _FLOAT_BYTES = 32
 
-# Control bytes of a block's matrix: padding, and the place of a value
-# formatted on its own, filled in afterwards (`_fill`).
-_PAD, _HOLE = b"\0", b"\2"
+# The padding byte of a block's matrix.
+_PAD = b"\0"
 _BOOLS = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
 
 
@@ -173,17 +171,18 @@ def _digits(width: int, pad: str) -> np.ndarray:
     return digits.T.copy()
 
 
-def _words(*columns) -> np.ndarray:
-    """Byte columns side by side, 4 bytes a row, as uint32 words that hold
-    their bytes in order."""
-    return np.column_stack(columns).astype(np.uint8).view(np.uint32).ravel()
+def _padded(texts: list[str], width: int) -> np.ndarray:
+    """The per-value path: each text's UTF-8 bytes as a row of a uint8
+    matrix, NUL-padded to `width` bytes (0: the longest text's).  NUL is the
+    padding, so a text holding it is refused (only CSV text can; JSON
+    escapes it)."""
+    data = list(map(str.encode, texts))
+    if b"\0" in b"".join(data):
+        raise ValueError("a CSV text cell cannot hold NUL")
+    rows = np.array(data, dtype=f"S{width}")
+    return rows.view(np.uint8).reshape(len(data), rows.itemsize)
 
 
-def _byte(char: bytes, count: int) -> np.ndarray:
-    return np.full(count, ord(char), dtype=np.uint8)
-
-
-_MINUS = np.frombuffer(b"-" + _PAD * 3, dtype=np.uint32)[0]
 # Index of ".0" in the tail table (`_tables`).
 _POINT_ZERO = 1
 
@@ -204,32 +203,34 @@ def _tables() -> SimpleNamespace:
     """The tables of the one-pass path, built on first use, so that a
     command with few floats never builds them.
 
-    The integer part goes in 3-digit groups, each in a word whose first
-    byte is free for the sign; the fraction goes in a word with the point
-    and 2 digits, then 4-digit groups.  Each group table has two rows: the
-    group's digits, and the same with the zeros that are padding dropped,
-    for a group with nothing above it (`int_lead`: its leading zeros;
-    `int_units`, the last group: the same, but 0 keeps its last digit) or
-    nothing below it (`point`, `frac`: its trailing zeros).  After the
-    digits come two tail words, a row each: nothing, ".0" (JSON, integral
-    values) or the exponent "e-XX" of a value below 1e-4, indexed by
-    -exponent.  `pow10` holds 10^(14-e) for every exponent e of a normal
-    double below _FAST_MAX, numpy's correctly rounded parse of each
-    "1e%d" (faster than converting the exact integers, and equal to it);
-    only a platform with a 64-bit-significand long double, which holds
+    Every digit group, integer and fraction alike, is a 4-digit word of a
+    `_digits(4, ...)` table; the fraction's first has the point in place of
+    its leading zero (`point`).  Each group table has two rows: the group's
+    digits, and the same with the zeros that are padding dropped, for a
+    group with nothing above it (`lead`: its leading zeros; `units`, the
+    last integer group: the same, but 0 keeps its last digit) or nothing
+    below it (`point`, `frac`: its trailing zeros, and an empty fraction's
+    point).  After the digits come two tail words, a row each: nothing,
+    ".0" (JSON, integral values) or the exponent "e-XX" of a value below
+    1e-4, indexed by -exponent.  `pow10` holds 10^(14-e) for every exponent
+    e of a normal double below _FAST_MAX, numpy's correctly rounded parse
+    of each "1e%d" (faster than converting the exact integers, and equal to
+    it); only a platform with a 64-bit-significand long double, which holds
     them all, reads it.
     """
-    pad = _byte(_PAD, 1000)
-    plain = _words(pad, _digits(3, ""))
+    def words(pad: str) -> np.ndarray:
+        return _digits(4, pad).view(np.uint32).ravel()
+
+    plain, trim = words(""), words("trim")
+    point = np.stack([plain[:1000], trim[:1000]]).view(np.uint8).reshape(2, 1000, 4)
+    point[..., 0] = np.where(point.any(axis=2), ord("."), 0)
     tail = [_PAD * 8, b".0".ljust(8, _PAD)] + [(b"e-%02d" % k).ljust(8, _PAD)
                                              for k in range(2, 400)]
     return SimpleNamespace(
-        int_lead=np.stack([plain, _words(pad, _digits(3, "lead"))]),
-        int_units=np.stack([plain, _words(pad, _digits(3, "units"))]),
-        point=np.stack([_words(_byte(b".", 100), _digits(2, ""), _byte(_PAD, 100)),
-                        _words(np.where(np.arange(100) > 0, ord("."), 0),
-                               _digits(2, "trim"), _byte(_PAD, 100))]),
-        frac=np.stack([_words(_digits(4, "")), _words(_digits(4, "trim"))]),
+        lead=np.stack([plain, words("lead")]),
+        units=np.stack([plain, words("units")]),
+        frac=np.stack([plain, trim]),
+        point=point.view(np.uint32).reshape(2, 1000),
         tail=np.frombuffer(b"".join(tail), np.uint32).reshape(-1, 2).T.copy(),
         pow10=(np.array(["1e%d" % k for k in range(340)], dtype=np.longdouble)
                if _WIDE_LONGDOUBLE else None),
@@ -270,22 +271,21 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
     """The digits of every entry's token, from which `_token_words` writes
-    it: the sign, the integer part in 3-digit groups (most significant
-    first), the fraction's 18 digits, the tail index (`_tables`) and
-    `words`, the 4-byte words every token takes.  Entries the tables do
-    not print, and those `_decimal` masks, are `own`, formatted on their
-    own.  The notation is decided by the rounded exponent, as "%.15g"
-    decides it.
+    it: the integer part in 4-digit groups (most significant first), the
+    fraction's 18 digits, the tail index (`_tables`) and `words`, the
+    4-byte words every token takes.  Entries the tables do not print
+    (anything but +0.0 and positive normal doubles below _FAST_MAX), and
+    those `_decimal` masks, are `own`, formatted on their own.  The
+    notation is decided by the rounded exponent, as "%.15g" decides it.
     """
-    a = np.abs(values)
-    nonzero = (a < _FAST_MAX) & (a >= _FAST_TINY)
+    nonzero = (values < _FAST_MAX) & (values >= _FAST_TINY)
     if nonzero.all():
-        mant, exp, own = _decimal(a)
+        mant, exp, own = _decimal(values)
     else:
-        own = ~nonzero & (a != 0)
-        mant = np.zeros(a.size, dtype=np.int64)
-        exp = np.zeros(a.size, dtype=np.int64)
-        mant[nonzero], exp[nonzero], own[nonzero] = _decimal(a[nonzero])
+        own = ~nonzero & (values.view(np.int64) != 0)  # all but +0.0
+        mant = np.zeros(values.size, dtype=np.int64)
+        exp = np.zeros(values.size, dtype=np.int64)
+        mant[nonzero], exp[nonzero], own[nonzero] = _decimal(values[nonzero])
     sci = exp < -4
     places = np.where(sci, 14, 14 - exp)
     # M < 2^50, so M / 10^places in float64 lies within 2^-53 (relative)
@@ -298,19 +298,22 @@ def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
     if fmt == "json":
         tail[(frac == 0) & ~sci] = _POINT_ZERO
     groups = [whole]
-    for _ in range(-(-len(str(whole.max())) // 3) - 1):
-        groups[0], group = np.divmod(groups[0], 1000)
+    for _ in range(-(-len(str(whole.max())) // 4) - 1):
+        groups[0], group = np.divmod(groups[0], 10_000)
         groups.insert(1, group)
     tail_words = int(tail.max() > 0) + int(tail.max() > 99)  # "e-100" takes 5 bytes
-    return SimpleNamespace(words=len(groups) + 5 + tail_words, own=own,
-                           sign=np.signbit(values), groups=groups, frac=frac,
-                           tail=tail, tail_words=tail_words, values=values, fmt=fmt)
+    return SimpleNamespace(words=len(groups) + 5 + tail_words, own=own, groups=groups,
+                           frac=frac, tail=tail, tail_words=tail_words, values=values,
+                           fmt=fmt)
 
 
-def _tokens(values: np.ndarray, fmt: str) -> np.ndarray | None:
-    """The token words of a block's floats (`_token_words`), or None below
-    _BATCH_MIN, where each float is formatted on its own into a hole."""
-    return None if values.size < _BATCH_MIN else _token_words(_one_pass(values, fmt))
+def _tokens(values: np.ndarray, fmt: str) -> np.ndarray:
+    """The tokens of a block's floats as the NUL-padded rows of a uint8
+    matrix: from the digit tables (`_token_words`), or below _BATCH_MIN
+    each formatted on its own (`_padded`)."""
+    if values.size < _BATCH_MIN:
+        return _padded([_float_token(x, fmt) for x in values.tolist()], 0)
+    return _token_words(_one_pass(values, fmt)).view(np.uint8).reshape(values.size, -1)
 
 
 def _group_words(table: np.ndarray, group: np.ndarray, padded) -> np.ndarray:
@@ -324,44 +327,36 @@ def _group_words(table: np.ndarray, group: np.ndarray, padded) -> np.ndarray:
 
 def _token_words(tokens: SimpleNamespace) -> np.ndarray:
     """Every `_one_pass` token as a row of a (floats, words) uint32 matrix,
-    filled a word column at a time.  A token formatted on its own takes at
-    most 22 bytes ("-d.dddddddddddddde-ddd"), a row at least 24.
+    filled a word column at a time: the integer groups, the point and the
+    fraction's 18 digits in groups of 3, 4, 4, 4 and 3, and the tail.  A
+    token formatted on its own takes at most 22 bytes
+    ("-d.dddddddddddddde-ddd"), a row at least 24.
     """
     tables = _tables()
     words = np.empty((tokens.own.size, tokens.words), dtype=np.uint32)
     units = len(tokens.groups) - 1
     lead = True  # where every group so far is zero
     for i, group in enumerate(tokens.groups):
-        words[:, i] = _group_words(tables.int_units if i == units else tables.int_lead,
-                                   group, lead)
+        words[:, i] = _group_words(tables.units if i == units else tables.lead, group, lead)
         lead &= group == 0
-    trim = True  # where every group so far is zero
-    frac = tokens.frac
-    for i in range(4):
+    frac = tokens.frac // 1000  # faster than np.divmod
+    last = tokens.frac - frac * 1000
+    words[:, units + 5] = _group_words(tables.frac, 10 * last, True)
+    trim = last == 0  # where every group so far is zero
+    for i in range(3):
         rest = frac // 10_000
         group = frac - rest * 10_000
-        words[:, units + 5 - i] = _group_words(tables.frac, group, trim)
+        words[:, units + 4 - i] = _group_words(tables.frac, group, trim)
         trim &= group == 0
         frac = rest
     words[:, units + 1] = _group_words(tables.point, frac, trim)
     for i in range(tokens.tail_words):
         words[:, units + 6 + i] = tables.tail[i][tokens.tail]
-    if tokens.sign.any():
-        words[tokens.sign, 0] |= _MINUS
-    if tokens.own.any():
-        own = [_float_token(x, tokens.fmt) for x in tokens.values[tokens.own].tolist()]
-        words[tokens.own] = np.array(own, dtype=f"S{4 * tokens.words}").view(
-            np.uint32).reshape(len(own), -1)
+    own = np.flatnonzero(tokens.own)  # rows by index: a mask assignment is slower
+    if own.size:
+        texts = [_float_token(x, tokens.fmt) for x in tokens.values[own].tolist()]
+        words[own] = _padded(texts, 4 * tokens.words).view(np.uint32)
     return words
-
-
-def _fill(data: bytearray, fills: list[str]) -> bytes | bytearray:
-    """`data` with its holes filled, in order, by `fills`."""
-    if not fills:
-        return data
-    pieces = data.split(_HOLE)
-    return pieces[0] + b"".join(map(bytes.__add__, (text.encode() for text in fills),
-                                    pieces[1:]))
 
 
 def _is_float_array(value) -> bool:
@@ -384,7 +379,7 @@ def _field_of(column) -> SimpleNamespace:
 
     Kinds: "float" (a 1-D float64 array, or floats), "array" (a 2-D
     float64 array, or 1-D float64 arrays of one nonzero size), "label"
-    (`_Labels`), "bool" (a bool array, or bools) and "hole" (any other
+    (`_Labels`), "bool" (a bool array, or bools) and "text" (any other
     values, each formatted on its own).
     """
     if isinstance(column, _Labels):
@@ -402,7 +397,7 @@ def _field_of(column) -> SimpleNamespace:
                                width=column.shape[1] if column.ndim == 2 else 1)
     if isinstance(column, np.ndarray):
         column = column.tolist()
-    return SimpleNamespace(kind="hole", data=column, width=1)
+    return SimpleNamespace(kind="text", data=column, width=1)
 
 
 def _columns(records: list[dict], fmt: str) -> dict:
@@ -433,32 +428,37 @@ def _blocks(fields: list, heads: list[bytes], rows: int) -> Iterator[tuple[int, 
 
 
 def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop: int,
-                  fmt: str) -> tuple[bytearray, list[str]]:
+                  fmt: str) -> bytearray:
     """Records start..stop-1 as the bytes of a matrix with a row per
-    record (each field's head and value, then `end`), and the text of its
-    holes, in order."""
+    record: each field's head and value, then `end`, and NUL padding."""
     rows = stop - start
     data = [f.data[start:stop] for f in fields]
     floats = [d.ravel() for f, d in zip(fields, data) if f.kind in ("float", "array")]
-    values = np.concatenate(floats) if floats else np.zeros(0)
-    words = _tokens(values, fmt)
-    small = words is None  # every float a hole
-    token = 0 if small else 4 * words.shape[1]
-    sep = b",\n        " if fmt == "json" else b";"
-    slot = token + len(sep)
+    tokens = _tokens(np.concatenate(floats) if floats else np.zeros(0), fmt)
+    token = tokens.shape[1]
     json_fmt = fmt == "json"
-    row, places = bytearray(), []
-    for f, head in zip(fields, heads):
-        number, array = f.kind in ("float", "array"), f.kind == "array"
+    sep = b",\n        " if json_fmt else b";"
+    slot = token + len(sep)
+    cell = functools.partial(_json, indent="      ") if json_fmt else \
+        functools.partial(_csv_cell, alone=len(fields) == 1)
+    row, cells = bytearray(), []  # the template; each field's place and bytes
+    for f, d, head in zip(fields, data, heads):
+        array = f.kind == "array"
         quote = b'"' if json_fmt and f.kind == "label" else b""
         row += head + (b"[\n        " if json_fmt and array else quote)
-        places.append(len(row))
-        if f.kind == "hole" or number and small:
-            row += _HOLE
-        elif array:
+        if f.kind == "label":
+            value = f.chars(d, f.width)
+        elif f.kind == "bool":
+            value = _BOOLS[d.view(np.uint8)]
+        elif f.kind == "text":
+            value = _padded([cell(v) for v in d], 0)
+        else:
+            value = None
+        cells.append((len(row), value))
+        if value is None:  # f.width floats
             row += (bytes(token) + sep) * (f.width - 1) + bytes(token)
         else:
-            row += bytes(token if number else f.width)
+            row += bytes(value.shape[1])
         row += b"\n      ]" if json_fmt and array else quote
     row += end
     buffer = row * rows
@@ -466,31 +466,21 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
         buffer[0] = 0  # no comma before the first record
     matrix = np.frombuffer(buffer, dtype=np.uint8).reshape(rows, len(row))
 
-    cell = functools.partial(_json, indent="      ") if json_fmt else \
-        functools.partial(_csv_cell, alone=len(fields) == 1)
-    slots, holes = [], []  # (rows, [entries,] bytes) of each float column; hole texts
-    for f, d, place in zip(fields, data, places):
-        if f.kind in ("label", "bool"):
-            matrix[:, place:place + f.width] = \
-                f.chars(d, f.width) if f.kind == "label" else _BOOLS[d.view(np.uint8)]
-        elif f.kind == "hole":
-            holes.append([cell(v) for v in d])
-        elif small:
-            texts = [_float_token(x, fmt) for x in d.ravel().tolist()]
-            holes.append(texts if f.kind == "float" else [
-                sep.decode().join(texts[i:i + f.width]) for i in range(0, len(texts), f.width)])
-        elif f.kind == "array":
-            slots.append(matrix[:, place:place + slot * f.width].reshape(
-                rows, -1, slot)[..., :token])
+    # each token one element of `token` bytes, a float column at a time
+    tokens = tokens.view(np.dtype((np.void, token))).ravel()
+    for f, (place, value) in zip(fields, cells):
+        if value is not None:
+            matrix[:, place:place + value.shape[1]] = value
+            continue
+        if f.kind == "array":
+            region = matrix[:, place:place + slot * f.width].reshape(
+                rows, -1, slot)[..., :token]
         else:
-            slots.append(matrix[:, place:place + token])
-    if slots:  # each token one element of `token` bytes, a float column at a time
-        tokens = words.view(np.dtype((np.void, token))).ravel()
-        for region in slots:
-            view = region.view(tokens.dtype)
-            view[...] = tokens[:view.size].reshape(view.shape)
-            tokens = tokens[view.size:]
-    return buffer, [text for texts in zip(*holes) for text in texts]
+            region = matrix[:, place:place + token]
+        view = region.view(tokens.dtype)
+        view[...] = tokens[:view.size].reshape(view.shape)
+        tokens = tokens[view.size:]
+    return buffer
 
 
 def _csv_cell(value, alone: bool) -> str:
@@ -510,10 +500,10 @@ def _render(write: Callable[[bytes], object], command: str, columns: dict, fmt: 
     `columns` holds the records field by field (`_columns`, or an engine's
     columns with `_Labels`), in the CSV column order; `_field_of` tells how
     each prints.  The records are written block by block (`_blocks`,
-    `_block_matrix`), so that only one block's bytes exist at a time; a
-    block with no holes is written as the matrix's bytes less the padding.
-    Every float is printed with 15 significant digits.  Array values are
-    printed as lists (`;`-joined in a CSV cell).
+    `_block_matrix`), so that only one block's bytes exist at a time, each
+    block as the matrix's bytes less the padding.  Every float is printed
+    with 15 significant digits.  Array values are printed as lists
+    (`;`-joined in a CSV cell).
     """
     keys = list(columns) if fmt == "csv" else sorted(columns)
     fields = [_field_of(columns[key]) for key in keys]
@@ -527,8 +517,8 @@ def _render(write: Callable[[bytes], object], command: str, columns: dict, fmt: 
         end = b"\n    }"
     rows = len(fields[0].data) if fields else 0
     for start, stop in _blocks(fields, heads, rows):
-        matrix, fills = _block_matrix(fields, heads, end, start, stop, fmt)
-        write(_fill(matrix.translate(None, _PAD), fills))
+        matrix = _block_matrix(fields, heads, end, start, stop, fmt)
+        write(matrix.translate(None, _PAD))
         del matrix  # before the next block is built
     if fmt == "csv":
         return
@@ -567,6 +557,10 @@ def _emit(args, columns: dict, summary: dict | None = None) -> None:
 # Most points a sweep grid may have; a lo:hi:step grid is checked before
 # it is built, since a tiny step would otherwise exhaust memory.
 MAX_GRID_POINTS = 10_000
+# Most records `sweep` or `verify --random` may keep until it prints, checked
+# before the first round or instance: a record's traced peak was 0.5-0.95
+# KB (4,000 instances, 10,000 rounds, JSON and CSV), under 1 GB in all.
+MAX_RECORDS = 1_000_000
 
 _NUMBER = (int, float)
 
@@ -847,6 +841,8 @@ def _cmd_verify(args) -> int:
     if batch:
         if args.random < 1:
             raise CliError("--random must be at least 1")
+        if args.random > MAX_RECORDS:
+            raise CliError(f"--random {args.random} is more than {MAX_RECORDS} records")
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         sizes = _parse_sizes(args.sizes, (2, 3, 4))
         records = []
@@ -886,6 +882,9 @@ def _cmd_sweep(args) -> int:
     rounds = args.rounds if args.rounds is not None else 1
     if rounds < 1:
         raise CliError("--rounds must be at least 1")
+    if len(grid) * rounds > MAX_RECORDS:
+        raise CliError(f"{len(grid)} grid points x {rounds} rounds is more than "
+                       f"{MAX_RECORDS} records")
     records = []
     for f_in in grid:
         reports = permutation.recurrence_sweep(

@@ -1,12 +1,18 @@
-"""The attributes the benchmark's tracer wraps must exist in the package.
+"""The benchmark must run against the package.
 
 `perfbench/tracer.py` replaces module attributes by name; a rename or a
 deletion in the package would only show as a crash of a traced benchmark
-run.  The tracer module is imported here, never installed.
+run.  The tracer module is imported here, never installed.  A tiny pass
+of each workload runs the benchmark's own output checks, so an output
+change they reject fails here too.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +22,8 @@ from belldistill import equivalence, permutation, stabilizer
 from belldistill.stabilizer import StabilizerProtocol
 from belldistill.states import BellDiagonalState, werner
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -110,3 +117,18 @@ def test_mismatch_counter_reads_a_verify_report(monkeypatch, werner2, edit_colum
     tracer._count_mismatches((werner2, proto), report)
     assert not report.passed
     assert tracer.counters["equivalence.coset_mismatches"] == 1
+
+
+@pytest.mark.parametrize("workload", ["wide", "deep", "suite"])
+def test_tiny_benchmark_pass_checks_clean(tmp_path, workload):
+    """One tiny pass of a workload, in a fresh process as the benchmark
+    runs it: exit 0, and no op whose output the benchmark's checks reject."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload,
+         "--seed", "0", "--seconds", "0", "--tiny", "--run-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["attempted"] > 0
+    assert result["wrong"] == 0, result["problems"]

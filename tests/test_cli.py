@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from belldistill import equivalence, gf2, permutation, stabilizer
-from belldistill.cli import _OPTIONS, build_parser, main
+from belldistill import cli, equivalence, gf2, permutation, stabilizer
+from belldistill.cli import _OPTIONS, MAX_RECORDS, build_parser, main
 from belldistill.states import BellDiagonalState, werner
 
 BCNOT = "1100,0100,0010,0011"
@@ -398,6 +398,14 @@ OUT_OF_RANGE = {
                str(Path(__file__) / "out.json")],
     # Weights whose total no float holds.
     "argv29": ["run-perm", "--generators", "ZZ", "--pair", "1e308,1e308,0,0"],
+    # More records than a batch command may keep: refused before the first
+    # instance or round, or these would run for hours.
+    "random-over-budget": ["verify", "--random", str(MAX_RECORDS + 1)],
+    "random-huge": ["verify", "--random", str(10 ** 30)],
+    "rounds-over-budget": ["sweep", "--generators", "ZZ", "--grid", "0.6,0.7",
+                           "--rounds", str(MAX_RECORDS // 2 + 1)],
+    "grid-times-rounds-over-budget": ["sweep", "--generators", "ZZ", "--grid",
+                                      "0.5:0.9:0.0001", "--rounds", "300"],
 }
 
 
@@ -407,6 +415,17 @@ def test_out_of_range_flags_fail_cleanly(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_record_budget_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_RECORDS", 6)
+    sweep = ["sweep", "--generators", "ZZ", "--grid", "0.6,0.7", "--rounds"]
+    for argv, records in ((sweep + ["3"], 6), (["verify", "--random", "6"], 6)):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["records"]) == records
+    for argv in (sweep + ["4"], ["verify", "--random", "7"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "") and "6" in err and err.count("\n") == 1
 
 
 SHARED_COLUMNS = ("prob", "fidelity", "unnormalized_fidelity", "output")
@@ -619,7 +638,8 @@ def test_closed_pipe_ends_quietly_with_exit_code_1():
 
 
 # Z_iZ_{i+1} on 10 pairs, five measured: float arrays that span several
-# blocks.  `verify --random` prints strings, ints and few floats: holes.
+# blocks.  `verify --random` prints strings, ints and few floats: text
+# cells and per-value tokens.
 SINK_CASES = {
     "run-perm-n10m5": ["run-perm", "--generators",
                        ",".join("I" * i + "ZZ" + "I" * (8 - i) for i in range(5)),

@@ -3,8 +3,9 @@
 `cli._render` writes a command's records in blocks of rows, each block one
 byte matrix (`_block_matrix`) whose floats are formatted in one pass
 (`_tokens`: exact 15-digit decimals from `_decimal`, digits from
-`_one_pass`, token words from digit tables in `_token_words`), from
-columns: a record list transposed by `_columns`, or an engine's branch set.
+`_one_pass`, 4-digit words from digit tables in `_token_words`), and whose
+other values are rows of the per-value builder `_padded`, from columns: a
+record list transposed by `_columns`, or an engine's branch set.
 The reference here is the rendering that predates
 it: `json.dumps` of a list of records with every float rounded through
 `"%.15g"`, and per-value CSV cells, with every array turned into a list of
@@ -80,6 +81,15 @@ def assert_renders_as_reference(records, summary=None):
     for fmt in ("json", "csv"):
         assert _render("run-perm", _columns(records, fmt), fmt, summary) == \
             reference("run-perm", records, fmt, summary)
+
+
+def assert_csv_refuses_nul(records, summary=None):
+    """NUL is the block matrix's padding: JSON escapes it and renders as
+    the reference, and a CSV text cell holding it is refused."""
+    assert _render("run-perm", _columns(records, "json"), "json", summary) == \
+        reference("run-perm", records, "json", summary)
+    with pytest.raises(ValueError, match="NUL"):
+        _render("run-perm", _columns(records, "csv"), "csv", summary)
 
 
 def records_of(arrays, scalar=0.5):
@@ -158,7 +168,19 @@ def test_string_fields_and_keys_render_as_reference(text):
     for rec in records:
         rec["t"] = text
         rec["generators"] = [text, "ZZ"]
-    assert_renders_as_reference(records, {text: text, "passed": True})
+    check = assert_csv_refuses_nul if "\0" in text else assert_renders_as_reference
+    check(records, {text: text, "passed": True})
+
+
+def test_csv_text_cell_holding_nul_is_refused():
+    # a trailing NUL too, which the padding pass would otherwise drop unseen
+    for text in ("\0", "a\0b", "ab\0"):
+        with pytest.raises(ValueError, match="NUL"):
+            _render("run-perm", {"t": ["x", text], "prob": [0.5, 0.5]}, "csv", None)
+        assert json.loads(_render("run-perm", {"t": [text]}, "json", None)) == \
+            {"command": "run-perm", "records": [{"t": text}]}
+    with pytest.raises(ValueError, match="NUL"):
+        cli._padded(["x", "\0"], 0)
 
 
 def test_keys_with_control_bytes_render_as_reference():
@@ -204,7 +226,8 @@ def test_scalars_the_direct_path_refuses():
 def test_any_string_and_scalar_render_as_reference(text, scalar):
     records = records_of([np.array([1.0])], scalar=scalar)
     records[0]["t"] = text
-    assert_renders_as_reference(records, {text: scalar})
+    check = assert_csv_refuses_nul if "\0" in text else assert_renders_as_reference
+    check(records, {text: scalar})
 
 
 def test_arrays_the_one_pass_path_refuses(monkeypatch):
@@ -223,10 +246,11 @@ def test_arrays_the_one_pass_path_refuses(monkeypatch):
 
 def test_one_pass_path_is_taken_for_probabilities(monkeypatch):
     mark_own_tokens(monkeypatch)
+    # -0.0, like every negative, is formatted on its own
     assert one_pass_tokens([0.5, 1e-5, 0.0, -0.0, 1.0]) == \
-        ["0.5", "1e-05", "0", "-0", "1"]
+        ["0.5", "1e-05", "0", "None", "1"]
     assert one_pass_tokens([0.5, 1e-5, 0.0, -0.0, 1.0], "json") == \
-        ["0.5", "1e-05", "0.0", "-0.0", "1.0"]
+        ["0.5", "1e-05", "0.0", "None", "1.0"]
     for x in (5e-324, 1e14, 1e15):
         assert one_pass_tokens([0.5, x]) == ["0.5", "None"]
 
@@ -349,7 +373,7 @@ def test_largest_mantissa_splits_exactly_at_every_fixed_point_place():
     places = range(14, 19)
     values = np.array([float(f"{mant}e{-p}") for p in places])
     tokens = cli._one_pass(values, "csv")
-    whole = sum(group * 1000 ** (len(tokens.groups) - 1 - i)
+    whole = sum(group * 10_000 ** (len(tokens.groups) - 1 - i)
                 for i, group in enumerate(tokens.groups))
     assert whole.tolist() == [mant // 10 ** p for p in places]
     assert tokens.frac.tolist() == [mant % 10 ** p * 10 ** (18 - p) for p in places]
@@ -685,11 +709,14 @@ def test_zero_records():
 def test_text_cells_with_control_bytes_in_a_later_block(monkeypatch):
     sizes = spy_blocks(monkeypatch)
     records = records_of([np.full(WIDE - 1, 0.5) for _ in range(5)])
-    # NUL is the matrix's padding and \x02 its hole: text is filled in after
     records[4]["t"] = "\x00\x01\x02,\"\n\x7f"
     records[4]["generators"] = ["\x00", "a,b"]
+    assert_csv_refuses_nul(records)
+    # the other control bytes print in both formats
+    records[4]["t"] = "\x01\x02,\"\n\x7f"
+    records[4]["generators"] = ["\x01", "a,b"]
     assert_renders_as_reference(records)
-    assert sizes == [3 * WIDE, 2 * WIDE] * 2
+    assert sizes == [3 * WIDE, 2 * WIDE] * 4
 
 
 CHAIN13 = ",".join("I" * i + "ZZ" + "I" * (11 - i) for i in range(12))
