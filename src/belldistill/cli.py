@@ -27,9 +27,10 @@ x * 10^(14-e) in a 64-bit-significand long double, with 10^k correctly
 rounded to long double, so the product is within 2^-13 of exact.
 Truncated to 2^-12 and rounded half up from there, it rounds as exact
 arithmetic would, except within 2^-12 of a half-way point.  Those entries,
-every entry on a platform without such a long double, negatives, -0.0,
-NaN, infinities, subnormals, magnitudes from 1e14 up, the floats of blocks
-with few floats and all other values are formatted on their own (`_padded`).
+negatives, -0.0, NaN, infinities, subnormals, magnitudes from 1e14 up and
+all other values are formatted on their own (`_padded`), and so is every
+float of a block with few floats, or of any block on a platform without
+such a long double: `_tokens` makes that choice once a block.
 """
 
 from __future__ import annotations
@@ -67,18 +68,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _round15(x: float) -> float:
-    """Clamp a float to 15 significant digits for stable printing."""
-    return float(format(float(x), ".15g"))
-
-
 def _clean(value):
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):  # bools are ints
         return value
-    if isinstance(value, float):
-        return _round15(value)
+    if isinstance(value, float):  # clamped to 15 significant digits
+        return float(format(float(value), ".15g"))
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     if isinstance(value, dict):
@@ -99,7 +93,7 @@ def _format_cell(value) -> str:
 def _float_token(x: float, fmt: str) -> str:
     """One float formatted on its own: the JSON token `json.dumps` gives,
     or the CSV cell ".15g" gives, for x rounded to 15 significant digits."""
-    x = _round15(x)  # may round up to inf
+    x = _clean(x)  # may round up to inf
     if fmt == "csv":
         return format(x, ".15g")
     return repr(x) if math.isfinite(x) else json.dumps(x)
@@ -113,11 +107,12 @@ def _float_token(x: float, fmt: str) -> str:
 # value, filled by numpy: label bytes (`_Labels`), booleans (`_BOOLS`), text
 # cells and float tokens.  The tokens of all the block's floats are built
 # first, as the rows of one matrix (`_tokens`), then copied into each float
-# column's slots at once.  Text cells, and floats the digit tables do not
-# print, are rows of the one per-value builder (`_padded`).  Bytes a value
-# leaves unused are padding, deleted from the block at once.
+# column's slots at once.  Text cells, floats the digit tables do not print
+# and the floats of blocks `_tokens` formats value by value are rows of the
+# one per-value builder (`_padded`).  Bytes a value leaves unused are
+# padding, deleted from the block at once.
 #
-# For the entries the tables print, the JSON token `repr(_round15(x))` is
+# For the entries the tables print, the JSON token `repr(_clean(x))` is
 # `"%.15g" % x` with ".0" appended when it has neither "." nor "e": a
 # decimal of at most 15 significant digits survives the round trip through
 # a normal double (DBL_DIG = 15), and below 1e15 ".15g" and repr pick the
@@ -147,28 +142,25 @@ _PAD = b"\0"
 _BOOLS = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
 
 
-def _digits(width: int, pad: str) -> np.ndarray:
-    """ASCII digits of 0..10^width-1, `width` per row with leading zeros.
+def _digits(pad: str) -> np.ndarray:
+    """ASCII digits of 0..9999, 4 per row with leading zeros.
 
     `pad` names the zeros that are padding instead: "lead" the leading
     ones (all of 0's digits), "units" the leading ones but 0's last digit,
     "trim" the trailing ones, "" none.
     """
-    digits = np.indices((10,) * width, dtype=np.uint8).reshape(width, -1)
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
     zero = digits == 0
     digits += ord("0")
-    if not pad:
-        return digits.T.copy()
     # A zero is padding where every digit before it ("trim": after it) is zero.
     if pad == "trim":
-        for j in range(width - 2, -1, -1):
+        for j in (2, 1, 0):
             zero[j] &= zero[j + 1]
-    else:
-        for j in range(1, width):
+    elif pad:
+        for j in (1, 2, 3):
             zero[j] &= zero[j - 1]
-        zero[-1] &= pad == "lead"
-    digits *= ~zero
-    return digits.T.copy()
+        zero[3] &= pad == "lead"
+    return (digits * ~zero if pad else digits).T.copy()
 
 
 def _padded(texts: list[str], width: int) -> np.ndarray:
@@ -204,8 +196,8 @@ def _tables() -> SimpleNamespace:
     command with few floats never builds them.
 
     Every digit group, integer and fraction alike, is a 4-digit word of a
-    `_digits(4, ...)` table; the fraction's first has the point in place of
-    its leading zero (`point`).  Each group table has two rows: the group's
+    `_digits` table; the fraction's first has the point in place of its
+    leading zero (`point`).  Each group table has two rows: the group's
     digits, and the same with the zeros that are padding dropped, for a
     group with nothing above it (`lead`: its leading zeros; `units`, the
     last integer group: the same, but 0 keeps its last digit) or nothing
@@ -215,25 +207,21 @@ def _tables() -> SimpleNamespace:
     1e-4, indexed by -exponent.  `pow10` holds 10^(14-e) for every exponent
     e of a normal double below _FAST_MAX, numpy's correctly rounded parse
     of each "1e%d" (faster than converting the exact integers, and equal to
-    it); only a platform with a 64-bit-significand long double, which holds
-    them all, reads it.
+    it) into a 64-bit-significand long double, which holds them all.
     """
-    def words(pad: str) -> np.ndarray:
-        return _digits(4, pad).view(np.uint32).ravel()
-
-    plain, trim = words(""), words("trim")
+    plain, trim, lead, units = (_digits(pad).view(np.uint32).ravel()
+                                for pad in ("", "trim", "lead", "units"))
     point = np.stack([plain[:1000], trim[:1000]]).view(np.uint8).reshape(2, 1000, 4)
     point[..., 0] = np.where(point.any(axis=2), ord("."), 0)
     tail = [_PAD * 8, b".0".ljust(8, _PAD)] + [(b"e-%02d" % k).ljust(8, _PAD)
                                              for k in range(2, 400)]
     return SimpleNamespace(
-        lead=np.stack([plain, words("lead")]),
-        units=np.stack([plain, words("units")]),
+        lead=np.stack([plain, lead]),
+        units=np.stack([plain, units]),
         frac=np.stack([plain, trim]),
         point=point.view(np.uint32).reshape(2, 1000),
         tail=np.frombuffer(b"".join(tail), np.uint32).reshape(-1, 2).T.copy(),
-        pow10=(np.array(["1e%d" % k for k in range(340)], dtype=np.longdouble)
-               if _WIDE_LONGDOUBLE else None),
+        pow10=np.array(["1e%d" % k for k in range(340)], dtype=np.longdouble),
     )
 
 
@@ -249,10 +237,8 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     part, plus one where the fraction its low bits hold is 1/2 or more.
     An entry whose fraction is within _HALF_WINDOW units of 1/2, where the
     product's error could flip the rounding, or whose M falls outside
-    [10^14, 10^15), is masked; without a 64-bit long double, every entry.
+    [10^14, 10^15), is masked.  `_tokens` calls it only with such a long double.
     """
-    if not _WIDE_LONGDOUBLE:
-        return (*np.zeros((2, a.size), dtype=np.int64), np.ones(a.size, dtype=bool))
     exp = np.floor(np.log10(a)).astype(np.int64)
     # a * 2^_FRAC_BITS is exact, and so is the scaling of the rounded product.
     fixed = (np.ldexp(a, _FRAC_BITS).astype(np.longdouble)
@@ -269,22 +255,37 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mant, exp + carry, inexact
 
 
-def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
-    """The digits of every entry's token, from which `_token_words` writes
-    it: the integer part in 4-digit groups (most significant first), the
-    fraction's 18 digits, the tail index (`_tables`) and `words`, the
-    4-byte words every token takes.  Entries the tables do not print
-    (anything but +0.0 and positive normal doubles below _FAST_MAX), and
-    those `_decimal` masks, are `own`, formatted on their own.  The
-    notation is decided by the rounded exponent, as "%.15g" decides it.
+def _group_words(table: np.ndarray, group: np.ndarray, padded) -> np.ndarray:
+    """The word of each group from row 1 of a group table (`_tables`) where
+    `padded`, from row 0 elsewhere: one gather, from row 1 alone while
+    `padded` is True for every entry."""
+    if padded is True:
+        return table[1][group]
+    return table.ravel()[group + table.shape[1] * padded]
+
+
+def _tokens(values: np.ndarray, fmt: str) -> np.ndarray:
+    """The tokens of a block's floats as the NUL-padded rows of a uint8
+    matrix.  Below _BATCH_MIN floats, or without a 64-bit-significand long
+    double, each is formatted on its own (`_padded`).  Otherwise they come
+    from the digit tables (`_tables`) as rows of a (floats, words) uint32
+    matrix, filled a word column at a time: the integer part in 4-digit
+    groups (most significant first), the point and the fraction's 18
+    digits in groups of 3, 4, 4, 4 and 3, and the tail.  The notation is
+    decided by the rounded exponent, as "%.15g" decides it.  Entries the
+    tables do not print (anything but +0.0 and positive normal doubles
+    below _FAST_MAX), and those `_decimal` masks, are formatted on their
+    own: such a token takes at most 22 bytes ("-d.dddddddddddddde-ddd"), a
+    row at least 24.
     """
+    if values.size < _BATCH_MIN or not _WIDE_LONGDOUBLE:
+        return _padded([_float_token(x, fmt) for x in values.tolist()], 0)
     nonzero = (values < _FAST_MAX) & (values >= _FAST_TINY)
     if nonzero.all():
         mant, exp, own = _decimal(values)
     else:
         own = ~nonzero & (values.view(np.int64) != 0)  # all but +0.0
-        mant = np.zeros(values.size, dtype=np.int64)
-        exp = np.zeros(values.size, dtype=np.int64)
+        mant, exp = np.zeros((2, values.size), dtype=np.int64)
         mant[nonzero], exp[nonzero], own[nonzero] = _decimal(values[nonzero])
     sci = exp < -4
     places = np.where(sci, 14, 14 - exp)
@@ -302,45 +303,16 @@ def _one_pass(values: np.ndarray, fmt: str) -> SimpleNamespace:
         groups[0], group = np.divmod(groups[0], 10_000)
         groups.insert(1, group)
     tail_words = int(tail.max() > 0) + int(tail.max() > 99)  # "e-100" takes 5 bytes
-    return SimpleNamespace(words=len(groups) + 5 + tail_words, own=own, groups=groups,
-                           frac=frac, tail=tail, tail_words=tail_words, values=values,
-                           fmt=fmt)
-
-
-def _tokens(values: np.ndarray, fmt: str) -> np.ndarray:
-    """The tokens of a block's floats as the NUL-padded rows of a uint8
-    matrix: from the digit tables (`_token_words`), or below _BATCH_MIN
-    each formatted on its own (`_padded`)."""
-    if values.size < _BATCH_MIN:
-        return _padded([_float_token(x, fmt) for x in values.tolist()], 0)
-    return _token_words(_one_pass(values, fmt)).view(np.uint8).reshape(values.size, -1)
-
-
-def _group_words(table: np.ndarray, group: np.ndarray, padded) -> np.ndarray:
-    """The word of each group from row 1 of a group table (`_tables`) where
-    `padded`, from row 0 elsewhere: one gather, from row 1 alone while
-    `padded` is True for every entry."""
-    if padded is True:
-        return table[1][group]
-    return table.ravel()[group + table.shape[1] * padded]
-
-
-def _token_words(tokens: SimpleNamespace) -> np.ndarray:
-    """Every `_one_pass` token as a row of a (floats, words) uint32 matrix,
-    filled a word column at a time: the integer groups, the point and the
-    fraction's 18 digits in groups of 3, 4, 4, 4 and 3, and the tail.  A
-    token formatted on its own takes at most 22 bytes
-    ("-d.dddddddddddddde-ddd"), a row at least 24.
-    """
     tables = _tables()
-    words = np.empty((tokens.own.size, tokens.words), dtype=np.uint32)
-    units = len(tokens.groups) - 1
+    words = np.empty((values.size, len(groups) + 5 + tail_words), dtype=np.uint32)
+    units = len(groups) - 1
     lead = True  # where every group so far is zero
-    for i, group in enumerate(tokens.groups):
+    for i, group in enumerate(groups):
         words[:, i] = _group_words(tables.units if i == units else tables.lead, group, lead)
         lead &= group == 0
-    frac = tokens.frac // 1000  # faster than np.divmod
-    last = tokens.frac - frac * 1000
+    head = frac // 1000  # faster than np.divmod
+    last = frac - head * 1000
+    frac = head
     words[:, units + 5] = _group_words(tables.frac, 10 * last, True)
     trim = last == 0  # where every group so far is zero
     for i in range(3):
@@ -350,18 +322,13 @@ def _token_words(tokens: SimpleNamespace) -> np.ndarray:
         trim &= group == 0
         frac = rest
     words[:, units + 1] = _group_words(tables.point, frac, trim)
-    for i in range(tokens.tail_words):
-        words[:, units + 6 + i] = tables.tail[i][tokens.tail]
-    own = np.flatnonzero(tokens.own)  # rows by index: a mask assignment is slower
+    for i in range(tail_words):
+        words[:, units + 6 + i] = tables.tail[i][tail]
+    own = np.flatnonzero(own)  # rows by index: a mask assignment is slower
     if own.size:
-        texts = [_float_token(x, tokens.fmt) for x in tokens.values[own].tolist()]
-        words[own] = _padded(texts, 4 * tokens.words).view(np.uint32)
-    return words
-
-
-def _is_float_array(value) -> bool:
-    return isinstance(value, np.ndarray) and value.dtype == np.float64 \
-        and value.ndim == 1 and value.size > 0
+        texts = [_float_token(x, fmt) for x in values[own].tolist()]
+        words[own] = _padded(texts, 4 * words.shape[1]).view(np.uint32)
+    return words.view(np.uint8).reshape(values.size, -1)
 
 
 class _Labels(NamedTuple):
@@ -378,26 +345,22 @@ def _field_of(column) -> SimpleNamespace:
     record, and `width`, the floats of an array or the bytes of a label.
 
     Kinds: "float" (a 1-D float64 array, or floats), "array" (a 2-D
-    float64 array, or 1-D float64 arrays of one nonzero size), "label"
-    (`_Labels`), "bool" (a bool array, or bools) and "text" (any other
-    values, each formatted on its own).
+    float64 array), "label" (`_Labels`), "bool" (a bool array, or bools)
+    and "text" (any other values, each formatted on its own, of the width
+    `_blocks` measures; `_clean` refuses a value no command prints).
     """
     if isinstance(column, _Labels):
         return SimpleNamespace(kind="label", data=column.values, width=column.width,
                                chars=column.chars)
-    if not isinstance(column, np.ndarray) and column:
-        if all(isinstance(v, float) for v in column) or set(map(type, column)) == {bool} \
-                or all(map(_is_float_array, column)) and len({v.size for v in column}) == 1:
-            column = np.array(column)
-    if isinstance(column, np.ndarray) and column.dtype == bool and column.ndim == 1:
+    if not isinstance(column, np.ndarray) and column and (
+            all(isinstance(v, float) for v in column) or set(map(type, column)) == {bool}):
+        column = np.array(column)
+    if not isinstance(column, np.ndarray) or column.dtype not in (bool, np.float64):
+        return SimpleNamespace(kind="text", data=column, width=0)
+    if column.dtype == bool:
         return SimpleNamespace(kind="bool", data=column, width=5)
-    if isinstance(column, np.ndarray) and column.dtype == np.float64 \
-            and column.ndim in (1, 2) and column.shape[-1]:
-        return SimpleNamespace(kind=("float", "array")[column.ndim - 1], data=column,
-                               width=column.shape[1] if column.ndim == 2 else 1)
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
-    return SimpleNamespace(kind="text", data=column, width=1)
+    return SimpleNamespace(kind=("float", "array")[column.ndim - 1], data=column,
+                           width=column.shape[1] if column.ndim == 2 else 1)
 
 
 def _columns(records: list[dict], fmt: str) -> dict:
@@ -418,20 +381,38 @@ def _json(value, indent: str) -> str:
     return text.replace("\n", "\n" + indent)
 
 
-def _blocks(fields: list, heads: list[bytes], rows: int) -> Iterator[tuple[int, int]]:
-    """The first and past-the-last row of each block: consecutive rows
-    holding about _BLOCK_BYTES of the block matrix, at least one row."""
-    row_bytes = sum(len(head) + f.width * (_FLOAT_BYTES if f.kind in ("float", "array")
-                                           else 1) for f, head in zip(fields, heads))
-    step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
-    return ((start, min(start + step, rows)) for start in range(0, rows, step))
+def _blocks(fields: list, heads: list[bytes], rows: int, cell: Callable[[object], str]
+            ) -> Iterator[tuple[int, int, list[list[str]]]]:
+    """The first and past-the-last row of each block, consecutive rows
+    holding about _BLOCK_BYTES of the block matrix (at least one row), and
+    the `cell`s of its text fields.  A text field takes its widest cell's
+    bytes in every row of a block, so text cells are rendered ahead, for
+    as many rows as the other fields leave room for; the block takes the
+    rows that fit, and the cells past it go on to the next block."""
+    fixed = sum(len(head) + f.width * (_FLOAT_BYTES if f.kind in ("float", "array")
+                                       else 1) for f, head in zip(fields, heads))
+    step = max(1, _BLOCK_BYTES // max(fixed, 1))
+    texts = [f.data for f in fields if f.kind == "text"]
+    ahead, start = [[] for _ in texts], 0
+    while start < rows:
+        stop = min(start + step, rows)
+        for data, cells in zip(texts, ahead):
+            cells += map(cell, data[start + len(cells):stop])
+        if texts:  # the bytes of a block ending at each row
+            widths = np.maximum.accumulate([list(map(len, cells)) for cells in ahead], axis=1)
+            fits = (fixed + widths.sum(axis=0)) * np.arange(1, stop - start + 1) <= _BLOCK_BYTES
+            stop = start + max(1, np.count_nonzero(fits))
+        yield start, stop, [cells[:stop - start] for cells in ahead]
+        ahead, start = [cells[stop - start:] for cells in ahead], stop
 
 
 def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop: int,
-                  fmt: str) -> bytearray:
+                  texts: list[list[str]], fmt: str) -> bytearray:
     """Records start..stop-1 as the bytes of a matrix with a row per
-    record: each field's head and value, then `end`, and NUL padding."""
+    record: each field's head and value (a text field's from its cells in
+    `texts`), then `end`, and NUL padding."""
     rows = stop - start
+    texts = iter(texts)
     data = [f.data[start:stop] for f in fields]
     floats = [d.ravel() for f, d in zip(fields, data) if f.kind in ("float", "array")]
     tokens = _tokens(np.concatenate(floats) if floats else np.zeros(0), fmt)
@@ -439,8 +420,6 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
     json_fmt = fmt == "json"
     sep = b",\n        " if json_fmt else b";"
     slot = token + len(sep)
-    cell = functools.partial(_json, indent="      ") if json_fmt else \
-        functools.partial(_csv_cell, alone=len(fields) == 1)
     row, cells = bytearray(), []  # the template; each field's place and bytes
     for f, d, head in zip(fields, data, heads):
         array = f.kind == "array"
@@ -451,7 +430,7 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
         elif f.kind == "bool":
             value = _BOOLS[d.view(np.uint8)]
         elif f.kind == "text":
-            value = _padded([cell(v) for v in d], 0)
+            value = _padded(next(texts), 0)
         else:
             value = None
         cells.append((len(row), value))
@@ -516,8 +495,10 @@ def _render(write: Callable[[bytes], object], command: str, columns: dict, fmt: 
                  .encode("ascii") for i, key in enumerate(keys)]
         end = b"\n    }"
     rows = len(fields[0].data) if fields else 0
-    for start, stop in _blocks(fields, heads, rows):
-        matrix = _block_matrix(fields, heads, end, start, stop, fmt)
+    cell = functools.partial(_json, indent="      ") if fmt == "json" else \
+        functools.partial(_csv_cell, alone=len(fields) == 1)
+    for start, stop, texts in _blocks(fields, heads, rows, cell):
+        matrix = _block_matrix(fields, heads, end, start, stop, texts, fmt)
         write(matrix.translate(None, _PAD))
         del matrix  # before the next block is built
     if fmt == "csv":

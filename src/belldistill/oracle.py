@@ -17,7 +17,8 @@ rho = U diag(p) U^H (U the Bell basis) that its outcomes sum, from the
 gathered rows of U, and returns its outcomes as the columns t, prob,
 output and bell_offdiag of a `permutation.BranchSet`, used only as a
 container: it calls none of the engines' code.  The generator
-measurement contracts the whole rho (`density_matrix`).
+measurement contracts the whole rho (`density_matrix`) with each side's
+projectors in two matrix products.
 """
 
 from __future__ import annotations
@@ -173,11 +174,13 @@ def simulate_syndrome_measurement(state: BellDiagonalState,
     of sign patterns (-1)^a and (-1)^b.  The first side's marginal is
     uniform; only the XOR of the two strings depends on the state.  Each
     side's projectors act on its own qubits, so they are 2^n x 2^n matrices
-    contracted with rho[i, k, j, l] (rows i, k and columns j, l of sides A, B).
+    contracted with rho[i, k, j, l] (rows i, k and columns j, l of sides A,
+    B) in two matrix products: rho regrouped as (i, j) x (k, l) between
+    each side's projectors, transposed and flattened.
     """
     d = 1 << state.n
     k = len(generators)
-    rho = density_matrix(state).reshape(d, d, d, d)
+    rho = density_matrix(state).reshape(d, d, d, d).transpose(0, 2, 1, 3)
     eye = np.eye(d, dtype=complex)
     words = [pauli_matrix(g) for g in generators]
 
@@ -191,8 +194,9 @@ def simulate_syndrome_measurement(state: BellDiagonalState,
             out[outcome] = proj
         return out
 
-    return np.einsum("aji,blk,ikjl->ab", projectors([w.conj() for w in words]),
-                     projectors(words), rho).real
+    side_a, side_b = (projectors(ops).transpose(0, 2, 1).reshape(1 << k, d * d)
+                      for ops in ([w.conj() for w in words], words))
+    return (side_a @ rho.reshape(d * d, d * d) @ side_b.T).real
 
 
 def syndrome_difference_distribution(joint: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@
 that has two, the engines' `run`s: both engines read their branches off
 the same table, and nothing else in the package builds one.  Each CLI
 option is declared once: `cli.build_parser` is the one caller of
-`add_argument`.
+`add_argument`.  A block's floats are turned into token words in one
+function, `cli._tokens`, the one caller of `_decimal`, and the digit tables
+are built in one, `cli._tables`.  The dense oracle contracts with matrix
+products: nothing in the package calls `np.einsum`.
 """
 
 import ast
@@ -51,11 +54,17 @@ class C:
                                       "h": {"mod.g"}}
 
 
-def test_the_engines_are_the_branch_tables_only_front_ends():
+def package_callers() -> dict[str, set[str]]:
+    """`callers` over every module of the package."""
     found = defaultdict(set)
     for path in Path(belldistill.__file__).parent.glob("*.py"):
         for name, where in callers(path.read_text(), path.stem).items():
             found[name] |= where
+    return found
+
+
+def test_the_engines_are_the_branch_tables_only_front_ends():
+    found = package_callers()
     assert found["branch_table"] == {"permutation._branches"}
     assert found["_branches"] == {"permutation.run", "stabilizer.run"}
 
@@ -65,3 +74,13 @@ def test_options_are_added_to_the_parser_in_one_place():
     found = set().union(*(callers(path.read_text(), path.stem)["add_argument"]
                           for path in package.glob("*.py")))
     assert found == {"cli.build_parser"}
+
+
+def test_floats_become_tokens_in_one_function():
+    found = package_callers()
+    assert found["_decimal"] == {"cli._tokens"}
+    assert found["_digits"] == {"cli._tables"}
+
+
+def test_the_package_makes_no_einsum_call():
+    assert "einsum" not in package_callers()

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from belldistill import crosscheck, gf2, oracle, permutation, stabilizer
+from belldistill import crosscheck, equivalence, gf2, oracle, permutation, stabilizer
 from belldistill.gf2 import BinaryVector
 from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
 
@@ -311,6 +311,32 @@ def test_alice_marginal_uniform(werner2):
     joint = oracle.simulate_syndrome_measurement(werner2, (vec("1100"),))
     marginal = joint.sum(axis=1)
     assert marginal == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+def test_syndrome_measurement_is_its_literal_definition(rng):
+    # P[a, b] = tr[(Q_a* (x) Q_b) rho]: Q_a the projector onto sign pattern
+    # (-1)^a of the generators' words, rho the sum of p_x |Phi_x><Phi_x|
+    # with Phi_x = vec(sigma_x) / 2^(n/2), every operator an np.kron chain.
+    for _ in range(12):
+        state, proto = equivalence.random_instance(rng, (1, 2, 3))
+        n, k = state.n, len(proto.generators)
+        words = [kron_chain(g) for g in proto.generators]
+        bell = np.array([kron_chain(BinaryVector(x, 2 * n)).ravel()
+                         for x in range(1 << (2 * n))]) / np.sqrt(2.0 ** n)
+        rho = (bell.T * state.probs) @ bell.conj()
+        eye = np.eye(1 << n)
+
+        def projector(ops, outcome):
+            proj = eye
+            for i, op in enumerate(ops):
+                proj = proj @ (eye + (-1) ** (outcome >> (k - 1 - i) & 1) * op) / 2
+            return proj
+
+        expected = [[np.trace(np.kron(projector([w.conj() for w in words], a),
+                                      projector(words, b)) @ rho).real
+                     for b in range(1 << k)] for a in range(1 << k)]
+        joint = oracle.simulate_syndrome_measurement(state, proto.generators)
+        np.testing.assert_allclose(joint, expected, rtol=0, atol=1e-13)
 
 
 def test_syndrome_measurement_holds_no_full_register_projector(rng):
