@@ -344,34 +344,20 @@ def _field_of(column) -> SimpleNamespace:
     """How a column prints: its `kind`, its `data` with one entry or row per
     record, and `width`, the floats of an array or the bytes of a label.
 
-    Kinds: "float" (a 1-D float64 array, or floats), "array" (a 2-D
-    float64 array), "label" (`_Labels`), "bool" (a bool array, or bools)
-    and "text" (any other values, each formatted on its own, of the width
-    `_blocks` measures; `_clean` refuses a value no command prints).
+    Kinds: "float" (a 1-D float64 array), "array" (a 2-D float64 array),
+    "label" (`_Labels`), "bool" (a bool array) and "text" (a list of any
+    other values, each formatted on its own, of the width `_blocks`
+    measures; `_clean` refuses a value no command prints).
     """
     if isinstance(column, _Labels):
         return SimpleNamespace(kind="label", data=column.values, width=column.width,
                                chars=column.chars)
-    if not isinstance(column, np.ndarray) and column and (
-            all(isinstance(v, float) for v in column) or set(map(type, column)) == {bool}):
-        column = np.array(column)
     if not isinstance(column, np.ndarray) or column.dtype not in (bool, np.float64):
         return SimpleNamespace(kind="text", data=column, width=0)
     if column.dtype == bool:
         return SimpleNamespace(kind="bool", data=column, width=5)
     return SimpleNamespace(kind=("float", "array")[column.ndim - 1], data=column,
                            width=column.shape[1] if column.ndim == 2 else 1)
-
-
-def _columns(records: list[dict], fmt: str) -> dict:
-    """Records as columns: each field's values, in the first record's
-    field order.  Every record must have the same fields, for CSV also in
-    the same order."""
-    order = list if fmt == "csv" else sorted  # CSV cells follow the key order
-    keys = order(records[0]) if records else []
-    if any(order(rec) != keys for rec in records):
-        raise ValueError("records of one command must have the same fields")
-    return {key: [rec[key] for rec in records] for key in (records[0] if records else ())}
 
 
 def _json(value, indent: str) -> str:
@@ -476,13 +462,12 @@ def _render(write: Callable[[bytes], object], command: str, columns: dict, fmt: 
     """Write the command's output, as bytes, through `write`: JSON, or CSV
     with one row per record.
 
-    `columns` holds the records field by field (`_columns`, or an engine's
-    columns with `_Labels`), in the CSV column order; `_field_of` tells how
-    each prints.  The records are written block by block (`_blocks`,
-    `_block_matrix`), so that only one block's bytes exist at a time, each
-    block as the matrix's bytes less the padding.  Every float is printed
-    with 15 significant digits.  Array values are printed as lists
-    (`;`-joined in a CSV cell).
+    `columns` holds the records field by field, in the CSV column order;
+    `_field_of` tells how each prints.  The records are written block by
+    block (`_blocks`, `_block_matrix`), so that only one block's bytes
+    exist at a time, each block as the matrix's bytes less the padding.
+    Every float is printed with 15 significant digits.  Array values are
+    printed as lists (`;`-joined in a CSV cell).
     """
     keys = list(columns) if fmt == "csv" else sorted(columns)
     fields = [_field_of(columns[key]) for key in keys]
@@ -539,8 +524,9 @@ def _emit(args, columns: dict, summary: dict | None = None) -> None:
 # it is built, since a tiny step would otherwise exhaust memory.
 MAX_GRID_POINTS = 10_000
 # Most records `sweep` or `verify --random` may keep until it prints, checked
-# before the first round or instance: a record's traced peak was 0.5-0.95
-# KB (4,000 instances, 10,000 rounds, JSON and CSV), under 1 GB in all.
+# before the first round or instance: a record's traced peak was 0.70-0.74
+# KB for 4,000 instances at the default sizes and 0.24-0.27 KB for 10,000
+# rounds (JSON and CSV), under 1 GB in all.
 MAX_RECORDS = 1_000_000
 
 _NUMBER = (int, float)
@@ -826,23 +812,21 @@ def _cmd_verify(args) -> int:
             raise CliError(f"--random {args.random} is more than {MAX_RECORDS} records")
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         sizes = _parse_sizes(args.sizes, (2, 3, 4))
-        records = []
-        for index in range(args.random):
+        columns = {name: [] for name in ("n", "m", "generators", "passed",
+                                         "subspaces_match", "coset_match",
+                                         "max_discrepancy")}
+        # One instance is drawn and checked at a time; only what is printed stays.
+        for _ in range(args.random):
             state, proto = equivalence.random_instance(rng, sizes)
             report = equivalence.verify_equivalence(state, proto, args.threshold)
-            records.append({
-                "instance": index,
-                "n": report.n,
-                "m": report.m,
-                "generators": [to_pauli_string(g) for g in proto.generators],
-                "passed": report.passed,
-                "subspaces_match": report.subspaces_match,
-                "coset_match": report.coset_match,
-                "max_discrepancy": report.max_discrepancy,
-            })
-        failed = sum(1 for r in records if not r["passed"])
-        _emit(args, _columns(records, args.format),
-              {"instances": len(records), "failed": failed, "all_passed": failed == 0})
+            for name, column in columns.items():
+                column.append([to_pauli_string(g) for g in proto.generators]
+                              if name == "generators" else getattr(report, name))
+        failed = columns["passed"].count(False)
+        for name in ("passed", "subspaces_match", "coset_match", "max_discrepancy"):
+            columns[name] = np.array(columns[name])
+        _emit(args, {"instance": list(range(args.random)), **columns},
+              {"instances": args.random, "failed": failed, "all_passed": failed == 0})
         return 0 if failed == 0 else 2
 
     proto = _as_stabilizer(_load_protocol(args))
@@ -863,23 +847,18 @@ def _cmd_sweep(args) -> int:
     rounds = args.rounds if args.rounds is not None else 1
     if rounds < 1:
         raise CliError("--rounds must be at least 1")
-    if len(grid) * rounds > MAX_RECORDS:
+    records = len(grid) * rounds
+    if records > MAX_RECORDS:
         raise CliError(f"{len(grid)} grid points x {rounds} rounds is more than "
                        f"{MAX_RECORDS} records")
-    records = []
-    for f_in in grid:
-        reports = permutation.recurrence_sweep(
-            werner(f_in), proto, rounds, args.threshold)
-        for rep in reports:
-            records.append({
-                "f_in": f_in,
-                "round": rep.round_index,
-                "f_out": rep.fidelity,
-                "yield": rep.cumulative_yield,
-                "accept_prob": rep.accept_prob,
-                "accepted": rep.accepted,
-            })
-    _emit(args, _columns(records, args.format))
+    columns = {"f_in": np.repeat(grid, rounds),
+               "round": list(range(1, rounds + 1)) * len(grid)}
+    for start, f_in in zip(range(0, records, rounds), grid):
+        sweep = permutation.recurrence_sweep(werner(f_in), proto, rounds, args.threshold)
+        for name, column in sweep.items():
+            target = columns.setdefault(name, np.empty(records, column.dtype))
+            target[start:start + rounds] = column
+    _emit(args, columns)
     return 0
 
 
@@ -893,19 +872,12 @@ def _cmd_oracle_check(args) -> int:
         raise CliError("--count must be at least 1")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     results = crosscheck.run_all(sizes, count, rng)
-    records = [
-        {
-            "check": r.name,
-            "cases": r.cases,
-            "max_error": r.max_error,
-            "tolerance": r.tolerance,
-            "passed": r.passed,
-        }
-        for r in results
-    ]
-    all_passed = all(r.passed for r in results)
-    _emit(args, _columns(records, args.format), {"all_passed": all_passed})
-    return 0 if all_passed else 2
+    passed = np.array([r.passed for r in results])
+    _emit(args, {"check": [r.name for r in results], "cases": [r.cases for r in results],
+                 "max_error": np.array([r.max_error for r in results]),
+                 "tolerance": np.array([r.tolerance for r in results]),
+                 "passed": passed}, {"all_passed": bool(passed.all())})
+    return 0 if passed.all() else 2
 
 
 # name -> (help text, options, handler)

@@ -423,23 +423,8 @@ def unnormalized_fidelity(state: BellDiagonalState, proto: PermutationProtocol,
     return (1 << (n - m)) * best / denom
 
 
-@dataclass(frozen=True)
-class RoundReport:
-    """One recurrence round: what went in, what came out, what survives."""
-
-    round_index: int
-    input_fidelity: float
-    branch: BinaryVector
-    fidelity: float
-    accept_prob: float
-    cumulative_yield: float
-    accepted: bool
-    improved: bool
-    output_pair: BellDiagonalState
-
-
 def recurrence_sweep(pair: BellDiagonalState, proto: PermutationProtocol,
-                     rounds: int, threshold: float | None = None) -> list[RoundReport]:
+                     rounds: int, threshold: float | None = None) -> dict[str, np.ndarray]:
     """Iterate the protocol, feeding the surviving pair back in each round.
 
     Each round builds n identical pairs from the current distribution, runs
@@ -447,43 +432,37 @@ def recurrence_sweep(pair: BellDiagonalState, proto: PermutationProtocol,
     the best accepted branch: the highest fidelity, the smallest label
     among equals (requires m = 1).  With no explicit threshold
     a branch is accepted when it does not degrade the current pair
-    fidelity.  The cumulative yield multiplies (m/n) times the acceptance
-    probability per round.  A non-improving round is reported, not raised;
-    if no branch is accepted the sweep continues from the best branch with
-    the yield zeroed.
+    fidelity.  If no branch is accepted the sweep continues from the best
+    branch with the yield zeroed.
+
+    Returns the columns `sweep` prints, one entry per round: `f_out` (the
+    best branch's fidelity), `yield` (multiplied by (m/n) times the
+    acceptance probability each round) and `accept_prob` (the accepted
+    branches' probability, summed in label order) as float64 arrays, and
+    `accepted` (whether any branch was) as a bool array.
     """
     if proto.m != 1:
         raise ValueError("recurrence mode needs an n -> 1 protocol")
     if rounds < 1:
         raise ValueError("need at least one round")
-    reports = []
+    f_out, accept_probs = np.empty((2, rounds))
+    any_accepted = np.empty(rounds, dtype=bool)
     current = pair
-    cumulative_yield = 1.0
-    for round_index in range(1, rounds + 1):
+    for r in range(rounds):
         state = BellDiagonalState.from_pairs([current] * proto.n)
         round_threshold = current.fidelity if threshold is None else threshold
         branches = run(state, proto, round_threshold)
         accepted = branches.accepted
-        pool = np.flatnonzero(accepted if accepted.any() else ~accepted)
+        any_accepted[r] = accepted.any()
+        pool = np.flatnonzero(accepted if any_accepted[r] else ~accepted)
         # the pool is in label order, and argmax takes the first maximum
         best = pool[np.argmax(branches.fidelity[pool])]
-        fidelity = float(branches.fidelity[best])
-        accept_prob = sum(branches.prob[accepted].tolist())
-        cumulative_yield *= (proto.m / proto.n) * accept_prob
+        f_out[r] = branches.fidelity[best]
+        accept_probs[r] = sum(branches.prob[accepted].tolist(), 0.0)
         # Renormalize once per round: the sweep's accept/reject decisions
         # depend on the last bit of the pair fed into the next round.
-        next_pair = BellDiagonalState(
+        current = BellDiagonalState(
             1, branches.output[best][np.arange(4) ^ branches.correction[best]])
-        reports.append(RoundReport(
-            round_index=round_index,
-            input_fidelity=current.fidelity,
-            branch=BinaryVector(int(branches.t[best]), proto.n - 1),
-            fidelity=fidelity,
-            accept_prob=accept_prob,
-            cumulative_yield=cumulative_yield,
-            accepted=bool(accepted.any()),
-            improved=fidelity > current.fidelity,
-            output_pair=next_pair,
-        ))
-        current = next_pair
-    return reports
+    # the running product, one multiplication a round, in round order
+    return {"f_out": f_out, "yield": np.cumprod((proto.m / proto.n) * accept_probs),
+            "accept_prob": accept_probs, "accepted": any_accepted}

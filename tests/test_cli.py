@@ -200,6 +200,19 @@ def test_verify_random_batch(capsys):
     assert len(data["records"]) == 8
 
 
+def test_verify_random_checks_one_instance_at_a_time(capsys, monkeypatch):
+    # Drawing every instance before checking any would hold them all.
+    calls = []
+    for name in ("random_instance", "verify_equivalence"):
+        def spy(*args, real=getattr(equivalence, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(equivalence, name, spy)
+    code, out, _ = invoke(capsys, "verify", "--random", "5", "--seed", "3")
+    assert code == 0 and len(json.loads(out)["records"]) == 5
+    assert calls == ["random_instance", "verify_equivalence"] * 5
+
+
 def test_sweep_improves_fidelity(capsys):
     code, out, _ = invoke(capsys, "sweep", "--generators", "ZZ",
                           "--grid", "0.55:0.95:0.05", "--rounds", "1")

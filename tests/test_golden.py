@@ -16,7 +16,8 @@ change is meant, re-pin with
 which prints the cases whose hash changed and those added or removed; list
 them, and why, with the change.  Every `refuse-*` case must exit 1 with
 one `error:` line and nothing on stdout, so a refusal is never re-pinned
-as a success under its old name.
+as a success under its old name, and every field of a JSON case's records
+holds one JSON type across its records.
 """
 
 import contextlib
@@ -180,6 +181,15 @@ def test_refusals_print_one_error_line(files, case):
     code, out, err = _run(CASES[case], files)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.endswith("-json")))
+def test_each_json_field_holds_one_type(files, case):
+    """Each record field prints one JSON type in every record: a float
+    field never prints an integer such as 0."""
+    records = json.loads(_run(CASES[case], files)[1])["records"]
+    for key in records[0]:
+        assert len({type(record[key]) for record in records}) == 1, key
 
 
 def _update() -> None:

@@ -57,21 +57,21 @@ def dejmps(f: float, rounds: int) -> list[tuple[float, float]]:
 def test_bbpssw_first_round(f):
     proto = equivalence.permutation_from_stabilizer(
         StabilizerProtocol.from_pauli_strings(["ZZ"], 1))
-    report = recurrence_sweep(werner(f), proto, 1)[0]
+    sweep = recurrence_sweep(werner(f), proto, 1)
     fidelity, accept_prob = bbpssw(f)
-    assert report.fidelity == pytest.approx(fidelity, abs=1e-12)
-    assert report.accept_prob == pytest.approx(accept_prob, abs=1e-12)
-    assert report.accepted
+    assert sweep["f_out"][0] == pytest.approx(fidelity, abs=1e-12)
+    assert sweep["accept_prob"][0] == pytest.approx(accept_prob, abs=1e-12)
+    assert sweep["accepted"][0]
 
 
 @pytest.mark.parametrize("f", GRID)
 def test_dejmps_four_rounds(f):
     proto = PermutationProtocol(2, 1, BinaryMatrix.from_strings(DEJMPS_MATRIX),
                                 BinaryVector.zeros(4))
-    reports = recurrence_sweep(werner(f), proto, 4)
-    for report, (fidelity, accept_prob) in zip(reports, dejmps(f, 4)):
-        assert report.fidelity == pytest.approx(fidelity, abs=1e-12)
-        assert report.accept_prob == pytest.approx(accept_prob, abs=1e-12)
+    sweep = recurrence_sweep(werner(f), proto, 4)
+    fidelity, accept_prob = np.array(dejmps(f, 4)).T
+    assert sweep["f_out"] == pytest.approx(fidelity, abs=1e-12)
+    assert sweep["accept_prob"] == pytest.approx(accept_prob, abs=1e-12)
 
 
 def test_sweep_commands_print_the_closed_forms(capsys):

@@ -730,33 +730,47 @@ def test_literal_equals_scaled_normalized(rng):
 # ---------------------------------------------------------------------------
 
 def test_recurrence_perfect_input(bcnot_proto):
-    reports = recurrence_sweep(werner(1.0), bcnot_proto, 3)
-    for i, rep in enumerate(reports, start=1):
-        assert rep.fidelity == pytest.approx(1.0)
-        assert rep.accept_prob == pytest.approx(1.0)
-        assert rep.cumulative_yield == pytest.approx(0.5 ** i)
-        assert rep.accepted
+    sweep = recurrence_sweep(werner(1.0), bcnot_proto, 3)
+    assert sweep["f_out"] == pytest.approx([1.0] * 3)
+    assert sweep["accept_prob"] == pytest.approx([1.0] * 3)
+    assert sweep["yield"] == pytest.approx([0.5, 0.25, 0.125])
+    assert sweep["accepted"].all()
 
 
 def test_recurrence_one_round(bcnot_proto):
-    rep = recurrence_sweep(werner(0.75), bcnot_proto, 1)[0]
-    assert rep.fidelity == pytest.approx(41 / 52, abs=1e-12)
-    assert rep.accept_prob == pytest.approx(13 / 18, abs=1e-12)
-    assert rep.cumulative_yield == pytest.approx(13 / 36, abs=1e-12)
-    assert rep.improved and rep.accepted
-    assert rep.output_pair.probs == pytest.approx(
-        (41 / 52, 1 / 52, 9 / 52, 1 / 52), abs=1e-12)
+    sweep = recurrence_sweep(werner(0.75), bcnot_proto, 1)
+    assert sweep["f_out"][0] == pytest.approx(41 / 52, abs=1e-12)
+    assert sweep["accept_prob"][0] == pytest.approx(13 / 18, abs=1e-12)
+    assert sweep["yield"][0] == pytest.approx(13 / 36, abs=1e-12)
+    assert sweep["f_out"][0] > werner(0.75).fidelity and sweep["accepted"][0]
+
+
+def test_recurrence_carries_the_corrected_output(bcnot_proto):
+    # round 2 starts from round 1's corrected output, (41, 1, 9, 1) / 52
+    carried = recurrence_sweep(werner(0.75), bcnot_proto, 2)
+    fresh = recurrence_sweep(BellDiagonalState(1, (41 / 52, 1 / 52, 9 / 52, 1 / 52)),
+                             bcnot_proto, 1)
+    for name in ("f_out", "accept_prob"):
+        assert carried[name][1] == pytest.approx(fresh[name][0], abs=1e-12)
+    assert carried["accepted"][1] == fresh["accepted"][0]
+    assert carried["yield"][1] == pytest.approx(carried["yield"][0] * fresh["yield"][0],
+                                                abs=1e-12)
+    # the pair with its phase and parity errors swapped, or with label 10 on
+    # top, would print another acceptance probability
+    for other in ((41, 9, 1, 1), (9, 1, 41, 1)):
+        moved = recurrence_sweep(BellDiagonalState(1, np.array(other) / 52), bcnot_proto, 1)
+        assert moved["accept_prob"][0] != pytest.approx(fresh["accept_prob"][0], abs=1e-6)
 
 
 def test_recurrence_second_round_degrades(bcnot_proto):
     # fed straight back, the surviving phase-error weight squares up: the
-    # second round lands at 1762/2504 and is reported, not raised
-    reports = recurrence_sweep(werner(0.75), bcnot_proto, 2)
-    second = reports[1]
-    assert second.fidelity == pytest.approx(881 / 1252, abs=1e-12)
-    assert not second.improved
-    assert not second.accepted
-    assert second.cumulative_yield == 0.0
+    # second round lands at 1762/2504, below the pair it started from, and
+    # is reported, not raised
+    sweep = recurrence_sweep(werner(0.75), bcnot_proto, 2)
+    assert sweep["f_out"][1] == pytest.approx(881 / 1252, abs=1e-12)
+    assert sweep["f_out"][1] < sweep["f_out"][0]
+    assert not sweep["accepted"][1]
+    assert sweep["yield"][1] == 0.0
 
 
 def test_recurrence_requires_single_survivor(bcnot):
@@ -766,29 +780,31 @@ def test_recurrence_requires_single_survivor(bcnot):
 
 
 def reference_sweep(pair, proto, rounds, threshold):
-    """`recurrence_sweep` branch by branch: the best branch is the maximum
-    by (fidelity, -t) over the accepted branches, or over all of them when
-    none is accepted."""
-    reports, current, cumulative = [], pair, 1.0
-    for round_index in range(1, rounds + 1):
+    """`recurrence_sweep` branch by branch, as lists: the best branch is the
+    maximum by (fidelity, -t) over the accepted branches, or over all of
+    them when none is accepted."""
+    columns = {"f_out": [], "yield": [], "accept_prob": [], "accepted": []}
+    current, cumulative = pair, 1.0
+    for _ in range(rounds):
         state = BellDiagonalState.from_pairs([current] * proto.n)
         branches = run(state, proto, current.fidelity if threshold is None else threshold)
         t, prob, fidelity = (branches.t.tolist(), branches.prob.tolist(),
                              branches.fidelity.tolist())
         accepted = [row for row in range(len(t)) if branches.accepted[row]]
         best = max(accepted or range(len(t)), key=lambda row: (fidelity[row], -t[row]))
-        accept_prob = sum(prob[row] for row in accepted)
+        accept_prob = sum((prob[row] for row in accepted), 0.0)
         cumulative *= (proto.m / proto.n) * accept_prob
+        for name, value in zip(columns, (fidelity[best], cumulative, accept_prob,
+                                         bool(accepted))):
+            columns[name].append(value)
         output, correction = branches.output[best], int(branches.correction[best])
-        next_pair = BellDiagonalState(1, [output[x ^ correction] for x in range(4)])
-        reports.append((round_index, current.fidelity, BinaryVector(t[best], proto.n - 1),
-                        fidelity[best], accept_prob, cumulative, bool(accepted),
-                        fidelity[best] > current.fidelity, next_pair.probs.tolist()))
-        current = next_pair
-    return reports
+        current = BellDiagonalState(1, [output[x ^ correction] for x in range(4)])
+    return columns
 
 
 def test_recurrence_equals_the_per_branch_rule(rng):
+    """Every round's four columns, so the pair carried into rounds 2 and 3
+    shows in what they print."""
     protocols = [PermutationProtocol.linear(n, 1, gf2.random_symplectic(n, rng))
                  for n in (2, 2, 3, 3, 4)]
     protocols.append(PermutationProtocol.linear(
@@ -798,14 +814,15 @@ def test_recurrence_equals_the_per_branch_rule(rng):
     for proto in protocols:
         for pair in pairs:
             for threshold in (None, 0.3, 0.99):
-                got = [(r.round_index, r.input_fidelity, r.branch, r.fidelity,
-                        r.accept_prob, r.cumulative_yield, r.accepted, r.improved,
-                        r.output_pair.probs.tolist())
-                       for r in recurrence_sweep(pair, proto, 3, threshold)]
-                assert got == reference_sweep(pair, proto, 3, threshold)
+                sweep = recurrence_sweep(pair, proto, 3, threshold)
+                kinds = [(name, column.dtype, column.shape) for name, column in sweep.items()]
+                assert kinds == [("f_out", float, (3,)), ("yield", float, (3,)),
+                                 ("accept_prob", float, (3,)), ("accepted", bool, (3,))]
+                assert {name: column.tolist() for name, column in sweep.items()} == \
+                    reference_sweep(pair, proto, 3, threshold)
 
 
 def test_recurrence_explicit_threshold(bcnot_proto):
-    reports = recurrence_sweep(werner(0.75), bcnot_proto, 2, threshold=0.5)
-    assert reports[1].accepted  # 0.7037 >= 0.5
-    assert reports[1].cumulative_yield > 0
+    sweep = recurrence_sweep(werner(0.75), bcnot_proto, 2, threshold=0.5)
+    assert sweep["accepted"][1]  # 0.7037 >= 0.5
+    assert sweep["yield"][1] > 0

@@ -4,7 +4,7 @@
 byte matrix (`_block_matrix`) whose floats are formatted in one pass
 (`_tokens`: exact 15-digit decimals from `_decimal`, then 4-digit words
 from digit tables), and whose other values are rows of the per-value
-builder `_padded`, from columns: a record list transposed by `_columns`,
+builder `_padded`, from columns: a record list transposed by `columns_of`,
 or an engine's branch set, whose outputs are one 2-D float column.
 The reference here is the rendering that predates
 it: `json.dumps` of a list of records with every float rounded through
@@ -26,7 +26,6 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from belldistill import cli, equivalence, gf2, permutation, stabilizer
-from belldistill.cli import _columns
 from belldistill.gf2 import BinaryMatrix
 from belldistill.permutation import PermutationProtocol
 from belldistill.stabilizer import StabilizerProtocol, to_pauli_string
@@ -77,26 +76,35 @@ def _render(command, columns, fmt, summary):
     return out.getvalue().decode()
 
 
-def columns_of(records, fmt):
-    """The records as `cli._columns` gives them, with each array field
-    stacked into one 2-D float column, as the engines hand their outputs."""
-    return {key: np.stack(column) if column and isinstance(column[0], np.ndarray)
-            else column for key, column in _columns(records, fmt).items()}
+def columns_of(records):
+    """The records field by field, in the first record's field order, as
+    the commands hand them: a field of floats or of bools as one array, an
+    array field stacked into one 2-D float column, any other as a list."""
+    columns = {}
+    for key in records[0] if records else ():
+        column = [rec[key] for rec in records]
+        if all(isinstance(v, float) for v in column) or \
+                all(type(v) is bool for v in column):
+            column = np.array(column)
+        elif isinstance(column[0], np.ndarray):
+            column = np.stack(column)
+        columns[key] = column
+    return columns
 
 
 def assert_renders_as_reference(records, summary=None):
     for fmt in ("json", "csv"):
-        assert _render("run-perm", columns_of(records, fmt), fmt, summary) == \
+        assert _render("run-perm", columns_of(records), fmt, summary) == \
             reference("run-perm", records, fmt, summary)
 
 
 def assert_csv_refuses_nul(records, summary=None):
     """NUL is the block matrix's padding: JSON escapes it and renders as
     the reference, and a CSV text cell holding it is refused."""
-    assert _render("run-perm", columns_of(records, "json"), "json", summary) == \
+    assert _render("run-perm", columns_of(records), "json", summary) == \
         reference("run-perm", records, "json", summary)
     with pytest.raises(ValueError, match="NUL"):
-        _render("run-perm", columns_of(records, "csv"), "csv", summary)
+        _render("run-perm", columns_of(records), "csv", summary)
 
 
 def records_of(arrays, scalar=0.5):
@@ -162,7 +170,7 @@ def test_nan_in_scalar_field_and_summary():
     records = records_of([np.array([0.5, 0.5])], scalar=float("nan"))
     assert_renders_as_reference(records, {"output_max_diff": float("nan"),
                                           "passed": False})
-    assert "NaN" in _render("verify", columns_of(records, "json"), "json", None)
+    assert "NaN" in _render("verify", columns_of(records), "json", None)
 
 
 STRINGS = ["", "plain", 'a "quoted" word', "back\\slash", "caf\u00e9", "\u2028",
@@ -204,19 +212,24 @@ def test_records_of_one_field_render_as_reference():
     assert_renders_as_reference([{"prob": 0.5}, {"prob": float("nan")}])
 
 
-def test_records_with_other_fields_are_refused():
+def test_json_sorts_the_fields():
+    # JSON sorts the keys, so the columns' order does not matter there.
     records = records_of([np.array([0.5])] * 2)
-    renamed = [records[0], {("Prob" if k == "prob" else k): v
-                            for k, v in records[1].items()}]
-    reordered = [records[0], dict(reversed(records[1].items()))]
+    reordered = [dict(reversed(rec.items())) for rec in records]
+    assert _render("run-perm", columns_of(reordered), "json", None) == \
+        reference("run-perm", records, "json", None)
+    assert _render("run-perm", columns_of(reordered), "csv", None) == \
+        reference("run-perm", reordered, "csv", None)
+
+
+def test_lists_of_floats_and_bools_print_as_their_arrays():
+    # A list is a text column, each value printed on its own: the same
+    # bytes as the one-pass path prints for the array.
+    values = [0.5, 1 / 3, 0.0, -0.0, 1e-5, 5e-324, 1e15, float("nan"), 2.0] * 8
+    flags = [i % 3 == 0 for i in range(len(values))]
     for fmt in ("json", "csv"):
-        with pytest.raises(ValueError, match="same fields"):
-            _columns(renamed, fmt)
-    with pytest.raises(ValueError, match="same fields"):
-        _columns(reordered, "csv")
-    # JSON sorts the keys, so their order does not matter there.
-    assert _render("run-perm", columns_of(reordered, "json"), "json", None) == \
-        reference("run-perm", reordered, "json", None)
+        assert _render("sweep", {"x": values, "ok": flags}, fmt, None) == \
+            _render("sweep", {"x": np.array(values), "ok": np.array(flags)}, fmt, None)
 
 
 def test_scalars_the_direct_path_refuses():
@@ -673,12 +686,12 @@ def test_final_block_below_the_per_value_cutoff(monkeypatch):
     arrays = [np.linspace(0.0, 1.0, 20) / (i + 1) for i in range(cli._BLOCK_BYTES // 400)]
     for fmt in ("json", "csv"):
         # the records a full block holds, then one more: a final block of one
-        _render("run-perm", columns_of(records_of(arrays), fmt), fmt, None)
+        _render("run-perm", columns_of(records_of(arrays)), fmt, None)
         rows = sizes[0] // 21 + 1
         assert len(sizes) > 1 and rows < len(arrays)
         sizes.clear()
         records = records_of(arrays[:rows])
-        assert _render("run-perm", columns_of(records, fmt), fmt, {"instances": rows}) == \
+        assert _render("run-perm", columns_of(records), fmt, {"instances": rows}) == \
             reference("run-perm", records, fmt, {"instances": rows})
         assert sizes == [(rows - 1) * 21, 21]
         assert sizes[1] < cli._BATCH_MIN
@@ -710,7 +723,7 @@ def test_zero_records():
     for summary in (None, {"passed": True}):
         assert _render("run-perm", columns, "json", summary) == \
             reference("run-perm", [], "json", summary)
-        assert _render("run-perm", _columns([], "json"), "json", summary) == \
+        assert _render("run-perm", columns_of([]), "json", summary) == \
             reference("run-perm", [], "json", summary)
     assert _render("run-perm", columns, "csv", None) == "t,prob,output\n"
 
@@ -753,7 +766,7 @@ def test_text_fields_count_their_rendered_width_in_a_block(monkeypatch, fmt):
 
     monkeypatch.setattr(cli, "_block_matrix", spy_block)
     monkeypatch.setattr(cli, "_json" if fmt == "json" else "_csv_cell", spy_cell)
-    assert _render("verify", columns_of(records, fmt), fmt, None) == \
+    assert _render("verify", columns_of(records), fmt, None) == \
         reference("verify", records, fmt, None)
     assert len(sizes) > 1 and max(sizes) <= 1.1 * cli._BLOCK_BYTES
     # each text cell rendered once (CSV: the header's keys too)

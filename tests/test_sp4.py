@@ -138,10 +138,10 @@ def test_recurrence_over_every_two_to_one_protocol_is_pinned():
     closed = np.array(dejmps(0.7, 4))
     fidelities, reproduces = {}, 0
     for a in sp4():
-        reports = recurrence_sweep(werner(0.7), PermutationProtocol.linear(2, 1, a), 4)
-        swept = np.array([(r.fidelity, r.accept_prob) for r in reports])
+        sweep = recurrence_sweep(werner(0.7), PermutationProtocol.linear(2, 1, a), 4)
+        swept = np.column_stack((sweep["f_out"], sweep["accept_prob"]))
         reproduces += bool(np.abs(swept - closed).max() <= 1e-12)
-        fidelities[tuple(a.to_strings())] = [r.fidelity for r in reports]
+        fidelities[tuple(a.to_strings())] = sweep["f_out"].tolist()
     assert reproduces == 48
     best = max(f[3] for f in fidelities.values())
     assert round(best, 6) == 0.972341
