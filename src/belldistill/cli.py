@@ -545,7 +545,9 @@ _OPTIONS = {
     "m": (("-m",), {"type": int}, int,
           "number of surviving pairs (required with --matrix)"),
     "threshold": (("--threshold",), {"type": float}, _NUMBER,
-                  "acceptance threshold (default: input fidelity)"),
+                  "threshold on each branch's m-pair output fidelity (default: the "
+                  "weight of the n-pair input's zero label, F^n for n Werner pairs; "
+                  "in sweep, the current pair's F)"),
     "werner": (("--werner",), {"type": float}, _NUMBER,
                "build the input from identical Werner pairs of this fidelity"),
     "pair": (("--pair",), {}, str,
@@ -640,7 +642,7 @@ def _refuse_ignored(args: argparse.Namespace) -> None:
 # Protocol and state loading
 # ---------------------------------------------------------------------------
 
-def _load_protocol(args) -> PermutationProtocol | StabilizerProtocol:
+def _load_protocol(args) -> PermutationProtocol:
     sources = [s for s in (args.protocol_file, args.generators, args.matrix)
                if s is not None]
     if len(sources) != 1:
@@ -677,18 +679,6 @@ def _load_protocol(args) -> PermutationProtocol | StabilizerProtocol:
     offset = BinaryVector.from_string(args.offset) if args.offset \
         else BinaryVector.zeros(2 * n)
     return PermutationProtocol(n, args.m, matrix, offset)
-
-
-def _as_permutation(proto) -> PermutationProtocol:
-    if isinstance(proto, PermutationProtocol):
-        return proto
-    return equivalence.permutation_from_stabilizer(proto)
-
-
-def _as_stabilizer(proto) -> StabilizerProtocol:
-    if isinstance(proto, StabilizerProtocol):
-        return proto
-    return equivalence.stabilizer_from_permutation(proto)
 
 
 def _load_state(args, n: int) -> BellDiagonalState:
@@ -779,7 +769,7 @@ def _branch_columns(branches, label: str, **fields) -> dict:
 
 
 def _cmd_run_perm(args) -> int:
-    proto = _as_permutation(_load_protocol(args))
+    proto = _load_protocol(args)
     state = _load_state(args, proto.n)
     branches = permutation.run(state, proto, args.threshold)
     _emit(args, _branch_columns(branches, "t", correction=_bits(branches, "correction")))
@@ -787,7 +777,7 @@ def _cmd_run_perm(args) -> int:
 
 
 def _cmd_run_code(args) -> int:
-    proto = _as_stabilizer(_load_protocol(args))
+    proto = _load_protocol(args)
     state = _load_state(args, proto.n)
     branches = stabilizer.run(state, proto, args.threshold)
     _emit(args, _branch_columns(branches, "s", v=_bits(branches, "v"),
@@ -829,7 +819,7 @@ def _cmd_verify(args) -> int:
               {"instances": args.random, "failed": failed, "all_passed": failed == 0})
         return 0 if failed == 0 else 2
 
-    proto = _as_stabilizer(_load_protocol(args))
+    proto = _load_protocol(args)
     state = _load_state(args, proto.n)
     report = equivalence.verify_equivalence(state, proto, args.threshold)
     summary = {name: getattr(report, name) for name in (
@@ -842,7 +832,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    proto = _as_permutation(_load_protocol(args))
+    proto = _load_protocol(args)
     grid = _parse_grid(args.grid)
     rounds = args.rounds if args.rounds is not None else 1
     if rounds < 1:

@@ -1,15 +1,14 @@
-"""Instance-level translation and cross-checking of the two protocol engines.
+"""Instance-level retyping and cross-checking of the two protocol engines.
 
-A generator protocol holds its relabeling, the permutation protocol
-(A, b) that reproduces the generator measurements, A = B^-1 = P B^T P for
-its frame B (generator i in column m+i).  The translations hand (A, b)
-over both ways: a permutation protocol becomes its `generators` (the
-trailing rows of A*P) holding (A, b), so the round trip is exact.
-`verify_equivalence` runs both engines on the same input and compares
-their branch sets column by column (outcome t identified with syndrome
-s): probabilities, output distributions, fidelities, and the chosen
-correction/recovery cosets.  The comparison is itself a `BranchSet`, one
-row per label either engine produced.
+There is one protocol type, (A, b), with two constructors: a matrix
+(`PermutationProtocol`) or generators (`StabilizerProtocol`, A the inverse
+of their frame, b = 0).  Either engine takes either and names its branches
+by outcome t (`permutation.run`) or syndrome s (`stabilizer.run`); the
+translations only retype (A, b).  `verify_equivalence` runs both engines
+on one protocol and input and compares their branch sets column by column
+(t identified with s): probabilities, output distributions, fidelities,
+and the chosen correction/recovery cosets, as a `BranchSet` with one row
+per label either engine produced.
 """
 
 from __future__ import annotations
@@ -20,28 +19,27 @@ from typing import ClassVar
 import numpy as np
 
 from . import gf2, permutation, stabilizer
-from .permutation import (BranchSet, PermutationProtocol, _embed_value, align,
-                          measured_subspace)
-from .stabilizer import StabilizerProtocol, generator_span
+from .permutation import BranchSet, PermutationProtocol, _embed_value, align
+from .stabilizer import StabilizerProtocol
 from .states import BellDiagonalState, random_bell_diagonal
 
 
-def permutation_from_stabilizer(proto: StabilizerProtocol) -> PermutationProtocol:
-    """The protocol's relabeling (P B^T P, b) for its frame B: its measured
-    subspace is the generator span, and it names its logical outputs as
-    the stabilizer engine does."""
-    return proto.relabeling
+def permutation_from_stabilizer(proto: PermutationProtocol) -> PermutationProtocol:
+    """The protocol (A, b) as a plain permutation protocol."""
+    return PermutationProtocol._retyped(proto)
 
 
 def stabilizer_from_permutation(proto: PermutationProtocol) -> StabilizerProtocol:
-    """The generators of the protocol (A, b) holding (A, b) as their
-    relabeling, so that `permutation_from_stabilizer` gives it back."""
-    return StabilizerProtocol._trusted(proto)
+    """The protocol (A, b) as a generator protocol: its generators are the
+    trailing rows of A*P, and `permutation_from_stabilizer` gives it back."""
+    return StabilizerProtocol._retyped(proto)
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Outcome of one instance-level cross-check of the two engines."""
+    """Outcome of one instance-level cross-check of the two engines.
+    `subspaces_match` and `branch_sets_match` are true by construction while
+    both engines read one protocol's branch table (ROADMAP item 8)."""
 
     n: int
     m: int
@@ -59,14 +57,14 @@ class EquivalenceReport:
                 and self.coset_match and self.max_discrepancy <= self.tolerance)
 
 
-def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
+def verify_equivalence(state: BellDiagonalState, proto: PermutationProtocol,
                        threshold: float | None = None) -> EquivalenceReport:
     """Run both engines on one input and compare them branch by branch.
 
-    The permutation protocol is the protocol's relabeling (A, b), so
-    output labels are directly comparable.  A branch's recovery u matches
-    the permutation engine's correction c when B embed(c, t) + B b + u
-    lies in the generator span, B = A^-1 the frame; that is
+    Both engines run the one protocol (A, b), so output labels are
+    directly comparable.  A branch's recovery u matches the permutation
+    engine's correction c when B embed(c, t) + B b + u lies in the
+    generator span, B = A^-1 the frame; that is
     A u + b = embed(c, t) outside positions m..n-1, where A puts the span.
     `max_discrepancy` is the largest probability, fidelity or output gap,
     counting a branch only one engine has by its probability.  Mismatches
@@ -78,10 +76,7 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
     NaN and `coset_match` False.
     """
     n, m = proto.n, proto.m
-    perm_proto = permutation_from_stabilizer(proto)
-    subspaces_match = measured_subspace(perm_proto) == generator_span(proto)
-
-    perm = permutation.run(state, perm_proto, threshold)
+    perm = permutation.run(state, proto, threshold)
     code = stabilizer.run(state, proto, threshold)
     t, p, in_perm, c, in_code = align(perm.t, code.s)
     both = in_perm & in_code
@@ -91,7 +86,7 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
     fidelity_code = np.where(in_code, code.fidelity[c], 0.0)
     output_diff = np.where(both, np.abs(perm.output[p] - code.output[c]).max(axis=1),
                            np.nan)
-    moved = (perm_proto.matrix.apply(code.u[c]) ^ perm_proto.offset.value
+    moved = (proto.matrix.apply(code.u[c]) ^ proto.offset.value
              ^ _embed_value(perm.correction[p], t, n, m))
     coset_match = both & ((moved & ~(((1 << (n - m)) - 1) << n)) == 0)
     gaps = np.maximum.reduce([np.abs(prob_perm - prob_code),
@@ -101,7 +96,7 @@ def verify_equivalence(state: BellDiagonalState, proto: StabilizerProtocol,
     return EquivalenceReport(
         n=n,
         m=m,
-        subspaces_match=subspaces_match,
+        subspaces_match=True,
         branches=BranchSet(m, {"t": n - m}, {
             "t": t,
             "prob_perm": prob_perm,

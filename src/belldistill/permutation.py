@@ -14,9 +14,11 @@ Summed over y this is the branch probability (a coset sum over the
 symplectic complement of the measured subspace); each entry is a coset sum
 over the measured subspace.  A product input's pairs past the dense head
 are folded into the table in place, one cache-sized block of whole cosets
-of their columns' span at a time.  The stabilizer engine runs `_branches` on
-its relabeling, so both engines read their branches off identical
-numbers.  The literal coset-sum formula is kept in `unnormalized_fidelity`.
+of their columns' span at a time.  Both engines run `_branches` on the one
+protocol type (A, b), built from a matrix or from generators
+(`stabilizer.StabilizerProtocol`), and name its branches by outcome t here
+or syndrome s there.  The literal coset-sum formula is kept in
+`unnormalized_fidelity`.
 
 Corrections are chosen within a relative band, TIE_BAND, of the heaviest
 logical label, so labels whose weights differ only by summation order
@@ -50,7 +52,8 @@ from .states import BellDiagonalState, _normalize
 
 @dataclass(frozen=True)
 class PermutationProtocol:
-    """n-to-m protocol: symplectic matrix, affine offset, and the split n/m."""
+    """n-to-m protocol: symplectic matrix, affine offset, and the split n/m;
+    `stabilizer.StabilizerProtocol` builds one from generators."""
 
     n: int
     m: int
@@ -68,17 +71,17 @@ class PermutationProtocol:
         if not gf2.is_symplectic(self.matrix):
             raise ValueError("protocol matrix is not symplectic (A^T P A != P)")
 
-    @classmethod
-    def linear(cls, n: int, m: int, matrix: BinaryMatrix) -> "PermutationProtocol":
-        return cls(n, m, matrix, BinaryVector.zeros(2 * n))
+    @staticmethod
+    def linear(n: int, m: int, matrix: BinaryMatrix) -> "PermutationProtocol":
+        return PermutationProtocol(n, m, matrix, BinaryVector.zeros(2 * n))
 
     @classmethod
-    def _trusted(cls, n: int, m: int, matrix: BinaryMatrix) -> "PermutationProtocol":
-        """Internal constructor of the linear protocol of a matrix known to be
-        symplectic (the inverse of a completed frame), skipping the checks."""
-        proto = object.__new__(cls)
-        proto.__dict__.update(n=n, m=m, matrix=matrix, offset=BinaryVector.zeros(2 * n))
-        return proto
+    def _retyped(cls, proto: "PermutationProtocol") -> "PermutationProtocol":
+        """Internal constructor: the checked protocol (A, b) as a `cls`,
+        skipping the checks."""
+        retyped = object.__new__(cls)
+        retyped.__dict__.update(vars(proto))
+        return retyped
 
     @property
     def generators(self) -> tuple[BinaryVector, ...]:

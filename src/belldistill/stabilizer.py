@@ -9,14 +9,14 @@ XOR s of the two outcome strings is informative.  At the label level:
   the generators' symplectic complement selected by s;
 * recovery picks the heaviest coset of the generator span inside it.
 
-Logical output labels need a basis choice inside the complement.  A
-protocol holds it as its relabeling, the permutation protocol (A, b) with
-A = B^-1 = P B^T P for a symplectic completion B of the generators (the
-frame), so row i of A is column i+n (mod 2n) of B, halves swapped.  The
-syndrome and logical bits of x are the inner products <g_i, x> and those
-with B's partner columns, bits of A x, plus those of b, so `run` fills its
-table with the permutation engine's label map of (A, b), reads the
-branches off it the same way, and names v and u from B's columns.
+Logical output labels need a basis choice inside the complement: a
+`StabilizerProtocol` is the `permutation.PermutationProtocol` (A, b) with
+A = B^-1 = P B^T P for a symplectic completion B of its generators (the
+frame) and b = 0, so row i of A is column i+n (mod 2n) of B, halves
+swapped.  The syndrome and logical bits of x are the inner products
+<g_i, x> and those with B's partner columns, bits of A x + b, so `run`
+takes any protocol (A, b), reads its branches off the permutation
+engine's table, and names them by s, v and u from B's columns.
 
 `run` returns a `permutation.BranchSet` whose label columns, the syndrome
 s, the representative v and the recovery u, hold int64 label values
@@ -25,12 +25,10 @@ tabulated for all syndromes at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gf2
-from .gf2 import BinaryMatrix, BinaryVector, Subspace
+from .gf2 import BinaryMatrix, BinaryVector
 from .permutation import BranchSet, PermutationProtocol, _branches
 from .states import BellDiagonalState
 
@@ -67,42 +65,23 @@ def pauli_letters(labels: np.ndarray, k: int) -> np.ndarray:
     return _PAULI_LETTERS[2 * bits[:, :k] + bits[:, k:]]
 
 
-@dataclass(frozen=True, eq=False)
-class StabilizerProtocol:
-    """n pairs, m survivors, n-m independent commuting generator labels, and
-    the `relabeling` that names the logical output labels: the linear
-    `PermutationProtocol` A = B^-1 of the deterministic completion B of the
-    generators, read off B's columns (`gf2._frame_columns`), or the protocol
-    (A, b) `equivalence.stabilizer_from_permutation` got.  Row n+m+i of A is
-    generator i with its halves swapped.  Protocols with equal relabelings are equal."""
+class StabilizerProtocol(PermutationProtocol):
+    """The `PermutationProtocol` (A, b) built from n-m independent commuting
+    generator labels: A = B^-1 = P B^T P for their deterministic completion
+    B (`gf2._frame_columns`) and b = 0.  Row n+m+i of A is generator i with
+    its halves swapped, so `generators` gives them back in order.  Equality,
+    hashing and `repr` are the dataclass's, on (n, m, A, b) and the class:
+    a generator protocol never equals the plain protocol of its (A, b)."""
 
-    n: int
-    m: int
-    generators: tuple[BinaryVector, ...]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.m <= self.n:
+    def __init__(self, n: int, m: int,
+                 generators: "tuple[BinaryVector, ...] | list[BinaryVector]") -> None:
+        if not 0 <= m <= n:
             raise ValueError("need 0 <= m <= n")
-        if len(self.generators) != self.n - self.m:
+        if len(generators) != n - m:
             raise ValueError("generator count must equal n - m")
-        rows = gf2._form_conjugate(gf2._frame_columns(self.generators, self.n), self.n)
-        object.__setattr__(self, "relabeling", PermutationProtocol._trusted(
-            self.n, self.m, BinaryMatrix(rows, 2 * self.n)))
-
-    @classmethod
-    def _trusted(cls, relabeling: PermutationProtocol) -> "StabilizerProtocol":
-        """Internal constructor of the protocol of a checked relabeling (A, b),
-        its generators read off A, skipping the completion."""
-        proto = object.__new__(cls)
-        proto.__dict__.update(n=relabeling.n, m=relabeling.m,
-                              generators=relabeling.generators, relabeling=relabeling)
-        return proto
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, StabilizerProtocol) and self.relabeling == other.relabeling
-
-    def __hash__(self) -> int:
-        return hash(self.relabeling)
+        rows = gf2._form_conjugate(gf2._frame_columns(generators, n), n)
+        self.__dict__.update(n=n, m=m, matrix=BinaryMatrix(rows, 2 * n),
+                             offset=BinaryVector.zeros(2 * n))
 
     @classmethod
     def from_pauli_strings(cls, strings: "list[str] | tuple[str, ...]",
@@ -121,19 +100,15 @@ def syndrome_of_error(generators: "tuple[BinaryVector, ...] | list[BinaryVector]
     return BinaryVector.from_bits(bits)
 
 
-def generator_span(proto: StabilizerProtocol) -> Subspace:
-    return Subspace.from_vectors(proto.generators, length=2 * proto.n)
-
-
-def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
+def optimal_recovery(state: BellDiagonalState, proto: PermutationProtocol,
                      s: BinaryVector) -> BinaryVector:
     """Recovery `run` chooses for syndrome s.
 
     It is the lex-least representative of the generator-span coset
-    B embed(c, s) + B b + span, where (B^-1, b) is the protocol's relabeling
-    and c the heaviest logical label (`permutation.optimal_correction`: the
-    smallest one within its tie band).  On ties the coset can depend on the
-    frame.  Raises for syndromes of probability zero.
+    B embed(c, s) + B b + span, where (B^-1, b) is the protocol and c the
+    heaviest logical label (`permutation.optimal_correction`: the smallest
+    one within its tie band).  On ties the coset can depend on the frame.
+    Raises for syndromes of probability zero.
     """
     if s.length != proto.n - proto.m:
         raise ValueError("syndrome length must equal the generator count")
@@ -144,13 +119,13 @@ def optimal_recovery(state: BellDiagonalState, proto: StabilizerProtocol,
     return BinaryVector(int(branches.u[rows[0]]), 2 * proto.n)
 
 
-def run(state: BellDiagonalState, proto: StabilizerProtocol,
+def run(state: BellDiagonalState, proto: PermutationProtocol,
         threshold: float | None = None) -> BranchSet:
     """Evaluate every syndrome branch of the protocol exactly.
 
-    The branches are the permutation engine's for the protocol's
-    relabeling (A, b) (bits n+m.. of A x + b are the syndrome); no
-    zero-probability syndrome is produced.  Per branch, v is the lex-least
+    The branches are the permutation engine's for the protocol (A, b)
+    (bits n+m.. of A x + b are the syndrome); no zero-probability
+    syndrome is produced.  Per branch, v is the lex-least
     label with syndrome s and the recovery u the lex-least representative
     of B embed(c, s) + B b + span for the frame B = A^-1 and the heaviest
     logical label c (`permutation.optimal_correction`), so the fidelity is
@@ -159,7 +134,7 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     input fidelity.  The columns are s, prob, v, u, output, fidelity,
     unnormalized_fidelity and accepted.
     """
-    branches = _branches(state, proto.relabeling, threshold)
+    branches = _branches(state, proto, threshold)
     n, m, two_n = proto.n, proto.m, 2 * proto.n
 
     # v(s) and u(c, s) reduce B embed(c, s) + B b.  The embedding puts s on
@@ -169,10 +144,10 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
     # rows of B^T = P A P, and B b is the XOR of those b selects.  Columns
     # m..n-1 are the generators; 0..n+m-1, all but their partners, span
     # the generators' symplectic complement.
-    frame = gf2._form_conjugate(proto.relabeling.matrix.rows, n)
+    frame = gf2._form_conjugate(proto.matrix.rows, n)
     span = gf2._rref(frame[m:n], two_n)
     perp = gf2._rref(frame[:n + m], two_n)
-    pauli = gf2._combination(frame[::-1], proto.relabeling.offset.value)
+    pauli = gf2._combination(frame[::-1], proto.offset.value)
 
     def images(echelon, part, offset: int) -> np.ndarray:
         return gf2.affine_images([gf2._reduce_by(col, *echelon, two_n) for col in part],
@@ -195,5 +170,5 @@ def run(state: BellDiagonalState, proto: StabilizerProtocol,
 __all__ = [
     "StabilizerProtocol", "parse_pauli_string", "to_pauli_string",
     "pauli_letters", "syndrome_of_error",
-    "generator_span", "optimal_recovery", "run",
+    "optimal_recovery", "run",
 ]

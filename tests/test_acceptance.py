@@ -205,7 +205,7 @@ def test_criterion_6_correction_optimality():
             gens = tuple(gf2.random_isotropic_generators(n, k, rng))
             proto = StabilizerProtocol(n, n - k, gens)
             state = random_bell_diagonal(n, rng)
-            span = stabilizer.generator_span(proto)
+            span = permutation.measured_subspace(proto)
             for u in stabilizer.run(state, proto).u.tolist():
                 u = BinaryVector(u, 2 * n)
                 base = gf2.coset_sum(state.probs, Coset(span, u))

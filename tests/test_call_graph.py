@@ -7,7 +7,10 @@ option is declared once: `cli.build_parser` is the one caller of
 `add_argument`.  A block's floats are turned into token words in one
 function, `cli._tokens`, the one caller of `_decimal`, and the digit tables
 are built in one, `cli._tables`.  The dense oracle contracts with matrix
-products: nothing in the package calls `np.einsum`.
+products: nothing in the package calls `np.einsum`.  A generator protocol
+is the permutation protocol (A, b) it names, so `cli` hands each command's
+protocol to its engine as it is, with no translation, and no module reads
+a `relabeling` attribute.
 """
 
 import ast
@@ -84,3 +87,17 @@ def test_floats_become_tokens_in_one_function():
 
 def test_the_package_makes_no_einsum_call():
     assert "einsum" not in package_callers()
+
+
+def test_the_cli_hands_protocols_over_as_they_are():
+    path = Path(belldistill.__file__).parent / "cli.py"
+    found = callers(path.read_text(), "cli")
+    assert "permutation_from_stabilizer" not in found
+    assert "stabilizer_from_permutation" not in found
+
+
+def test_no_module_reads_a_relabeling_attribute():
+    for path in Path(belldistill.__file__).parent.glob("*.py"):
+        reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "relabeling"]
+        assert reads == [], path.name

@@ -482,7 +482,7 @@ def checks(monkeypatch):
 @pytest.mark.parametrize("command", ["verify", "run-perm"])
 def test_a_generator_protocol_is_checked_once(capsys, monkeypatch, checks, command):
     # the completion checks the generators and the frame columns it built;
-    # the relabeling is read off those columns, with no inverse, and the
+    # A is read off those columns, with no inverse, and the
     # completion's null space is the only one
     calls = count_calls(monkeypatch, "_frame_columns", "complete_to_symplectic",
                         "_inverse", "_kernel")
@@ -493,7 +493,7 @@ def test_a_generator_protocol_is_checked_once(capsys, monkeypatch, checks, comma
 
 
 def test_a_matrix_protocol_has_its_generators_checked_at_most_once(capsys, monkeypatch):
-    # A is the relabeling: nothing is completed or inverted, the matrix is
+    # the protocol is (A, b): nothing is completed or inverted, the matrix is
     # checked once, and the stabilizer engine names its labels with no
     # null space
     calls = count_calls(monkeypatch, "complete_to_symplectic", "_frame_columns",
@@ -763,10 +763,7 @@ def assert_output_memory_within_the_engine(tmp_path, command, n, m, fmt):
             "--werner", "0.8", "--format", fmt, "--output", str(tmp_path / "out")]
     assert main(argv) == 0  # imports and digit tables are built once
     proto = stabilizer.StabilizerProtocol.from_pauli_strings(gens, m)
-    if command == "run-perm":
-        proto, run = equivalence.permutation_from_stabilizer(proto), permutation.run
-    else:
-        run = stabilizer.run
+    run = permutation.run if command == "run-perm" else stabilizer.run
     state = BellDiagonalState.from_pairs([werner(0.8)] * n)
     engine = traced_peak(lambda: run(state, proto))
     peak = traced_peak(lambda: main(argv))

@@ -15,7 +15,7 @@ from belldistill.equivalence import (
 )
 from belldistill.gf2 import BinaryMatrix, BinaryVector, Subspace
 from belldistill.permutation import PermutationProtocol, embed_label, measured_subspace
-from belldistill.stabilizer import StabilizerProtocol, generator_span
+from belldistill.stabilizer import StabilizerProtocol
 from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
 
 
@@ -47,7 +47,7 @@ def test_round_trip_preserves_span(rng):
         gens = tuple(gf2.random_isotropic_generators(n, k, rng))
         proto = StabilizerProtocol(n, n - k, gens)
         back = stabilizer_from_permutation(permutation_from_stabilizer(proto))
-        assert generator_span(back) == generator_span(proto)
+        assert measured_subspace(back) == measured_subspace(proto)
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +82,9 @@ def test_an_offset_is_carried_not_dropped(werner2, bcnot):
     assert permutation_from_stabilizer(code) == proto
 
 
-def test_protocols_are_equal_when_their_relabelings_are():
-    # the README's DEJMPS matrix measures ZZ, but holds another relabeling
-    # than the completion of ZZ, so it names its outputs otherwise
+def test_protocols_are_equal_when_their_matrices_and_offsets_are(rng):
+    # the README's DEJMPS matrix measures ZZ, but is another matrix than the
+    # completion of ZZ, so it names its outputs otherwise
     dejmps = stabilizer_from_permutation(PermutationProtocol.linear(
         2, 1, BinaryMatrix.from_strings(["0001", "1000", "1101", "0011"])))
     zz = StabilizerProtocol.from_pauli_strings(["ZZ"])
@@ -92,6 +92,19 @@ def test_protocols_are_equal_when_their_relabelings_are():
     assert dejmps != zz
     assert zz == StabilizerProtocol.from_pauli_strings(["ZZ"])
     assert len({zz, StabilizerProtocol.from_pauli_strings(["ZZ"]), dejmps}) == 2
+    assert repr(zz) == (f"StabilizerProtocol(n=2, m=1, matrix={zz.matrix!r}, "
+                        f"offset={zz.offset!r})")
+    # a generator protocol is the permutation protocol its generators name,
+    # and never equal to the plain protocol of the same (A, b)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(0, n))
+        gens = gf2.random_isotropic_generators(n, n - m, rng)
+        code = StabilizerProtocol(n, m, gens)
+        assert code.generators == tuple(gens)
+        assert isinstance(code, PermutationProtocol)
+        plain = PermutationProtocol(n, m, code.matrix, code.offset)
+        assert code != plain and plain != code
 
 
 def test_stabilizer_from_random_permutation_valid(rng):
@@ -99,21 +112,32 @@ def test_stabilizer_from_random_permutation_valid(rng):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(0, n))
         proto = PermutationProtocol.linear(n, m, gf2.random_symplectic(n, rng))
-        sp = stabilizer_from_permutation(proto)  # A is the relabeling, checked once
+        sp = stabilizer_from_permutation(proto)  # (A, b) retyped, checked once
         assert len(sp.generators) == n - m
 
 
 def test_round_trip_returns_the_matrix(rng):
-    # the protocol holds (A, b) as its relabeling and translating back
-    # returns it, the offset zero or not
+    # translating a protocol (A, b) retypes it, the offset zero or not, and
+    # both engines and the cross-check take the plain protocol as they take
+    # its generator form
     for i in range(30):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(0, n + 1))
         b = BinaryVector(int(rng.integers(0, 1 << (2 * n))) if i % 2 else 0, 2 * n)
         proto = PermutationProtocol(n, m, gf2.random_symplectic(n, rng), b)
-        back = permutation_from_stabilizer(stabilizer_from_permutation(proto))
+        code = stabilizer_from_permutation(proto)
+        back = permutation_from_stabilizer(code)
         assert back.matrix == proto.matrix
         assert back.offset == proto.offset
+        assert type(back) is PermutationProtocol and back == proto
+        again = stabilizer_from_permutation(permutation_from_stabilizer(code))
+        assert type(again) is StabilizerProtocol and again == code
+        state = random_bell_diagonal(n, rng)
+        plain, coded = stabilizer.run(state, proto), stabilizer.run(state, code)
+        assert list(plain.columns) == list(coded.columns)
+        for name, column in plain.columns.items():
+            assert np.array_equal(column, coded.columns[name]), name
+        assert verify_equivalence(state, proto).passed
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +230,7 @@ def test_verify_reports_a_recovery_off_the_generator_span(monkeypatch, edit_colu
     proto = StabilizerProtocol.from_pauli_strings(["ZZZ", "IXX"])
     state = BellDiagonalState.from_pairs([werner(0.8)] * 3)
     shift = stabilizer.parse_pauli_string("XXI")
-    assert not generator_span(proto).contains(shift)
+    assert not measured_subspace(proto).contains(shift)
     shift_recoveries(monkeypatch, edit_columns, np.array([shift.value, 0, 0, 0]))
     report = verify_equivalence(state, proto)
     assert report.subspaces_match and report.branch_sets_match
@@ -222,7 +246,7 @@ def test_coset_match_equals_the_literal_span_test(monkeypatch, edit_columns, rng
     for _ in range(30):
         state, proto = random_instance(rng, (1, 2, 3, 4))
         n, m = proto.n, proto.m
-        span = generator_span(proto)
+        span = measured_subspace(proto)
         perm = permutation.run(state, permutation_from_stabilizer(proto))
         elements = span.element_values
         shifts = np.where(rng.random(perm.t.size) < 0.5,
@@ -230,7 +254,7 @@ def test_coset_match_equals_the_literal_span_test(monkeypatch, edit_columns, rng
                           rng.integers(0, 1 << (2 * n), perm.t.size))
         shift_recoveries(monkeypatch, edit_columns, shifts)
         code = stabilizer.run(state, proto)
-        frame = gf2.symplectic_inverse(proto.relabeling.matrix)
+        frame = gf2.symplectic_inverse(proto.matrix)
         expected = [span.contains(frame @ embed_label(
                         BinaryVector(c, 2 * m), BinaryVector(t, n - m), n, m)
                         ^ BinaryVector(u, 2 * n))

@@ -106,8 +106,7 @@ def random_protocol(rng: np.random.Generator) -> PermutationProtocol:
     n = int(rng.integers(2, 5))
     m = int(rng.integers(1, n))
     gens = tuple(random_isotropic_generators(n, n - m, rng))
-    relabeling = StabilizerProtocol(n, m, gens).relabeling
-    return PermutationProtocol(n, m, relabeling.matrix,
+    return PermutationProtocol(n, m, StabilizerProtocol(n, m, gens).matrix,
                                BinaryVector(int(rng.integers(0, 1 << 2 * n)), 2 * n))
 
 

@@ -593,7 +593,7 @@ def test_relabeling_is_the_inverse_of_the_pinned_frame():
             rng = np.random.default_rng([n, m])
             for _ in range(10):
                 gens = gf2.random_isotropic_generators(n, n - m, rng)
-                assert StabilizerProtocol(n, m, tuple(gens)).relabeling.matrix.rows == \
+                assert StabilizerProtocol(n, m, tuple(gens)).matrix.rows == \
                     gf2._inverse(complete_to_symplectic(gens, n)).rows
 
 

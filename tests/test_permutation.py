@@ -20,7 +20,7 @@ from belldistill.permutation import (
     run,
     unnormalized_fidelity,
 )
-from belldistill.stabilizer import StabilizerProtocol, generator_span
+from belldistill.stabilizer import StabilizerProtocol
 from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
 
 
@@ -193,7 +193,7 @@ def test_coset_path_equals_direct_path(rng, random_frame):
         basis = random_frame(gens, n, rng)
         code = stabilizer_from_permutation(PermutationProtocol.linear(
             n, m, gf2.symplectic_inverse(basis)))
-        span = generator_span(code)
+        span = measured_subspace(code)
         for state in tie_heavy_and_random_inputs(n, rng):
             # the offset moves the input: q_x = p_{x + A^-1 b}
             q = state.probs[np.arange(len(state.probs)) ^ shift]

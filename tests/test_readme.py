@@ -65,6 +65,6 @@ def test_library_quickstart_prints_its_stated_values():
             assert [float(x) for x in out.split()] == pytest.approx(
                 [float(f) for f in expected], abs=1e-12)
             stated += len(expected)
-    # 13/18 and 41/52 for run, 41/52 for the stabilizer, 41/52 and 13/18
-    # for the sweep's first round
-    assert stated == 5
+    # 13/18 and 41/52 for each engine on the matrix protocol, 41/52 for the
+    # generator protocol, 41/52 and 13/18 for the sweep's first round
+    assert stated == 7

@@ -124,7 +124,7 @@ def test_syndrome_distribution_matches_the_dense_oracle(offset):
     worst = 0.0
     for a in sp4():
         code = stabilizer_from_permutation(PermutationProtocol(2, 1, a, b))
-        frame = gf2.symplectic_inverse(code.relabeling.matrix)
+        frame = gf2.symplectic_inverse(code.matrix)
         joint = oracle.simulate_syndrome_measurement(state.pauli_shift(frame @ b),
                                                      code.generators)
         dense = oracle.syndrome_difference_distribution(joint)

@@ -9,10 +9,9 @@ from hypothesis import given, strategies as st
 from belldistill import gf2, oracle, permutation, stabilizer
 from belldistill.equivalence import stabilizer_from_permutation
 from belldistill.gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
-from belldistill.permutation import PermutationProtocol
+from belldistill.permutation import PermutationProtocol, measured_subspace
 from belldistill.stabilizer import (
     StabilizerProtocol,
-    generator_span,
     optimal_recovery,
     parse_pauli_string,
     pauli_letters,
@@ -116,7 +115,7 @@ def test_generator_span_isotropic(rng):
         k = int(rng.integers(1, n + 1))
         gens = tuple(gf2.random_isotropic_generators(n, k, rng))
         proto = StabilizerProtocol(n, n - k, gens)
-        span = generator_span(proto)
+        span = measured_subspace(proto)
         perp = gf2.orthogonal_complement(span)
         assert all(g in perp for g in gens)  # span inside its complement
 
@@ -187,7 +186,7 @@ def test_recovery_point_mass(zz_proto):
 def test_recovery_werner_syndrome0(zz_proto, werner2):
     u = optimal_recovery(werner2, zz_proto, vec("0"))
     assert u == vec("0000")
-    span = generator_span(zz_proto)
+    span = measured_subspace(zz_proto)
     assert gf2.coset_sum(werner2.probs, Coset(span, u)) == pytest.approx(
         41 / 72, abs=1e-12)
 
@@ -214,7 +213,7 @@ def test_recovery_commutation_postcondition(rng):
 
 
 def test_recovery_invariant_within_coset(zz_proto, werner2):
-    span = generator_span(zz_proto)
+    span = measured_subspace(zz_proto)
     branches = run(werner2, zz_proto)
     assert branches.s.tolist() == [0, 1]
     for u, prob in zip(branches.u.tolist(), branches.prob.tolist()):
@@ -265,7 +264,7 @@ def test_run_werner_syndrome1(zz_proto, werner2):
 
 
 def test_run_branch_invariants(zz_proto, werner2):
-    span = generator_span(zz_proto)
+    span = measured_subspace(zz_proto)
     perp = gf2.orthogonal_complement(span)
     branches = run(werner2, zz_proto)
     for row, (s, v, u) in enumerate(zip(branches.s.tolist(), branches.v.tolist(),
@@ -308,9 +307,9 @@ def test_run_labels_equal_per_branch_reduction(rng, random_frame):
         gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
         proto = stabilizer_from_permutation(PermutationProtocol.linear(
             n, m, gf2.symplectic_inverse(random_frame(gens, n, rng))))
-        span = generator_span(proto)
+        span = measured_subspace(proto)
         perp = gf2.orthogonal_complement(span)
-        frame = gf2.symplectic_inverse(proto.relabeling.matrix)
+        frame = gf2.symplectic_inverse(proto.matrix)
         label = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
         for state in (random_bell_diagonal(n, rng),
                       BellDiagonalState.from_pairs([werner(0.75)] * n),
@@ -348,7 +347,7 @@ def test_branch_set_columns_equal_literal_coset_sums(rng):
     for n in (1, 2, 3):
         for m in sorted({0, n // 2, n}):
             proto = random_code(n, m, rng)
-            span = generator_span(proto)
+            span = measured_subspace(proto)
             perp = gf2.orthogonal_complement(span)
             labels = [BinaryVector(x, 2 * n) for x in range(1 << (2 * n))]
             for state in branch_set_inputs(n, rng):
@@ -416,7 +415,7 @@ def reference_labels(proto, branches):
     of B embed(c, s) + B b + span for the frame B = A^-1 = P A^T P,
     multiplied out here, the offset b and the heaviest logical label c,
     reduced by a span built from the generators."""
-    n, m, b = proto.n, proto.m, proto.relabeling.offset
+    n, m, b = proto.n, proto.m, proto.offset
     x = np.arange(1 << (2 * n))
     low = (1 << n) - 1
     syndromes = np.full(x.shape, b.value & ((1 << (n - m)) - 1))
@@ -425,7 +424,7 @@ def reference_labels(proto, branches):
         syndromes ^= pairs.astype(np.int64) << (n - m - 1 - i)
     span = Subspace.from_vectors(proto.generators, 2 * n)
     form = gf2.symplectic_form(n)
-    frame = form @ proto.relabeling.matrix.transpose() @ form
+    frame = form @ proto.matrix.transpose() @ form
     shift = (frame @ b).value
     labels = []
     for s, output in zip(branches.s.tolist(), branches.output):
@@ -438,14 +437,14 @@ def reference_labels(proto, branches):
 
 def test_generator_protocol_labels_equal_their_definitions(rng):
     # random generator sets through the constructor, each with a random
-    # offset b on its relabeling
+    # offset b on its matrix
     for _ in range(40):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(0, n))
         code = StabilizerProtocol(n, m, tuple(gf2.random_isotropic_generators(n, n - m, rng)))
         b = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
         proto = stabilizer_from_permutation(
-            PermutationProtocol(n, m, code.relabeling.matrix, b))
+            PermutationProtocol(n, m, code.matrix, b))
         for state in branch_set_inputs(n, rng)[:3] + [random_bell_diagonal(n, rng)]:
             branches = run(state, proto)
             assert list(zip(branches.v.tolist(), branches.u.tolist())) == \
@@ -453,7 +452,7 @@ def test_generator_protocol_labels_equal_their_definitions(rng):
 
 
 def test_generator_path_makes_no_strings_and_no_subspace(rng, monkeypatch):
-    # the relabeling is read off the completion's columns and `run` names v
+    # A is read off the completion's columns and `run` names v
     # and u from A's rows: no string transpose, no string Gram check, and
     # no Subspace but the one that checks the generators
     calls = collections.Counter()
@@ -470,7 +469,7 @@ def test_generator_path_makes_no_strings_and_no_subspace(rng, monkeypatch):
             assert calls == {"__init__": 1}
             # the branch table is the permutation engine's: naming only here
             state = random_bell_diagonal(n, rng)
-            branches = permutation._branches(state, proto.relabeling, None)
+            branches = permutation._branches(state, proto, None)
             monkeypatch.setattr(stabilizer, "_branches", lambda *args: branches)
             calls.clear()
             run(state, proto)
