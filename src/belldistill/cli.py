@@ -748,31 +748,23 @@ def _parse_grid(text: str | None) -> list[float]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _bits(branches, name: str) -> _Labels:
-    """A label column of a branch set, printed as bit strings."""
-    return _Labels(getattr(branches, name), branches.widths[name], bit_chars)
-
-
-def _branch_columns(branches, label: str, **fields) -> dict:
-    """An engine's branch set as the command's columns: the label ("t" or
-    "s") as bit strings, the statistics both engines report, and the
-    engine's own `fields` before `accepted`."""
-    return {
-        label: _bits(branches, label),
-        "prob": branches.prob,
-        "fidelity": branches.fidelity,
-        "unnormalized_fidelity": branches.unnormalized_fidelity,
-        **fields,
-        "accepted": branches.accepted,
-        "output": branches.output,
-    }
+def _printed(branches, **extra) -> dict:
+    """A branch set as a command's columns, in the set's order: its label
+    columns (those in `widths`) as bit strings, and `extra` before
+    `accepted`."""
+    columns = {}
+    for name, column in branches.columns.items():
+        if name == "accepted":
+            columns.update(extra)
+        columns[name] = (_Labels(column, branches.widths[name], bit_chars)
+                         if name in branches.widths else column)
+    return columns
 
 
 def _cmd_run_perm(args) -> int:
     proto = _load_protocol(args)
     state = _load_state(args, proto.n)
-    branches = permutation.run(state, proto, args.threshold)
-    _emit(args, _branch_columns(branches, "t", correction=_bits(branches, "correction")))
+    _emit(args, _printed(permutation.run(state, proto, args.threshold)))
     return 0
 
 
@@ -780,9 +772,7 @@ def _cmd_run_code(args) -> int:
     proto = _load_protocol(args)
     state = _load_state(args, proto.n)
     branches = stabilizer.run(state, proto, args.threshold)
-    _emit(args, _branch_columns(branches, "s", v=_bits(branches, "v"),
-                                u=_bits(branches, "u"),
-                                recovery=_Labels(branches.u, proto.n, pauli_letters)))
+    _emit(args, _printed(branches, recovery=_Labels(branches.u, proto.n, pauli_letters)))
     return 0
 
 
@@ -825,9 +815,7 @@ def _cmd_verify(args) -> int:
     summary = {name: getattr(report, name) for name in (
         "n", "m", "subspaces_match", "branch_sets_match", "coset_match",
         "max_discrepancy", "tolerance", "passed")}
-    branches = report.branches
-    _emit(args, {name: _bits(branches, name) if name in branches.widths else column
-                 for name, column in branches.columns.items()}, summary)
+    _emit(args, _printed(report.branches), summary)
     return 0 if report.passed else 2
 
 

@@ -38,23 +38,23 @@ def stabilizer_from_permutation(proto: PermutationProtocol) -> StabilizerProtoco
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of one instance-level cross-check of the two engines.
-    `subspaces_match` and `branch_sets_match` are true by construction while
-    both engines read one protocol's branch table (ROADMAP item 8)."""
+    `subspaces_match` is constant, as both engines read one generator set,
+    and `branch_sets_match` true while both read one table (ROADMAP item 8)."""
 
     n: int
     m: int
-    subspaces_match: bool
     branches: BranchSet
     branch_sets_match: bool
     coset_match: bool
     max_discrepancy: float
+    subspaces_match: ClassVar[bool] = True
     # Largest discrepancy a passing check may show.
     tolerance: ClassVar[float] = 1e-12
 
     @property
     def passed(self) -> bool:
-        return (self.subspaces_match and self.branch_sets_match
-                and self.coset_match and self.max_discrepancy <= self.tolerance)
+        return (self.branch_sets_match and self.coset_match
+                and self.max_discrepancy <= self.tolerance)
 
 
 def verify_equivalence(state: BellDiagonalState, proto: PermutationProtocol,
@@ -96,7 +96,6 @@ def verify_equivalence(state: BellDiagonalState, proto: PermutationProtocol,
     return EquivalenceReport(
         n=n,
         m=m,
-        subspaces_match=True,
         branches=BranchSet(m, {"t": n - m}, {
             "t": t,
             "prob_perm": prob_perm,

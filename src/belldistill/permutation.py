@@ -47,7 +47,7 @@ import numpy as np
 
 from . import gf2
 from .gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
-from .states import BellDiagonalState, _normalize
+from .states import BellDiagonalState, _check_pair_count, _normalize
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,7 @@ class PermutationProtocol:
     offset: BinaryVector
 
     def __post_init__(self) -> None:
+        _check_pair_count(self.n)
         two_n = 2 * self.n
         if not 0 <= self.m <= self.n:
             raise ValueError("need 0 <= m <= n")
@@ -96,12 +97,12 @@ class BranchSet:
     """The branches of one engine run as read-only columns, one row per
     branch of nonzero probability, in label order.
 
-    `columns` maps each field name, label first, to its column, and each
-    column reads as an attribute of the set (`branches.prob`).  Label
-    columns hold int64 label values of the bit lengths in `widths`,
-    `accepted` and `coset_match` are bool, `output` holds one row of 4**m
-    weights per branch (normalized where the engines build it), and the
-    other columns are float64.
+    `columns` maps each field name to its column, label first and in the
+    order the set's command prints them, and each column reads as an
+    attribute of the set (`branches.prob`).  Label columns hold int64 label
+    values of the bit lengths in `widths`, `accepted` and `coset_match` are
+    bool, `output` holds one row of 4**m weights per branch (normalized
+    where the engines build it), and the other columns are float64.
     `len` and iteration give the branches row by row as named tuples of
     the columns, labels as `BinaryVector`s and outputs as `BellDiagonalState`s.
     """
@@ -336,8 +337,8 @@ def _fold_cosets(table: np.ndarray,
 
 def branch_outcomes(table: np.ndarray, m: int, threshold: float) -> BranchSet:
     """The branches of a branch table, one per row of nonzero weight, as a
-    `BranchSet` with the columns t, prob, output, correction, fidelity,
-    unnormalized_fidelity and accepted.
+    `BranchSet` with the columns t, prob, fidelity, unnormalized_fidelity,
+    correction, accepted and output, in the order `run-perm` prints them.
 
     The probability is the row sum, the output the row renormalized, the
     correction the heaviest logical label of the row (`optimal_correction`,
@@ -359,11 +360,11 @@ def branch_outcomes(table: np.ndarray, m: int, threshold: float) -> BranchSet:
     return BranchSet(m, {"t": k, "correction": 2 * m}, {
         "t": live,
         "prob": probs,
-        "output": outputs,
-        "correction": corrections,
         "fidelity": fids,
         "unnormalized_fidelity": (1 << k) * fids,
+        "correction": corrections,
         "accepted": fids >= threshold,
+        "output": outputs,
     })
 
 

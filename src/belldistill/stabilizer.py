@@ -30,7 +30,7 @@ import numpy as np
 from . import gf2
 from .gf2 import BinaryMatrix, BinaryVector
 from .permutation import BranchSet, PermutationProtocol, _branches
-from .states import BellDiagonalState
+from .states import BellDiagonalState, _check_pair_count
 
 _PAULI_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _PAULI_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
@@ -75,6 +75,7 @@ class StabilizerProtocol(PermutationProtocol):
 
     def __init__(self, n: int, m: int,
                  generators: "tuple[BinaryVector, ...] | list[BinaryVector]") -> None:
+        _check_pair_count(n)
         if not 0 <= m <= n:
             raise ValueError("need 0 <= m <= n")
         if len(generators) != n - m:
@@ -131,8 +132,9 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
     logical label c (`permutation.optimal_correction`), so the fidelity is
     the recovery coset's weight over the branch weight.  Both are read off
     B's columns, taken from the rows of A.  `threshold` defaults to the
-    input fidelity.  The columns are s, prob, v, u, output, fidelity,
-    unnormalized_fidelity and accepted.
+    input fidelity.  The columns are s, prob, fidelity,
+    unnormalized_fidelity, v, u, accepted and output, in the order
+    `run-code` prints them (with its `recovery` before accepted).
     """
     branches = _branches(state, proto, threshold)
     n, m, two_n = proto.n, proto.m, 2 * proto.n
@@ -157,13 +159,13 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
     return BranchSet(m, {"s": n - m, "v": two_n, "u": two_n}, {
         "s": s,
         "prob": branches.prob,
+        "fidelity": branches.fidelity,
+        "unnormalized_fidelity": branches.unnormalized_fidelity,
         "v": images(perp, frame[n + m:], pauli)[s],
         "u": (images(span, frame[n + m:], pauli)[s]
               ^ images(span, frame[:m] + frame[n:n + m], 0)[c]),
-        "output": branches.output,
-        "fidelity": branches.fidelity,
-        "unnormalized_fidelity": branches.unnormalized_fidelity,
         "accepted": branches.accepted,
+        "output": branches.output,
     })
 
 

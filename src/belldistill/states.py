@@ -16,11 +16,11 @@ label operations, serialization and the dense oracle.
 
 States are immutable after construction; weights are validated and
 renormalized exactly once, at construction, and any later drift beyond
-1e-9 is treated as a bug and raised, never hidden.  Two builders skip the
-constructor's new array and normalize a table they have just written, in
-place, with the same check and division (`_normalize`): `from_pairs` and
-`permutation.branch_outcomes`, whose branch outputs are the rows of one
-such table.
+1e-9 is treated as a bug and raised, never hidden.  Three builders skip
+the constructor's new array and normalize a table they have just written,
+in place, with the same check and division (`_normalize`): `from_pairs`,
+`random_bell_diagonal`, and `permutation.branch_outcomes`, whose branch
+outputs are the rows of one such table.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class BellDiagonalState:
         """Internal constructor that takes `arr` as it is and freezes it.
 
         For exact permutations of validated tables, and for tables their
-        builder has just normalized with `_normalize`: `from_pairs` and the
-        output rows of a `permutation.BranchSet`.
+        builder has just normalized with `_normalize`: `from_pairs`,
+        `random_bell_diagonal` and the output rows of a `permutation.BranchSet`.
         """
         state = object.__new__(cls)
         state._freeze(n, (arr,), None)
@@ -258,7 +258,9 @@ def _normalize(arr: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 
 
 def random_bell_diagonal(n: int, rng: np.random.Generator) -> BellDiagonalState:
-    """Random normalized weight table (for verification suites)."""
+    """Random normalized weight table (for verification suites), in one array."""
     _check_pair_count(n)
-    raw = rng.random(1 << (2 * n)) + 1e-12
-    return BellDiagonalState(n, raw / raw.sum())
+    raw = rng.random(1 << (2 * n))
+    raw += 1e-12
+    raw /= raw.sum()
+    return BellDiagonalState._trusted(n, _normalize(raw, raw))

@@ -10,7 +10,8 @@ are built in one, `cli._tables`.  The dense oracle contracts with matrix
 products: nothing in the package calls `np.einsum`.  A generator protocol
 is the permutation protocol (A, b) it names, so `cli` hands each command's
 protocol to its engine as it is, with no translation, and no module reads
-a `relabeling` attribute.
+a `relabeling` attribute.  The engines declare their branch columns in
+print order, and `cli` names none of their statistics.
 """
 
 import ast
@@ -101,3 +102,11 @@ def test_no_module_reads_a_relabeling_attribute():
         reads = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Attribute) and node.attr == "relabeling"]
         assert reads == [], path.name
+
+
+def test_the_cli_names_no_engine_statistic():
+    path = Path(belldistill.__file__).parent / "cli.py"
+    names = {"prob", "fidelity", "unnormalized_fidelity", "correction", "v", "u"}
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value in names]
+    assert found == []

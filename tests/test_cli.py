@@ -430,6 +430,25 @@ def test_out_of_range_flags_fail_cleanly(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+IDENTITY_64 = ",".join("0" * i + "1" + "0" * (63 - i) for i in range(64))
+OVER_THE_PAIR_CAP = {
+    "protocol-file": ["run-perm", "--protocol-file", "{file}", "--werner", "0.9"],
+    "matrix": ["run-perm", "--matrix", IDENTITY_64, "-m", "1", "--werner", "0.9"],
+    "generators": ["run-code", "--generators", "Z" * 32, "--werner", "0.9"],
+}
+
+
+@pytest.mark.parametrize("argv", OVER_THE_PAIR_CAP.values(), ids=OVER_THE_PAIR_CAP.keys())
+def test_protocols_over_the_pair_cap_fail_cleanly(tmp_path, capsys, argv):
+    # 32 pairs: 64-bit rows, refused before they reach int64 arithmetic.
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps({"n": 32, "m": 1, "A": IDENTITY_64.split(",")}))
+    code, out, err = invoke(capsys, *(a.format(file=path) for a in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: pair count 32 outside supported range 0..{gf2.MAX_PAIRS}\n"
+    assert "Traceback" not in err
+
+
 def test_record_budget_is_inclusive(monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_RECORDS", 6)
     sweep = ["sweep", "--generators", "ZZ", "--grid", "0.6,0.7", "--rounds"]
@@ -704,6 +723,25 @@ def test_csv_and_json_same_records(capsys):
             assert float(crec[key]) == pytest.approx(jrec[key], abs=1e-14)
         csv_output = [float(x) for x in crec["output"].split(";")]
         assert csv_output == pytest.approx(jrec["output"], abs=1e-14)
+
+
+def test_csv_headers_follow_the_library_column_order(capsys):
+    # Each command prints its branch set's columns in the set's order;
+    # run-code adds its recovery letters before accepted.
+    proto = stabilizer.StabilizerProtocol.from_pauli_strings(["ZZZ", "XXI"], 1)
+    state = BellDiagonalState.from_pairs([werner(0.75)] * 3)
+    code_columns = list(stabilizer.run(state, proto).columns)
+    code_columns.insert(code_columns.index("accepted"), "recovery")
+    expected = {
+        "run-perm": list(permutation.run(state, proto).columns),
+        "run-code": code_columns,
+        "verify": list(equivalence.verify_equivalence(state, proto).branches.columns),
+    }
+    for command, columns in expected.items():
+        code, out, _ = invoke(capsys, command, "--generators", "ZZZ,XXI", "-m", "1",
+                              "--werner", "0.75", "--format", "csv")
+        assert code == 0
+        assert next(csv.reader(io.StringIO(out))) == columns, command
 
 
 def test_sweep_cross_format(capsys):

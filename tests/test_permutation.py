@@ -48,6 +48,13 @@ def test_protocol_rejects_bad_split(bcnot):
         PermutationProtocol.linear(2, 3, bcnot)
 
 
+def test_protocol_refuses_pairs_beyond_the_cap():
+    # Refused before the 64-bit rows reach the int64 symplecticity check.
+    identity = BinaryMatrix.from_strings(["0" * i + "1" + "0" * (63 - i) for i in range(64)])
+    with pytest.raises(ValueError, match="pair count 32 outside supported range 0..14"):
+        PermutationProtocol.linear(32, 1, identity)
+
+
 # ---------------------------------------------------------------------------
 # measured_subspace
 # ---------------------------------------------------------------------------
@@ -532,12 +539,12 @@ def reference_outcome(branches, row, n, m):
     return SimpleNamespace(
         t=BinaryVector(int(branches.t[row]), n - m),
         prob=float(branches.prob[row]),
-        # the row as it is: the constructor would renormalize it again
-        output=BellDiagonalState._trusted(m, branches.output[row].copy()),
-        correction=BinaryVector(int(branches.correction[row]), 2 * m),
         fidelity=float(branches.fidelity[row]),
         unnormalized_fidelity=float(branches.unnormalized_fidelity[row]),
+        correction=BinaryVector(int(branches.correction[row]), 2 * m),
         accepted=bool(branches.accepted[row]),
+        # the row as it is: the constructor would renormalize it again
+        output=BellDiagonalState._trusted(m, branches.output[row].copy()),
     )
 
 

@@ -320,10 +320,8 @@ def test_engine_records_render_as_reference():
         records = engine_records("run-perm", branches)
         assert isinstance(records[0]["output"], np.ndarray)
         assert_renders_as_reference(records)
-        columns = cli._branch_columns(
-            branches, "t", correction=cli._bits(branches, "correction"))
         for fmt in ("json", "csv"):
-            assert _render("run-perm", columns, fmt, None) == \
+            assert _render("run-perm", cli._printed(branches), fmt, None) == \
                 reference("run-perm", records, fmt, None)
 
 

@@ -109,6 +109,11 @@ def test_protocol_rejects_count_mismatch():
         StabilizerProtocol(2, 0, (vec("1100"),))
 
 
+def test_protocol_refuses_pairs_beyond_the_cap():
+    with pytest.raises(ValueError, match="pair count 32 outside supported range 0..14"):
+        StabilizerProtocol.from_pauli_strings(["Z" * 32])
+
+
 def test_generator_span_isotropic(rng):
     for _ in range(30):
         n = int(rng.integers(1, 6))
@@ -498,12 +503,12 @@ def reference_branch(branches, row, n, m):
     return dict(
         s=BinaryVector(int(branches.s[row]), n - m),
         prob=float(branches.prob[row]),
-        v=BinaryVector(int(branches.v[row]), 2 * n),
-        u=BinaryVector(int(branches.u[row]), 2 * n),
-        output=BellDiagonalState._trusted(m, branches.output[row].copy()),
         fidelity=float(branches.fidelity[row]),
         unnormalized_fidelity=float(branches.unnormalized_fidelity[row]),
+        v=BinaryVector(int(branches.v[row]), 2 * n),
+        u=BinaryVector(int(branches.u[row]), 2 * n),
         accepted=bool(branches.accepted[row]),
+        output=BellDiagonalState._trusted(m, branches.output[row].copy()),
     )
 
 
@@ -521,8 +526,8 @@ def test_branch_set_records_equal_the_per_row_reference(rng):
                 assert np.array_equal(got.output.probs.view(np.int64),
                                       want["output"].probs.view(np.int64))
                 assert not got.output.probs.flags.writeable
-            for name in ("s", "prob", "v", "u", "output", "fidelity",
-                         "unnormalized_fidelity", "accepted"):
+            for name in ("s", "prob", "fidelity", "unnormalized_fidelity", "v", "u",
+                         "accepted", "output"):
                 column = getattr(branches, name)
                 assert not column.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):

@@ -1,6 +1,7 @@
 """Bell-diagonal state construction, label operations, serialization."""
 
 import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -134,6 +135,26 @@ def test_dense_state_is_one_factor(rng):
     state = random_bell_diagonal(3, rng)
     assert len(state.factors) == 1 and state.factors[0] is state.probs
     assert state.fidelity == state.probs[0]
+
+
+def test_random_draw_holds_one_table():
+    # The draw shifts and normalizes its one 4**n array in place, so its
+    # traced peak stays near that table; its weights are bit for bit those
+    # of the out-of-place formula, a new array at each step.
+    n = 8
+    table_bytes = 8 << (2 * n)
+    for seed in range(3):
+        tracemalloc.start()
+        try:
+            state = random_bell_diagonal(n, np.random.default_rng(seed))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table_bytes
+        raw = np.random.default_rng(seed).random(1 << (2 * n)) + 1e-12
+        expected = BellDiagonalState(n, raw / raw.sum()).probs
+        assert np.array_equal(state.probs.view(np.int64), expected.view(np.int64))
+        assert not state.probs.flags.writeable
 
 
 def test_pair_count_above_cap_refused_before_allocation(rng):
