@@ -21,12 +21,15 @@ written to the ``--output`` file or to stdout's binary buffer (a stdout
 without one, such as ``io.StringIO``, is written the same text), in blocks
 of whole records of about `_BLOCK_BYTES`, so the memory rendering takes
 does not grow with the size of the output.  Each block is one byte matrix
-with a row per record (`_block_matrix`) and a NUL-padded slot per value.
-Floats are written in 4-digit words; the 15-digit mantissa of each is
-x * 10^(14-e) in a 64-bit-significand long double, with 10^k correctly
-rounded to long double, so the product is within 2^-13 of exact.
-Truncated to 2^-12 and rounded half up from there, it rounds as exact
-arithmetic would, except within 2^-12 of a half-way point.  Those entries,
+with a row per record (`_block_matrix`) and a NUL-padded slot per value,
+copied from a row built once per layout (`_template`).  Floats are
+written in 4-digit words, and what a float's decimal exponent e decides
+is gathered from per-exponent tables (`_tables`).  The 15-digit mantissa
+of each is x * 10^(14-e) in a 64-bit-significand long double, with 10^k
+correctly rounded to long double, so the product is within 2^-13 of
+exact.  Truncated to 2^-12 and rounded half up from there, in place, it
+rounds as exact arithmetic would, except within 2^-12 of a half-way
+point.  Those entries,
 negatives, -0.0, NaN, infinities, subnormals, magnitudes from 1e14 up and
 all other values are formatted on their own (`_padded`), and so is every
 float of a block with few floats, or of any block on a platform without
@@ -103,8 +106,9 @@ def _float_token(x: float, fmt: str) -> str:
 # Output: each block of records as one byte matrix
 #
 # `_block_matrix` builds a block as one uint8 matrix with a row per record:
-# the template's constant bytes (keys, brackets, separators) and a slot per
-# value, filled by numpy: label bytes (`_Labels`), booleans (`_BOOLS`), text
+# the constant bytes of a template row (keys, brackets, separators; one
+# `_template` for all the blocks of a layout) and a slot per value, filled
+# by numpy: label bytes (`_Labels`), booleans (`_BOOLS`), text
 # cells and float tokens.  The tokens of all the block's floats are built
 # first, as the rows of one matrix (`_tokens`), then copied into each float
 # column's slots at once.  Text cells, floats the digit tables do not print
@@ -123,22 +127,27 @@ _FAST_MAX = 1e14
 _FAST_TINY = np.finfo(float).tiny
 
 # Below this many floats a block's floats are formatted one by one.  The
-# one-pass path costs ~100 numpy calls and one assignment per float column
-# however few entries it prints.  When the cutoff was set, for a `verify`
-# block (5 float columns) it was ~7% slower than the per-value path at 80
-# floats and ~15% faster at 160 (2-core x86-64, Python 3.11, numpy 2.4),
-# and with no cutoff the non-oracle commands of the benchmark's `suite`
-# ran ~6% slower.
+# one-pass path costs ~90 numpy calls and one assignment per float column
+# however few entries it prints.  Rendering `verify` outputs of the
+# benchmark's `suite` (5 float columns), it was ~12% slower than the
+# per-value path at 50 floats, even at 60, and ~12% faster at 80 (medians
+# of paired runs; 2-core x86-64, Python 3.11, numpy 2.4).
 _BATCH_MIN = 64
 # About the bytes of a block's matrix, and what a float takes of them with
-# its separator (`_blocks`).  Formatting takes ~100 bytes more a float
-# while the block is built, so rendering holds under 2 MB whatever the
-# size of the output (n=13 m=1 `run-code`: ~1.2 MB beyond its columns).
+# its separator (`_blocks`).  Formatting a block's floats holds ~60 bytes
+# a float at most, its ~24-byte tokens included, so rendering holds under
+# 2 MB whatever the size of the output (n=13 m=1 `run-code`: ~1 MB beyond
+# its columns).  The traced-peak tests would allow 512 KB, and a process
+# that has rendered before renders ~2% faster with it, but the benchmark's
+# `wide` read `run_perm_s` 8-10% higher (its first command of a process
+# pays; 2 of 10 pairs lower, seeds 0 and 1).
 _BLOCK_BYTES = 3 << 17
 _FLOAT_BYTES = 32
 
-# The padding byte of a block's matrix.
+# The padding byte of a block's matrix, and what follows each float of an
+# array but the last.
 _PAD = b"\0"
+_SEPARATORS = {"json": b",\n        ", "csv": b";"}
 _BOOLS = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
 
 
@@ -175,9 +184,6 @@ def _padded(texts: list[str], width: int) -> np.ndarray:
     return rows.view(np.uint8).reshape(len(data), rows.itemsize)
 
 
-# Index of ".0" in the tail table (`_tables`).
-_POINT_ZERO = 1
-
 # Every entry's scaled value x * 10^k is within 2^-13 of the exact product
 # when long double has a 64-bit significand (two roundings of relative
 # error 2^-64, on a value below 2^50).  Its fraction is read in units of
@@ -186,8 +192,14 @@ _POINT_ZERO = 1
 _FRAC_BITS = 12
 _HALF_WINDOW = 1
 _WIDE_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63
-_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
-_POW10_FLOAT = _POW10_INT.astype(float)  # exact: 10^18 = 2^18 5^18, 5^18 < 2^53
+# The decimal exponents the per-exponent tables cover: from -324, that of
+# the least subnormal, past the least normal's -308, to 13, that of the
+# doubles below _FAST_MAX, and 14, which rounding up reaches.  Entry e is
+# at index e, a negative e read from the end, so that each table is
+# gathered by the exponent itself.
+_EXPONENTS = np.roll(np.arange(-324, 15), -324)
+# 10^14 as a mantissa scaled by 2^_FRAC_BITS.
+_LOW = 10 ** 14 << _FRAC_BITS
 
 
 @functools.cache
@@ -197,31 +209,57 @@ def _tables() -> SimpleNamespace:
 
     Every digit group, integer and fraction alike, is a 4-digit word of a
     `_digits` table; the fraction's first has the point in place of its
-    leading zero (`point`).  Each group table has two rows: the group's
-    digits, and the same with the zeros that are padding dropped, for a
-    group with nothing above it (`lead`: its leading zeros; `units`, the
-    last integer group: the same, but 0 keeps its last digit) or nothing
-    below it (`point`, `frac`: its trailing zeros, and an empty fraction's
-    point).  After the digits come two tail words, a row each: nothing,
-    ".0" (JSON, integral values) or the exponent "e-XX" of a value below
-    1e-4, indexed by -exponent.  `pow10` holds 10^(14-e) for every exponent
-    e of a normal double below _FAST_MAX, numpy's correctly rounded parse
-    of each "1e%d" (faster than converting the exact integers, and equal to
-    it) into a 64-bit-significand long double, which holds them all.
+    leading zero (`point`).  Each group table is two rows of 10^4 words,
+    read at group + 10^4 * row: the group's digits, and the same with the
+    zeros that are padding dropped, for a group with nothing above it
+    (`lead`: its leading zeros; `units`, the last integer group: the same,
+    but 0 keeps its last digit) or nothing below it (`point`, `frac`: its
+    trailing zeros, and an empty fraction's point).
+
+    A token ends in at most two words of `end`, read at the fraction's
+    last 3 digits plus `code`.  A fraction has such digits only where its
+    value prints no tail, so one column holds both: below 1000 those
+    digits, trailing zeros dropped; at 1000 the ".0" of a JSON integral
+    value; at 1001 + XX, and again at 2001 + XX, the exponent "e-XX" of a
+    value below 1e-4 (its second word "X" of "e-1XX" and up).
+
+    The per-exponent tables are read at an exponent e (`_EXPONENTS`):
+    `scale`, 10^(14-e) * 2^_FRAC_BITS in long double; `divisor`, 10^p in
+    float64, p the digits of the fraction "%.15g" prints (14 below 1e-4,
+    14 - e from there); `shift`, 10^(18-p), which left-aligns those digits
+    in 18; and `code`, 1001 - e below 1e-4, else 0, to which JSON adds
+    1000 where the fraction is empty.  `pow10` holds 10^k for k < 340,
+    numpy's correctly rounded parse of each "1e%d" (faster than converting
+    the exact integers, and equal to it) into a 64-bit-significand long
+    double, which holds them all.
     """
     plain, trim, lead, units = (_digits(pad).view(np.uint32).ravel()
                                 for pad in ("", "trim", "lead", "units"))
-    point = np.stack([plain[:1000], trim[:1000]]).view(np.uint8).reshape(2, 1000, 4)
-    point[..., 0] = np.where(point.any(axis=2), ord("."), 0)
-    tail = [_PAD * 8, b".0".ljust(8, _PAD)] + [(b"e-%02d" % k).ljust(8, _PAD)
-                                             for k in range(2, 400)]
+    point = np.zeros((2, 10_000), dtype=np.uint32)
+    point[:, :1000] = np.stack([plain[:1000], trim[:1000]])
+    point.view(np.uint8)[:, ::4] = np.where(point != 0, ord("."), 0)
+    exp = _EXPONENTS
+    sci = exp < -4
+    places = np.where(sci, 14, 14 - exp)
+    tails = np.frombuffer(b"".join((b"e-%02d" % k).ljust(8, _PAD)
+                                   for k in range(1 - exp.min())), np.uint32)
+    tails = tails.reshape(-1, 2).T  # the two words of "e-XX", by XX
+    end = np.zeros((2, 2001 + tails.shape[1]), dtype=np.uint32)
+    end[0, :1000] = trim[::10]
+    end[0, 1000] = np.frombuffer(b".0\0\0", np.uint32)[0]
+    end[:, 1001:1001 + tails.shape[1]] = end[:, 2001:] = tails
+    pow10 = np.array(["1e%d" % k for k in range(340)], dtype=np.longdouble)
     return SimpleNamespace(
-        lead=np.stack([plain, lead]),
-        units=np.stack([plain, units]),
-        frac=np.stack([plain, trim]),
-        point=point.view(np.uint32).reshape(2, 1000),
-        tail=np.frombuffer(b"".join(tail), np.uint32).reshape(-1, 2).T.copy(),
-        pow10=np.array(["1e%d" % k for k in range(340)], dtype=np.longdouble),
+        lead=np.concatenate([plain, lead]),
+        units=np.concatenate([plain, units]),
+        frac=np.concatenate([plain, trim]),
+        point=point.ravel(),
+        end=end,
+        pow10=pow10,
+        scale=np.ldexp(pow10[14 - exp], _FRAC_BITS),
+        divisor=10.0 ** places,
+        shift=10 ** (18 - places),
+        code=np.where(sci, 1001 - exp, 0).astype(np.int32),
     )
 
 
@@ -232,36 +270,33 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the entries whose M and e this does not give: `_float_token` formats
     those on their own.
 
-    e = floor(log10(a)), and the long double product a * 10^(14-e),
-    scaled by 2^_FRAC_BITS, is truncated to an int64: M is its integer
-    part, plus one where the fraction its low bits hold is 1/2 or more.
-    An entry whose fraction is within _HALF_WINDOW units of 1/2, where the
-    product's error could flip the rounding, or whose M falls outside
-    [10^14, 10^15), is masked.  `_tokens` calls it only with such a long double.
+    e = floor(log10(a)), and the long double product a * `scale`[e] =
+    a * 10^(14-e) * 2^_FRAC_BITS is truncated to an int64: M is its
+    integer part, plus one where the fraction its low bits hold is 1/2 or
+    more.  An entry whose fraction is within _HALF_WINDOW units of 1/2,
+    where the product's error could flip the rounding, or whose M falls
+    outside [10^14, 10^15), is masked.  The rounding and the masks work in
+    place on the truncated product.  `_tokens` calls it only with such a
+    long double.
     """
-    exp = np.floor(np.log10(a)).astype(np.int64)
-    # a * 2^_FRAC_BITS is exact, and so is the scaling of the rounded product.
-    fixed = (np.ldexp(a, _FRAC_BITS).astype(np.longdouble)
-             * _tables().pow10[14 - exp]).astype(np.int64)
-    mant = fixed >> _FRAC_BITS
-    # The fraction less 1/2 lies in [rest, rest + 1) units of 2^-_FRAC_BITS.
-    rest = (fixed & ((1 << _FRAC_BITS) - 1)) - (1 << (_FRAC_BITS - 1))
-    inexact = np.abs(rest) <= _HALF_WINDOW
-    # log10 can miss by one just below a power of ten.
-    inexact |= (mant < 10 ** 14) | (mant >= 10 ** 15)
-    mant += rest >= 0
-    carry = mant == 10 ** 15  # rounded up into the next decade
-    mant[carry] = 10 ** 14
-    return mant, exp + carry, inexact
-
-
-def _group_words(table: np.ndarray, group: np.ndarray, padded) -> np.ndarray:
-    """The word of each group from row 1 of a group table (`_tables`) where
-    `padded`, from row 0 elsewhere: one gather, from row 1 alone while
-    `padded` is True for every entry."""
-    if padded is True:
-        return table[1][group]
-    return table.ravel()[group + table.shape[1] * padded]
+    exp = np.floor(np.log10(a)).astype(np.intp)
+    fixed = _tables().scale[exp]
+    fixed *= a
+    fixed = fixed.astype(np.int64)
+    # From here `fixed` holds M - 10^14 above its fraction's bits; log10
+    # can miss by one just below a power of ten.
+    fixed -= _LOW
+    own = fixed.view(np.uint64) >= 9 * _LOW
+    # Adding 1/2 and _HALF_WINDOW units rounds M half up, except in the
+    # window, which now holds the fractions of 0 to 2 * _HALF_WINDOW units.
+    fixed += (1 << (_FRAC_BITS - 1)) + _HALF_WINDOW
+    own |= (fixed & ((1 << _FRAC_BITS) - 1)) <= 2 * _HALF_WINDOW
+    fixed >>= _FRAC_BITS
+    fixed += 10 ** 14
+    carry = fixed == 10 ** 15  # rounded up into the next decade
+    fixed[carry] = 10 ** 14
+    exp += carry
+    return fixed, exp, own
 
 
 def _tokens(values: np.ndarray, fmt: str) -> np.ndarray:
@@ -270,60 +305,83 @@ def _tokens(values: np.ndarray, fmt: str) -> np.ndarray:
     double, each is formatted on its own (`_padded`).  Otherwise they come
     from the digit tables (`_tables`) as rows of a (floats, words) uint32
     matrix, filled a word column at a time: the integer part in 4-digit
-    groups (most significant first), the point and the fraction's 18
-    digits in groups of 3, 4, 4, 4 and 3, and the tail.  The notation is
-    decided by the rounded exponent, as "%.15g" decides it.  Entries the
-    tables do not print (anything but +0.0 and positive normal doubles
-    below _FAST_MAX), and those `_decimal` masks, are formatted on their
-    own: such a token takes at most 22 bytes ("-d.dddddddddddddde-ddd"), a
-    row at least 24.
+    groups (most significant first), the point and the first 15 of the
+    fraction's 18 digits in groups of 3, 4, 4 and 4, and the end words,
+    its last 3 digits or the tail (`_tables`).  What each entry
+    needs of its rounded exponent (the notation, as "%.15g" decides it,
+    and where its digits fall) is gathered from the per-exponent tables.
+    Entries the tables do not print (anything but +0.0 and positive normal
+    doubles below _FAST_MAX), and those `_decimal` masks, are formatted on
+    their own: such a token takes at most 22 bytes
+    ("-d.dddddddddddddde-ddd"), a row at least 24.
     """
     if values.size < _BATCH_MIN or not _WIDE_LONGDOUBLE:
         return _padded([_float_token(x, fmt) for x in values.tolist()], 0)
-    nonzero = (values < _FAST_MAX) & (values >= _FAST_TINY)
-    if nonzero.all():
+    if values.min() >= _FAST_TINY and values.max() < _FAST_MAX:  # False with a NaN
         mant, exp, own = _decimal(values)
     else:
+        nonzero = (values < _FAST_MAX) & (values >= _FAST_TINY)
         own = ~nonzero & (values.view(np.int64) != 0)  # all but +0.0
-        mant, exp = np.zeros((2, values.size), dtype=np.int64)
+        mant, exp = np.zeros(values.size, np.int64), np.zeros(values.size, np.intp)
         mant[nonzero], exp[nonzero], own[nonzero] = _decimal(values[nonzero])
-    sci = exp < -4
-    places = np.where(sci, 14, 14 - exp)
-    # M < 2^50, so M / 10^places in float64 lies within 2^-53 (relative)
-    # of the exact quotient, and a quotient below an integer lies at least
-    # 1/M below it: the truncated float64 quotient is the floor.
-    whole = (mant / _POW10_FLOAT[places]).astype(np.int64)
-    frac = mant - whole * _POW10_INT[places]
-    frac *= _POW10_INT[18 - places]  # the fraction's digits left-aligned in 18
-    tail = np.where(sci, -exp, 0)
-    if fmt == "json":
-        tail[(frac == 0) & ~sci] = _POINT_ZERO
-    groups = [whole]
-    for _ in range(-(-len(str(whole.max())) // 4) - 1):
-        groups[0], group = np.divmod(groups[0], 10_000)
-        groups.insert(1, group)
-    tail_words = int(tail.max() > 0) + int(tail.max() > 99)  # "e-100" takes 5 bytes
     tables = _tables()
-    words = np.empty((values.size, len(groups) + 5 + tail_words), dtype=np.uint32)
-    units = len(groups) - 1
-    lead = True  # where every group so far is zero
-    for i, group in enumerate(groups):
-        words[:, i] = _group_words(tables.units if i == units else tables.lead, group, lead)
-        lead &= group == 0
-    head = frac // 1000  # faster than np.divmod
-    last = frac - head * 1000
-    frac = head
-    words[:, units + 5] = _group_words(tables.frac, 10 * last, True)
-    trim = last == 0  # where every group so far is zero
-    for i in range(3):
-        rest = frac // 10_000
-        group = frac - rest * 10_000
-        words[:, units + 4 - i] = _group_words(tables.frac, group, trim)
-        trim &= group == 0
-        frac = rest
-    words[:, units + 1] = _group_words(tables.point, frac, trim)
-    for i in range(tail_words):
-        words[:, units + 6 + i] = tables.tail[i][tail]
+    # M < 2^50, so M / 10^p in float64 lies within 2^-53 (relative) of the
+    # exact quotient, and a quotient below an integer lies at least 1/M
+    # below it: the truncated float64 quotient is the floor.
+    whole = (mant / tables.divisor[exp]).astype(np.int64)
+    # The fraction's digits left-aligned in 18, M * 10^(18-p) - whole *
+    # 10^18: below 10^18, so exact although the products wrap.
+    mant *= tables.shift[exp]
+    mant -= whole * 10 ** 18
+    tail = tables.code[exp]
+    del exp
+    long_tail = tail.max() > 1100  # "e-100" takes 5 bytes
+    if fmt == "json":
+        np.add(tail, 1000, out=tail, where=mant == 0)
+    integer = -(-len(str(whole.max())) // 4)
+    words = np.empty((values.size, integer + 5 + long_tail), dtype=np.uint32)
+    # Each array is deleted once read, so that few are held at a time.  A
+    # masked entry's index clips to some word, which its own token
+    # overwrites below.  A group table is read at group + 10^4 where the
+    # group's padding zeros go.
+    padded = 10_000  # where every integer group so far is zero
+    for i in range(integer - 1):
+        place = 10 ** (4 * (integer - 1 - i))
+        group = whole // place
+        whole -= group * place
+        words[:, i] = tables.lead.take(group + padded, mode="clip")
+        padded = padded * (group == 0)
+    words[:, integer - 1] = tables.units.take(whole + padded, mode="clip")
+    del whole
+    # The fraction's first and last 9 digits, then its groups from the
+    # last: 3 digits, 4, 4 (2 of each half), 4 and the point's 3.
+    high = mant // 10 ** 9
+    mant -= high * 10 ** 9
+    low, high = mant.astype(np.int32), high.astype(np.int32)
+    del mant
+    rest = low // 1000
+    group = low - rest * 1000
+    del low
+    tail += group  # the end words' column
+    for i in range(1 + long_tail):
+        words[:, integer + 4 + i] = tables.end[i].take(tail, mode="clip")
+    del tail
+    padded = (group == 0) * np.int32(10_000)  # where every group below is zero
+    split = rest // 10_000
+    group = rest - split * 10_000
+    words[:, integer + 3] = tables.frac.take(group + padded, mode="clip")
+    padded *= group == 0
+    rest = high // 100
+    group = (high - rest * 100) * 100 + split
+    del high, split
+    words[:, integer + 2] = tables.frac.take(group + padded, mode="clip")
+    padded *= group == 0
+    point = rest // 10_000
+    group = rest - point * 10_000
+    del rest
+    words[:, integer + 1] = tables.frac.take(group + padded, mode="clip")
+    padded *= group == 0
+    words[:, integer] = tables.point.take(point + padded, mode="clip")
     own = np.flatnonzero(own)  # rows by index: a mask assignment is slower
     if own.size:
         texts = [_float_token(x, fmt) for x in values[own].tolist()]
@@ -392,48 +450,59 @@ def _blocks(fields: list, heads: list[bytes], rows: int, cell: Callable[[object]
         ahead, start = [cells[stop - start:] for cells in ahead], stop
 
 
+def _template(fields: list, heads: list[bytes], end: bytes, widths: tuple[int, ...],
+              fmt: str) -> tuple[bytearray, list[int]]:
+    """The row of a block whose float tokens take `widths[0]` bytes and
+    whose other values take `widths[1:]` (0 for a float field): each
+    field's head and NUL-padded slots, then `end`; and where each field's
+    slots start."""
+    token, *widths = widths
+    json_fmt = fmt == "json"
+    sep = _SEPARATORS[fmt]
+    row, places = bytearray(), []
+    for f, head, width in zip(fields, heads, widths):
+        array = f.kind == "array"
+        quote = b'"' if json_fmt and f.kind == "label" else b""
+        row += head + (b"[\n        " if json_fmt and array else quote)
+        places.append(len(row))
+        if f.kind in ("float", "array"):  # f.width floats
+            row += (bytes(token) + sep) * (f.width - 1) + bytes(token)
+        else:
+            row += bytes(width)
+        row += b"\n      ]" if json_fmt and array else quote
+    row += end
+    return row, places
+
+
 def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop: int,
-                  texts: list[list[str]], fmt: str) -> bytearray:
+                  texts: list[list[str]], fmt: str, templates: dict) -> bytearray:
     """Records start..stop-1 as the bytes of a matrix with a row per
     record: each field's head and value (a text field's from its cells in
-    `texts`), then `end`, and NUL padding."""
+    `texts`), then `end`, and NUL padding.  The row's `_template` is kept
+    in `templates` for the later blocks of the same layout."""
     rows = stop - start
     texts = iter(texts)
     data = [f.data[start:stop] for f in fields]
     floats = [d.ravel() for f, d in zip(fields, data) if f.kind in ("float", "array")]
     tokens = _tokens(np.concatenate(floats) if floats else np.zeros(0), fmt)
     token = tokens.shape[1]
-    json_fmt = fmt == "json"
-    sep = b",\n        " if json_fmt else b";"
-    slot = token + len(sep)
-    row, cells = bytearray(), []  # the template; each field's place and bytes
-    for f, d, head in zip(fields, data, heads):
-        array = f.kind == "array"
-        quote = b'"' if json_fmt and f.kind == "label" else b""
-        row += head + (b"[\n        " if json_fmt and array else quote)
-        if f.kind == "label":
-            value = f.chars(d, f.width)
-        elif f.kind == "bool":
-            value = _BOOLS[d.view(np.uint8)]
-        elif f.kind == "text":
-            value = _padded(next(texts), 0)
-        else:
-            value = None
-        cells.append((len(row), value))
-        if value is None:  # f.width floats
-            row += (bytes(token) + sep) * (f.width - 1) + bytes(token)
-        else:
-            row += bytes(value.shape[1])
-        row += b"\n      ]" if json_fmt and array else quote
-    row += end
+    values = [f.chars(d, f.width) if f.kind == "label" else
+              _BOOLS[d.view(np.uint8)] if f.kind == "bool" else
+              _padded(next(texts), 0) if f.kind == "text" else None
+              for f, d in zip(fields, data)]
+    layout = (token, *[0 if value is None else value.shape[1] for value in values])
+    if layout not in templates:
+        templates[layout] = _template(fields, heads, end, layout, fmt)
+    row, places = templates[layout]
     buffer = row * rows
-    if json_fmt and start == 0:
+    if fmt == "json" and start == 0:
         buffer[0] = 0  # no comma before the first record
     matrix = np.frombuffer(buffer, dtype=np.uint8).reshape(rows, len(row))
 
     # each token one element of `token` bytes, a float column at a time
+    slot = token + len(_SEPARATORS[fmt])
     tokens = tokens.view(np.dtype((np.void, token))).ravel()
-    for f, (place, value) in zip(fields, cells):
+    for f, place, value in zip(fields, places, values):
         if value is not None:
             matrix[:, place:place + value.shape[1]] = value
             continue
@@ -482,8 +551,9 @@ def _render(write: Callable[[bytes], object], command: str, columns: dict, fmt: 
     rows = len(fields[0].data) if fields else 0
     cell = functools.partial(_json, indent="      ") if fmt == "json" else \
         functools.partial(_csv_cell, alone=len(fields) == 1)
+    templates = {}  # a block's row by its layout
     for start, stop, texts in _blocks(fields, heads, rows, cell):
-        matrix = _block_matrix(fields, heads, end, start, stop, texts, fmt)
+        matrix = _block_matrix(fields, heads, end, start, stop, texts, fmt, templates)
         write(matrix.translate(None, _PAD))
         del matrix  # before the next block is built
     if fmt == "csv":

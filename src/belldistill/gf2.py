@@ -194,9 +194,11 @@ def affine_images(columns: Sequence[int], offset: int) -> np.ndarray:
 
 def bit_matrix(values: np.ndarray, length: int) -> np.ndarray:
     """The bits of each value as a row of `length` uint8 zeros and ones,
-    most significant first."""
-    shifts = np.arange(length - 1, -1, -1, dtype=np.int64)
-    return (np.asarray(values, dtype=np.int64)[:, None] >> shifts & 1).astype(np.uint8)
+    most significant first: the last `length` bits of its big-endian bytes,
+    unpacked, so that a bit takes one byte."""
+    size = -(-length // 8)  # the bytes that hold them
+    octets = np.ascontiguousarray(values, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets[:, 8 - size:], axis=1)[:, 8 * size - length:]
 
 
 def bit_chars(values: np.ndarray, length: int) -> np.ndarray:

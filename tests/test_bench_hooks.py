@@ -10,6 +10,7 @@ change they reject fails here too.
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,11 +25,20 @@ from belldistill.states import BellDiagonalState, werner
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
 
 
 def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -132,3 +142,30 @@ def test_tiny_benchmark_pass_checks_clean(tmp_path, workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["attempted"] > 0
     assert result["wrong"] == 0, result["problems"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("workload", ["wide", "deep"])
+def test_benchmark_ops_print_the_bytes_of_the_per_value_path(tmp_path, monkeypatch,
+                                                              workload, fmt):
+    """Each seed-0 op of the workload, whose output spans several blocks,
+    exits and prints alike with its floats read off the digit tables and
+    with every block formatted value by value."""
+    from belldistill import cli
+
+    blocks, decimals = [], []
+    tokens, decimal = cli._tokens, cli._decimal
+    monkeypatch.setattr(cli, "_tokens", lambda *args: blocks.append(1) or tokens(*args))
+    monkeypatch.setattr(cli, "_decimal", lambda *args: decimals.append(1) or decimal(*args))
+    cutoffs = (cli._BATCH_MIN, math.inf)
+    for op in load_workloads().build(workload, 0).ops:
+        runs = []
+        for batch_min in cutoffs:
+            monkeypatch.setattr(cli, "_BATCH_MIN", batch_min)
+            blocks.clear(), decimals.clear()
+            output = tmp_path / f"{len(runs)}.out"
+            code = cli.main([*op.argv, "--format", fmt, "--output", str(output)])
+            runs.append((code, output.read_bytes(), len(blocks), len(decimals)))
+        (code, out, count, batched), (per_code, per_out, _, per_value) = runs
+        assert code == per_code == 0 and out == per_out, op.key
+        assert count > 1 and batched == count and per_value == 0, op.key

@@ -820,3 +820,15 @@ def test_many_small_records_take_no_more_memory_than_the_engine(tmp_path, comman
                                                                 fmt):
     # 4096 records of 3 + 4 floats and their labels
     assert_output_memory_within_the_engine(tmp_path, command, 13, 1, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_float_tokens_of_a_full_block_hold_few_bytes_a_float(fmt):
+    """The traced peak of formatting one block's worth of random
+    probabilities, the returned tokens (24 bytes a float here) included:
+    at most 80 bytes a float, where it was 125 before the kernel read
+    per-exponent tables and freed each array as soon as it was read."""
+    values = np.random.default_rng(0).random(cli._BLOCK_BYTES // cli._FLOAT_BYTES)
+    cli._tokens(values, fmt)  # the digit tables are built once
+    peak = traced_peak(lambda: cli._tokens(values, fmt))
+    assert peak <= 80 * values.size, peak / values.size

@@ -1,6 +1,7 @@
 """GF(2)/symplectic layer: frozen examples, brute-force oracles, properties."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,32 @@ def test_bit_strings_of_random_26_bit_values():
     values = np.random.default_rng(11).integers(0, 1 << 26, 10_000)
     assert char_rows(gf2.bit_chars(values, 26)) == \
         [BinaryVector(v, 26).to_string() for v in values.tolist()]
+
+
+def test_bit_matrix_equals_the_binary_format_at_every_width():
+    rng = np.random.default_rng(12)
+    for length in range(1, 63):
+        values = np.concatenate([rng.integers(0, 1 << length, 64),
+                                 [0, (1 << length) - 1], 1 << np.arange(length)])
+        rows = gf2.bit_matrix(values, length)
+        assert rows.dtype == np.uint8
+        assert ["".join(map(str, row)) for row in rows.tolist()] == \
+            [format(v, f"0{length}b") for v in values.tolist()]
+
+
+def test_bit_strings_take_about_a_byte_a_bit():
+    # 4096 labels of 26 bits, as `run-code` prints its `v` and `u` at 13
+    # pairs: the unpacked bytes, not an int64 a bit.
+    values = np.random.default_rng(13).integers(0, 1 << 26, 4096)
+    gf2.bit_chars(values, 26)
+    tracemalloc.start()
+    try:
+        chars = gf2.bit_chars(values, 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert char_rows(chars[:3]) == [format(v, "026b") for v in values[:3].tolist()]
+    assert peak <= 4 * 26 * values.size, peak / (26 * values.size)
 
 
 def even_vectors(max_pairs: int = 4):

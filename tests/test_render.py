@@ -549,6 +549,27 @@ def test_pow10_table_equals_the_conversion_of_exact_integers():
     assert np.array_equal(cli._tables().pow10, exact)
 
 
+@wide_long_double
+def test_per_exponent_tables_equal_their_scalar_definitions():
+    # Every exponent of a positive normal double below _FAST_MAX, and 14,
+    # which rounding up reaches.
+    tables = cli._tables()
+    low = math.floor(math.log10(cli._FAST_TINY))
+    high = len(str(int(np.nextafter(cli._FAST_MAX, 0))))  # its digits: 1 + 13
+    assert (low, high) == (-308, 14)
+    for e in range(low, high + 1):
+        assert cli._EXPONENTS[e] == e  # each table is read at index e
+        places = 14 if e < -4 else 14 - e  # the fraction's digits in "%.15g"
+        assert tables.scale[e] == tables.pow10[14 - e] * np.longdouble(2) ** cli._FRAC_BITS
+        assert tables.divisor[e] == 10 ** places
+        assert tables.shift[e] == 10 ** (18 - places)
+        # the words after the fraction's groups, read at code + 1000 where
+        # JSON prints an empty fraction
+        ends = [tables.end[:, tables.code[e] + empty].tobytes().rstrip(b"\0").decode()
+                for empty in (0, 1000)]
+        assert ends == (["e-%02d" % -e] * 2 if e < -4 else ["", ".0"])
+
+
 # ---------------------------------------------------------------------------
 # The batched path through the CLI
 # ---------------------------------------------------------------------------
