@@ -324,6 +324,7 @@ def _tokens(values: np.ndarray, fmt: str) -> np.ndarray:
         own = ~nonzero & (values.view(np.int64) != 0)  # all but +0.0
         mant, exp = np.zeros(values.size, np.int64), np.zeros(values.size, np.intp)
         mant[nonzero], exp[nonzero], own[nonzero] = _decimal(values[nonzero])
+    own = np.flatnonzero(own)  # rows by index: a mask assignment is slower
     tables = _tables()
     # M < 2^50, so M / 10^p in float64 lies within 2^-53 (relative) of the
     # exact quotient, and a quotient below an integer lies at least 1/M
@@ -333,6 +334,7 @@ def _tokens(values: np.ndarray, fmt: str) -> np.ndarray:
     # 10^18: below 10^18, so exact although the products wrap.
     mant *= tables.shift[exp]
     mant -= whole * 10 ** 18
+    whole[own] = 0  # a masked entry's M and e do not size the integer words
     tail = tables.code[exp]
     del exp
     long_tail = tail.max() > 1100  # "e-100" takes 5 bytes
@@ -382,7 +384,6 @@ def _tokens(values: np.ndarray, fmt: str) -> np.ndarray:
     words[:, integer + 1] = tables.frac.take(group + padded, mode="clip")
     padded *= group == 0
     words[:, integer] = tables.point.take(point + padded, mode="clip")
-    own = np.flatnonzero(own)  # rows by index: a mask assignment is slower
     if own.size:
         texts = [_float_token(x, fmt) for x in values[own].tolist()]
         words[own] = _padded(texts, 4 * words.shape[1]).view(np.uint32)

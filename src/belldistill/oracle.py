@@ -17,8 +17,10 @@ rho = U diag(p) U^H (U the Bell basis) that its outcomes sum, from the
 gathered rows of U, and returns its outcomes as the columns t, prob,
 output and bell_offdiag of a `permutation.BranchSet`, used only as a
 container: it calls none of the engines' code.  The generator
-measurement contracts the whole rho (`density_matrix`) with each side's
-projectors in two matrix products.
+measurement forms rho's rows of one side-B row index at a time and
+contracts each block with side A's projectors as it is formed; side B's
+projectors meet the result once.  Neither measurement calls
+`density_matrix`: it is the reference the tests compare them with.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .gf2 import BinaryVector
 from .permutation import BranchSet
 from .states import BellDiagonalState
 
-# At the cap the Bell basis, and the density matrix the generator measurement
-# contracts, are 256 x 256 complex matrices (1 MiB); a parity measurement of
-# at least one pair gathers at most half of the basis's rows at a time.
-# Tests default to n in {2, 3}.
+# At the cap the Bell basis, built once and cached, is a 256 x 256 complex
+# matrix (1 MiB); a parity measurement of at least one pair gathers at most
+# half of its rows at a time, and a generator measurement forms a 16 x 256
+# block of rho at a time (64 KiB).  Tests default to n in {2, 3}.
 MAX_ORACLE_PAIRS = 4
 
 _SINGLE = {
@@ -94,7 +96,8 @@ def bell_basis(n: int) -> np.ndarray:
 
 
 def density_matrix(state: BellDiagonalState) -> np.ndarray:
-    """Dense density matrix of a Bell-diagonal state."""
+    """Dense density matrix of a Bell-diagonal state: the reference the
+    tests hold both measurements to, neither of which calls it."""
     basis = bell_basis(state.n)
     return (basis * state.probs) @ basis.conj().T
 
@@ -175,12 +178,18 @@ def simulate_syndrome_measurement(state: BellDiagonalState,
     uniform; only the XOR of the two strings depends on the state.  Each
     side's projectors act on its own qubits, so they are 2^n x 2^n matrices
     contracted with rho[i, k, j, l] (rows i, k and columns j, l of sides A,
-    B) in two matrix products: rho regrouped as (i, j) x (k, l) between
-    each side's projectors, transposed and flattened.
+    B), regrouped as (i, j) x (k, l), between each side's projectors,
+    transposed and flattened.  rho = U diag(p) U^H (U the Bell basis) is
+    formed d = 2^n rows at a time, those of one side-B row index k: read
+    as (i, j) x l they are the columns (k, l) of the regrouped rho, so
+    each block meets side A's projectors whole, in the same sums as the
+    whole rho would, and side B's meet the product once.  No 4^n x 4^n
+    matrix but the cached basis is held.
     """
-    d = 1 << state.n
+    n = state.n
+    d = 1 << n
     k = len(generators)
-    rho = density_matrix(state).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    basis = bell_basis(n)
     eye = np.eye(d, dtype=complex)
     words = [pauli_matrix(g) for g in generators]
 
@@ -196,7 +205,15 @@ def simulate_syndrome_measurement(state: BellDiagonalState,
 
     side_a, side_b = (projectors(ops).transpose(0, 2, 1).reshape(1 << k, d * d)
                       for ops in ([w.conj() for w in words], words))
-    return (side_a @ rho.reshape(d * d, d * d) @ side_b.T).real
+    # rho's rows (i, b_row) for every i, side B's row index fixed, are the
+    # conjugate of (conj(U_b) * p) @ U^T, U_b those rows of U (U^T is a
+    # view).  Read as (i, j) x l they are the columns (b_row, l) of the
+    # regrouped rho, so each block meets side A's projectors whole.
+    side_a_rho = np.empty((1 << k, d * d), dtype=complex)
+    for b_row in range(d):
+        block = ((basis[b_row::d].conj() * state.probs) @ basis.T).conj()
+        side_a_rho[:, b_row * d:(b_row + 1) * d] = side_a @ block.reshape(d * d, d)
+    return (side_a_rho @ side_b.T).real
 
 
 def syndrome_difference_distribution(joint: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@
 deletion in the package would only show as a crash of a traced benchmark
 run.  The tracer module is imported here, never installed.  A tiny pass
 of each workload runs the benchmark's own output checks, so an output
-change they reject fails here too.
+change they reject fails here too.  The `suite` workload's oracle-check
+op runs in process under a traced-memory bound.
 """
 
 import importlib
@@ -14,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -169,3 +171,26 @@ def test_benchmark_ops_print_the_bytes_of_the_per_value_path(tmp_path, monkeypat
         (code, out, count, batched), (per_code, per_out, _, per_value) = runs
         assert code == per_code == 0 and out == per_out, op.key
         assert count > 1 and batched == count and per_value == 0, op.key
+
+
+def test_the_benchmark_oracle_op_holds_no_full_density_matrix(tmp_path):
+    """`suite`'s oracle-check op, with the n <= 4 Bell bases already built
+    by a first call: four passing checks, and a traced peak below one
+    4^4 x 4^4 complex matrix (forming rho held 3 MiB)."""
+    from belldistill import cli
+
+    op, = (op for op in load_workloads().build("suite", 0).ops
+           if op.key == "suite/oracle-check")
+    output = tmp_path / "out.json"
+    argv = [*op.argv, "--output", str(output)]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    records = json.loads(output.read_text())["records"]
+    assert code == 0
+    assert len(records) == 4 and all(r["passed"] for r in records)
+    assert peak < 1 << 20

@@ -7,10 +7,11 @@ option is declared once: `cli.build_parser` is the one caller of
 `add_argument`.  A block's floats are turned into token words in one
 function, `cli._tokens`, the one caller of `_decimal`, and the digit tables
 are built in one, `cli._tables`.  The dense oracle contracts with matrix
-products: nothing in the package calls `np.einsum`.  A generator protocol
-is the permutation protocol (A, b) it names, so `cli` hands each command's
-protocol to its engine as it is, with no translation, and no module reads
-a `relabeling` attribute.  The engines declare their branch columns in
+products: nothing in the package calls `np.einsum`, and nothing forms the
+whole density matrix (`oracle.density_matrix` is the tests' reference).  A
+generator protocol is the permutation protocol (A, b) it names, so `cli`
+hands each command's protocol to its engine as it is, with no
+translation, and no module reads a `relabeling` attribute.  The engines declare their branch columns in
 print order, and `cli` names none of their statistics.
 """
 
@@ -88,6 +89,10 @@ def test_floats_become_tokens_in_one_function():
 
 def test_the_package_makes_no_einsum_call():
     assert "einsum" not in package_callers()
+
+
+def test_no_module_forms_the_whole_density_matrix():
+    assert "density_matrix" not in package_callers()
 
 
 def test_the_cli_hands_protocols_over_as_they_are():

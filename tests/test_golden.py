@@ -7,7 +7,8 @@ as a matrix and as files, a state file with zero and subnormal weights
 pair (the one-pass kernel), an n=13 m=1 engine pair (4096 small records
 written in several blocks), an n=10 m=5 engine pair (32 records of 1024
 floats, so float arrays that span several blocks), an n=10 m=1 engine
-pair whose folded pairs have degenerate shifts, a warning and refusals.
+pair whose folded pairs have degenerate shifts, the dense oracle at its
+4-pair cap, a warning and refusals.
 A change that alters any byte of these outputs fails here.  When the
 change is meant, re-pin with
 
@@ -113,6 +114,7 @@ CASES = {
     "verify-offset-file": ["verify", "--protocol-file", "{perm.json}",
                            "--werner", "0.75"],
     **_both("oracle-check", "oracle-check", "--sizes", "2", "--count", "2"),
+    **_both("oracle-check-cap", "oracle-check", "--sizes", "4", "--count", "2"),
     **_both("sweep-list", "sweep", "--generators", "ZZ", "--grid", "0.6,0.8",
             "--rounds", "2"),
     **_both("sweep-range", "sweep", "--matrix", BCNOT, "-m", "1",

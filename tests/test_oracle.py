@@ -356,6 +356,30 @@ def test_syndrome_measurement_holds_no_full_register_projector(rng):
     assert peak < 8 << 20
 
 
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("full_set", [False, True])
+def test_syndrome_measurement_forms_no_full_density_matrix(monkeypatch, rng, n,
+                                                           full_set):
+    # At the cap, n = 4, one 4^n x 4^n complex matrix is 1 MiB, and forming
+    # rho held 3 MiB (rho and its two operands).  Formed one side-B row
+    # index at a time, rho is held as a 2^n x 4^n block and its operands.
+    k = n if full_set else 1
+    state = BellDiagonalState(n, rng.dirichlet(np.ones(1 << (2 * n))))
+    gens = tuple(gf2.random_isotropic_generators(n, k, rng))
+    oracle.bell_basis(n)  # built once per n and cached
+    monkeypatch.setattr(oracle, "density_matrix", None)
+    tracemalloc.start()
+    try:
+        joint = oracle.simulate_syndrome_measurement(state, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joint.shape == (1 << k, 1 << k)
+    assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+    if n == 4:
+        assert peak < 16 << (4 * n)
+
 def test_bell_eigenvalue_check_forms_no_full_register_operator(monkeypatch):
     # conj(sigma_g) x sigma_g at n = 4 is a 4^n x 4^n complex matrix, 1 MiB
     pairs = []

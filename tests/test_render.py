@@ -390,6 +390,22 @@ def test_exact_half_way_ties_take_the_correctly_rounded_path(monkeypatch):
     assert one_pass_tokens([1 + 2.0 ** -15]) == ["1.00003051757812"]
 
 
+
+@pytest.mark.skipif(not cli._WIDE_LONGDOUBLE,
+                    reason="the digit tables need a 64-bit-significand long double")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("masked", [np.nextafter(1e14, 0), np.nextafter(1e5, 0)])
+def test_a_masked_entry_does_not_widen_the_tokens_of_its_block(fmt, masked):
+    # log10 of these rounds up to a power of ten, so `_decimal` masks them
+    # and their tokens are formatted on their own; sizing the integer words
+    # by their M and e made the rows 36 and 28 bytes wide
+    values = np.full(100, 0.25)
+    assert cli._tokens(values, fmt).shape == (100, 24)
+    values[7] = masked
+    tokens = cli._tokens(values, fmt)
+    assert tokens.shape == (100, 24)
+    assert bytes(tokens[7]).strip(b"\0").decode() == cli._float_token(masked, fmt)
+
 def test_largest_mantissa_splits_exactly_at_every_fixed_point_place():
     # M = 10^15 - 1 at exponents 0 .. -4, printed with 14 .. 18 places:
     # the float64 quotient M / 10^places is nearest the next integer here
