@@ -151,25 +151,25 @@ _SEPARATORS = {"json": b",\n        ", "csv": b";"}
 _BOOLS = np.frombuffer(b"falsetrue\0", dtype=np.uint8).reshape(2, 5)
 
 
-def _digits(pad: str) -> np.ndarray:
-    """ASCII digits of 0..9999, 4 per row with leading zeros.
+def _digits() -> dict[str, np.ndarray]:
+    """ASCII digits of 0..9999, 4 per row with leading zeros, keyed by the
+    zeros that are NUL padding instead: "lead" the leading ones (all of 0's
+    digits), "units" the leading ones but 0's last digit, "trim" the
+    trailing ones, "" none.
 
-    `pad` names the zeros that are padding instead: "lead" the leading
-    ones (all of 0's digits), "units" the leading ones but 0's last digit,
-    "trim" the trailing ones, "" none.
+    One index pass writes the digits.  Row g is the value g, so the padding
+    is slices: digit k (of place 10^(3-k)) is a leading zero in the rows
+    below 10^(3-k), and a trailing one in every 10^(4-k)-th row.
     """
-    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
-    zero = digits == 0
-    digits += ord("0")
-    # A zero is padding where every digit before it ("trim": after it) is zero.
-    if pad == "trim":
-        for j in (2, 1, 0):
-            zero[j] &= zero[j + 1]
-    elif pad:
-        for j in (1, 2, 3):
-            zero[j] &= zero[j - 1]
-        zero[3] &= pad == "lead"
-    return (digits * ~zero if pad else digits).T.copy()
+    plain = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()
+    plain += ord("0")
+    lead, trim = plain.copy(), plain.copy()
+    for k in range(4):
+        lead[:10 ** (3 - k), k] = 0
+        trim[::10 ** (4 - k), k] = 0
+    units = lead.copy()
+    units[0, 3] = ord("0")
+    return {"": plain, "lead": lead, "units": units, "trim": trim}
 
 
 def _padded(texts: list[str], width: int) -> np.ndarray:
@@ -233,7 +233,8 @@ def _tables() -> SimpleNamespace:
     the exact integers, and equal to it) into a 64-bit-significand long
     double, which holds them all.
     """
-    plain, trim, lead, units = (_digits(pad).view(np.uint32).ravel()
+    digits = _digits()
+    plain, trim, lead, units = (digits[pad].view(np.uint32).ravel()
                                 for pad in ("", "trim", "lead", "units"))
     point = np.zeros((2, 10_000), dtype=np.uint32)
     point[:, :1000] = np.stack([plain[:1000], trim[:1000]])
@@ -580,8 +581,15 @@ def _emit(args, columns: dict, summary: dict | None = None) -> None:
         if base:
             path = Path(base) / path
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as out:
+        try:
+            out = path.open("wb")
+        except OSError:
+            # Only a failed open pays for `mkdir`.  It makes a missing parent,
+            # and any other failure recurs in it or in the second open, with
+            # the error that making the parents first would have given.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            out = path.open("wb")
+        with out:
             _render(out.write, args.command, columns, args.format, summary)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc

@@ -232,17 +232,27 @@ def _sympl_value(a: int, b: int, n: int) -> int:
 
 
 def is_symplectic(matrix: BinaryMatrix) -> bool:
-    """True iff A^T P A = P, i.e. the label map preserves commutation, checked
-    on the rows as the equivalent A P A^T = P, that is A (P A P)^T = I."""
+    """True iff A^T P A = P, i.e. the label map A preserves commutation.
+
+    Checked on the rows as the equivalent A P A^T = P: rows i and j have
+    symplectic product 1 exactly when |i - j| = n.  That matrix is
+    symmetric with a zero diagonal, so each pair i < j is read once, as the
+    parity of row i AND row j with its halves swapped.  The rows stay
+    Python ints, so every size is exact and no array is built.
+    """
     r, c = matrix.shape
     if r != c:
         raise ValueError("symplectic test needs a square matrix")
     if r % 2:
         raise ValueError("symplectic test needs even dimension")
-    rows = np.array(matrix.rows, dtype=np.int64)
-    conjugate = np.array(_form_conjugate(matrix.rows, r // 2), dtype=np.int64)
-    return np.array_equal(np.bitwise_count(rows[:, None] & conjugate) & 1,
-                          np.eye(r, dtype=np.uint8))
+    n = r // 2
+    rows = matrix.rows
+    swapped = [_swap_halves_value(v, n) for v in rows]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, r):
+            if (row & swapped[j]).bit_count() & 1 != (j == i + n):
+                return False
+    return True
 
 
 def symplectic_inverse(matrix: BinaryMatrix) -> BinaryMatrix:

@@ -220,18 +220,18 @@ def _pair_product(tables: Sequence[np.ndarray]) -> np.ndarray:
 
     Each table reshaped to 2x2 is indexed [phase][parity].  The Kronecker
     product of those matrices is indexed by (all phases, all parities),
-    which is already the label order.  Each step writes the four products
-    arr * pair[a, b] straight into the strided blocks [:, a, :, b] of the
-    next table: bit for bit the chain `reduce(np.kron, ...)`, without its
-    full-size temporaries.
+    which is already the label order.  Each step is one broadcast multiply
+    of arr by the pair's 2x2 matrix into a fresh (rows, 2, cols, 2) table,
+    its block [:, a, :, b] being arr * pair[a, b]: bit for bit the chain
+    `reduce(np.kron, ...)`, without its full-size temporaries.  The multiply
+    runs over the blocks in C order, so its inner loop is a row of arr, not
+    the last axis of length 2.
     """
     arr = np.ones((1, 1))
     for table in tables:
         rows, cols = arr.shape
         out = np.empty((rows, 2, cols, 2))
-        for a in range(2):
-            for b in range(2):
-                np.multiply(arr, table[2 * a + b], out=out[:, a, :, b])
+        np.multiply(arr, table.reshape(2, 2, 1, 1), out=out.transpose(1, 3, 0, 2), order="C")
         arr = out.reshape(2 * rows, 2 * cols)
     return arr.reshape(-1)
 

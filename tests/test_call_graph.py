@@ -12,7 +12,9 @@ whole density matrix (`oracle.density_matrix` is the tests' reference).  A
 generator protocol is the permutation protocol (A, b) it names, so `cli`
 hands each command's protocol to its engine as it is, with no
 translation, and no module reads a `relabeling` attribute.  The engines declare their branch columns in
-print order, and `cli` names none of their statistics.
+print order, and `cli` names none of their statistics.  The symplecticity
+check each protocol gets, and the completion of a generator protocol's
+frame, work on Python ints: neither reads numpy.
 """
 
 import ast
@@ -115,3 +117,12 @@ def test_the_cli_names_no_engine_statistic():
     found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Constant) and node.value in names]
     assert found == []
+
+
+def test_the_protocol_checks_read_no_numpy():
+    tree = ast.parse((Path(belldistill.__file__).parent / "gf2.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("is_symplectic", "_frame_columns"):
+        reads = [node.lineno for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Name) and node.id == "np"]
+        assert reads == [], name

@@ -131,6 +131,34 @@ def test_output_file_and_outdir_env(tmp_path, capsys, monkeypatch):
     assert written["command"] == "run-perm"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_into_a_missing_directory_creates_it(tmp_path, capsys, fmt):
+    argv = ["run-code", "--generators", "ZZ", "--werner", "0.75", "--format", fmt]
+    code, printed, _ = invoke(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "a" / "b" / "result.out"
+    code, out, err = invoke(capsys, *argv, "--output", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == printed
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("", "[Errno 21] Is a directory: '.'"),
+    ("directory", "[Errno 21] Is a directory: 'directory'"),
+    # the parent is made first, as it always was, so its error is the one printed
+    ("file/result.json", "[Errno 17] File exists: 'file'"),
+], ids=["empty", "directory", "under-a-file"])
+def test_output_that_cannot_be_opened_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                        where, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "file").touch()
+    code, out, err = invoke(capsys, "run-perm", "--generators", "ZZ", "--werner", "0.75",
+                            "--output", where)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {where or '.'}: {reason}\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_write_failure_is_one_error_line(capsys, fmt):

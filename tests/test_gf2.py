@@ -234,18 +234,26 @@ def literal_is_symplectic(matrix: BinaryMatrix) -> bool:
                for i in range(2 * n) for j in range(2 * n))
 
 
+def flip_bit(matrix: BinaryMatrix, i: int, j: int) -> BinaryMatrix:
+    rows = list(matrix.rows)
+    rows[i] ^= 1 << j
+    return BinaryMatrix(tuple(rows), matrix.ncols)
+
+
 def test_is_symplectic_equals_the_pairwise_definition(rng):
     for _ in range(200):
-        n = int(rng.integers(0, 6))
+        n = int(rng.integers(0, gf2.MAX_PAIRS + 1))
         matrix = gf2.random_symplectic(n, rng) if n else BinaryMatrix((), 0)
         # flip one bit in most draws, so that both answers occur
         if n and rng.random() < 0.7:
-            i, j = rng.integers(0, 2 * n, 2).tolist()
-            rows = list(matrix.rows)
-            rows[i] ^= 1 << j
-            matrix = BinaryMatrix(tuple(rows), 2 * n)
+            matrix = flip_bit(matrix, *rng.integers(0, 2 * n, 2).tolist())
         assert is_symplectic(matrix) == literal_is_symplectic(matrix)
     assert is_symplectic(BinaryMatrix((), 0))
+    # Rows of 64 bits, past int64: the rows are tested as Python ints.
+    eye = BinaryMatrix.identity(64)
+    assert is_symplectic(eye) and literal_is_symplectic(eye)
+    flipped = flip_bit(eye, 0, 63)
+    assert not is_symplectic(flipped) and not literal_is_symplectic(flipped)
 
 
 def test_column_values_are_the_bit_transpose(rng):

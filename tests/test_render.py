@@ -553,7 +553,7 @@ def reference_digits(count, width, pad):
 @pytest.mark.parametrize("pad", ["", "lead", "units", "trim"])
 def test_digit_tables_equal_the_per_value_builder(width, pad):
     # The fraction's 3-digit groups are read off the first 1000 rows.
-    digits = cli._digits(pad)
+    digits = cli._digits()[pad]
     assert digits.dtype == np.uint8 and digits.flags.c_contiguous
     assert np.array_equal(digits[:10 ** width, 4 - width:],
                           reference_digits(10 ** width, width, pad))
@@ -584,6 +584,30 @@ def test_per_exponent_tables_equal_their_scalar_definitions():
         ends = [tables.end[:, tables.code[e] + empty].tobytes().rstrip(b"\0").decode()
                 for empty in (0, 1000)]
         assert ends == (["e-%02d" % -e] * 2 if e < -4 else ["", ".0"])
+    # Every word of the digit tables, as the NUL-padded text it stands for.
+    def texts(table):
+        return [bytes(word).decode() for word in table.view(np.uint8).reshape(-1, 4)]
+
+    def word(text, align=str.ljust):
+        return align(text, 4, "\0")
+
+    groups = ["%04d" % g for g in range(10_000)]
+    trimmed = [word(group.rstrip("0")) for group in groups]
+    assert texts(tables.lead) == groups + [word(str(g) if g else "", str.rjust)
+                                           for g in range(10_000)]
+    assert texts(tables.units) == groups + [word(str(g), str.rjust) for g in range(10_000)]
+    assert texts(tables.frac) == groups + trimmed
+    assert texts(tables.point) == (["." + group[1:] for group in groups[:1000]]
+                                   + [word("")] * 9000
+                                   + [word("." + group[1:].rstrip("0") if g else "")
+                                      for g, group in enumerate(groups[:1000])]
+                                   + [word("")] * 9000)
+    # "e-XX" for XX = 0..324 (that of the least subnormal), in two words
+    tails = [word(("e-%02d" % k)[4 * i:4 * i + 4]) for i in (0, 1) for k in range(325)]
+    gap = [word("")] * (2001 - 1001 - 325)
+    assert texts(tables.end) == ([word(("%03d" % c).rstrip("0")) for c in range(1000)]
+                                 + [word(".0")] + tails[:325] + gap + tails[:325]
+                                 + [word("")] * 1001 + tails[325:] + gap + tails[325:])
 
 
 # ---------------------------------------------------------------------------
