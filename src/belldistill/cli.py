@@ -13,14 +13,18 @@ A reader that closes stdout early (``| head``) ends the command quietly, exit co
 All probabilities are printed with 15 significant digits; identical
 configuration and seed produce byte-identical output.  Relative ``--output``
 paths resolve against ``BELLDISTILL_OUTDIR`` when that variable is set.
+A Werner fidelity below 1/4 is one ``warning:`` line on stderr, printed
+by the command once per value; any other warning keeps the caller's
+filters.
 
 Every float is printed as Python prints it after rounding to 15
 significant digits: ``"%.15g"`` in CSV, ``json.dumps`` in JSON; every other
 value as ``json.dumps`` or ``csv.writer`` writes it.  Output is bytes,
-written to the ``--output`` file or to stdout's binary buffer (a stdout
-without one, such as ``io.StringIO``, is written the same text), in blocks
-of whole records of about `_BLOCK_BYTES`, so the memory rendering takes
-does not grow with the size of the output.  Each block is one byte matrix
+written to the ``--output`` file through its descriptor (``os.write``) or
+to stdout's binary buffer (a stdout without one, such as ``io.StringIO``,
+is written the same text), one call per block of whole records of about
+`_BLOCK_BYTES`, so the memory rendering takes does not grow with the size
+of the output.  Each block is one byte matrix
 with a row per record (`_block_matrix`) and a NUL-padded slot per value,
 copied from a row built once per layout (`_template`).  Floats are
 written in 4-digit words, and what a float's decimal exponent e decides
@@ -59,7 +63,7 @@ from .gf2 import MAX_PAIRS, BinaryMatrix, BinaryVector, bit_chars
 from .permutation import PermutationProtocol
 from .stabilizer import (StabilizerProtocol, parse_pauli_string, pauli_letters,
                          to_pauli_string)
-from .states import BellDiagonalState, werner
+from .states import BellDiagonalState, werner_pair
 
 
 class CliError(Exception):
@@ -67,6 +71,11 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Refuses with `CliError`.  The top-level parser keeps each command's
+    parser in `commands` (`build_parser`)."""
+
+    commands: dict[str, argparse.ArgumentParser]
+
     def error(self, message):
         raise CliError(message)
 
@@ -536,34 +545,65 @@ def _render(write: Callable[[bytes], object], command: str, columns: dict, fmt: 
     `columns` holds the records field by field, in the CSV column order;
     `_field_of` tells how each prints.  The records are written block by
     block (`_blocks`, `_block_matrix`), so that only one block's bytes
-    exist at a time, each block as the matrix's bytes less the padding.
-    Every float is printed with 15 significant digits.  Array values are
-    printed as lists (`;`-joined in a CSV cell).
+    exist at a time, each block as the matrix's bytes less the padding,
+    in one `write` call: the output's first bytes go with its first
+    block, and its last bytes with its last, so an output of one block is
+    one call.  Every float is printed with 15 significant digits.  Array
+    values are printed as lists (`;`-joined in a CSV cell).
     """
     keys = list(columns) if fmt == "csv" else sorted(columns)
     fields = [_field_of(columns[key]) for key in keys]
+    rows = len(fields[0].data) if fields else 0
     if fmt == "csv":
-        write((",".join(_csv_cell(key, len(keys) == 1) for key in keys) + "\n").encode())
-        heads, end = [b""] + [b","] * (len(keys) - 1), b"\n"
+        first = (",".join(_csv_cell(key, len(keys) == 1) for key in keys) + "\n").encode()
+        heads, end, last = [b""] + [b","] * (len(keys) - 1), b"\n", b""
     else:
-        write(('{\n  "command": ' + json.dumps(command) + ',\n  "records": [').encode())
+        first = ('{\n  "command": ' + json.dumps(command) + ',\n  "records": [').encode()
         heads = [((",\n      " if i else ",\n    {\n      ") + json.dumps(key) + ": ")
                  .encode("ascii") for i, key in enumerate(keys)]
         end = b"\n    }"
-    rows = len(fields[0].data) if fields else 0
+        last = (b"\n  ]" if rows else b"]") + (b"" if summary is None else
+                                               (',\n  "summary": ' + _json(summary, "  "))
+                                               .encode()) + b"\n}\n"
+    if not rows:
+        write(first + last)
+        return
     cell = functools.partial(_json, indent="      ") if fmt == "json" else \
         functools.partial(_csv_cell, alone=len(fields) == 1)
     templates = {}  # a block's row by its layout
     for start, stop, texts in _blocks(fields, heads, rows, cell):
-        matrix = _block_matrix(fields, heads, end, start, stop, texts, fmt, templates)
-        write(matrix.translate(None, _PAD))
-        del matrix  # before the next block is built
-    if fmt == "csv":
-        return
-    write(b"\n  ]" if rows else b"]")
-    if summary is not None:
-        write((',\n  "summary": ' + _json(summary, "  ")).encode())
-    write(b"\n}\n")
+        block = _block_matrix(fields, heads, end, start, stop, texts, fmt,
+                              templates).translate(None, _PAD)
+        if first or stop == rows:
+            block = b"".join((first, block, last if stop == rows else b""))
+        write(block)
+        first = b""
+        del block  # before the next block is built
+
+
+# How `--output` is opened: as `open(..., "wb")` opens a file.
+_WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _output_path(output: str) -> Path:
+    """`--output` as a path, under BELLDISTILL_OUTDIR when relative and
+    that is set: the file a failed first open retries, and the name an
+    error gives.  Path drops a trailing slash, "." parts and repeated
+    slashes, so an empty name is "."."""
+    path = Path(output)
+    if not path.is_absolute():
+        base = os.environ.get("BELLDISTILL_OUTDIR")
+        if base:
+            path = Path(base) / path
+    return path
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of `data` to `fd`, in one call unless the system takes
+    part of it."""
+    done = os.write(fd, data)
+    while done < len(data):
+        done += os.write(fd, memoryview(data)[done:])
 
 
 def _emit(args, columns: dict, summary: dict | None = None) -> None:
@@ -575,24 +615,28 @@ def _emit(args, columns: dict, summary: dict | None = None) -> None:
                 args.command, columns, args.format, summary)
         sys.stdout.flush()  # so that a closed pipe shows in `main`, not at exit
         return
-    path = Path(args.output)
-    if not path.is_absolute():
-        base = os.environ.get("BELLDISTILL_OUTDIR")
-        if base:
-            path = Path(base) / path
     try:
         try:
-            out = path.open("wb")
+            # The name as given, under BELLDISTILL_OUTDIR when relative, with
+            # no pathlib.  Where it opens, it is the file `_output_path`
+            # names; where the two differ in what they open (an empty name,
+            # a trailing slash), this open fails and the retry uses that one.
+            fd = os.open(os.path.join(os.environ.get("BELLDISTILL_OUTDIR", ""),
+                                      args.output), _WRITE, 0o666)
         except OSError:
             # Only a failed open pays for `mkdir`.  It makes a missing parent,
             # and any other failure recurs in it or in the second open, with
             # the error that making the parents first would have given.
+            path = _output_path(args.output)
             path.parent.mkdir(parents=True, exist_ok=True)
-            out = path.open("wb")
-        with out:
-            _render(out.write, args.command, columns, args.format, summary)
+            fd = os.open(path, _WRITE, 0o666)
+        try:
+            _render(functools.partial(_write_all, fd), args.command, columns,
+                    args.format, summary)
+        finally:
+            os.close(fd)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+        raise CliError(f"cannot write {_output_path(args.output)}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -760,13 +804,24 @@ def _load_protocol(args) -> PermutationProtocol:
     return PermutationProtocol(n, args.m, matrix, offset)
 
 
+def _werner(fidelity: float, shown: set[str]) -> BellDiagonalState:
+    """`states.werner(fidelity)`, its warning below 1/4 printed as one
+    `warning:` line unless `shown`, which holds the warnings a command has
+    printed so far: once per value, whatever the caller's filters."""
+    pair, warning = werner_pair(fidelity)
+    if warning is not None and warning not in shown:
+        shown.add(warning)
+        _show_warning(warning)
+    return pair
+
+
 def _load_state(args, n: int) -> BellDiagonalState:
     sources = [s for s in (args.werner, args.pair, args.state_file)
                if s is not None]
     if len(sources) != 1:
         raise CliError("provide exactly one input: --werner, --pair, or --state-file")
     if args.werner is not None:
-        return BellDiagonalState.from_pairs([werner(args.werner)] * n)
+        return BellDiagonalState.from_pairs([_werner(args.werner, set())] * n)
     if args.pair is not None:
         parts = [float(x) for x in str(args.pair).split(",")]
         if len(parts) != 4:
@@ -793,6 +848,15 @@ def _parse_sizes(text: str | None, default: tuple[int, ...]) -> tuple[int, ...]:
     if not all(1 <= n <= MAX_PAIRS for n in sizes):
         raise CliError(f"sizes must be pair counts in 1..{MAX_PAIRS}, got {text!r}")
     return sizes
+
+
+def _rng(seed: int | None) -> np.random.Generator:
+    """The generator of `--seed` (default 0)."""
+    if seed is None:
+        seed = 0
+    if seed < 0:  # numpy's refusal would not name the option
+        raise CliError(f"--seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _parse_grid(text: str | None) -> list[float]:
@@ -869,7 +933,7 @@ def _cmd_verify(args) -> int:
             raise CliError("--random must be at least 1")
         if args.random > MAX_RECORDS:
             raise CliError(f"--random {args.random} is more than {MAX_RECORDS} records")
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+        rng = _rng(args.seed)
         sizes = _parse_sizes(args.sizes, (2, 3, 4))
         columns = {name: [] for name in ("n", "m", "generators", "passed",
                                          "subspaces_match", "coset_match",
@@ -910,8 +974,10 @@ def _cmd_sweep(args) -> int:
                        f"{MAX_RECORDS} records")
     columns = {"f_in": np.repeat(grid, rounds),
                "round": list(range(1, rounds + 1)) * len(grid)}
+    shown = set()
     for start, f_in in zip(range(0, records, rounds), grid):
-        sweep = permutation.recurrence_sweep(werner(f_in), proto, rounds, args.threshold)
+        sweep = permutation.recurrence_sweep(_werner(f_in, shown), proto, rounds,
+                                             args.threshold)
         for name, column in sweep.items():
             target = columns.setdefault(name, np.empty(records, column.dtype))
             target[start:start + rounds] = column
@@ -927,8 +993,7 @@ def _cmd_oracle_check(args) -> int:
     count = args.count if args.count is not None else 50
     if count < 1:
         raise CliError("--count must be at least 1")
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    results = crosscheck.run_all(sizes, count, rng)
+    results = crosscheck.run_all(sizes, count, _rng(args.seed))
     passed = np.array([r.passed for r in results])
     _emit(args, {"check": [r.name for r in results], "cases": [r.cases for r in results],
                  "max_error": np.array([r.max_error for r in results]),
@@ -950,7 +1015,7 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="belldistill",
                      description="Exact simulation and cross-verification of "
                                  "entanglement distillation protocols on "
@@ -961,6 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
         for option in options:
             flags, parse, _kinds, option_help = _OPTIONS[option]
             command.add_argument(*flags, dest=option, help=option_help, **parse)
+    parser.commands = sub.choices
     return parser
 
 
@@ -968,30 +1034,46 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The options of the command argv names.  An argv whose first word
+    names a command goes straight to that command's parser, as the
+    top-level parser would hand it on, so argparse parses it once; the
+    top-level parser reads the rest (no command, an unknown one, -h)."""
+    command = _PARSER.commands.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def _show_warning(message, *_) -> None:
+    """`warnings.showwarning` while a command runs: one `warning:` line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  The low-Werner-fidelity warning is printed once
-    per value as one `warning:` line on stderr; every other warning keeps
-    the caller's filters, and library callers keep their own display."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("default", message="Werner fidelity .* is below 1/4",
-                                category=UserWarning)
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
-                                                          file=sys.stderr)
-        try:
-            args = _PARSER.parse_args(argv)
-            _apply_config(args)
-            _refuse_ignored(args)
-            if getattr(args, "format", None) is None:
-                args.format = "json"
-            _help, _options, handler = _COMMANDS[args.command]
-            return handler(args)
-        except (CliError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except BrokenPipeError:
-            # Quiet the flush at exit too, and exit with 1 as Python does on EPIPE.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
+    per value as one `warning:` line on stderr (`_werner`); any other
+    warning the caller's filters show is one `warning:` line too, and the
+    caller's `warnings.showwarning` is back in place when `main` returns.
+    The ``--output`` file is written through its descriptor."""
+    display, warnings.showwarning = warnings.showwarning, _show_warning
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        _apply_config(args)
+        _refuse_ignored(args)
+        if getattr(args, "format", None) is None:
+            args.format = "json"
+        _help, _options, handler = _COMMANDS[args.command]
+        return handler(args)
+    except (CliError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Quiet the flush at exit too, and exit with 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        warnings.showwarning = display
 
 
 if __name__ == "__main__":

@@ -50,13 +50,22 @@ def werner(fidelity: float) -> "BellDiagonalState":
     Below fidelity 1/4 the pair carries no distillable structure for the
     protocols here, so that range is accepted only with a warning.
     """
+    pair, warning = werner_pair(fidelity)
+    if warning is not None:
+        warnings.warn(warning, stacklevel=2)
+    return pair
+
+
+def werner_pair(fidelity: float) -> tuple["BellDiagonalState", str | None]:
+    """The pair `werner` returns, and the text of the warning it gives
+    below fidelity 1/4 (None from 1/4 up) without giving it, for a caller
+    that shows the warning itself."""
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity {fidelity} outside [0, 1]")
-    if fidelity < 0.25:
-        warnings.warn(f"Werner fidelity {fidelity} is below 1/4: state is not distillable",
-                      stacklevel=2)
+    warning = (f"Werner fidelity {fidelity} is below 1/4: state is not distillable"
+               if fidelity < 0.25 else None)
     rest = (1.0 - fidelity) / 3.0
-    return BellDiagonalState(1, (fidelity, rest, rest, rest))
+    return BellDiagonalState(1, (fidelity, rest, rest, rest)), warning
 
 
 class BellDiagonalState:

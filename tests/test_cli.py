@@ -283,6 +283,105 @@ def test_other_warnings_keep_the_callers_filters(capsys, monkeypatch):
         invoke(capsys, "verify", "--generators", "ZZ", "--werner", "0.8")
 
 
+LOW = "warning: Werner fidelity {} is below 1/4: state is not distillable\n"
+
+
+def test_a_repeated_low_grid_value_warns_once(capsys):
+    code, _, err = invoke(capsys, "sweep", "--generators", "ZZ", "--grid", "0.1,0.1,0.2")
+    assert (code, err) == (0, LOW.format(0.1) + LOW.format(0.2))
+    # once per command, not once per process
+    code, _, err = invoke(capsys, "sweep", "--generators", "ZZ", "--grid", "0.2,0.1")
+    assert (code, err) == (0, LOW.format(0.2) + LOW.format(0.1))
+
+
+def test_another_warning_shown_is_one_stderr_line(capsys, monkeypatch):
+    def warn(args):
+        warnings.warn("from numpy", RuntimeWarning)
+
+    monkeypatch.setattr("belldistill.cli._apply_config", warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code, _, err = invoke(capsys, "run-perm", "--generators", "ZZ", "--werner", "0.2")
+    assert (code, err) == (0, "warning: from numpy\n" + LOW.format(0.2))
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["run-perm", "--generators", "ZZ", "--werner", "0.8"], 0),
+    (["run-perm", "--generators", "ZZ", "--werner", "x"], 1),
+    (["verify", "--random", "2"], 0),
+    (["sweep", "--generators", "ZZ", "--grid", "0.6,0.8"], 0),
+], ids=["success", "refusal", "random", "sweep"])
+def test_a_command_is_parsed_once_with_no_warnings_machinery(capsys, monkeypatch, argv,
+                                                             exit_code):
+    """One argparse pass a command, and a command with no Werner value below
+    1/4 neither enters `catch_warnings` nor edits a filter; the caller's
+    `showwarning` is back in place after it."""
+    parses = []
+    parse = argparse.ArgumentParser._parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("warnings machinery entered")
+
+    display = warnings.showwarning
+    with monkeypatch.context() as patch:  # undone before pytest's own teardown
+        patch.setattr(argparse.ArgumentParser, "_parse_known_args", counted)
+        patch.setattr(warnings, "catch_warnings", refuse)
+        patch.setattr(warnings, "filterwarnings", refuse)
+        code = main(argv)
+    assert code == exit_code
+    assert parses == [f"belldistill {argv[0]}"]
+    assert warnings.showwarning is display
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run-perm", "--help"]])
+def test_help_is_the_parsers_help(capsys, argv):
+    display = warnings.showwarning
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    parser = build_parser() if argv == ["--help"] else _subparsers()["run-perm"]
+    assert capsys.readouterr().out == parser.format_help()
+    assert warnings.showwarning is display
+
+
+@pytest.mark.parametrize("most", [None, 100], ids=["whole", "partial"])
+def test_a_one_block_output_is_one_write_call(tmp_path, capsys, monkeypatch, most):
+    """One `os.write` call, or as many as a system that takes at most
+    `most` bytes a call needs."""
+    argv = ["run-perm", "--generators", "ZZ", "--werner", "0.8"]
+    printed = invoke(capsys, *argv)[1].encode()
+    writes = []
+    write = os.write
+
+    def taken(fd, data):
+        writes.append(len(data))
+        return write(fd, data[:most])
+
+    monkeypatch.setattr(os, "write", taken)
+    path = tmp_path / "out.json"
+    assert invoke(capsys, *argv, "--output", str(path))[0] == 0
+    assert path.read_bytes() == printed
+    assert writes == ([len(printed)] if most is None else
+                      list(range(len(printed), 0, -most)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--random", "3", "--seed", "-1"],
+    ["oracle-check", "--sizes", "2", "--count", "1", "--seed", "-1"],
+    ["verify", "--random", "3", "--config", "{config}"],
+], ids=["verify", "oracle-check", "config"])
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, argv):
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": -1}))
+    argv = [str(config) if a == "{config}" else a for a in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: --seed must be non-negative, got -1\n")
+
+
 def test_oracle_check(capsys):
     code, out, _ = invoke(capsys, "oracle-check", "--sizes", "2",
                           "--count", "4", "--seed", "1")

@@ -8,7 +8,8 @@ pair (the one-pass kernel), an n=13 m=1 engine pair (4096 small records
 written in several blocks), an n=10 m=5 engine pair (32 records of 1024
 floats, so float arrays that span several blocks), an n=10 m=1 engine
 pair whose folded pairs have degenerate shifts, the dense oracle at its
-4-pair cap, a warning and refusals.
+4-pair cap, options given abbreviated and with "=", warnings (a repeated
+grid value, a config value) and refusals, argparse's among them.
 A change that alters any byte of these outputs fails here.  When the
 change is meant, re-pin with
 
@@ -67,6 +68,7 @@ FILES = {
     "stab.json": {"n": 4, "m": 2, "generators": ["ZZZZ", "XXII"]},
     "state.json": {"n": 4, "probs": _state_probs()},
     "config.json": {"generators": "ZZ", "werner": 0.8, "format": "csv"},
+    "config-low.json": {"generators": "ZZ", "werner": 0.2},
 }
 
 _FORMATS = (("json", []), ("csv", ["--format", "csv"]))
@@ -121,9 +123,15 @@ CASES = {
             "--grid", "0.55:0.95:0.05"),
     "sweep-iy-json": ["sweep", "--generators", "IY", "-m", "1", "--grid", "0.7",
                       "--rounds", "3"],
-    # A warning: one `warning:` line on stderr, exit 0.
+    # Options as argparse reads them: abbreviated, and with "=".
+    "run-perm-abbreviated-json": ["run-perm", "--gen", "ZZ", "--wer", "0.8"],
+    "run-perm-equals-json": ["run-perm", "--generators", "ZZ", "--werner=0.8"],
+    # Warnings: one `warning:` line on stderr per value, exit 0.
     "warning-low-werner-json": ["run-perm", "--matrix", BCNOT, "-m", "1",
                                 "--werner", "0.2"],
+    "warning-config-json": ["run-perm", "--config", "{config-low.json}"],
+    "warning-repeated-grid-json": ["sweep", "--generators", "ZZ", "--grid",
+                                   "0.1,0.1,0.2"],
     # Refusals: one error line, exit 1.
     "refuse-non-symplectic": ["run-perm", "--matrix", "1100,0100,0010,0010",
                               "-m", "1", "--werner", "0.75"],
@@ -139,6 +147,14 @@ CASES = {
                              "--threshold", "nan"],
     "refuse-sizes-without-random": ["verify", "--generators", "ZZ", "--werner",
                                     "0.75", "--sizes", "2"],
+    "refuse-negative-seed": ["verify", "--random", "3", "--seed", "-1"],
+    # Refused by argparse.
+    "refuse-no-command": [],
+    "refuse-unknown-command": ["frobnicate", "--werner", "0.8"],
+    "refuse-unrecognized-argument": ["run-perm", "--generators", "ZZ", "--werner",
+                                     "0.8", "--bogus"],
+    "refuse-bad-float": ["run-perm", "--generators", "ZZ", "--werner", "x"],
+    "refuse-missing-value": ["run-perm", "--generators", "ZZ", "--werner"],
 }
 
 

@@ -1,6 +1,7 @@
 """Bell-diagonal state construction, label operations, serialization."""
 
 import json
+import re
 import tracemalloc
 from functools import reduce
 
@@ -10,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from belldistill import gf2
 from belldistill.gf2 import BinaryMatrix, BinaryVector
-from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
+from belldistill.states import (BellDiagonalState, random_bell_diagonal, werner,
+                                werner_pair)
 
 
 def vec(s):
@@ -35,8 +37,14 @@ def test_werner_three_quarters():
 
 
 def test_werner_warns_below_quarter():
-    with pytest.warns(UserWarning):
-        werner(0.2)
+    text = "Werner fidelity 0.2 is below 1/4: state is not distillable"
+    with pytest.warns(UserWarning, match=re.escape(text)):
+        pair = werner(0.2)
+    # `werner_pair` gives the same pair and the text without the warning,
+    # which pytest would turn into an error
+    quiet, warning = werner_pair(0.2)
+    assert warning == text and np.array_equal(quiet.probs, pair.probs)
+    assert werner_pair(0.25)[1] is None
 
 
 def test_werner_rejects_out_of_range():
