@@ -6,13 +6,17 @@ Subcommands:
 * ``run-code``     generator protocol, one record per syndrome
 * ``verify``       cross-check the two engines (single instance or random batch)
 * ``sweep``        recurrence rounds over a grid of Werner inputs
-* ``oracle-check`` dense-simulation comparison suites
+* ``oracle-check`` dense-simulation comparison suites, one record per suite
+  (the columns `crosscheck.run_all` gives)
 
 Exit codes: 0 success, 1 configuration/validation error, 2 mismatch found.
 A reader that closes stdout early (``| head``) ends the command quietly, exit code 1.
 All probabilities are printed with 15 significant digits; identical
 configuration and seed produce byte-identical output.  Relative ``--output``
-paths resolve against ``BELLDISTILL_OUTDIR`` when that variable is set.
+paths resolve against ``BELLDISTILL_OUTDIR`` when that variable is set; the
+file is opened by that one path (`_output_path`), and its missing parent
+directories are made only when that open fails.  A protocol or state
+file key the command does not read is refused.
 A Werner fidelity below 1/4 is one ``warning:`` line on stderr, printed
 by the command once per value; any other warning keeps the caller's
 filters.
@@ -587,9 +591,9 @@ _WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 def _output_path(output: str) -> Path:
     """`--output` as a path, under BELLDISTILL_OUTDIR when relative and
-    that is set: the file a failed first open retries, and the name an
-    error gives.  Path drops a trailing slash, "." parts and repeated
-    slashes, so an empty name is "."."""
+    that is set: the file `_emit` opens, and the name an error gives.
+    Path drops a trailing slash, "." parts and repeated slashes, so an
+    empty name is "."."""
     path = Path(output)
     if not path.is_absolute():
         base = os.environ.get("BELLDISTILL_OUTDIR")
@@ -615,19 +619,14 @@ def _emit(args, columns: dict, summary: dict | None = None) -> None:
                 args.command, columns, args.format, summary)
         sys.stdout.flush()  # so that a closed pipe shows in `main`, not at exit
         return
+    path = _output_path(args.output)
     try:
         try:
-            # The name as given, under BELLDISTILL_OUTDIR when relative, with
-            # no pathlib.  Where it opens, it is the file `_output_path`
-            # names; where the two differ in what they open (an empty name,
-            # a trailing slash), this open fails and the retry uses that one.
-            fd = os.open(os.path.join(os.environ.get("BELLDISTILL_OUTDIR", ""),
-                                      args.output), _WRITE, 0o666)
+            fd = os.open(path, _WRITE, 0o666)
         except OSError:
             # Only a failed open pays for `mkdir`.  It makes a missing parent,
             # and any other failure recurs in it or in the second open, with
             # the error that making the parents first would have given.
-            path = _output_path(args.output)
             path.parent.mkdir(parents=True, exist_ok=True)
             fd = os.open(path, _WRITE, 0o666)
         try:
@@ -636,7 +635,7 @@ def _emit(args, columns: dict, summary: dict | None = None) -> None:
         finally:
             os.close(fd)
     except OSError as exc:
-        raise CliError(f"cannot write {_output_path(args.output)}: {exc}") from exc
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +709,15 @@ def _read_json_object(path: str, what: str) -> dict:
     return data
 
 
+def _known(data: dict, keys: tuple[str, ...], what: str) -> dict:
+    """`data`, refused if it holds a key outside `keys`: a key no command
+    reads would otherwise be ignored."""
+    for key in data:
+        if key not in keys:
+            raise CliError(f"unknown {what} key {key!r}")
+    return data
+
+
 def _is_a(value, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
@@ -772,7 +780,10 @@ def _load_protocol(args) -> PermutationProtocol:
         raise CliError("provide exactly one protocol: --protocol-file, "
                        "--generators, or --matrix")
     if args.protocol_file is not None:
-        data = _read_json_object(args.protocol_file, "protocol")
+        if args.m is not None:
+            raise CliError("-m cannot be combined with --protocol-file, which gives m")
+        data = _known(_read_json_object(args.protocol_file, "protocol"),
+                      ("n", "m", "A", "b", "generators"), "protocol")
         n, m = _field(data, "n", int, "protocol"), _field(data, "m", int, "protocol")
         if "generators" in data:
             if "A" in data or "b" in data:
@@ -827,7 +838,7 @@ def _load_state(args, n: int) -> BellDiagonalState:
         if len(parts) != 4:
             raise CliError("--pair needs exactly four comma-separated weights")
         return BellDiagonalState.from_pairs([BellDiagonalState(1, parts)] * n)
-    data = _read_json_object(args.state_file, "state")
+    data = _known(_read_json_object(args.state_file, "state"), ("n", "probs"), "state")
     _field(data, "n", int, "state")
     # json.loads gives exact types, so this refuses booleans too.
     if not set(map(type, _field(data, "probs", list, "state"))) <= {int, float}:
@@ -993,13 +1004,10 @@ def _cmd_oracle_check(args) -> int:
     count = args.count if args.count is not None else 50
     if count < 1:
         raise CliError("--count must be at least 1")
-    results = crosscheck.run_all(sizes, count, _rng(args.seed))
-    passed = np.array([r.passed for r in results])
-    _emit(args, {"check": [r.name for r in results], "cases": [r.cases for r in results],
-                 "max_error": np.array([r.max_error for r in results]),
-                 "tolerance": np.array([r.tolerance for r in results]),
-                 "passed": passed}, {"all_passed": bool(passed.all())})
-    return 0 if passed.all() else 2
+    columns = crosscheck.run_all(sizes, count, _rng(args.seed))
+    passed = bool(columns["passed"].all())
+    _emit(args, columns, {"all_passed": passed})
+    return 0 if passed else 2
 
 
 # name -> (help text, options, handler)

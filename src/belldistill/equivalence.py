@@ -96,7 +96,7 @@ def verify_equivalence(state: BellDiagonalState, proto: PermutationProtocol,
     return EquivalenceReport(
         n=n,
         m=m,
-        branches=BranchSet(m, {"t": n - m}, {
+        branches=BranchSet({"t": n - m}, {
             "t": t,
             "prob_perm": prob_perm,
             "prob_code": prob_code,

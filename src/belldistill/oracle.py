@@ -162,9 +162,9 @@ def simulate_parity_measurement(state: BellDiagonalState,
     bell_form[:, on_diagonal, on_diagonal] = 0.0
     offdiag = np.abs(bell_form).max(axis=(1, 2))
     live = np.flatnonzero(probs > 0.0)
-    return BranchSet(m, {"t": k}, {"t": live, "prob": probs[live],
-                                   "output": diag[live] / probs[live, None],
-                                   "bell_offdiag": offdiag[live]})
+    return BranchSet({"t": k}, {"t": live, "prob": probs[live],
+                                "output": diag[live] / probs[live, None],
+                                "bell_offdiag": offdiag[live]})
 
 
 def simulate_syndrome_measurement(state: BellDiagonalState,

@@ -104,10 +104,10 @@ class BranchSet:
     bool, `output` holds one row of 4**m weights per branch (normalized
     where the engines build it), and the other columns are float64.
     `len` and iteration give the branches row by row as named tuples of
-    the columns, labels as `BinaryVector`s and outputs as `BellDiagonalState`s.
+    the columns, labels as `BinaryVector`s and outputs as m-pair
+    `BellDiagonalState`s, m read off the output's width.
     """
 
-    m: int
     widths: Mapping[str, int]
     columns: Mapping[str, np.ndarray]
 
@@ -130,7 +130,8 @@ class BranchSet:
         values = []
         for name, column in self.columns.items():
             if name == "output":
-                values.append([BellDiagonalState._trusted(self.m, row) for row in column])
+                m = (column.shape[1].bit_length() - 1) // 2
+                values.append([BellDiagonalState._trusted(m, row) for row in column])
             elif name in self.widths:
                 values.append([BinaryVector(v, self.widths[name]) for v in column.tolist()])
             else:
@@ -357,7 +358,7 @@ def branch_outcomes(table: np.ndarray, m: int, threshold: float) -> BranchSet:
     outputs = np.divide(table, probs[:, None], out=table)
     _normalize(outputs, outputs)
     fids = outputs[np.arange(live.size), corrections]
-    return BranchSet(m, {"t": k, "correction": 2 * m}, {
+    return BranchSet({"t": k, "correction": 2 * m}, {
         "t": live,
         "prob": probs,
         "fidelity": fids,

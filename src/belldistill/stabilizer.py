@@ -156,7 +156,7 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
                                  gf2._reduce_by(offset, *echelon, two_n))
 
     s, c = branches.t, branches.correction
-    return BranchSet(m, {"s": n - m, "v": two_n, "u": two_n}, {
+    return BranchSet({"s": n - m, "v": two_n, "u": two_n}, {
         "s": s,
         "prob": branches.prob,
         "fidelity": branches.fidelity,

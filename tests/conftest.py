@@ -40,7 +40,7 @@ def edit_columns():
     """A function giving a branch set with each column replaced by
     edit(name, column), for engines that misbehave on purpose."""
     def edit(branches: BranchSet, change) -> BranchSet:
-        return BranchSet(branches.m, branches.widths,
+        return BranchSet(branches.widths,
                          {name: change(name, column)
                           for name, column in branches.columns.items()})
     return edit

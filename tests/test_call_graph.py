@@ -14,7 +14,10 @@ hands each command's protocol to its engine as it is, with no
 translation, and no module reads a `relabeling` attribute.  The engines declare their branch columns in
 print order, and `cli` names none of their statistics.  The symplecticity
 check each protocol gets, and the completion of a generator protocol's
-frame, work on Python ints: neither reads numpy.
+frame, work on Python ints: neither reads numpy.  The `--output` name is
+built in one place: only `cli._output_path` names BELLDISTILL_OUTDIR.  The
+oracle-check suites relabel the oracle's input with code of their own:
+`crosscheck` calls neither `permute` nor the engines' `affine_images`.
 """
 
 import ast
@@ -126,3 +129,27 @@ def test_the_protocol_checks_read_no_numpy():
         reads = [node.lineno for node in ast.walk(functions[name])
                  if isinstance(node, ast.Name) and node.id == "np"]
         assert reads == [], name
+
+
+def test_only_the_output_path_names_the_output_directory():
+    found = set()
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Constant) and child.value == "BELLDISTILL_OUTDIR":
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in Path(belldistill.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), [path.stem])
+    assert found == {"cli._output_path"}
+
+
+def test_the_oracle_checks_relabel_with_code_of_their_own():
+    path = Path(belldistill.__file__).parent / "crosscheck.py"
+    found = callers(path.read_text(), "crosscheck")
+    assert "permute" not in found
+    assert "affine_images" not in found

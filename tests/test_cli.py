@@ -142,21 +142,64 @@ def test_output_into_a_missing_directory_creates_it(tmp_path, capsys, fmt):
     assert target.read_text() == printed
 
 
-@pytest.mark.parametrize("where, reason", [
-    ("", "[Errno 21] Is a directory: '.'"),
-    ("directory", "[Errno 21] Is a directory: 'directory'"),
+@pytest.mark.parametrize("outdir, where, named, reason", [
+    (None, "", ".", "[Errno 21] Is a directory: '.'"),
+    (None, "directory", "directory", "[Errno 21] Is a directory: 'directory'"),
     # the parent is made first, as it always was, so its error is the one printed
-    ("file/result.json", "[Errno 17] File exists: 'file'"),
-], ids=["empty", "directory", "under-a-file"])
+    (None, "file/result.json", "file/result.json", "[Errno 17] File exists: 'file'"),
+    ("file", "o.json", "file/o.json", "[Errno 17] File exists: 'file'"),
+], ids=["empty", "directory", "under-a-file", "outdir-a-file"])
 def test_output_that_cannot_be_opened_is_one_error_line(tmp_path, capsys, monkeypatch,
-                                                        where, reason):
+                                                        outdir, where, named, reason):
     monkeypatch.chdir(tmp_path)
+    if outdir is not None:
+        monkeypatch.setenv("BELLDISTILL_OUTDIR", outdir)
     (tmp_path / "directory").mkdir()
     (tmp_path / "file").touch()
     code, out, err = invoke(capsys, "run-perm", "--generators", "ZZ", "--werner", "0.75",
                             "--output", where)
     assert (code, out) == (1, "")
-    assert err == f"error: cannot write {where or '.'}: {reason}\n"
+    assert err == f"error: cannot write {named}: {reason}\n"
+
+
+@pytest.mark.parametrize("where, written", [
+    ("out.json/", "out.json"),
+    ("a//b.json", "a/b.json"),
+    ("./c.json", "c.json"),
+], ids=["trailing-slash", "double-slash", "dot"])
+def test_output_names_write_the_file_they_name(tmp_path, capsys, monkeypatch, where,
+                                               written):
+    monkeypatch.chdir(tmp_path)
+    argv = ["run-perm", "--generators", "ZZ", "--werner", "0.75"]
+    printed = invoke(capsys, *argv)[1]
+    assert invoke(capsys, *argv, "--output", where) == (0, "", "")
+    files = [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()]
+    assert files == [written]
+    assert (tmp_path / written).read_text() == printed
+
+
+@pytest.mark.parametrize("outdir, where", [
+    (None, "out.json"),
+    (None, "out.json/"),
+    (".", "out.json"),
+    ("", "./out.json"),
+], ids=["plain", "trailing-slash", "outdir", "empty-outdir"])
+def test_an_output_whose_directory_exists_is_opened_once(tmp_path, capsys, monkeypatch,
+                                                         outdir, where):
+    monkeypatch.chdir(tmp_path)
+    if outdir is not None:
+        monkeypatch.setenv("BELLDISTILL_OUTDIR", outdir)
+    opened = []
+    open_ = os.open
+
+    def counted(*args, **kwargs):
+        opened.append(args[0])
+        return open_(*args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counted)
+    assert invoke(capsys, "run-perm", "--generators", "ZZ", "--werner", "0.75",
+                  "--output", where) == (0, "", "")
+    assert len(opened) == 1 and (tmp_path / "out.json").is_file()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

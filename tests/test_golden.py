@@ -69,6 +69,10 @@ FILES = {
     "state.json": {"n": 4, "probs": _state_probs()},
     "config.json": {"generators": "ZZ", "werner": 0.8, "format": "csv"},
     "config-low.json": {"generators": "ZZ", "werner": 0.2},
+    # "B" is no protocol key ("b" is), and "fidelity" no state key.
+    "perm-unknown-key.json": {"n": 2, "m": 1, "A": BCNOT.split(","), "B": "0101"},
+    "state-unknown-key.json": {"n": 2, "probs": [0.7] + [0.02] * 15, "fidelity": 0.7},
+    "config-m.json": {"m": 0},
 }
 
 _FORMATS = (("json", []), ("csv", ["--format", "csv"]))
@@ -148,6 +152,14 @@ CASES = {
     "refuse-sizes-without-random": ["verify", "--generators", "ZZ", "--werner",
                                     "0.75", "--sizes", "2"],
     "refuse-negative-seed": ["verify", "--random", "3", "--seed", "-1"],
+    "refuse-protocol-unknown-key": ["run-perm", "--protocol-file", "{perm-unknown-key.json}",
+                                    "--werner", "0.75"],
+    "refuse-state-unknown-key": ["run-code", "--generators", "ZZ", "--state-file",
+                                 "{state-unknown-key.json}"],
+    "refuse-m-with-protocol-file": ["run-perm", "--protocol-file", "{perm.json}", "-m", "0",
+                                    "--werner", "0.75"],
+    "refuse-config-m-with-protocol-file": ["run-perm", "--protocol-file", "{perm.json}",
+                                           "--config", "{config-m.json}", "--werner", "0.75"],
     # Refused by argparse.
     "refuse-no-command": [],
     "refuse-unknown-command": ["frobnicate", "--werner", "0.8"],
