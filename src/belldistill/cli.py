@@ -700,8 +700,18 @@ _ENGINE = (*_PROTOCOL, "threshold", *_INPUT, *_IO)
 
 
 def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file, refused if any of its objects repeats a
+    key: `json` would keep the last value and drop the others."""
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise CliError(f"{what} file repeats key {key!r}")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), object_pairs_hook=unique)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -741,11 +751,16 @@ def _apply_config(args: argparse.Namespace) -> None:
     config_path = getattr(args, "config", None)
     if not config_path:
         return
+    spelled: dict[str, str] = {}
     for key, value in _read_json_object(config_path, "config").items():
         attr = key.replace("-", "_")
         _flags, parse, kinds, _help = _OPTIONS.get(attr, ((), {}, None, ""))
         if kinds is None:
             raise CliError(f"unknown config key {key!r}")
+        if attr in spelled:  # the other spelling would be dropped
+            raise CliError(f"config keys {spelled[attr]!r} and {key!r} "
+                           "name one option")
+        spelled[attr] = key
         if not hasattr(args, attr):  # argparse sets every option of the command
             raise CliError(f"{args.command} has no option for config key {key!r}")
         if value is not None and not _is_a(value, kinds):
@@ -983,16 +998,11 @@ def _cmd_sweep(args) -> int:
     if records > MAX_RECORDS:
         raise CliError(f"{len(grid)} grid points x {rounds} rounds is more than "
                        f"{MAX_RECORDS} records")
-    columns = {"f_in": np.repeat(grid, rounds),
-               "round": list(range(1, rounds + 1)) * len(grid)}
     shown = set()
-    for start, f_in in zip(range(0, records, rounds), grid):
-        sweep = permutation.recurrence_sweep(_werner(f_in, shown), proto, rounds,
-                                             args.threshold)
-        for name, column in sweep.items():
-            target = columns.setdefault(name, np.empty(records, column.dtype))
-            target[start:start + rounds] = column
-    _emit(args, columns)
+    pairs = [_werner(f_in, shown) for f_in in grid]
+    _emit(args, {"f_in": np.repeat(grid, rounds),
+                 "round": list(range(1, rounds + 1)) * len(grid),
+                 **permutation.recurrence_sweep(pairs, proto, rounds, args.threshold)})
     return 0
 
 

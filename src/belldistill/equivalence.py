@@ -4,11 +4,12 @@ There is one protocol type, (A, b), with two constructors: a matrix
 (`PermutationProtocol`) or generators (`StabilizerProtocol`, A the inverse
 of their frame, b = 0).  Either engine takes either and names its branches
 by outcome t (`permutation.run`) or syndrome s (`stabilizer.run`); the
-translations only retype (A, b).  `verify_equivalence` runs both engines
-on one protocol and input and compares their branch sets column by column
-(t identified with s): probabilities, output distributions, fidelities,
-and the chosen correction/recovery cosets, as a `BranchSet` with one row
-per label either engine produced.
+translations only retype (A, b).  `verify_equivalence` runs the
+permutation engine, names its branches by syndrome as `stabilizer.run`
+does, so the table is built once, and compares the two branch sets column
+by column (t identified with s): probabilities, output distributions,
+fidelities, and the chosen correction/recovery cosets, as a `BranchSet`
+with one row per label either side produced.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ def stabilizer_from_permutation(proto: PermutationProtocol) -> StabilizerProtoco
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of one instance-level cross-check of the two engines.
-    `subspaces_match` is constant, as both engines read one generator set,
-    and `branch_sets_match` true while both read one table (ROADMAP item 8)."""
+    `subspaces_match` is constant, as both engines read one generator set.
+    Both sides are read off one table, built once, so the statistics match
+    unless the syndrome naming changes them; the check tests that naming,
+    the recovery cosets above all (ROADMAP item 8)."""
 
     n: int
     m: int
@@ -62,9 +65,12 @@ def verify_equivalence(state: BellDiagonalState, proto: PermutationProtocol,
     """Run both engines on one input and compare them branch by branch.
 
     Both engines run the one protocol (A, b), so output labels are
-    directly comparable.  A branch's recovery u matches the permutation
-    engine's correction c when B embed(c, t) + B b + u lies in the
-    generator span, B = A^-1 the frame; that is
+    directly comparable.  The table is built once: the stabilizer side is
+    the permutation engine's branches named by syndrome
+    (`stabilizer.name_by_syndrome`, as in `stabilizer.run`).  A branch's
+    recovery u matches the permutation engine's correction c when
+    B embed(c, t) + B b + u lies in the generator span, B = A^-1 the
+    frame; that is
     A u + b = embed(c, t) outside positions m..n-1, where A puts the span.
     `max_discrepancy` is the largest probability, fidelity or output gap,
     counting a branch only one engine has by its probability.  Mismatches
@@ -77,7 +83,7 @@ def verify_equivalence(state: BellDiagonalState, proto: PermutationProtocol,
     """
     n, m = proto.n, proto.m
     perm = permutation.run(state, proto, threshold)
-    code = stabilizer.run(state, proto, threshold)
+    code = stabilizer.name_by_syndrome(perm, proto)
     t, p, in_perm, c, in_code = align(perm.t, code.s)
     both = in_perm & in_code
     prob_perm = np.where(in_perm, perm.prob[p], 0.0)

@@ -14,11 +14,13 @@ Summed over y this is the branch probability (a coset sum over the
 symplectic complement of the measured subspace); each entry is a coset sum
 over the measured subspace.  A product input's pairs past the dense head
 are folded into the table in place, one cache-sized block of whole cosets
-of their columns' span at a time.  Both engines run `_branches` on the one
-protocol type (A, b), built from a matrix or from generators
-(`stabilizer.StabilizerProtocol`), and name its branches by outcome t here
-or syndrome s there.  The literal coset-sum formula is kept in
-`unnormalized_fidelity`.
+of their columns' span at a time.  The table has a leading batch axis,
+one row per input, each summed as that input alone: both engines run
+`_branches`, a batch of one, on the one protocol type (A, b), built from
+a matrix or from generators (`stabilizer.StabilizerProtocol`), and name
+its branches by outcome t here or syndrome s there; `recurrence_sweep`
+runs a chunk of its grid as one batch each round.  The literal coset-sum
+formula is kept in `unnormalized_fidelity`.
 
 Corrections are chosen within a relative band, TIE_BAND, of the heaviest
 logical label, so labels whose weights differ only by summation order
@@ -41,13 +43,14 @@ import functools
 from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import gf2
 from .gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
-from .states import BellDiagonalState, _check_pair_count, _normalize
+from .states import (_HEAD_PAIRS, BellDiagonalState, _check_pair_count, _normalize,
+                     _product_factors)
 
 
 @dataclass(frozen=True)
@@ -226,29 +229,32 @@ _BLOCK_BITS = 16
 _FOLD_BITS = 15
 
 
-def branch_table(state: BellDiagonalState, label_map: BinaryMatrix, offset: int,
+def branch_table(factors: Sequence[np.ndarray], label_map: BinaryMatrix, offset: int,
                  m: int) -> np.ndarray:
-    """Input weight per branch label: W[t, y] = sum of p_x over x with
-    label_map x + offset == (t << 2m) | y.
+    """Input weight per branch label, for a batch of inputs: W[g, t, y] =
+    sum of p_x over x with label_map x + offset == (t << 2m) | y, p input
+    g's weights.
 
-    A factor over pairs i..j of the state sees the map's columns of those
-    pairs: the phase columns i..j, then the parity columns n+i..n+j.  The
-    first factor is scattered into the table (`_scatter`); each further
+    Each factor has a leading batch axis: row g is input g's table over
+    the factor's pairs.  A factor over pairs i..j sees the map's columns of
+    those pairs: the phase columns i..j, then the parity columns n+i..n+j.
+    The first factor is scattered into the table (`_scatter`); each further
     factor is folded in (`_fold_cosets`), since the image of a product of
     independent factors is the XOR convolution of their images.  A dense
     input is one factor, so its table is the scatter alone.  The folds go
     in groups of consecutive factors whose columns span at most
     _FOLD_BITS - 6 dimensions, and each group runs in place on one block
     of whole cosets of its span at a time, so the table is the only
-    table-sized array.
+    table-sized array.  Every row of the table is summed in the same order
+    as a batch of that one input.
     """
-    n = state.n
+    n = label_map.ncols // 2
     columns = label_map.column_values()
-    table = np.zeros(1 << label_map.nrows)
+    table = np.zeros((len(factors[0]), 1 << label_map.nrows))
     group: list[tuple[np.ndarray, tuple[int, ...]]] = []
     first = 0
-    for factor in state.factors:
-        k = factor.size.bit_length() // 2
+    for factor in factors:
+        k = factor.shape[1].bit_length() // 2
         cols = columns[first:first + k] + columns[n + first:n + first + k]
         if first == 0:
             _scatter(table, factor, cols, offset)
@@ -261,110 +267,139 @@ def branch_table(state: BellDiagonalState, label_map: BinaryMatrix, offset: int,
         first += k
     if group:
         _fold_cosets(table, group)
-    return table.reshape(-1, 1 << (2 * m))
+    return table.reshape(len(table), -1, 1 << (2 * m))
 
 
 def _scatter(table: np.ndarray, weights: np.ndarray, columns: tuple[int, ...],
              offset: int) -> None:
-    """Add weights[x] to table[A x + offset] for every input x, A the
-    matrix of the given columns.
+    """Add weights[g, x] to table[g, A x + offset] for every input x of
+    every row g, A the matrix of the given columns.
 
     Inputs go in blocks of 2^_BLOCK_BITS consecutive labels: the label of
     input (c << _BLOCK_BITS) | j is high[c] ^ low[j], with `low` the images
     (`gf2.affine_images`) of the last _BLOCK_BITS columns and `high` those
     of the other columns plus the offset.  Unbuffered `np.add.at` adds the
-    weights block after block, so every entry sums its terms in input order
-    whatever the block size, and the cost is two passes over the input.
-    (`np.bincount` would add in the same order, but it copies a read-only
-    weight table such as a state's factor.)
+    weights block after block, on the flat table at the offsets
+    g * cells + label, row after row, so every entry sums its terms in
+    input order whatever the block size or the batch, and the cost is two
+    passes over the input.  (`np.bincount` would add in the same order,
+    but it copies a read-only weight table such as a state's factor.)
     """
     split = max(len(columns) - _BLOCK_BITS, 0)
     low = gf2.affine_images(columns[split:], 0)
+    rows = np.arange(0, table.size, table.shape[1])[:, None]
     for c, high in enumerate(gf2.affine_images(columns[:split], offset).tolist()):
-        np.add.at(table, low ^ high, weights[c * low.size:(c + 1) * low.size])
+        np.add.at(table.reshape(-1), (low ^ (rows | high)).reshape(-1),
+                  weights[:, c * low.size:(c + 1) * low.size].reshape(-1))
 
 
 def _fold_cosets(table: np.ndarray,
                  folds: list[tuple[np.ndarray, tuple[int, ...]]]) -> None:
-    """Replace the table, in place, by its XOR convolution with each factor
-    in turn, mapped by the factor's columns: sum over the factor's labels a
-    of weights[a] * table[y ^ A a].
+    """Replace each row of the table, in place, by its XOR convolution with
+    each factor in turn, mapped by the factor's columns: sum over the
+    factor's labels a of weights[g, a] * table[g, y ^ A a].
 
     For one pair that is p00 D + p01 D[y ^ c_par] + p10 D[y ^ c_ph]
     + p11 D[y ^ c_ph ^ c_par], added in that order.  All terms are
-    nonnegative, so nothing cancels.  Zero weights add nothing and are
-    skipped.
+    nonnegative, so nothing cancels.  A label whose weight is zero in
+    every row adds nothing and is skipped; in a row where only its own
+    weight is zero it adds exact zeros.
 
     Every shift lies in S, the span of the columns, so the folds act on
-    each coset of S alone.  Cell (c, j) of a block of 2^_FOLD_BITS cells is
-    table[comb[c] ^ rep[j]], with comb[c] the combination c of the rows of
-    S's RREF basis (`gf2._rref`) and rep[j] a coset representative, zero at
-    the pivots.  A shift moves cell (c, j) to (c ^ s, j), s the shift's
-    pivot bits: it flips axes of the block viewed as 2 x ... x 2 x b, whole
-    rows of b cells at a time (numpy's ufunc buffer is no longer than a
-    row, so the flipped rows are read in place).  A product w * block is
-    formed once per distinct weight and read flipped: the same products,
-    added in the same order, as a gather table[y ^ shift].
+    each coset of S alone.  Cell (c, j) of a row's block of 2^_FOLD_BITS
+    cells is table[g, comb[c] ^ rep[j]], with comb[c] the combination c of
+    the rows of S's RREF basis (`gf2._rref`) and rep[j] a coset
+    representative, zero at the pivots; the flat index of that cell is
+    (g << k) | comb[c] ^ rep[j] for a table of 2^k cells a row.  A shift
+    moves cell (c, j) to (c ^ s, j), s the shift's pivot bits: it flips axes
+    of the block viewed as batch x 2 x ... x 2 x b, whole rows of b cells
+    at a time (numpy's ufunc buffer is no longer than a row, so the flipped
+    rows are read in place).  A product w * block is formed once per
+    distinct weight column and read flipped: the same products, added in
+    the same order, as a gather table[g, y ^ shift].
     """
-    k = table.size.bit_length() - 1
+    batch, size = table.shape
+    k = size.bit_length() - 1
     basis, pivot_columns = gf2._rref([c for _, cols in folds for c in cols], k)
     d = len(basis)
     pivots = [k - 1 - p for p in pivot_columns]  # bit positions, top first
     free = [1 << b for b in range(k - 1, -1, -1) if b not in pivots]
     split = max(len(free) - _FOLD_BITS + d, 0)
-    cells = gf2.affine_images(basis, 0)[:, None] ^ gf2.affine_images(free[split:], 0)
-    steps = [[(w, tuple(i for i, p in enumerate(pivots) if s >> p & 1))
-              for w, s in zip(weights.tolist(), gf2.affine_images(cols, 0).tolist()) if w]
-             for weights, cols in folds]
+    rows = (np.arange(batch) << k)[:, None] | gf2.affine_images(basis, 0)
+    cells = rows[:, :, None] ^ gf2.affine_images(free[split:], 0)
+    # Per factor: the weight column and axes of its first term, then for
+    # each further term its product's slot, weight column and axes, and
+    # whether the slot is formed there (the first term of that column).
+    steps, slot_count = [], 0
+    for weights, cols in folds:
+        terms, slots = [], {}
+        for column, w, s in zip(map(tuple, weights.T.tolist()),
+                                weights.T.reshape((-1, batch) + (1,) * (d + 1)),
+                                gf2.affine_images(cols, 0).tolist()):
+            if any(column):
+                axes = tuple(1 + i for i, p in enumerate(pivots) if s >> p & 1)
+                if terms:
+                    new = column not in slots
+                    terms.append((slots.setdefault(column, len(slots)), w, axes, new))
+                else:
+                    terms.append((w, axes))
+        steps.append(terms)
+        slot_count = max(slot_count, len(slots))
     index = np.empty_like(cells)
-    block, out, *products = (np.empty((2,) * d + (cells.shape[1],)) for _ in range(
-        2 + max(len({w for w, _ in terms[1:]}) for terms in steps)))
+    flat = table.reshape(-1)
+    block, out, *products = (np.empty((batch,) + (2,) * d + (cells.shape[-1],))
+                             for _ in range(2 + slot_count))
     with np.errstate():
-        np.setbufsize(max(cells.shape[1], 16))
+        np.setbufsize(max(cells.shape[-1], 16))
         for high in gf2.affine_images(free[:split], 0).tolist():
             np.bitwise_xor(cells, high, out=index)
             # "clip" as the index is in range: "raise" would buffer `out`
-            table.take(index, out=block.reshape(index.shape), mode="clip")
+            flat.take(index, out=block.reshape(index.shape), mode="clip")
             for (w, axes), *terms in steps:
                 np.multiply(np.flip(block, axes), w, out=out)
-                formed: dict[float, np.ndarray] = {}
-                for w, axes in terms:
-                    if w not in formed:
-                        formed[w] = np.multiply(block, w, out=products[len(formed)])
-                    out += np.flip(formed[w], axes)
+                for slot, w, axes, new in terms:
+                    if new:
+                        np.multiply(block, w, out=products[slot])
+                    out += np.flip(products[slot], axes)
                 block, out = out, block
-            table[index] = block.reshape(index.shape)
+            flat[index] = block.reshape(index.shape)
 
 
-def branch_outcomes(table: np.ndarray, m: int, threshold: float) -> BranchSet:
-    """The branches of a branch table, one per row of nonzero weight, as a
+def branch_outcomes(table: np.ndarray, m: int, thresholds: np.ndarray
+                    ) -> tuple[np.ndarray, BranchSet]:
+    """The branches of a batch of branch tables, one per row of nonzero
+    weight, in (input, label) order: each branch's input g, and a
     `BranchSet` with the columns t, prob, fidelity, unnormalized_fidelity,
     correction, accepted and output, in the order `run-perm` prints them.
 
     The probability is the row sum, the output the row renormalized, the
     correction the heaviest logical label of the row (`optimal_correction`,
-    taken for all rows at once) and the fidelity the output's weight
-    there.  Rows of weight exactly zero are skipped.  The outputs are
-    divided and checked as one array, in place, with the constructor's
-    check and division: in the table itself when every row is live, so
-    the table is consumed, else in the copy of its live rows.
+    taken for all rows at once), the fidelity the output's weight there,
+    and a branch is accepted when that reaches thresholds[g].  Rows of
+    weight exactly zero are skipped.  The outputs are divided and checked
+    as one array, in place, with the constructor's check and division: in
+    the table itself when every row is live, so the table is consumed,
+    else in the copy of its live rows.
     """
-    k = table.shape[0].bit_length() - 1
+    batch, size, _ = table.shape
+    k = size.bit_length() - 1
+    table = table.reshape(batch * size, -1)
     probs = table.sum(axis=1)
     live = np.flatnonzero(probs).astype(np.int64, copy=False)
     if live.size < probs.size:
         table, probs = table[live], probs[live]
+    inputs = live >> k
     corrections = _corrections(table).astype(np.int64, copy=False)
     outputs = np.divide(table, probs[:, None], out=table)
     _normalize(outputs, outputs)
     fids = outputs[np.arange(live.size), corrections]
-    return BranchSet({"t": k, "correction": 2 * m}, {
-        "t": live,
+    return inputs, BranchSet({"t": k, "correction": 2 * m}, {
+        "t": live & (size - 1),
         "prob": probs,
         "fidelity": fids,
         "unnormalized_fidelity": (1 << k) * fids,
         "correction": corrections,
-        "accepted": fids >= threshold,
+        "accepted": fids >= thresholds[inputs],
         "output": outputs,
     })
 
@@ -384,18 +419,27 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
 
 def _branches(state: BellDiagonalState, proto: PermutationProtocol,
               threshold: float | None) -> BranchSet:
-    """Both engines' branches: the label map keeps the rows of A (and bits
-    of b) that become the outcome bits t and the logical label y."""
+    """Both engines' branches: those of a batch of one input."""
     if state.n != proto.n:
         raise ValueError("state and protocol disagree on the pair count")
     if threshold is None:
         threshold = state.fidelity
+    return _batch_branches([factor[None] for factor in state.factors], proto,
+                           np.array([threshold]))[1]
+
+
+def _batch_branches(factors: Sequence[np.ndarray], proto: PermutationProtocol,
+                    thresholds: np.ndarray) -> tuple[np.ndarray, BranchSet]:
+    """The branches of a batch of inputs (`branch_outcomes`), the factors
+    and thresholds with a leading batch axis: the label map keeps the rows
+    of A (and bits of b) that become the outcome bits t and the logical
+    label y."""
     n, m = proto.n, proto.m
     positions = [*range(n + m, 2 * n), *range(m), *range(n, n + m)]
     label_map = BinaryMatrix(tuple(proto.matrix.rows[p] for p in positions), 2 * n)
     offset = BinaryVector.from_bits([proto.offset.bit(p) for p in positions])
-    table = branch_table(state, label_map, offset.value, m)
-    return branch_outcomes(table, m, threshold)
+    table = branch_table(factors, label_map, offset.value, m)
+    return branch_outcomes(table, m, thresholds)
 
 
 def unnormalized_fidelity(state: BellDiagonalState, proto: PermutationProtocol,
@@ -428,46 +472,84 @@ def unnormalized_fidelity(state: BellDiagonalState, proto: PermutationProtocol,
     return (1 << (n - m)) * best / denom
 
 
-def recurrence_sweep(pair: BellDiagonalState, proto: PermutationProtocol,
-                     rounds: int, threshold: float | None = None) -> dict[str, np.ndarray]:
-    """Iterate the protocol, feeding the surviving pair back in each round.
+# Bytes a chunk of a sweep's grid may hold in the engine.  A point holds
+# its head factor of 4**min(n, 8) cells and, while it is scattered, as
+# many int64 labels; its branch table, fold blocks and branch columns are
+# no larger for an n -> 1 protocol.  A chunk has _SWEEP_BYTES //
+# (64 * 4**min(n, 8)) points, and at least one: the traced peak of a
+# chunk was 17-22 bytes a point's head cell for n = 4..12, 36 at n = 2
+# (where the branch columns weigh most) and 49 at n = 14.
+_SWEEP_BYTES = 1 << 24
 
-    Each round builds n identical pairs from the current distribution, runs
-    the protocol, and continues from the corrected single-pair output of
-    the best accepted branch: the highest fidelity, the smallest label
-    among equals (requires m = 1).  With no explicit threshold
-    a branch is accepted when it does not degrade the current pair
-    fidelity.  If no branch is accepted the sweep continues from the best
-    branch with the yield zeroed.
 
-    Returns the columns `sweep` prints, one entry per round: `f_out` (the
-    best branch's fidelity), `yield` (multiplied by (m/n) times the
-    acceptance probability each round) and `accept_prob` (the accepted
-    branches' probability, summed in label order) as float64 arrays, and
-    `accepted` (whether any branch was) as a bool array.
+def recurrence_sweep(pairs: BellDiagonalState | Sequence[BellDiagonalState],
+                     proto: PermutationProtocol, rounds: int,
+                     threshold: float | None = None) -> dict[str, np.ndarray]:
+    """Iterate the protocol from each of a grid of pairs, feeding the
+    surviving pair back in each round.
+
+    Each round builds n identical pairs from a point's current
+    distribution, runs the protocol, and continues from the corrected
+    single-pair output of the best accepted branch: the highest fidelity,
+    the smallest label among equals (requires m = 1).  With no explicit
+    threshold a branch is accepted when it does not degrade the point's
+    current pair fidelity.  If no branch is accepted the sweep continues
+    from the best branch with the yield zeroed.
+
+    `pairs` is one pair or a sequence of them.  The grid runs as a batch,
+    in chunks of points sized by _SWEEP_BYTES, with one kernel call
+    (`_batch_branches`) per round for each chunk; every point's columns
+    are bit-equal to its own sweep.
+
+    Returns the columns `sweep` prints, one entry per point and round, the
+    rounds of each point together: `f_out` (the best branch's fidelity),
+    `yield` (multiplied by (m/n) times the acceptance probability each
+    round) and `accept_prob` (the accepted branches' probability, summed
+    in label order) as float64 arrays, and `accepted` (whether any branch
+    was) as a bool array.
     """
     if proto.m != 1:
         raise ValueError("recurrence mode needs an n -> 1 protocol")
     if rounds < 1:
         raise ValueError("need at least one round")
-    f_out, accept_probs = np.empty((2, rounds))
-    any_accepted = np.empty(rounds, dtype=bool)
-    current = pair
-    for r in range(rounds):
-        state = BellDiagonalState.from_pairs([current] * proto.n)
-        round_threshold = current.fidelity if threshold is None else threshold
-        branches = run(state, proto, round_threshold)
-        accepted = branches.accepted
-        any_accepted[r] = accepted.any()
-        pool = np.flatnonzero(accepted if any_accepted[r] else ~accepted)
-        # the pool is in label order, and argmax takes the first maximum
-        best = pool[np.argmax(branches.fidelity[pool])]
-        f_out[r] = branches.fidelity[best]
-        accept_probs[r] = sum(branches.prob[accepted].tolist(), 0.0)
-        # Renormalize once per round: the sweep's accept/reject decisions
-        # depend on the last bit of the pair fed into the next round.
-        current = BellDiagonalState(
-            1, branches.output[best][np.arange(4) ^ branches.correction[best]])
+    pairs = [pairs] if isinstance(pairs, BellDiagonalState) else list(pairs)
+    if not pairs:
+        raise ValueError("need at least one pair")
+    if any(p.n != 1 for p in pairs):
+        raise ValueError("recurrence_sweep takes 1-pair states")
+    n, size = proto.n, 1 << (proto.n - 1)
+    f_out, accept_probs = np.empty((2, len(pairs), rounds))
+    any_accepted = np.empty((len(pairs), rounds), dtype=bool)
+    chunk = max(_SWEEP_BYTES // (64 << 2 * min(n, _HEAD_PAIRS)), 1)
+    for start in range(0, len(pairs), chunk):
+        points = slice(start, start + chunk)
+        current = np.array([p.probs for p in pairs[points]])
+        count = len(current)
+        for r in range(rounds):
+            thresholds = current[:, 0] if threshold is None else np.full(count, threshold)
+            inputs, branches = _batch_branches(_product_factors([current] * n), proto,
+                                               thresholds)
+            cells = inputs * size + branches.t  # (point, label), in label order
+            accepted = branches.accepted
+            kept = np.zeros(count * size)
+            kept[cells] = np.where(accepted, branches.prob, 0.0)
+            accept_prob = kept.reshape(count, size).cumsum(axis=1)[:, -1]
+            accept_probs[points, r] = accept_prob
+            # a live branch has nonzero probability
+            any_accepted[points, r] = hit = accept_prob > 0.0
+            pool = accepted | ~hit[inputs]
+            fidelity = np.full(count * size, -1.0)
+            fidelity[cells[pool]] = branches.fidelity[pool]
+            # argmax takes the first maximum, in label order
+            best = np.searchsorted(cells, np.arange(0, count * size, size)
+                                   + fidelity.reshape(count, size).argmax(axis=1))
+            f_out[points, r] = branches.fidelity[best]
+            # Renormalize once per round: the sweep's accept/reject decisions
+            # depend on the last bit of the pair fed into the next round.
+            current = branches.output[best[:, None],
+                                      np.arange(4) ^ branches.correction[best, None]]
+            _normalize(current, current)
     # the running product, one multiplication a round, in round order
-    return {"f_out": f_out, "yield": np.cumprod((proto.m / proto.n) * accept_probs),
-            "accept_prob": accept_probs, "accepted": any_accepted}
+    return {"f_out": f_out.reshape(-1),
+            "yield": np.cumprod((proto.m / proto.n) * accept_probs, axis=1).reshape(-1),
+            "accept_prob": accept_probs.reshape(-1), "accepted": any_accepted.reshape(-1)}

@@ -16,7 +16,9 @@ frame) and b = 0, so row i of A is column i+n (mod 2n) of B, halves
 swapped.  The syndrome and logical bits of x are the inner products
 <g_i, x> and those with B's partner columns, bits of A x + b, so `run`
 takes any protocol (A, b), reads its branches off the permutation
-engine's table, and names them by s, v and u from B's columns.
+engine's table, and names them by s, v and u from B's columns
+(`name_by_syndrome`, the step `equivalence.verify_equivalence` applies
+to the permutation engine's branches, so it builds no second table).
 
 `run` returns a `permutation.BranchSet` whose label columns, the syndrome
 s, the representative v and the recovery u, hold int64 label values
@@ -136,7 +138,14 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
     unnormalized_fidelity, v, u, accepted and output, in the order
     `run-code` prints them (with its `recovery` before accepted).
     """
-    branches = _branches(state, proto, threshold)
+    return name_by_syndrome(_branches(state, proto, threshold), proto)
+
+
+def name_by_syndrome(branches: BranchSet, proto: PermutationProtocol) -> BranchSet:
+    """The permutation engine's branches of the protocol (A, b), named as
+    `run` names them: outcome t read as the syndrome s, and the columns v
+    and u of every branch added (see `run`).  The statistics and outputs
+    are the given set's own columns."""
     n, m, two_n = proto.n, proto.m, 2 * proto.n
 
     # v(s) and u(c, s) reduce B embed(c, s) + B b.  The embedding puts s on
@@ -172,5 +181,5 @@ def run(state: BellDiagonalState, proto: PermutationProtocol,
 __all__ = [
     "StabilizerProtocol", "parse_pauli_string", "to_pauli_string",
     "pauli_letters", "syndrome_of_error",
-    "optimal_recovery", "run",
+    "optimal_recovery", "run", "name_by_syndrome",
 ]

@@ -130,10 +130,8 @@ class BellDiagonalState:
             raise ValueError("from_pairs takes 1-pair states")
         _check_pair_count(len(pairs))
         tables = tuple(p.probs for p in pairs)
-        head = _pair_product(tables[:_HEAD_PAIRS])
         state = object.__new__(cls)
-        state._freeze(len(tables), (_normalize(head, head), *tables[_HEAD_PAIRS:]),
-                      tables)
+        state._freeze(len(tables), _product_factors(tables), tables)
         return state
 
     @classmethod
@@ -224,8 +222,18 @@ def _check_pair_count(n: int) -> None:
         raise ValueError(f"pair count {n} outside supported range 0..{gf2.MAX_PAIRS}")
 
 
+def _product_factors(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The factors of a product of 1-pair tables: the normalized dense
+    product of the first _HEAD_PAIRS, then each further table.  The tables
+    may share leading batch axes (shape (..., 4)); each factor then has
+    them too, its rows each the factor of one product."""
+    head = _pair_product(tables[:_HEAD_PAIRS])
+    return (_normalize(head, head), *tables[_HEAD_PAIRS:])
+
+
 def _pair_product(tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense product of 1-pair tables in label order, not normalized.
+    """Dense product of 1-pair tables in label order, not normalized; tables
+    of shape (..., 4) give products of shape (..., 4**len(tables)).
 
     Each table reshaped to 2x2 is indexed [phase][parity].  The Kronecker
     product of those matrices is indexed by (all phases, all parities),
@@ -236,13 +244,17 @@ def _pair_product(tables: Sequence[np.ndarray]) -> np.ndarray:
     runs over the blocks in C order, so its inner loop is a row of arr, not
     the last axis of length 2.
     """
-    arr = np.ones((1, 1))
+    *batch, _ = tables[0].shape
+    lead = len(batch)
+    blocks = (*range(lead), lead + 1, lead + 3, lead, lead + 2)  # [.., a, b, rows, cols]
+    arr = np.ones((*batch, 1, 1, 1, 1))
     for table in tables:
-        rows, cols = arr.shape
-        out = np.empty((rows, 2, cols, 2))
-        np.multiply(arr, table.reshape(2, 2, 1, 1), out=out.transpose(1, 3, 0, 2), order="C")
-        arr = out.reshape(2 * rows, 2 * cols)
-    return arr.reshape(-1)
+        rows, cols = arr.shape[-2:]
+        out = np.empty((*batch, rows, 2, cols, 2))
+        np.multiply(arr, table.reshape(*batch, 2, 2, 1, 1), out=out.transpose(blocks),
+                    order="C")
+        arr = out.reshape(*batch, 1, 1, 2 * rows, 2 * cols)
+    return arr.reshape(*batch, -1)
 
 
 def _normalize(arr: np.ndarray, out: np.ndarray | None) -> np.ndarray:

@@ -47,6 +47,33 @@ def edit_columns():
 
 
 @pytest.fixture
+def table_calls(monkeypatch) -> list[int]:
+    """The batch size of each `permutation.branch_table` call made while
+    the test runs, in call order."""
+    from belldistill import permutation
+    calls = []
+    table = permutation.branch_table
+    monkeypatch.setattr(permutation, "branch_table", lambda factors, *args: (
+        calls.append(len(factors[0])), table(factors, *args))[1])
+    return calls
+
+
+@pytest.fixture
+def relabel():
+    """A function giving the state relabeled x -> A x + b, every label
+    mapped by `BinaryMatrix.apply`: not by `BellDiagonalState.permute`,
+    which runs the kernel's own `gf2.affine_images`, so a dense oracle fed
+    this state shares no label map with the engines it checks."""
+    def relabeled(state: BellDiagonalState, matrix: BinaryMatrix,
+                  offset: BinaryVector | None = None) -> BellDiagonalState:
+        probs = np.empty_like(state.probs)
+        images = matrix.apply(np.arange(probs.size))
+        probs[images ^ (0 if offset is None else offset.value)] = state.probs
+        return BellDiagonalState._trusted(state.n, probs)
+    return relabeled
+
+
+@pytest.fixture
 def random_frame():
     """A function giving a random valid frame for n - m commuting
     generators: the deterministic completion times random transvections

@@ -31,7 +31,7 @@ def criterion(number: int, name: str):
     print(f"ACCEPTANCE {number} ({name}): PASS")
 
 
-def test_criterion_1_recurrence_fixture():
+def test_criterion_1_recurrence_fixture(relabel):
     """Two Werner(0.75) pairs, bilateral CNOT == stabilizer {ZZ}: frozen values."""
     with criterion(1, "recurrence fixture"):
         start = time.perf_counter()
@@ -59,7 +59,7 @@ def test_criterion_1_recurrence_fixture():
 
         # independent dense check of the same numbers
         dense = {b.t.value: b for b in oracle.simulate_parity_measurement(
-            state.permute(BCNOT), 1)}[0]
+            relabel(state, BCNOT), 1)}[0]
         assert abs(dense.prob - 13 / 18) <= 1e-10
         for label, value in expected.items():
             assert abs(dense.output.probs[label] - value) <= 1e-10

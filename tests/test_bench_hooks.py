@@ -122,9 +122,9 @@ def test_mismatch_counter_reads_a_verify_report(monkeypatch, werner2, edit_colum
     tracer._count_mismatches((werner2, proto), report)
     assert report.passed
     assert tracer.counters["equivalence.coset_mismatches"] == 0
-    run = stabilizer.run
-    monkeypatch.setattr(stabilizer, "run",
-                        lambda *args: edit_columns(run(*args), lambda _, column: column[1:]))
+    naming = stabilizer.name_by_syndrome
+    monkeypatch.setattr(stabilizer, "name_by_syndrome",
+                        lambda *args: edit_columns(naming(*args), lambda _, column: column[1:]))
     report = equivalence.verify_equivalence(werner2, proto)
     tracer._count_mismatches((werner2, proto), report)
     assert not report.passed

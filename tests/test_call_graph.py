@@ -1,8 +1,12 @@
 """Who calls what, counted with `ast` over the package.
 
-`permutation.branch_table` has one caller, `permutation._branches`, and
-that has two, the engines' `run`s: both engines read their branches off
-the same table, and nothing else in the package builds one.  Each CLI
+`permutation.branch_table` has one caller, `permutation._batch_branches`,
+and that has two: `permutation._branches`, a batch of one input, which
+the engines' `run`s call, and `recurrence_sweep`, a batch of grid points.
+Both engines and the sweep read their branches off the same table, and
+nothing else in the package builds one.  `verify_equivalence` names the
+permutation engine's branches by syndrome with the step `stabilizer.run`
+takes (`name_by_syndrome`), so it builds no second table.  Each CLI
 option is declared once: `cli.build_parser` is the one caller of
 `add_argument`.  A block's floats are turned into token words in one
 function, `cli._tokens`, the one caller of `_decimal`, and the digit tables
@@ -75,8 +79,12 @@ def package_callers() -> dict[str, set[str]]:
 
 def test_the_engines_are_the_branch_tables_only_front_ends():
     found = package_callers()
-    assert found["branch_table"] == {"permutation._branches"}
+    assert found["branch_table"] == {"permutation._batch_branches"}
+    assert found["_batch_branches"] == {"permutation._branches",
+                                        "permutation.recurrence_sweep"}
     assert found["_branches"] == {"permutation.run", "stabilizer.run"}
+    assert found["name_by_syndrome"] == {"stabilizer.run",
+                                         "equivalence.verify_equivalence"}
 
 
 def test_options_are_added_to_the_parser_in_one_place():

@@ -241,9 +241,9 @@ def test_verify_tie_case_matches_cosets(capsys):
 
 
 def test_verify_missing_branch_prints_nan_and_exits_2(capsys, monkeypatch, edit_columns):
-    run = stabilizer.run
-    monkeypatch.setattr(stabilizer, "run",
-                        lambda *args: edit_columns(run(*args), lambda _, column: column[1:]))
+    naming = stabilizer.name_by_syndrome
+    monkeypatch.setattr(stabilizer, "name_by_syndrome",
+                        lambda *args: edit_columns(naming(*args), lambda _, column: column[1:]))
     code, out, _ = invoke(capsys, "verify", "--generators", "ZZ", "--werner", "0.75")
     assert code == 2
     assert '"output_max_diff": NaN' in out
@@ -251,10 +251,10 @@ def test_verify_missing_branch_prints_nan_and_exits_2(capsys, monkeypatch, edit_
 
 def test_verify_recovery_off_the_span_exits_2(capsys, monkeypatch, edit_columns):
     # XI is no element of the span of ZZ: the first branch's coset moves
-    run = stabilizer.run
+    naming = stabilizer.name_by_syndrome
     shift = np.array([0b0010, 0])
-    monkeypatch.setattr(stabilizer, "run", lambda *args: edit_columns(
-        run(*args), lambda name, column: column ^ shift if name == "u" else column))
+    monkeypatch.setattr(stabilizer, "name_by_syndrome", lambda *args: edit_columns(
+        naming(*args), lambda name, column: column ^ shift if name == "u" else column))
     code, out, _ = invoke(capsys, "verify", "--generators", "ZZ", "--werner", "0.75")
     assert code == 2
     data = json.loads(out)

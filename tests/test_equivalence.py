@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from belldistill import gf2, permutation, stabilizer
+from belldistill import cli, gf2, permutation, stabilizer
 from belldistill.equivalence import (
     permutation_from_stabilizer,
     random_instance,
@@ -190,9 +190,9 @@ def test_verify_werner_zz(werner2):
 
 
 def test_verify_reports_a_branch_one_engine_drops(monkeypatch, werner2, edit_columns):
-    run = stabilizer.run
-    monkeypatch.setattr(stabilizer, "run",
-                        lambda *args: edit_columns(run(*args), lambda _, column: column[1:]))
+    naming = stabilizer.name_by_syndrome
+    monkeypatch.setattr(stabilizer, "name_by_syndrome",
+                        lambda *args: edit_columns(naming(*args), lambda _, column: column[1:]))
     report = verify_equivalence(werner2, StabilizerProtocol.from_pauli_strings(["ZZ"]))
     assert not report.branch_sets_match
     branches = report.branches
@@ -207,9 +207,9 @@ def test_verify_reports_a_branch_one_engine_drops(monkeypatch, werner2, edit_col
 
 def test_verify_reports_an_output_gap(monkeypatch, werner2, edit_columns):
     # the stabilizer engine's outputs reversed, its statistics as they are
-    run = stabilizer.run
-    monkeypatch.setattr(stabilizer, "run", lambda *args: edit_columns(
-        run(*args), lambda name, column: column[:, ::-1] if name == "output" else column))
+    naming = stabilizer.name_by_syndrome
+    monkeypatch.setattr(stabilizer, "name_by_syndrome", lambda *args: edit_columns(
+        naming(*args), lambda name, column: column[:, ::-1] if name == "output" else column))
     report = verify_equivalence(werner2, StabilizerProtocol.from_pauli_strings(["ZZ"]))
     assert report.branch_sets_match and report.coset_match
     assert report.branches.output_max_diff == pytest.approx((40 / 52, 0.0), abs=1e-12)
@@ -218,10 +218,12 @@ def test_verify_reports_an_output_gap(monkeypatch, werner2, edit_columns):
 
 
 def shift_recoveries(monkeypatch, edit_columns, shifts):
-    """Make `stabilizer.run` XOR its recovery column with `shifts`."""
-    run = stabilizer.run
-    monkeypatch.setattr(stabilizer, "run", lambda *args: edit_columns(
-        run(*args), lambda name, column: column ^ shifts if name == "u" else column))
+    """Make the syndrome naming step, `stabilizer.name_by_syndrome`, which
+    `stabilizer.run` and `verify_equivalence` call, XOR its recovery column
+    with `shifts`."""
+    naming = stabilizer.name_by_syndrome
+    monkeypatch.setattr(stabilizer, "name_by_syndrome", lambda *args: edit_columns(
+        naming(*args), lambda name, column: column ^ shifts if name == "u" else column))
 
 
 def test_verify_reports_a_recovery_off_the_generator_span(monkeypatch, edit_columns):
@@ -334,3 +336,16 @@ def test_verify_report_serializable(werner2):
     assert {type(v) for v in scalars.values()} == {int, bool, float}
     assert json.loads(json.dumps(scalars)) == scalars
     assert len(report.branches.t) == 2
+
+
+def test_verify_builds_one_branch_table(table_calls, capsys):
+    """Both engines' columns come from one table: the naming step takes
+    the permutation engine's branches, in the library and the CLI."""
+    proto = StabilizerProtocol.from_pauli_strings(["ZZZ", "IXX"])
+    assert verify_equivalence(BellDiagonalState.from_pairs([werner(0.8)] * 3), proto).passed
+    assert table_calls == [1]
+    assert cli.main(["verify", "--generators", "ZZZ,IXX", "--werner", "0.75"]) == 0
+    assert table_calls == [1, 1]
+    assert cli.main(["verify", "--random", "5", "--seed", "1"]) == 0
+    assert table_calls == [1] * 7
+    capsys.readouterr()

@@ -73,6 +73,13 @@ FILES = {
     "perm-unknown-key.json": {"n": 2, "m": 1, "A": BCNOT.split(","), "B": "0101"},
     "state-unknown-key.json": {"n": 2, "probs": [0.7] + [0.02] * 15, "fidelity": 0.7},
     "config-m.json": {"m": 0},
+    # Text as written: a repeated key, which no dict can hold.
+    "config-repeated-key.json": '{"generators": "ZZ", "werner": 0.9, "werner": 0.6}',
+    "stab-repeated-key.json": '{"n": 2, "m": 1, "generators": ["ZZ"], "generators": ["XX"]}',
+    "state-repeated-key.json": '{"n": 1, "probs": [0.7, 0.1, 0.1, 0.1], "n": 1}',
+    # Two spellings of one option; the second names no file.
+    "config-two-spellings.json": {"protocol-file": "perm.json",
+                                  "protocol_file": "missing.json", "werner": 0.8},
 }
 
 _FORMATS = (("json", []), ("csv", ["--format", "csv"]))
@@ -160,6 +167,13 @@ CASES = {
                                     "--werner", "0.75"],
     "refuse-config-m-with-protocol-file": ["run-perm", "--protocol-file", "{perm.json}",
                                            "--config", "{config-m.json}", "--werner", "0.75"],
+    "refuse-config-repeated-key": ["run-perm", "--config", "{config-repeated-key.json}"],
+    "refuse-protocol-repeated-key": ["run-code", "--protocol-file",
+                                     "{stab-repeated-key.json}", "--werner", "0.8"],
+    "refuse-state-repeated-key": ["run-perm", "--generators", "Z", "--state-file",
+                                  "{state-repeated-key.json}"],
+    "refuse-config-two-spellings": ["run-perm", "--config",
+                                    "{config-two-spellings.json}"],
     # Refused by argparse.
     "refuse-no-command": [],
     "refuse-unknown-command": ["frobnicate", "--werner", "0.8"],
@@ -187,7 +201,8 @@ def _digest(argv: list[str], directory: Path) -> str:
 
 def _write_files(directory: Path) -> None:
     for name, content in FILES.items():
-        (directory / name).write_text(json.dumps(content))
+        (directory / name).write_text(content if isinstance(content, str)
+                                      else json.dumps(content))
 
 
 @pytest.fixture(scope="module")

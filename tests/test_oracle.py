@@ -7,6 +7,7 @@ import pytest
 
 from belldistill import crosscheck, equivalence, gf2, oracle, permutation, stabilizer
 from belldistill.gf2 import BinaryVector
+from belldistill.permutation import PermutationProtocol
 from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
 
 
@@ -177,8 +178,8 @@ def test_parity_measurement_werner_unpermuted(werner2):
         assert b.bell_offdiag < 1e-10
 
 
-def test_parity_measurement_werner_after_bcnot(bcnot, werner2):
-    relabeled = werner2.permute(bcnot)
+def test_parity_measurement_werner_after_bcnot(bcnot, werner2, relabel):
+    relabeled = relabel(werner2, bcnot)
     branches = {b.t.value: b for b in oracle.simulate_parity_measurement(relabeled, 1)}
     assert branches[0].prob == pytest.approx(13 / 18, abs=1e-12)
     assert branches[1].prob == pytest.approx(5 / 18, abs=1e-12)
@@ -188,6 +189,12 @@ def test_parity_measurement_werner_after_bcnot(bcnot, werner2):
     for b in branches.values():
         assert b.bell_offdiag < 1e-10
         assert b.output.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    # the engine on the same protocol, against an input it did not relabel
+    engine = permutation.run(werner2, PermutationProtocol.linear(2, 1, bcnot))
+    assert engine.t.tolist() == sorted(branches)
+    for row, t in enumerate(engine.t.tolist()):
+        assert engine.prob[row] == pytest.approx(branches[t].prob, abs=1e-12)
+        assert engine.output[row] == pytest.approx(branches[t].output.probs, abs=1e-12)
 
 
 def test_parity_measurement_preserves_bell_diagonality(rng):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from belldistill import gf2, oracle, permutation, stabilizer
+from belldistill import cli, gf2, oracle, permutation, stabilizer
 from belldistill.equivalence import stabilizer_from_permutation
 from belldistill.gf2 import BinaryMatrix, BinaryVector, Coset, Subspace
 from belldistill.permutation import (
@@ -21,7 +21,7 @@ from belldistill.permutation import (
     unnormalized_fidelity,
 )
 from belldistill.stabilizer import StabilizerProtocol
-from belldistill.states import BellDiagonalState, random_bell_diagonal, werner
+from belldistill.states import BellDiagonalState, random_bell_diagonal, werner, werner_pair
 
 
 def vec(s):
@@ -240,6 +240,11 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def one_table(state, label_map, offset, m):
+    """`branch_table` of a batch of one input."""
+    return branch_table([factor[None] for factor in state.factors], label_map, offset, m)[0]
+
+
 @pytest.mark.parametrize("m", [0, 4, 9])
 def test_blocked_branch_table_bit_equals_one_shot(rng, m):
     n = 9  # 2n = 18 input bits: four blocks
@@ -253,7 +258,7 @@ def test_blocked_branch_table_bit_equals_one_shot(rng, m):
         expected = np.zeros(1 << (n + m))
         np.add.at(expected, gf2.affine_images(label_map.column_values(), offset),
                   state.probs)
-        table = branch_table(state, label_map, offset, m)
+        table = one_table(state, label_map, offset, m)
         assert table.shape == (1 << (n - m), 1 << (2 * m))
         assert np.array_equal(bits(table.ravel()), bits(expected))
 
@@ -293,8 +298,8 @@ def test_product_tables_up_to_the_head_bit_equal_dense(rng, kind):
         assert len(state.factors) == 1
         m = int(rng.integers(0, n + 1))
         label_map, offset = random_label_map(n, m, rng)
-        table = branch_table(state, label_map, offset, m)
-        dense = branch_table(dense_copy(state), label_map, offset, m)
+        table = one_table(state, label_map, offset, m)
+        dense = one_table(dense_copy(state), label_map, offset, m)
         assert np.array_equal(bits(table.ravel()), bits(dense.ravel()))
 
 
@@ -305,8 +310,8 @@ def assert_engines_agree_with_dense(state, rng):
     dense = dense_copy(state)
     m = int(rng.integers(0, 4))
     label_map, offset = random_label_map(n, m, rng)
-    table = branch_table(state, label_map, offset, m)
-    expected = branch_table(dense, label_map, offset, m)
+    table = one_table(state, label_map, offset, m)
+    expected = one_table(dense, label_map, offset, m)
     assert np.all(np.abs(table - expected) <= 1e-12 * expected)
 
     threshold = state.fidelity
@@ -378,9 +383,9 @@ def test_branch_outcomes_bit_equal_per_row_constructor(rng):
         label_map = BinaryMatrix(label_map.rows[:n + m], 2 * n)
         offset = int(rng.integers(0, 1 << (n + m)))
         for state in tie_heavy_and_random_inputs(n, rng):
-            table = branch_table(state, label_map, offset, m)
+            table = one_table(state, label_map, offset, m)
             expected = per_row_outcomes(table, m, state.fidelity)
-            outcomes = branch_outcomes(table, m, state.fidelity)
+            _, outcomes = branch_outcomes(table[None], m, np.array([state.fidelity]))
             assert outcomes.t.tolist() == [row[0] for row in expected]
             assert not outcomes.output.flags.writeable
             # a table whose rows are all live is divided in place
@@ -442,12 +447,12 @@ def test_fold_bit_equals_the_gather(rng, monkeypatch, n):
                 label_map, offset = make_map(n, m, rng)
                 columns = label_map.column_values()
                 expected = np.zeros(1 << (n + m))
-                permutation._scatter(expected, state.factors[0],
+                permutation._scatter(expected[None], state.factors[0][None],
                                      columns[:8] + columns[n:n + 8], offset)
                 for i, factor in enumerate(state.factors[1:], start=8):
                     expected = gather_fold(expected, factor, (columns[i], columns[n + i]))
                 groups.clear()
-                table = branch_table(state, label_map, offset, m)
+                table = one_table(state, label_map, offset, m)
                 assert np.array_equal(bits(table.ravel()), bits(expected))
                 assert sum(groups) == n - 8
                 if fold_bits == 8 and make_map is random_label_map:
@@ -461,7 +466,7 @@ def test_branch_table_peak_at_the_pair_cap(rng):
     label_map, offset = random_label_map(n, m, rng)
     tracemalloc.start()
     try:
-        table = branch_table(state, label_map, offset, m)
+        table = one_table(state, label_map, offset, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -518,14 +523,14 @@ def test_branch_set_columns_equal_literal_coset_sums(rng):
     assert skipped > 0
 
 
-def test_branch_set_columns_equal_the_dense_oracle(rng):
+def test_branch_set_columns_equal_the_dense_oracle(rng, relabel):
     for n in (2, 3):
         for m in (0, 1, n):
             proto = random_protocol(n, m, rng)
             for state in branch_set_inputs(n, rng):
                 branches = run(state, proto)
                 dense = {b.t.value: b for b in oracle.simulate_parity_measurement(
-                    state.permute(proto.matrix, proto.offset), m) if b.prob > 1e-12}
+                    relabel(state, proto.matrix, proto.offset), m) if b.prob > 1e-12}
                 assert branches.t.tolist() == sorted(dense)
                 for row, t in enumerate(branches.t.tolist()):
                     assert branches.prob[row] == pytest.approx(dense[t].prob, abs=1e-12)
@@ -664,8 +669,9 @@ def test_corrections_of_all_rows_equal_the_per_row_rule(rng):
                   BellDiagonalState(n, np.full(1 << (2 * n), 0.25 ** n)),
                   random_bell_diagonal(n, rng)]
         for state in inputs:
-            table = branch_table(state, label_map, 0, m)
-            outcomes = branch_outcomes(table.copy(), m, state.fidelity)
+            table = one_table(state, label_map, 0, m)
+            _, outcomes = branch_outcomes(table.copy()[None], m,
+                                          np.array([state.fidelity]))
             assert outcomes
             for o in outcomes:
                 row = table[o.t.value]
@@ -833,3 +839,70 @@ def test_recurrence_explicit_threshold(bcnot_proto):
     sweep = recurrence_sweep(werner(0.75), bcnot_proto, 2, threshold=0.5)
     assert sweep["accepted"][1]  # 0.7037 >= 0.5
     assert sweep["yield"][1] > 0
+
+
+def sweep_pairs(rng):
+    """Distinct input pairs: Werner pairs across the distillable range, a
+    perfect pair (its branch tables have rows of weight zero), one below
+    F = 1/4, a sparse pair and random pairs."""
+    return [werner(f) for f in (0.55, 0.7, 0.8, 0.95)] + [
+        werner(1.0), werner_pair(0.2)[0], BellDiagonalState(1, (0.7, 0.0, 0.3, 0.0)),
+        *(BellDiagonalState(1, (w := rng.random(4) + 1e-3) / w.sum()) for _ in range(3))]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_batched_sweep_bit_equals_one_point_at_a_time(rng, monkeypatch, n):
+    # n = 9 and 10 fold pairs beyond the head; a budget of two points a
+    # chunk splits the grid, the default runs it as one chunk
+    proto = PermutationProtocol.linear(n, 1, gf2.random_symplectic(n, rng))
+    pairs = sweep_pairs(rng)
+    rounds = 3 if n <= 8 else 2
+    for threshold in (None, 0.6):
+        alone = [recurrence_sweep(pair, proto, rounds, threshold) for pair in pairs]
+        for pair, sweep in zip(pairs, alone):
+            assert {name: column.tolist() for name, column in sweep.items()} == \
+                reference_sweep(pair, proto, rounds, threshold)
+        for budget in (permutation._SWEEP_BYTES, 2 * (64 << 2 * min(n, 8))):
+            monkeypatch.setattr(permutation, "_SWEEP_BYTES", budget)
+            batch = recurrence_sweep(pairs, proto, rounds, threshold)
+            assert list(batch) == list(alone[0])
+            for name, column in batch.items():
+                expected = np.concatenate([sweep[name] for sweep in alone])
+                assert column.dtype == expected.dtype
+                assert np.array_equal(column.view(np.uint8), expected.view(np.uint8)), name
+
+
+def test_sweep_refuses_no_pairs_and_states_of_two_pairs(bcnot_proto):
+    with pytest.raises(ValueError, match="at least one pair"):
+        recurrence_sweep([], bcnot_proto, 1)
+    with pytest.raises(ValueError, match="1-pair"):
+        recurrence_sweep([werner(0.8), BellDiagonalState.point_mass(2)], bcnot_proto, 1)
+
+
+@pytest.mark.parametrize("n, points", [(2, 41), (3, 9), (8, 9)])
+def test_sweep_builds_one_table_per_round_per_chunk(table_calls, capsys, n, points):
+    gens = ["Z" * n] + ["I" * i + "XX" + "I" * (n - 2 - i) for i in range(n - 2)]
+    grid = ",".join(str(0.55 + 0.01 * i) for i in range(points))
+    assert cli.main(["sweep", "--generators", ",".join(gens), "-m", "1", "--grid", grid,
+                     "--rounds", "3", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * points
+    chunk = permutation._SWEEP_BYTES // (64 << 2 * min(n, 8))
+    sizes = [min(chunk, points - start) for start in range(0, points, chunk)]
+    assert table_calls == [size for size in sizes for _ in range(3)]
+
+
+def test_sweep_engine_peak_is_the_chunk_budget_plus_the_columns():
+    # 2,000 points at n = 8: four points a chunk, 500 chunks
+    n = 8
+    gens = ["Z" * n] + ["I" * i + "XX" + "I" * (n - 2 - i) for i in range(n - 2)]
+    proto = StabilizerProtocol.from_pauli_strings(gens, 1)
+    pairs = [werner(0.55 + 0.4 * i / 1999) for i in range(2000)]
+    tracemalloc.start()
+    try:
+        sweep = recurrence_sweep(pairs, proto, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(column.nbytes for column in sweep.values())
+    assert columns == 25 * 2000
+    assert peak <= permutation._SWEEP_BYTES + columns

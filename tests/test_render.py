@@ -839,9 +839,9 @@ CHAIN13 = ",".join("I" * i + "ZZ" + "I" * (11 - i) for i in range(12))
 def test_nan_output_gaps_in_a_verify_block_of_many_records(monkeypatch, capsys, fmt,
                                                              edit_columns):
     # The stabilizer engine drops two branches: their output gap is NaN.
-    run = stabilizer.run
-    monkeypatch.setattr(stabilizer, "run", lambda *args: edit_columns(
-        run(*args), lambda _, column: np.delete(column, [1000, 3000], axis=0)))
+    naming = stabilizer.name_by_syndrome
+    monkeypatch.setattr(stabilizer, "name_by_syndrome", lambda *args: edit_columns(
+        naming(*args), lambda _, column: np.delete(column, [1000, 3000], axis=0)))
     proto = StabilizerProtocol.from_pauli_strings(CHAIN13.split(","), 1)
     report = equivalence.verify_equivalence(
         BellDiagonalState.from_pairs([werner(0.8)] * 13), proto)
