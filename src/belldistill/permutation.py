@@ -325,8 +325,8 @@ def _fold_cosets(table: np.ndarray,
     pivots = [k - 1 - p for p in pivot_columns]  # bit positions, top first
     free = [1 << b for b in range(k - 1, -1, -1) if b not in pivots]
     split = max(len(free) - _FOLD_BITS + d, 0)
-    rows = (np.arange(batch) << k)[:, None] | gf2.affine_images(basis, 0)
-    cells = rows[:, :, None] ^ gf2.affine_images(free[split:], 0)
+    comb = (np.arange(batch) << k)[:, None] | gf2.affine_images(basis, 0)
+    cells = comb[:, :, None] ^ gf2.affine_images(free[split:], 0)
     # Per factor: the weight column and axes of its first term, then for
     # each further term its product's slot, weight column and axes, and
     # whether the slot is formed there (the first term of that column).
