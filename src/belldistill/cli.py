@@ -26,9 +26,11 @@ significant digits: ``"%.15g"`` in CSV, ``json.dumps`` in JSON; every other
 value as ``json.dumps`` or ``csv.writer`` writes it.  Output is bytes,
 written to the ``--output`` file through its descriptor (``os.write``) or
 to stdout's binary buffer (a stdout without one, such as ``io.StringIO``,
-is written the same text), one call per block of whole records of about
-`_BLOCK_BYTES`, so the memory rendering takes does not grow with the size
-of the output.  Each block is one byte matrix
+is written the same text).  An output of fewer than `_VALUE_MAX` floats is
+built value by value as one string and written in one call
+(`_text_records`); a larger one is written one call per block of whole
+records of about `_BLOCK_BYTES`, so the memory rendering takes does not
+grow with the size of the output.  Each block is one byte matrix
 with a row per record (`_block_matrix`) and a NUL-padded slot per value,
 copied from a row built once per layout (`_template`).  Floats are
 written in 4-digit words, and what a float's decimal exponent e decides
@@ -39,9 +41,9 @@ exact.  Truncated to 2^-12 and rounded half up from there, in place, it
 rounds as exact arithmetic would, except within 2^-12 of a half-way
 point.  Those entries,
 negatives, -0.0, NaN, infinities, subnormals, magnitudes from 1e14 up and
-all other values are formatted on their own (`_padded`), and so is every
-float of a block with few floats, or of any block on a platform without
-such a long double: `_tokens` makes that choice once a block.
+all other values are formatted on their own (`_float_token`), and so is
+every float on a platform without such a long double.  Either way a CSV
+text cell holding NUL is refused.
 """
 
 from __future__ import annotations
@@ -108,7 +110,15 @@ def _format_cell(value) -> str:
 
 def _float_token(x: float, fmt: str) -> str:
     """One float formatted on its own: the JSON token `json.dumps` gives,
-    or the CSV cell ".15g" gives, for x rounded to 15 significant digits."""
+    or the CSV cell ".15g" gives, for x rounded to 15 significant digits.
+    From _FAST_TINY up to _FAST_MAX in magnitude, and at +-0, that is
+    `"%.15g" % x`, with ".0" appended in JSON when it has neither "." nor
+    "e" (see the rendering notes below)."""
+    if _FAST_TINY <= abs(x) < _FAST_MAX or x == 0:  # False for NaN
+        text = "%.15g" % x
+        if fmt == "json" and "." not in text and "e" not in text:
+            return text + ".0"
+        return text
     x = _clean(x)  # may round up to inf
     if fmt == "csv":
         return format(x, ".15g")
@@ -116,36 +126,44 @@ def _float_token(x: float, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Output: each block of records as one byte matrix
+# Output: few floats value by value, more as a byte matrix a block
 #
-# `_block_matrix` builds a block as one uint8 matrix with a row per record:
-# the constant bytes of a template row (keys, brackets, separators; one
-# `_template` for all the blocks of a layout) and a slot per value, filled
-# by numpy: label bytes (`_Labels`), booleans (`_BOOLS`), text
-# cells and float tokens.  The tokens of all the block's floats are built
-# first, as the rows of one matrix (`_tokens`), then copied into each float
-# column's slots at once.  Text cells, floats the digit tables do not print
-# and the floats of blocks `_tokens` formats value by value are rows of the
-# one per-value builder (`_padded`).  Bytes a value leaves unused are
-# padding, deleted from the block at once.
+# `_render` makes one choice per output.  Below _VALUE_MAX floats, the
+# records are one string built value by value (`_text_records`).
+# Otherwise each block of records is one uint8 matrix with a row per
+# record (`_block_matrix`): the constant bytes of a template row (keys,
+# brackets, separators; one `_template` for all the blocks of a layout)
+# and a slot per value, filled by numpy: label bytes (`_Labels`),
+# booleans (`_BOOLS`), text cells and float tokens.  The tokens of all
+# the block's floats are built first, as the rows of one matrix
+# (`_tokens`), then copied into each float column's slots at once.  Text
+# cells and floats the digit tables do not print are rows of the one
+# per-value builder (`_padded`).  Bytes a value leaves unused are padding,
+# deleted from the block at once.  Both paths print each float as
+# `_float_token` does, and both refuse a CSV text cell holding NUL, the
+# matrix's padding.
 #
-# For the entries the tables print, the JSON token `repr(_clean(x))` is
-# `"%.15g" % x` with ".0" appended when it has neither "." nor "e": a
-# decimal of at most 15 significant digits survives the round trip through
-# a normal double (DBL_DIG = 15), and below 1e15 ".15g" and repr pick the
-# same notation.  The CSV token is `"%.15g" % x`.
+# For x with _FAST_TINY <= |x| < _FAST_MAX, and +-0, the JSON token
+# `repr(_clean(x))` is `"%.15g" % x` with ".0" appended when it has
+# neither "." nor "e": a decimal of at most 15 significant digits survives
+# the round trip through a normal double (DBL_DIG = 15), so it is the only
+# one that names its double, and below 1e15 ".15g" and repr pick the same
+# notation.  The CSV token is `"%.15g" % x`.
 # ---------------------------------------------------------------------------
 
 _FAST_MAX = 1e14
-_FAST_TINY = np.finfo(float).tiny
+_FAST_TINY = float(np.finfo(float).tiny)
 
-# Below this many floats a block's floats are formatted one by one.  The
-# one-pass path costs ~90 numpy calls and one assignment per float column
-# however few entries it prints.  Rendering `verify` outputs of the
-# benchmark's `suite` (5 float columns), it was ~12% slower than the
-# per-value path at 50 floats, even at 60, and ~12% faster at 80 (medians
-# of paired runs; 2-core x86-64, Python 3.11, numpy 2.4).
-_BATCH_MIN = 64
+# Below this many floats an output is formatted value by value.  The
+# block path costs ~0.35 ms however few floats it prints (~90 numpy calls
+# of digit-table work, a row template, a padding pass); value by value
+# costs ~0.13 ms plus ~0.6 us a float.  Rendering each output of the
+# benchmark's seed-0 `suite` both ways (after `gc.collect()`, as the
+# benchmark runs an op; medians of 15), value by value took 0.32-0.66 of
+# the block path's time at 8-80 floats, 0.56-0.95 at 152-268, 1.00-1.05
+# at 304, 1.04-1.35 at 518-536 and 1.7-3.0 from 1036 (2-core x86-64,
+# Python 3.11, numpy 2.4).
+_VALUE_MAX = 256
 # About the bytes of a block's matrix, and what a float takes of them with
 # its separator (`_blocks`).  Formatting a block's floats holds ~60 bytes
 # a float at most, its ~24-byte tokens included, so rendering holds under
@@ -315,8 +333,8 @@ def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _tokens(values: np.ndarray, fmt: str) -> np.ndarray:
     """The tokens of a block's floats as the NUL-padded rows of a uint8
-    matrix.  Below _BATCH_MIN floats, or without a 64-bit-significand long
-    double, each is formatted on its own (`_padded`).  Otherwise they come
+    matrix.  Without a 64-bit-significand long double, or in a block with
+    no floats, each is formatted on its own (`_padded`).  Otherwise they come
     from the digit tables (`_tables`) as rows of a (floats, words) uint32
     matrix, filled a word column at a time: the integer part in 4-digit
     groups (most significant first), the point and the first 15 of the
@@ -329,7 +347,7 @@ def _tokens(values: np.ndarray, fmt: str) -> np.ndarray:
     their own: such a token takes at most 22 bytes
     ("-d.dddddddddddddde-ddd"), a row at least 24.
     """
-    if values.size < _BATCH_MIN or not _WIDE_LONGDOUBLE:
+    if not values.size or not _WIDE_LONGDOUBLE:
         return _padded([_float_token(x, fmt) for x in values.tolist()], 0)
     if values.min() >= _FAST_TINY and values.max() < _FAST_MAX:  # False with a NaN
         mant, exp, own = _decimal(values)
@@ -465,6 +483,16 @@ def _blocks(fields: list, heads: list[bytes], rows: int, cell: Callable[[object]
         ahead, start = [cells[stop - start:] for cells in ahead], stop
 
 
+def _brackets(kind: str, fmt: str) -> tuple[bytes, bytes]:
+    """What a value of this kind is printed between: a JSON array's
+    brackets, a JSON label's quotes, or nothing."""
+    if fmt == "json" and kind == "array":
+        return b"[\n        ", b"\n      ]"
+    if fmt == "json" and kind == "label":
+        return b'"', b'"'
+    return b"", b""
+
+
 def _template(fields: list, heads: list[bytes], end: bytes, widths: tuple[int, ...],
               fmt: str) -> tuple[bytearray, list[int]]:
     """The row of a block whose float tokens take `widths[0]` bytes and
@@ -472,19 +500,17 @@ def _template(fields: list, heads: list[bytes], end: bytes, widths: tuple[int, .
     field's head and NUL-padded slots, then `end`; and where each field's
     slots start."""
     token, *widths = widths
-    json_fmt = fmt == "json"
     sep = _SEPARATORS[fmt]
     row, places = bytearray(), []
     for f, head, width in zip(fields, heads, widths):
-        array = f.kind == "array"
-        quote = b'"' if json_fmt and f.kind == "label" else b""
-        row += head + (b"[\n        " if json_fmt and array else quote)
+        before, after = _brackets(f.kind, fmt)
+        row += head + before
         places.append(len(row))
         if f.kind in ("float", "array"):  # f.width floats
             row += (bytes(token) + sep) * (f.width - 1) + bytes(token)
         else:
             row += bytes(width)
-        row += b"\n      ]" if json_fmt and array else quote
+        row += after
     row += end
     return row, places
 
@@ -532,6 +558,37 @@ def _block_matrix(fields: list, heads: list[bytes], end: bytes, start: int, stop
     return buffer
 
 
+def _text_records(fields: list, heads: list[bytes], end: bytes, fmt: str,
+                  cell: Callable[[object], str]) -> bytes:
+    """Every record as the bytes the block path prints for it, built value
+    by value into one row template (`_template`'s, a "%s" per value):
+    floats by `_float_token`, each label column by one `chars` call,
+    booleans as true/false and any other value by `cell`.  A CSV text cell
+    holding NUL is refused, as `_padded` refuses it on the block path."""
+    sep = _SEPARATORS[fmt].decode()
+    row, columns = "", []
+    for f, head in zip(fields, heads):
+        before, after = _brackets(f.kind, fmt)
+        row += (head + before).decode().replace("%", "%%") + "%s" + after.decode()
+        if f.kind == "array":
+            columns.append([sep.join([_float_token(x, fmt) for x in values])
+                            for values in f.data.tolist()])
+        elif f.kind == "float":
+            columns.append([_float_token(x, fmt) for x in f.data.tolist()])
+        elif f.kind == "label":
+            chars, width = f.chars(f.data, f.width).tobytes().decode(), f.width
+            columns.append([chars[i * width:(i + 1) * width] for i in range(len(f.data))])
+        elif f.kind == "bool":
+            columns.append([("false", "true")[b] for b in f.data.tolist()])
+        else:
+            columns.append(list(map(cell, f.data)))
+    row += end.decode()
+    text = "".join([row % values for values in zip(*columns)])
+    if "\0" in text:  # only a CSV text cell can hold it; JSON escapes it
+        raise ValueError("a CSV text cell cannot hold NUL")
+    return text[fmt == "json":].encode()  # no comma before the first JSON record
+
+
 def _csv_cell(value, alone: bool) -> str:
     """`value` as `csv.writer` writes it in a cell of a row of several
     cells, or as the `alone` cell of its row."""
@@ -547,13 +604,15 @@ def _render(write: Callable[[bytes], object], command: str, columns: dict, fmt: 
     with one row per record.
 
     `columns` holds the records field by field, in the CSV column order;
-    `_field_of` tells how each prints.  The records are written block by
-    block (`_blocks`, `_block_matrix`), so that only one block's bytes
-    exist at a time, each block as the matrix's bytes less the padding,
-    in one `write` call: the output's first bytes go with its first
-    block, and its last bytes with its last, so an output of one block is
-    one call.  Every float is printed with 15 significant digits.  Array
-    values are printed as lists (`;`-joined in a CSV cell).
+    `_field_of` tells how each prints.  An output of fewer than _VALUE_MAX
+    floats is one `write` call of text built value by value
+    (`_text_records`).  A larger one is written block by block (`_blocks`,
+    `_block_matrix`), so that only one block's bytes exist at a time, each
+    block as the matrix's bytes less the padding, in one `write` call: the
+    output's first bytes go with its first block, and its last bytes with
+    its last, so an output of one block is one call.  Every float is
+    printed with 15 significant digits.  Array values are printed as lists
+    (`;`-joined in a CSV cell).
     """
     keys = list(columns) if fmt == "csv" else sorted(columns)
     fields = [_field_of(columns[key]) for key in keys]
@@ -574,6 +633,10 @@ def _render(write: Callable[[bytes], object], command: str, columns: dict, fmt: 
         return
     cell = functools.partial(_json, indent="      ") if fmt == "json" else \
         functools.partial(_csv_cell, alone=len(fields) == 1)
+    floats = rows * sum(f.width for f in fields if f.kind in ("float", "array"))
+    if floats < _VALUE_MAX:
+        write(b"".join((first, _text_records(fields, heads, end, fmt, cell), last)))
+        return
     templates = {}  # a block's row by its layout
     for start, stop, texts in _blocks(fields, heads, rows, cell):
         block = _block_matrix(fields, heads, end, start, stop, texts, fmt,

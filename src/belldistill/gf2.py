@@ -451,7 +451,8 @@ def coset_sum(probs: np.ndarray, coset: Coset) -> float:
 # Commutation solving and symplectic completion
 # ---------------------------------------------------------------------------
 
-def _check_generators(gens: Sequence[BinaryVector]) -> int:
+def _check_generators(gens: Sequence[BinaryVector]) -> Subspace:
+    """The span of independent commuting generators; raises otherwise."""
     if not gens:
         raise ValueError("need at least one generator")
     length = gens[0].length
@@ -464,12 +465,12 @@ def _check_generators(gens: Sequence[BinaryVector]) -> int:
         raise ValueError("generators are linearly dependent over GF(2)")
     if not span.is_isotropic():
         raise ValueError("generators do not pairwise commute")
-    return length // 2
+    return span
 
 
 def solve_commutation(gens: Sequence[BinaryVector], s: BinaryVector) -> BinaryVector:
     """Lex-least v whose symplectic inner products with the generators equal s."""
-    n = _check_generators(gens)
+    n = _check_generators(gens).length // 2
     if s.length != len(gens):
         raise ValueError("target bit count must match the generator count")
     solutions, _, _ = _unit_solutions([_swap_halves_value(g.value, n) for g in gens], 2 * n)
@@ -490,21 +491,33 @@ def complete_to_symplectic(gens: Sequence[BinaryVector], n: int) -> BinaryMatrix
     pairing with generator i alone and with no earlier partner.  Other
     valid frames are B times symplectic maps that fix the generator columns.
     """
-    return BinaryMatrix(tuple(_frame_columns(gens, n)), 2 * n).transpose()
+    return BinaryMatrix(tuple(_frame_columns(gens, n)[0]), 2 * n).transpose()
 
 
-def _frame_columns(gens: Sequence[BinaryVector], n: int) -> list[int]:
-    """`complete_to_symplectic`'s B as its columns: B^T, symplectic iff B is."""
+_Echelon = tuple[list[int], list[int]]  # `_rref`'s rows and pivots
+
+
+def _frame_columns(gens: Sequence[BinaryVector], n: int
+                   ) -> tuple[list[int], _Echelon, _Echelon]:
+    """`complete_to_symplectic`'s B as its columns (B^T, symplectic iff B
+    is), then the `_rref` of the generators' span and of their commutant,
+    which the checks and the null space have already built: columns
+    m..n-1 of B and columns 0..n+m-1."""
     k = len(gens)
     m = n - k
     if m < 0:
         raise ValueError("generator count must be at most n")
     two_n = 2 * n
-    if k and _check_generators(gens) != n:
-        raise ValueError("generator length does not match the pair count")
+    span: _Echelon = ([], [])
+    if k:
+        checked = _check_generators(gens)
+        if checked.length != two_n:
+            raise ValueError("generator length does not match the pair count")
+        span = (list(checked.basis), list(checked.pivots))
     values = [g.value for g in gens]
     solutions, work, pivots = _unit_solutions(
         [_swap_halves_value(v, n) for v in values], two_n)
+    commutant = (work, pivots)  # `_deflate` builds new lists
     # Partner i: x_i plus g_j for each earlier partner h_j it pairs with,
     # least in C; then C loses its part pairing with h_i.
     partners: list[int] = []
@@ -528,7 +541,7 @@ def _frame_columns(gens: Sequence[BinaryVector], n: int) -> list[int]:
 
     if not is_symplectic(BinaryMatrix(tuple(cols), two_n)):
         raise RuntimeError("symplectic completion failed its own postcondition")
-    return cols
+    return cols, span, commutant
 
 
 # ---------------------------------------------------------------------------

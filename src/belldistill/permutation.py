@@ -87,6 +87,18 @@ class PermutationProtocol:
         retyped.__dict__.update(vars(proto))
         return retyped
 
+    @functools.cached_property
+    def _frame(self) -> tuple[tuple[int, ...], gf2._Echelon, gf2._Echelon]:
+        """The frame B = A^-1 as its columns (the rows of P A P), then the
+        `gf2._rref` of the generator span (columns m..n-1) and of its
+        commutant (columns 0..n+m-1), for `stabilizer.name_by_syndrome`.
+        Computed on first use, or set by the generator protocol's
+        completion; no dataclass field, so equality, hashing and `repr`
+        do not read it."""
+        n, m = self.n, self.m
+        frame = gf2._form_conjugate(self.matrix.rows, n)
+        return frame, gf2._rref(frame[m:n], 2 * n), gf2._rref(frame[:n + m], 2 * n)
+
     @property
     def generators(self) -> tuple[BinaryVector, ...]:
         """Rows n+m+1 .. 2n of A*P, A's rows with halves swapped: independent

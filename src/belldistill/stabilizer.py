@@ -70,7 +70,9 @@ def pauli_letters(labels: np.ndarray, k: int) -> np.ndarray:
 class StabilizerProtocol(PermutationProtocol):
     """The `PermutationProtocol` (A, b) built from n-m independent commuting
     generator labels: A = B^-1 = P B^T P for their deterministic completion
-    B (`gf2._frame_columns`) and b = 0.  Row n+m+i of A is generator i with
+    B (`gf2._frame_columns`) and b = 0, holding B's columns and the
+    completion's echelons of the generator span and its commutant as the
+    protocol's `_frame`.  Row n+m+i of A is generator i with
     its halves swapped, so `generators` gives them back in order.  Equality,
     hashing and `repr` are the dataclass's, on (n, m, A, b) and the class:
     a generator protocol never equals the plain protocol of its (A, b)."""
@@ -82,9 +84,11 @@ class StabilizerProtocol(PermutationProtocol):
             raise ValueError("need 0 <= m <= n")
         if len(generators) != n - m:
             raise ValueError("generator count must equal n - m")
-        rows = gf2._form_conjugate(gf2._frame_columns(generators, n), n)
-        self.__dict__.update(n=n, m=m, matrix=BinaryMatrix(rows, 2 * n),
-                             offset=BinaryVector.zeros(2 * n))
+        columns, span, commutant = gf2._frame_columns(generators, n)
+        self.__dict__.update(n=n, m=m,
+                             matrix=BinaryMatrix(gf2._form_conjugate(columns, n), 2 * n),
+                             offset=BinaryVector.zeros(2 * n),
+                             _frame=(tuple(columns), span, commutant))
 
     @classmethod
     def from_pauli_strings(cls, strings: "list[str] | tuple[str, ...]",
@@ -155,9 +159,7 @@ def name_by_syndrome(branches: BranchSet, proto: PermutationProtocol) -> BranchS
     # rows of B^T = P A P, and B b is the XOR of those b selects.  Columns
     # m..n-1 are the generators; 0..n+m-1, all but their partners, span
     # the generators' symplectic complement.
-    frame = gf2._form_conjugate(proto.matrix.rows, n)
-    span = gf2._rref(frame[m:n], two_n)
-    perp = gf2._rref(frame[:n + m], two_n)
+    frame, span, perp = proto._frame
     pauli = gf2._combination(frame[::-1], proto.offset.value)
 
     def images(echelon, part, offset: int) -> np.ndarray:

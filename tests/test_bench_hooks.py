@@ -147,30 +147,60 @@ def test_tiny_benchmark_pass_checks_clean(tmp_path, workload):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("workload", ["wide", "deep"])
+@pytest.mark.parametrize("workload", ["wide", "deep", "suite"])
 def test_benchmark_ops_print_the_bytes_of_the_per_value_path(tmp_path, monkeypatch,
                                                               workload, fmt):
-    """Each seed-0 op of the workload, whose output spans several blocks,
-    exits and prints alike with its floats read off the digit tables and
-    with every block formatted value by value."""
+    """Each seed-0 op of the workload exits and prints alike with every
+    output on the block path, its floats read off the digit tables
+    (`cli._VALUE_MAX` 0), and with every output formatted value by value
+    (`cli._VALUE_MAX` infinite)."""
     from belldistill import cli
 
     blocks, decimals = [], []
-    tokens, decimal = cli._tokens, cli._decimal
-    monkeypatch.setattr(cli, "_tokens", lambda *args: blocks.append(1) or tokens(*args))
+    block_matrix, decimal = cli._block_matrix, cli._decimal
+    monkeypatch.setattr(cli, "_block_matrix",
+                        lambda *args: blocks.append(1) or block_matrix(*args))
     monkeypatch.setattr(cli, "_decimal", lambda *args: decimals.append(1) or decimal(*args))
-    cutoffs = (cli._BATCH_MIN, math.inf)
-    for op in load_workloads().build(workload, 0).ops:
+    spec = load_workloads().build(workload, 0)
+    load_workloads().write_files(spec, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for op in spec.ops:
         runs = []
-        for batch_min in cutoffs:
-            monkeypatch.setattr(cli, "_BATCH_MIN", batch_min)
+        for value_max in (0, math.inf):
+            monkeypatch.setattr(cli, "_VALUE_MAX", value_max)
             blocks.clear(), decimals.clear()
             output = tmp_path / f"{len(runs)}.out"
             code = cli.main([*op.argv, "--format", fmt, "--output", str(output)])
             runs.append((code, output.read_bytes(), len(blocks), len(decimals)))
-        (code, out, count, batched), (per_code, per_out, _, per_value) = runs
+        (code, out, count, batched), (per_code, per_out, per_block, per_value) = runs
         assert code == per_code == 0 and out == per_out, op.key
-        assert count > 1 and batched == count and per_value == 0, op.key
+        # a `wide` or `deep` output spans several blocks
+        assert count >= (1 if workload == "suite" else 2) and batched == count, op.key
+        assert per_block == per_value == 0, op.key
+
+
+def test_each_workload_takes_its_own_rendering_path(tmp_path, monkeypatch):
+    """Which path `cli._render` takes for the benchmark's ops, counted by
+    spies: every seed-0 `suite` op of at most 4 pairs (each prints fewer
+    than `cli._VALUE_MAX` floats) makes no `_block_matrix` call, and every
+    `wide` and `deep` op no `_text_records` call."""
+    from belldistill import cli
+
+    calls = []
+    for name in ("_block_matrix", "_text_records"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, call=getattr(cli, name):
+                            calls.append(name) or call(*args))
+    monkeypatch.chdir(tmp_path)
+    for workload in ("suite", "wide", "deep"):
+        spec = load_workloads().build(workload, 0)
+        load_workloads().write_files(spec, tmp_path)
+        for op in spec.ops:
+            if "/n5" in op.key or "/n6" in op.key:
+                continue
+            calls.clear()
+            assert cli.main([*op.argv, "--output", "out"]) == 0, op.key
+            path = "_text_records" if workload == "suite" else "_block_matrix"
+            assert calls and set(calls) == {path}, op.key
 
 
 def test_the_benchmark_oracle_op_holds_no_full_density_matrix(tmp_path):

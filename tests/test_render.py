@@ -1,11 +1,14 @@
 """The CLI renderer against the plain `json` and `csv` rendering it replaced.
 
-`cli._render` writes a command's records in blocks of rows, each block one
-byte matrix (`_block_matrix`) whose floats are formatted in one pass
-(`_tokens`: exact 15-digit decimals from `_decimal`, then 4-digit words
-from digit tables), and whose other values are rows of the per-value
-builder `_padded`, from columns: a record list transposed by `columns_of`,
-or an engine's branch set, whose outputs are one 2-D float column.
+`cli._render` writes an output of few floats as one string built value by
+value (`_text_records`, each float by `_float_token`), and a larger one in
+blocks of rows, each block one byte matrix (`_block_matrix`) whose floats
+are formatted in one pass (`_tokens`: exact 15-digit decimals from
+`_decimal`, then 4-digit words from digit tables), and whose other values
+are rows of the per-value builder `_padded`, from columns: a record list
+transposed by `columns_of`, or an engine's branch set, whose outputs are
+one 2-D float column.  The one-pass helpers below force the block path
+(`_VALUE_MAX` 0), however few floats they print.
 The reference here is the rendering that predates
 it: `json.dumps` of a list of records with every float rounded through
 `"%.15g"`, and per-value CSV cells, with every array turned into a list of
@@ -115,10 +118,11 @@ def records_of(arrays, scalar=0.5):
 
 
 def one_pass_tokens(values, fmt="csv"):
-    """The token the one-pass path prints for each entry, however few."""
+    """The token the one-pass path prints for each entry, however few: the
+    block path, forced by a size threshold of 0."""
     values = np.asarray(values, dtype=float)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_BATCH_MIN", 1)
+        patch.setattr(cli, "_VALUE_MAX", 0)
         text = _render("run-perm", {"x": values}, fmt, None)
     if fmt == "csv":
         return text.splitlines()[1:]
@@ -132,10 +136,11 @@ def mark_own_tokens(monkeypatch):
 
 def assert_tokens_as_reference(values):
     """The one-pass tokens of every entry, in JSON and CSV, against the
-    per-value reference: the entries as one array value."""
+    per-value reference: the entries as one array value, on the block path
+    however few they are."""
     values = np.asarray(values, dtype=float)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_BATCH_MIN", 1)
+        patch.setattr(cli, "_VALUE_MAX", 0)
         for fmt in ("json", "csv"):
             assert _render("run-perm", {"x": values[None, :]}, fmt, None) == \
                 reference("run-perm", [{"x": values}], fmt, None)
@@ -280,6 +285,19 @@ def test_one_pass_path_is_taken_for_probabilities(monkeypatch):
         assert one_pass_tokens([0.5, x]) == ["0.5", "None"]
 
 
+def test_nul_is_refused_alike_on_both_paths():
+    # NUL is the block matrix's padding, and the value-by-value path
+    # refuses it too, so the refusal does not depend on the output's size
+    columns = {"t": ["x", "a\0b"], "prob": np.array([0.5, 0.5])}
+    for value_max in (0, math.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_VALUE_MAX", value_max)
+            with pytest.raises(ValueError, match="^a CSV text cell cannot hold NUL$"):
+                _render("run-perm", columns, "csv", None)
+            assert json.loads(_render("run-perm", columns, "json", None))["records"][1] == \
+                {"t": "a\0b", "prob": 0.5}
+
+
 def arrays_of_one_size(elements):
     """1 to 3 float arrays of one size, 1 to 12."""
     return st.integers(1, 12).flatmap(lambda size: st.lists(
@@ -339,6 +357,41 @@ def test_any_finite_doubles_format_as_reference(values):
     min_value=-1e14, max_value=1e14, allow_subnormal=False)))
 def test_doubles_the_tables_print_format_as_reference(values):
     assert_tokens_as_reference(values)
+
+
+def reference_token(x, fmt):
+    """The token of one float as the reference prints it."""
+    x = clean(x)
+    return cell(x) if fmt == "csv" else json.dumps(x)
+
+
+def neighbours(x):
+    return [float(np.nextafter(x, -math.inf)), x, float(np.nextafter(x, math.inf))]
+
+
+# Where `_float_token` leaves "%.15g" for `_clean`, and where rounding to 15
+# digits reaches 1e14 (the bound) and 1e15 (where ".15g" turns to exponents).
+TOKEN_EDGES = [0.0, -0.0, 5e-324, *neighbours(cli._FAST_TINY), *neighbours(cli._FAST_MAX),
+               99999999999999.99, 99999999999999.95, 999999999999999.4,
+               999999999999999.5, *neighbours(1e15), 1e-5, 9.999999999999999e-05,
+               math.inf, -math.inf, math.nan]
+
+
+@given(st.one_of(st.floats(), st.sampled_from(TOKEN_EDGES + [-x for x in TOKEN_EDGES])),
+       st.sampled_from(["json", "csv"]))
+def test_float_token_is_the_clean_reference(x, fmt):
+    assert cli._float_token(x, fmt) == reference_token(x, fmt)
+
+
+def test_float_token_is_the_clean_reference_over_random_doubles():
+    # every bit pattern alike (all decades, subnormals, NaNs and infinities)
+    # and the edges with both signs
+    rng = np.random.default_rng(17)
+    values = rng.integers(0, 1 << 64, 20_000, dtype=np.uint64).view(float).tolist()
+    values += TOKEN_EDGES + [-x for x in TOKEN_EDGES]
+    for fmt in ("json", "csv"):
+        tokens = [cli._float_token(x, fmt) for x in values]
+        assert tokens == [reference_token(x, fmt) for x in values]
 
 
 def test_random_doubles_over_every_decade_format_as_reference():
@@ -445,7 +498,7 @@ def test_record_set_larger_than_one_chunk():
 
 def test_small_commands_take_the_per_value_path(monkeypatch):
     def refuse(*args):
-        raise AssertionError("one-pass path taken below _BATCH_MIN")
+        raise AssertionError("one-pass path taken below _VALUE_MAX")
 
     monkeypatch.setattr(cli, "_decimal", refuse)
     assert_renders_as_reference(records_of([np.array([0.25, 0.75])] * 3))
@@ -752,8 +805,9 @@ def test_final_block_below_the_per_value_cutoff(monkeypatch):
         records = records_of(arrays[:rows])
         assert _render("run-perm", columns_of(records), fmt, {"instances": rows}) == \
             reference("run-perm", records, fmt, {"instances": rows})
+        # the output is large, so its small last block takes the block path too
         assert sizes == [(rows - 1) * 21, 21]
-        assert sizes[1] < cli._BATCH_MIN
+        assert sizes[1] < cli._VALUE_MAX
         sizes.clear()
 
 

@@ -481,6 +481,45 @@ def test_generator_path_makes_no_strings_and_no_subspace(rng, monkeypatch):
             assert calls == {}
 
 
+def frame_from_matrix(proto):
+    """The frame `name_by_syndrome` reads, recomputed from (A, b) alone:
+    B = A^-1's columns, the RREF of the generators' span and that of
+    their symplectic complement, each its own `Subspace` here."""
+    n, m = proto.n, proto.m
+    columns = gf2.symplectic_inverse(proto.matrix).transpose().rows
+    span = Subspace.from_vectors(proto.generators, 2 * n)
+    perp = gf2.orthogonal_complement(span)
+    return columns, *((list(s.basis), list(s.pivots)) for s in (span, perp))
+
+
+def test_held_frame_equals_the_one_recomputed_from_the_matrix(rng, random_frame,
+                                                                 monkeypatch):
+    # A generator protocol holds the completion's echelons; a matrix
+    # protocol computes them on first use.  Neither is a field.
+    protocols = [StabilizerProtocol(3, 3, ()), PermutationProtocol.linear(
+        2, 2, BinaryMatrix.from_strings(["1100", "0100", "0010", "0011"]))]
+    for _ in range(30):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, n))
+        gens = tuple(gf2.random_isotropic_generators(n, n - m, rng))
+        code = StabilizerProtocol(n, m, gens)
+        b = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
+        protocols += [code, PermutationProtocol(n, m, code.matrix, b),
+                      stabilizer_from_permutation(PermutationProtocol.linear(
+                          n, m, gf2.symplectic_inverse(random_frame(gens, n, rng))))]
+    for proto in protocols:
+        assert proto._frame == frame_from_matrix(proto)
+        assert "_frame" not in repr(proto)
+    code = protocols[2]
+    assert isinstance(code, StabilizerProtocol) and "_frame" in vars(code)
+    assert code == StabilizerProtocol(code.n, code.m, code.generators)
+    # a generator protocol names its branches with no further row reduction
+    calls = []
+    monkeypatch.setattr(gf2, "_rref", lambda *args: calls.append(1))
+    run(BellDiagonalState.from_pairs([werner(0.8)] * code.n), code)
+    assert calls == []
+
+
 def test_branch_set_columns_equal_the_dense_oracle(rng):
     for n in (2, 3):
         for m in (0, 1, n):
