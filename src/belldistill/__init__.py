@@ -12,6 +12,7 @@ GF(2).  The package provides:
 * :mod:`belldistill.equivalence` - translation and cross-verification,
 * :mod:`belldistill.oracle` - dense small-system ground truth,
 * :mod:`belldistill.crosscheck` - randomized oracle comparison suites,
+* :mod:`belldistill.render` - the JSON and CSV output of a command,
 * :mod:`belldistill.cli` - the ``belldistill`` command.
 """
 

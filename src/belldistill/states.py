@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gf2
-from .gf2 import BinaryMatrix, BinaryVector
+from .gf2 import BinaryVector
 
 _SUM_TOLERANCE = 1e-9
 _NEGATIVE_TOLERANCE = 1e-12
@@ -179,29 +179,6 @@ class BellDiagonalState:
             return self
         idx = np.arange(len(self.probs), dtype=np.int64)
         return BellDiagonalState._trusted(self.n, self.probs[idx ^ np.int64(a.value)])
-
-    def permute(self, matrix: BinaryMatrix, offset: BinaryVector | None = None
-                ) -> "BellDiagonalState":
-        """Relabel x -> A x + b for a symplectic A.
-
-        Non-symplectic matrices are refused: only maps preserving the
-        commutation structure (A^T P A = P) are realizable by local
-        unitaries acting on the two sides.
-        """
-        two_n = 2 * self.n
-        if matrix.shape != (two_n, two_n):
-            raise ValueError("matrix shape does not match pair count")
-        if not gf2.is_symplectic(matrix):
-            raise ValueError(
-                "matrix is not symplectic (A^T P A != P): "
-                "this label map is not realizable by local unitaries")
-        b = 0 if offset is None else offset.value
-        if offset is not None and offset.length != two_n:
-            raise ValueError("offset length does not match pair count")
-        image = gf2.affine_images(matrix.column_values(), b)
-        out = np.empty_like(self.probs)
-        out[image] = self.probs
-        return BellDiagonalState._trusted(self.n, out)
 
     # -- serialization -------------------------------------------------------
 

@@ -61,9 +61,9 @@ def table_calls(monkeypatch) -> list[int]:
 @pytest.fixture
 def relabel():
     """A function giving the state relabeled x -> A x + b, every label
-    mapped by `BinaryMatrix.apply`: not by `BellDiagonalState.permute`,
-    which runs the kernel's own `gf2.affine_images`, so a dense oracle fed
-    this state shares no label map with the engines it checks."""
+    mapped by `BinaryMatrix.apply`: not by the kernel's own
+    `gf2.affine_images`, so a dense oracle fed this state shares no label
+    map with the engines it checks."""
     def relabeled(state: BellDiagonalState, matrix: BinaryMatrix,
                   offset: BinaryVector | None = None) -> BellDiagonalState:
         probs = np.empty_like(state.probs)

@@ -152,22 +152,22 @@ def test_benchmark_ops_print_the_bytes_of_the_per_value_path(tmp_path, monkeypat
                                                               workload, fmt):
     """Each seed-0 op of the workload exits and prints alike with every
     output on the block path, its floats read off the digit tables
-    (`cli._VALUE_MAX` 0), and with every output formatted value by value
-    (`cli._VALUE_MAX` infinite)."""
-    from belldistill import cli
+    (`render._VALUE_MAX` 0), and with every output formatted value by value
+    (`render._VALUE_MAX` infinite)."""
+    from belldistill import cli, render
 
     blocks, decimals = [], []
-    block_matrix, decimal = cli._block_matrix, cli._decimal
-    monkeypatch.setattr(cli, "_block_matrix",
+    block_matrix, decimal = render._block_matrix, render._decimal
+    monkeypatch.setattr(render, "_block_matrix",
                         lambda *args: blocks.append(1) or block_matrix(*args))
-    monkeypatch.setattr(cli, "_decimal", lambda *args: decimals.append(1) or decimal(*args))
+    monkeypatch.setattr(render, "_decimal", lambda *args: decimals.append(1) or decimal(*args))
     spec = load_workloads().build(workload, 0)
     load_workloads().write_files(spec, tmp_path)
     monkeypatch.chdir(tmp_path)
     for op in spec.ops:
         runs = []
         for value_max in (0, math.inf):
-            monkeypatch.setattr(cli, "_VALUE_MAX", value_max)
+            monkeypatch.setattr(render, "_VALUE_MAX", value_max)
             blocks.clear(), decimals.clear()
             output = tmp_path / f"{len(runs)}.out"
             code = cli.main([*op.argv, "--format", fmt, "--output", str(output)])
@@ -180,15 +180,15 @@ def test_benchmark_ops_print_the_bytes_of_the_per_value_path(tmp_path, monkeypat
 
 
 def test_each_workload_takes_its_own_rendering_path(tmp_path, monkeypatch):
-    """Which path `cli._render` takes for the benchmark's ops, counted by
+    """Which path `render.render` takes for the benchmark's ops, counted by
     spies: every seed-0 `suite` op of at most 4 pairs (each prints fewer
-    than `cli._VALUE_MAX` floats) makes no `_block_matrix` call, and every
+    than `render._VALUE_MAX` floats) makes no `_block_matrix` call, and every
     `wide` and `deep` op no `_text_records` call."""
-    from belldistill import cli
+    from belldistill import cli, render
 
     calls = []
     for name in ("_block_matrix", "_text_records"):
-        monkeypatch.setattr(cli, name, lambda *args, name=name, call=getattr(cli, name):
+        monkeypatch.setattr(render, name, lambda *args, name=name, call=getattr(render, name):
                             calls.append(name) or call(*args))
     monkeypatch.chdir(tmp_path)
     for workload in ("suite", "wide", "deep"):

@@ -8,9 +8,13 @@ nothing else in the package builds one.  `verify_equivalence` names the
 permutation engine's branches by syndrome with the step `stabilizer.run`
 takes (`name_by_syndrome`), so it builds no second table.  Each CLI
 option is declared once: `cli.build_parser` is the one caller of
-`add_argument`.  A block's floats are turned into token words in one
-function, `cli._tokens`, the one caller of `_decimal`, and the digit tables
-are built in one, `cli._tables`.  The dense oracle contracts with matrix
+`add_argument`.  Output is rendered by one module, `render`, which reads no
+other module of the package, through one entry, `render.render`, which
+only `cli._emit` calls.  A value printed on its own goes through one
+formatter, `render._values`, and no `json.dumps` call passes `indent`.  A
+block's floats are turned into token words in one function,
+`render._tokens`, the one caller of `_decimal`, and the digit tables are
+built in one, `render._tables`.  The dense oracle contracts with matrix
 products: nothing in the package calls `np.einsum`, and nothing forms the
 whole density matrix (`oracle.density_matrix` is the tests' reference).  A
 generator protocol is the permutation protocol (A, b) it names, so `cli`
@@ -96,8 +100,31 @@ def test_options_are_added_to_the_parser_in_one_place():
 
 def test_floats_become_tokens_in_one_function():
     found = package_callers()
-    assert found["_decimal"] == {"cli._tokens"}
-    assert found["_digits"] == {"cli._tables"}
+    assert found["_decimal"] == {"render._tokens"}
+    assert found["_digits"] == {"render._tables"}
+
+
+def test_the_renderer_is_one_module_behind_one_entry():
+    tree = ast.parse((Path(belldistill.__file__).parent / "render.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.split(".")[0] == "belldistill")]
+    imports += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.split(".")[0] == "belldistill"]
+    assert imports == []
+    found = package_callers()
+    assert found["render"] == {"cli._emit"}
+    # one value formatter: a float printed on its own goes through it or
+    # through the block path's token builder
+    assert found["_float_token"] == {"render._values", "render._tokens"}
+
+
+def test_no_json_dumps_call_lays_out_with_an_indent():
+    # `indent=` sends json.dumps to its pure-Python encoder
+    for path in Path(belldistill.__file__).parent.glob("*.py"):
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dumps"
+                 and any(keyword.arg == "indent" for keyword in node.keywords)]
+        assert calls == [], path.name
 
 
 def test_the_package_makes_no_einsum_call():

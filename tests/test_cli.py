@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from belldistill import cli, equivalence, gf2, permutation, stabilizer
+from belldistill import cli, equivalence, gf2, permutation, render, stabilizer
 from belldistill.cli import _OPTIONS, MAX_RECORDS, build_parser, main
 from belldistill.states import BellDiagonalState, werner
 
@@ -463,6 +463,16 @@ def test_two_inputs_rejected(capsys):
                           "--werner", "0.75", "--pair", "1,0,0,0")
     assert code == 1
     assert "exactly one input" in err
+
+
+def test_pair_that_is_not_four_numbers_names_the_option(tmp_path, capsys):
+    # float's own refusal, "could not convert string to float: 'a'", names none
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"generators": "ZZ", "pair": "0.7,x,0.1,0.1"}))
+    for argv, pair in ((["--generators", "ZZ", "--pair", "a,b,c,d"], "a,b,c,d"),
+                       (["--config", str(config)], "0.7,x,0.1,0.1")):
+        assert invoke(capsys, "run-perm", *argv) == \
+            (1, "", f"error: --pair needs four numbers, got {pair!r}\n")
 
 
 def test_two_protocols_rejected(capsys):
@@ -998,7 +1008,7 @@ def test_float_tokens_of_a_full_block_hold_few_bytes_a_float(fmt):
     probabilities, the returned tokens (24 bytes a float here) included:
     at most 80 bytes a float, where it was 125 before the kernel read
     per-exponent tables and freed each array as soon as it was read."""
-    values = np.random.default_rng(0).random(cli._BLOCK_BYTES // cli._FLOAT_BYTES)
-    cli._tokens(values, fmt)  # the digit tables are built once
-    peak = traced_peak(lambda: cli._tokens(values, fmt))
+    values = np.random.default_rng(0).random(render._BLOCK_BYTES // render._FLOAT_BYTES)
+    render._tokens(values, fmt)  # the digit tables are built once
+    peak = traced_peak(lambda: render._tokens(values, fmt))
     assert peak <= 80 * values.size, peak / values.size

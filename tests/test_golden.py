@@ -159,6 +159,7 @@ CASES = {
     "refuse-sizes-without-random": ["verify", "--generators", "ZZ", "--werner",
                                     "0.75", "--sizes", "2"],
     "refuse-negative-seed": ["verify", "--random", "3", "--seed", "-1"],
+    "refuse-pair-not-numbers": ["run-perm", "--generators", "ZZ", "--pair", "a,b,c,d"],
     "refuse-protocol-unknown-key": ["run-perm", "--protocol-file", "{perm-unknown-key.json}",
                                     "--werner", "0.75"],
     "refuse-state-unknown-key": ["run-code", "--generators", "ZZ", "--state-file",

@@ -1,6 +1,6 @@
-"""The CLI renderer against the plain `json` and `csv` rendering it replaced.
+"""The renderer against the plain `json` and `csv` rendering it replaced.
 
-`cli._render` writes an output of few floats as one string built value by
+`render.render` writes an output of few floats as one string built value by
 value (`_text_records`, each float by `_float_token`), and a larger one in
 blocks of rows, each block one byte matrix (`_block_matrix`) whose floats
 are formatted in one pass (`_tokens`: exact 15-digit decimals from
@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from belldistill import cli, equivalence, gf2, permutation, stabilizer
+from belldistill import cli, equivalence, gf2, permutation, render, stabilizer
 from belldistill.gf2 import BinaryMatrix
 from belldistill.permutation import PermutationProtocol
 from belldistill.stabilizer import StabilizerProtocol, to_pauli_string
@@ -73,9 +73,9 @@ def reference(command, records, fmt, summary):
 
 
 def _render(command, columns, fmt, summary):
-    """The text `cli._render` writes, decoded."""
+    """The text `render.render` writes, decoded."""
     out = io.BytesIO()
-    cli._render(out.write, command, columns, fmt, summary)
+    render.render(out.write, command, columns, fmt, summary)
     return out.getvalue().decode()
 
 
@@ -122,7 +122,7 @@ def one_pass_tokens(values, fmt="csv"):
     block path, forced by a size threshold of 0."""
     values = np.asarray(values, dtype=float)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_VALUE_MAX", 0)
+        patch.setattr(render, "_VALUE_MAX", 0)
         text = _render("run-perm", {"x": values}, fmt, None)
     if fmt == "csv":
         return text.splitlines()[1:]
@@ -131,7 +131,7 @@ def one_pass_tokens(values, fmt="csv"):
 
 def mark_own_tokens(monkeypatch):
     """Make entries formatted on their own print as None."""
-    monkeypatch.setattr(cli, "_float_token", lambda x, fmt: "None")
+    monkeypatch.setattr(render, "_float_token", lambda x, fmt: "None")
 
 
 def assert_tokens_as_reference(values):
@@ -140,7 +140,7 @@ def assert_tokens_as_reference(values):
     however few they are."""
     values = np.asarray(values, dtype=float)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_VALUE_MAX", 0)
+        patch.setattr(render, "_VALUE_MAX", 0)
         for fmt in ("json", "csv"):
             assert _render("run-perm", {"x": values[None, :]}, fmt, None) == \
                 reference("run-perm", [{"x": values}], fmt, None)
@@ -201,7 +201,7 @@ def test_csv_text_cell_holding_nul_is_refused():
         assert json.loads(_render("run-perm", {"t": [text]}, "json", None)) == \
             {"command": "run-perm", "records": [{"t": text}]}
     with pytest.raises(ValueError, match="NUL"):
-        cli._padded(["x", "\0"], 0)
+        render._padded(["x", "\0"], 0)
 
 
 def test_keys_with_control_bytes_render_as_reference():
@@ -242,8 +242,12 @@ def test_scalars_the_direct_path_refuses():
     for rec, value in zip(records * 5, (float("nan"), float("inf"), -float("inf"),
                                        np.float64(1 / 3), None)):
         rec["prob"] = value
+    # a text column holding an empty list, and null and a comma in a list
+    records.append(dict(records[0], generators=[None, "a,b"]))
+    records[0]["generators"] = []
     summary = {"big": 1 << 70, "negative": -3, "none": None, "nan": float("nan"),
-               "floats": [float("-inf"), np.float64(2 / 3), 1e16, -0.0]}
+               "floats": [float("-inf"), np.float64(2 / 3), 1e16, -0.0],
+               "empty list": [], "empty dict": {}, "nested": [[0.5, [], ["x"]], []]}
     assert_renders_as_reference(records, summary)
 
 
@@ -291,7 +295,7 @@ def test_nul_is_refused_alike_on_both_paths():
     columns = {"t": ["x", "a\0b"], "prob": np.array([0.5, 0.5])}
     for value_max in (0, math.inf):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_VALUE_MAX", value_max)
+            patch.setattr(render, "_VALUE_MAX", value_max)
             with pytest.raises(ValueError, match="^a CSV text cell cannot hold NUL$"):
                 _render("run-perm", columns, "csv", None)
             assert json.loads(_render("run-perm", columns, "json", None))["records"][1] == \
@@ -369,9 +373,10 @@ def neighbours(x):
     return [float(np.nextafter(x, -math.inf)), x, float(np.nextafter(x, math.inf))]
 
 
-# Where `_float_token` leaves "%.15g" for `_clean`, and where rounding to 15
+# Where `_float_token` leaves "%.15g" for its rounding, and where rounding to 15
 # digits reaches 1e14 (the bound) and 1e15 (where ".15g" turns to exponents).
-TOKEN_EDGES = [0.0, -0.0, 5e-324, *neighbours(cli._FAST_TINY), *neighbours(cli._FAST_MAX),
+TOKEN_EDGES = [0.0, -0.0, 5e-324, *neighbours(render._FAST_TINY),
+               *neighbours(render._FAST_MAX),
                99999999999999.99, 99999999999999.95, 999999999999999.4,
                999999999999999.5, *neighbours(1e15), 1e-5, 9.999999999999999e-05,
                math.inf, -math.inf, math.nan]
@@ -380,7 +385,7 @@ TOKEN_EDGES = [0.0, -0.0, 5e-324, *neighbours(cli._FAST_TINY), *neighbours(cli._
 @given(st.one_of(st.floats(), st.sampled_from(TOKEN_EDGES + [-x for x in TOKEN_EDGES])),
        st.sampled_from(["json", "csv"]))
 def test_float_token_is_the_clean_reference(x, fmt):
-    assert cli._float_token(x, fmt) == reference_token(x, fmt)
+    assert render._float_token(x, fmt) == reference_token(x, fmt)
 
 
 def test_float_token_is_the_clean_reference_over_random_doubles():
@@ -390,7 +395,7 @@ def test_float_token_is_the_clean_reference_over_random_doubles():
     values = rng.integers(0, 1 << 64, 20_000, dtype=np.uint64).view(float).tolist()
     values += TOKEN_EDGES + [-x for x in TOKEN_EDGES]
     for fmt in ("json", "csv"):
-        tokens = [cli._float_token(x, fmt) for x in values]
+        tokens = [render._float_token(x, fmt) for x in values]
         assert tokens == [reference_token(x, fmt) for x in values]
 
 
@@ -429,22 +434,22 @@ def test_exact_half_way_ties_take_the_correctly_rounded_path(monkeypatch):
         exp = int(format(x, ".0e").split("e")[1])
         assert (Fraction(x) * Fraction(10) ** (14 - exp)).denominator == 2
     taken = []
-    real = cli._float_token
+    real = render._float_token
 
     def spy(x, fmt):
         taken.append(x)
         return real(x, fmt)
 
-    monkeypatch.setattr(cli, "_float_token", spy)
+    monkeypatch.setattr(render, "_float_token", spy)
     assert_tokens_as_reference(ties + [0.25, 1 / 3])
     assert set(ties) <= set(taken)
-    if cli._WIDE_LONGDOUBLE:
+    if render._WIDE_LONGDOUBLE:
         assert not {0.25, 1 / 3} & set(taken)
     assert one_pass_tokens([1 + 2.0 ** -15]) == ["1.00003051757812"]
 
 
 
-@pytest.mark.skipif(not cli._WIDE_LONGDOUBLE,
+@pytest.mark.skipif(not render._WIDE_LONGDOUBLE,
                     reason="the digit tables need a 64-bit-significand long double")
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("masked", [np.nextafter(1e14, 0), np.nextafter(1e5, 0)])
@@ -453,11 +458,11 @@ def test_a_masked_entry_does_not_widen_the_tokens_of_its_block(fmt, masked):
     # and their tokens are formatted on their own; sizing the integer words
     # by their M and e made the rows 36 and 28 bytes wide
     values = np.full(100, 0.25)
-    assert cli._tokens(values, fmt).shape == (100, 24)
+    assert render._tokens(values, fmt).shape == (100, 24)
     values[7] = masked
-    tokens = cli._tokens(values, fmt)
+    tokens = render._tokens(values, fmt)
     assert tokens.shape == (100, 24)
-    assert bytes(tokens[7]).strip(b"\0").decode() == cli._float_token(masked, fmt)
+    assert bytes(tokens[7]).strip(b"\0").decode() == render._float_token(masked, fmt)
 
 def test_largest_mantissa_splits_exactly_at_every_fixed_point_place():
     # M = 10^15 - 1 at exponents 0 .. -4, printed with 14 .. 18 places:
@@ -488,11 +493,11 @@ def test_record_set_larger_than_one_chunk():
     rng = np.random.default_rng(3)
     # 3000 entries a record, so that the records span several blocks
     arrays = [rng.random(3000) ** 4
-              for _ in range(cli._BLOCK_BYTES // (3000 * cli._FLOAT_BYTES) + 3)]
+              for _ in range(render._BLOCK_BYTES // (3000 * render._FLOAT_BYTES) + 3)]
     arrays[1][17] = float("nan")
     arrays[-1][-1] = 1e15
     records = records_of(arrays, scalar=0.125)
-    assert sum(a.size for a in arrays) * cli._FLOAT_BYTES > cli._BLOCK_BYTES
+    assert sum(a.size for a in arrays) * render._FLOAT_BYTES > render._BLOCK_BYTES
     assert_renders_as_reference(records)
 
 
@@ -500,13 +505,13 @@ def test_small_commands_take_the_per_value_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("one-pass path taken below _VALUE_MAX")
 
-    monkeypatch.setattr(cli, "_decimal", refuse)
+    monkeypatch.setattr(render, "_decimal", refuse)
     assert_renders_as_reference(records_of([np.array([0.25, 0.75])] * 3))
 
 
 # `_tokens` reads digits off `_decimal` only where long double has a 64-bit
 # significand, which `_decimal` and its powers of ten need.
-wide_long_double = pytest.mark.skipif(not cli._WIDE_LONGDOUBLE,
+wide_long_double = pytest.mark.skipif(not render._WIDE_LONGDOUBLE,
                                       reason="needs a 64-bit-significand long double")
 
 
@@ -522,7 +527,7 @@ def assert_decimal_correctly_rounded(values, masked):
     correctly rounded "%.14e", and masks every entry of `masked`; every
     token, masked or not, is the per-value reference's."""
     values = np.array(values, dtype=float)
-    mant, exp, inexact = cli._decimal(values)
+    mant, exp, inexact = render._decimal(values)
     texts = ["%.14e" % x for x in values.tolist()]
     exact = np.flatnonzero(~inexact)
     assert mant[exact].tolist() == [int(texts[i][0] + texts[i][2:16]) for i in exact]
@@ -534,8 +539,8 @@ def assert_decimal_correctly_rounded(values, masked):
 @wide_long_double
 def test_decimal_at_the_edges_of_the_half_way_window():
     # Found by a search over random doubles in [1e-3, 1e3].
-    unit = Fraction(1, 2 ** cli._FRAC_BITS)
-    window = cli._HALF_WINDOW * unit
+    unit = Fraction(1, 2 ** render._FRAC_BITS)
+    window = render._HALF_WINDOW * unit
     inside = [910.2558559602885, 897.9169953068415, 758.4036120930175]
     # Just beyond where the product's error, under half a unit, could move
     # the truncated fraction into the window: more than half a unit below
@@ -554,9 +559,9 @@ def test_decimal_at_the_edges_of_the_half_way_window():
     signed = {x: scaled(x) % 1 - Fraction(1, 2) for x in outside}
     assert all(-window - unit < signed[x] < -window - unit / 2 for x in below)
     assert all(window + 3 * unit / 2 < signed[x] < window + 2 * unit for x in above)
-    assert not cli._decimal(np.array(outside))[2].any()  # digits compared with "%.14e"
+    assert not render._decimal(np.array(outside))[2].any()  # digits compared with "%.14e"
     for x in flipped:
-        product = np.longdouble(x) * cli._tables().pow10[14 - math.floor(math.log10(x))]
+        product = np.longdouble(x) * render._tables().pow10[14 - math.floor(math.log10(x))]
         assert (Fraction(*product.as_integer_ratio()) % 1 >= Fraction(1, 2)) != \
             (scaled(x) % 1 > Fraction(1, 2)), x
     assert_decimal_correctly_rounded(inside + outside + edge + flipped, inside + flipped)
@@ -577,12 +582,12 @@ def test_decimal_just_below_powers_of_ten():
     missed = [x for x in values if Fraction(x) < Fraction(10) ** math.floor(np.log10(x))]
     assert carried and missed
     assert_decimal_correctly_rounded(values, missed)
-    assert not cli._decimal(np.array(carried))[2].all()  # some carries are unmasked
+    assert not render._decimal(np.array(carried))[2].all()  # some carries are unmasked
 
 
 @wide_long_double
 def test_pow10_table_is_correctly_rounded():
-    for k, power in enumerate(cli._tables().pow10):
+    for k, power in enumerate(render._tables().pow10):
         num, den = power.as_integer_ratio()
         exact = 10 ** k
         assert den == 1
@@ -606,7 +611,7 @@ def reference_digits(count, width, pad):
 @pytest.mark.parametrize("pad", ["", "lead", "units", "trim"])
 def test_digit_tables_equal_the_per_value_builder(width, pad):
     # The fraction's 3-digit groups are read off the first 1000 rows.
-    digits = cli._digits()[pad]
+    digits = render._digits()[pad]
     assert digits.dtype == np.uint8 and digits.flags.c_contiguous
     assert np.array_equal(digits[:10 ** width, 4 - width:],
                           reference_digits(10 ** width, width, pad))
@@ -615,21 +620,21 @@ def test_digit_tables_equal_the_per_value_builder(width, pad):
 @wide_long_double
 def test_pow10_table_equals_the_conversion_of_exact_integers():
     exact = np.array([10 ** k for k in range(340)], dtype=np.longdouble)
-    assert np.array_equal(cli._tables().pow10, exact)
+    assert np.array_equal(render._tables().pow10, exact)
 
 
 @wide_long_double
 def test_per_exponent_tables_equal_their_scalar_definitions():
     # Every exponent of a positive normal double below _FAST_MAX, and 14,
     # which rounding up reaches.
-    tables = cli._tables()
-    low = math.floor(math.log10(cli._FAST_TINY))
-    high = len(str(int(np.nextafter(cli._FAST_MAX, 0))))  # its digits: 1 + 13
+    tables = render._tables()
+    low = math.floor(math.log10(render._FAST_TINY))
+    high = len(str(int(np.nextafter(render._FAST_MAX, 0))))  # its digits: 1 + 13
     assert (low, high) == (-308, 14)
     for e in range(low, high + 1):
-        assert cli._EXPONENTS[e] == e  # each table is read at index e
+        assert render._EXPONENTS[e] == e  # each table is read at index e
         places = 14 if e < -4 else 14 - e  # the fraction's digits in "%.15g"
-        assert tables.scale[e] == tables.pow10[14 - e] * np.longdouble(2) ** cli._FRAC_BITS
+        assert tables.scale[e] == tables.pow10[14 - e] * np.longdouble(2) ** render._FRAC_BITS
         assert tables.divisor[e] == 10 ** places
         assert tables.shift[e] == 10 ** (18 - places)
         # the words after the fraction's groups, read at code + 1000 where
@@ -673,13 +678,13 @@ GENERATORS8 = "XXIIIIII,ZZIIIIII,IIXXIIII,IIIIZZII"
 def spy_decimal(monkeypatch):
     """Record the entries the one-pass path reads digits of, a block at a time."""
     entries = []
-    decimal = cli._decimal
+    decimal = render._decimal
 
     def count(values):
         entries.append(values.size)
         return decimal(values)
 
-    monkeypatch.setattr(cli, "_decimal", count)
+    monkeypatch.setattr(render, "_decimal", count)
     return entries
 
 
@@ -746,7 +751,7 @@ def test_cli_output_without_a_wide_long_double(monkeypatch, capsys, fmt):
             "--format", fmt]
     assert cli.main(argv) == 0
     wide = capsys.readouterr().out
-    monkeypatch.setattr(cli, "_WIDE_LONGDOUBLE", False)
+    monkeypatch.setattr(render, "_WIDE_LONGDOUBLE", False)
     calls = spy_decimal(monkeypatch)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == wide
@@ -760,19 +765,19 @@ def test_cli_output_without_a_wide_long_double(monkeypatch, capsys, fmt):
 def spy_blocks(monkeypatch):
     """Record the floats of each block `_render` formats."""
     sizes = []
-    tokens = cli._tokens
+    tokens = render._tokens
 
     def count(values, *args):
         sizes.append(values.size)
         return tokens(values, *args)
 
-    monkeypatch.setattr(cli, "_tokens", count)
+    monkeypatch.setattr(render, "_tokens", count)
     return sizes
 
 
 # Floats in each record of `records_of` arrays of this size, so that three
 # records fill a block.
-WIDE = cli._BLOCK_BYTES // (3 * cli._FLOAT_BYTES) - 100 + 1
+WIDE = render._BLOCK_BYTES // (3 * render._FLOAT_BYTES) - 100 + 1
 
 
 def test_record_count_the_block_size_does_not_divide(monkeypatch):
@@ -795,7 +800,7 @@ def test_values_formatted_on_their_own_in_a_later_block(monkeypatch):
 
 def test_final_block_below_the_per_value_cutoff(monkeypatch):
     sizes = spy_blocks(monkeypatch)
-    arrays = [np.linspace(0.0, 1.0, 20) / (i + 1) for i in range(cli._BLOCK_BYTES // 400)]
+    arrays = [np.linspace(0.0, 1.0, 20) / (i + 1) for i in range(render._BLOCK_BYTES // 400)]
     for fmt in ("json", "csv"):
         # the records a full block holds, then one more: a final block of one
         _render("run-perm", columns_of(records_of(arrays)), fmt, None)
@@ -807,14 +812,14 @@ def test_final_block_below_the_per_value_cutoff(monkeypatch):
             reference("run-perm", records, fmt, {"instances": rows})
         # the output is large, so its small last block takes the block path too
         assert sizes == [(rows - 1) * 21, 21]
-        assert sizes[1] < cli._VALUE_MAX
+        assert sizes[1] < render._VALUE_MAX
         sizes.clear()
 
 
 def test_rows_wider_than_a_block_are_one_block_each(monkeypatch):
     sizes = spy_blocks(monkeypatch)
     rng = np.random.default_rng(12)
-    width = cli._BLOCK_BYTES // cli._FLOAT_BYTES + 100
+    width = render._BLOCK_BYTES // render._FLOAT_BYTES + 100
     arrays = [rng.random(width) for _ in range(3)]
     arrays[1][-1] = float("nan")
     assert_renders_as_reference(records_of(arrays), {"passed": False})
@@ -865,25 +870,28 @@ def test_text_fields_count_their_rendered_width_in_a_block(monkeypatch, fmt):
                 "max_discrepancy": float(rng.random() * 1e-15)}
                for i, k in enumerate(rng.integers(1, 7, 5000).tolist())]
     sizes, cells = [], []
-    block_matrix = cli._block_matrix
-    text_cell = cli._json if fmt == "json" else cli._csv_cell
+    block_matrix = render._block_matrix
+    text_cell = render._values if fmt == "json" else render._csv_cell
 
     def spy_block(*args):
         block = block_matrix(*args)
         sizes.append(len(block))
         return block
 
-    def spy_cell(value, *args, **kwargs):
-        cells.append(value)
-        return text_cell(value, *args, **kwargs)
+    def spy_cell(*args):
+        # JSON: the formatter at a record value's indent (a list's entries
+        # are formatted deeper); CSV: the quoting of a text cell
+        if fmt == "csv" or args[1] == "      ":
+            cells.append(args)
+        return text_cell(*args)
 
-    monkeypatch.setattr(cli, "_block_matrix", spy_block)
-    monkeypatch.setattr(cli, "_json" if fmt == "json" else "_csv_cell", spy_cell)
+    monkeypatch.setattr(render, "_block_matrix", spy_block)
+    monkeypatch.setattr(render, "_values" if fmt == "json" else "_csv_cell", spy_cell)
     assert _render("verify", columns_of(records), fmt, None) == \
         reference("verify", records, fmt, None)
-    assert len(sizes) > 1 and max(sizes) <= 1.1 * cli._BLOCK_BYTES
-    # each text cell rendered once (CSV: the header's keys too)
-    assert len(cells) == 4 * len(records) + (len(records[0]) if fmt == "csv" else 0)
+    assert len(sizes) > 1 and max(sizes) <= 1.1 * render._BLOCK_BYTES
+    # each text cell rendered once
+    assert len(cells) == 4 * len(records)
 
 
 CHAIN13 = ",".join("I" * i + "ZZ" + "I" * (11 - i) for i in range(12))
@@ -907,18 +915,21 @@ def test_nan_output_gaps_in_a_verify_block_of_many_records(monkeypatch, capsys, 
         "n", "m", "subspaces_match", "branch_sets_match", "coset_match",
         "max_discrepancy", "tolerance", "passed")}
     blocks, own = spy_decimal(monkeypatch), []
-    float_token = cli._float_token
+    float_token = render._float_token
 
     def spy(x, fmt):
         own.append(x)
         return float_token(x, fmt)
 
-    monkeypatch.setattr(cli, "_float_token", spy)
+    monkeypatch.setattr(render, "_float_token", spy)
     assert cli.main(["verify", "--generators", CHAIN13, "--werner", "0.8",
                      "--format", fmt]) == 2
     assert capsys.readouterr().out == reference("verify", records, fmt, summary)
     assert len(records) == 4096 and len(blocks) > 1
-    assert len(own) == 2 and all(map(math.isnan, own))
+    # the summary's floats, formatted first, then the two gaps in the blocks
+    summary_floats = [summary["max_discrepancy"], summary["tolerance"]] if fmt == "json" else []
+    assert len(own) == len(summary_floats) + 2 and own[:-2] == summary_floats
+    assert all(map(math.isnan, own[-2:]))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import belldistill
 
-SETTABLE_VALUES = 9
+SETTABLE_VALUES = 8
 
 
 def settable_values(source: str) -> int:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from belldistill import gf2
-from belldistill.gf2 import BinaryMatrix, BinaryVector
+from belldistill.gf2 import BinaryVector
 from belldistill.states import (BellDiagonalState, random_bell_diagonal, werner,
                                 werner_pair)
 
@@ -234,43 +234,6 @@ def test_shift_moves_max_weight_to_fidelity(rng):
 def test_shift_length_mismatch(werner2):
     with pytest.raises(ValueError):
         werner2.pauli_shift(vec("01"))
-
-
-# ---------------------------------------------------------------------------
-# permute
-# ---------------------------------------------------------------------------
-
-def test_permute_identity(werner2):
-    eye = BinaryMatrix.identity(4)
-    assert np.array_equal(werner2.permute(eye).probs, werner2.probs)
-
-
-def test_permute_identity_with_offset_is_relabel(werner2):
-    eye = BinaryMatrix.identity(4)
-    b = vec("0110")
-    moved = werner2.permute(eye, b)
-    assert np.array_equal(moved.probs, werner2.pauli_shift(b).probs)
-
-
-def test_permute_bcnot_fixes_zero_label(bcnot, werner2):
-    assert werner2.permute(bcnot).prob(vec("0000")) == pytest.approx(9 / 16)
-
-
-def test_permute_preserves_multiset_and_inverts(rng):
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        state = random_bell_diagonal(n, rng)
-        a = gf2.random_symplectic(n, rng)
-        moved = state.permute(a)
-        assert sorted(moved.probs) == pytest.approx(sorted(state.probs))
-        back = moved.permute(gf2.symplectic_inverse(a))
-        assert np.array_equal(back.probs, state.probs)  # exact, no drift
-
-
-def test_permute_rejects_non_symplectic(werner2):
-    bad = BinaryMatrix.from_strings(["1100", "0100", "0010", "0010"])
-    with pytest.raises(ValueError, match="symplectic"):
-        werner2.permute(bad)
 
 
 # ---------------------------------------------------------------------------
