@@ -106,11 +106,11 @@ def test_floats_become_tokens_in_one_function():
 
 def test_the_renderer_is_one_module_behind_one_entry():
     tree = ast.parse((Path(belldistill.__file__).parent / "render.py").read_text())
-    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-               and (node.level or node.module.split(".")[0] == "belldistill")]
-    imports += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names if alias.name.split(".")[0] == "belldistill"]
-    assert imports == []
+    names = ["." * node.level + (node.module or "") for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)]
+    names += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+              for alias in node.names]
+    assert [name for name in names if name.startswith((".", "belldistill"))] == []
     found = package_callers()
     assert found["render"] == {"cli._emit"}
     # one value formatter: a float printed on its own goes through it or
