@@ -56,7 +56,7 @@ def _branch_error(engine: BranchSet, dense: BranchSet) -> float:
     in label order): probability, output and the oracle's off-diagonal
     weight, or the probability of a branch only one side has (for the
     oracle, dust from a branch of exact probability zero)."""
-    _, e, in_engine, d, in_dense = align(engine.t, dense.t)
+    _, (e, d), (in_engine, in_dense) = align(engine.t, dense.t)
     output_diff = np.abs(engine.output[e] - dense.output[d])
     gaps = np.maximum.reduce([np.abs(engine.prob[e] - dense.prob[d]),
                               dense.bell_offdiag[d], output_diff.max(axis=1)])

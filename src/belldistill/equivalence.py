@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import gf2, permutation, stabilizer
-from .permutation import BranchSet, PermutationProtocol, _embed_value, align
+from .permutation import BranchSet, PermutationProtocol, align
 from .stabilizer import StabilizerProtocol
 from .states import BellDiagonalState, random_bell_diagonal
 
@@ -84,19 +84,20 @@ def verify_equivalence(state: BellDiagonalState, proto: PermutationProtocol,
     n, m = proto.n, proto.m
     perm = permutation.run(state, proto, threshold)
     code = stabilizer.name_by_syndrome(perm, proto)
-    t, p, in_perm, c, in_code = align(perm.t, code.s)
+    t, (p, c), (in_perm, in_code) = align(perm.t, code.s)
     both = in_perm & in_code
     prob_perm = np.where(in_perm, perm.prob[p], 0.0)
     prob_code = np.where(in_code, code.prob[c], 0.0)
     fidelity_perm = np.where(in_perm, perm.fidelity[p], 0.0)
     fidelity_code = np.where(in_code, code.fidelity[c], 0.0)
-    output_diff = np.where(both, np.abs(perm.output[p] - code.output[c]).max(axis=1),
-                           np.nan)
-    moved = (proto.matrix.apply(code.u[c]) ^ proto.offset.value
-             ^ _embed_value(perm.correction[p], t, n, m))
-    coset_match = both & ((moved & ~(((1 << (n - m)) - 1) << n)) == 0)
-    gaps = np.maximum.reduce([np.abs(prob_perm - prob_code),
-                              np.abs(fidelity_perm - fidelity_code), output_diff])
+    output_gap = np.abs(perm.output[p] - code.output[c]).max(axis=1)
+    # A u + b on the rows outside m..n-1, where embed(c, t) reads c, then t
+    b = proto.offset.value
+    kept = gf2.BinaryMatrix(proto.matrix.rows[:m] + proto.matrix.rows[n:], 2 * n)
+    moved = kept.apply(code.u[c]) ^ (((b >> (2 * n - m)) << n) | (b & ((1 << n) - 1)))
+    coset_match = both & (moved == ((perm.correction[p] << (n - m)) | t))
+    gaps = np.maximum(np.maximum(np.abs(prob_perm - prob_code),
+                                 np.abs(fidelity_perm - fidelity_code)), output_gap)
     discrepancy = np.where(both, gaps, prob_perm + prob_code)
 
     return EquivalenceReport(
@@ -108,10 +109,10 @@ def verify_equivalence(state: BellDiagonalState, proto: PermutationProtocol,
             "prob_code": prob_code,
             "fidelity_perm": fidelity_perm,
             "fidelity_code": fidelity_code,
-            "output_max_diff": output_diff,
+            "output_max_diff": np.where(both, output_gap, np.nan),
             "coset_match": coset_match,
         }),
-        branch_sets_match=np.array_equal(perm.t, code.s),
+        branch_sets_match=t.size == perm.t.size == code.s.size,  # no label one-sided
         coset_match=bool(coset_match.all()),
         max_discrepancy=float(discrepancy.max(initial=0.0)),
     )

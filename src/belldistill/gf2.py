@@ -24,10 +24,6 @@ import numpy as np
 MAX_PAIRS = 14
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 @dataclass(frozen=True)
 class BinaryVector:
     """Fixed-length bit vector over GF(2), packed MSB-first into an int."""
@@ -133,11 +129,13 @@ class BinaryMatrix:
         return (self.nrows, self.ncols)
 
     def column_values(self) -> tuple[int, ...]:
-        """Columns packed as nrows-bit ints (top row = MSB): the bit strings
-        of the rows, transposed."""
-        if not self.rows:
-            return (0,) * self.ncols
-        return tuple(int("".join(column), 2) for column in zip(*self.to_strings()))
+        """Columns packed as nrows-bit ints (top row = MSB)."""
+        columns = [0] * self.ncols
+        for i, row in enumerate(self.rows):
+            while row:  # each set bit of row i sets bit nrows-1-i of its column
+                columns[self.ncols - (row & -row).bit_length()] |= 1 << (self.nrows - 1 - i)
+                row &= row - 1
+        return tuple(columns)
 
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(self.column_values(), self.nrows)
@@ -151,7 +149,7 @@ class BinaryMatrix:
                 raise ValueError("matrix/vector dimension mismatch")
             value = 0
             for r in self.rows:
-                value = (value << 1) | _parity(r & other.value)
+                value = (value << 1) | ((r & other.value).bit_count() & 1)
             return BinaryVector(value, self.nrows)
         if isinstance(other, BinaryMatrix):
             if other.nrows != self.ncols:
@@ -171,7 +169,7 @@ class BinaryMatrix:
         values: bit i of each image is the parity of row i AND v."""
         rows = np.array(self.rows, dtype=np.int64)
         bits = np.bitwise_count(values[:, None] & rows) & 1
-        return bits.astype(np.int64) @ (1 << np.arange(self.nrows - 1, -1, -1))
+        return bits @ (1 << np.arange(self.nrows - 1, -1, -1))
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.to_strings()!r})"
@@ -223,12 +221,7 @@ def sympl_inner(a: BinaryVector, b: BinaryVector) -> int:
         raise ValueError("length mismatch in symplectic inner product")
     if a.length % 2:
         raise ValueError("symplectic inner product needs even length")
-    return _sympl_value(a.value, b.value, a.length // 2)
-
-
-def _sympl_value(a: int, b: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return _parity(((a >> n) & (b & mask)) ^ ((a & mask) & (b >> n)))
+    return (a.value & _swap_halves_value(b.value, a.length // 2)).bit_count() & 1
 
 
 def is_symplectic(matrix: BinaryMatrix) -> bool:
@@ -246,12 +239,11 @@ def is_symplectic(matrix: BinaryMatrix) -> bool:
     if r % 2:
         raise ValueError("symplectic test needs even dimension")
     n = r // 2
-    rows = matrix.rows
-    swapped = [_swap_halves_value(v, n) for v in rows]
-    for i, row in enumerate(rows):
-        for j in range(i + 1, r):
-            if (row & swapped[j]).bit_count() & 1 != (j == i + n):
-                return False
+    swapped = [_swap_halves_value(v, n) for v in matrix.rows]
+    for i, row in enumerate(matrix.rows):
+        pairs = [(row & s).bit_count() & 1 for s in swapped[i + 1:]]
+        if sum(pairs) != (i < n) or (i < n and not pairs[n - 1]):  # j = i + n alone
+            return False
     return True
 
 
@@ -279,34 +271,33 @@ def _form_conjugate(rows: Sequence[int], n: int) -> tuple[int, ...]:
 
 def _rref(vectors: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (rows, pivot columns), both sorted."""
-    reduced: list[int] = []
-    masks: list[int] = []
+    reduced: dict[int, int] = {}  # pivot bit -> row, zero at the other pivots
     for vec in vectors:
-        for row, mask in zip(reduced, masks):
+        for mask, row in reduced.items():
             if vec & mask:
                 vec ^= row
         if vec:
             mask = 1 << (vec.bit_length() - 1)
-            reduced = [r ^ vec if r & mask else r for r in reduced]
-            reduced.append(vec)
-            masks.append(mask)
-    order = sorted(range(len(masks)), key=masks.__getitem__, reverse=True)
-    return [reduced[i] for i in order], [ncols - masks[i].bit_length() for i in order]
+            for pivot, row in reduced.items():
+                if row & mask:
+                    reduced[pivot] = row ^ vec
+            reduced[mask] = vec
+    masks = sorted(reduced, reverse=True)
+    return [reduced[mask] for mask in masks], [ncols - mask.bit_length() for mask in masks]
 
 
 def _kernel(rows: Iterable[int], ncols: int) -> tuple[list[int], list[int]]:
     """RREF basis of the right null space of the given row constraints."""
     reduced, pivots = _rref(rows, ncols)
-    pivot_set = set(pivots)
+    pivot_bits = [1 << (ncols - 1 - p) for p in pivots]
     basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = 1 << (ncols - 1 - f)
-        for row, p in zip(reduced, pivots):
-            if (row >> (ncols - 1 - f)) & 1:
-                v |= 1 << (ncols - 1 - p)
-        basis.append(v)
+    for f in range(ncols - 1, -1, -1):  # each free column, leftmost first
+        v = 1 << f
+        if v not in pivot_bits:
+            for row, bit in zip(reduced, pivot_bits):
+                if row & v:
+                    v |= bit
+            basis.append(v)
     return _rref(basis, ncols)
 
 
@@ -321,9 +312,10 @@ def _reduce_by(v: int, rref_rows: Sequence[int], pivots: Sequence[int], ncols: i
 def _combination(basis: Sequence[int], pick: int) -> int:
     """XOR of the basis vectors selected by the bits of pick (bit i: basis[i])."""
     value = 0
-    for i, b in enumerate(basis):
-        if (pick >> i) & 1:
-            value ^= b
+    while pick:
+        low = pick & -pick
+        value ^= basis[low.bit_length() - 1]
+        pick ^= low
     return value
 
 
@@ -345,8 +337,8 @@ def _deflate(rows: list[int], pivots: list[int], v: int, n: int) -> tuple[list[i
     """RREF of the span's part orthogonal to v, off the span's RREF: the last row
     pairing with v leaves, added to the others that do, which keeps them reduced."""
     sv = _swap_halves_value(v, n)
-    pairs = [_parity(r & sv) for r in rows]
-    j = max((i for i, p in enumerate(pairs) if p), default=len(rows))
+    pairs = [(r & sv).bit_count() & 1 for r in rows]
+    j = len(rows) - 1 - pairs[::-1].index(1) if 1 in pairs else len(rows)
     return ([r ^ rows[j] if p else r for r, p in zip(rows[:j], pairs)] + rows[j + 1:],
             pivots[:j] + pivots[j + 1:])
 
@@ -392,9 +384,9 @@ class Subspace:
         """All pairwise symplectic inner products of the span vanish."""
         if self.length % 2:
             raise ValueError("isotropy is defined for even length only")
-        n = self.length // 2
-        return all(_sympl_value(a, b, n) == 0
-                   for i, a in enumerate(self.basis) for b in self.basis[i:])
+        swapped = [_swap_halves_value(b, self.length // 2) for b in self.basis]
+        return not any((a & b).bit_count() & 1
+                       for i, a in enumerate(self.basis) for b in swapped[i:])
 
     @cached_property
     def element_values(self) -> np.ndarray:
@@ -523,7 +515,7 @@ def _frame_columns(gens: Sequence[BinaryVector], n: int
     partners: list[int] = []
     for x in solutions:
         for gj, hj in zip(values, partners):
-            if _sympl_value(x, hj, n):
+            if (_swap_halves_value(x, n) & hj).bit_count() & 1:
                 x ^= gj
         h = _reduce_by(x, work, pivots, two_n)
         partners.append(h)
@@ -533,7 +525,8 @@ def _frame_columns(gens: Sequence[BinaryVector], n: int
     cols = [0] * m + values + [0] * m + partners
     for j in range(m):
         u = work[0]
-        w = next((b for b in work if _sympl_value(u, b, n)), None)
+        su = _swap_halves_value(u, n)
+        w = next((b for b in work if (b & su).bit_count() & 1), None)
         if w is None:
             raise RuntimeError("degenerate complement during symplectic completion")
         cols[j], cols[n + j] = u, w
@@ -557,7 +550,7 @@ def random_symplectic(n: int, rng: np.random.Generator) -> BinaryMatrix:
         h = int(rng.integers(1, 1 << two_n))
         ph = _swap_halves_value(h, n)
         # x -> x + (x^T P h) h applied to each row of the accumulated matrix.
-        rows = [r ^ h if _parity(r & ph) else r for r in rows]
+        rows = [r ^ h if (r & ph).bit_count() & 1 else r for r in rows]
     return BinaryMatrix(tuple(rows), two_n).transpose()
 
 

@@ -91,10 +91,9 @@ class PermutationProtocol:
     def _frame(self) -> tuple[tuple[int, ...], gf2._Echelon, gf2._Echelon]:
         """The frame B = A^-1 as its columns (the rows of P A P), then the
         `gf2._rref` of the generator span (columns m..n-1) and of its
-        commutant (columns 0..n+m-1), for `stabilizer.name_by_syndrome`.
-        Computed on first use, or set by the generator protocol's
-        completion; no dataclass field, so equality, hashing and `repr`
-        do not read it."""
+        commutant (columns 0..n+m-1), for `stabilizer.name_by_syndrome`:
+        set by a generator protocol's completion, else computed on first
+        use.  Equality, hashing and `repr` skip it (no dataclass field)."""
         n, m = self.n, self.m
         frame = gf2._form_conjugate(self.matrix.rows, n)
         return frame, gf2._rref(frame[m:n], 2 * n), gf2._rref(frame[:n + m], 2 * n)
@@ -158,18 +157,15 @@ class BranchSet:
 _row_type = functools.cache(functools.partial(namedtuple, "Branch"))
 
 
-def align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The sorted union of two sorted, nonempty label columns, then for
-    each column the row of every union label in it and whether the label
-    is there (else the row is any valid one).  The union is sorted here,
-    since `np.union1d` imports numpy.ma (~1 MB)."""
-    labels = np.sort(np.concatenate((a, b)))
-    labels = labels[np.concatenate(([True], labels[1:] != labels[:-1]))]
-    found = [labels]
-    for column in (a, b):
-        rows = np.minimum(np.searchsorted(column, labels), column.size - 1)
-        found += [rows, column[rows] == labels]
-    return tuple(found)
+def align(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted union of two nonempty columns of distinct labels, then,
+    a row per column, each union label's row in it (-1, its last row, where
+    it lacks the label) and whether it has the label.  Matched as Python
+    ints: for a small command's few labels, cheaper than a numpy merge."""
+    found = [dict(zip(column.tolist(), range(column.size))) for column in (a, b)]
+    labels = sorted(found[0].keys() | found[1].keys())
+    rows = np.array([[column.get(label, -1) for label in labels] for column in found])
+    return np.array(labels, dtype=np.int64), rows, rows >= 0
 
 
 def measured_subspace(proto: PermutationProtocol) -> Subspace:
@@ -226,7 +222,7 @@ def optimal_correction(cond: np.ndarray) -> BinaryVector:
 def _corrections(rows: np.ndarray) -> np.ndarray:
     """`optimal_correction` of every row, as label values."""
     band = (1.0 - TIE_BAND) * rows.max(axis=1)
-    return np.argmax(rows >= band[:, None], axis=1)
+    return (rows >= band[:, None]).argmax(axis=1)
 
 
 # Inputs per `np.add.at` block of the scatter in `branch_table`: the label
@@ -397,7 +393,7 @@ def branch_outcomes(table: np.ndarray, m: int, thresholds: np.ndarray
     k = size.bit_length() - 1
     table = table.reshape(batch * size, -1)
     probs = table.sum(axis=1)
-    live = np.flatnonzero(probs).astype(np.int64, copy=False)
+    live = probs.nonzero()[0].astype(np.int64, copy=False)
     if live.size < probs.size:
         table, probs = table[live], probs[live]
     inputs = live >> k
@@ -445,13 +441,15 @@ def _batch_branches(factors: Sequence[np.ndarray], proto: PermutationProtocol,
     """The branches of a batch of inputs (`branch_outcomes`), the factors
     and thresholds with a leading batch axis: the label map keeps the rows
     of A (and bits of b) that become the outcome bits t and the logical
-    label y."""
+    label y, rows n+m.., 0..m-1 and n..n+m-1."""
     n, m = proto.n, proto.m
-    positions = [*range(n + m, 2 * n), *range(m), *range(n, n + m)]
-    label_map = BinaryMatrix(tuple(proto.matrix.rows[p] for p in positions), 2 * n)
-    offset = BinaryVector.from_bits([proto.offset.bit(p) for p in positions])
-    table = branch_table(factors, label_map, offset.value, m)
-    return branch_outcomes(table, m, thresholds)
+    rows, b = proto.matrix.rows, proto.offset.value
+    label_map = object.__new__(BinaryMatrix)  # rows of a checked matrix: no second check
+    label_map.__dict__.update(rows=rows[n + m:] + rows[:m] + rows[n:n + m], ncols=2 * n)
+    # b's bits n+m.. are its last n-m, its bits 0..m-1 its first m
+    offset = (((b & ((1 << (n - m)) - 1)) << (2 * m)) | ((b >> (2 * n - m)) << m)
+              | ((b >> (n - m)) & ((1 << m) - 1)))
+    return branch_outcomes(branch_table(factors, label_map, offset, m), m, thresholds)
 
 
 def unnormalized_fidelity(state: BellDiagonalState, proto: PermutationProtocol,

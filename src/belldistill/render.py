@@ -34,6 +34,7 @@ import io
 import json
 import math
 from collections.abc import Callable, Iterator
+from json.encoder import encode_basestring_ascii as _quoted
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -59,28 +60,32 @@ def _float_token(x: float, fmt: str) -> str:
 
 def _values(fmt: str, indent: str, values) -> list[str]:
     """Each of `values` formatted on its own: in JSON as `json.dumps(value,
-    indent=2, sort_keys=True)` lays it out nested at `indent`, each float
-    by `_float_token`; in CSV as the text of its cell, a list's entries
-    `;`-joined, before `csv.writer` quotes it.  A dict in a CSV cell, an
-    array and any other type are refused."""
-    inner, texts = indent + "  ", []
+    indent=2, sort_keys=True)` lays it out nested at `indent` (each float by
+    `_float_token`, each string quoted as `json.dumps` quotes it, `_quoted`);
+    in CSV as the text of its cell, a list's entries `;`-joined, before
+    `csv.writer` quotes it.  A dict in a CSV cell, an array and any other
+    type are refused."""
+    json_format, inner, texts = fmt == "json", indent + "  ", []
+    append = texts.append
     for value in values:
         if isinstance(value, float):
-            texts.append(_float_token(value, fmt))
+            append(_float_token(value, fmt))
+        elif isinstance(value, bool):
+            append("true" if value else "false")
+        elif isinstance(value, str):
+            append(_quoted(value) if json_format else value)
         elif isinstance(value, (list, tuple)):
             items = _values(fmt, inner, value)
-            texts.append(";".join(items) if fmt == "csv" else "[]" if not items else
-                         "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]")
-        elif isinstance(value, bool):
-            texts.append("true" if value else "false")
-        elif value is None or isinstance(value, (int, str)):
-            texts.append(json.dumps(value) if fmt == "json" else str(value))
-        elif isinstance(value, dict) and fmt == "json":
+            append(";".join(items) if not json_format else "[]" if not items else
+                   "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]")
+        elif value is None or isinstance(value, int):
+            append(int.__repr__(value) if value is not None else "null" if json_format else "None")
+        elif isinstance(value, dict) and json_format:
             keys = sorted(value)
-            items = [json.dumps(key) + ": " + text
+            items = [_quoted(key) + ": " + text
                      for key, text in zip(keys, _values(fmt, inner, map(value.get, keys)))]
-            texts.append("{}" if not items else
-                         "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}")
+            append("{}" if not items else
+                   "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}")
         else:
             raise TypeError(f"unserializable value of type {type(value)!r}")
     return texts
@@ -116,14 +121,14 @@ _FAST_MAX = 1e14
 _FAST_TINY = float(np.finfo(float).tiny)
 
 # Below this many floats an output is formatted value by value.  The
-# block path costs ~0.35 ms however few floats it prints (~90 numpy calls
+# block path costs ~0.31 ms however few floats it prints (~90 numpy calls
 # of digit-table work, a row template, a padding pass); value by value
-# costs ~0.13 ms plus ~0.6 us a float.  Rendering each output of the
+# costs ~0.13 ms plus ~0.7-0.9 us a float.  Rendering each output of the
 # benchmark's seed-0 `suite` both ways (after `gc.collect()`, as the
-# benchmark runs an op; medians of 15), value by value took 0.32-0.66 of
-# the block path's time at 8-80 floats, 0.56-0.95 at 152-268, 1.00-1.05
-# at 304, 1.04-1.35 at 518-536 and 1.7-3.0 from 1036 (2-core x86-64,
-# Python 3.11, numpy 2.4).
+# benchmark runs an op; medians of 15, three rounds), value by value took
+# 0.27-0.82 of the block path's time at 8-160 floats, 0.60-1.26 at
+# 224-304, 0.80-0.91 at a `verify`'s 320, 1.26-1.55 at 518-536 and
+# 1.9-3.8 from 1036 (2-core x86-64, Python 3.11, numpy 2.4).
 _VALUE_MAX = 256
 # About the bytes of a block's matrix, and what a float takes of them with
 # its separator (`_blocks`).  Formatting a block's floats holds ~60 bytes
@@ -570,8 +575,8 @@ def render(write: Callable[[bytes], object], command: str, columns: dict, fmt: s
         first = buf.getvalue().encode()
         heads, end, last = [b""] + [b","] * (len(keys) - 1), b"\n", b""
     else:
-        first = ('{\n  "command": ' + json.dumps(command) + ',\n  "records": [').encode()
-        heads = [((",\n      " if i else ",\n    {\n      ") + json.dumps(key) + ": ")
+        first = ('{\n  "command": ' + _quoted(command) + ',\n  "records": [').encode()
+        heads = [((",\n      " if i else ",\n    {\n      ") + _quoted(key) + ": ")
                  .encode("ascii") for i, key in enumerate(keys)]
         end = b"\n    }"
         last = (b"\n  ]" if rows else b"]") + (b"" if summary is None else (

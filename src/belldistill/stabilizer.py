@@ -158,23 +158,23 @@ def name_by_syndrome(branches: BranchSet, proto: PermutationProtocol) -> BranchS
     # B b, tabulated per part (`gf2.affine_images`).  B's columns are the
     # rows of B^T = P A P, and B b is the XOR of those b selects.  Columns
     # m..n-1 are the generators; 0..n+m-1, all but their partners, span
-    # the generators' symplectic complement.
+    # the generators' symplectic complement.  The syndrome part of v and of
+    # u is one table of values reduced both ways, v's above u's 2n bits.
     frame, span, perp = proto._frame
     pauli = gf2._combination(frame[::-1], proto.offset.value)
 
-    def images(echelon, part, offset: int) -> np.ndarray:
-        return gf2.affine_images([gf2._reduce_by(col, *echelon, two_n) for col in part],
-                                 gf2._reduce_by(offset, *echelon, two_n))
+    def both(col: int) -> int:
+        return (gf2._reduce_by(col, *perp, two_n) << two_n) | gf2._reduce_by(col, *span, two_n)
 
-    s, c = branches.t, branches.correction
+    named = gf2.affine_images([both(col) for col in frame[n + m:]], both(pauli))[branches.t]
     return BranchSet({"s": n - m, "v": two_n, "u": two_n}, {
-        "s": s,
+        "s": branches.t,
         "prob": branches.prob,
         "fidelity": branches.fidelity,
         "unnormalized_fidelity": branches.unnormalized_fidelity,
-        "v": images(perp, frame[n + m:], pauli)[s],
-        "u": (images(span, frame[n + m:], pauli)[s]
-              ^ images(span, frame[:m] + frame[n:n + m], 0)[c]),
+        "v": named >> two_n,
+        "u": (named & ((1 << two_n) - 1)) ^ gf2.affine_images([gf2._reduce_by(
+            col, *span, two_n) for col in frame[:m] + frame[n:n + m]], 0)[branches.correction],
         "accepted": branches.accepted,
         "output": branches.output,
     })

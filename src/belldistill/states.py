@@ -249,9 +249,10 @@ def _normalize(arr: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         arr = np.maximum(arr, 0.0, out=out)
     with np.errstate(over="ignore"):  # a total beyond float range is inf, refused below
         total = arr.sum(axis=-1, keepdims=True)
-    drifted = ~(np.abs(total - 1.0) <= _SUM_TOLERANCE)  # NaN drifts too
-    if drifted.any():
-        raise ValueError(f"weights sum to {total[drifted][0]}, drifted beyond 1e-9 from 1")
+    drift = np.abs(total - 1.0)
+    if not drift.max(initial=0.0) <= _SUM_TOLERANCE:  # NaN drifts too
+        first = total[~(drift <= _SUM_TOLERANCE)][0]
+        raise ValueError(f"weights sum to {first}, drifted beyond 1e-9 from 1")
     return np.divide(arr, total, out=out)
 
 

@@ -205,6 +205,31 @@ def test_verify_reports_a_branch_one_engine_drops(monkeypatch, werner2, edit_col
     assert not report.passed
 
 
+def test_verify_reports_a_syndrome_only_the_naming_produces(monkeypatch, edit_columns):
+    # the naming calls branch 2 branch 3, which no parity outcome is: each
+    # label is a row of one engine alone
+    naming = stabilizer.name_by_syndrome
+    monkeypatch.setattr(stabilizer, "name_by_syndrome", lambda *args: edit_columns(
+        naming(*args), lambda name, column: np.array([0, 3]) if name == "s" else column))
+    proto = StabilizerProtocol.from_pauli_strings(["ZZZ", "IXX"])
+    state = BellDiagonalState.from_pairs([BellDiagonalState(1, (0.7, 0.3, 0.0, 0.0))] * 3)
+    perm = permutation.run(state, proto)
+    assert perm.t.tolist() == [0, 2]
+    report = verify_equivalence(state, proto)
+    assert not report.branch_sets_match and not report.passed
+    branches = report.branches
+    assert branches.t.tolist() == [0, 2, 3]
+    assert branches.prob_perm.tolist() == [perm.prob[0], perm.prob[1], 0.0]
+    assert branches.prob_code.tolist() == [perm.prob[0], 0.0, perm.prob[1]]
+    assert branches.fidelity_perm.tolist() == [perm.fidelity[0], perm.fidelity[1], 0.0]
+    assert branches.fidelity_code.tolist() == [perm.fidelity[0], 0.0, perm.fidelity[1]]
+    assert branches.output_max_diff[0] == 0.0
+    assert np.isnan(branches.output_max_diff[1:]).all()
+    assert branches.coset_match.tolist() == [True, False, False]
+    assert not report.coset_match
+    assert report.max_discrepancy == perm.prob[1] == pytest.approx(0.468, abs=1e-12)
+
+
 def test_verify_reports_an_output_gap(monkeypatch, werner2, edit_columns):
     # the stabilizer engine's outputs reversed, its statistics as they are
     naming = stabilizer.name_by_syndrome
@@ -268,6 +293,90 @@ def test_coset_match_equals_the_literal_span_test(monkeypatch, edit_columns, rng
         seen.update(expected)
         monkeypatch.undo()
     assert seen == {True, False}
+
+
+def reference_report(perm, code, proto):
+    """The report's columns and summary as first written: the union of the
+    labels sorted and searched, one `np.where` a column, and the coset
+    test on every row of A, masked outside positions m..n-1."""
+    n, m = proto.n, proto.m
+    labels = np.sort(np.concatenate((perm.t, code.s)))
+    t = labels[np.concatenate(([True], labels[1:] != labels[:-1]))]
+    p, c = (np.minimum(np.searchsorted(column, t), column.size - 1)
+            for column in (perm.t, code.s))
+    in_perm, in_code = perm.t[p] == t, code.s[c] == t
+    both = in_perm & in_code
+    prob_perm = np.where(in_perm, perm.prob[p], 0.0)
+    prob_code = np.where(in_code, code.prob[c], 0.0)
+    fidelity_perm = np.where(in_perm, perm.fidelity[p], 0.0)
+    fidelity_code = np.where(in_code, code.fidelity[c], 0.0)
+    output_diff = np.where(both, np.abs(perm.output[p] - code.output[c]).max(axis=1), np.nan)
+    moved = (proto.matrix.apply(code.u[c]) ^ proto.offset.value
+             ^ permutation._embed_value(perm.correction[p], t, n, m))
+    coset_match = both & ((moved & ~(((1 << (n - m)) - 1) << n)) == 0)
+    gaps = np.maximum.reduce([np.abs(prob_perm - prob_code),
+                              np.abs(fidelity_perm - fidelity_code), output_diff])
+    discrepancy = np.where(both, gaps, prob_perm + prob_code)
+    columns = {"t": t, "prob_perm": prob_perm, "prob_code": prob_code,
+               "fidelity_perm": fidelity_perm, "fidelity_code": fidelity_code,
+               "output_max_diff": output_diff, "coset_match": coset_match}
+    return columns, (bool(np.array_equal(perm.t, code.s)), bool(coset_match.all()),
+                     float(discrepancy.max(initial=0.0)))
+
+
+def rename_a_row(columns, rng, width):
+    """Row i's s moved to a label no row has, rows reordered to keep s sorted."""
+    s = columns["s"].copy()
+    free = np.setdiff1d(np.arange(1 << (width + 1)), s)
+    s[rng.integers(s.size)] = rng.choice(free)
+    order = np.argsort(s)
+    return {name: (s if name == "s" else column)[order] for name, column in columns.items()}
+
+
+FAULTS = {
+    "none": lambda columns, rng, width: columns,
+    "drop-first": lambda columns, rng, width: {k: v[1:] for k, v in columns.items()},
+    "drop-last": lambda columns, rng, width: {k: v[:-1] for k, v in columns.items()},
+    "rename": rename_a_row,
+    "shift-recoveries": lambda columns, rng, width: {**columns, "u": columns["u"] ^ np.where(
+        rng.random(columns["u"].size) < 0.5, rng.integers(0, 1 << 8, columns["u"].size), 0)},
+    "perturb-statistics": lambda columns, rng, width: {**columns, **{
+        name: columns[name] + rng.choice([0.0, 1e-9, -0.25], columns[name].shape)
+        for name in ("prob", "fidelity", "output")}},
+    "reverse-outputs": lambda columns, rng, width: {**columns,
+                                                    "output": columns["output"][:, ::-1]},
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_report_equals_the_column_by_column_reference(monkeypatch, rng, fault):
+    seen, naming = [], stabilizer.name_by_syndrome
+
+    def faulty(branches, proto):
+        named = naming(branches, proto)
+        columns = FAULTS[fault](dict(named.columns), rng, proto.n - proto.m)
+        if not columns["s"].size:  # a report reads at least one label a side
+            columns = dict(named.columns)
+        code = permutation.BranchSet(named.widths, columns)
+        seen.append((branches, code))
+        return code
+
+    monkeypatch.setattr(stabilizer, "name_by_syndrome", faulty)
+    for _ in range(40):
+        state, proto = random_instance(rng, (1, 2, 3, 4))
+        if rng.random() < 0.5:
+            b = BinaryVector(int(rng.integers(0, 1 << (2 * proto.n))), 2 * proto.n)
+            proto = PermutationProtocol(proto.n, proto.m, proto.matrix, b)
+        seen.clear()
+        report = verify_equivalence(state, proto)
+        (perm, code), = seen
+        columns, summary = reference_report(perm, code, proto)
+        assert list(report.branches.columns) == list(columns)
+        for name, column in columns.items():
+            got = report.branches.columns[name]
+            assert got.dtype == column.dtype, name
+            assert np.array_equal(got, column, equal_nan=True), name
+        assert (report.branch_sets_match, report.coset_match, report.max_discrepancy) == summary
 
 
 def test_verify_random_batch(rng):

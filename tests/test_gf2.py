@@ -266,6 +266,25 @@ def test_column_values_are_the_bit_transpose(rng):
                 for i, r in enumerate(matrix.rows)) for j in range(ncols))
 
 
+def string_transpose(matrix: BinaryMatrix) -> tuple[int, ...]:
+    """`BinaryMatrix.column_values` as first written: the bit strings of
+    the rows, transposed."""
+    if not matrix.rows:
+        return (0,) * matrix.ncols
+    return tuple(int("".join(column), 2) for column in zip(*matrix.to_strings()))
+
+
+def test_column_values_equal_the_string_transpose(rng):
+    shapes = [(0, 0), (0, 4), (1, 0), (1, 1), (1, 12), (6, 0), (12, 1), (64, 64), (3, 90)]
+    shapes += [tuple(int(x) for x in rng.integers(0, 40, 2)) for _ in range(300)]
+    for nrows, ncols in shapes:
+        for density in (0.5, 0.1, 1.0):
+            bits = (rng.random((nrows, ncols)) < density).astype(int).tolist()
+            matrix = BinaryMatrix(tuple(int("".join(map(str, row)) or "0", 2) for row in bits),
+                                  ncols)
+            assert matrix.column_values() == string_transpose(matrix), (nrows, ncols)
+
+
 def test_symplectic_inverse_identity():
     eye = BinaryMatrix.identity(4)
     assert symplectic_inverse(eye) == eye

@@ -263,6 +263,26 @@ def test_blocked_branch_table_bit_equals_one_shot(rng, m):
         assert np.array_equal(bits(table.ravel()), bits(expected))
 
 
+def test_label_map_is_the_protocol_rows_and_offset_bits_at_its_positions(rng, monkeypatch):
+    # the former formulation: the rows of A and the bits of b at the
+    # positions of t, then of y's phases and parities, b's through
+    # `BinaryVector.from_bits`
+    seen, table = [], permutation.branch_table
+    monkeypatch.setattr(permutation, "branch_table", lambda factors, *args: (
+        seen.append(args), table(factors, *args))[1])
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, n + 1))
+        matrix = gf2.random_symplectic(n, rng)
+        b = BinaryVector(int(rng.integers(0, 1 << (2 * n))), 2 * n)
+        seen.clear()
+        run(random_bell_diagonal(n, rng), PermutationProtocol(n, m, matrix, b))
+        (label_map, offset, _), = seen
+        positions = [*range(n + m, 2 * n), *range(m), *range(n, n + m)]
+        assert label_map == BinaryMatrix(tuple(matrix.rows[p] for p in positions), 2 * n)
+        assert offset == BinaryVector.from_bits([b.bit(p) for p in positions]).value
+
+
 PAIR_KINDS = {
     "werner": lambda rng: werner(0.8),
     "random": lambda rng: BellDiagonalState(1, (w := rng.random(4) + 1e-3) / w.sum()),
